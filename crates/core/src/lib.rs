@@ -16,9 +16,10 @@
 //!   retrieval (Algorithms 4–6), built on `dvfs-ostree`.
 //! * [`sched`] — the engine-agnostic scheduling interface: the
 //!   [`sched::Scheduler`] event hooks over an abstract
-//!   [`sched::ExecutorView`], implemented by both the
-//!   virtual-time simulator (`dvfs-sim`) and the wall-clock service
-//!   executor (`dvfs-serve`).
+//!   [`sched::ExecutorView`], and [`sched::engine::Engine`], the one
+//!   event-driven engine implementing it, which the virtual-time
+//!   simulator (`dvfs-sim`) and the wall-clock service executor
+//!   (`dvfs-serve`) both drive.
 //! * [`lmc`] — Section IV: the **Least Marginal Cost** online scheduling
 //!   policy for mixed interactive / non-interactive workloads,
 //!   implemented against the [`sched`] interface.

@@ -12,19 +12,21 @@
 //! * [`Scheduler`] — the event hooks a policy implements (`on_arrival`,
 //!   `on_completion`, `on_tick`).
 //!
-//! Two executors implement the view today: the virtual-time simulator
-//! (`dvfs-sim`, where `SimView` adapts the event-driven engine) and the
-//! wall-clock service executor (`dvfs-serve`, which drives the sysfs
-//! actuator directly). Policies written against these traits run on
-//! either without modification — the layering the paper's deployment
-//! story (an online judge scheduling real submissions) requires.
+//! One executor implements the view: [`engine::Engine`], which owns
+//! cores, jobs, the event heap and the dispatch / preempt / set-rate
+//! arithmetic. Two thin drivers pace it — the virtual-time
+//! `dvfs_sim::Simulator` and the wall-clock
+//! `dvfs_serve::RealTimeExecutor` — so policies written against these
+//! traits run under either unchanged, the layering the paper's
+//! deployment story (an online judge scheduling real submissions)
+//! requires.
 //!
-//! Writing a new executor means implementing [`ExecutorView`] over your
-//! engine state and invoking the [`Scheduler`] hooks at the right
-//! moments: `on_arrival` when a task becomes ready, `on_completion`
-//! after its bookkeeping is final, `on_tick` from any periodic driver.
-//! The executor owns time and accounting; the scheduler only ever sees
-//! this view.
+//! A third-party executor implements [`ExecutorView`] over its own
+//! state and invokes the [`Scheduler`] hooks at the right moments:
+//! `on_arrival` when a task becomes ready, `on_completion` after its
+//! bookkeeping is final, `on_tick` from any periodic driver. The
+//! executor owns time and accounting; the scheduler only ever sees this
+//! view. [`conformance`] holds the pin such an executor must reproduce.
 
 use dvfs_model::{CoreId, RateIdx, RateTable, Task, TaskId};
 use dvfs_trace::TraceSink;
@@ -173,3 +175,6 @@ impl Scheduler for PlanPolicy {
 }
 
 pub mod conformance;
+pub mod engine;
+mod event;
+pub mod governor;

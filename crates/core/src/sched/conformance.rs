@@ -1,20 +1,19 @@
 //! Executor-agnostic replay-determinism conformance suite.
 //!
-//! The repo's determinism contract says every [`super::ExecutorView`]
-//! implementation — the virtual-time simulator, the wall-clock service
-//! executor, and the worker-backed sharded service — must produce the
-//! *same schedule* for the same trace: identical completion order and
-//! bit-identical (`==`, no epsilon) per-task and aggregate floats. The
-//! pins used to live inline in the serve end-to-end tests; this module
-//! extracts them so any executor can be checked against any reference.
+//! The repo's determinism contract says everything that executes a
+//! trace — the engine under its virtual-time and wall-clock drivers,
+//! the worker-backed sharded service, any third-party
+//! [`super::ExecutorView`] — must produce the *same schedule* for the
+//! same trace: identical completion order and bit-identical (`==`, no
+//! epsilon) per-task and aggregate floats.
 //!
 //! The module is deliberately executor-free: it defines the pinned
-//! workload ([`mixed_trace`]), a normalized run summary ([`Outcome`]),
-//! and the exact-equality assertion ([`assert_identical`]). Harnesses
-//! (e.g. the workspace's `tests/conformance.rs`) adapt each concrete
-//! executor's report into an [`Outcome`] and compare pairs. Keeping the
-//! adapters out of this crate preserves the layering: `dvfs-core`
-//! depends on neither the simulator nor the service.
+//! workload ([`mixed_trace`]), its [`golden`] bits, a normalized run
+//! summary ([`Outcome`]), and the exact-equality assertion
+//! ([`assert_identical`]). Harnesses (the workspace's
+//! `tests/conformance.rs`) adapt each concrete executor's report into
+//! an [`Outcome`] and compare; keeping the adapters out of this crate
+//! means `dvfs-core` depends on neither the simulator nor the service.
 
 use dvfs_model::{CostParams, Task, TaskClass, TaskId, TaskRecord};
 use std::collections::BTreeMap;
@@ -41,6 +40,35 @@ pub fn mixed_trace() -> Vec<Task> {
                 .expect("valid synthetic task")
         })
         .collect()
+}
+
+/// The bits [`mixed_trace`] must produce under LMC with
+/// `CostParams::online_paper()` on two homogeneous Table II cores.
+/// Captured where two independently written engines (the former
+/// simulator and service executor) agreed on every one of them, so the
+/// pin cross-checks the single engine's arithmetic against something
+/// other than itself.
+pub mod golden {
+    /// `f64::to_bits` of the total active energy in joules.
+    pub const ACTIVE_ENERGY_BITS: u64 = 0x402a_c1eb_851e_b851;
+    /// `f64::to_bits` of the turnaround sum in seconds.
+    pub const TOTAL_TURNAROUND_BITS: u64 = 0x4004_a6e9_78d4_fdf3;
+    /// `f64::to_bits` of the makespan in seconds.
+    pub const MAKESPAN_BITS: u64 = 0x3fe8_5604_1893_74bc;
+    /// `(task id, f64::to_bits of its completion time)`, in completion
+    /// order.
+    pub const COMPLETIONS: [(u64, u64); 10] = [
+        (0, 0x3f90_e560_4189_374b),
+        (4, 0x3fb5_1eb8_51eb_851f),
+        (12, 0x3fc0_20c4_9ba5_e354),
+        (24, 0x3fce_24dd_2f1a_9fbe),
+        (8, 0x3fd2_ac08_3126_e979),
+        (36, 0x3fd6_147a_e147_ae14),
+        (16, 0x3fdc_9fbe_76c8_b439),
+        (20, 0x3fde_ac08_3126_e979),
+        (28, 0x3fe6_4fdf_3b64_5a1c),
+        (32, 0x3fe8_5604_1893_74bc),
+    ];
 }
 
 /// A normalized run summary: what every executor must agree on.

@@ -1,4 +1,5 @@
-//! Simulation events and the time-ordered event queue.
+//! Engine events and the time-ordered event queue (private to
+//! [`super::engine`], the one place a `BinaryHeap<Event>` lives).
 
 use dvfs_model::{CoreId, TaskId};
 use std::cmp::Ordering;
@@ -41,10 +42,10 @@ impl EventKind {
 }
 
 /// A timestamped event. Ordered by time, then kind class, then FIFO
-/// sequence, so simulation replay is fully deterministic.
+/// sequence, so replay is fully deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    /// Simulation time in seconds.
+    /// Engine time in seconds.
     pub time: f64,
     /// Tie-break sequence number (insertion order).
     pub seq: u64,
@@ -81,12 +82,6 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    /// An empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Schedule `kind` at absolute `time`.
     ///
     /// # Panics
@@ -108,18 +103,6 @@ impl EventQueue {
     pub fn peek(&self) -> Option<&Event> {
         self.heap.peek()
     }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +111,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(3.0, EventKind::Arrival { task: TaskId(3) });
         q.push(1.0, EventKind::Arrival { task: TaskId(1) });
         q.push(2.0, EventKind::Arrival { task: TaskId(2) });
@@ -138,7 +121,7 @@ mod tests {
 
     #[test]
     fn same_time_completion_before_tick_before_arrival() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(1.0, EventKind::Arrival { task: TaskId(9) });
         q.push(1.0, EventKind::GovernorTick { core: 0 });
         q.push(1.0, EventKind::Completion { core: 0, epoch: 0 });
@@ -155,7 +138,7 @@ mod tests {
 
     #[test]
     fn same_time_same_kind_is_fifo() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(1.0, EventKind::Arrival { task: TaskId(1) });
         q.push(1.0, EventKind::Arrival { task: TaskId(2) });
         q.push(1.0, EventKind::Arrival { task: TaskId(3) });
@@ -171,7 +154,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot schedule")]
     fn rejects_nonfinite_time() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.push(f64::NAN, EventKind::GovernorTick { core: 0 });
     }
 }

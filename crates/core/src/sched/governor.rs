@@ -11,10 +11,9 @@
 //! scheduling policy, as the paper does for WBG/LMC.
 
 use dvfs_model::RateIdx;
-use serde::{Deserialize, Serialize};
 
 /// Which entity owns a core's frequency and how it evolves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GovernorKind {
     /// The scheduling policy sets frequencies explicitly
     /// (`scaling_governor = userspace` in the paper's setup).

@@ -107,22 +107,20 @@ pub struct Report {
 /// (dirs) and exact files. Everything is non-test code only.
 mod scope {
     /// Rule D (collections/RNG): replay-critical state that is iterated
-    /// into reports, plans, or actuation decisions.
+    /// into reports, plans, or actuation decisions — which includes the
+    /// one execution engine (`crates/core/src/sched/engine.rs`).
     pub const DET_COLLECTIONS_DIRS: &[&str] = &["crates/core/src", "crates/model/src"];
     /// Exact files for rule D (collections/RNG) outside those dirs: the
-    /// sim engine and the serve report-merge/metrics/snapshot paths.
+    /// serve metrics/snapshot paths, which still hold iterated maps.
     pub const DET_COLLECTIONS_FILES: &[&str] = &[
-        "crates/sim/src/engine.rs",
-        "crates/serve/src/executor.rs",
         "crates/serve/src/metrics.rs",
         "crates/serve/src/snapshot.rs",
     ];
-    /// Rule D (clocks): all of core/model/serve — wall time enters the
-    /// service only through the clock seam.
+    /// Rule D (clocks): all of core/model/serve — the engine runs on
+    /// engine time, and wall time enters the service only through the
+    /// clock seam.
     pub const DET_CLOCK_DIRS: &[&str] =
         &["crates/core/src", "crates/model/src", "crates/serve/src"];
-    /// Exact extra files for rule D (clocks).
-    pub const DET_CLOCK_FILES: &[&str] = &["crates/sim/src/engine.rs"];
     /// The one blessed wall-clock read.
     pub const DET_CLOCK_EXEMPT: &[&str] = &["crates/serve/src/clock.rs"];
     /// Rule D (trace record path): the event-bus hot path must be
@@ -143,7 +141,7 @@ mod scope {
     /// migration primitives directly.
     pub const MIGRATION_DIRS: &[&str] = &["crates/serve/src"];
     /// The worker owns engines (the only sound caller) and the
-    /// executor defines the primitives.
+    /// executor driver hands the engine's primitives through.
     pub const MIGRATION_EXEMPT: &[&str] =
         &["crates/serve/src/worker.rs", "crates/serve/src/executor.rs"];
     /// Rule P: the wire path.
@@ -282,12 +280,7 @@ pub fn run(root: &Path) -> Report {
         ) {
             raw.extend(rules::determinism_collections(text, rel));
         }
-        if in_scope(
-            rel,
-            scope::DET_CLOCK_DIRS,
-            scope::DET_CLOCK_FILES,
-            scope::DET_CLOCK_EXEMPT,
-        ) {
+        if in_scope(rel, scope::DET_CLOCK_DIRS, &[], scope::DET_CLOCK_EXEMPT) {
             raw.extend(rules::determinism_clock(text, rel));
         }
         if in_scope(rel, &[], scope::TRACE_RECORD_FILES, &[]) {
@@ -460,11 +453,26 @@ mod tests {
             &[]
         ));
         assert!(in_scope(
-            "crates/serve/src/executor.rs",
+            "crates/core/src/sched/engine.rs",
             scope::DET_COLLECTIONS_DIRS,
             scope::DET_COLLECTIONS_FILES,
             &[]
         ));
+        assert!(in_scope(
+            "crates/core/src/sched/engine.rs",
+            scope::DET_CLOCK_DIRS,
+            &[],
+            scope::DET_CLOCK_EXEMPT
+        ));
+        // The thin drivers hold no replay state of their own.
+        for driver in ["crates/serve/src/executor.rs", "crates/sim/src/engine.rs"] {
+            assert!(!in_scope(
+                driver,
+                scope::DET_COLLECTIONS_DIRS,
+                scope::DET_COLLECTIONS_FILES,
+                &[]
+            ));
+        }
         assert!(!in_scope(
             "crates/serve/src/service.rs",
             scope::DET_COLLECTIONS_DIRS,
@@ -474,7 +482,7 @@ mod tests {
         assert!(!in_scope(
             "crates/serve/src/clock.rs",
             scope::DET_CLOCK_DIRS,
-            scope::DET_CLOCK_FILES,
+            &[],
             scope::DET_CLOCK_EXEMPT
         ));
         assert!(in_scope(

@@ -2,6 +2,10 @@
 //! and hash containers confined to test code.
 use std::collections::BTreeMap;
 
+pub mod sched {
+    pub mod engine;
+}
+
 pub struct Policy {
     by_id: BTreeMap<u64, u64>,
     // dvfs-lint: allow(determinism) membership-only set, never iterated

@@ -1,4 +1,4 @@
-//! Clean engine: virtual time only, deterministic containers.
+//! Clean engine: engine time only, deterministic containers.
 use std::collections::BTreeMap;
 
 pub struct Engine {

@@ -1,2 +1,1 @@
-//! Clean sim fixture.
-pub mod engine;
+//! Clean sim fixture: a thin driver crate, no replay state of its own.

@@ -1,5 +1,10 @@
-//! Determinism violations: hash container + ambient RNG.
+//! Determinism violations: hash container + ambient RNG (and a wall
+//! clock in `sched/engine.rs`).
 use std::collections::HashMap;
+
+pub mod sched {
+    pub mod engine;
+}
 
 pub fn order_sensitive() -> HashMap<u64, u64> {
     HashMap::new()

@@ -1,2 +1,1 @@
-//! Sim fixture with a wall-clock leak in the engine.
-pub mod engine;
+//! Sim fixture: only its manifest matters (the layering rule's target).

@@ -72,7 +72,7 @@ fn violating_fixture_pins_findings_to_files() {
     assert!(has("determinism", "crates/core/src/lib.rs", "`thread_rng`"));
     assert!(has(
         "determinism",
-        "crates/sim/src/engine.rs",
+        "crates/core/src/sched/engine.rs",
         "`Instant::now()`"
     ));
     // D: wall clock and string formatting in the trace record path.

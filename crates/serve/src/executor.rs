@@ -1,139 +1,31 @@
 //! The service's wall-clock executor.
 //!
-//! [`RealTimeExecutor`] is the second implementation of the
-//! engine-agnostic `dvfs_core::sched::ExecutorView` (the first is the
-//! virtual-time simulator in `dvfs-sim`). It drives a scheduling policy
-//! directly: tasks are pushed as they are admitted, the service maps
-//! wall time onto the executor clock and calls [`RealTimeExecutor::step_until`],
-//! and every frequency decision is applied to the `dvfs-sysfs` actuator
-//! at the moment the policy makes it — the actuation path a real
-//! deployment would use, not an after-the-fact log replay.
+//! [`RealTimeExecutor`] is the wall-paced driver of
+//! `dvfs_core::sched::engine::Engine`, the engine the virtual-time
+//! simulator in `dvfs-sim` also drives. Tasks are pushed as they are
+//! admitted, the service maps wall time onto the engine clock and calls
+//! [`Engine::step_until`], and every frequency decision reaches the
+//! `dvfs-sysfs` actuator at the moment the engine makes it — the
+//! actuation path a real deployment would use, not an after-the-fact
+//! log replay. This module adds only the [`RateActuator`] backends
+//! (plugged into the engine's observer seam) and the completion-ordered
+//! [`RoundReport`].
 //!
 //! ## Determinism contract
 //!
-//! Replaying a buffered trace through [`RealTimeExecutor::run_to_completion`]
-//! must be **bit-identical** (per-task energy, completion times, event
-//! order) to running the same trace through `dvfs_sim::Simulator`. The
-//! arithmetic below therefore mirrors the simulator's exactly. The
-//! service platform uses userspace-governed cores with no contention
-//! model and no switch latency, so the simulator's contention factor is
-//! the exact identity `× 1.0` and its DVFS stall the exact identity
-//! `+ 0.0`; the simplified expressions here produce the same bits.
-//! Event ordering matches the simulator's queue: `(time, class, FIFO
-//! seq)` with completions ahead of arrivals at equal timestamps. The
-//! end-to-end tests pin this contract.
+//! A replay through [`Engine::run_to_completion`] is **bit-identical**
+//! (per-task energy, completion times, event order) to the same trace
+//! on `dvfs_sim::Simulator` because it *is* the simulator's engine,
+//! configured with userspace governors, no contention and no switch
+//! latency. The conformance suite and the end-to-end tests therefore
+//! pin this wrapper — actuation, completion order, report merging,
+//! sharding — not a second copy of the arithmetic.
 
-use dvfs_core::sched::{ExecutorView, Scheduler};
-use dvfs_model::{
-    CoreId, CostBreakdown, CostParams, Platform, RateIdx, RateTable, Task, TaskId, TaskRecord,
-};
+use dvfs_core::sched::engine::{Engine, EngineConfig, EngineEvent, EngineObserver};
+use dvfs_model::{CostBreakdown, CostParams, Platform, RateIdx, TaskRecord};
 use dvfs_sysfs::{DvfsActuator, SimulatedSysfs};
-use dvfs_trace::{SharedRing, TraceSink};
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
-
-/// Safety valve against policy livelock (same bound as the simulator).
-const EVENT_BUDGET: u64 = 2_000_000_000;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    /// The task on `core` finished, provided the core's epoch still
-    /// equals `epoch` when popped (stale completions are discarded).
-    Completion {
-        core: CoreId,
-        epoch: u64,
-    },
-    Arrival {
-        task: TaskId,
-    },
-}
-
-impl EventKind {
-    /// Same-timestamp priority, mirroring the simulator's classes
-    /// (class 1 is the governor tick, which userspace-governed cores
-    /// never schedule).
-    fn class_order(&self) -> u8 {
-        match self {
-            EventKind::Completion { .. } => 0,
-            EventKind::Arrival { .. } => 2,
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct Event {
-    time: f64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl Eq for Event {}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops
-        // first. Times are finite by construction.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event times must be finite")
-            .then_with(|| other.kind.class_order().cmp(&self.kind.class_order()))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[derive(Debug, Default)]
-struct EventQueue {
-    heap: BinaryHeap<Event>,
-    next_seq: u64,
-}
-
-impl EventQueue {
-    fn push(&mut self, time: f64, kind: EventKind) {
-        assert!(time.is_finite(), "cannot schedule an event at t={time}");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Event { time, seq, kind });
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
-    }
-
-    fn peek(&self) -> Option<&Event> {
-        self.heap.peek()
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobPhase {
-    Future,
-    Ready,
-    Running,
-    Done,
-}
-
-struct Job {
-    task: Task,
-    remaining: f64,
-    phase: JobPhase,
-    record: TaskRecord,
-}
-
-struct Core {
-    rate: RateIdx,
-    max_allowed: RateIdx,
-    epoch: u64,
-    running: Option<TaskId>,
-    last_sync: f64,
-    busy_time: f64,
-}
+use dvfs_trace::SharedRing;
+use std::ops::{Deref, DerefMut};
 
 /// Everything one completed round of service produced, in the same
 /// accounting the simulator's report uses (so wire responses and the
@@ -261,31 +153,52 @@ impl ActuatorKind {
     }
 }
 
-/// A wall-clock executor: cores, a monotone clock the service advances,
-/// an event heap for arrivals and projected completions, and the rate
-/// actuator every frequency decision is applied to.
-pub struct RealTimeExecutor {
-    platform: Platform,
-    cores: Vec<Core>,
-    jobs: BTreeMap<TaskId, Job>,
-    queue: EventQueue,
-    now: f64,
-    done: usize,
-    total: usize,
-    active_energy: f64,
-    last_completion: f64,
-    processed: u64,
-    /// Completions since the last [`RealTimeExecutor::take_completions`] drain.
-    fresh_completions: Vec<TaskId>,
-    /// Every completion this round, in order (for the round report).
-    completion_order: Vec<TaskId>,
+/// The actuator as an engine observer: one `apply` per dispatch and
+/// one per rate change outside a dispatch (an effective `set_rate` or a
+/// governor tick), counted until [`RealTimeExecutor::take_actuations`].
+pub struct Actuation {
     actuator: Box<dyn RateActuator>,
-    actuations: u64,
-    actuation_errors: u64,
-    /// Optional lifecycle trace ring, shared with the shard that owns
-    /// this executor (the shard drains it at round boundaries). Events
-    /// carry executor seconds only, preserving the replay contract.
-    sink: Option<SharedRing>,
+    applied: u64,
+    errored: u64,
+}
+
+impl EngineObserver for Actuation {
+    fn on_event(&mut self, _time: f64, event: EngineEvent) {
+        let (cpu, rate) = match event {
+            EngineEvent::Dispatch { core, rate, .. } => (core, rate),
+            EngineEvent::RateChange { core, to, .. } => (core, to),
+            _ => return,
+        };
+        if self.actuator.apply(cpu, rate) {
+            self.applied += 1;
+        } else {
+            self.errored += 1;
+        }
+    }
+}
+
+/// The wall-clock executor: the shared engine with the rate actuator
+/// observing every frequency decision, and a clock the service advances.
+/// It dereferences to its [`Engine`], whose API — `push_task`,
+/// `push_migrated`, `remove_ready`, `step_until`, `run_to_completion`,
+/// `pending_tasks`, `queued_tasks`, `take_completions` — is the
+/// executor's own; only what touches the actuator, the trace ring or
+/// the [`RoundReport`] is defined here.
+pub struct RealTimeExecutor {
+    engine: Engine<Actuation>,
+}
+
+impl Deref for RealTimeExecutor {
+    type Target = Engine<Actuation>;
+    fn deref(&self) -> &Self::Target {
+        &self.engine
+    }
+}
+
+impl DerefMut for RealTimeExecutor {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.engine
+    }
 }
 
 impl RealTimeExecutor {
@@ -301,452 +214,59 @@ impl RealTimeExecutor {
     /// backend.
     #[must_use]
     pub fn with_actuator(platform: Platform, kind: ActuatorKind) -> Self {
-        let cores = (0..platform.num_cores())
-            .map(|j| {
-                let table = &platform.core(j).expect("in range").rates;
-                Core {
-                    // Userspace governor: an idle machine settles at the
-                    // lowest level, matching the simulator's start state.
-                    rate: 0,
-                    max_allowed: table.max_rate(),
-                    epoch: 0,
-                    running: None,
-                    last_sync: 0.0,
-                    busy_time: 0.0,
-                }
-            })
-            .collect();
-        let actuator = kind.build(&platform);
+        Self::from_config(EngineConfig::new(platform), kind)
+    }
+
+    fn from_config(cfg: EngineConfig, kind: ActuatorKind) -> Self {
+        let observer = Actuation {
+            actuator: kind.build(&cfg.platform),
+            applied: 0,
+            errored: 0,
+        };
         RealTimeExecutor {
-            platform,
-            cores,
-            jobs: BTreeMap::new(),
-            queue: EventQueue::default(),
-            now: 0.0,
-            done: 0,
-            total: 0,
-            active_energy: 0.0,
-            last_completion: 0.0,
-            processed: 0,
-            fresh_completions: Vec::new(),
-            completion_order: Vec::new(),
-            actuator,
-            actuations: 0,
-            actuation_errors: 0,
-            sink: None,
+            engine: Engine::new(cfg, observer),
         }
     }
 
-    /// Attach (or detach, with `None`) the shard's shared trace ring.
+    /// Attach (or detach, with `None`) the shard's shared trace ring
+    /// (the shard drains it at round boundaries). Events carry engine
+    /// seconds only, preserving the replay contract.
     pub fn set_trace_ring(&mut self, sink: Option<SharedRing>) {
-        self.sink = sink;
-    }
-
-    fn trace_record(&mut self, kind: dvfs_trace::EventKind) {
-        let now = self.now;
-        if let Some(sink) = self.sink.as_mut() {
-            TraceSink::record(sink, now, kind);
-        }
-    }
-
-    fn table(&self, j: CoreId) -> &RateTable {
-        &self.platform.core(j).expect("core in range").rates
-    }
-
-    fn actuate(&mut self, j: CoreId, rate: RateIdx) {
-        if self.actuator.apply(j, rate) {
-            self.actuations += 1;
-        } else {
-            self.actuation_errors += 1;
-        }
-    }
-
-    /// Advance all cores' progress/energy accounting to `self.now`.
-    /// Mirrors the simulator's `sync_all` with contention factor 1.0
-    /// and no DVFS stall (both exact identities — see module docs).
-    fn sync_all(&mut self) {
-        for j in 0..self.cores.len() {
-            let dt = self.now - self.cores[j].last_sync;
-            debug_assert!(dt >= -1e-9, "time went backwards on core {j}");
-            if dt > 0.0 {
-                if let Some(tid) = self.cores[j].running {
-                    let rp = self.table(j).rate(self.cores[j].rate);
-                    let cycles_done = (1.0 / rp.time_per_cycle) * dt;
-                    let energy = rp.active_power_watts() * dt;
-                    let job = self.jobs.get_mut(&tid).expect("running job exists");
-                    job.remaining -= cycles_done;
-                    job.record.energy_joules += energy;
-                    self.active_energy += energy;
-                    self.cores[j].busy_time += dt;
-                }
-            }
-            self.cores[j].last_sync = self.now;
-        }
-    }
-
-    /// Re-project core `j`'s completion event from its current rate and
-    /// remaining work, invalidating any outstanding projection.
-    fn reschedule(&mut self, j: CoreId) {
-        self.cores[j].epoch += 1;
-        if let Some(tid) = self.cores[j].running {
-            let remaining = self.jobs[&tid].remaining.max(0.0);
-            let rp = self.table(j).rate(self.cores[j].rate);
-            let eff = 1.0 / rp.time_per_cycle;
-            let t_fin = self.now + remaining / eff;
-            self.queue.push(
-                t_fin,
-                EventKind::Completion {
-                    core: j,
-                    epoch: self.cores[j].epoch,
-                },
-            );
-        }
-    }
-
-    fn process_event(&mut self, policy: &mut dyn Scheduler, ev: Event) {
-        self.processed += 1;
-        assert!(
-            self.processed <= EVENT_BUDGET,
-            "event budget exceeded: likely a policy livelock"
-        );
-        debug_assert!(ev.time >= self.now - 1e-9, "event time precedes now");
-        self.now = self.now.max(ev.time);
-        match ev.kind {
-            EventKind::Arrival { task } => {
-                self.sync_all();
-                let job = self.jobs.get_mut(&task).expect("arrival for known task");
-                debug_assert_eq!(job.phase, JobPhase::Future);
-                job.phase = JobPhase::Ready;
-                let t = job.task.clone();
-                policy.on_arrival(self, &t);
-            }
-            EventKind::Completion { core, epoch } => {
-                if self.cores[core].epoch != epoch {
-                    return; // stale projection
-                }
-                self.sync_all();
-                let tid = self.cores[core]
-                    .running
-                    .expect("valid completion implies a running task");
-                {
-                    let job = self.jobs.get_mut(&tid).expect("job exists");
-                    debug_assert!(
-                        job.remaining.abs() < 1.0,
-                        "completion fired with {} cycles left",
-                        job.remaining
-                    );
-                    job.remaining = 0.0;
-                    job.phase = JobPhase::Done;
-                    job.record.completion = Some(self.now);
-                }
-                self.cores[core].running = None;
-                self.done += 1;
-                self.last_completion = self.now;
-                self.fresh_completions.push(tid);
-                self.completion_order.push(tid);
-                if self.sink.is_some() {
-                    let rec = self.jobs[&tid].record;
-                    self.trace_record(dvfs_trace::EventKind::Complete {
-                        task: tid.0,
-                        core: core as u32,
-                        energy_j: rec.energy_joules,
-                        turnaround_s: self.now - rec.arrival,
-                    });
-                }
-                self.reschedule(core);
-                let t = self.jobs[&tid].task.clone();
-                policy.on_completion(self, core, &t);
-            }
-        }
-    }
-
-    fn insert_job(&mut self, task: &Task, record_arrival: f64, event_at: f64) {
-        let prev = self.jobs.insert(
-            task.id,
-            Job {
-                task: task.clone(),
-                remaining: task.cycles as f64,
-                phase: JobPhase::Future,
-                record: TaskRecord {
-                    id: task.id,
-                    class: task.class,
-                    cycles: task.cycles,
-                    arrival: record_arrival,
-                    first_start: None,
-                    completion: None,
-                    energy_joules: 0.0,
-                    preemptions: 0,
-                },
-            },
-        );
-        assert!(prev.is_none(), "duplicate task id {}", task.id);
-        self.queue
-            .push(event_at, EventKind::Arrival { task: task.id });
-        self.total += 1;
-    }
-
-    /// Register one task: the arrival fires at `task.arrival` or now,
-    /// whichever is later.
-    ///
-    /// # Panics
-    /// Panics on a duplicate task id.
-    pub fn push_task(&mut self, task: &Task) {
-        let arrival = task.arrival.max(self.now);
-        self.insert_job(task, arrival, arrival);
-    }
-
-    /// Register a task migrated from another shard. The arrival *event*
-    /// fires no earlier than this executor's clock, but the record keeps
-    /// the task's original arrival stamp: the time it spent queued on
-    /// the source shard stays in its turnaround, so migration cannot
-    /// flatter the cost report by resetting the waiting clock.
-    ///
-    /// # Panics
-    /// Panics on a duplicate task id.
-    pub fn push_migrated(&mut self, task: &Task) {
-        self.insert_job(task, task.arrival, task.arrival.max(self.now));
-    }
-
-    /// Remove a task that arrived but was never dispatched (the steal
-    /// half of cross-shard migration), returning the original [`Task`]
-    /// so it can be re-registered elsewhere. Returns `None` — removing
-    /// nothing — for running, completed, unknown, or still-future
-    /// tasks: a future task's pending arrival event would dangle, and a
-    /// running task's progress would be lost. The caller must also drop
-    /// the task from its policy's queue; the executor only forgets the
-    /// job.
-    pub fn remove_ready(&mut self, task: TaskId) -> Option<Task> {
-        match self.jobs.get(&task) {
-            Some(job) if job.phase == JobPhase::Ready => {}
-            _ => return None,
-        }
-        let job = self.jobs.remove(&task).expect("phase checked above");
-        self.total -= 1;
-        Some(job.task)
-    }
-
-    /// Advance the executor clock to `t`, processing every event due at
-    /// or before it. Time then rests exactly at `t` (cores idle or
-    /// mid-task), ready for more [`RealTimeExecutor::push_task`] calls.
-    ///
-    /// # Panics
-    /// Panics when `t` is not finite or precedes the current time by
-    /// more than rounding error, or when the event budget is exceeded.
-    pub fn step_until(&mut self, policy: &mut dyn Scheduler, t: f64) {
-        assert!(t.is_finite(), "step_until: time must be finite");
-        assert!(
-            t >= self.now - 1e-9,
-            "step_until: t={t} precedes now={}",
-            self.now
-        );
-        while self.queue.peek().is_some_and(|ev| ev.time <= t) {
-            let ev = self.queue.pop().expect("peeked");
-            self.process_event(policy, ev);
-        }
-        self.now = self.now.max(t);
-        self.sync_all();
-    }
-
-    /// Run every registered task to completion as fast as events allow
-    /// (the replay / drain / graceful-shutdown path).
-    ///
-    /// # Panics
-    /// Panics when the event queue drains while tasks remain unfinished
-    /// (the policy failed to dispatch them), or when the event budget is
-    /// exceeded.
-    pub fn run_to_completion(&mut self, policy: &mut dyn Scheduler) {
-        while self.done < self.total {
-            let ev = self.queue.pop().unwrap_or_else(|| {
-                panic!(
-                    "event queue drained with {} of {} tasks unfinished: the policy \
-                     failed to dispatch them",
-                    self.total - self.done,
-                    self.total
-                )
-            });
-            self.process_event(policy, ev);
-        }
-        self.sync_all();
+        self.engine
+            .set_trace_sink(sink.map(|ring| Box::new(ring) as _));
     }
 
     /// Current executor time in seconds.
     #[must_use]
     pub fn exec_now(&self) -> f64 {
-        self.now
-    }
-
-    /// Tasks registered but not yet completed.
-    #[must_use]
-    pub fn pending_tasks(&self) -> usize {
-        self.total - self.done
-    }
-
-    /// Tasks registered but neither running nor completed — the
-    /// engine-held backlog the router and rebalancer fold into their
-    /// load scores (admission depth alone is blind to these).
-    #[must_use]
-    pub fn queued_tasks(&self) -> usize {
-        let running = self.cores.iter().filter(|c| c.running.is_some()).count();
-        self.total - self.done - running
-    }
-
-    /// Drain the records of tasks completed since the previous drain
-    /// (completion order) — the paced streaming path.
-    pub fn take_completions(&mut self) -> Vec<TaskRecord> {
-        std::mem::take(&mut self.fresh_completions)
-            .into_iter()
-            .map(|tid| self.jobs[&tid].record)
-            .collect()
+        self.engine.now()
     }
 
     /// Drain the actuation counters: `(applied, errored)` since the
     /// previous drain.
     pub fn take_actuations(&mut self) -> (u64, u64) {
+        let counts = &mut self.engine.observer;
         (
-            std::mem::take(&mut self.actuations),
-            std::mem::take(&mut self.actuation_errors),
+            std::mem::take(&mut counts.applied),
+            std::mem::take(&mut counts.errored),
         )
     }
 
-    /// Summarize the round so far. Totals are accumulated in the same
-    /// order the simulator's report uses, so a drained replay matches a
-    /// library run bit for bit.
+    /// Summarize the round so far. The turnaround total sums in task-id
+    /// order — exactly like `SimReport`'s `BTreeMap` — so a drained
+    /// replay matches a library run bit for bit.
     #[must_use]
     pub fn round_report(&self) -> RoundReport {
-        // `jobs` is a BTreeMap, so this sums in task-id order — exactly
-        // like SimReport's BTreeMap.
-        let total_turnaround_s = self
-            .jobs
-            .values()
-            .filter_map(|job| job.record.turnaround())
-            .sum::<f64>();
         RoundReport {
-            records: self
-                .completion_order
-                .iter()
-                .map(|tid| self.jobs[tid].record)
-                .collect(),
-            active_energy_joules: self.active_energy,
-            total_turnaround_s,
-            makespan_s: self.last_completion,
+            records: self.engine.completed_records().collect(),
+            active_energy_joules: self.engine.active_energy(),
+            total_turnaround_s: self
+                .engine
+                .records()
+                .filter_map(TaskRecord::turnaround)
+                .sum(),
+            makespan_s: self.engine.makespan(),
         }
-    }
-}
-
-impl ExecutorView for RealTimeExecutor {
-    fn now(&self) -> f64 {
-        self.now
-    }
-
-    fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    fn rate_table(&self, j: CoreId) -> &RateTable {
-        self.table(j)
-    }
-
-    fn max_allowed_rate(&self, j: CoreId) -> RateIdx {
-        self.cores[j].max_allowed
-    }
-
-    fn current_rate(&self, j: CoreId) -> RateIdx {
-        self.cores[j].rate
-    }
-
-    fn running_task(&self, j: CoreId) -> Option<TaskId> {
-        self.cores[j].running
-    }
-
-    fn remaining_cycles(&self, t: TaskId) -> f64 {
-        self.jobs[&t].remaining.max(0.0)
-    }
-
-    fn set_rate(&mut self, j: CoreId, rate: RateIdx) {
-        assert!(
-            rate <= self.cores[j].max_allowed,
-            "rate {rate} above allowed cap {} on core {j}",
-            self.cores[j].max_allowed
-        );
-        if self.cores[j].rate == rate {
-            return;
-        }
-        self.sync_all();
-        let from = self.cores[j].rate;
-        self.cores[j].rate = rate;
-        self.actuate(j, rate);
-        self.trace_record(dvfs_trace::EventKind::RateChange {
-            core: j as u32,
-            from: from as u32,
-            to: rate as u32,
-        });
-        self.reschedule(j);
-    }
-
-    fn dispatch(&mut self, j: CoreId, task: TaskId, rate: Option<RateIdx>) {
-        assert!(
-            self.cores[j].running.is_none(),
-            "dispatch onto busy core {j}"
-        );
-        self.sync_all();
-        if let Some(r) = rate {
-            assert!(
-                r <= self.cores[j].max_allowed,
-                "rate {r} above allowed cap on core {j}"
-            );
-            self.cores[j].rate = r;
-        }
-        let now = self.now;
-        let job = self.jobs.get_mut(&task).expect("dispatch unknown task");
-        assert_eq!(
-            job.phase,
-            JobPhase::Ready,
-            "task {task} not ready for dispatch"
-        );
-        job.phase = JobPhase::Running;
-        if job.record.first_start.is_none() {
-            job.record.first_start = Some(now);
-        }
-        self.cores[j].running = Some(task);
-        let rate_now = self.cores[j].rate;
-        self.actuate(j, rate_now);
-        if self.sink.is_some() {
-            // Mirror `reschedule`'s exact arithmetic so predicted energy
-            // is bit-comparable with the measured accrual when the task
-            // runs in one uninterrupted slice.
-            let remaining = self.jobs[&task].remaining.max(0.0);
-            let rp = self.table(j).rate(rate_now);
-            let eff = 1.0 / rp.time_per_cycle;
-            let predicted_time_s = remaining / eff;
-            let predicted_energy_j = rp.active_power_watts() * predicted_time_s;
-            self.trace_record(dvfs_trace::EventKind::Dispatch {
-                task: task.0,
-                core: j as u32,
-                rate: rate_now as u32,
-                predicted_energy_j,
-                predicted_time_s,
-            });
-        }
-        self.reschedule(j);
-    }
-
-    fn preempt(&mut self, j: CoreId) -> TaskId {
-        let tid = self.cores[j].running.expect("preempt on an idle core");
-        self.sync_all();
-        let job = self.jobs.get_mut(&tid).expect("job exists");
-        job.phase = JobPhase::Ready;
-        job.record.preemptions += 1;
-        self.cores[j].running = None;
-        self.trace_record(dvfs_trace::EventKind::Preempt {
-            task: tid.0,
-            core: j as u32,
-        });
-        self.reschedule(j);
-        tid
-    }
-
-    fn trace(&mut self) -> Option<&mut dyn TraceSink> {
-        self.sink.as_mut().map(|s| s as &mut dyn TraceSink)
     }
 }
 
@@ -755,7 +275,7 @@ mod tests {
     use super::*;
     use crate::service::service_platform;
     use dvfs_core::LeastMarginalCost;
-    use dvfs_model::TaskClass;
+    use dvfs_model::{Task, TaskClass, TaskId};
 
     fn lmc(cores: usize) -> LeastMarginalCost {
         LeastMarginalCost::new(&service_platform(cores), CostParams::online_paper())
@@ -875,35 +395,57 @@ mod tests {
 
     #[test]
     fn steal_and_migrate_preserve_the_original_arrival() {
-        let mut rt = RealTimeExecutor::new(service_platform(1));
-        let mut policy = lmc(1);
-        // Two tasks at t=0 on one core: the first dispatches, the
-        // second stays queued in the ledger.
-        rt.push_task(&Task::online(0, 40_000_000, 0.0, None, TaskClass::NonInteractive).unwrap());
-        rt.push_task(&Task::online(1, 800_000_000, 0.0, None, TaskClass::NonInteractive).unwrap());
-        rt.step_until(&mut policy, 0.0);
-        assert_eq!(rt.pending_tasks(), 2);
-        assert_eq!(rt.queued_tasks(), 1, "one running, one queued");
-        // Running and unknown tasks are not stealable.
-        assert!(rt.remove_ready(TaskId(0)).is_none());
-        assert!(rt.remove_ready(TaskId(9)).is_none());
-        let stolen = rt.remove_ready(TaskId(1)).expect("queued task steals");
-        assert_eq!(stolen.cycles, 800_000_000, "no progress was lost");
-        assert_eq!(rt.pending_tasks(), 1);
-        assert_eq!(rt.queued_tasks(), 0);
-        assert!(rt.remove_ready(TaskId(1)).is_none(), "already stolen");
-        // Inject into a cold executor whose clock is ahead: the arrival
-        // event clamps forward, the record's arrival does not.
-        let mut cold = RealTimeExecutor::new(service_platform(1));
-        let mut cold_policy = lmc(1);
-        cold.step_until(&mut cold_policy, 2.0);
-        cold.push_migrated(&stolen);
-        cold.run_to_completion(&mut cold_policy);
-        let report = cold.round_report();
-        assert_eq!(report.records.len(), 1);
-        let rec = report.records[0];
-        assert_eq!(rec.arrival, 0.0, "original arrival survives migration");
-        assert!(rec.first_start.unwrap() >= 2.0, "started on the cold clock");
+        // Once bare, once with a contention model installed: the one
+        // capability x capability cell (migration x contention) neither
+        // pre-merge engine could express.
+        let mut finished = Vec::new();
+        for contended in [false, true] {
+            let executor = || {
+                let mut cfg = EngineConfig::new(service_platform(1));
+                if contended {
+                    cfg = cfg.with_contention(Box::new(|_busy| 0.5));
+                }
+                RealTimeExecutor::from_config(cfg, ActuatorKind::Simulated)
+            };
+            let mut rt = executor();
+            let mut policy = lmc(1);
+            // Two tasks at t=0 on one core: the first dispatches, the
+            // second stays queued in the ledger.
+            rt.push_task(
+                &Task::online(0, 40_000_000, 0.0, None, TaskClass::NonInteractive).unwrap(),
+            );
+            rt.push_task(
+                &Task::online(1, 800_000_000, 0.0, None, TaskClass::NonInteractive).unwrap(),
+            );
+            rt.step_until(&mut policy, 0.0);
+            assert_eq!(rt.pending_tasks(), 2);
+            assert_eq!(rt.queued_tasks(), 1, "one running, one queued");
+            // Running and unknown tasks are not stealable.
+            assert!(rt.remove_ready(TaskId(0)).is_none());
+            assert!(rt.remove_ready(TaskId(9)).is_none());
+            let stolen = rt.remove_ready(TaskId(1)).expect("queued task steals");
+            assert_eq!(stolen.cycles, 800_000_000, "no progress was lost");
+            assert_eq!(rt.pending_tasks(), 1);
+            assert_eq!(rt.queued_tasks(), 0);
+            assert!(rt.remove_ready(TaskId(1)).is_none(), "already stolen");
+            // Inject into a cold executor whose clock is ahead: the arrival
+            // event clamps forward, the record's arrival does not.
+            let mut cold = executor();
+            let mut cold_policy = lmc(1);
+            cold.step_until(&mut cold_policy, 2.0);
+            cold.push_migrated(&stolen);
+            cold.run_to_completion(&mut cold_policy);
+            let report = cold.round_report();
+            assert_eq!(report.records.len(), 1);
+            let rec = report.records[0];
+            assert_eq!(rec.arrival, 0.0, "original arrival survives migration");
+            assert!(rec.first_start.unwrap() >= 2.0, "started on the cold clock");
+            finished.push(rec.completion.unwrap());
+        }
+        assert!(
+            finished[1] > finished[0],
+            "contention dilates the migrated run"
+        );
     }
 
     #[test]

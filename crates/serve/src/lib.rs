@@ -5,12 +5,12 @@
 //! this crate turns them into a daemon that accepts task submissions
 //! over a newline-delimited-JSON wire protocol (Unix-domain socket or
 //! TCP), admits them through a bounded queue with class-aware shedding,
-//! and runs the policy on its own **wall-clock executor** — the second
-//! implementation of the engine-agnostic `dvfs_core::sched` interface
-//! (the virtual-time simulator in `dvfs-sim` is the first). The
-//! executor is paced against the wall clock or run as-fast-as-possible
-//! on `drain`, applies every frequency decision to the `dvfs-sysfs`
-//! actuator as it is made, and the service publishes counters, gauges,
+//! and runs the policy on a **wall-clock executor** — a thin driver
+//! over `dvfs_core::sched::engine`, the engine the virtual-time
+//! simulator in `dvfs-sim` also drives. The executor is paced against
+//! the wall clock or run as-fast-as-possible on `drain`, applies every
+//! frequency decision to the `dvfs-sysfs` actuator as it is made, and
+//! the service publishes counters, gauges,
 //! and log-bucketed latency/cost histograms through a metrics registry
 //! — queryable over the wire (`stats`) and flushed to JSONL snapshots.
 //!
@@ -34,7 +34,8 @@
 //! * [`admission`] — the bounded queue and shed policy.
 //! * [`clock`] — the wall-clock seam (the only raw `Instant::now`).
 //! * [`metrics`] — counters, gauges, histograms, the registry.
-//! * [`executor`] — the wall-clock `ExecutorView` implementation.
+//! * [`executor`] — the wall-clock driver of the shared engine, the
+//!   rate actuators, and the per-round report.
 //! * [`stage`] — the per-request stage clock feeding stage-level
 //!   latency attribution histograms (the runtime health plane).
 //! * [`service`] — the scheduler proper (shard router, id ledger, the

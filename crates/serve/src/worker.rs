@@ -659,7 +659,7 @@ impl Worker {
     fn steal(&mut self, max: usize) -> Vec<Task> {
         let ids = {
             let Engine { exec, policy } = &mut self.engine;
-            policy.steal_longest(exec, max)
+            policy.steal_longest(&mut **exec, max)
         };
         let tasks: Vec<Task> = ids
             .iter()

@@ -1,50 +1,44 @@
 //! # dvfs-sim
 //!
-//! An event-driven multi-core simulator with **per-core DVFS**, built as
-//! the experimental substrate for the ICPP 2014 scheduler reproduction.
-//! The paper evaluates on a quad-core Intel i7-950 with individually
-//! tunable core frequencies; this crate substitutes that testbed with a
-//! simulator implementing the same execution model:
+//! The virtual-time simulator, built as the experimental substrate for
+//! the ICPP 2014 scheduler reproduction. The paper evaluates on a
+//! quad-core Intel i7-950 with individually tunable core frequencies;
+//! this crate substitutes that testbed with a simulation of the same
+//! execution model:
 //!
 //! * each core runs at one of its discrete rates `p ∈ P`, executing
 //!   `p` cycles per second and drawing `E(p)/T(p)` watts while busy;
 //! * a [`Policy`] — the engine-agnostic `dvfs_core::sched::Scheduler`
 //!   trait — decides task placement, ordering, preemption, and per-core
-//!   frequency through the abstract `ExecutorView`, which [`SimView`]
-//!   implements here (the paper's schedulers and baselines are written
-//!   against the trait and also run on the wall-clock executor in
-//!   `dvfs-serve`);
+//!   frequency through the abstract `ExecutorView`;
 //! * frequency *governors* (Linux `ondemand`-style) can own a core's
 //!   frequency instead of the policy, for the baseline comparisons;
 //! * an optional **contention model** dilates execution when several
 //!   cores are busy, reproducing the sim-vs-experiment gap of Fig. 1;
-//! * the engine records per-task metrics, active/idle energy, and a
-//!   platform power timeline that `dvfs-power` can "measure" the way the
-//!   paper's DW-6091 power meter does.
+//! * per-task metrics, active/idle energy, and a platform power
+//!   timeline that `dvfs-power` can "measure" the way the paper's
+//!   DW-6091 power meter does.
 //!
-//! ## Execution semantics
-//!
-//! Progress is tracked in continuous cycles: a core at frequency `f` with
-//! contention factor `s ∈ (0, 1]` completes `f·s` cycles of the running
-//! task per second. Completion events carry a per-core *epoch*; any
-//! mutation (dispatch, preemption, rate change, contention change)
-//! invalidates outstanding completions by bumping the epoch, so stale
-//! events are discarded when popped.
+//! The event loop itself is not here: [`Simulator`] is a thin
+//! virtual-time driver over `dvfs_core::sched::engine::Engine` — the
+//! same engine the wall-clock executor in `dvfs-serve` drives, which is
+//! why a replayed trace costs the same bits on both. See that module
+//! for the execution semantics (continuous cycles, per-core epochs,
+//! event ordering). This crate adds the decision [`EventLog`], the
+//! [`SimReport`], and the offline [`analysis`] on top.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod engine;
-pub mod event;
 pub mod eventlog;
-pub mod governor;
 pub mod metrics;
 
 pub use analysis::{gantt, queue_depth_series, GanttSegment};
-pub use engine::{SimConfig, SimView, Simulator};
+pub use dvfs_core::sched::governor::{self, GovernorKind};
+pub use engine::{SimConfig, Simulator};
 pub use eventlog::{EventLog, LogEntry, LogEvent};
-pub use governor::GovernorKind;
 pub use metrics::{SimReport, TaskRecord};
 
 /// The engine-agnostic policy trait this executor drives. An alias for

@@ -47,9 +47,10 @@ for net in threads reactor; do
 done
 run cargo test -q --test net_framing
 
-# Executor conformance: the simulator, the bare wall-clock executor,
-# and the worker-backed service (shards 1/2/4) must replay the pinned
-# trace bit-identically (dvfs-core's sched::conformance suite).
+# Executor conformance (dvfs-core's sched::conformance suite): the one
+# engine must reproduce the committed golden bits of the pinned trace
+# under both of its drivers, and the service wrapper around it (worker
+# threads, shards 1/2/4, report merge) must replay it bit-identically.
 run cargo test -q --test conformance
 
 # Concurrency stress: burst submitters race the drain loop and a wire
@@ -102,7 +103,9 @@ run cargo test -q -p dvfs-bench --test rebalance -- --ignored
 
 # Sanitizer stage (gated, never tier-1): when a nightly toolchain with
 # the right components is installed, rerun the concurrency stress under
-# ThreadSanitizer and the dvfs-core/dvfs-sim unit tests under Miri.
+# ThreadSanitizer and the dvfs-core/dvfs-sim unit tests under Miri
+# (the engine and its unit tests live in dvfs-core's `sched::engine`;
+# dvfs-sim contributes the driver, event log and report tests).
 # Both catch the bug classes dvfs-lint can only approximate statically
 # (real data races, real UB). Absent nightly/components the stage skips
 # with a visible notice — tier-1 stays stable-toolchain-only by design.

@@ -14,6 +14,11 @@
 //!   threads behind the message-passing boundary — at shards 1, 2,
 //!   and 4.
 //!
+//! Since the simulator and the executor became two drivers of one
+//! engine, "executor ≡ simulator" no longer cross-checks the
+//! arithmetic; `conformance::golden` does — bits captured while two
+//! independent engines still agreed on them.
+//!
 //! The trace's ids are all multiples of 4, so every task hashes to
 //! shard 0 at each swept shard count and the sharded schedules must
 //! coincide exactly with the single-engine reference.
@@ -122,4 +127,38 @@ fn the_reference_itself_is_self_consistent() {
     let a = simulator_outcome(params);
     let b = simulator_outcome(params);
     conformance::assert_identical(&a, &b, params, "Simulator(second run)");
+}
+
+#[test]
+fn the_engine_reproduces_the_golden_bits() {
+    // Independent of which driver runs the engine: the literals were
+    // captured before the two engines were merged.
+    use conformance::golden;
+    let params = CostParams::online_paper();
+    for (label, got) in [
+        ("Simulator", simulator_outcome(params)),
+        ("RealTimeExecutor", bare_executor_outcome(params)),
+    ] {
+        let completions: Vec<(u64, u64)> = got
+            .completion_order
+            .iter()
+            .map(|id| (id.0, got.records[id].completion.expect("done").to_bits()))
+            .collect();
+        assert_eq!(completions, golden::COMPLETIONS, "{label}: completions");
+        assert_eq!(
+            got.active_energy_joules.to_bits(),
+            golden::ACTIVE_ENERGY_BITS,
+            "{label}: active energy"
+        );
+        assert_eq!(
+            got.total_turnaround_s.to_bits(),
+            golden::TOTAL_TURNAROUND_BITS,
+            "{label}: turnaround sum"
+        );
+        assert_eq!(
+            got.makespan_s.to_bits(),
+            golden::MAKESPAN_BITS,
+            "{label}: makespan"
+        );
+    }
 }
