@@ -1,20 +1,17 @@
 //! `dvfs-lint`: the workspace invariant checker.
 //!
-//! The compiler cannot see the contracts this reproduction rests on:
-//! replay must be bit-identical across executors and shard counts,
-//! policies must stay engine-agnostic, engines must be owned outright
-//! by their shard worker threads (no shared engine locks), and the
-//! wire path must not panic on hostile input. With the threaded
-//! architecture the contracts grew cross-file: whether a relaxed
-//! atomic or a dropped reply sender is sound depends on code in
-//! *other* modules, so the lint runs in two passes — pass 1 builds a
-//! workspace symbol table (atomic fields and accesses, channel
-//! endpoints, `unsafe` blocks, `Command` reply variants and their
-//! match arms) from the cleaned, test-masked text of every file, and
-//! pass 2 applies the rule families, the per-file ones directly and
-//! the concurrency ones over the table. Everything stays a hand-rolled
-//! token scanner (no external deps, in the spirit of the `shims/`
-//! approach):
+//! It polices the contracts this reproduction rests on that neither the
+//! compiler nor a type can carry: replay must be bit-identical across
+//! executors and shard counts, policies must stay engine-agnostic, the
+//! wire path must not panic on hostile input, the epoll loop must not
+//! block, and `unsafe` must stay at the syscall boundary. What a type
+//! *can* carry lives in `dvfs-serve`'s types instead and has no rule
+//! here: engines are private to `serve/src/worker.rs` (so nothing else
+//! can lock one or call its migration primitives), every worker command
+//! answers through a must-send `worker::Reply`, and every relaxed
+//! atomic is a `metrics::AdvisoryCell`. Everything left is a per-file
+//! token rule over comment-stripped, test-masked text — a hand-rolled
+//! scanner, no external deps, in the spirit of the `shims/` approach:
 //!
 //! | rule id            | contract                                              |
 //! |--------------------|-------------------------------------------------------|
@@ -23,27 +20,16 @@
 //! |                    | code; wall time only via the serve clock seam; no     |
 //! |                    | clock reads or string allocation/formatting in the    |
 //! |                    | `dvfs-trace` record path (rendering is drain-time)    |
-//! | `engine-ownership` | no `Mutex<…Engine…>` and no retired engine-lock       |
-//! |                    | helpers outside `serve/src/worker.rs`; engines talk   |
-//! |                    | only over the worker command channel                  |
 //! | `layering`         | forbidden crate edges over *normal* deps, parsed      |
 //! |                    | natively from `Cargo.toml` (no `cargo tree`)          |
-//! | `migration-protocol` | the engine migration primitives (`steal_longest`,   |
-//! |                    | `remove_ready`, `push_migrated`) appear only in the   |
-//! |                    | worker/executor modules; everything else migrates     |
-//! |                    | via `Command::Steal`/`Command::Inject`                |
 //! | `panic`            | no `unwrap`/`expect`/panicking macro/slice-index in   |
 //! |                    | `serve/src/{protocol,server,admission}.rs` or         |
 //! |                    | anywhere in `net/src` (the reactor is wire path)      |
-//! | `atomics-discipline` | `Ordering::Relaxed` only on sites blessed as        |
-//! |                    | advisory (worker load gauges, metrics counters, the   |
-//! |                    | router cursor); atomics touched from more than one    |
-//! |                    | module are handshakes and need Acquire/Release or     |
+//! | `atomics-discipline` | the token `Relaxed` appears only in                 |
+//! |                    | `serve/src/metrics.rs`, home of the advisory cell;    |
+//! |                    | every other atomic access names Acquire/Release or    |
 //! |                    | SeqCst                                                |
-//! | `channel-protocol` | every `Command` variant carrying a one-shot `reply`   |
-//! |                    | sender sends on every match arm of its worker loop;   |
-//! |                    | unbounded `channel()` construction only inside        |
-//! |                    | blessed helpers (`reply_channel`)                     |
+//! | `channel-protocol` | no unbounded `channel()` construction                 |
 //! | `reactor-nonblocking` | no `.recv()`/`.lock()`/`.join()`/sleeps inside the |
 //! |                    | epoll event-loop module (`net/src/reactor.rs`)        |
 //! | `unsafe-audit`     | `unsafe` confined to the syscall allowlist            |
@@ -56,7 +42,6 @@
 //! `waiver` rule). Test code (`#[cfg(test)]` items and `#[test]` fns)
 //! is masked out before the rules run.
 
-pub mod concurrency;
 pub mod layering;
 pub mod rules;
 pub mod scan;
@@ -66,10 +51,9 @@ use std::path::Path;
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule id: `determinism`, `engine-ownership`, `layering`,
-    /// `migration-protocol`, `panic`, `atomics-discipline`,
-    /// `channel-protocol`, `reactor-nonblocking`, `unsafe-audit`, or
-    /// `waiver`.
+    /// Rule id: `determinism`, `layering`, `panic`,
+    /// `atomics-discipline`, `channel-protocol`, `reactor-nonblocking`,
+    /// `unsafe-audit`, or `waiver`.
     pub rule: String,
     /// Path relative to the workspace root, `/`-separated.
     pub file: String,
@@ -128,22 +112,6 @@ mod scope {
     /// `prom.rs`) render at drain time and are deliberately excluded.
     pub const TRACE_RECORD_FILES: &[&str] =
         &["crates/trace/src/lib.rs", "crates/trace/src/ring.rs"];
-    /// Rule E: the sharded service — only the worker module owns
-    /// engines, so nothing else in the crate may mutex one.
-    pub const ENGINE_OWNERSHIP_DIRS: &[&str] = &["crates/serve/src"];
-    /// The one module allowed to name the engine in ownership terms
-    /// (it holds engines *without* locks; the exemption keeps the rule
-    /// honest if a lock ever sneaks back in here it must be waived
-    /// explicitly in review).
-    pub const ENGINE_OWNERSHIP_EXEMPT: &[&str] = &["crates/serve/src/worker.rs"];
-    /// Rule M: cross-shard migration goes through the worker command
-    /// protocol; nothing else in the serve crate may call the engine
-    /// migration primitives directly.
-    pub const MIGRATION_DIRS: &[&str] = &["crates/serve/src"];
-    /// The worker owns engines (the only sound caller) and the
-    /// executor driver hands the engine's primitives through.
-    pub const MIGRATION_EXEMPT: &[&str] =
-        &["crates/serve/src/worker.rs", "crates/serve/src/executor.rs"];
     /// Rule P: the wire path.
     pub const PANIC_FILES: &[&str] = &[
         "crates/serve/src/protocol.rs",
@@ -153,36 +121,10 @@ mod scope {
     /// Rule P (dirs): the epoll reactor handles hostile bytes on every
     /// line, so the whole crate is wire path.
     pub const PANIC_DIRS: &[&str] = &["crates/net/src"];
-    /// Rule C-A: files whose atomics are advisory wholesale — the
-    /// metrics registry's counters and gauges feed dashboards, never
-    /// the replayed schedule.
-    pub const ATOMIC_ADVISORY_FILES: &[&str] = &["crates/serve/src/metrics.rs"];
-    /// Rule C-A: individual `(file, field)` atomic sites blessed as
-    /// advisory: the worker load gauges the router and rebalancer read
-    /// (stale values only skew placement, never correctness), the
-    /// round-robin router cursor (any interleaving of increments is a
-    /// valid rotation), and the worker heartbeat slots — telemetry the
-    /// supervisor and `health` snapshot read lock-free. `Relaxed` is
-    /// allowed on advisory slots only: a torn or stale heartbeat can
-    /// at worst misreport liveness for one poll interval, and nothing
-    /// scheduled ever reads these fields.
-    pub const ATOMIC_ADVISORY_FIELDS: &[(&str, &str)] = &[
-        ("crates/serve/src/worker.rs", "backlog"),
-        ("crates/serve/src/worker.rs", "queued_cost_bits"),
-        ("crates/serve/src/service.rs", "router_cursor"),
-        ("crates/serve/src/worker.rs", "last_progress_micros"),
-        ("crates/serve/src/worker.rs", "cmd_sent"),
-        ("crates/serve/src/worker.rs", "cmd_dequeued"),
-        ("crates/serve/src/worker.rs", "dequeue_age_micros"),
-        ("crates/serve/src/worker.rs", "tick_micros"),
-        ("crates/serve/src/worker.rs", "drain_micros"),
-        ("crates/serve/src/worker.rs", "steal_micros"),
-        ("crates/serve/src/worker.rs", "inject_micros"),
-    ];
-    /// Rule C-C: functions blessed to construct unbounded channels —
-    /// the one-shot reply channel, bounded by the command/reply
-    /// protocol itself (at most one message ever crosses it).
-    pub const CHANNEL_BLESSED_FNS: &[&str] = &["reply_channel"];
+    /// Rule C-A: the one module allowed to spell `Relaxed` — it defines
+    /// the advisory cell (and the metrics counters/gauges) every other
+    /// module publishes stale-tolerant values through.
+    pub const RELAXED_FILES: &[&str] = &["crates/serve/src/metrics.rs"];
     /// Rule C-R: the event-loop modules where blocking calls are
     /// forbidden.
     pub const REACTOR_FILES: &[&str] = &["crates/net/src/reactor.rs"];
@@ -239,10 +181,6 @@ pub fn run(root: &Path) -> Report {
     let files = source_files(root);
     let files_scanned = files.len();
 
-    // Pass 1: read, clean, and test-mask every file once, collecting
-    // waivers along the way, then fold the whole workspace into the
-    // concurrency symbol table.
-    let mut scans: Vec<concurrency::FileScan> = Vec::new();
     for rel in &files {
         let Ok(src) = std::fs::read_to_string(root.join(rel)) else {
             continue;
@@ -261,17 +199,7 @@ pub fn run(root: &Path) -> Report {
         for w in &cleaned.waivers {
             all_waivers.push((rel.clone(), w.clone()));
         }
-        scans.push(concurrency::FileScan {
-            rel: rel.clone(),
-            text: scan::mask_tests(&cleaned.text),
-            source: src,
-        });
-    }
-    let table = concurrency::SymbolTable::build(&scans);
-
-    // Pass 2: the per-file rule families over each file's masked text…
-    for fs in &scans {
-        let (rel, text) = (&fs.rel, &fs.text);
+        let text = &scan::mask_tests(&cleaned.text);
         if in_scope(
             rel,
             scope::DET_COLLECTIONS_DIRS,
@@ -287,29 +215,25 @@ pub fn run(root: &Path) -> Report {
             raw.extend(rules::determinism_clock(text, rel));
             raw.extend(rules::determinism_allocation(text, rel));
         }
-        if in_scope(
-            rel,
-            scope::ENGINE_OWNERSHIP_DIRS,
-            &[],
-            scope::ENGINE_OWNERSHIP_EXEMPT,
-        ) {
-            raw.extend(rules::engine_ownership(text, rel));
-        }
-        if in_scope(rel, scope::MIGRATION_DIRS, &[], scope::MIGRATION_EXEMPT) {
-            raw.extend(rules::migration_protocol(text, rel));
-        }
         if in_scope(rel, scope::PANIC_DIRS, scope::PANIC_FILES, &[]) {
             raw.extend(rules::panic_freedom(text, rel));
         }
+        if !scope::RELAXED_FILES.contains(&rel.as_str()) {
+            raw.extend(rules::atomics_discipline(text, rel));
+        }
+        raw.extend(rules::channel_protocol(text, rel));
+        if scope::REACTOR_FILES.contains(&rel.as_str()) {
+            raw.extend(rules::reactor_nonblocking(text, rel));
+        }
+        raw.extend(rules::unsafe_audit(
+            text,
+            &src,
+            rel,
+            scope::UNSAFE_ALLOWED_FILES,
+        ));
     }
 
     raw.extend(layering::check(&layering::discover(root)));
-
-    // …and the workspace-wide concurrency rules over the symbol table.
-    raw.extend(concurrency::atomics_discipline(&table));
-    raw.extend(concurrency::channel_protocol(&table));
-    raw.extend(concurrency::reactor_nonblocking(&table));
-    raw.extend(concurrency::unsafe_audit(&table));
 
     // Apply waivers: a waiver covers same-rule violations on its own
     // line and the line directly below. The `waiver` rule itself (a
@@ -490,18 +414,6 @@ mod tests {
             scope::PANIC_DIRS,
             scope::PANIC_FILES,
             &[]
-        ));
-        assert!(in_scope(
-            "crates/serve/src/service.rs",
-            scope::ENGINE_OWNERSHIP_DIRS,
-            &[],
-            scope::ENGINE_OWNERSHIP_EXEMPT
-        ));
-        assert!(!in_scope(
-            "crates/serve/src/worker.rs",
-            scope::ENGINE_OWNERSHIP_DIRS,
-            &[],
-            scope::ENGINE_OWNERSHIP_EXEMPT
         ));
         assert!(!in_scope(
             "crates/serve/src/service.rs",

@@ -1,17 +1,20 @@
-//! The source-level rule families: determinism (D), engine ownership
-//! (E), and panic-freedom (P). Each rule takes cleaned, test-masked text
-//! (see [`crate::scan`]) and returns raw violations; waiver handling
-//! happens in [`crate::run`].
+//! The source-level rule families: determinism (D), panic-freedom (P),
+//! and the concurrency contracts no type can carry (C-A
+//! `atomics-discipline`, C-C `channel-protocol`, C-R
+//! `reactor-nonblocking`, C-U `unsafe-audit`). Every rule is a per-file
+//! token matcher over cleaned, test-masked text (see [`crate::scan`])
+//! returning raw violations; scoping and waiver handling happen in
+//! [`crate::run`].
 
 use crate::scan::line_of;
 use crate::Violation;
 
-pub(crate) fn is_ident_byte(b: u8) -> bool {
+fn is_ident_byte(b: u8) -> bool {
     b == b'_' || b.is_ascii_alphanumeric()
 }
 
 /// Byte offsets of `ident` as a standalone identifier token.
-pub(crate) fn ident_occurrences(text: &str, ident: &str) -> Vec<usize> {
+fn ident_occurrences(text: &str, ident: &str) -> Vec<usize> {
     let bytes = text.as_bytes();
     let mut out = Vec::new();
     let mut from = 0usize;
@@ -28,7 +31,7 @@ pub(crate) fn ident_occurrences(text: &str, ident: &str) -> Vec<usize> {
     out
 }
 
-pub(crate) fn next_non_ws(bytes: &[u8], mut i: usize) -> Option<(usize, u8)> {
+fn next_non_ws(bytes: &[u8], mut i: usize) -> Option<(usize, u8)> {
     while i < bytes.len() {
         if !bytes[i].is_ascii_whitespace() {
             return Some((i, bytes[i]));
@@ -38,7 +41,7 @@ pub(crate) fn next_non_ws(bytes: &[u8], mut i: usize) -> Option<(usize, u8)> {
     None
 }
 
-pub(crate) fn prev_non_ws(bytes: &[u8], i: usize) -> Option<(usize, u8)> {
+fn prev_non_ws(bytes: &[u8], i: usize) -> Option<(usize, u8)> {
     let mut j = i;
     while j > 0 {
         j -= 1;
@@ -51,7 +54,7 @@ pub(crate) fn prev_non_ws(bytes: &[u8], i: usize) -> Option<(usize, u8)> {
 
 /// Byte offsets of the path expression `first::second` (whitespace
 /// around `::` tolerated), e.g. `Instant::now`.
-pub(crate) fn path_occurrences(text: &str, first: &str, second: &str) -> Vec<usize> {
+fn path_occurrences(text: &str, first: &str, second: &str) -> Vec<usize> {
     let bytes = text.as_bytes();
     let mut out = Vec::new();
     for at in ident_occurrences(text, first) {
@@ -75,15 +78,21 @@ pub(crate) fn path_occurrences(text: &str, first: &str, second: &str) -> Vec<usi
     out
 }
 
-/// Byte offsets of `.name(` method calls (receiver required).
-pub(crate) fn method_call_occurrences(text: &str, name: &str) -> Vec<usize> {
+/// Byte offsets of `name(` calls, free function or method.
+fn call_occurrences(text: &str, name: &str) -> Vec<usize> {
     let bytes = text.as_bytes();
     ident_occurrences(text, name)
         .into_iter()
-        .filter(|&at| {
-            prev_non_ws(bytes, at).is_some_and(|(_, b)| b == b'.')
-                && next_non_ws(bytes, at + name.len()).is_some_and(|(_, b)| b == b'(')
-        })
+        .filter(|&at| next_non_ws(bytes, at + name.len()).is_some_and(|(_, b)| b == b'('))
+        .collect()
+}
+
+/// Byte offsets of `.name(` method calls (receiver required).
+fn method_call_occurrences(text: &str, name: &str) -> Vec<usize> {
+    let bytes = text.as_bytes();
+    call_occurrences(text, name)
+        .into_iter()
+        .filter(|&at| prev_non_ws(bytes, at).is_some_and(|(_, b)| b == b'.'))
         .collect()
 }
 
@@ -224,91 +233,6 @@ pub fn determinism_allocation(text: &str, file: &str) -> Vec<Violation> {
     out
 }
 
-/// Byte offsets of `Mutex< … Engine … >` type mentions: a `Mutex`
-/// identifier whose generic argument list names `Engine` at any depth
-/// (so `Mutex<Vec<Engine>>` counts too; `Mutex<IdLedger>` does not).
-fn mutexed_engine_occurrences(text: &str) -> Vec<usize> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    for at in ident_occurrences(text, "Mutex") {
-        let Some((open, b)) = next_non_ws(bytes, at + "Mutex".len()) else {
-            continue;
-        };
-        if b != b'<' {
-            continue;
-        }
-        // Walk to the matching `>` (depth-counted; `>>` closes two).
-        let mut depth = 1usize;
-        let mut end = open + 1;
-        while end < bytes.len() && depth > 0 {
-            match bytes[end] {
-                b'<' => depth += 1,
-                b'>' => depth -= 1,
-                _ => {}
-            }
-            end += 1;
-        }
-        if !ident_occurrences(&text[open..end], "Engine").is_empty() {
-            out.push(at);
-        }
-    }
-    out
-}
-
-/// Rule E: engines are owned outright by their shard worker threads —
-/// nothing outside the worker module may wrap an `Engine` in a `Mutex`
-/// or resurrect the retired engine-lock helpers. The old `lock-order`
-/// rule policed how many engine locks a function took at once; with
-/// message-passing ownership the correct count everywhere else is
-/// zero.
-pub fn engine_ownership(text: &str, file: &str) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for at in mutexed_engine_occurrences(text) {
-        out.push(violation(
-            text,
-            file,
-            at,
-            "engine-ownership",
-            "`Mutex<…Engine…>` outside the worker module; engines are owned by their shard worker thread — talk to it over the command channel instead of sharing the engine behind a lock".to_string(),
-        ));
-    }
-    for helper in ["lock_engine", "lock_engines_ascending"] {
-        for at in ident_occurrences(text, helper) {
-            out.push(violation(
-                text,
-                file,
-                at,
-                "engine-ownership",
-                format!("`{helper}` is retired; engines moved behind the per-shard worker boundary — send the worker a command instead of locking its engine"),
-            ));
-        }
-    }
-    out
-}
-
-/// Rule M: the migration primitives mutate engine internals (ledger
-/// deletes, arrival-path inserts, rate re-derivation) and are only
-/// sound on the thread that owns the engine — the shard worker.
-/// Everywhere else in the serve crate, cross-shard migration must go
-/// through the worker command protocol (`Command::Steal` /
-/// `Command::Inject`), which keeps every engine touch on its owning
-/// thread and the replies deterministic.
-pub fn migration_protocol(text: &str, file: &str) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for helper in ["steal_longest", "remove_ready", "push_migrated"] {
-        for at in ident_occurrences(text, helper) {
-            out.push(violation(
-                text,
-                file,
-                at,
-                "migration-protocol",
-                format!("`{helper}` mutates engine state and is only sound on the owning shard worker thread; route cross-shard migration through `Command::Steal`/`Command::Inject` instead"),
-            ));
-        }
-    }
-    out
-}
-
 /// Rule P: no panicking constructs on the wire path.
 pub fn panic_freedom(text: &str, file: &str) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -342,6 +266,108 @@ pub fn panic_freedom(text: &str, file: &str) -> Vec<Violation> {
             "panic",
             "slice/array index can panic out of bounds; use `.get(…)` on the wire path".to_string(),
         ));
+    }
+    out
+}
+
+/// Rule C-A: the token `Relaxed` appears only in the module that
+/// defines the advisory cell (`serve/src/metrics.rs`, exempted by
+/// [`crate::run`]). Everywhere else a value other threads may read
+/// stale is an `AdvisoryCell` — whose whole API is relaxed
+/// set/add/get, so it cannot be misused as a handshake — and anything
+/// that orders memory spells out Acquire/Release or SeqCst.
+pub fn atomics_discipline(text: &str, file: &str) -> Vec<Violation> {
+    ident_occurrences(text, "Relaxed")
+        .into_iter()
+        .map(|at| {
+            violation(
+                text,
+                file,
+                at,
+                "atomics-discipline",
+                "`Relaxed` outside `serve/src/metrics.rs`; publish advisory values through `metrics::AdvisoryCell` (relaxed set/add/get is its whole API), and give a cross-thread handshake Acquire/Release (or SeqCst) so the flag cannot be reordered past the state it guards".to_string(),
+            )
+        })
+        .collect()
+}
+
+/// Rule C-C: no unbounded `channel()` construction — a wedged consumer
+/// must exert backpressure. (`sync_channel` is a different identifier
+/// and passes.)
+pub fn channel_protocol(text: &str, file: &str) -> Vec<Violation> {
+    call_occurrences(text, "channel")
+        .into_iter()
+        .map(|at| {
+            violation(
+                text,
+                file,
+                at,
+                "channel-protocol",
+                "unbounded `channel()`; use a bounded `sync_channel` so a wedged consumer exerts backpressure (worker command answers travel on `worker::Reply`, a one-shot `sync_channel(1)`), or waive with the reason the queue is bounded in practice".to_string(),
+            )
+        })
+        .collect()
+}
+
+/// Rule C-R: the epoll event loop must never block — slow work routes
+/// through the slow-path thread and replies come back via the
+/// `ReplyInjector` mailbox.
+pub fn reactor_nonblocking(text: &str, file: &str) -> Vec<Violation> {
+    let blocking = |at: usize, what: &str| {
+        violation(
+            text,
+            file,
+            at,
+            "reactor-nonblocking",
+            format!("blocking `{what}` inside the reactor event-loop module; the loop must stay nonblocking — defer slow work to the slow-path thread and inject replies through `ReplyInjector`"),
+        )
+    };
+    let mut out = Vec::new();
+    for m in ["recv", "recv_timeout", "join", "lock"] {
+        for at in method_call_occurrences(text, m) {
+            out.push(blocking(at, &format!(".{m}()")));
+        }
+    }
+    for at in call_occurrences(text, "sleep") {
+        out.push(blocking(at, "sleep"));
+    }
+    out
+}
+
+/// Rule C-U: `unsafe` stays confined to the audited syscall boundary
+/// (`allowed` files), and there every block documents the invariant
+/// that makes it sound: a `// SAFETY:` comment on the same line or the
+/// three lines above, looked up in the raw `source` because comments
+/// are blanked in `text`.
+pub fn unsafe_audit(text: &str, source: &str, file: &str, allowed: &[&str]) -> Vec<Violation> {
+    let src_lines: Vec<&str> = source.lines().collect();
+    let mut out = Vec::new();
+    for at in ident_occurrences(text, "unsafe") {
+        if !allowed.contains(&file) {
+            out.push(violation(
+                text,
+                file,
+                at,
+                "unsafe-audit",
+                format!(
+                    "`unsafe` outside the audited syscall boundary ({}); move raw operations behind the safe wrappers there",
+                    allowed.join(", ")
+                ),
+            ));
+            continue;
+        }
+        // 1-based line L → 0-based indices [L-4, L-1].
+        let line = line_of(text, at);
+        let window = src_lines.get(line.saturating_sub(4)..line.min(src_lines.len()));
+        if !window.is_some_and(|w| w.iter().any(|l| l.contains("SAFETY:"))) {
+            out.push(violation(
+                text,
+                file,
+                at,
+                "unsafe-audit",
+                "`unsafe` without a `// SAFETY:` comment on the same line or the three lines above; document the invariant that makes the block sound".to_string(),
+            ));
+        }
     }
     out
 }
@@ -389,42 +415,66 @@ mod tests {
     }
 
     #[test]
-    fn engine_ownership_flags_mutexed_engines_and_retired_helpers() {
-        let src = "struct Shard { engine: Mutex<Engine> }\nstruct Nested { engines: Mutex<Vec<Engine>> }\nfn bad(&self) { let g = self.shard.lock_engine(); }\nfn also_bad(&self) { let gs = self.lock_engines_ascending(); }\n";
-        let v = engine_ownership(src, "f.rs");
-        assert_eq!(v.len(), 4, "{v:?}");
-        assert!(v.iter().all(|v| v.rule == "engine-ownership"));
-        assert!(v[0].message.contains("Mutex<…Engine…>"));
-        assert!(v[2].message.contains("`lock_engine` is retired"));
-    }
-
-    #[test]
-    fn engine_ownership_ignores_unrelated_mutexes() {
-        let src = "struct S { ids: Mutex<IdLedger>, anchor: Mutex<Option<Instant>>, round_mx: Mutex<()> }\nfn ok(&self) { let g = self.ids.lock(); }\n";
-        assert!(engine_ownership(src, "f.rs").is_empty());
-        // `Engine` outside a Mutex generic list is fine — workers own
-        // engines directly.
-        let owned = "struct Worker { engine: Engine }\nfn tick(e: &mut Engine) {}\n";
-        assert!(engine_ownership(owned, "f.rs").is_empty());
-    }
-
-    #[test]
-    fn migration_protocol_flags_direct_primitive_calls() {
-        let src = "fn bad(&self) { let ids = self.policy.steal_longest(exec, 4); let t = exec.remove_ready(tid); exec.push_migrated(&t); }";
-        let v = migration_protocol(src, "f.rs");
-        assert_eq!(v.len(), 3, "{v:?}");
-        assert!(v.iter().all(|v| v.rule == "migration-protocol"));
-        assert!(v[0].message.contains("`steal_longest`"));
-        // Sending the commands is the sanctioned path — no idents match.
-        let clean = "fn ok(&self) { w.send(Command::Steal { max, reply }); w.send(Command::Inject { tasks, reply }); }";
-        assert!(migration_protocol(clean, "f.rs").is_empty());
-    }
-
-    #[test]
     fn panic_rule_catches_macros_and_indexing() {
         let src = "fn f(b: &[u8]) { let x = b[0]; m.get(k).unwrap(); unreachable!(\"no\"); }";
         let v = panic_freedom(src, "f.rs");
         assert_eq!(v.len(), 3);
         assert!(v.iter().all(|v| v.rule == "panic"));
+    }
+
+    /// Cleaned, test-masked text the way [`crate::run`] prepares it.
+    fn masked(src: &str) -> String {
+        crate::scan::mask_tests(&crate::scan::clean(src).text)
+    }
+
+    #[test]
+    fn relaxed_is_flagged_wherever_it_appears_and_stronger_orderings_are_not() {
+        let src = "use std::sync::atomic::Ordering::Relaxed;\nfn f(s: &S) { s.stop.store(true, Ordering::Relaxed); s.stop.load(Ordering::SeqCst); s.n.fetch_add(1, Ordering::AcqRel); }\n";
+        let v = atomics_discipline(&masked(src), "f.rs");
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|v| v.rule == "atomics-discipline"));
+        assert_eq!((v[0].line, v[1].line), (1, 2));
+        // Comments, strings and test code never count.
+        let quiet = "// Relaxed would be wrong here\nfn f() -> &'static str { \"Relaxed\" }\n#[cfg(test)]\nmod tests { fn t(a: &A) { a.load(Ordering::Relaxed); } }\n";
+        assert!(atomics_discipline(&masked(quiet), "f.rs").is_empty());
+    }
+
+    #[test]
+    fn unbounded_channel_is_flagged_and_sync_channel_is_not() {
+        let src = "fn firehose() {\n    let (tx, rx) = channel();\n    let (c, d) = std::sync::mpsc::sync_channel(8);\n    let e = mpsc::channel ();\n}\n";
+        let v = channel_protocol(&masked(src), "f.rs");
+        let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [2, 4], "{v:?}");
+        assert!(v[0].message.contains("unbounded"));
+    }
+
+    #[test]
+    fn reactor_blocking_calls_are_flagged_and_poller_wait_is_not() {
+        let src = "fn event_loop(rx: &Receiver<u64>, m: &Mutex<u32>, p: &Poller) {\n    let _ = rx.recv();\n    let _ = m.lock();\n    std::thread::sleep(d);\n    h.join();\n    let n = p.wait(&mut buf, timeout);\n}\n";
+        let v = reactor_nonblocking(&masked(src), "crates/net/src/reactor.rs");
+        assert_eq!(v.len(), 4, "{v:?}");
+        assert!(v.iter().all(|v| v.rule == "reactor-nonblocking"));
+    }
+
+    #[test]
+    fn unsafe_outside_allowlist_and_without_safety_comment() {
+        let allowed = &["crates/net/src/sys.rs"];
+        let off = "fn f(xs: &[u8]) -> u8 { unsafe { *xs.get_unchecked(0) } }\n";
+        let v = unsafe_audit(&masked(off), off, "crates/serve/src/service.rs", allowed);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0]
+            .message
+            .contains("outside the audited syscall boundary"));
+
+        let on = "pub fn close_fd(fd: i32) {\n    let _ = unsafe { close(fd) };\n}\n// SAFETY: read takes any pointer/length pair; ours is a valid slice.\npub fn read_fd(fd: i32) {\n    let _ = unsafe { read(fd) };\n}\n";
+        let v = unsafe_audit(&masked(on), on, "crates/net/src/sys.rs", allowed);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 2);
+        assert!(v[0].message.contains("SAFETY"));
+
+        // The cleaner blanks comments, so `unsafe` in a doc comment is
+        // never a site.
+        let doc = "/// Calling `unsafe` code here would be bad.\npub fn ok() {}\n";
+        assert!(unsafe_audit(&masked(doc), doc, "crates/net/src/sys.rs", allowed).is_empty());
     }
 }

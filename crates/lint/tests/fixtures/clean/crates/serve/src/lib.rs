@@ -1,4 +1,5 @@
 //! Clean serve fixture.
 pub mod clock;
+pub mod metrics;
 pub mod protocol;
 pub mod service;

@@ -1,13 +1,10 @@
-//! Clean engine ownership: the service holds no engine — it routes
-//! commands to worker-owned shards over channels; its own mutexes
-//! guard non-engine bookkeeping only.
-//!
-//! Concurrency-clean shapes on top: the blessed advisory
-//! `router_cursor` (`Relaxed` is legal there) and a SeqCst stop
-//! handshake on the same `stop` flag the worker module reads.
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::SyncSender;
-use std::sync::Mutex;
+//! Concurrency-clean service shapes: advisory values go through the
+//! metrics module's cell (no `Relaxed` token here), the stop flag is a
+//! SeqCst handshake, and the command channel is a bounded
+//! `sync_channel`.
+use crate::metrics::AdvisoryCell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 pub enum Command {
     Tick,
@@ -16,22 +13,28 @@ pub enum Command {
 
 pub struct Scheduler {
     workers: Vec<SyncSender<Command>>,
-    ids: Mutex<Vec<u64>>,
-    /// Blessed advisory counter: spreads untargeted submissions
-    /// round-robin; a stale read only skews placement, never replay.
-    router_cursor: AtomicUsize,
-    /// Cross-module shutdown handshake — the worker module reads this,
-    /// so it must be SeqCst (or Acquire/Release), never `Relaxed`.
+    /// Spreads untargeted submissions round-robin; a stale read only
+    /// skews placement, never replay.
+    router_cursor: AdvisoryCell,
+    /// Cross-thread shutdown handshake: SeqCst on both sides.
     stop: AtomicBool,
+}
+
+pub fn command_channel() -> (SyncSender<Command>, Receiver<Command>) {
+    sync_channel(32)
 }
 
 impl Scheduler {
     pub fn route(&self) -> usize {
-        self.router_cursor.fetch_add(1, Ordering::Relaxed) % self.workers.len().max(1)
+        self.router_cursor.add(1) as usize % self.workers.len().max(1)
     }
 
     pub fn begin_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
+    }
+
+    pub fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
     }
 
     pub fn tick(&self) {
@@ -39,17 +42,6 @@ impl Scheduler {
             if tx.send(Command::Tick).is_err() {
                 return;
             }
-        }
-    }
-
-    pub fn drain(&self) {
-        for tx in &self.workers {
-            if tx.send(Command::Drain).is_err() {
-                return;
-            }
-        }
-        if let Ok(mut ids) = self.ids.lock() {
-            ids.clear();
         }
     }
 }

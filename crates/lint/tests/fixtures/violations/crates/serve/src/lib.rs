@@ -1,3 +1,4 @@
-//! Serve fixture with lock-order, panic, and waiver violations.
+//! Serve fixture with panic, waiver, and concurrency violations.
 pub mod protocol;
 pub mod service;
+pub mod worker;

@@ -1,40 +1,9 @@
-//! Engine-ownership violation: an engine shared behind a mutex plus a
-//! call to a retired engine-lock helper.
-use std::sync::{Mutex, MutexGuard};
+//! Service-side concurrency violations: a `Relaxed` store on the
+//! shutdown handshake and an `unsafe` block off the syscall boundary.
 
-pub struct Engine {
-    pub steps: u64,
-}
-
-pub struct Shard {
-    engine: Mutex<Engine>,
-}
-
-impl Shard {
-    fn grab(&self) -> MutexGuard<'_, Engine> {
-        self.engine.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-pub fn transfer(a: &Shard, b: &Shard) -> u64 {
-    let ga = a.grab();
-    let gb = b.lock_engine();
-    ga.steps + gb.steps
-}
-
-/// Migration-protocol violation: calling the engine migration
-/// primitives from outside the worker module instead of sending
-/// `Command::Steal`/`Command::Inject`.
-pub fn rebalance(hot: &Shard, cold: &Shard) {
-    let stolen = hot.grab().steal_longest(4);
-    for task in stolen {
-        cold.grab().push_migrated(task);
-    }
-}
-
-/// Atomics-discipline violation: the shutdown flag lives in the worker
-/// module and is read there too, yet this store is `Relaxed` — the
-/// cross-module handshake can be reordered past the state it guards.
+/// Atomics-discipline violation (the relaxed-shutdown-store mutation):
+/// the flag is a cross-thread handshake, yet this store is `Relaxed` —
+/// it can be reordered past the state it guards.
 pub fn begin_shutdown() {
     crate::worker::SHUTTING_DOWN.store(true, std::sync::atomic::Ordering::Relaxed);
 }

@@ -1,49 +1,33 @@
-//! Concurrency violations in the worker module: a reply-bearing
-//! command protocol with a dropped reply sender (the mutation the
-//! `channel-protocol` rule must catch), a variant nobody ever answers,
-//! an unbounded channel built outside any blessed constructor, and a
-//! `Relaxed` read of the cross-module shutdown flag.
-use std::sync::atomic::{AtomicBool, Ordering};
+//! Worker-side concurrency violations: a raw atomic published with
+//! `Relaxed` instead of through the metrics module's advisory cell, a
+//! `Relaxed` poll of the shutdown handshake, and an unbounded channel.
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 pub static SHUTTING_DOWN: AtomicBool = AtomicBool::new(false);
 
-pub enum Command {
-    Tick { reply: Sender<u64> },
-    Drain { reply: Sender<u64> },
-    Stats { reply: Sender<u64> },
-}
-
 pub struct Worker {
     steps: u64,
+    /// Atomics-discipline violation (the raw-atomic mutation): a load
+    /// gauge kept as a bare `AtomicU64` so its accesses can — and do —
+    /// name `Relaxed` outside `metrics.rs`.
+    backlog: AtomicU64,
 }
 
 impl Worker {
-    /// `Tick` replies; `Drain` destructures its reply sender and then
-    /// drops it on the floor — the caller's drain barrier hangs.
-    /// `Stats` has no arm anywhere in this module.
-    pub fn run(&mut self, rx: &Receiver<Command>) {
-        // A worker that polls the shutdown flag with `Relaxed` can run
-        // one stale round after the service raised it.
-        while !SHUTTING_DOWN.load(Ordering::Relaxed) {
-            let Ok(cmd) = rx.recv() else { return };
-            match cmd {
-                Command::Tick { reply } => {
-                    self.steps += 1;
-                    let _ = reply.send(self.steps);
-                }
-                Command::Drain { reply } => {
-                    let _ = reply;
-                    self.steps = 0;
-                }
-                _ => {}
-            }
-        }
+    pub fn publish(&self) {
+        self.backlog.store(self.steps, Ordering::Relaxed);
+    }
+
+    /// A worker that polls the shutdown flag with `Relaxed` can run one
+    /// stale round after the service raised it.
+    pub fn should_stop(&self) -> bool {
+        SHUTTING_DOWN.load(Ordering::Relaxed)
     }
 }
 
-/// Unbounded channel construction outside any blessed site: a wedged
-/// consumer lets this queue grow without backpressure.
+/// Channel-protocol violation: a wedged consumer lets this queue grow
+/// without backpressure.
 pub fn open_firehose() -> (Sender<u64>, Receiver<u64>) {
     channel()
 }

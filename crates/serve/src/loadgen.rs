@@ -24,7 +24,7 @@
 //! client-observed percentiles next to the server-side stage
 //! attribution and show where the round-trip time actually went.
 
-use crate::metrics::Histogram;
+use crate::metrics::{AdvisoryCell, Histogram};
 use crate::protocol::{encode_command, encode_submit, value_f64, value_u64, ErrorKind, Response};
 use crate::server::Endpoint;
 use dvfs_model::{Task, TaskClass};
@@ -605,7 +605,8 @@ pub fn run(endpoint: &Endpoint, mode: &LoadMode) -> std::io::Result<LoadReport> 
             } else {
                 1
             };
-            let skew_seq = Arc::new(std::sync::atomic::AtomicU64::new(0));
+            // Spreads hot-key ids across clients; nothing reads it back.
+            let skew_seq = Arc::new(AdvisoryCell::default());
             let mut threads = Vec::new();
             for c in 0..*clients {
                 let endpoint = endpoint.clone();
@@ -624,8 +625,7 @@ pub fn run(endpoint: &Endpoint, mode: &LoadMode) -> std::io::Result<LoadReport> 
                     for _ in 0..n {
                         let (cycles, class) = random_task_parts(&mut rng, frac, mean);
                         let line = if skew > 0.0 && rng.gen_bool(skew) {
-                            // dvfs-lint: allow(atomics-discipline) advisory counter that only spreads hot-key ids; nothing reads it back
-                            let seq = skew_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            let seq = skew_seq.add(1);
                             encode_submit(Some(skew_id(seq, shards)), cycles, class, None)
                         } else {
                             encode_submit(None, cycles, class, None)

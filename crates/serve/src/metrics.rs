@@ -48,6 +48,37 @@ impl Gauge {
     }
 }
 
+/// A `u64` that threads publish to each other as a *hint*: worker
+/// heartbeat slots, the engine load gauges, the router cursor. Readers
+/// may see a stale value and nothing scheduled ever reads one back, so
+/// every access is a single relaxed atomic op — and because relaxed
+/// set/add/get is the whole API, a cell cannot be misused as a
+/// cross-thread handshake. This file is the only one where `dvfs-lint`'s
+/// `atomics-discipline` rule lets the token `Relaxed` appear; anything
+/// that needs ordering uses a std atomic with Acquire/Release or SeqCst.
+#[derive(Debug, Default)]
+pub struct AdvisoryCell(AtomicU64);
+
+impl AdvisoryCell {
+    /// Overwrite the value.
+    #[inline]
+    pub fn set(&self, v: u64) {
+        self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Add `n` (wrapping) and return the value before the add.
+    #[inline]
+    pub fn add(&self, n: u64) -> u64 {
+        self.0.fetch_add(n, Ordering::Relaxed)
+    }
+
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
 /// Smallest finite value with its own bucket; anything below lands in
 /// the underflow bucket 0. With seconds as the unit this is 1 µs.
 const HIST_BASE: f64 = 1e-6;

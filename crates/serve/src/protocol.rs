@@ -26,8 +26,11 @@
 //!
 //! * `submit` acks carry `"shard"` — the shard the task was routed to.
 //! * `stats` carries `"shards"` and a `"shard_stats"` array (per shard:
-//!   `shard`, `queue_depth`, `pending_tasks`, `sim_now_s`) alongside
-//!   the merged totals.
+//!   `shard`, `queue_depth`, `pending_tasks`, `sim_now_s`,
+//!   `migrations_out`, `migrations_in`, and `migration_rate` — tasks
+//!   moved out of plus into the shard per task it admitted) alongside
+//!   the merged totals, which include `"migrations"` and the
+//!   service-wide `"migration_rate"` (migrations per admitted task).
 //! * `drain` carries `"shards"` and a `"shard_reports"` array (per
 //!   shard: `shard`, `completed`, `total_cost`, `active_energy_joules`,
 //!   `total_turnaround_s`, `makespan_s`); the top-level fields are the

@@ -502,11 +502,20 @@ fn set_listener_nonblocking(listener: &Listener, shared: &Shared) -> bool {
     true
 }
 
+/// Forget the handlers whose connection has closed. A finished thread
+/// has nothing left to join — dropping its handle releases it — so a
+/// long-lived daemon holds one handle per *open* connection instead of
+/// one per connection ever accepted.
+fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    handlers.retain(|h| !h.is_finished());
+}
+
 fn accept_loop(listener: &Listener, shared: &Arc<Shared>, max_connections: usize) {
     if !set_listener_nonblocking(listener, shared) {
         return;
     }
-    let handlers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
+    // Touched by this thread only.
+    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     let open = Arc::new(AtomicUsize::new(0));
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -531,11 +540,10 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>, max_connections: usize
                     open: Arc::clone(&open),
                 };
                 let shared = Arc::clone(shared);
-                let h = std::thread::spawn(move || handle_connection(stream, &shared, guard));
-                handlers
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(h);
+                reap_finished(&mut handlers);
+                handlers.push(std::thread::spawn(move || {
+                    handle_connection(stream, &shared, guard);
+                }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -543,10 +551,7 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>, max_connections: usize
             Err(_) => break,
         }
     }
-    for h in handlers
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
+    for h in handlers {
         let _ = h.join();
     }
 }
@@ -993,5 +998,37 @@ fn handle_connection(stream: Stream, shared: &Arc<Shared>, guard: ConnGuard) {
             begin_shutdown(shared);
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Connection churn must not accumulate handles: reaping keeps
+    /// exactly the handlers whose threads are still running.
+    #[test]
+    fn reap_finished_keeps_only_live_handlers() {
+        let (release, blocked) = std::sync::mpsc::sync_channel::<()>(0);
+        let mut handlers = vec![
+            std::thread::spawn(|| {}),
+            std::thread::spawn(move || {
+                let _ = blocked.recv();
+            }),
+            std::thread::spawn(|| {}),
+        ];
+        while handlers.iter().filter(|h| h.is_finished()).count() < 2 {
+            std::thread::yield_now();
+        }
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "only the blocked handler survives");
+        assert!(!handlers[0].is_finished());
+
+        drop(release);
+        while !handlers.iter().all(JoinHandle::is_finished) {
+            std::thread::yield_now();
+        }
+        reap_finished(&mut handlers);
+        assert!(handlers.is_empty());
     }
 }

@@ -84,7 +84,7 @@
 
 use crate::admission::{AdmissionPolicy, AdmissionQueue, GateOutcome};
 use crate::executor::{ActuatorKind, RoundReport};
-use crate::metrics::{shard_metric, Registry};
+use crate::metrics::{shard_metric, AdvisoryCell, Registry};
 use crate::protocol::{field_f64, field_u64, ErrorKind, Response};
 use crate::stage::{StageClock, StageHists, REQUEST_E2E, STAGE_CMD_DEQUEUE, TELESCOPE_STAGES};
 use crate::worker::{self, Command, Heartbeat, ShardShared, WorkerHandle};
@@ -92,7 +92,7 @@ use dvfs_model::{CoreSpec, CostParams, Platform, RateTable, Task, TaskClass};
 use dvfs_trace::{ClassTag, EventKind as TraceKind, SharedRing, TraceEvent};
 use serde::Value;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -293,7 +293,7 @@ pub struct Scheduler {
     /// Rotating start offset for auto-id routing, so fully tied shards
     /// (e.g. a paced service whose ticker keeps every queue empty)
     /// round-robin instead of piling onto shard 0.
-    router_cursor: AtomicUsize,
+    router_cursor: AdvisoryCell,
     /// Trace events drained from the shard rings so far, in drain
     /// order (ascending shard within each round). Grows until the
     /// server restarts — unless the client streams it: `trace_stream`
@@ -332,8 +332,8 @@ impl Scheduler {
                     admitted: metrics.counter(&shard_metric("admitted", k)),
                     shed: metrics.counter(&shard_metric("shed", k)),
                     completed: metrics.counter(&shard_metric("completed", k)),
-                    backlog: AtomicUsize::new(0),
-                    queued_cost_bits: AtomicU64::new(0),
+                    backlog: AdvisoryCell::default(),
+                    queued_cost_bits: AdvisoryCell::default(),
                     hb: Heartbeat::new(),
                     stages: StageHists::new(&metrics, k),
                 })
@@ -370,7 +370,7 @@ impl Scheduler {
             round_mx: Mutex::new(()),
             work_mx: Mutex::new(()),
             work_cv: Condvar::new(),
-            router_cursor: AtomicUsize::new(0),
+            router_cursor: AdvisoryCell::default(),
             drained_trace: Mutex::new(DrainedTrace {
                 events: Vec::new(),
                 forgotten: 0,
@@ -499,7 +499,7 @@ impl Scheduler {
         if explicit {
             return (id % n as u64) as usize;
         }
-        let start = self.router_cursor.fetch_add(1, Ordering::Relaxed) % n;
+        let start = (self.router_cursor.add(1) % n as u64) as usize;
         let mut best = start;
         let mut best_headroom = 0usize;
         let mut best_load = usize::MAX;
@@ -773,20 +773,13 @@ impl Scheduler {
     /// With more shards than one, the per-shard steps run genuinely in
     /// parallel on the worker threads.
     pub fn tick(&self) {
-        let mut replies = Vec::with_capacity(self.workers.len());
-        for w in &self.workers {
-            let (tx, rx) = worker::reply_channel();
-            w.send(Command::Tick { reply: tx });
-            replies.push(rx);
-        }
-        let mut pending_total = 0i64;
-        for (k, rx) in replies.into_iter().enumerate() {
-            let reply = rx
-                .recv()
-                .unwrap_or_else(|_| panic!("shard {k} worker exited during tick"));
-            pending_total += reply.pending as i64;
-        }
-        self.metrics.gauge("pending_tasks").set(pending_total);
+        let pending_total: usize =
+            worker::broadcast(&self.workers, "tick", |reply| Command::Tick { reply })
+                .map(|r| r.pending)
+                .sum();
+        self.metrics
+            .gauge("pending_tasks")
+            .set(pending_total as i64);
         let t0 = crate::clock::wall_now();
         self.rebalance_once();
         if self.cfg.rebalance.enabled && self.shards.len() > 1 {
@@ -848,31 +841,20 @@ impl Scheduler {
             reason = "gap_share is in (0, 0.5], so the product is a small non-negative count"
         )]
         let batch = ((backlog as f64 * gap_share) as usize).clamp(1, self.cfg.rebalance.max_batch);
-        let (tx, rx) = worker::reply_channel();
-        self.workers[hot].send(Command::Steal {
-            max: batch,
-            reply: tx,
-        });
-        let tasks = rx
-            .recv()
-            .unwrap_or_else(|_| panic!("shard {hot} worker exited during steal"));
+        let tasks = self.workers[hot].ask("steal", |reply| Command::Steal { max: batch, reply });
         if tasks.is_empty() {
             // Every backlogged job was already running or not yet
             // arrived; nothing safe to move this pass.
             return;
         }
         let moved = tasks.len() as u64;
-        let (tx, rx) = worker::reply_channel();
-        self.workers[cold].send(Command::Inject {
+        let injected = self.workers[cold].ask("inject", |reply| Command::Inject {
             from_shard: hot as u32,
             from_cost: hot_cost,
             to_cost: cold_cost,
             tasks,
-            reply: tx,
+            reply,
         });
-        let injected = rx
-            .recv()
-            .unwrap_or_else(|_| panic!("shard {cold} worker exited during inject"));
         debug_assert_eq!(
             injected as u64, moved,
             "cold shard accepts every stolen task"
@@ -913,19 +895,13 @@ impl Scheduler {
             // a post-reset id reuse would collide in the next round's
             // engine.
             let mut ids = self.lock_ids();
-            let mut replies = Vec::with_capacity(self.workers.len());
-            for w in &self.workers {
-                let (tx, rx) = worker::reply_channel();
-                w.send(Command::Drain { reply: tx });
-                replies.push(rx);
-            }
-            for (k, rx) in replies.into_iter().enumerate() {
-                let report = rx
-                    .recv()
-                    .unwrap_or_else(|_| panic!("shard {k} worker exited during drain"));
+            let rounds =
+                worker::broadcast(&self.workers, "drain", |reply| Command::Drain { reply });
+            for (sh, report) in self.shards.iter().zip(rounds) {
                 // Capture the round's trace as each shard's report
-                // lands (ascending shard order, because this loop is).
-                self.drain_shard_trace(&self.shards[k]);
+                // lands (ascending shard order, because the broadcast
+                // answers are).
+                self.drain_shard_trace(sh);
                 reports.push(report);
             }
             // New round: the id space and the arrival-stamping clock
@@ -1149,20 +1125,8 @@ impl Scheduler {
     /// Sum of pending (registered but uncompleted) tasks across every
     /// worker, via a stats broadcast.
     fn pending_tasks_total(&self) -> usize {
-        let mut replies = Vec::with_capacity(self.workers.len());
-        for w in &self.workers {
-            let (tx, rx) = worker::reply_channel();
-            w.send(Command::Stats { reply: tx });
-            replies.push(rx);
-        }
-        replies
-            .into_iter()
-            .enumerate()
-            .map(|(k, rx)| {
-                rx.recv()
-                    .unwrap_or_else(|_| panic!("shard {k} worker exited during stats"))
-                    .pending
-            })
+        worker::broadcast(&self.workers, "stats", |reply| Command::Stats { reply })
+            .map(|r| r.pending)
             .sum()
     }
 
@@ -1170,20 +1134,12 @@ impl Scheduler {
     /// depths and clocks (collected from the workers in ascending shard
     /// order).
     pub fn stats(&self) -> Response {
-        let mut replies = Vec::with_capacity(self.workers.len());
-        for w in &self.workers {
-            let (tx, rx) = worker::reply_channel();
-            w.send(Command::Stats { reply: tx });
-            replies.push(rx);
-        }
+        let replies = worker::broadcast(&self.workers, "stats", |reply| Command::Stats { reply });
         let mut shard_stats = Vec::with_capacity(self.shards.len());
         let mut depth_total = 0u64;
         let mut pending_total = 0u64;
         let mut now_max = 0.0f64;
-        for (sh, rx) in self.shards.iter().zip(replies) {
-            let reply = rx
-                .recv()
-                .unwrap_or_else(|_| panic!("shard {} worker exited during stats", sh.index));
+        for (sh, reply) in self.shards.iter().zip(replies) {
             // Waiting work wherever it sits: admission depth plus the
             // engine backlog — the same combined load the router and
             // the rebalancer score shards by.

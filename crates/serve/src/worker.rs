@@ -5,12 +5,24 @@
 //! anchor — is owned *outright* by one worker thread. Nothing else in
 //! the process can reach an engine: the scheduler talks to the worker
 //! over a bounded command channel, and the worker applies commands in
-//! FIFO order against state only it can touch. This replaces the old
-//! `Mutex<Engine>` + ascending-lock-order discipline (and is enforced
-//! by `dvfs-lint`'s `engine-ownership` rule: no `Mutex<Engine>` or
-//! engine-lock helpers may appear outside this module).
+//! FIFO order against state only it can touch. The compiler enforces
+//! it: `Engine` and its fields are private to this module, so no other
+//! module can name an engine — let alone wrap one in a `Mutex` or call
+//! its migration primitives (`steal_longest`, `remove_ready`,
+//! `push_migrated`) off the owning thread. Cross-shard migration is
+//! [`Command::Steal`] / [`Command::Inject`] or it does not compile.
 //!
 //! ## Command/reply protocol
+//!
+//! Every command that owes its caller an answer carries a must-send
+//! [`Reply`]: the only way to spend one is [`Reply::send`], and one
+//! dropped unsent outside a panic unwind bumps `worker_reply_dropped`
+//! and fails a `debug_assert!` — so an arm of the worker loop that
+//! forgets to answer is a counted, loud bug instead of a hung drain
+//! barrier. Callers never build the reply channel themselves: they go
+//! through [`WorkerHandle::ask`] (one worker) or [`broadcast`] (every
+//! worker, answers in ascending shard order), which also own the one
+//! "worker exited" panic message.
 //!
 //! * [`Command::Tick`] — pull admitted work from the shard's queue,
 //!   advance the executor to the wall-mapped target (computed from the
@@ -37,7 +49,7 @@
 
 use crate::admission::AdmissionQueue;
 use crate::executor::{RealTimeExecutor, RoundReport};
-use crate::metrics::{Counter, Gauge, Histogram, Registry};
+use crate::metrics::{AdvisoryCell, Counter, Gauge, Histogram, Registry};
 use crate::service::{service_platform, Mode, SchedulerConfig};
 use crate::stage::StageHists;
 use dvfs_core::sched::{ExecutorView, Scheduler as PolicyHooks};
@@ -45,8 +57,7 @@ use dvfs_core::LeastMarginalCost;
 use dvfs_model::{CostParams, Task, TaskRecord};
 use dvfs_trace::SharedRing;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -56,27 +67,59 @@ use std::time::Instant;
 /// an unbounded command backlog silently.
 const COMMAND_QUEUE_BOUND: usize = 32;
 
-/// One-shot reply channel for a single worker command. This is the
-/// only blessed construction site for an unbounded `channel()` in the
-/// workspace (`dvfs-lint`'s `channel-protocol` rule): the command/reply
-/// protocol guarantees at most one message ever crosses it, so the
-/// missing bound can never absorb a backlog.
-pub(crate) fn reply_channel<T>() -> (Sender<T>, Receiver<T>) {
-    std::sync::mpsc::channel()
+/// The answer half of a reply-bearing [`Command`]: a one-shot sender
+/// that must be spent with [`Reply::send`]. Dropping one unsent means a
+/// caller is blocked on an answer that will never come, so outside a
+/// panic unwind (where the caller is about to learn the worker died
+/// anyway) the drop is counted and asserted.
+pub(crate) struct Reply<T> {
+    /// `None` once sent. The channel is a `sync_channel(1)` and exactly
+    /// one message ever crosses it, so the send never blocks.
+    tx: Option<SyncSender<T>>,
+    dropped: Arc<Counter>,
 }
 
-/// The executor/policy pair a worker owns outright. No lock anywhere:
-/// only the owning worker thread can reach it.
-pub(crate) struct Engine {
-    pub exec: RealTimeExecutor,
-    pub policy: LeastMarginalCost,
+impl<T> Reply<T> {
+    fn one_shot(dropped: &Arc<Counter>) -> (Reply<T>, Receiver<T>) {
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        let reply = Reply {
+            tx: Some(tx),
+            dropped: Arc::clone(dropped),
+        };
+        (reply, rx)
+    }
+
+    /// Answer the command. A caller that already went away is fine —
+    /// nobody is left to hang.
+    pub fn send(mut self, value: T) {
+        if let Some(tx) = self.tx.take() {
+            let _ = tx.send(value);
+        }
+    }
+}
+
+impl<T> Drop for Reply<T> {
+    fn drop(&mut self) {
+        if self.tx.is_some() && !std::thread::panicking() {
+            self.dropped.inc();
+            debug_assert!(false, "worker command reply dropped without being sent");
+        }
+    }
+}
+
+/// The executor/policy pair a worker owns outright. No lock anywhere,
+/// and private to this module: only the owning worker thread can reach
+/// it.
+struct Engine {
+    exec: RealTimeExecutor,
+    policy: LeastMarginalCost,
 }
 
 impl Engine {
     /// A fresh engine for a new round; `ring` re-attaches the shard's
     /// trace ring (sequence numbers continue — a round boundary is
     /// visible in the trace but never resets the stream).
-    pub fn fresh(cfg: &SchedulerConfig, ring: Option<SharedRing>) -> Self {
+    fn fresh(cfg: &SchedulerConfig, ring: Option<SharedRing>) -> Self {
         let platform = service_platform(cfg.cores);
         let mut exec = RealTimeExecutor::with_actuator(platform.clone(), cfg.actuator);
         exec.set_trace_ring(ring);
@@ -136,31 +179,29 @@ pub(crate) enum ServiceSlot {
 }
 
 /// One worker's lock-free heartbeat slot: the loop publishes progress
-/// and service times here with relaxed stores, and the supervisor /
-/// `health` snapshot read them without ever touching the worker's
-/// channel. Every field is advisory telemetry — nothing here feeds
-/// back into scheduling, so relaxed ordering cannot perturb the
-/// determinism contract. All atomic accesses stay behind the methods
-/// of this impl (the lint blesses them per field in this file).
+/// and service times here, and the supervisor / `health` snapshot read
+/// them without ever touching the worker's channel. Every field is
+/// advisory telemetry — nothing here feeds back into scheduling — so
+/// every slot is an [`AdvisoryCell`].
 #[derive(Debug)]
 pub(crate) struct Heartbeat {
     /// Time base for the micros-since-epoch encoding below.
     epoch: Instant,
     /// Micros since epoch when the worker last finished a command
     /// (stamped once at loop start, so an idle worker reads as alive).
-    last_progress_micros: AtomicU64,
+    last_progress_micros: AdvisoryCell,
     /// Commands enqueued by the scheduler side.
-    cmd_sent: AtomicU64,
+    cmd_sent: AdvisoryCell,
     /// Commands the worker has dequeued; `sent - dequeued` is the
     /// command-channel depth (including a sender blocked on the bound).
-    cmd_dequeued: AtomicU64,
+    cmd_dequeued: AdvisoryCell,
     /// Send→dequeue age of the most recently dequeued command, µs.
-    dequeue_age_micros: AtomicU64,
+    dequeue_age_micros: AdvisoryCell,
     /// Most recent service time per command kind, µs.
-    tick_micros: AtomicU64,
-    drain_micros: AtomicU64,
-    steal_micros: AtomicU64,
-    inject_micros: AtomicU64,
+    tick_micros: AdvisoryCell,
+    drain_micros: AdvisoryCell,
+    steal_micros: AdvisoryCell,
+    inject_micros: AdvisoryCell,
 }
 
 /// A point-in-time copy of one worker's heartbeat for the `health`
@@ -182,14 +223,14 @@ impl Heartbeat {
     pub fn new() -> Self {
         Heartbeat {
             epoch: crate::clock::wall_now(),
-            last_progress_micros: AtomicU64::new(0),
-            cmd_sent: AtomicU64::new(0),
-            cmd_dequeued: AtomicU64::new(0),
-            dequeue_age_micros: AtomicU64::new(0),
-            tick_micros: AtomicU64::new(0),
-            drain_micros: AtomicU64::new(0),
-            steal_micros: AtomicU64::new(0),
-            inject_micros: AtomicU64::new(0),
+            last_progress_micros: AdvisoryCell::default(),
+            cmd_sent: AdvisoryCell::default(),
+            cmd_dequeued: AdvisoryCell::default(),
+            dequeue_age_micros: AdvisoryCell::default(),
+            tick_micros: AdvisoryCell::default(),
+            drain_micros: AdvisoryCell::default(),
+            steal_micros: AdvisoryCell::default(),
+            inject_micros: AdvisoryCell::default(),
         }
     }
 
@@ -199,31 +240,29 @@ impl Heartbeat {
 
     /// Stamp "the worker loop is alive right now".
     pub fn mark_progress(&self) {
-        self.last_progress_micros
-            .store(self.micros_since_epoch(), Ordering::Relaxed);
+        self.last_progress_micros.set(self.micros_since_epoch());
     }
 
     /// Count a command enqueued toward this worker.
     pub fn note_send(&self) {
-        self.cmd_sent.fetch_add(1, Ordering::Relaxed);
+        self.cmd_sent.add(1);
     }
 
     /// Count a dequeue and publish the send→dequeue age.
     pub fn note_dequeue(&self, sent: Instant) {
-        self.cmd_dequeued.fetch_add(1, Ordering::Relaxed);
+        self.cmd_dequeued.add(1);
         let age = crate::clock::wall_now().duration_since(sent);
-        self.dequeue_age_micros
-            .store(age.as_micros() as u64, Ordering::Relaxed);
+        self.dequeue_age_micros.set(age.as_micros() as u64);
     }
 
     /// Publish a command's service time and mark progress.
     pub fn note_service(&self, slot: ServiceSlot, t0: Instant) {
         let micros = crate::clock::wall_now().duration_since(t0).as_micros() as u64;
         match slot {
-            ServiceSlot::Tick => self.tick_micros.store(micros, Ordering::Relaxed),
-            ServiceSlot::Drain => self.drain_micros.store(micros, Ordering::Relaxed),
-            ServiceSlot::Steal => self.steal_micros.store(micros, Ordering::Relaxed),
-            ServiceSlot::Inject => self.inject_micros.store(micros, Ordering::Relaxed),
+            ServiceSlot::Tick => self.tick_micros.set(micros),
+            ServiceSlot::Drain => self.drain_micros.set(micros),
+            ServiceSlot::Steal => self.steal_micros.set(micros),
+            ServiceSlot::Inject => self.inject_micros.set(micros),
         }
         self.mark_progress();
     }
@@ -231,17 +270,17 @@ impl Heartbeat {
     /// Snapshot for the `health` document / supervisor.
     pub fn snapshot(&self) -> HeartbeatSnapshot {
         let now = self.micros_since_epoch();
-        let progress = self.last_progress_micros.load(Ordering::Relaxed);
-        let sent = self.cmd_sent.load(Ordering::Relaxed);
-        let dequeued = self.cmd_dequeued.load(Ordering::Relaxed);
+        let progress = self.last_progress_micros.get();
+        let sent = self.cmd_sent.get();
+        let dequeued = self.cmd_dequeued.get();
         HeartbeatSnapshot {
             last_progress_age_s: now.saturating_sub(progress) as f64 * 1e-6,
             cmd_depth: sent.saturating_sub(dequeued),
-            dequeue_age_us: self.dequeue_age_micros.load(Ordering::Relaxed),
-            tick_us: self.tick_micros.load(Ordering::Relaxed),
-            drain_us: self.drain_micros.load(Ordering::Relaxed),
-            steal_us: self.steal_micros.load(Ordering::Relaxed),
-            inject_us: self.inject_micros.load(Ordering::Relaxed),
+            dequeue_age_us: self.dequeue_age_micros.get(),
+            tick_us: self.tick_micros.get(),
+            drain_us: self.drain_micros.get(),
+            steal_us: self.steal_micros.get(),
+            inject_us: self.inject_micros.get(),
         }
     }
 }
@@ -266,14 +305,13 @@ pub(crate) struct ShardShared {
     /// published by the worker after every engine mutation. The router
     /// folds this into its load score (admission depth alone is blind
     /// to work a tick already pulled). Advisory only: the value steers
-    /// placement, never the replayed schedule, so a relaxed atomic
-    /// cannot perturb the determinism contract.
-    pub backlog: AtomicUsize,
+    /// placement, never the replayed schedule.
+    pub backlog: AdvisoryCell,
     /// `f64::to_bits` of the shard policy's summed Eq. 32 queued-cost
     /// total — the marginal-cost half of the load gauge, read by the
     /// rebalancer to find the hot/cold gap. Same advisory-only status
     /// as `backlog`.
-    pub queued_cost_bits: AtomicU64,
+    pub queued_cost_bits: AdvisoryCell,
     /// The worker's lock-free loop-telemetry slot.
     pub hb: Heartbeat,
     /// The shard's stage-attribution histogram bundle (global +
@@ -284,12 +322,12 @@ pub(crate) struct ShardShared {
 impl ShardShared {
     /// The published engine queued-cost total.
     pub fn queued_cost(&self) -> f64 {
-        f64::from_bits(self.queued_cost_bits.load(Ordering::Relaxed))
+        f64::from_bits(self.queued_cost_bits.get())
     }
 
     /// The published engine backlog (queued, not-yet-dispatched tasks).
     pub fn backlog(&self) -> usize {
-        self.backlog.load(Ordering::Relaxed)
+        self.backlog.get() as usize
     }
 }
 
@@ -306,25 +344,25 @@ pub(crate) struct StatsReply {
     pub now: f64,
 }
 
-/// One message across the scheduler→worker channel. Replies travel on
-/// per-call one-shot channels, so concurrent callers (ticker thread,
+/// One message across the scheduler→worker channel. Answers travel on
+/// per-call one-shot [`Reply`]s, so concurrent callers (ticker thread,
 /// wire drains, stats) can never receive each other's answers.
 pub(crate) enum Command {
     Tick {
-        reply: Sender<TickReply>,
+        reply: Reply<TickReply>,
     },
     Drain {
-        reply: Sender<RoundReport>,
+        reply: Reply<RoundReport>,
     },
     Stats {
-        reply: Sender<StatsReply>,
+        reply: Reply<StatsReply>,
     },
     /// Remove up to `max` queued (never dispatched) non-interactive
     /// tasks from the engine, longest first, and hand them back for
     /// re-enqueue elsewhere — the hot half of a migration.
     Steal {
         max: usize,
-        reply: Sender<Vec<Task>>,
+        reply: Reply<Vec<Task>>,
     },
     /// Re-register stolen tasks on this shard's engine — the cold half
     /// of a migration. Carries the decision provenance (`from_shard`
@@ -336,7 +374,7 @@ pub(crate) enum Command {
         from_cost: f64,
         to_cost: f64,
         tasks: Vec<Task>,
-        reply: Sender<usize>,
+        reply: Reply<usize>,
     },
     StartClock,
     Shutdown,
@@ -360,15 +398,18 @@ pub(crate) struct WorkerHandle {
     /// is gone without being asked to stop is a crashed thread, and a
     /// silently swallowed send would turn that crash into a hang.
     send_failed: Arc<Counter>,
+    /// Handed to every [`Reply`] this handle mints (resolved once, so
+    /// a round trip costs no registry lookup).
+    reply_dropped: Arc<Counter>,
 }
 
 impl WorkerHandle {
     /// Enqueue a command. A dead worker still surfaces at reply
-    /// collection (the one-shot reply channel disconnects, where
-    /// callers attach a meaningful panic message), but the failure is
-    /// made observable here too: the `worker_send_failed` counter
-    /// records it for release builds, and debug builds assert so tests
-    /// catch a crashed worker at the earliest point.
+    /// collection (the one-shot reply channel disconnects and
+    /// [`Self::ask`] / [`broadcast`] panic naming the shard), but the
+    /// failure is made observable here too: the `worker_send_failed`
+    /// counter records it for release builds, and debug builds assert
+    /// so tests catch a crashed worker at the earliest point.
     pub fn send(&self, cmd: Command) {
         // Counted before the (possibly blocking) bounded send, so a
         // sender stuck on a full channel shows up in the depth a
@@ -378,10 +419,36 @@ impl WorkerHandle {
             sent: crate::clock::wall_now(),
             cmd,
         };
-        if self.tx.send(env).is_err() {
+        // The refused envelope (and any `Reply` inside it) is dropped
+        // after the assert, i.e. mid-unwind in debug builds, so a dead
+        // worker is reported once, as a failed send.
+        if let Err(_refused) = self.tx.send(env) {
             self.send_failed.inc();
             debug_assert!(false, "command sent to a shard worker whose thread is gone");
         }
+    }
+
+    /// Send one reply-bearing command; the answer arrives on the
+    /// returned receiver.
+    fn post<T>(&self, make: impl FnOnce(Reply<T>) -> Command) -> Receiver<T> {
+        let (reply, rx) = Reply::one_shot(&self.reply_dropped);
+        self.send(make(reply));
+        rx
+    }
+
+    /// Block for a posted command's answer. A disconnected reply means
+    /// the worker thread died (a bug, not load): panic naming the shard
+    /// and the command (`what`).
+    fn wait<T>(&self, rx: &Receiver<T>, what: &str) -> T {
+        rx.recv()
+            .unwrap_or_else(|_| panic!("shard {} worker exited during {what}", self.shared.index))
+    }
+
+    /// One command round trip: send the command `make` builds around a
+    /// fresh [`Reply`], block for the answer.
+    pub fn ask<T>(&self, what: &str, make: impl FnOnce(Reply<T>) -> Command) -> T {
+        let rx = self.post(make);
+        self.wait(&rx, what)
     }
 
     /// Ask the worker loop to exit (it finishes the commands already
@@ -407,6 +474,22 @@ impl WorkerHandle {
     }
 }
 
+/// Send every worker the command `make` builds (all sends first, so
+/// the shards work concurrently), then yield the answers in ascending
+/// shard order — lazily, so a caller can act on shard `k`'s answer
+/// before blocking on shard `k + 1`'s.
+pub(crate) fn broadcast<'a, T: 'a>(
+    workers: &'a [WorkerHandle],
+    what: &'a str,
+    make: impl Fn(Reply<T>) -> Command,
+) -> impl Iterator<Item = T> + 'a {
+    let posted: Vec<Receiver<T>> = workers.iter().map(|w| w.post(&make)).collect();
+    workers
+        .iter()
+        .zip(posted)
+        .map(move |(w, rx)| w.wait(&rx, what))
+}
+
 /// Spawn the worker thread owning shard `shared`'s engine.
 pub(crate) fn spawn(
     shared: Arc<ShardShared>,
@@ -416,6 +499,7 @@ pub(crate) fn spawn(
 ) -> WorkerHandle {
     let (tx, rx) = std::sync::mpsc::sync_channel(COMMAND_QUEUE_BOUND);
     let send_failed = metrics.counter("worker_send_failed");
+    let reply_dropped = metrics.counter("worker_reply_dropped");
     let name = format!("dvfs-shard-{}", shared.index);
     let worker_shared = Arc::clone(&shared);
     let join = std::thread::Builder::new()
@@ -438,6 +522,7 @@ pub(crate) fn spawn(
         join: Some(join),
         shared,
         send_failed,
+        reply_dropped,
     }
 }
 
@@ -491,16 +576,16 @@ impl Worker {
             match env.cmd {
                 Command::Tick { reply } => {
                     let r = self.tick();
-                    let _ = reply.send(r);
+                    reply.send(r);
                     self.shared.hb.note_service(ServiceSlot::Tick, t0);
                 }
                 Command::Drain { reply } => {
                     let r = self.drain();
-                    let _ = reply.send(r);
+                    reply.send(r);
                     self.shared.hb.note_service(ServiceSlot::Drain, t0);
                 }
                 Command::Stats { reply } => {
-                    let _ = reply.send(StatsReply {
+                    reply.send(StatsReply {
                         pending: self.engine.exec.pending_tasks(),
                         now: self.engine.exec.exec_now(),
                     });
@@ -508,7 +593,7 @@ impl Worker {
                 }
                 Command::Steal { max, reply } => {
                     let r = self.steal(max);
-                    let _ = reply.send(r);
+                    reply.send(r);
                     self.shared.hb.note_service(ServiceSlot::Steal, t0);
                 }
                 Command::Inject {
@@ -519,7 +604,7 @@ impl Worker {
                     reply,
                 } => {
                     let r = self.inject(from_shard, from_cost, to_cost, &tasks);
-                    let _ = reply.send(r);
+                    reply.send(r);
                     self.shared.hb.note_service(ServiceSlot::Inject, t0);
                 }
                 Command::StartClock => {
@@ -646,11 +731,10 @@ impl Worker {
     fn publish_load(&self) {
         self.shared
             .backlog
-            .store(self.engine.exec.queued_tasks(), Ordering::Relaxed);
-        self.shared.queued_cost_bits.store(
-            self.engine.policy.queued_cost().to_bits(),
-            Ordering::Relaxed,
-        );
+            .set(self.engine.exec.queued_tasks() as u64);
+        self.shared
+            .queued_cost_bits
+            .set(self.engine.policy.queued_cost().to_bits());
     }
 
     /// The hot half of a migration: remove up to `max` queued
@@ -773,8 +857,8 @@ mod tests {
             admitted: r.counter("admitted"),
             shed: r.counter("shed"),
             completed: r.counter("completed"),
-            backlog: AtomicUsize::new(0),
-            queued_cost_bits: AtomicU64::new(0),
+            backlog: AdvisoryCell::default(),
+            queued_cost_bits: AdvisoryCell::default(),
             hb: Heartbeat::new(),
             stages: StageHists::new(&r, 0),
         })
@@ -794,6 +878,7 @@ mod tests {
             join: None,
             shared: test_shared(),
             send_failed: Arc::clone(&send_failed),
+            reply_dropped: Arc::new(Counter::default()),
         };
 
         handle.begin_stop();
@@ -808,6 +893,55 @@ mod tests {
             cfg!(debug_assertions),
             "debug builds surface the dead worker via debug_assert"
         );
+    }
+
+    // The must-send contract of `Reply<T>`, one case per test. Nothing
+    // static checks reply-completeness: a worker-loop arm that drops its
+    // `reply` trips the second case at run time, in every debug test
+    // that sends that command.
+
+    #[test]
+    fn reply_sent_reaches_the_caller_and_counts_nothing() {
+        let dropped = Arc::new(Counter::default());
+        let (reply, rx) = Reply::one_shot(&dropped);
+        reply.send(7u32);
+        assert_eq!(rx.recv(), Ok(7));
+        assert_eq!(dropped.get(), 0);
+    }
+
+    #[test]
+    fn reply_dropped_unsent_is_counted_and_asserts_in_debug() {
+        let dropped = Arc::new(Counter::default());
+        let (reply, rx) = Reply::<u32>::one_shot(&dropped);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(reply)));
+        assert_eq!(dropped.get(), 1);
+        assert_eq!(outcome.is_err(), cfg!(debug_assertions));
+        assert!(rx.recv().is_err(), "the caller disconnects, never hangs");
+    }
+
+    /// A worker panicking mid-command drops its `Reply` during the
+    /// unwind. A second panic there would abort the process instead of
+    /// unwinding the worker, so the drop must stay quiet.
+    #[test]
+    fn reply_dropped_while_unwinding_does_not_panic_again() {
+        let dropped = Arc::new(Counter::default());
+        let (reply, rx) = Reply::<u32>::one_shot(&dropped);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _reply = reply;
+            panic!("worker bug");
+        }));
+        assert!(outcome.is_err(), "the original panic propagates");
+        assert_eq!(dropped.get(), 0);
+        assert!(rx.recv().is_err());
+    }
+
+    #[test]
+    fn reply_send_to_a_departed_caller_is_a_no_op() {
+        let dropped = Arc::new(Counter::default());
+        let (reply, rx) = Reply::one_shot(&dropped);
+        drop(rx);
+        reply.send(7u32);
+        assert_eq!(dropped.get(), 0);
     }
 
     /// The heartbeat's depth arithmetic: `send` counts immediately,
@@ -845,9 +979,7 @@ mod tests {
         let metrics = Arc::new(Registry::new());
         let lmc = metrics.histogram("lmc_decision_us");
         let mut handle = spawn(Arc::clone(&shared), cfg, metrics, lmc);
-        let (tx, rx) = reply_channel();
-        handle.send(Command::Tick { reply: tx });
-        rx.recv().expect("worker replies to tick");
+        handle.ask("tick", |reply| Command::Tick { reply });
         let snap = shared.hb.snapshot();
         assert_eq!(snap.cmd_depth, 0, "tick was dequeued");
         assert!(

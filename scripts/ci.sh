@@ -131,23 +131,34 @@ else
     echo "==> SKIPPED: sanitizer stage (no nightly toolchain installed)"
 fi
 
-# Invariant gate: dvfs-lint enforces the contracts no compiler checks —
-# determinism (no hash-order iteration / raw wall-clock reads outside
-# the serve clock seam), engine ownership (no Mutex<Engine> or retired
-# engine-lock helpers outside the worker module — engines are owned by
-# their shard worker threads), layering (dvfs-core/dvfs-serve must not reach
-# dvfs-sim over normal deps; parsed natively from Cargo.toml, replacing
-# the old `cargo tree | grep` function), migration protocol (engine
-# steal/inject primitives only via worker commands), wire-path
-# panic-freedom, and — via the two-pass workspace symbol table — the
-# concurrency contracts: atomics-discipline (Relaxed only on blessed
-# advisory sites; cross-module handshakes need Acquire/Release or
-# SeqCst), channel-protocol (reply-completeness on worker commands, no
-# unbounded channels off the blessed list), reactor-nonblocking (no
-# blocking calls in the epoll loop), and unsafe-audit (unsafe confined
-# to the syscall boundary, every block `// SAFETY:`-documented).
-# See DESIGN.md "Enforced invariants" for the rule list and waiver
-# syntax.
+# sysbench guard: the benchmark harness (crates/bench/examples/sysbench,
+# what BENCHMARK.json runs) is both an example of dvfs-bench and a
+# stand-alone package with its own frozen manifest and lockfile. Run
+# its unit tests against the workspace's current public APIs, and check
+# that the frozen lockfile still resolves offline — so a PR that breaks
+# either assumption fails here instead of at benchmark time.
+run cargo test -q -p dvfs-bench --example sysbench
+echo "==> cargo metadata --offline --locked (sysbench manifest)"
+cargo metadata --offline --locked --format-version 1 \
+    --manifest-path crates/bench/examples/sysbench/Cargo.toml >/dev/null
+
+# Invariant gate: dvfs-lint enforces the contracts neither the compiler
+# nor a type can carry, each a per-file token rule over comment-
+# stripped, test-masked source — determinism (no hash-order iteration /
+# raw wall-clock reads outside the serve clock seam), layering
+# (dvfs-core/dvfs-serve must not reach dvfs-sim over normal deps; parsed
+# natively from Cargo.toml), wire-path panic-freedom,
+# atomics-discipline (the token `Relaxed` only in serve/src/metrics.rs,
+# home of the AdvisoryCell; everything else names Acquire/Release or
+# SeqCst), channel-protocol (no unbounded `channel()`),
+# reactor-nonblocking (no blocking calls in the epoll loop), and
+# unsafe-audit (unsafe confined to the syscall boundary, every block
+# `// SAFETY:`-documented). Engine ownership, the migration protocol
+# and reply-completeness are no longer lint rules: `worker::Engine` is
+# private to its module and every worker command answers through a
+# must-send `worker::Reply`, so the compiler and dvfs-serve's unit
+# tests hold them. See DESIGN.md "Enforced invariants" for the rule
+# list, the retired-rule table and waiver syntax.
 run cargo test -p dvfs-lint -q
 run cargo run -p dvfs-lint --release -- --deny all
 
