@@ -1,12 +1,11 @@
 //! Statistical robustness of the Fig. 3 comparison: the full experiment
-//! across many trace seeds (in parallel via rayon), reporting mean ±
+//! across many trace seeds (in parallel, one chunk of seeds per core), reporting mean ±
 //! standard deviation of every delta. A single synthetic trace could be
 //! lucky; twenty aren't.
 //!
 //! Usage: `fig3_seeds [n_seeds] [scale]`
 
-use dvfs_bench::run_fig3;
-use rayon::prelude::*;
+use dvfs_bench::{par_map_seeds, run_fig3};
 
 struct Deltas {
     olb_energy: f64,
@@ -31,21 +30,18 @@ fn main() {
     // trace and with it the queueing that gives LMC its time advantage.
     let scale: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1);
 
-    let deltas: Vec<Deltas> = (0..n_seeds)
-        .into_par_iter()
-        .map(|seed| {
-            let r = run_fig3(seed, scale);
-            let pct = |a: f64, b: f64| (a / b - 1.0) * 100.0;
-            Deltas {
-                olb_energy: pct(r.lmc.energy_cost, r.olb.energy_cost),
-                olb_time: pct(r.lmc.time_cost, r.olb.time_cost),
-                olb_total: pct(r.lmc.total(), r.olb.total()),
-                od_energy: pct(r.lmc.energy_cost, r.od.energy_cost),
-                od_time: pct(r.lmc.time_cost, r.od.time_cost),
-                od_total: pct(r.lmc.total(), r.od.total()),
-            }
-        })
-        .collect();
+    let deltas: Vec<Deltas> = par_map_seeds(n_seeds, |seed| {
+        let r = run_fig3(seed, scale);
+        let pct = |a: f64, b: f64| (a / b - 1.0) * 100.0;
+        Deltas {
+            olb_energy: pct(r.lmc.energy_cost, r.olb.energy_cost),
+            olb_time: pct(r.lmc.time_cost, r.olb.time_cost),
+            olb_total: pct(r.lmc.total(), r.olb.total()),
+            od_energy: pct(r.lmc.energy_cost, r.od.energy_cost),
+            od_time: pct(r.lmc.time_cost, r.od.time_cost),
+            od_total: pct(r.lmc.total(), r.od.total()),
+        }
+    });
 
     println!("FIG. 3 over {n_seeds} trace seeds (scale {scale}): LMC deltas, mean ± sd\n");
     let report = |label: &str, xs: Vec<f64>, paper: f64| {

@@ -15,7 +15,6 @@ use dvfs_model::task::batch_workload;
 use dvfs_model::{CostParams, Platform};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -24,25 +23,22 @@ fn main() {
     let moves: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(50_000);
     let params = CostParams::batch_paper();
 
-    let results: Vec<(u64, usize, f64, f64)> = (0..n_instances)
-        .into_par_iter()
-        .map(|seed| {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let cycles: Vec<u64> = (0..n_tasks)
-                .map(|_| rng.gen_range(1..50_000_000_000))
-                .collect();
-            let tasks = batch_workload(&cycles);
-            let platform = Platform::big_little(2, 2);
-            let wbg = schedule_wbg(&tasks, &platform, params);
-            let wbg_cost = predict_plan_cost(&wbg, &tasks, &platform, params);
-            // Attack from WBG itself.
-            let from_wbg = local_search(&wbg, &tasks, &platform, params, moves, seed + 1000);
-            // And independently from a random start.
-            let start = random_plan(&tasks, &platform, seed + 2000);
-            let from_rand = local_search(&start, &tasks, &platform, params, moves, seed + 3000);
-            (seed, from_wbg.improvements, wbg_cost, from_rand.cost)
-        })
-        .collect();
+    let results: Vec<(u64, usize, f64, f64)> = dvfs_bench::par_map_seeds(n_instances, |seed| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let cycles: Vec<u64> = (0..n_tasks)
+            .map(|_| rng.gen_range(1..50_000_000_000))
+            .collect();
+        let tasks = batch_workload(&cycles);
+        let platform = Platform::big_little(2, 2);
+        let wbg = schedule_wbg(&tasks, &platform, params);
+        let wbg_cost = predict_plan_cost(&wbg, &tasks, &platform, params);
+        // Attack from WBG itself.
+        let from_wbg = local_search(&wbg, &tasks, &platform, params, moves, seed + 1000);
+        // And independently from a random start.
+        let start = random_plan(&tasks, &platform, seed + 2000);
+        let from_rand = local_search(&start, &tasks, &platform, params, moves, seed + 3000);
+        (seed, from_wbg.improvements, wbg_cost, from_rand.cost)
+    });
 
     println!(
         "WBG optimality attack: {n_instances} instances × {n_tasks} tasks × {moves} moves each\n"

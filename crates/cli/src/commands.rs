@@ -42,10 +42,12 @@ schedule-batch/ranges, online Re=0.4 Rt=0.1 for simulate/serve.
 events per shard); `--trace-out` mirrors the drained trace to a JSONL
 file. `trace-export` converts that JSONL into Chrome trace_event JSON
 loadable in Perfetto (ui.perfetto.dev). `loadgen --max-shed F` exits
-nonzero when the shed ratio exceeds F. `serve --net reactor` swaps
-the thread-per-connection front-end for the single-threaded epoll
-reactor (same wire protocol, same replay semantics); `--max-connections`
-caps concurrent connections on either front-end, shedding on accept.
+nonzero when the shed ratio exceeds F. `serve --net` picks the wire
+driver: `reactor` (the default: one epoll thread for every connection)
+or `threads` (one blocking thread per connection, kept for portability)
+— same request handler, same wire bytes, same replay semantics;
+`--max-connections` caps concurrent connections on either, shedding on
+accept.
 `loadgen --idle` holds `--connections` mostly-idle sockets while one
 active connection submits `--requests` tasks, reporting submit latency
 percentiles and per-connection RSS growth. `serve --rebalance on`

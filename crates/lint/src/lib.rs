@@ -126,7 +126,8 @@ mod scope {
     /// module publishes stale-tolerant values through.
     pub const RELAXED_FILES: &[&str] = &["crates/serve/src/metrics.rs"];
     /// Rule C-R: the event-loop modules where blocking calls are
-    /// forbidden.
+    /// forbidden. The reactor's slow lane (`crates/net/src/lane.rs`) is
+    /// deliberately absent: blocking on the handler is its whole job.
     pub const REACTOR_FILES: &[&str] = &["crates/net/src/reactor.rs"];
     /// Rule C-U: the audited syscall boundary — the only modules
     /// allowed to contain `unsafe` (each block `// SAFETY:`-commented).

@@ -310,8 +310,8 @@ pub fn channel_protocol(text: &str, file: &str) -> Vec<Violation> {
 }
 
 /// Rule C-R: the epoll event loop must never block — slow work routes
-/// through the slow-path thread and replies come back via the
-/// `ReplyInjector` mailbox.
+/// through the reactor's slow lane (`net/src/lane.rs`, outside this
+/// rule's scope on purpose) and replies come back via the mailbox.
 pub fn reactor_nonblocking(text: &str, file: &str) -> Vec<Violation> {
     let blocking = |at: usize, what: &str| {
         violation(
@@ -319,7 +319,7 @@ pub fn reactor_nonblocking(text: &str, file: &str) -> Vec<Violation> {
             file,
             at,
             "reactor-nonblocking",
-            format!("blocking `{what}` inside the reactor event-loop module; the loop must stay nonblocking — defer slow work to the slow-path thread and inject replies through `ReplyInjector`"),
+            format!("blocking `{what}` inside the reactor event-loop module; the loop must stay nonblocking — blocking work belongs on the slow lane (`net/src/lane.rs`: report the batch as not `Handler::is_fast`), whose replies come back through the mailbox"),
         )
     };
     let mut out = Vec::new();

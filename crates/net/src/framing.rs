@@ -10,8 +10,9 @@
 //! a hostile or broken client cannot grow the per-connection buffer
 //! without bound.
 //!
-//! Both wire front-ends in `dvfs-serve` run this exact framer, and
-//! [`edge_cases`] is the shared table their tests drive it with.
+//! Both wire drivers run this exact framer and cut its output into
+//! handler batches with `split_batches`; [`edge_cases`] is the shared
+//! table their tests drive it with.
 
 /// Default per-line byte budget shared by both wire front-ends.
 pub const DEFAULT_MAX_LINE: usize = 64 * 1024;
@@ -106,6 +107,44 @@ impl LineFramer {
     #[must_use]
     pub fn has_partial(&self) -> bool {
         !self.partial.is_empty() || self.discarding
+    }
+}
+
+/// One unit of work cut from a read's frames by [`split_batches`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Batch {
+    /// A run of consecutive complete lines (never empty): one handler
+    /// call.
+    Lines(Vec<String>),
+    /// An oversized-line rejection, in its wire position.
+    Oversized {
+        /// Bytes accumulated when the budget was exceeded.
+        len: usize,
+    },
+}
+
+/// Cut one read's frames into handler batches, preserving wire order:
+/// every run of lines between oversized rejections is one batch, so a
+/// rejection is answered exactly where its line sat in the stream.
+/// `each` returns `false` to abandon the rest of the read (a stop
+/// request: later lines owe no response). `frames` is left empty.
+pub(crate) fn split_batches(frames: &mut Vec<Frame>, mut each: impl FnMut(Batch) -> bool) {
+    let mut lines: Vec<String> = Vec::new();
+    for frame in frames.drain(..) {
+        match frame {
+            Frame::Line(line) => lines.push(line),
+            Frame::Oversized { len } => {
+                if !lines.is_empty() && !each(Batch::Lines(std::mem::take(&mut lines))) {
+                    return;
+                }
+                if !each(Batch::Oversized { len }) {
+                    return;
+                }
+            }
+        }
+    }
+    if !lines.is_empty() {
+        each(Batch::Lines(lines));
     }
 }
 

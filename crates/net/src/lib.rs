@@ -1,10 +1,12 @@
-//! `dvfs-net` — a zero-dependency epoll mini-reactor for the DVFS
-//! scheduler service's wire front-end.
+//! `dvfs-net` — a zero-dependency wire layer for the DVFS scheduler
+//! service: NDJSON framing, one [`Handler`] seam, and two drivers of
+//! it.
 //!
-//! The thread-per-connection backend in `dvfs-serve` costs a stack per
-//! client; at tens of thousands of mostly-idle connections that is the
-//! dominant memory bill before the scheduler's decision path even
-//! runs. This crate provides the evented alternative:
+//! A thread per connection costs a stack per client; at tens of
+//! thousands of mostly-idle connections that is the dominant memory
+//! bill before the scheduler's decision path even runs. So the default
+//! driver is evented, and the portable one is kept trivially small by
+//! sharing everything but the I/O model:
 //!
 //! - [`sys`] — thin `extern "C"` bindings for exactly the syscalls the
 //!   reactor needs (`epoll_create1`/`epoll_ctl`/`epoll_wait`,
@@ -13,31 +15,40 @@
 //! - [`poller`] — a safe epoll wrapper ([`Poller`], [`Interest`],
 //!   [`Event`]).
 //! - [`framing`] — incremental NDJSON line splitting with an
-//!   oversized-line guard ([`LineFramer`], [`Frame`]), plus the shared
-//!   edge-case table ([`framing::edge_cases`]) both wire backends test
+//!   oversized-line guard ([`LineFramer`], [`Frame`]), the splitter
+//!   that cuts a read's frames into handler batches, and the shared
+//!   edge-case table ([`framing::edge_cases`]) both drivers are tested
 //!   against.
+//! - [`handler`] — the seam: [`Handler`] turns a batch of request
+//!   lines into an [`Answer`], on whichever thread a driver calls it.
 //! - [`conn`] — per-connection read framer + buffered write side with
 //!   explicit backpressure ([`Connection`]).
 //! - [`reactor`] — the event loop ([`reactor::run`]): accept with a
-//!   shed-on-accept connection budget, batch every complete line of a
-//!   readable socket into one [`Handler`] call, re-arm `EPOLLOUT`
-//!   while responses are part-written, and apply deferred replies
-//!   other threads deliver through a [`ReplyInjector`] (an
-//!   eventfd-woken mailbox), so a slow handler never has to block the
-//!   event loop.
+//!   shed-on-accept connection budget, answer fast batches inline,
+//!   re-arm `EPOLLOUT` while responses are part-written, and route
+//!   slow batches through a private slow-lane thread whose replies
+//!   come back over an eventfd-woken mailbox, so a slow handler never
+//!   blocks the event loop.
+//! - [`blocking`] — the blocking driver ([`blocking::serve`]): one
+//!   `Read + Write` stream served on the calling thread, one buffered
+//!   write per read.
 //!
 //! The crate knows nothing about the wire protocol or the scheduler:
 //! embedders supply a [`Handler`] for request lines and an
 //! [`Observer`] for metrics. It deliberately has **no dependencies**
 //! (workspace or external) so the layering invariant is structural.
 
+pub mod blocking;
 pub mod conn;
 pub mod framing;
+pub mod handler;
+mod lane;
 pub mod poller;
 pub mod reactor;
 pub mod sys;
 
 pub use conn::Connection;
 pub use framing::{Frame, LineFramer, DEFAULT_MAX_LINE};
+pub use handler::{Answer, Handler};
 pub use poller::{Event, Interest, Poller};
-pub use reactor::{Handler, NullObserver, Observer, ReactorConfig, ReplyInjector};
+pub use reactor::{NullObserver, Observer, ReactorConfig};

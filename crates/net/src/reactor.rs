@@ -5,8 +5,8 @@
 //! Protocol logic stays out of this crate: the embedding server
 //! provides a [`Handler`] (turn a batch of request lines into response
 //! lines) and an [`Observer`] (metrics taps). The reactor owns
-//! readiness, framing, batching, the connection budget, and
-//! `EPOLLOUT`-re-armed backpressure.
+//! readiness, framing, batching, the connection budget,
+//! `EPOLLOUT`-re-armed backpressure, and the slow lane.
 //!
 //! Event-loop shape per wakeup:
 //!
@@ -14,34 +14,37 @@
 //!    polled even when idle),
 //! 2. listener readable → accept until `EAGAIN`, shedding with a final
 //!    response line once the budget is reached,
-//! 3. connection readable → drain reads into the framer, hand every
-//!    complete line of the socket to the handler as **one batch**,
-//!    queue the responses, flush,
-//! 4. waker readable → apply replies other threads injected through
-//!    the [`ReplyInjector`] and flush them,
+//! 3. connection readable → drain reads into the framer, cut the
+//!    frames into batches, answer each fast batch inline and defer the
+//!    rest, queue the responses, flush,
+//! 4. waker readable → apply the replies the slow lane delivered to
+//!    the mailbox and flush them,
 //! 5. flush stopped by `EPOLLOUT`? re-arm write interest and finish the
 //!    flush on a later wakeup.
 //!
-//! ## Deferred batches
+//! ## Deferred batches (internal)
 //!
-//! A handler that would block the event loop (e.g. a scheduler drain
-//! that takes a whole round) can instead **defer** a batch: ship the
-//! lines to another thread and return the number of deferred batches
-//! from [`Handler::on_batch`]. The reactor keeps the connection open
-//! (even across peer EOF) until every deferred batch's replies arrive
-//! through the [`ReplyInjector`] handed over in [`Handler::on_start`].
-//! Tokens are generation-tagged, so a reply that outlives its
+//! A batch the handler does not call fast ([`Handler::is_fast`]) would
+//! block the event loop, so the reactor ships it to its slow-lane
+//! thread (`lane.rs`), which answers it and delivers the lines to the
+//! eventfd-woken mailbox. The reactor keeps the connection open
+//! (even across peer EOF) until every deferred batch's reply has
+//! arrived. Tokens are generation-tagged, so a reply that outlives its
 //! connection is dropped instead of landing on a reused slot. While a
-//! connection has deferred batches outstanding, the handler is told via
-//! `on_batch`'s `pending` argument — it must keep deferring (through
-//! the same FIFO lane) so responses stay in request order.
+//! connection has deferred batches outstanding, every further batch of
+//! that connection is deferred too — fast or not — through the same
+//! FIFO lane, or responses would overtake the outstanding ones. None
+//! of this is visible to the handler: it answers batches, on whichever
+//! thread it is called.
 
 use crate::conn::Connection;
-use crate::framing::{Frame, DEFAULT_MAX_LINE};
+use crate::framing::{split_batches, Batch, Frame, DEFAULT_MAX_LINE};
+use crate::handler::{answer_batch, Handler};
+use crate::lane::Lane;
 use crate::poller::{Event, Interest, Poller};
 use crate::sys;
 use std::io;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Reactor tuning knobs.
@@ -64,49 +67,6 @@ impl Default for ReactorConfig {
             poll_timeout_ms: 100,
         }
     }
-}
-
-/// The embedding server's protocol logic.
-pub trait Handler {
-    /// Called once before the event loop starts, handing over the
-    /// [`ReplyInjector`] for deferred batches. Handlers that answer
-    /// everything inline can ignore it (the default).
-    fn on_start(&mut self, injector: ReplyInjector) {
-        let _ = injector;
-    }
-
-    /// Handle one batch: every complete request line drained from a
-    /// single readable socket. Either answer inline — exactly one
-    /// response line per request line, in order, via `respond` — and
-    /// return 0, or defer the whole batch to another thread (which
-    /// must eventually [`ReplyInjector::inject`] the responses under
-    /// `token`) and return the number of deferred batches (1, unless
-    /// the handler split the batch).
-    ///
-    /// `pending` is the number of this connection's deferred batches
-    /// whose replies have not yet arrived. While it is nonzero the
-    /// handler must defer every further batch through the same FIFO
-    /// lane, or responses would overtake the outstanding ones.
-    fn on_batch(
-        &mut self,
-        token: u64,
-        pending: usize,
-        lines: &[String],
-        respond: &mut dyn FnMut(&str),
-    ) -> usize;
-
-    /// The response line for a request line that blew the byte budget
-    /// (`len` bytes seen when it tripped).
-    fn oversized_line(&mut self, len: usize) -> String;
-
-    /// The final response line written to a connection shed by the
-    /// budget, before it is closed.
-    fn shed_line(&mut self) -> String;
-
-    /// Polled once per wakeup; return `true` to stop the reactor
-    /// (pending responses — including already-injected deferred
-    /// replies — get a best-effort final flush).
-    fn should_stop(&mut self) -> bool;
 }
 
 /// Metrics taps. Every method has a no-op default so embedders
@@ -171,54 +131,44 @@ fn token_parts(token: u64) -> Option<(u32, usize)> {
     Some(((token >> 32) as u32, idx as usize))
 }
 
-struct MailboxInner {
+/// Thread-safe inbox for deferred-batch replies. The slow lane delivers
+/// the lines and signals the reactor's eventfd waker; the event loop
+/// applies them on its next wakeup. [`run`] owns it and joins the lane
+/// thread before dropping it, so the lane never writes to a closed fd.
+pub(crate) struct Mailbox {
     efd: i32,
     queue: Mutex<Vec<(u64, Vec<String>)>>,
 }
 
-impl Drop for MailboxInner {
+impl Drop for Mailbox {
     fn drop(&mut self) {
         sys::close_fd(self.efd);
     }
 }
 
-/// Cloneable, thread-safe handle for delivering deferred-batch replies
-/// back into the reactor. Injecting pushes the lines into a mailbox
-/// and signals the reactor's eventfd waker; the event loop applies
-/// them on its next wakeup. The underlying eventfd stays open until
-/// the last clone drops, so a slow worker thread can outlive the
-/// reactor without writing to a closed fd.
-#[derive(Clone)]
-pub struct ReplyInjector {
-    inner: Arc<MailboxInner>,
-}
-
-impl ReplyInjector {
+impl Mailbox {
     /// Deliver the response lines for one deferred batch on the
-    /// connection identified by `token` (as passed to
-    /// [`Handler::on_batch`]). An empty `lines` still completes the
-    /// batch. If the connection is already gone — or its slot was
-    /// reused — the reply is dropped; the generation tag in the token
-    /// makes that safe.
-    pub fn inject(&self, token: u64, lines: Vec<String>) {
+    /// connection identified by `token`. An empty `lines` still
+    /// completes the batch. If the connection is already gone — or its
+    /// slot was reused — the reply is dropped when applied; the
+    /// generation tag in the token makes that safe.
+    pub(crate) fn deliver(&self, token: u64, lines: Vec<String>) {
         {
             let mut queue = self
-                .inner
                 .queue
-                // dvfs-lint: allow(reactor-nonblocking) inject runs on slow-path threads, never the event loop; the critical section is one push
+                // dvfs-lint: allow(reactor-nonblocking) deliver runs on the slow-lane thread, never the event loop; the critical section is one push
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             queue.push((token, lines));
         }
-        sys::eventfd_signal(self.inner.efd);
+        sys::eventfd_signal(self.efd);
     }
 
     fn take(&self) -> Vec<(u64, Vec<String>)> {
-        sys::eventfd_drain(self.inner.efd);
+        sys::eventfd_drain(self.efd);
         let mut queue = self
-            .inner
             .queue
-            // dvfs-lint: allow(reactor-nonblocking) leaf mailbox mutex held only to swap the Vec out; contenders are one-push slow-path writers
+            // dvfs-lint: allow(reactor-nonblocking) leaf mailbox mutex held only to swap the Vec out; contenders are one-push slow-lane writers
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         std::mem::take(&mut *queue)
@@ -302,7 +252,8 @@ impl Slab {
 /// Run the reactor over an already-bound, **nonblocking** listening
 /// socket until [`Handler::should_stop`] returns `true`. The listener
 /// fd is borrowed: registered with the reactor's epoll instance for
-/// the duration, never closed.
+/// the duration, never closed. Returns once the slow lane has finished
+/// the batches already deferred to it (a stop request's drain, say).
 ///
 /// # Errors
 /// Only on setup or wait failures of the epoll instance itself;
@@ -311,663 +262,667 @@ impl Slab {
 pub fn run(
     listener_fd: i32,
     cfg: &ReactorConfig,
-    handler: &mut dyn Handler,
+    handler: &dyn Handler,
     observer: &mut dyn Observer,
 ) -> io::Result<()> {
     let poller = Poller::new()?;
     poller.add(listener_fd, LISTENER_TOKEN, Interest::READ)?;
-    let mailbox = ReplyInjector {
-        inner: Arc::new(MailboxInner {
-            efd: sys::eventfd_nonblocking()?,
-            queue: Mutex::new(Vec::new()),
-        }),
+    let mailbox = Mailbox {
+        efd: sys::eventfd_nonblocking()?,
+        queue: Mutex::new(Vec::new()),
     };
-    poller.add(mailbox.inner.efd, WAKER_TOKEN, Interest::READ)?;
-    handler.on_start(mailbox.clone());
-
-    let mut slab = Slab::new();
-    let mut events: Vec<Event> = Vec::new();
-    let mut frames: Vec<Frame> = Vec::new();
-
-    loop {
-        let wait_start = Instant::now();
-        let n = poller.wait(&mut events, cfg.poll_timeout_ms)?;
-        let woke = Instant::now();
-        observer.on_wakeup(n);
-        if handler.should_stop() {
-            break;
-        }
-        // Tokens are stable across the iteration: epoll coalesces to at
-        // most one event per fd per wait, and the generation tag guards
-        // against a slot closed and reused within the same batch.
-        for i in 0..events.len() {
-            let Some(&ev) = events.get(i) else { break };
-            if ev.token == LISTENER_TOKEN {
-                accept_ready(listener_fd, cfg, &poller, &mut slab, handler, observer);
-            } else if ev.token == WAKER_TOKEN {
-                apply_injections(&poller, &mut slab, &mailbox, observer);
-            } else {
-                service_connection(&poller, &mut slab, ev, handler, observer, &mut frames);
-            }
-        }
-        observer.on_loop_times(
-            woke.duration_since(wait_start).as_secs_f64(),
-            woke.elapsed().as_secs_f64(),
-        );
-        if handler.should_stop() {
-            break;
-        }
-    }
-
-    // Graceful stop: deferred replies already injected land on their
-    // connections first, then one best-effort flush of everything
-    // queued, then drop (and thereby close) every connection.
-    apply_injections(&poller, &mut slab, &mailbox, observer);
-    for slot in &mut slab.slots {
-        if let Some(entry) = slot.as_mut() {
-            let _ = entry.conn.flush();
-        }
-        *slot = None;
-    }
-    let _ = poller.remove(listener_fd);
-    Ok(())
+    poller.add(mailbox.efd, WAKER_TOKEN, Interest::READ)?;
+    // The scope joins the lane thread after `event_loop` returns and
+    // drops the `Lane` (hanging its channel up).
+    std::thread::scope(|scope| {
+        let reactor = Reactor {
+            listener_fd,
+            cfg,
+            poller: &poller,
+            mailbox: &mailbox,
+            lane: Lane::spawn(scope, handler, &mailbox),
+            handler,
+        };
+        reactor.event_loop(observer)
+    })
 }
 
-fn accept_ready(
+/// What every step of the event loop needs besides the slab.
+struct Reactor<'a> {
     listener_fd: i32,
-    cfg: &ReactorConfig,
-    poller: &Poller,
-    slab: &mut Slab,
-    handler: &mut dyn Handler,
-    observer: &mut dyn Observer,
-) {
-    loop {
-        let fd = match sys::accept_nonblocking(listener_fd) {
-            Ok(fd) => fd,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // ECONNABORTED and friends: the would-be peer is gone.
-            Err(_) => return,
-        };
-        if slab.open >= cfg.max_connections {
-            // Shed at the door: one explicit wire response, then close.
-            // A fresh socket's send buffer is empty, so the single
-            // nonblocking write virtually always lands whole.
-            let mut line = handler.shed_line().into_bytes();
-            line.push(b'\n');
-            let _ = sys::write_fd(fd, &line);
-            sys::close_fd(fd);
-            observer.on_accept_shed();
-            continue;
-        }
-        let conn = Connection::new(fd, cfg.max_line_bytes);
-        let (idx, generation) = slab.insert(conn);
-        if poller
-            .add(fd, conn_token(generation, idx), Interest::READ)
-            .is_err()
-        {
-            let _ = slab.remove(idx);
-            observer.on_close(slab.open);
-            continue;
-        }
-        observer.on_open(slab.open);
-    }
+    cfg: &'a ReactorConfig,
+    poller: &'a Poller,
+    mailbox: &'a Mailbox,
+    lane: Lane,
+    handler: &'a dyn Handler,
 }
 
-fn service_connection(
-    poller: &Poller,
-    slab: &mut Slab,
-    ev: Event,
-    handler: &mut dyn Handler,
-    observer: &mut dyn Observer,
-    frames: &mut Vec<Frame>,
-) {
-    let Some((generation, idx)) = token_parts(ev.token) else {
-        return;
-    };
-    {
-        let Some(entry) = slab.get_mut(idx) else {
-            return; // closed earlier this iteration
-        };
-        if entry.generation != generation {
-            return; // stale event for a reused slot
-        }
-        if ev.readable || ev.hangup {
-            frames.clear();
-            let eof = entry.conn.fill(frames).unwrap_or(true);
-            dispatch_frames(entry, ev.token, frames, handler, observer);
-            if eof || ev.hangup {
-                // Drain-then-close: any complete lines above got their
-                // responses (deferred ones keep the connection open
-                // until they arrive); a mid-line fragment owes none.
-                entry.conn.closing = true;
-            }
-        }
-    }
-    settle_connection(poller, slab, idx, observer);
-}
+impl Reactor<'_> {
+    fn event_loop(&self, observer: &mut dyn Observer) -> io::Result<()> {
+        let mut slab = Slab::new();
+        let mut events: Vec<Event> = Vec::new();
+        let mut frames: Vec<Frame> = Vec::new();
 
-/// Flush a connection's queued output and reconcile its lifecycle:
-/// re-arm or disarm `EPOLLOUT` on transitions, close once it is
-/// `closing` with nothing left to write and no deferred batch
-/// outstanding, close immediately on hard write errors.
-fn settle_connection(poller: &Poller, slab: &mut Slab, idx: usize, observer: &mut dyn Observer) {
-    let Some(entry) = slab.get_mut(idx) else {
-        return;
-    };
-    let token = conn_token(entry.generation, idx);
-    let mut dead = false;
-
-    match entry.conn.flush() {
-        Ok(true) => {
-            if let Some(since) = entry.stalled_since.take() {
-                observer.on_backpressure_stall(since.elapsed().as_secs_f64());
+        loop {
+            let wait_start = Instant::now();
+            let n = self.poller.wait(&mut events, self.cfg.poll_timeout_ms)?;
+            let woke = Instant::now();
+            observer.on_wakeup(n);
+            if self.handler.should_stop() {
+                break;
             }
-            if entry.conn.closing && entry.pending_deferred == 0 {
-                dead = true;
-            } else if entry.conn.write_armed {
-                entry.conn.write_armed = false;
-                if poller
-                    .modify(entry.conn.fd(), token, Interest::READ)
-                    .is_err()
-                {
-                    dead = true;
+            // Tokens are stable across the iteration: epoll coalesces to
+            // at most one event per fd per wait, and the generation tag
+            // guards against a slot closed and reused within the same
+            // batch.
+            for i in 0..events.len() {
+                let Some(&ev) = events.get(i) else { break };
+                if ev.token == LISTENER_TOKEN {
+                    self.accept_ready(&mut slab, observer);
+                } else if ev.token == WAKER_TOKEN {
+                    self.apply_replies(&mut slab, observer);
+                } else {
+                    self.service_connection(&mut slab, ev, observer, &mut frames);
                 }
             }
-        }
-        Ok(false) => {
-            if entry.stalled_since.is_none() {
-                entry.stalled_since = Some(Instant::now());
-            }
-            if !entry.conn.write_armed {
-                entry.conn.write_armed = true;
-                if poller
-                    .modify(entry.conn.fd(), token, Interest::READ_WRITE)
-                    .is_err()
-                {
-                    dead = true;
-                }
+            observer.on_loop_times(
+                woke.duration_since(wait_start).as_secs_f64(),
+                woke.elapsed().as_secs_f64(),
+            );
+            if self.handler.should_stop() {
+                break;
             }
         }
-        Err(_) => dead = true,
+
+        // Graceful stop: deferred replies already delivered land on
+        // their connections first, then one best-effort flush of
+        // everything queued, then drop (and thereby close) every
+        // connection.
+        self.apply_replies(&mut slab, observer);
+        for slot in &mut slab.slots {
+            if let Some(entry) = slot.as_mut() {
+                let _ = entry.conn.flush();
+            }
+            *slot = None;
+        }
+        let _ = self.poller.remove(self.listener_fd);
+        Ok(())
     }
 
-    if dead {
-        if let Some(entry) = slab.remove(idx) {
-            let _ = poller.remove(entry.conn.fd());
-            // A connection that dies mid-stall still closes its stall
-            // window (the `Ok(true)` arm above already took the stamp
-            // when the flush completed before death).
-            if let Some(since) = entry.stalled_since {
-                observer.on_backpressure_stall(since.elapsed().as_secs_f64());
+    fn accept_ready(&self, slab: &mut Slab, observer: &mut dyn Observer) {
+        loop {
+            let fd = match sys::accept_nonblocking(self.listener_fd) {
+                Ok(fd) => fd,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // ECONNABORTED and friends: the would-be peer is gone.
+                Err(_) => return,
+            };
+            if slab.open >= self.cfg.max_connections {
+                // Shed at the door: one explicit wire response, then
+                // close. A fresh socket's send buffer is empty, so the
+                // single nonblocking write virtually always lands whole.
+                let mut line = self.handler.shed_line().into_bytes();
+                line.push(b'\n');
+                let _ = sys::write_fd(fd, &line);
+                sys::close_fd(fd);
+                observer.on_accept_shed();
+                continue;
             }
+            let conn = Connection::new(fd, self.cfg.max_line_bytes);
+            let (idx, generation) = slab.insert(conn);
+            if self
+                .poller
+                .add(fd, conn_token(generation, idx), Interest::READ)
+                .is_err()
+            {
+                let _ = slab.remove(idx);
+                observer.on_close(slab.open);
+                continue;
+            }
+            observer.on_open(slab.open);
         }
-        observer.on_close(slab.open);
     }
-}
 
-/// Apply every reply injected since the last wakeup: land each batch's
-/// lines on its connection (dropping replies whose connection or
-/// generation is gone), then flush and reconcile that connection.
-fn apply_injections(
-    poller: &Poller,
-    slab: &mut Slab,
-    mailbox: &ReplyInjector,
-    observer: &mut dyn Observer,
-) {
-    for (token, lines) in mailbox.take() {
-        let Some((generation, idx)) = token_parts(token) else {
-            continue;
+    fn service_connection(
+        &self,
+        slab: &mut Slab,
+        ev: Event,
+        observer: &mut dyn Observer,
+        frames: &mut Vec<Frame>,
+    ) {
+        let Some((generation, idx)) = token_parts(ev.token) else {
+            return;
         };
         {
             let Some(entry) = slab.get_mut(idx) else {
-                continue; // connection died before its reply arrived
+                return; // closed earlier this iteration
             };
             if entry.generation != generation {
-                continue; // slot reused; reply belongs to the old owner
+                return; // stale event for a reused slot
             }
-            // One injection completes one deferred batch, even when it
-            // carries no lines.
-            entry.pending_deferred = entry.pending_deferred.saturating_sub(1);
-            for line in &lines {
+            if ev.readable || ev.hangup {
+                frames.clear();
+                let eof = entry.conn.fill(frames).unwrap_or(true);
+                self.dispatch_frames(entry, ev.token, frames, observer);
+                if eof || ev.hangup {
+                    // Drain-then-close: any complete lines above got
+                    // their responses (deferred ones keep the connection
+                    // open until they arrive); a mid-line fragment owes
+                    // none.
+                    entry.conn.closing = true;
+                }
+            }
+        }
+        self.settle_connection(slab, idx, observer);
+    }
+
+    /// Flush a connection's queued output and reconcile its lifecycle:
+    /// re-arm or disarm `EPOLLOUT` on transitions, close once it is
+    /// `closing` with nothing left to write and no deferred batch
+    /// outstanding, close immediately on hard write errors.
+    fn settle_connection(&self, slab: &mut Slab, idx: usize, observer: &mut dyn Observer) {
+        let Some(entry) = slab.get_mut(idx) else {
+            return;
+        };
+        let token = conn_token(entry.generation, idx);
+        let mut dead = false;
+
+        match entry.conn.flush() {
+            Ok(true) => {
+                if let Some(since) = entry.stalled_since.take() {
+                    observer.on_backpressure_stall(since.elapsed().as_secs_f64());
+                }
+                if entry.conn.closing && entry.pending_deferred == 0 {
+                    dead = true;
+                } else if entry.conn.write_armed {
+                    entry.conn.write_armed = false;
+                    if self
+                        .poller
+                        .modify(entry.conn.fd(), token, Interest::READ)
+                        .is_err()
+                    {
+                        dead = true;
+                    }
+                }
+            }
+            Ok(false) => {
+                if entry.stalled_since.is_none() {
+                    entry.stalled_since = Some(Instant::now());
+                }
+                if !entry.conn.write_armed {
+                    entry.conn.write_armed = true;
+                    if self
+                        .poller
+                        .modify(entry.conn.fd(), token, Interest::READ_WRITE)
+                        .is_err()
+                    {
+                        dead = true;
+                    }
+                }
+            }
+            Err(_) => dead = true,
+        }
+
+        if dead {
+            if let Some(entry) = slab.remove(idx) {
+                let _ = self.poller.remove(entry.conn.fd());
+                // A connection that dies mid-stall still closes its
+                // stall window (the `Ok(true)` arm above already took
+                // the stamp when the flush completed before death).
+                if let Some(since) = entry.stalled_since {
+                    observer.on_backpressure_stall(since.elapsed().as_secs_f64());
+                }
+            }
+            observer.on_close(slab.open);
+        }
+    }
+
+    /// Apply every reply delivered since the last wakeup: land each
+    /// batch's lines on its connection (dropping replies whose
+    /// connection or generation is gone), then flush and reconcile that
+    /// connection.
+    fn apply_replies(&self, slab: &mut Slab, observer: &mut dyn Observer) {
+        for (token, lines) in self.mailbox.take() {
+            let Some((generation, idx)) = token_parts(token) else {
+                continue;
+            };
+            {
+                let Some(entry) = slab.get_mut(idx) else {
+                    continue; // connection died before its reply arrived
+                };
+                if entry.generation != generation {
+                    continue; // slot reused; reply belongs to the old owner
+                }
+                // One delivery completes one deferred batch, even when
+                // it carries no lines.
+                entry.pending_deferred = entry.pending_deferred.saturating_sub(1);
+                for line in &lines {
+                    entry.conn.queue_line(line);
+                }
+            }
+            self.settle_connection(slab, idx, observer);
+        }
+    }
+
+    /// Answer one socket's drained frames in wire order: fast batches
+    /// and oversized rejections inline, slow batches — and everything
+    /// behind an outstanding deferred batch — through the slow lane.
+    fn dispatch_frames(
+        &self,
+        entry: &mut Entry,
+        token: u64,
+        frames: &mut Vec<Frame>,
+        observer: &mut dyn Observer,
+    ) {
+        // The reactor calls straight out of its read loop, so "now" is
+        // the wire-receive stamp for every line of the read.
+        let received = Instant::now();
+        split_batches(frames, |batch| {
+            let fast = match &batch {
+                Batch::Lines(lines) => {
+                    observer.on_batch_size(lines.len());
+                    self.handler.is_fast(lines)
+                }
+                Batch::Oversized { .. } => {
+                    observer.on_oversized();
+                    true
+                }
+            };
+            let batch = if fast && entry.pending_deferred == 0 {
+                batch
+            } else {
+                match self.lane.defer(token, received, batch) {
+                    Ok(()) => {
+                        entry.pending_deferred += 1;
+                        return true;
+                    }
+                    // Lane thread gone (it panicked): answer inline
+                    // rather than drop the batch.
+                    Err(batch) => batch,
+                }
+            };
+            let answer = answer_batch(self.handler, &batch, received);
+            for line in &answer.lines {
                 entry.conn.queue_line(line);
             }
-        }
-        settle_connection(poller, slab, idx, observer);
-    }
-}
-
-/// Split one socket's drained frames into line batches and oversized
-/// rejections, preserving wire order, and queue (or defer) the
-/// responses.
-fn dispatch_frames(
-    entry: &mut Entry,
-    token: u64,
-    frames: &mut Vec<Frame>,
-    handler: &mut dyn Handler,
-    observer: &mut dyn Observer,
-) {
-    let Entry {
-        conn,
-        pending_deferred,
-        ..
-    } = entry;
-    let mut lines: Vec<String> = Vec::new();
-    let flush_batch = |lines: &mut Vec<String>,
-                       conn: &mut Connection,
-                       pending_deferred: &mut usize,
-                       handler: &mut dyn Handler,
-                       observer: &mut dyn Observer| {
-        if lines.is_empty() {
-            return;
-        }
-        observer.on_batch_size(lines.len());
-        let deferred = handler.on_batch(token, *pending_deferred, lines, &mut |resp| {
-            conn.queue_line(resp);
-        });
-        *pending_deferred += deferred;
-        lines.clear();
-    };
-    for frame in frames.drain(..) {
-        match frame {
-            Frame::Line(line) => lines.push(line),
-            Frame::Oversized { len } => {
-                flush_batch(&mut lines, conn, pending_deferred, handler, observer);
-                observer.on_oversized();
-                let resp = handler.oversized_line(len);
-                conn.queue_line(&resp);
+            if answer.stop {
+                self.handler.stop();
             }
-        }
+            true
+        });
     }
-    flush_batch(&mut lines, conn, pending_deferred, handler, observer);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader, Write as _};
+    use crate::handler::Answer;
+    use std::io::{BufRead, BufReader, Read as _, Write as _};
     use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
     use std::sync::Arc;
+    use std::time::Duration;
 
-    /// Uppercases every line; "stop" requests shut the reactor down.
-    /// Lines starting with "slow" — or any batch while a deferred
-    /// batch is outstanding — are deferred to a helper thread that
-    /// injects the replies.
+    /// Uppercases every line. A line ending in "stop" requests a stop
+    /// (and ends its batch). A batch holding a line that starts with
+    /// "slow" or "hold" is not fast; a "hold" batch also blocks in
+    /// `answer` until the test releases one permit, so a test can race
+    /// its reply against connection death, slot reuse, and other
+    /// connections' traffic. No helper threads: the reactor's own lane
+    /// is the only thing that ever runs a slow batch.
     struct EchoUpper {
-        stop: Arc<AtomicBool>,
-        injector: Option<ReplyInjector>,
+        stop: AtomicBool,
+        permits: Mutex<Receiver<()>>,
+        /// "hold" batches that have entered `answer`.
+        held: AtomicUsize,
     }
 
     impl Handler for EchoUpper {
-        fn on_start(&mut self, injector: ReplyInjector) {
-            self.injector = Some(injector);
+        fn is_fast(&self, lines: &[String]) -> bool {
+            !lines
+                .iter()
+                .any(|l| l.starts_with("slow") || l.starts_with("hold"))
         }
 
-        fn on_batch(
-            &mut self,
-            token: u64,
-            pending: usize,
-            lines: &[String],
-            respond: &mut dyn FnMut(&str),
-        ) -> usize {
-            let slow = pending > 0 || lines.iter().any(|l| l.starts_with("slow"));
-            if !slow {
-                for line in lines {
-                    if line == "stop" {
-                        self.stop.store(true, Ordering::SeqCst);
-                    }
-                    respond(&line.to_uppercase());
-                }
-                return 0;
+        fn answer(&self, lines: &[String], _received: Instant) -> Answer {
+            if lines.iter().any(|l| l.starts_with("hold")) {
+                self.held.fetch_add(1, Ordering::SeqCst);
+                let _ = self.permits.lock().unwrap().recv();
             }
-            let injector = self.injector.clone().unwrap();
-            let lines = lines.to_vec();
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                injector.inject(token, lines.iter().map(|l| l.to_uppercase()).collect());
-            });
-            1
+            let mut answer = Answer::default();
+            for line in lines {
+                answer.lines.push(line.to_uppercase());
+                if line.ends_with("stop") {
+                    answer.stop = true;
+                    break;
+                }
+            }
+            answer
         }
-        fn oversized_line(&mut self, len: usize) -> String {
+        fn stop(&self) {
+            self.stop.store(true, Ordering::SeqCst);
+        }
+        fn oversized_line(&self, len: usize) -> String {
             format!("oversized:{len}")
         }
-        fn shed_line(&mut self) -> String {
+        fn shed_line(&self) -> String {
             "shed".to_owned()
         }
-        fn should_stop(&mut self) -> bool {
+        fn should_stop(&self) -> bool {
             self.stop.load(Ordering::SeqCst)
         }
     }
 
     #[derive(Default)]
-    struct CountingObserver {
+    struct Counts {
         opens: usize,
         closes: usize,
         sheds: usize,
         batches: Vec<usize>,
     }
 
+    /// Shares its counts, so a test can wait for the event loop to have
+    /// seen a batch before it sends the next one.
+    struct CountingObserver(Arc<Mutex<Counts>>);
+
     impl Observer for CountingObserver {
         fn on_open(&mut self, _open: usize) {
-            self.opens += 1;
+            self.0.lock().unwrap().opens += 1;
         }
         fn on_close(&mut self, _open: usize) {
-            self.closes += 1;
+            self.0.lock().unwrap().closes += 1;
         }
         fn on_accept_shed(&mut self) {
-            self.sheds += 1;
+            self.0.lock().unwrap().sheds += 1;
         }
         fn on_batch_size(&mut self, lines: usize) {
-            self.batches.push(lines);
+            self.0.lock().unwrap().batches.push(lines);
         }
     }
 
-    fn spawn_reactor(
-        max_connections: usize,
-    ) -> (
-        SocketAddr,
-        Arc<AtomicBool>,
-        std::thread::JoinHandle<CountingObserver>,
-    ) {
+    struct Rig {
+        addr: SocketAddr,
+        handler: Arc<EchoUpper>,
+        /// One send lets one "hold" batch through.
+        release: SyncSender<()>,
+        counts: Arc<Mutex<Counts>>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl Rig {
+        fn connect(&self) -> (TcpStream, BufReader<TcpStream>) {
+            let sock = TcpStream::connect(self.addr).unwrap();
+            let reader = BufReader::new(sock.try_clone().unwrap());
+            (sock, reader)
+        }
+
+        fn wait_until(&self, what: &str, ready: impl Fn(&Rig) -> bool) {
+            for _ in 0..1000 {
+                if ready(self) {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            panic!("timed out waiting for {what}");
+        }
+
+        fn wait_held(&self, n: usize) {
+            self.wait_until("held batches", |r| {
+                r.handler.held.load(Ordering::SeqCst) >= n
+            });
+        }
+
+        fn wait_batches(&self, n: usize) {
+            self.wait_until("batches", |r| r.counts.lock().unwrap().batches.len() >= n);
+        }
+
+        /// Stop the reactor (if a request has not already) and hand
+        /// back what the observer counted.
+        fn finish(self) -> Counts {
+            self.handler.stop();
+            self.thread.join().unwrap();
+            std::mem::take(&mut *self.counts.lock().unwrap())
+        }
+    }
+
+    fn spawn_reactor(max_connections: usize) -> Rig {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let cfg = ReactorConfig {
-                max_connections,
-                max_line_bytes: 64,
-                poll_timeout_ms: 10,
-            };
-            let mut handler = EchoUpper {
-                stop: stop2,
-                injector: None,
-            };
-            let mut obs = CountingObserver::default();
-            run(listener.as_raw_fd(), &cfg, &mut handler, &mut obs).unwrap();
-            obs
+        let (release, permits) = sync_channel(16);
+        let handler = Arc::new(EchoUpper {
+            stop: AtomicBool::new(false),
+            permits: Mutex::new(permits),
+            held: AtomicUsize::new(0),
         });
-        (addr, stop, handle)
+        let counts = Arc::new(Mutex::new(Counts::default()));
+        let thread = {
+            let (handler, counts) = (Arc::clone(&handler), Arc::clone(&counts));
+            std::thread::spawn(move || {
+                let cfg = ReactorConfig {
+                    max_connections,
+                    max_line_bytes: 64,
+                    poll_timeout_ms: 10,
+                };
+                let mut obs = CountingObserver(counts);
+                run(listener.as_raw_fd(), &cfg, &*handler, &mut obs).unwrap();
+            })
+        };
+        Rig {
+            addr,
+            handler,
+            release,
+            counts,
+            thread,
+        }
+    }
+
+    fn read_trimmed(reader: &mut BufReader<TcpStream>) -> String {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line.trim().to_owned()
     }
 
     #[test]
     fn reactor_batches_pipelined_lines_and_preserves_order() {
-        let (addr, stop, handle) = spawn_reactor(8);
-        let mut sock = TcpStream::connect(addr).unwrap();
+        let rig = spawn_reactor(8);
+        let (mut sock, mut reader) = rig.connect();
         sock.write_all(b"alpha\nbeta\ngamma\n").unwrap();
-        let mut reader = BufReader::new(sock.try_clone().unwrap());
-        let mut got = Vec::new();
-        for _ in 0..3 {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            got.push(line.trim().to_owned());
-        }
+        let got: Vec<String> = (0..3).map(|_| read_trimmed(&mut reader)).collect();
         assert_eq!(got, ["ALPHA", "BETA", "GAMMA"]);
-        stop.store(true, Ordering::SeqCst);
-        let obs = handle.join().unwrap();
+        let counts = rig.finish();
         // All three lines arrived in one readiness batch (loopback
         // coalesces the single write), so one batch of 3 — but a racy
         // kernel split is tolerated as long as order held above.
-        assert_eq!(obs.batches.iter().sum::<usize>(), 3);
-        assert_eq!(obs.opens, 1);
+        assert_eq!(counts.batches.iter().sum::<usize>(), 3);
+        assert_eq!(counts.opens, 1);
     }
 
     #[test]
     fn reactor_sheds_accepts_over_budget() {
-        let (addr, stop, handle) = spawn_reactor(1);
-        let mut keep = TcpStream::connect(addr).unwrap();
+        let rig = spawn_reactor(1);
+        let (mut keep, mut reader) = rig.connect();
         keep.write_all(b"ping\n").unwrap();
-        let mut reader = BufReader::new(keep.try_clone().unwrap());
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "PING");
+        assert_eq!(read_trimmed(&mut reader), "PING");
 
-        let shed = TcpStream::connect(addr).unwrap();
-        let mut shed_reader = BufReader::new(shed);
-        let mut shed_line = String::new();
-        shed_reader.read_line(&mut shed_line).unwrap();
-        assert_eq!(shed_line.trim(), "shed");
+        let (_shed, mut shed_reader) = rig.connect();
+        assert_eq!(read_trimmed(&mut shed_reader), "shed");
         // The shed socket is closed right after the response.
-        shed_line.clear();
-        assert_eq!(shed_reader.read_line(&mut shed_line).unwrap(), 0);
+        let mut rest = String::new();
+        assert_eq!(shed_reader.read_line(&mut rest).unwrap(), 0);
 
-        stop.store(true, Ordering::SeqCst);
-        let obs = handle.join().unwrap();
-        assert_eq!(obs.sheds, 1);
-        assert_eq!(obs.opens, 1);
+        let counts = rig.finish();
+        assert_eq!(counts.sheds, 1);
+        assert_eq!(counts.opens, 1);
     }
 
     #[test]
     fn reactor_rejects_oversized_lines_and_recovers() {
-        let (addr, stop, handle) = spawn_reactor(4);
-        let mut sock = TcpStream::connect(addr).unwrap();
-        let big = vec![b'z'; 65];
-        sock.write_all(&big).unwrap();
+        let rig = spawn_reactor(4);
+        let (mut sock, mut reader) = rig.connect();
+        sock.write_all(&[b'z'; 65]).unwrap();
         sock.write_all(b"\nping\n").unwrap();
-        let mut reader = BufReader::new(sock);
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
+        let line = read_trimmed(&mut reader);
         assert!(line.starts_with("oversized:"), "got {line:?}");
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "PING");
-        stop.store(true, Ordering::SeqCst);
-        handle.join().unwrap();
+        assert_eq!(read_trimmed(&mut reader), "PING");
+        rig.finish();
     }
 
     #[test]
     fn mid_line_disconnect_owes_no_response_and_keeps_serving() {
-        let (addr, stop, handle) = spawn_reactor(4);
+        let rig = spawn_reactor(4);
         {
-            let mut sock = TcpStream::connect(addr).unwrap();
+            let (mut sock, _) = rig.connect();
             sock.write_all(b"half-a-lin").unwrap();
         } // dropped: mid-line disconnect
-        let mut sock = TcpStream::connect(addr).unwrap();
+        let (mut sock, mut reader) = rig.connect();
         sock.write_all(b"still-alive\n").unwrap();
-        let mut reader = BufReader::new(sock);
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "STILL-ALIVE");
-        stop.store(true, Ordering::SeqCst);
-        let obs = handle.join().unwrap();
-        assert_eq!(obs.opens, 2);
+        assert_eq!(read_trimmed(&mut reader), "STILL-ALIVE");
+        let counts = rig.finish();
+        assert_eq!(counts.opens, 2);
         // The first (mid-line) disconnect was definitely processed
         // before the second connection's response round-tripped; the
         // second close may race the stop flag.
-        assert!(obs.closes >= 1, "closes = {}", obs.closes);
+        assert!(counts.closes >= 1, "closes = {}", counts.closes);
     }
 
+    /// A stop request is acknowledged before the loop exits, whether
+    /// the batch was answered inline or through the slow lane (which
+    /// delivers the ack to the mailbox before it calls `stop`), and
+    /// lines after the request owe nothing.
     #[test]
-    fn stop_request_flushes_the_final_response() {
-        let (addr, _stop, handle) = spawn_reactor(4);
-        let mut sock = TcpStream::connect(addr).unwrap();
-        sock.write_all(b"stop\n").unwrap();
-        let mut reader = BufReader::new(sock);
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "STOP");
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn deferred_batches_reply_via_the_injector_in_order() {
-        let (addr, stop, handle) = spawn_reactor(4);
-        let mut sock = TcpStream::connect(addr).unwrap();
-        // One batch of two lines, deferred whole: replies come back
-        // through the injector, still in request order.
-        sock.write_all(b"slow-one\nslow-two\n").unwrap();
-        let mut reader = BufReader::new(sock.try_clone().unwrap());
-        let mut got = Vec::new();
-        for _ in 0..2 {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            got.push(line.trim().to_owned());
+    fn stop_is_acked_before_the_loop_exits_on_both_paths() {
+        for request in ["stop", "slow-stop"] {
+            let rig = spawn_reactor(4);
+            let (mut sock, mut reader) = rig.connect();
+            sock.write_all(format!("{request}\nnever-answered\n").as_bytes())
+                .unwrap();
+            assert_eq!(read_trimmed(&mut reader), request.to_uppercase());
+            // The reactor stops on its own and closes the connection
+            // without answering the trailing line.
+            let mut rest = String::new();
+            assert_eq!(reader.read_to_string(&mut rest).unwrap(), 0, "{rest:?}");
+            rig.thread.join().unwrap();
         }
+    }
+
+    #[test]
+    fn slow_batches_reply_through_the_lane_in_order() {
+        let rig = spawn_reactor(4);
+        let (mut sock, mut reader) = rig.connect();
+        // One batch of two lines, deferred whole: replies come back
+        // through the mailbox, still in request order.
+        sock.write_all(b"slow-one\nslow-two\n").unwrap();
+        let got: Vec<String> = (0..2).map(|_| read_trimmed(&mut reader)).collect();
         assert_eq!(got, ["SLOW-ONE", "SLOW-TWO"]);
         // The connection is fully alive again: a fast inline line
         // round-trips.
         sock.write_all(b"after\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "AFTER");
-        stop.store(true, Ordering::SeqCst);
-        handle.join().unwrap();
+        assert_eq!(read_trimmed(&mut reader), "AFTER");
+        rig.finish();
     }
 
-    /// Defers every batch containing a "hold" line *without* replying —
-    /// the test owns the injector and sends the replies itself, so it
-    /// can race them against connection death and slot reuse.
-    struct HoldHandler {
-        stop: Arc<AtomicBool>,
-        injector: Arc<Mutex<Option<ReplyInjector>>>,
-        held: Arc<Mutex<Vec<u64>>>,
-    }
+    /// The lane's FIFO rule: while a connection has a deferred batch
+    /// outstanding, its later batches — fast ones and oversized
+    /// rejections included — queue behind it, and nobody else waits.
+    #[test]
+    fn batches_behind_a_slow_one_wait_their_turn_and_other_connections_do_not() {
+        let rig = spawn_reactor(4);
+        let (mut a, mut a_reader) = rig.connect();
+        a.write_all(b"hold-a\n").unwrap();
+        rig.wait_held(1);
+        // A fast line, an oversized line and another fast line arrive
+        // while the lane thread is parked inside A's slow batch.
+        a.write_all(b"fast-a\n").unwrap();
+        a.write_all(&[b'z'; 65]).unwrap();
+        a.write_all(b"\nlast-a\n").unwrap();
+        rig.wait_batches(3);
 
-    impl Handler for HoldHandler {
-        fn on_start(&mut self, injector: ReplyInjector) {
-            *self.injector.lock().unwrap() = Some(injector);
-        }
+        // Connection B is answered inline, right past the parked lane.
+        let (mut b, mut b_reader) = rig.connect();
+        b.write_all(b"ping\n").unwrap();
+        assert_eq!(read_trimmed(&mut b_reader), "PING");
+        // ... while A has not been sent a byte: nothing overtook.
+        a.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        assert!(
+            a_reader.fill_buf().is_err(),
+            "a reply overtook the held batch"
+        );
+        a.set_read_timeout(None).unwrap();
 
-        fn on_batch(
-            &mut self,
-            token: u64,
-            _pending: usize,
-            lines: &[String],
-            respond: &mut dyn FnMut(&str),
-        ) -> usize {
-            if lines.iter().any(|l| l.starts_with("hold")) {
-                self.held.lock().unwrap().push(token);
-                return 1;
-            }
-            for line in lines {
-                if line == "stop" {
-                    self.stop.store(true, Ordering::SeqCst);
-                }
-                respond(&line.to_uppercase());
-            }
-            0
-        }
-        fn oversized_line(&mut self, len: usize) -> String {
-            format!("oversized:{len}")
-        }
-        fn shed_line(&mut self) -> String {
-            "shed".to_owned()
-        }
-        fn should_stop(&mut self) -> bool {
-            self.stop.load(Ordering::SeqCst)
-        }
+        rig.release.send(()).unwrap();
+        let got: Vec<String> = (0..4).map(|_| read_trimmed(&mut a_reader)).collect();
+        assert_eq!(got[..2], ["HOLD-A", "FAST-A"]);
+        assert!(got[2].starts_with("oversized:"), "got {got:?}");
+        assert_eq!(got[3], "LAST-A");
+        rig.finish();
     }
 
     #[test]
     fn stale_deferred_reply_is_dropped_when_the_slot_is_reused() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let injector: Arc<Mutex<Option<ReplyInjector>>> = Arc::new(Mutex::new(None));
-        let held: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let handle = {
-            let (stop, injector, held) =
-                (Arc::clone(&stop), Arc::clone(&injector), Arc::clone(&held));
-            std::thread::spawn(move || {
-                let cfg = ReactorConfig {
-                    max_connections: 4,
-                    max_line_bytes: 64,
-                    poll_timeout_ms: 10,
-                };
-                let mut handler = HoldHandler {
-                    stop,
-                    injector,
-                    held,
-                };
-                run(listener.as_raw_fd(), &cfg, &mut handler, &mut NullObserver).unwrap();
-            })
-        };
-        let wait_held = |n: usize| {
-            for _ in 0..500 {
-                if held.lock().unwrap().len() >= n {
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            panic!("handler never captured {n} deferred batches");
-        };
-
-        // Connection A parks three deferred batches (separate writes so
-        // each arrives as its own readiness batch), then disappears.
-        let mut a = TcpStream::connect(addr).unwrap();
+        let rig = spawn_reactor(4);
+        // Connection A parks three deferred batches (each write waits
+        // for the event loop to have taken the one before, so each is
+        // its own batch), then disappears.
+        let (mut a, _) = rig.connect();
         a.write_all(b"hold-1\n").unwrap();
-        wait_held(1);
+        rig.wait_held(1);
         a.write_all(b"hold-2\n").unwrap();
-        wait_held(2);
+        rig.wait_batches(2);
         a.write_all(b"hold-3\n").unwrap();
-        wait_held(3);
-        let token_a = held.lock().unwrap()[0];
-        assert!(
-            held.lock().unwrap().iter().all(|&t| t == token_a),
-            "one connection, one token"
-        );
+        rig.wait_batches(3);
         drop(a); // FIN; the entry survives on its deferred batches
-        let inject = |lines: Vec<&str>| {
-            let injector = injector.lock().unwrap().clone().unwrap();
-            injector.inject(token_a, lines.into_iter().map(String::from).collect());
-        };
+
         // First reply still writes cleanly (the peer's kernel answers
         // with RST); after the RST lands, the second reply's write
         // fails hard and the reactor frees the slot — with the third
         // deferred batch still outstanding: a connection died mid-drain.
-        inject(vec!["one"]);
-        std::thread::sleep(std::time::Duration::from_millis(60));
-        inject(vec!["two"]);
-        std::thread::sleep(std::time::Duration::from_millis(60));
+        rig.release.send(()).unwrap();
+        std::thread::sleep(Duration::from_millis(60));
+        rig.release.send(()).unwrap();
+        std::thread::sleep(Duration::from_millis(60));
 
         // Connection B reuses A's slot (same index, bumped generation)
         // and is fully functional.
-        let mut b = TcpStream::connect(addr).unwrap();
+        let (mut b, mut reader) = rig.connect();
         b.write_all(b"ping\n").unwrap();
-        let mut reader = BufReader::new(b.try_clone().unwrap());
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "PING");
+        assert_eq!(read_trimmed(&mut reader), "PING");
 
         // The third batch's reply finally arrives under A's old token.
         // The generation tag must drop it: B's very next line is its
-        // own response, not A's buffered "stale".
-        inject(vec!["stale"]);
-        std::thread::sleep(std::time::Duration::from_millis(60));
+        // own response, not A's buffered "HOLD-3".
+        rig.release.send(()).unwrap();
+        rig.wait_held(3);
+        std::thread::sleep(Duration::from_millis(60));
         b.write_all(b"after\n").unwrap();
-        line.clear();
-        reader.read_line(&mut line).unwrap();
         assert_eq!(
-            line.trim(),
+            read_trimmed(&mut reader),
             "AFTER",
             "stale deferred reply leaked onto the reused slot"
         );
-        stop.store(true, Ordering::SeqCst);
-        handle.join().unwrap();
+        rig.finish();
     }
 
     #[test]
     fn peer_eof_with_a_deferred_batch_still_gets_its_reply() {
-        let (addr, stop, handle) = spawn_reactor(4);
-        let mut sock = TcpStream::connect(addr).unwrap();
-        sock.write_all(b"slow-goodbye\n").unwrap();
+        let rig = spawn_reactor(4);
+        let (sock, mut reader) = rig.connect();
+        (&sock).write_all(b"hold-goodbye\n").unwrap();
         // Half-close: the reactor sees EOF while the batch is still
         // deferred; the connection must survive until the reply lands.
         sock.shutdown(Shutdown::Write).unwrap();
-        let mut reader = BufReader::new(sock);
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "SLOW-GOODBYE");
+        rig.wait_held(1);
+        std::thread::sleep(Duration::from_millis(30));
+        rig.release.send(()).unwrap();
+        assert_eq!(read_trimmed(&mut reader), "HOLD-GOODBYE");
         // ... and then the drain-then-close completes.
-        line.clear();
-        assert_eq!(reader.read_line(&mut line).unwrap(), 0);
-        stop.store(true, Ordering::SeqCst);
-        let obs = handle.join().unwrap();
-        assert_eq!(obs.opens, 1);
-        assert!(obs.closes >= 1, "closes = {}", obs.closes);
+        let mut rest = String::new();
+        assert_eq!(reader.read_line(&mut rest).unwrap(), 0);
+        let counts = rig.finish();
+        assert_eq!(counts.opens, 1);
+        assert!(counts.closes >= 1, "closes = {}", counts.closes);
     }
 }

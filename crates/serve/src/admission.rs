@@ -11,7 +11,7 @@
 use crate::stage::StageStamp;
 use dvfs_model::{Task, TaskClass};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +107,6 @@ pub enum GateOutcome {
 pub struct AdmissionQueue {
     policy: AdmissionPolicy,
     inner: Mutex<VecDeque<(Task, StageStamp)>>,
-    nonempty: Condvar,
 }
 
 impl AdmissionQueue {
@@ -117,7 +116,6 @@ impl AdmissionQueue {
         AdmissionQueue {
             policy,
             inner: Mutex::new(VecDeque::new()),
-            nonempty: Condvar::new(),
         }
     }
 
@@ -181,10 +179,7 @@ impl AdmissionQueue {
             admitted: crate::clock::wall_now(),
         };
         q.push_back((task, stamp));
-        let depth = q.len();
-        drop(q);
-        self.nonempty.notify_one();
-        GateOutcome::Admitted(depth)
+        GateOutcome::Admitted(q.len())
     }
 
     /// Take every queued task (scheduler side).
@@ -201,21 +196,6 @@ impl AdmissionQueue {
     #[must_use]
     pub fn depth(&self) -> usize {
         self.lock().len()
-    }
-
-    /// Block until the queue is non-empty or `timeout` passes; returns
-    /// the depth observed. Lets a paced scheduler sleep between ticks
-    /// without missing a burst.
-    pub fn wait_nonempty(&self, timeout: std::time::Duration) -> usize {
-        let q = self.lock();
-        if !q.is_empty() {
-            return q.len();
-        }
-        let (q, _) = self
-            .nonempty
-            .wait_timeout(q, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        q.len()
     }
 }
 
@@ -310,13 +290,5 @@ mod tests {
             q.try_submit_gated(task(2, TaskClass::NonInteractive), || true),
             GateOutcome::Shed(_)
         ));
-    }
-
-    #[test]
-    fn wait_nonempty_returns_immediately_when_fed() {
-        let q = AdmissionQueue::new(AdmissionPolicy::with_capacity(4));
-        q.try_submit(task(1, TaskClass::Interactive)).unwrap();
-        let depth = q.wait_nonempty(std::time::Duration::from_millis(1));
-        assert_eq!(depth, 1);
     }
 }

@@ -6,7 +6,9 @@
 //! explicitly by ticks) or handles `Instant`s obtained here. Funneling
 //! the reads keeps the determinism contract auditable: `dvfs-lint`
 //! forbids raw `Instant::now()`/`SystemTime::now()` anywhere else in
-//! the crate, so the whole nondeterministic time surface is this file.
+//! the crate, so the whole nondeterministic time surface is this file
+//! plus one argument: the wire-receive stamp the `dvfs-net` drivers pass
+//! to `Handler::answer`, which feeds stage histograms and nothing else.
 
 use std::time::Instant;
 

@@ -38,28 +38,42 @@
 //!   rate actuators, and the per-round report.
 //! * [`stage`] — the per-request stage clock feeding stage-level
 //!   latency attribution histograms (the runtime health plane).
-//! * [`service`] — the scheduler proper (shard router, id ledger, the
-//!   round barrier, and the command fan-out over the workers).
+//! * [`config`] — [`SchedulerConfig`], [`Mode`], [`SubmitItem`].
+//! * [`service`] — the [`Scheduler`] façade: submit (shard router,
+//!   admission), tick, the drain round barrier, shutdown. Each decision
+//!   it relies on sits behind one crate-private module: `ids` (the
+//!   round's id namespace: reserve / release / reset), [`rebalance`]
+//!   (hot→cold migration), `tracestore` (retained trace events, the
+//!   `trace_stream` cursor and the `--trace-out` file cursor),
+//!   `report` (the `drain`/`stats`/`health`/`trace` wire documents),
+//!   `supervise` (stall detection).
 //! * `worker` (crate-private) — the per-shard worker thread that owns
 //!   its engine (executor + policy + trace ring) and processes the
 //!   command channel.
-//! * [`server`] — listeners, the two wire front-ends (thread-per-
-//!   connection and the `dvfs-net` epoll reactor behind the
-//!   [`NetBackend`] seam), graceful shutdown.
+//! * [`server`] — listeners, the one `dvfs_net::Handler` implementation
+//!   both wire drivers call (the `dvfs-net` epoll reactor, or an accept
+//!   loop running `dvfs_net::blocking::serve` per connection, behind
+//!   the [`NetBackend`] seam), graceful shutdown.
 //! * [`snapshot`] — periodic JSONL state snapshots.
 //! * [`loadgen`] — the companion load generator (replay, open-loop
 //!   Poisson, closed-loop clients, idle-connection holding).
 
 pub mod admission;
 pub mod clock;
+pub mod config;
 pub mod executor;
+pub(crate) mod ids;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
+pub mod rebalance;
+pub(crate) mod report;
 pub mod server;
 pub mod service;
 pub mod snapshot;
 pub mod stage;
+pub(crate) mod supervise;
+pub(crate) mod tracestore;
 pub(crate) mod worker;
 
 pub use admission::{AdmissionPolicy, AdmissionQueue, GateOutcome, ShedReason};

@@ -1,54 +1,54 @@
 //! The connection-handling daemon.
 //!
-//! Two interchangeable wire front-ends behind one `Listener`-level
-//! seam, selected by [`ServerConfig::net`]:
+//! One request path, two interchangeable wire drivers selected by
+//! [`ServerConfig::net`]. The server's whole protocol logic is one
+//! `dvfs_net::Handler` (implemented once, below): a batch of request
+//! lines in, one response line per request line out, consecutive
+//! submits folded into a single `Scheduler::submit_many` admission
+//! call. Both drivers live in `dvfs-net` and share its framer and batch
+//! splitter, so they cannot drift apart on the wire:
 //!
-//! - **`threads`** (default): one accept loop (Unix-domain socket or
-//!   TCP), one thread per connection.
-//! - **`reactor`**: the `dvfs-net` single-threaded epoll mini-reactor,
-//!   multiplexing tens of thousands of connections on one thread.
+//! - **`reactor`** (the Linux default): the single-threaded epoll
+//!   mini-reactor, multiplexing tens of thousands of connections on one
+//!   thread. It answers wire-speed batches inline and routes anything
+//!   that waits on the shard workers through its own slow lane.
+//! - **`threads`**: an accept loop plus `dvfs_net::blocking::serve` on
+//!   one thread per connection. Kept for portability.
 //!
-//! Both feed the same [`Scheduler`] through the same line pipeline:
-//! `dvfs-net`'s incremental [`LineFramer`] splits the byte stream,
-//! every complete line of a read is handled as one batch
-//! (`handle_lines`, which folds consecutive submits into a single
-//! `Scheduler::submit_many` admission call), and both shed connections
-//! over [`ServerConfig::max_connections`] at accept time with the
-//! explicit `overloaded` wire response. A malformed line produces a
-//! `bad_request` response and the connection continues — client input
-//! can never crash the server. Shutdown (wire `shutdown` command or
-//! [`ServerHandle::shutdown`]) drains the scheduler backlog, flushes a
-//! final metrics snapshot, and joins every thread before
-//! [`ServerHandle::wait`] returns.
+//! Both shed connections over [`ServerConfig::max_connections`] at
+//! accept time with the explicit `overloaded` wire response. A
+//! malformed line produces a `bad_request` response and the connection
+//! continues — client input can never crash the server. Shutdown (wire
+//! `shutdown` command or [`ServerHandle::shutdown`]) drains the
+//! scheduler backlog, flushes a final metrics snapshot, and joins every
+//! thread before [`ServerHandle::wait`] returns.
 //!
 //! The reactor exports its own registry series: `net_connections_open`
 //! / `net_connections_peak` gauges, `net_accepts` / `net_accepts_shed`
 //! / `net_wakeups` / `net_wait_micros` / `net_work_micros` /
 //! `net_backpressure_stalls` / `net_backpressure_stall_micros`
 //! counters, and `net_batch_lines` / `net_events_per_wakeup`
-//! histograms. A supervisor thread samples the shard workers'
-//! heartbeats every `STALL_POLL` and flags workers that sit on an
-//! outstanding command past `STALL_AFTER` (`worker_stalled`
-//! episodes, the `degraded` gauge) — all snapshotted by the `health`
-//! wire command, which is served inline on the reactor fast path.
-//! Reactor lifecycle deliberately records **no** trace events: the
-//! lifecycle trace schema is pinned by the byte-identical replay
-//! contract, and connection-level visibility belongs to metrics (and
-//! the Perfetto counter tracks built from them at export time).
+//! histograms. A supervisor thread (the `supervise` module) flags
+//! workers that sit on an outstanding command without progress
+//! (`worker_stalled` episodes, the `degraded` gauge) — all snapshotted
+//! by the `health` wire command, which is served inline on the reactor
+//! fast path. Reactor lifecycle deliberately records **no** trace
+//! events: the lifecycle trace schema is pinned by the byte-identical
+//! replay contract, and connection-level visibility belongs to metrics
+//! (and the Perfetto counter tracks built from them at export time).
 
 use crate::metrics::Registry;
 use crate::protocol::{parse_request, ErrorKind, Request, Response};
 use crate::service::{Mode, Scheduler, SchedulerConfig, SubmitItem};
 use crate::snapshot::SnapshotWriter;
 use crate::stage::StageClock;
-use dvfs_net::framing::{Frame, LineFramer};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -61,24 +61,27 @@ pub const DEFAULT_MAX_CONNECTIONS: usize = 10_240;
 /// Which wire front-end accepts and serves connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NetBackend {
-    /// One blocking thread per connection (the default).
-    #[default]
+    /// One blocking thread per connection, each running
+    /// `dvfs_net::blocking::serve`. Kept for portability.
     Threads,
     /// The `dvfs-net` epoll mini-reactor: every connection on one
-    /// thread.
+    /// thread. The default (`dvfs-net` is Linux-only today, so: the
+    /// Linux default).
+    #[default]
     Reactor,
 }
 
 impl NetBackend {
     /// Resolve the backend from `DVFS_SERVE_NET` (`reactor` or
-    /// `threads`); anything else — including unset — is `Threads`.
+    /// `threads`); anything else — including unset — is the default.
     /// This is the seam the CI sweep drives `tests/serve_e2e.rs`
     /// through unmodified against both backends.
     #[must_use]
     pub fn from_env() -> Self {
         match std::env::var("DVFS_SERVE_NET").as_deref() {
             Ok("reactor") => NetBackend::Reactor,
-            _ => NetBackend::Threads,
+            Ok("threads") => NetBackend::Threads,
+            _ => NetBackend::default(),
         }
     }
 
@@ -132,8 +135,8 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// Defaults around an endpoint: 4 cores, replay mode, 1024-slot
     /// queue, 10 ms ticks, 1 s snapshots (disabled without a path),
-    /// wire front-end from `DVFS_SERVE_NET` (threads unless set to
-    /// `reactor`).
+    /// wire front-end from `DVFS_SERVE_NET` (the reactor unless set to
+    /// `threads`).
     #[must_use]
     pub fn new(endpoint: Endpoint) -> Self {
         ServerConfig {
@@ -154,65 +157,11 @@ enum Listener {
     Tcp(TcpListener),
 }
 
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Stream {
-    fn try_clone(&self) -> std::io::Result<Stream> {
-        Ok(match self {
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-        })
-    }
-
-    fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_read_timeout(t),
-            Stream::Tcp(s) => s.set_read_timeout(t),
-        }
-    }
-}
-
-impl std::io::Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 struct Shared {
     scheduler: Scheduler,
     metrics: Arc<Registry>,
     snapshot: Option<SnapshotWriter>,
-    trace_out: Option<PathBuf>,
-    /// Lines already appended to the trace file — the append cursor.
-    /// Its mutex also serializes every trace-file write, and a
-    /// `trace_stream` holds it across take-and-append so the file gains
-    /// a chunk's lines *before* the scheduler forgets them: the file
-    /// cursor never falls behind the stream cursor, whatever the
-    /// interleaving. (Lock order is always file cursor → drained
-    /// trace.)
-    trace_written: Mutex<u64>,
+    max_connections: usize,
     shutdown: AtomicBool,
     started: Instant,
 }
@@ -235,88 +184,150 @@ impl Shared {
         }
     }
 
-    /// Catch the trace file up to everything recorded so far. The file
-    /// is append-only behind the `trace_written` cursor: the first
-    /// flush truncates any stale file from a previous run, and every
-    /// flush appends exactly the lines past the cursor, so the file
-    /// always holds the full stream — streamed-and-forgotten chunks
-    /// first, then what a wire `trace` response still carries — byte
-    /// for byte.
-    fn flush_trace(&self) {
-        if self.trace_out.is_none() || !self.scheduler.trace_enabled() {
+    /// Push the responses for a run of consecutive submit lines — one
+    /// `Scheduler::submit_many` admission call for the whole run. The
+    /// stage clock closes the frame seam here: the bytes were read at
+    /// `received`, and parsing the run finished just before this call.
+    fn flush_submits(
+        &self,
+        pending: &mut Vec<SubmitItem>,
+        out: &mut Vec<String>,
+        received: Instant,
+    ) {
+        if pending.is_empty() {
             return;
         }
-        let mut written = self
-            .trace_written
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let (lines, first_abs) = self.scheduler.trace_lines_absolute();
-        self.append_trace_lines(&mut written, first_abs, &lines);
-    }
-
-    /// Handle a `trace_stream` request: take one chunk, append it to
-    /// the trace file (cursor lock held across both, so the chunk is
-    /// durable before the scheduler forgets it), and encode the wire
-    /// response.
-    fn trace_stream(&self) -> Response {
-        if !self.scheduler.trace_enabled() {
-            return self.scheduler.trace_stream_run();
+        let clock = StageClock::framed_now(received);
+        for resp in self.scheduler.submit_many_timed(pending, clock) {
+            out.push(resp.encode());
         }
-        let mut written = self
-            .trace_written
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let chunk = self.scheduler.trace_stream_take();
-        self.append_trace_lines(&mut written, chunk.forgotten_before, &chunk.lines);
-        Scheduler::stream_response(chunk)
-    }
-
-    /// Append every line whose absolute stream index is at or past the
-    /// cursor (`first_abs` is `lines[0]`'s index), advancing the cursor
-    /// on success. Called with the cursor lock held. A failed write
-    /// leaves the cursor untouched and bumps `trace_write_errors`; the
-    /// next flush retries the same span if it is still retained.
-    fn append_trace_lines(&self, written: &mut u64, first_abs: u64, lines: &[String]) {
-        let Some(path) = &self.trace_out else { return };
-        let skip = usize::try_from(written.saturating_sub(first_abs)).unwrap_or(usize::MAX);
-        let fresh = lines.get(skip..).unwrap_or(&[]);
-        let file = if *written == 0 {
-            std::fs::File::create(path)
-        } else if fresh.is_empty() {
-            return; // nothing new and the file already exists
-        } else {
-            std::fs::OpenOptions::new().append(true).open(path)
-        };
-        let mut body = String::with_capacity(fresh.iter().map(|l| l.len() + 1).sum());
-        for l in fresh {
-            body.push_str(l);
-            body.push('\n');
-        }
-        let ok = match file {
-            Ok(mut f) => f.write_all(body.as_bytes()).is_ok(),
-            Err(_) => false,
-        };
-        if ok {
-            *written += fresh.len() as u64;
-        } else {
-            self.metrics.counter("trace_write_errors").inc();
-        }
+        pending.clear();
     }
 }
 
-/// How often the supervisor thread samples the worker heartbeats.
-const STALL_POLL: Duration = Duration::from_millis(200);
-/// How long a worker may sit on an outstanding command without
-/// progress before it is declared stalled.
-const STALL_AFTER: Duration = Duration::from_secs(5);
+/// The wire protocol over the shared scheduler — the one request path
+/// both drivers call into.
+impl dvfs_net::Handler for Shared {
+    /// Whether every line of the batch is answerable without waiting on
+    /// the shard workers: submits (admission is a bounded queue push,
+    /// never a scheduling round), pings, and `health` — which reads
+    /// only heartbeat slots and leaf-locked metrics — plus malformed
+    /// lines, which cost one error response. `drain`/`stats`/`trace`/
+    /// `trace_stream`/`shutdown` wait on worker replies or file writes —
+    /// those batches belong on the reactor's slow lane, which keeps the
+    /// event loop accepting and admitting while a round runs.
+    fn is_fast(&self, lines: &[String]) -> bool {
+        lines.iter().all(|line| {
+            matches!(
+                parse_request(line),
+                Ok(Request::Submit { .. } | Request::Ping | Request::Health) | Err(_)
+            )
+        })
+    }
+
+    /// One batch of complete request lines in, one response line per
+    /// request line out, in order. Consecutive submits are folded into
+    /// a single admission call stamped with `received` (when the
+    /// batch's bytes came off the wire). A `shutdown` request ends the
+    /// batch: it is acknowledged, remaining lines are not processed,
+    /// and the driver calls [`dvfs_net::Handler::stop`] once the ack is
+    /// on its way.
+    fn answer(&self, lines: &[String], received: Instant) -> dvfs_net::Answer {
+        let mut out = Vec::with_capacity(lines.len());
+        let mut pending: Vec<SubmitItem> = Vec::new();
+        let mut stop = false;
+        for line in lines {
+            let req = parse_request(line);
+            if !matches!(req, Ok(Request::Submit { .. })) {
+                self.flush_submits(&mut pending, &mut out, received);
+            }
+            let resp = match req {
+                Ok(Request::Submit {
+                    id,
+                    cycles,
+                    class,
+                    arrival,
+                }) => {
+                    pending.push(SubmitItem {
+                        id,
+                        cycles,
+                        class,
+                        arrival,
+                    });
+                    continue;
+                }
+                Ok(Request::Stats) => self.scheduler.stats(),
+                Ok(Request::Drain) => {
+                    let resp = self.scheduler.drain_run();
+                    self.write_snapshot();
+                    self.scheduler.flush_trace_file();
+                    resp
+                }
+                Ok(Request::Trace) => {
+                    let resp = self.scheduler.trace_run();
+                    self.scheduler.flush_trace_file();
+                    resp
+                }
+                Ok(Request::TraceStream) => self.scheduler.trace_stream_run(),
+                Ok(Request::Health) => self.scheduler.health(),
+                Ok(Request::Ping) => Response::ok(),
+                Ok(Request::Shutdown) => {
+                    stop = true;
+                    Response::ok()
+                }
+                Err(msg) => {
+                    self.metrics.counter("malformed_requests").inc();
+                    Response::err(ErrorKind::BadRequest, msg)
+                }
+            };
+            out.push(resp.encode());
+            if stop {
+                break;
+            }
+        }
+        self.flush_submits(&mut pending, &mut out, received);
+        dvfs_net::Answer { lines: out, stop }
+    }
+
+    fn stop(&self) {
+        begin_shutdown(self);
+    }
+
+    /// The response for a request line that blew the byte budget.
+    fn oversized_line(&self, len: usize) -> String {
+        self.metrics.counter("oversized_lines").inc();
+        Response::err(
+            ErrorKind::BadRequest,
+            format!("request line exceeds {MAX_LINE_BYTES} bytes ({len} read)"),
+        )
+        .encode()
+    }
+
+    /// The explicit shed response written to a connection refused by
+    /// the budget — the same `overloaded` error kind the admission
+    /// queue uses.
+    fn shed_line(&self) -> String {
+        Response::err(
+            ErrorKind::Overloaded,
+            format!(
+                "connection budget exhausted ({} open connections)",
+                self.max_connections
+            ),
+        )
+        .encode()
+    }
+
+    fn should_stop(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+}
 
 /// Handle to a running server.
 pub struct ServerHandle {
     shared: Arc<Shared>,
     endpoint: Endpoint,
-    accept_thread: Option<JoinHandle<()>>,
-    ticker_thread: Option<JoinHandle<()>>,
-    supervisor_thread: Option<JoinHandle<()>>,
+    /// The accept loop, the stall supervisor and (paced mode) the ticker.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -341,14 +352,8 @@ impl ServerHandle {
 
     /// Block until the server has fully shut down (all threads joined,
     /// final snapshot flushed).
-    pub fn wait(mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.ticker_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.supervisor_thread.take() {
+    pub fn wait(self) {
+        for t in self.threads {
             let _ = t.join();
         }
         if let Endpoint::Unix(path) = &self.endpoint {
@@ -363,7 +368,7 @@ fn begin_shutdown(shared: &Shared) {
     }
     shared.scheduler.begin_shutdown();
     shared.write_snapshot();
-    shared.flush_trace();
+    shared.scheduler.flush_trace_file();
 }
 
 /// Bind and serve. Returns once the listener is accepting, leaving the
@@ -394,18 +399,21 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         None => None,
     };
 
+    // Both front-ends poll the shutdown flag between accepts, which
+    // needs nonblocking accepts; a blocking listener would wedge
+    // shutdown forever, so failing to get one fails the bind.
     let (listener, endpoint) = match &cfg.endpoint {
         Endpoint::Unix(path) => {
             // A stale socket file from a crashed run would fail the
             // bind; remove it first.
             let _ = std::fs::remove_file(path);
-            (
-                Listener::Unix(UnixListener::bind(path)?),
-                Endpoint::Unix(path.clone()),
-            )
+            let l = UnixListener::bind(path)?;
+            l.set_nonblocking(true)?;
+            (Listener::Unix(l), Endpoint::Unix(path.clone()))
         }
         Endpoint::Tcp(addr) => {
             let l = TcpListener::bind(addr)?;
+            l.set_nonblocking(true)?;
             let resolved = l.local_addr()?.to_string();
             (Listener::Tcp(l), Endpoint::Tcp(resolved))
         }
@@ -415,299 +423,177 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         scheduler,
         metrics,
         snapshot,
-        trace_out: cfg.trace_out.clone(),
-        trace_written: Mutex::new(0),
+        max_connections: cfg.max_connections.max(1),
         shutdown: AtomicBool::new(false),
         started: crate::clock::wall_now(),
     });
+    if let Some(path) = &cfg.trace_out {
+        shared.scheduler.set_trace_file(path.clone());
+    }
     shared.scheduler.start_clock();
 
-    let ticker_thread = match cfg.scheduler.mode {
-        Mode::Paced { .. } => {
-            let shared = Arc::clone(&shared);
-            let tick = cfg.tick;
-            let period = cfg.snapshot_period;
-            Some(std::thread::spawn(move || {
-                let mut last_snapshot = crate::clock::wall_now();
-                while !shared.shutdown.load(Ordering::SeqCst) {
-                    shared.scheduler.wait_for_work(tick);
-                    shared.scheduler.tick();
-                    if last_snapshot.elapsed() >= period {
-                        shared.write_snapshot();
-                        last_snapshot = crate::clock::wall_now();
-                    }
-                }
-            }))
-        }
-        Mode::Replay => None,
-    };
-
-    // The stall supervisor: turns stale worker heartbeats into
-    // `worker_stalled` episodes and the `degraded` flag. Reads only
-    // lock-free heartbeat slots, so a wedged worker cannot wedge it.
-    let supervisor_thread = {
+    let mut threads = Vec::with_capacity(3);
+    if let Mode::Paced { .. } = cfg.scheduler.mode {
         let shared = Arc::clone(&shared);
-        Some(std::thread::spawn(move || {
+        let tick = cfg.tick;
+        let period = cfg.snapshot_period;
+        threads.push(std::thread::spawn(move || {
+            let mut last_snapshot = crate::clock::wall_now();
             while !shared.shutdown.load(Ordering::SeqCst) {
-                shared.scheduler.check_stalls(STALL_AFTER);
-                std::thread::sleep(STALL_POLL);
+                shared.scheduler.wait_for_work(tick);
+                shared.scheduler.tick();
+                if last_snapshot.elapsed() >= period {
+                    shared.write_snapshot();
+                    last_snapshot = crate::clock::wall_now();
+                }
             }
-        }))
-    };
-
-    let accept_thread = {
+        }));
+    }
+    {
+        let shared = Arc::clone(&shared);
+        threads.push(std::thread::spawn(move || {
+            crate::supervise::run(&shared.scheduler, &shared.shutdown);
+        }));
+    }
+    {
+        // Every arm drives the same handler value: `Shared`.
         let shared = Arc::clone(&shared);
         let net = cfg.net;
-        let max_connections = cfg.max_connections.max(1);
-        Some(std::thread::spawn(move || match net {
-            NetBackend::Threads => accept_loop(&listener, &shared, max_connections),
-            NetBackend::Reactor => reactor_loop(&listener, &shared, max_connections),
-        }))
-    };
+        threads.push(std::thread::spawn(move || match (net, &listener) {
+            (NetBackend::Reactor, _) => reactor_loop(&listener, &shared),
+            (NetBackend::Threads, Listener::Unix(l)) => {
+                accept_loop(&shared, || Ok(l.accept()?.0), UnixStream::set_read_timeout);
+            }
+            (NetBackend::Threads, Listener::Tcp(l)) => {
+                accept_loop(&shared, || Ok(l.accept()?.0), TcpStream::set_read_timeout);
+            }
+        }));
+    }
 
     Ok(ServerHandle {
         shared,
         endpoint,
-        accept_thread,
-        ticker_thread,
-        supervisor_thread,
+        threads,
     })
 }
 
 /// Decrements the open-connection count when a handler thread exits,
 /// however it exits.
-struct ConnGuard {
-    open: Arc<AtomicUsize>,
-}
+struct ConnGuard<'a>(&'a AtomicUsize);
 
-impl Drop for ConnGuard {
+impl Drop for ConnGuard<'_> {
     fn drop(&mut self) {
-        self.open.fetch_sub(1, Ordering::SeqCst);
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-fn set_listener_nonblocking(listener: &Listener, shared: &Shared) -> bool {
-    let nonblocking = match listener {
-        Listener::Unix(l) => l.set_nonblocking(true),
-        Listener::Tcp(l) => l.set_nonblocking(true),
-    };
-    if let Err(e) = nonblocking {
-        // Both front-ends poll the shutdown flag between accepts, which
-        // needs nonblocking accepts; a blocking listener would wedge
-        // shutdown forever, so refuse to serve instead of panicking.
-        shared.metrics.counter("accept_errors").inc();
-        eprintln!("dvfs-serve: cannot set listener nonblocking ({e}); refusing connections");
-        return false;
-    }
-    true
+/// How long the threads backend's accept loop sleeps when no
+/// connection is waiting.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// ... and after a failed `accept`, so a persistent failure (`EMFILE`
+/// until some connection closes) cannot spin the loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+
+/// What the accept loop does after a failed `accept`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcceptRetry {
+    /// Nothing was waiting (`WouldBlock`): poll again shortly.
+    Poll,
+    /// A signal interrupted the call: retry at once.
+    Now,
+    /// Anything else — the would-be peer is already gone
+    /// (`ECONNABORTED`), the process is out of descriptors (`EMFILE`),
+    /// ... — is counted in `accept_errors` and retried after a short
+    /// back-off.
+    CountAndBackOff,
 }
 
-/// Forget the handlers whose connection has closed. A finished thread
-/// has nothing left to join — dropping its handle releases it — so a
-/// long-lived daemon holds one handle per *open* connection instead of
-/// one per connection ever accepted.
-fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
-    handlers.retain(|h| !h.is_finished());
+/// The accept loop's whole error policy. No accept error is fatal:
+/// every one of them concerns the connection that did not happen, not
+/// the listener, and a daemon that silently stops accepting while it
+/// keeps ticking is worse than one that retries (the reactor's accept
+/// path survives the same errors).
+fn after_accept_error(kind: std::io::ErrorKind) -> AcceptRetry {
+    match kind {
+        std::io::ErrorKind::WouldBlock => AcceptRetry::Poll,
+        std::io::ErrorKind::Interrupted => AcceptRetry::Now,
+        _ => AcceptRetry::CountAndBackOff,
+    }
 }
 
-fn accept_loop(listener: &Listener, shared: &Arc<Shared>, max_connections: usize) {
-    if !set_listener_nonblocking(listener, shared) {
-        return;
-    }
-    // Touched by this thread only.
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    let open = Arc::new(AtomicUsize::new(0));
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let accepted = match listener {
-            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-        };
-        match accepted {
-            Ok(mut stream) => {
-                if open.load(Ordering::SeqCst) >= max_connections {
-                    // Shed at the door with the explicit wire response,
-                    // mirroring the reactor's budget.
-                    shared.metrics.counter("net_accepts_shed").inc();
-                    let _ = writeln!(stream, "{}", shed_response(max_connections));
-                    continue; // stream drops: connection closed
+/// The `threads` backend: accept, shed over budget, and hand every
+/// admitted connection to `dvfs_net::blocking::serve` on a thread of
+/// its own. The scope joins the connection threads on the way out and
+/// keeps no handle per connection, so connection churn accumulates
+/// nothing.
+fn accept_loop<S: Read + Write + Send>(
+    shared: &Shared,
+    accept: impl Fn() -> std::io::Result<S>,
+    set_read_timeout: fn(&S, Option<Duration>) -> std::io::Result<()>,
+) {
+    let open = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        while !shared.shutdown.load(Ordering::SeqCst) {
+            let mut stream = match accept() {
+                Ok(stream) => stream,
+                Err(e) => {
+                    match after_accept_error(e.kind()) {
+                        AcceptRetry::Poll => std::thread::sleep(ACCEPT_POLL),
+                        AcceptRetry::Now => {}
+                        AcceptRetry::CountAndBackOff => {
+                            shared.metrics.counter("accept_errors").inc();
+                            std::thread::sleep(ACCEPT_BACKOFF);
+                        }
+                    }
+                    continue;
                 }
-                open.fetch_add(1, Ordering::SeqCst);
-                shared.metrics.counter("connections").inc();
-                let guard = ConnGuard {
-                    open: Arc::clone(&open),
-                };
-                let shared = Arc::clone(shared);
-                reap_finished(&mut handlers);
-                handlers.push(std::thread::spawn(move || {
-                    handle_connection(stream, &shared, guard);
-                }));
+            };
+            if open.load(Ordering::SeqCst) >= shared.max_connections {
+                // Shed at the door with the explicit wire response,
+                // mirroring the reactor's budget.
+                shared.metrics.counter("net_accepts_shed").inc();
+                let _ = writeln!(stream, "{}", dvfs_net::Handler::shed_line(shared));
+                continue; // stream drops: connection closed
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+            open.fetch_add(1, Ordering::SeqCst);
+            shared.metrics.counter("connections").inc();
+            let guard = ConnGuard(&open);
+            scope.spawn(move || {
+                let _guard = guard;
+                // The driver polls the shutdown flag between reads, so
+                // idle connections must time out of `read` or they
+                // would pin the server open.
+                if set_read_timeout(&stream, Some(Duration::from_millis(100))).is_ok() {
+                    let _ = dvfs_net::blocking::serve(&mut stream, MAX_LINE_BYTES, shared);
+                }
+            });
         }
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
+    });
 }
 
-/// Run the `dvfs-net` mini-reactor over the bound listener: the other
-/// side of the front-end seam. Occupies the same accept-thread slot as
-/// [`accept_loop`]; protocol logic is shared via [`handle_lines`].
-fn reactor_loop(listener: &Listener, shared: &Arc<Shared>, max_connections: usize) {
-    if !set_listener_nonblocking(listener, shared) {
-        return;
-    }
+/// The `reactor` backend: run the `dvfs-net` mini-reactor over the
+/// bound listener, in the same thread slot as [`accept_loop`].
+/// Returns once the reactor's slow lane has finished its in-flight work
+/// (a shutdown drain, a final snapshot).
+fn reactor_loop(listener: &Listener, shared: &Shared) {
     let fd = match listener {
         Listener::Unix(l) => l.as_raw_fd(),
         Listener::Tcp(l) => l.as_raw_fd(),
     };
     let cfg = dvfs_net::ReactorConfig {
-        max_connections,
+        max_connections: shared.max_connections,
         max_line_bytes: MAX_LINE_BYTES,
         // The stop-flag polling cadence, matching the thread backend's
         // read-timeout granularity.
         poll_timeout_ms: 100,
     };
-    // The slow-lane mailbox: at most one slow command is in flight per
-    // connection, so the queue is bounded by the connection cap even
-    // though the channel itself is unbounded.
-    // dvfs-lint: allow(channel-protocol) slow lane bounded by the connection cap
-    let (slow_tx, slow_rx) = std::sync::mpsc::channel();
-    let mut handler = WireHandler {
-        shared: Arc::clone(shared),
-        max_connections,
-        slow_tx,
-        slow_rx: Some(slow_rx),
-        slow_join: None,
-    };
     let mut observer = MetricsObserver {
         metrics: Arc::clone(&shared.metrics),
         peak: 0,
     };
-    if let Err(e) = dvfs_net::reactor::run(fd, &cfg, &mut handler, &mut observer) {
+    if let Err(e) = dvfs_net::reactor::run(fd, &cfg, shared, &mut observer) {
         shared.metrics.counter("accept_errors").inc();
         eprintln!("dvfs-serve: reactor front-end failed ({e})");
-    }
-    // Hang up the slow lane and wait for in-flight work (a shutdown
-    // drain, a final snapshot) to finish before the accept-thread slot
-    // is considered done.
-    let WireHandler {
-        slow_tx, slow_join, ..
-    } = handler;
-    // An explicit drop: `..` keeps unbound fields alive to the end of
-    // scope, which would leave the channel open across the join below
-    // and deadlock against the slow thread's `recv` loop.
-    drop(slow_tx);
-    if let Some(join) = slow_join {
-        let _ = join.join();
-    }
-}
-
-/// `dvfs-net` handler: the wire protocol over the shared scheduler.
-///
-/// Batches of pure wire-speed lines (submits, pings, malformed input)
-/// are answered inline on the event loop — admission is a bounded
-/// queue push, never a scheduling round. Anything that waits on the
-/// shard workers (`drain`, `stats`, `trace`, `shutdown`) is deferred
-/// whole to the slow-path thread, which injects the replies back into
-/// the reactor through its [`dvfs_net::ReplyInjector`]; the event loop
-/// keeps accepting and admitting while a round runs. While a
-/// connection has a deferred batch outstanding, every later batch of
-/// that connection takes the same FIFO lane so responses stay in
-/// request order.
-struct WireHandler {
-    shared: Arc<Shared>,
-    max_connections: usize,
-    slow_tx: std::sync::mpsc::Sender<(u64, Instant, Vec<String>)>,
-    /// Receiver parked here until [`dvfs_net::Handler::on_start`]
-    /// hands over the injector and the slow-path thread spawns.
-    slow_rx: Option<std::sync::mpsc::Receiver<(u64, Instant, Vec<String>)>>,
-    slow_join: Option<JoinHandle<()>>,
-}
-
-/// Whether every line of the batch is answerable without waiting on
-/// the shard workers: submits, pings, and `health` — which reads only
-/// heartbeat slots and leaf-locked metrics — plus malformed lines,
-/// which cost one error response. `drain`/`stats`/`trace`/
-/// `trace_stream`/`shutdown` wait on worker replies or file writes —
-/// those batches belong on the slow lane.
-fn batch_is_fast(lines: &[String]) -> bool {
-    lines.iter().all(|line| {
-        matches!(
-            parse_request(line),
-            Ok(Request::Submit { .. } | Request::Ping | Request::Health) | Err(_)
-        )
-    })
-}
-
-impl dvfs_net::Handler for WireHandler {
-    fn on_start(&mut self, injector: dvfs_net::ReplyInjector) {
-        let Some(rx) = self.slow_rx.take() else {
-            return;
-        };
-        let shared = Arc::clone(&self.shared);
-        self.slow_join = Some(std::thread::spawn(move || {
-            while let Ok((token, recv, lines)) = rx.recv() {
-                let (responses, shutdown) = handle_lines(&lines, &shared, recv);
-                // Inject before acting on a shutdown request: the ack
-                // must be in the reactor's mailbox before the stop
-                // flag is raised, so the final flush carries it out.
-                injector.inject(token, responses);
-                if shutdown {
-                    begin_shutdown(&shared);
-                }
-            }
-        }));
-    }
-
-    fn on_batch(
-        &mut self,
-        token: u64,
-        pending: usize,
-        lines: &[String],
-        respond: &mut dyn FnMut(&str),
-    ) -> usize {
-        // The reactor calls straight out of its read loop, so "now" is
-        // the wire-receive stamp for every line of the batch.
-        let recv = crate::clock::wall_now();
-        if pending == 0 && batch_is_fast(lines) {
-            let (responses, _shutdown) = handle_lines(lines, &self.shared, recv);
-            for r in &responses {
-                respond(r);
-            }
-            return 0;
-        }
-        if self.slow_tx.send((token, recv, lines.to_vec())).is_ok() {
-            return 1;
-        }
-        // Slow lane gone (only possible mid-teardown): answer inline
-        // rather than drop the batch.
-        let (responses, shutdown) = handle_lines(lines, &self.shared, recv);
-        for r in &responses {
-            respond(r);
-        }
-        if shutdown {
-            begin_shutdown(&self.shared);
-        }
-        0
-    }
-
-    fn oversized_line(&mut self, len: usize) -> String {
-        oversized_response(len, &self.shared)
-    }
-
-    fn shed_line(&mut self) -> String {
-        shed_response(self.max_connections)
-    }
-
-    fn should_stop(&mut self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 }
 
@@ -768,10 +654,6 @@ impl dvfs_net::Observer for MetricsObserver {
             .counter("net_backpressure_stall_micros")
             .add(micros(stall_s));
     }
-
-    fn on_oversized(&mut self) {
-        // Counted where the response line is built (both backends).
-    }
 }
 
 /// Non-negative seconds to whole microseconds for counter arithmetic.
@@ -786,249 +668,36 @@ fn micros(seconds: f64) -> u64 {
     }
 }
 
-fn dispatch(req: Request, shared: &Shared) -> (Response, bool) {
-    match req {
-        Request::Submit {
-            id,
-            cycles,
-            class,
-            arrival,
-        } => (shared.scheduler.submit(id, cycles, class, arrival), false),
-        Request::Stats => (shared.scheduler.stats(), false),
-        Request::Drain => {
-            let resp = shared.scheduler.drain_run();
-            shared.write_snapshot();
-            shared.flush_trace();
-            (resp, false)
-        }
-        Request::Trace => {
-            let resp = shared.scheduler.trace_run();
-            shared.flush_trace();
-            (resp, false)
-        }
-        Request::TraceStream => (shared.trace_stream(), false),
-        Request::Health => (shared.scheduler.health(), false),
-        Request::Ping => (Response::ok(), false),
-        Request::Shutdown => (Response::ok(), true),
-    }
-}
-
-/// The explicit shed response written to a connection refused by the
-/// budget — the same `overloaded` error kind the admission queue uses.
-fn shed_response(max_connections: usize) -> String {
-    Response::err(
-        ErrorKind::Overloaded,
-        format!("connection budget exhausted ({max_connections} open connections)"),
-    )
-    .encode()
-}
-
-/// The response for a request line that blew the byte budget.
-fn oversized_response(len: usize, shared: &Shared) -> String {
-    shared.metrics.counter("oversized_lines").inc();
-    Response::err(
-        ErrorKind::BadRequest,
-        format!("request line exceeds {MAX_LINE_BYTES} bytes ({len} read)"),
-    )
-    .encode()
-}
-
-/// Push the responses for a run of consecutive submit lines — one
-/// `Scheduler::submit_many` admission call for the whole run. The
-/// stage clock closes the frame seam here: the bytes were read at
-/// `recv`, and parsing the run finished just before this call.
-fn flush_submits(
-    pending: &mut Vec<SubmitItem>,
-    out: &mut Vec<String>,
-    shared: &Shared,
-    recv: Instant,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    for resp in shared
-        .scheduler
-        .submit_many_timed(pending, StageClock::framed_now(recv))
-    {
-        out.push(resp.encode());
-    }
-    pending.clear();
-}
-
-/// The line pipeline both front-ends share: one batch of complete
-/// request lines in, one response line per request line out, in order.
-/// Consecutive submits are folded into a single admission call stamped
-/// with `recv` (when the batch's bytes came off the wire); the `bool`
-/// reports a shutdown request (remaining lines in the batch are not
-/// processed, matching the thread backend's historical
-/// respond-then-close behavior).
-fn handle_lines(lines: &[String], shared: &Shared, recv: Instant) -> (Vec<String>, bool) {
-    let mut out = Vec::with_capacity(lines.len());
-    let mut pending: Vec<SubmitItem> = Vec::new();
-    let mut shutdown = false;
-    for line in lines {
-        match parse_request(line) {
-            Ok(Request::Submit {
-                id,
-                cycles,
-                class,
-                arrival,
-            }) => pending.push(SubmitItem {
-                id,
-                cycles,
-                class,
-                arrival,
-            }),
-            Ok(req) => {
-                flush_submits(&mut pending, &mut out, shared, recv);
-                let (resp, sd) = dispatch(req, shared);
-                out.push(resp.encode());
-                if sd {
-                    shutdown = true;
-                    break;
-                }
-            }
-            Err(msg) => {
-                flush_submits(&mut pending, &mut out, shared, recv);
-                shared.metrics.counter("malformed_requests").inc();
-                out.push(Response::err(ErrorKind::BadRequest, msg).encode());
-            }
-        }
-    }
-    flush_submits(&mut pending, &mut out, shared, recv);
-    (out, shutdown)
-}
-
-/// Thread-backend frame dispatch: split a read's frames into line
-/// batches (through [`handle_lines`]) and oversized rejections,
-/// preserving wire order. The reactor does the equivalent split inside
-/// `dvfs-net` and funnels into the same two helpers.
-fn frames_to_responses(
-    frames: &mut Vec<Frame>,
-    shared: &Shared,
-    recv: Instant,
-) -> (Vec<String>, bool) {
-    let mut responses = Vec::new();
-    let mut lines: Vec<String> = Vec::new();
-    let mut shutdown = false;
-    for frame in frames.drain(..) {
-        match frame {
-            Frame::Line(l) => lines.push(l),
-            Frame::Oversized { len } => {
-                let (mut rs, sd) = handle_lines(&lines, shared, recv);
-                lines.clear();
-                responses.append(&mut rs);
-                if sd {
-                    shutdown = true;
-                    break;
-                }
-                responses.push(oversized_response(len, shared));
-            }
-        }
-    }
-    if !shutdown {
-        let (mut rs, sd) = handle_lines(&lines, shared, recv);
-        responses.append(&mut rs);
-        shutdown = sd;
-    }
-    (responses, shutdown)
-}
-
-fn handle_connection(stream: Stream, shared: &Arc<Shared>, guard: ConnGuard) {
-    let _guard = guard;
-    // Poll the shutdown flag between reads so idle connections don't
-    // pin the server open.
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .is_err()
-    {
-        return;
-    }
-    let Ok(writer) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = std::io::BufWriter::new(writer);
-    let mut stream = stream;
-    // The same incremental framer the reactor runs, so framing edge
-    // cases (partial lines, oversized rejection, CRLF) behave
-    // identically across backends.
-    let mut framer = LineFramer::new(MAX_LINE_BYTES);
-    let mut frames: Vec<Frame> = Vec::new();
-    let mut buf = vec![0u8; 16 * 1024];
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let recv = match stream.read(&mut buf) {
-            Ok(0) => break, // client closed; a mid-line fragment owes no response
-            Ok(n) => {
-                // Stamp wire receive *after* the (possibly long) block
-                // in `read`, so the frame stage measures framing and
-                // parsing, not idle socket time.
-                let recv = crate::clock::wall_now();
-                framer.feed(buf.get(..n).unwrap_or(&[]), &mut frames);
-                recv
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Timeout may fire mid-line; the framer keeps the
-                // partial and we re-check the shutdown flag.
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        };
-        if frames.is_empty() {
-            continue;
-        }
-        let (responses, shutdown) = frames_to_responses(&mut frames, shared, recv);
-        let mut ok = true;
-        for r in &responses {
-            if writeln!(writer, "{r}").is_err() {
-                ok = false;
-                break;
-            }
-        }
-        if !ok || writer.flush().is_err() {
-            break;
-        }
-        if shutdown {
-            begin_shutdown(shared);
-            break;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Connection churn must not accumulate handles: reaping keeps
-    /// exactly the handlers whose threads are still running.
+    /// Regression: `accept_loop` used to `break` on any accept error, so
+    /// one transient failure ended accepting for good while the daemon
+    /// kept ticking. Every kind now maps to a retry.
     #[test]
-    fn reap_finished_keeps_only_live_handlers() {
-        let (release, blocked) = std::sync::mpsc::sync_channel::<()>(0);
-        let mut handlers = vec![
-            std::thread::spawn(|| {}),
-            std::thread::spawn(move || {
-                let _ = blocked.recv();
-            }),
-            std::thread::spawn(|| {}),
-        ];
-        while handlers.iter().filter(|h| h.is_finished()).count() < 2 {
-            std::thread::yield_now();
+    fn no_accept_error_ends_the_accept_loop() {
+        use std::io::ErrorKind;
+        assert_eq!(after_accept_error(ErrorKind::WouldBlock), AcceptRetry::Poll);
+        assert_eq!(after_accept_error(ErrorKind::Interrupted), AcceptRetry::Now);
+        const ECONNABORTED: i32 = 103;
+        const EMFILE: i32 = 24;
+        const ENFILE: i32 = 23;
+        const ENOMEM: i32 = 12;
+        let transient = [ECONNABORTED, EMFILE, ENFILE, ENOMEM]
+            .map(|errno| std::io::Error::from_raw_os_error(errno).kind());
+        assert_eq!(transient[0], ErrorKind::ConnectionAborted);
+        for kind in transient.into_iter().chain([
+            ErrorKind::ConnectionReset,
+            ErrorKind::PermissionDenied,
+            ErrorKind::TimedOut,
+            ErrorKind::Other,
+        ]) {
+            assert_eq!(
+                after_accept_error(kind),
+                AcceptRetry::CountAndBackOff,
+                "{kind:?} must be counted and retried"
+            );
         }
-        reap_finished(&mut handlers);
-        assert_eq!(handlers.len(), 1, "only the blocked handler survives");
-        assert!(!handlers[0].is_finished());
-
-        drop(release);
-        while !handlers.iter().all(JoinHandle::is_finished) {
-            std::thread::yield_now();
-        }
-        reap_finished(&mut handlers);
-        assert!(handlers.is_empty());
     }
 }

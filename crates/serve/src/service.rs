@@ -42,31 +42,18 @@
 //! deterministically. With `shards = 1` the service is exactly the
 //! single-engine scheduler it replaces.
 //!
-//! ## Cross-shard rebalancing
-//!
-//! Routing is one-shot, so shards can still diverge after placement.
-//! When [`RebalanceConfig::enabled`] is set, every `tick` ends with a
-//! rebalance pass: the scheduler reads each worker's published load
-//! gauge (engine backlog + the Eq. 32 queued-cost total of its
-//! resident queue), and when the hottest shard's queued cost exceeds
-//! the coldest's by more than the configured gap it moves a batch —
-//! sized to close about half the cost gap, capped at `max_batch` — of
-//! queued (never dispatched) tasks hot→cold through the worker command
-//! protocol — `Steal` on the hot worker (Algorithm 6 ledger deletes,
-//! longest-cycles first), `Inject` on the cold worker (normal
-//! Algorithm 5 inserts via the arrival path), with `migrate` trace
-//! events and `migrations{,_out,_in}` counters recording the decision.
-//! The pass runs only from the tick path — never a free-running
-//! thread — and the default is off, so replay drains (which never
-//! tick) stay bit-identical to the simulator reference.
+//! Routing is one-shot; shards that diverge afterwards are evened out
+//! by the optional cross-shard rebalancer ([`crate::rebalance`]), which
+//! runs at the end of every `tick` and never on the replay path.
 //!
 //! ## Threading model
 //!
 //! Every shard's engine is owned outright by a dedicated **worker
 //! thread** (see the crate's `worker` module); there is no engine
 //! mutex anywhere. The submission path never touches a worker: it
-//! reads an atomic shutdown flag, reserves the task id under a small
-//! id-ledger mutex, and hands the task to one shard's admission queue
+//! reads an atomic shutdown flag, reserves the task id in the id ledger
+//! (the `ids` module) under a small mutex, and hands the task to one
+//! shard's admission queue
 //! (which has its own lock and re-checks the shutdown flag inside it —
 //! see [`AdmissionQueue::try_submit_gated`]). `tick`, `drain`, and
 //! `stats` broadcast a command to every worker and collect the
@@ -81,188 +68,35 @@
 //! barrier is released *before* the reports are merged and encoded —
 //! no cross-shard state is read during the merge, so nothing needs to
 //! stay blocked across it.
+//!
+//! [`Scheduler`] itself is a façade over submit / tick / drain /
+//! shutdown. What it decides with lives in sibling modules, one
+//! decision each: the id namespace (`ids`), hot→cold migration
+//! (`rebalance`), trace retention and the `--trace-out` file
+//! (`tracestore`), the wire documents (`report`), and stall
+//! detection (`supervise`).
 
-use crate::admission::{AdmissionPolicy, AdmissionQueue, GateOutcome};
-use crate::executor::{ActuatorKind, RoundReport};
-use crate::metrics::{shard_metric, AdvisoryCell, Registry};
-use crate::protocol::{field_f64, field_u64, ErrorKind, Response};
-use crate::stage::{StageClock, StageHists, REQUEST_E2E, STAGE_CMD_DEQUEUE, TELESCOPE_STAGES};
-use crate::worker::{self, Command, Heartbeat, ShardShared, WorkerHandle};
-use dvfs_model::{CoreSpec, CostParams, Platform, RateTable, Task, TaskClass};
-use dvfs_trace::{ClassTag, EventKind as TraceKind, SharedRing, TraceEvent};
-use serde::Value;
-use std::collections::HashSet;
+use crate::admission::{AdmissionQueue, GateOutcome};
+pub use crate::config::{service_platform, Mode, SchedulerConfig, SubmitItem};
+use crate::executor::RoundReport;
+use crate::ids::IdLedger;
+use crate::metrics::{AdvisoryCell, Registry};
+use crate::protocol::{field_u64, ErrorKind, Response};
+pub use crate::rebalance::RebalanceConfig;
+use crate::stage::StageClock;
+use crate::supervise::StallLatches;
+use crate::tracestore::TraceStore;
+use crate::worker::{self, Command, ShardShared, WorkerHandle};
+use crate::{rebalance, report};
+use dvfs_model::{Task, TaskClass};
+use dvfs_trace::SharedRing;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How the service maps submissions onto engine time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Mode {
-    /// Buffer submissions (explicit arrivals) and run on `drain`.
-    Replay,
-    /// Step the executors in real time, `speed` engine seconds per wall
-    /// second.
-    Paced {
-        /// Engine-seconds advanced per wall-second (1.0 = real time).
-        speed: f64,
-    },
-}
-
-/// Cross-shard rebalancer knobs (`--rebalance on|off`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RebalanceConfig {
-    /// Master switch. Off by default: a disabled rebalancer touches no
-    /// engine, so replay rounds stay bit-identical to the simulator.
-    pub enabled: bool,
-    /// Relative queued-cost gap the hot shard must hold over the cold
-    /// one before tasks move (`hot > cold * (1 + min_cost_gap)`) — the
-    /// guard that keeps near-balanced shards from thrashing work back
-    /// and forth.
-    pub min_cost_gap: f64,
-    /// Most tasks migrated per rebalance pass.
-    pub max_batch: usize,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig {
-            enabled: false,
-            min_cost_gap: 0.25,
-            max_batch: 8,
-        }
-    }
-}
-
-impl RebalanceConfig {
-    /// The default knobs with the master switch on.
-    #[must_use]
-    pub fn on() -> Self {
-        RebalanceConfig {
-            enabled: true,
-            ..RebalanceConfig::default()
-        }
-    }
-}
-
-/// Scheduler construction parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct SchedulerConfig {
-    /// Number of homogeneous i7-950 cores *per shard* to schedule onto.
-    pub cores: usize,
-    /// Cost weights for reporting and the LMC policy.
-    pub params: CostParams,
-    /// Replay or paced operation.
-    pub mode: Mode,
-    /// Total admission-queue bound, split evenly across shards (every
-    /// shard keeps at least one slot).
-    pub queue_capacity: usize,
-    /// Number of independent engine instances (executor + policy +
-    /// admission queue), each owned by its own worker thread. Clamped
-    /// to at least 1.
-    pub shards: usize,
-    /// Per-shard lifecycle trace ring capacity (events). `0` disables
-    /// tracing entirely: no rings are allocated and the executors'
-    /// record paths stay dormant.
-    pub trace_capacity: usize,
-    /// Which actuator backend every shard's executor lands frequency
-    /// decisions on. `Simulated` (the default) runs the full
-    /// sysfs-protocol model and is what the bit-identical replay
-    /// contract is pinned against.
-    pub actuator: ActuatorKind,
-    /// Cross-shard rebalancer, driven from the tick path. Disabled by
-    /// default so drains of an untouched service replay bit-identically.
-    pub rebalance: RebalanceConfig,
-    /// Per-request stage-attribution telemetry (the runtime health
-    /// plane's per-task half). On by default; the health-overhead bench
-    /// turns it off to pin the cost of the stage clock. Heartbeat slots
-    /// are per-command and stay on regardless — only the per-task stage
-    /// histogram records are gated. Metrics never feed back into
-    /// scheduling, so the flag cannot affect the replayed schedule.
-    pub telemetry: bool,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            cores: 4,
-            params: CostParams::online_paper(),
-            mode: Mode::Replay,
-            queue_capacity: 1024,
-            shards: 1,
-            trace_capacity: 0,
-            actuator: ActuatorKind::default(),
-            rebalance: RebalanceConfig::default(),
-            telemetry: true,
-        }
-    }
-}
-
-/// One submit request as batched off the wire: the fields of a
-/// `{"cmd":"submit",...}` line, ready for [`Scheduler::submit_many`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SubmitItem {
-    /// Explicit task id, or `None` for auto-assignment.
-    pub id: Option<u64>,
-    /// Work, in cycles.
-    pub cycles: u64,
-    /// Scheduling class.
-    pub class: TaskClass,
-    /// Arrival on the engine clock; defaulted per [`Mode`].
-    pub arrival: Option<f64>,
-}
-
-/// The platform a scheduler shard with `cores` cores runs on. Exposed
-/// so out-of-process clients (tests, analysis) can reproduce server
-/// runs exactly.
-#[must_use]
-pub fn service_platform(cores: usize) -> Platform {
-    Platform::homogeneous(cores, CoreSpec::new(RateTable::i7_950_table2()))
-        .expect("positive core count")
-}
-
-fn class_tag(class: TaskClass) -> ClassTag {
-    match class {
-        TaskClass::Batch => ClassTag::Batch,
-        TaskClass::Interactive => ClassTag::Interactive,
-        TaskClass::NonInteractive => ClassTag::NonInteractive,
-    }
-}
-
-/// The task-id ledger for the current round (global across shards, so
-/// duplicate-id rejection holds service-wide).
-struct IdLedger {
-    used: HashSet<u64>,
-    next_auto: u64,
-}
-
 #[cfg(test)]
 type RoundHook = Box<dyn FnOnce(&Scheduler) + Send>;
-
-/// Trace events drained from the shard rings, plus the streaming
-/// cursor: `forgotten` events were already handed out by
-/// `trace_stream` (and, when a `--trace-out` file is configured,
-/// appended to it first) and dropped from memory.
-struct DrainedTrace {
-    events: Vec<TraceEvent>,
-    /// Events streamed-and-forgotten so far; `forgotten + events.len()`
-    /// is the absolute index of the next event to arrive.
-    forgotten: u64,
-}
-
-/// One `trace_stream` increment: every retained event serialized, about
-/// to be forgotten server-side.
-pub(crate) struct TraceChunk {
-    /// JSONL lines of this chunk's events.
-    pub lines: Vec<String>,
-    /// Absolute index of `lines[0]` in the full trace stream — the
-    /// append cursor a `--trace-out` file writer needs.
-    pub forgotten_before: u64,
-    /// Total events streamed including this chunk.
-    pub streamed_total: u64,
-    /// Ring-drop counter at snapshot time.
-    pub dropped: u64,
-}
 
 /// The long-running scheduler: a router over N shards — each an
 /// admission queue feeding an engine owned by a dedicated worker
@@ -277,6 +111,8 @@ pub struct Scheduler {
     workers: Vec<WorkerHandle>,
     metrics: Arc<Registry>,
     shutting_down: AtomicBool,
+    /// The round's task-id namespace, global across shards so
+    /// duplicate-id rejection holds service-wide.
     ids: Mutex<IdLedger>,
     /// Wall-clock anchor for stamping paced submissions with an engine
     /// arrival time. Reset on every drain so a fresh round starts near
@@ -295,14 +131,9 @@ pub struct Scheduler {
     /// round-robin instead of piling onto shard 0.
     router_cursor: AdvisoryCell,
     /// Trace events drained from the shard rings so far, in drain
-    /// order (ascending shard within each round). Grows until the
-    /// server restarts — unless the client streams it: `trace_stream`
-    /// hands out retained events incrementally and forgets them, so
-    /// long paced runs can bound memory without losing history.
-    drained_trace: Mutex<DrainedTrace>,
-    /// Per-shard "currently in a stall episode" latches, so the
-    /// supervisor counts each stall once instead of once per poll.
-    stall_episodes: Mutex<Vec<bool>>,
+    /// order (ascending shard within each round).
+    trace: TraceStore,
+    stalls: StallLatches,
     /// Test-only seam: runs once inside the next `tick`/`drain` after
     /// the queues were drained but before the depth gauges are
     /// published, standing in for a racing submitter.
@@ -321,22 +152,7 @@ impl Scheduler {
                 // Split the total capacity evenly, remainder to the low
                 // shards; every shard keeps at least one slot.
                 let cap = (cfg.queue_capacity / n + usize::from(k < cfg.queue_capacity % n)).max(1);
-                let ring =
-                    (cfg.trace_capacity > 0).then(|| SharedRing::new(k as u32, cfg.trace_capacity));
-                Arc::new(ShardShared {
-                    index: k,
-                    queue: AdmissionQueue::new(AdmissionPolicy::with_capacity(cap)),
-                    ring,
-                    depth_gauge: metrics.gauge(&shard_metric("queue_depth", k)),
-                    pending_gauge: metrics.gauge(&shard_metric("pending_tasks", k)),
-                    admitted: metrics.counter(&shard_metric("admitted", k)),
-                    shed: metrics.counter(&shard_metric("shed", k)),
-                    completed: metrics.counter(&shard_metric("completed", k)),
-                    backlog: AdvisoryCell::default(),
-                    queued_cost_bits: AdvisoryCell::default(),
-                    hb: Heartbeat::new(),
-                    stages: StageHists::new(&metrics, k),
-                })
+                Arc::new(ShardShared::new(k, cap, cfg.trace_capacity, &metrics))
             })
             .collect();
         // Health-plane metrics exist from the start, so `stats`,
@@ -358,24 +174,18 @@ impl Scheduler {
             })
             .collect();
         Scheduler {
+            trace: TraceStore::new(cfg.params, Arc::clone(&metrics)),
             shards,
             workers,
             metrics,
             shutting_down: AtomicBool::new(false),
-            ids: Mutex::new(IdLedger {
-                used: HashSet::new(),
-                next_auto: 0,
-            }),
+            ids: Mutex::default(),
             anchor: Mutex::new(None),
             round_mx: Mutex::new(()),
             work_mx: Mutex::new(()),
             work_cv: Condvar::new(),
             router_cursor: AdvisoryCell::default(),
-            drained_trace: Mutex::new(DrainedTrace {
-                events: Vec::new(),
-                forgotten: 0,
-            }),
-            stall_episodes: Mutex::new(vec![false; n]),
+            stalls: StallLatches::new(n),
             #[cfg(test)]
             round_hook: Mutex::new(None),
             cfg,
@@ -600,27 +410,15 @@ impl Scheduler {
         // Reserve the id so concurrent submitters can't race to the
         // same one; released again if validation or admission fails.
         let explicit = id.is_some();
-        let id = {
-            let id = match id {
-                Some(id) => {
-                    if ids.used.contains(&id) {
-                        self.metrics.counter("rejected_duplicate_id").inc();
-                        return Response::err(
-                            ErrorKind::BadRequest,
-                            format!("task id {id} already used this round"),
-                        );
-                    }
-                    id
-                }
-                None => {
-                    while ids.used.contains(&ids.next_auto) {
-                        ids.next_auto += 1;
-                    }
-                    ids.next_auto
-                }
-            };
-            ids.used.insert(id);
-            id
+        let id = match ids.reserve(id) {
+            Ok(id) => id,
+            Err(id) => {
+                self.metrics.counter("rejected_duplicate_id").inc();
+                return Response::err(
+                    ErrorKind::BadRequest,
+                    format!("task id {id} already used this round"),
+                );
+            }
         };
         let arrival = match self.cfg.mode {
             Mode::Replay => arrival.unwrap_or(0.0),
@@ -635,7 +433,7 @@ impl Scheduler {
         let task = match Task::online(id, cycles, arrival, None, class) {
             Ok(t) => t,
             Err(e) => {
-                ids.used.remove(&id);
+                ids.release(id);
                 self.metrics.counter("rejected_invalid").inc();
                 return Response::err(ErrorKind::BadRequest, e.to_string());
             }
@@ -663,57 +461,25 @@ impl Scheduler {
                     sh.stages.frame.record(frame.as_secs_f64());
                     sh.stages.admit.record(admit.as_secs_f64());
                 }
-                if let Some(ring) = &sh.ring {
-                    let tag = class_tag(class);
-                    ring.record(
-                        arrival,
-                        TraceKind::Submit {
-                            task: id,
-                            class: tag,
-                            cycles,
-                        },
-                    );
-                    ring.record(
-                        arrival,
-                        TraceKind::Admit {
-                            task: id,
-                            depth: depth as u64,
-                        },
-                    );
-                }
+                let depth = depth as u64;
+                sh.trace_submit(arrival, id, class, cycles, Some(depth));
                 Response::Ok(vec![
                     field_u64("id", id),
-                    field_u64("depth", depth as u64),
+                    field_u64("depth", depth),
                     field_u64("shard", shard as u64),
                 ])
             }
             GateOutcome::Shed(shed) => {
-                ids.used.remove(&id);
-                let tag = class_tag(class);
+                ids.release(id);
+                let tag = worker::class_tag(class);
                 self.metrics.counter("shed").inc();
                 self.metrics.counter(&format!("shed.{}", tag.name())).inc();
                 sh.shed.inc();
-                if let Some(ring) = &sh.ring {
-                    ring.record(
-                        arrival,
-                        TraceKind::Submit {
-                            task: id,
-                            class: tag,
-                            cycles,
-                        },
-                    );
-                    ring.record(
-                        arrival,
-                        TraceKind::Shed {
-                            task: id,
-                            class: tag,
-                        },
-                    );
-                }
+                sh.trace_submit(arrival, id, class, cycles, None);
                 Response::err(ErrorKind::Overloaded, shed.to_string())
             }
             GateOutcome::Closed => {
-                ids.used.remove(&id);
+                ids.release(id);
                 Response::err(ErrorKind::ShuttingDown, "server is draining")
             }
         }
@@ -780,92 +546,14 @@ impl Scheduler {
         self.metrics
             .gauge("pending_tasks")
             .set(pending_total as i64);
-        let t0 = crate::clock::wall_now();
-        self.rebalance_once();
-        if self.cfg.rebalance.enabled && self.shards.len() > 1 {
-            let micros = crate::clock::wall_now().duration_since(t0).as_micros();
-            self.metrics
-                .gauge("rebalance_pass_us")
-                .set(i64::try_from(micros).unwrap_or(i64::MAX));
-        }
+        rebalance::pass(
+            &self.cfg.rebalance,
+            &self.shards,
+            &self.workers,
+            &self.metrics,
+        );
         self.fire_round_hook();
         self.publish_queue_depth();
-    }
-
-    /// One cross-shard rebalance pass, run at the end of every tick
-    /// when [`RebalanceConfig::enabled`] is set. Reads the load gauges
-    /// every worker just republished during its tick, picks the
-    /// hottest and coldest shards by Eq. 32 queued cost, and — when the
-    /// gap clears `min_cost_gap` and the hot shard has queued
-    /// (not-yet-dispatched) work — moves up to `max_batch` tasks
-    /// through the worker command protocol: `Steal` pulls them out of
-    /// the hot engine's ledger, `Inject` re-enqueues them on the cold
-    /// engine's arrival path (recording a `migrate` trace event per
-    /// task). Runs only from the tick path, so a service that never
-    /// ticks — the replay determinism contract — never migrates.
-    fn rebalance_once(&self) {
-        if !self.cfg.rebalance.enabled || self.shards.len() < 2 {
-            return;
-        }
-        let (mut hot, mut cold) = (0usize, 0usize);
-        let (mut hot_cost, mut cold_cost) = (f64::MIN, f64::MAX);
-        for (k, sh) in self.shards.iter().enumerate() {
-            let cost = sh.queued_cost();
-            if cost > hot_cost {
-                hot = k;
-                hot_cost = cost;
-            }
-            if cost < cold_cost {
-                cold = k;
-                cold_cost = cost;
-            }
-        }
-        let backlog = self.shards[hot].backlog();
-        if hot == cold
-            || backlog == 0
-            || hot_cost <= cold_cost * (1.0 + self.cfg.rebalance.min_cost_gap)
-        {
-            return;
-        }
-        // Size the batch to close about half the cost gap, converting
-        // cost to a task count via the hot shard's average queued cost.
-        // Sizing off the backlog alone oscillates: once shards are
-        // near-balanced it keeps swinging `max_batch` of the longest
-        // tasks between them, flipping hot and cold every tick. The
-        // next tick re-evaluates with fresh gauges rather than chasing
-        // the remainder in one pass.
-        let gap_share = (hot_cost - cold_cost) / (2.0 * hot_cost);
-        #[allow(
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss,
-            reason = "gap_share is in (0, 0.5], so the product is a small non-negative count"
-        )]
-        let batch = ((backlog as f64 * gap_share) as usize).clamp(1, self.cfg.rebalance.max_batch);
-        let tasks = self.workers[hot].ask("steal", |reply| Command::Steal { max: batch, reply });
-        if tasks.is_empty() {
-            // Every backlogged job was already running or not yet
-            // arrived; nothing safe to move this pass.
-            return;
-        }
-        let moved = tasks.len() as u64;
-        let injected = self.workers[cold].ask("inject", |reply| Command::Inject {
-            from_shard: hot as u32,
-            from_cost: hot_cost,
-            to_cost: cold_cost,
-            tasks,
-            reply,
-        });
-        debug_assert_eq!(
-            injected as u64, moved,
-            "cold shard accepts every stolen task"
-        );
-        self.metrics.counter("migrations").add(moved);
-        self.metrics
-            .counter(&shard_metric("migrations_out", hot))
-            .add(moved);
-        self.metrics
-            .counter(&shard_metric("migrations_in", cold))
-            .add(moved);
     }
 
     /// Run everything buffered (and, in paced mode, everything still in
@@ -883,7 +571,7 @@ impl Scheduler {
     /// lock stays held across it.
     pub fn drain_shards(&self) -> Vec<RoundReport> {
         self.metrics.counter("drains").inc();
-        let mut reports = Vec::with_capacity(self.workers.len());
+        let reports: Vec<RoundReport>;
         {
             let _round = self.round_mx.lock().unwrap_or_else(PoisonError::into_inner);
             // Hold the id ledger across the whole barrier: submissions
@@ -895,20 +583,15 @@ impl Scheduler {
             // a post-reset id reuse would collide in the next round's
             // engine.
             let mut ids = self.lock_ids();
-            let rounds =
-                worker::broadcast(&self.workers, "drain", |reply| Command::Drain { reply });
-            for (sh, report) in self.shards.iter().zip(rounds) {
-                // Capture the round's trace as each shard's report
-                // lands (ascending shard order, because the broadcast
-                // answers are).
-                self.drain_shard_trace(sh);
-                reports.push(report);
-            }
+            reports = worker::broadcast(&self.workers, "drain", |reply| Command::Drain { reply })
+                .collect();
+            // Capture the round's trace before anything of the next
+            // round can be recorded (submits record under the ledger).
+            self.collect_trace_residue();
             // New round: the id space and the arrival-stamping clock
             // restart together with the engines, still inside the
             // round barrier.
-            ids.used.clear();
-            ids.next_auto = 0;
+            ids.reset();
             drop(ids);
             self.reset_clock();
         }
@@ -933,60 +616,21 @@ impl Scheduler {
         self.cfg.trace_capacity > 0
     }
 
-    fn lock_drained(&self) -> MutexGuard<'_, DrainedTrace> {
-        self.drained_trace
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Drain shard `sh`'s live ring into the accumulated trace and fold
-    /// its `complete` events into the cost-attribution counters:
-    /// per-shard, per-core energy cost (`Re · E`) and waiting cost
-    /// (`Rt · turnaround`), both in integer micro-cost units.
-    fn drain_shard_trace(&self, sh: &ShardShared) {
-        let Some(ring) = &sh.ring else { return };
-        let events = ring.drain();
-        if events.is_empty() {
-            return;
-        }
-        let params = self.cfg.params;
-        for ev in &events {
-            if let TraceKind::Complete {
-                core,
-                energy_j,
-                turnaround_s,
-                ..
-            } = ev.kind
-            {
-                let energy_micros = (params.re * energy_j * 1e6).round() as u64;
-                let wait_micros = (params.rt * turnaround_s * 1e6).round() as u64;
-                self.metrics
-                    .counter("energy_cost_micros")
-                    .add(energy_micros);
-                self.metrics.counter("wait_cost_micros").add(wait_micros);
-                self.metrics
-                    .counter(&shard_metric(
-                        &format!("energy_cost_micros.core{core}"),
-                        sh.index,
-                    ))
-                    .add(energy_micros);
-                self.metrics
-                    .counter(&shard_metric(
-                        &format!("wait_cost_micros.core{core}"),
-                        sh.index,
-                    ))
-                    .add(wait_micros);
-            }
-        }
-        self.lock_drained().events.extend(events);
+    /// Mirror the lifecycle trace into a JSONL file at `path` (the
+    /// server's `--trace-out`); caught up by
+    /// [`Scheduler::flush_trace_file`] and by every `trace_stream`.
+    pub(crate) fn set_trace_file(&self, path: PathBuf) {
+        self.trace.set_file(path);
     }
 
     /// Move every shard's live ring residue (events recorded since the
-    /// last round boundary) into the accumulated trace, ascending shard
+    /// last round boundary) into the trace store, ascending shard
     /// order.
     fn collect_trace_residue(&self) {
         for sh in &self.shards {
-            self.drain_shard_trace(sh);
+            if let Some(ring) = &sh.ring {
+                self.trace.absorb(sh.index, ring.drain());
+            }
         }
     }
 
@@ -998,66 +642,29 @@ impl Scheduler {
     /// and the wire `trace` response, byte for byte.
     #[must_use]
     pub fn trace_lines(&self) -> Vec<String> {
-        self.trace_lines_absolute().0
+        self.collect_trace_residue();
+        self.trace.lines()
     }
 
-    /// [`Scheduler::trace_lines`] plus the absolute index of the first
-    /// retained line in the full trace stream — the offset an
-    /// append-only file writer needs to skip lines it already wrote.
-    pub(crate) fn trace_lines_absolute(&self) -> (Vec<String>, u64) {
-        self.collect_trace_residue();
-        let drained = self.lock_drained();
-        let lines = drained
-            .events
-            .iter()
-            .map(dvfs_trace::export::jsonl_line)
-            .collect();
-        (lines, drained.forgotten)
-    }
-
-    /// Take one `trace_stream` chunk: serialize every retained event,
-    /// then forget it server-side. Repeated calls return disjoint,
-    /// contiguous chunks whose concatenation is byte-identical to what
-    /// a single one-shot `trace` would have returned.
-    pub(crate) fn trace_stream_take(&self) -> TraceChunk {
-        self.collect_trace_residue();
-        let dropped = self.trace_dropped();
-        let mut drained = self.lock_drained();
-        let events = std::mem::take(&mut drained.events);
-        let lines: Vec<String> = events.iter().map(dvfs_trace::export::jsonl_line).collect();
-        let forgotten_before = drained.forgotten;
-        drained.forgotten += lines.len() as u64;
-        TraceChunk {
-            forgotten_before,
-            streamed_total: drained.forgotten,
-            lines,
-            dropped,
+    /// Catch the `--trace-out` file (if one is set) up to everything
+    /// recorded so far.
+    pub(crate) fn flush_trace_file(&self) {
+        if self.trace_enabled() {
+            self.collect_trace_residue();
+            self.trace.flush_file();
         }
     }
 
-    /// Encode a [`TraceChunk`] as the `trace_stream` wire response.
-    pub(crate) fn stream_response(chunk: TraceChunk) -> Response {
-        Response::Ok(vec![
-            field_u64("count", chunk.lines.len() as u64),
-            field_u64("dropped", chunk.dropped),
-            field_u64("streamed", chunk.streamed_total),
-            (
-                "events".to_string(),
-                Value::Array(chunk.lines.into_iter().map(Value::String).collect()),
-            ),
-        ])
-    }
-
-    /// Wire handler for `trace_stream` (in-process form; the server
-    /// front-end interleaves the file append between take and encode).
+    /// Wire handler for `trace_stream`: everything recorded and not yet
+    /// streamed, appended to the `--trace-out` file and then forgotten
+    /// server-side.
     pub fn trace_stream_run(&self) -> Response {
         if !self.trace_enabled() {
-            return Response::err(
-                ErrorKind::BadRequest,
-                "tracing is disabled (start the server with --trace-cap)",
-            );
+            return report::tracing_disabled();
         }
-        Self::stream_response(self.trace_stream_take())
+        self.collect_trace_residue();
+        let dropped = self.trace_dropped();
+        report::trace_stream(self.trace.take_chunk(), dropped)
     }
 
     /// Events dropped by full (or zero-capacity) trace rings so far.
@@ -1074,52 +681,16 @@ impl Scheduler {
     /// JSONL strings plus the ring-drop counter.
     pub fn trace_run(&self) -> Response {
         if !self.trace_enabled() {
-            return Response::err(
-                ErrorKind::BadRequest,
-                "tracing is disabled (start the server with --trace-cap)",
-            );
+            return report::tracing_disabled();
         }
-        let lines = self.trace_lines();
-        Response::Ok(vec![
-            field_u64("count", lines.len() as u64),
-            field_u64("dropped", self.trace_dropped()),
-            (
-                "events".to_string(),
-                Value::Array(lines.into_iter().map(Value::String).collect()),
-            ),
-        ])
+        report::trace(self.trace_lines(), self.trace_dropped())
     }
 
     /// Wire handler for `drain`: run the round and encode the merged
     /// report plus the per-shard reports (merging and encoding happen
     /// after the round barrier is released).
     pub fn drain_run(&self) -> Response {
-        let params = self.cfg.params;
-        let reports = self.drain_shards();
-        let merged = RoundReport::merge(&reports);
-        let shard_reports: Vec<Value> = reports
-            .iter()
-            .enumerate()
-            .map(|(k, r)| {
-                Value::Object(vec![
-                    field_u64("shard", k as u64),
-                    field_u64("completed", r.records.len() as u64),
-                    field_f64("total_cost", r.total_cost(params)),
-                    field_f64("active_energy_joules", r.active_energy_joules),
-                    field_f64("total_turnaround_s", r.total_turnaround_s),
-                    field_f64("makespan_s", r.makespan_s),
-                ])
-            })
-            .collect();
-        Response::Ok(vec![
-            field_u64("completed", merged.records.len() as u64),
-            field_f64("total_cost", merged.total_cost(params)),
-            field_f64("active_energy_joules", merged.active_energy_joules),
-            field_f64("total_turnaround_s", merged.total_turnaround_s),
-            field_f64("makespan_s", merged.makespan_s),
-            field_u64("shards", self.shards.len() as u64),
-            ("shard_reports".to_string(), Value::Array(shard_reports)),
-        ])
+        report::drain(self.cfg.params, &self.drain_shards())
     }
 
     /// Sum of pending (registered but uncompleted) tasks across every
@@ -1135,176 +706,25 @@ impl Scheduler {
     /// order).
     pub fn stats(&self) -> Response {
         let replies = worker::broadcast(&self.workers, "stats", |reply| Command::Stats { reply });
-        let mut shard_stats = Vec::with_capacity(self.shards.len());
-        let mut depth_total = 0u64;
-        let mut pending_total = 0u64;
-        let mut now_max = 0.0f64;
-        for (sh, reply) in self.shards.iter().zip(replies) {
-            // Waiting work wherever it sits: admission depth plus the
-            // engine backlog — the same combined load the router and
-            // the rebalancer score shards by.
-            let depth = (sh.queue.depth() + sh.backlog()) as u64;
-            let pending = reply.pending as u64;
-            depth_total += depth;
-            pending_total += pending;
-            now_max = now_max.max(reply.now);
-            let out = self
-                .metrics
-                .counter(&shard_metric("migrations_out", sh.index))
-                .get();
-            let inn = self
-                .metrics
-                .counter(&shard_metric("migrations_in", sh.index))
-                .get();
-            let admitted = sh.admitted.get();
-            shard_stats.push(Value::Object(vec![
-                field_u64("shard", sh.index as u64),
-                field_u64("queue_depth", depth),
-                field_u64("pending_tasks", pending),
-                field_f64("sim_now_s", reply.now),
-                field_u64("migrations_out", out),
-                field_u64("migrations_in", inn),
-                field_f64(
-                    "migration_rate",
-                    (out + inn) as f64 / admitted.max(1) as f64,
-                ),
-            ]));
-        }
-        let migrations = self.metrics.counter("migrations").get();
-        let admitted_total = self.metrics.counter("admitted").get();
-        Response::Ok(vec![
-            ("metrics".to_string(), self.metrics.snapshot()),
-            field_u64("queue_depth", depth_total),
-            field_u64("pending_tasks", pending_total),
-            field_f64("sim_now_s", now_max),
-            field_u64("shards", self.shards.len() as u64),
-            field_u64("migrations", migrations),
-            field_f64(
-                "migration_rate",
-                migrations as f64 / admitted_total.max(1) as f64,
-            ),
-            field_u64(
-                "worker_send_failed",
-                self.metrics.counter("worker_send_failed").get(),
-            ),
-            field_u64(
-                "worker_stalled",
-                self.metrics.counter("worker_stalled").get(),
-            ),
-            ("shard_stats".to_string(), Value::Array(shard_stats)),
-        ])
+        report::stats(&self.shards, replies, &self.metrics)
     }
 
-    /// One supervisor pass over the worker heartbeats: a worker with
-    /// commands outstanding and no progress for `stall_after` is
-    /// stalled. Each stall episode increments `worker_stalled` (global
-    /// and per shard) exactly once — the per-shard latch resets when
-    /// the worker makes progress again — and the `degraded` gauge
-    /// reflects whether any shard is currently stalled. Reads only the
-    /// lock-free heartbeat slots; never touches a worker channel, so a
-    /// wedged worker cannot wedge its own supervisor.
+    /// One supervisor pass over the worker heartbeats (the `supervise`
+    /// module's latches); returns whether any shard is stalled.
     pub fn check_stalls(&self, stall_after: Duration) -> bool {
-        let mut episodes = self
-            .stall_episodes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut any = false;
-        for (latched, sh) in episodes.iter_mut().zip(&self.shards) {
-            let snap = sh.hb.snapshot();
-            let stalled =
-                snap.cmd_depth > 0 && snap.last_progress_age_s > stall_after.as_secs_f64();
-            if stalled && !*latched {
-                self.metrics.counter("worker_stalled").inc();
-                self.metrics
-                    .counter(&shard_metric("worker_stalled", sh.index))
-                    .inc();
-            }
-            *latched = stalled;
-            any |= stalled;
-        }
-        self.metrics.gauge("degraded").set(i64::from(any));
-        any
+        self.stalls.check(&self.shards, &self.metrics, stall_after)
     }
 
-    /// Wire handler for `health`: the runtime health plane as one JSON
-    /// document — per-shard worker heartbeats, the stage-attribution
-    /// histograms, reactor loop stats, and trace-ring drop counts.
-    /// Deliberately computed from lock-free heartbeat slots and
-    /// leaf-locked metrics only (no worker fan-out, no engine access),
-    /// so the reactor can serve it inline on the fast path even while
-    /// every worker is mid-round.
+    /// Wire handler for `health`. Touches no worker and no engine, so
+    /// the reactor serves it inline on the fast path.
     pub fn health(&self) -> Response {
-        let heartbeats: Vec<Value> = self
-            .shards
-            .iter()
-            .map(|sh| {
-                let snap = sh.hb.snapshot();
-                Value::Object(vec![
-                    field_u64("shard", sh.index as u64),
-                    field_f64("last_progress_age_s", snap.last_progress_age_s),
-                    field_u64("cmd_depth", snap.cmd_depth),
-                    field_u64("dequeue_age_us", snap.dequeue_age_us),
-                    field_u64("tick_us", snap.tick_us),
-                    field_u64("drain_us", snap.drain_us),
-                    field_u64("steal_us", snap.steal_us),
-                    field_u64("inject_us", snap.inject_us),
-                    field_u64("queue_depth", sh.queue.depth() as u64),
-                    field_u64("backlog", sh.backlog() as u64),
-                ])
-            })
-            .collect();
-        let stages: Vec<(String, Value)> = TELESCOPE_STAGES
-            .iter()
-            .chain([&STAGE_CMD_DEQUEUE, &REQUEST_E2E])
-            .map(|name| ((*name).to_string(), self.metrics.histogram(name).to_value()))
-            .collect();
-        let reactor = Value::Object(vec![
-            field_u64("wakeups", self.metrics.counter("net_wakeups").get()),
-            field_u64("wait_micros", self.metrics.counter("net_wait_micros").get()),
-            field_u64("work_micros", self.metrics.counter("net_work_micros").get()),
-            (
-                "events_per_wakeup".to_string(),
-                self.metrics.histogram("net_events_per_wakeup").to_value(),
-            ),
-            (
-                "batch_lines".to_string(),
-                self.metrics.histogram("net_batch_lines").to_value(),
-            ),
-            field_u64(
-                "backpressure_stalls",
-                self.metrics.counter("net_backpressure_stalls").get(),
-            ),
-            field_u64(
-                "backpressure_stall_micros",
-                self.metrics.counter("net_backpressure_stall_micros").get(),
-            ),
-        ]);
-        let streamed = self.lock_drained().forgotten;
-        Response::Ok(vec![
-            field_u64(
-                "degraded",
-                u64::from(self.metrics.gauge("degraded").get() != 0),
-            ),
-            field_u64(
-                "worker_stalled",
-                self.metrics.counter("worker_stalled").get(),
-            ),
-            field_u64(
-                "worker_send_failed",
-                self.metrics.counter("worker_send_failed").get(),
-            ),
-            field_u64("shards", self.shards.len() as u64),
-            field_u64("telemetry", u64::from(self.cfg.telemetry)),
-            ("heartbeats".to_string(), Value::Array(heartbeats)),
-            ("stages".to_string(), Value::Object(stages)),
-            ("reactor".to_string(), reactor),
-            field_u64("trace_dropped", self.trace_dropped()),
-            field_u64("trace_streamed", streamed),
-            field_u64(
-                "rebalance_pass_us",
-                u64::try_from(self.metrics.gauge("rebalance_pass_us").get()).unwrap_or(0),
-            ),
-        ])
+        report::health(
+            &self.shards,
+            &self.metrics,
+            self.cfg.telemetry,
+            self.trace_dropped(),
+            self.trace.streamed(),
+        )
     }
 
     /// Begin graceful shutdown: refuse new submissions, then drain the
@@ -1345,9 +765,14 @@ impl Drop for Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::shard_metric;
     use crate::protocol::{value_f64, value_u64};
+    use crate::stage::{REQUEST_E2E, TELESCOPE_STAGES};
     use dvfs_core::LeastMarginalCost;
+    use dvfs_model::CostParams;
     use dvfs_sim::{SimConfig, Simulator};
+    use serde::Value;
+    use std::collections::HashSet;
 
     fn scheduler(capacity: usize) -> Scheduler {
         Scheduler::new(
@@ -1762,97 +1187,6 @@ mod tests {
     }
 
     #[test]
-    fn rebalancer_moves_queued_tasks_hot_to_cold_and_counts_migrations() {
-        let s = Scheduler::new(
-            SchedulerConfig {
-                cores: 2,
-                queue_capacity: 64,
-                shards: 2,
-                trace_capacity: 256,
-                rebalance: RebalanceConfig::on(),
-                ..SchedulerConfig::default()
-            },
-            Arc::new(Registry::new()),
-        );
-        // All-even explicit ids skew every task onto shard 0.
-        for i in 0..8u64 {
-            assert!(s
-                .submit(
-                    Some(2 * i),
-                    400_000_000,
-                    TaskClass::NonInteractive,
-                    Some(0.0)
-                )
-                .is_ok());
-        }
-        // The tick pulls the skew into shard 0's engine (2 running, 6
-        // queued) and ends with a rebalance pass: shard 1's queued cost
-        // is zero, so the gap clears and half the backlog moves.
-        s.tick();
-        let moved = s.metrics().counter("migrations").get();
-        assert_eq!(moved, 3, "half the backlog of 6, capped by max_batch");
-        assert_eq!(
-            s.metrics()
-                .counter(&shard_metric("migrations_out", 0))
-                .get(),
-            moved
-        );
-        assert_eq!(
-            s.metrics().counter(&shard_metric("migrations_in", 1)).get(),
-            moved
-        );
-        let stats = s.stats();
-        let rate = crate::protocol::value_f64(stats.field("migration_rate").unwrap()).unwrap();
-        assert!(rate > 0.0, "stats must report a positive migration_rate");
-        // Every task still completes exactly once, wherever it ran.
-        let served = s.drain_run();
-        assert!(served.is_ok());
-        assert_eq!(value_u64(served.field("completed").unwrap()), Some(8));
-        // The receiving shard recorded one migrate trace event per task.
-        let migrates = s
-            .trace_lines()
-            .iter()
-            .filter(|l| l.contains("\"ev\":\"migrate\""))
-            .count();
-        assert_eq!(migrates as u64, moved);
-    }
-
-    #[test]
-    fn rebalancer_is_a_no_op_on_one_shard_and_when_disabled() {
-        // One shard: nothing to balance against, even when enabled.
-        let single = Scheduler::new(
-            SchedulerConfig {
-                cores: 2,
-                queue_capacity: 64,
-                rebalance: RebalanceConfig::on(),
-                ..SchedulerConfig::default()
-            },
-            Arc::new(Registry::new()),
-        );
-        assert!(single
-            .submit(Some(0), 400_000_000, TaskClass::NonInteractive, Some(0.0))
-            .is_ok());
-        single.tick();
-        assert_eq!(single.metrics().counter("migrations").get(), 0);
-
-        // Disabled (the default): a skewed sharded service never
-        // migrates — the contract the conformance suite leans on.
-        let s = sharded(2, 64);
-        for i in 0..8u64 {
-            assert!(s
-                .submit(
-                    Some(2 * i),
-                    400_000_000,
-                    TaskClass::NonInteractive,
-                    Some(0.0)
-                )
-                .is_ok());
-        }
-        s.tick();
-        assert_eq!(s.metrics().counter("migrations").get(), 0);
-    }
-
-    #[test]
     fn sharded_drain_merges_per_shard_reports() {
         let s = sharded(2, 64);
         // Disjoint work: even ids to shard 0, odd to shard 1.
@@ -1925,95 +1259,6 @@ mod tests {
         assert_eq!(got.makespan_s, want.makespan);
     }
 
-    #[test]
-    fn stats_reports_per_shard_fields() {
-        let s = sharded(2, 64);
-        assert!(s
-            .submit(Some(0), 1_000, TaskClass::NonInteractive, Some(0.0))
-            .is_ok());
-        let stats = s.stats();
-        assert_eq!(value_u64(stats.field("shards").unwrap()), Some(2));
-        assert_eq!(value_u64(stats.field("queue_depth").unwrap()), Some(1));
-        let Some(Value::Array(shard_stats)) = stats.field("shard_stats") else {
-            panic!("stats must carry a shard_stats array");
-        };
-        assert_eq!(shard_stats.len(), 2);
-        let depth0 = shard_stats[0]
-            .get("queue_depth")
-            .and_then(value_u64)
-            .unwrap();
-        assert_eq!(depth0, 1, "task with id 0 sits on shard 0");
-    }
-
-    /// The health-plane counters exist from construction and are pinned
-    /// to their exposition names: `stats` carries them as top-level
-    /// fields and `prometheus_text` exports them under the `dvfs_`
-    /// prefix, so dashboards can alert on them before the first
-    /// failure ever happens.
-    #[test]
-    fn stall_counters_are_pinned_in_stats_and_prometheus_exposition() {
-        let s = sharded(2, 64);
-        let stats = s.stats();
-        assert_eq!(
-            value_u64(stats.field("worker_send_failed").unwrap()),
-            Some(0)
-        );
-        assert_eq!(value_u64(stats.field("worker_stalled").unwrap()), Some(0));
-        let text = crate::metrics::prometheus_text(s.metrics());
-        assert!(
-            text.contains("dvfs_worker_send_failed 0"),
-            "exposition must pin dvfs_worker_send_failed: {text}"
-        );
-        assert!(
-            text.contains("dvfs_worker_stalled 0"),
-            "exposition must pin dvfs_worker_stalled: {text}"
-        );
-        assert!(
-            text.contains("dvfs_degraded 0"),
-            "exposition must pin dvfs_degraded: {text}"
-        );
-    }
-
-    /// The stall supervisor counts episodes, not polls: a stalled shard
-    /// increments `worker_stalled` once, stays latched while the stall
-    /// persists, and re-arms after the worker makes progress again.
-    #[test]
-    fn check_stalls_latches_one_count_per_episode() {
-        let s = sharded(2, 64);
-        // Healthy workers: no stall, not degraded.
-        assert!(!s.check_stalls(Duration::from_millis(0)));
-        assert_eq!(s.metrics().counter("worker_stalled").get(), 0);
-
-        // Simulate a wedged shard-0 worker: a command counted as sent
-        // but never dequeued, with the progress stamp aging out.
-        s.shards[0].hb.note_send();
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(s.check_stalls(Duration::from_millis(1)));
-        assert_eq!(s.metrics().counter("worker_stalled").get(), 1);
-        assert_eq!(
-            s.metrics()
-                .counter(&shard_metric("worker_stalled", 0))
-                .get(),
-            1
-        );
-        assert_eq!(s.metrics().gauge("degraded").get(), 1);
-        // Still stalled: the latch holds the count at one.
-        assert!(s.check_stalls(Duration::from_millis(1)));
-        assert_eq!(s.metrics().counter("worker_stalled").get(), 1);
-
-        // The worker recovers (dequeues the command, marks progress):
-        // the flag clears and the latch re-arms.
-        s.shards[0].hb.note_dequeue(crate::clock::wall_now());
-        assert!(!s.check_stalls(Duration::from_millis(1)));
-        assert_eq!(s.metrics().gauge("degraded").get(), 0);
-
-        // A second episode counts again.
-        s.shards[0].hb.note_send();
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(s.check_stalls(Duration::from_millis(1)));
-        assert_eq!(s.metrics().counter("worker_stalled").get(), 2);
-    }
-
     /// `trace_stream` chunks drain-and-forget: their concatenation is
     /// byte-identical to the one-shot `trace` of an identical run that
     /// never streamed, and the retained trace really is forgotten.
@@ -2043,7 +1288,8 @@ mod tests {
                 }
                 assert!(s.drain_run().is_ok());
                 if streamed {
-                    lines.extend(s.trace_stream_take().lines);
+                    s.collect_trace_residue();
+                    lines.extend(s.trace.take_chunk().lines);
                 }
             }
             if streamed {
@@ -2063,9 +1309,10 @@ mod tests {
         // Streamed events are forgotten: the retained trace is empty
         // and the cursor accounts for every line handed out.
         let s = s.unwrap();
-        let (retained, forgotten) = s.trace_lines_absolute();
-        assert!(retained.is_empty(), "streamed events must be forgotten");
-        assert_eq!(forgotten, streamed.len() as u64);
+        assert!(
+            s.trace_lines().is_empty(),
+            "streamed events must be forgotten"
+        );
         let health = s.health();
         assert_eq!(
             value_u64(health.field("trace_streamed").unwrap()),
@@ -2128,64 +1375,6 @@ mod tests {
             (stage_total - e2e_total).abs() <= tol,
             "stage sum {stage_total:.4}s must telescope to e2e {e2e_total:.4}s (tol {tol:.4}s)"
         );
-    }
-
-    /// `health` is served from heartbeat slots and leaf metrics only;
-    /// its document carries every advertised section with sane values
-    /// on a live sharded service.
-    #[test]
-    fn health_reports_heartbeats_stages_and_reactor_sections() {
-        let s = sharded(2, 64);
-        for id in 0..4u64 {
-            assert!(s
-                .submit(Some(id), 20_000_000, TaskClass::NonInteractive, Some(0.0))
-                .is_ok());
-        }
-        s.tick();
-        let health = s.health();
-        assert_eq!(value_u64(health.field("shards").unwrap()), Some(2));
-        assert_eq!(value_u64(health.field("degraded").unwrap()), Some(0));
-        assert_eq!(value_u64(health.field("telemetry").unwrap()), Some(1));
-        let Some(Value::Array(beats)) = health.field("heartbeats") else {
-            panic!("health must carry a heartbeats array");
-        };
-        assert_eq!(beats.len(), 2);
-        for (k, beat) in beats.iter().enumerate() {
-            assert_eq!(beat.get("shard").and_then(value_u64), Some(k as u64));
-            assert_eq!(
-                beat.get("cmd_depth").and_then(value_u64),
-                Some(0),
-                "an idle worker has no commands outstanding"
-            );
-            let age = beat
-                .get("last_progress_age_s")
-                .and_then(crate::protocol::value_f64)
-                .unwrap();
-            assert!(
-                (0.0..60.0).contains(&age),
-                "fresh progress stamp, got {age}"
-            );
-            assert!(beat.get("tick_us").and_then(value_u64).is_some());
-        }
-        let Some(Value::Object(stages)) = health.field("stages") else {
-            panic!("health must carry a stages object");
-        };
-        let mut want: Vec<&str> = TELESCOPE_STAGES.to_vec();
-        want.push(STAGE_CMD_DEQUEUE);
-        want.push(REQUEST_E2E);
-        for name in want {
-            let stage = stages
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .unwrap_or_else(|| panic!("health stages must include {name}"));
-            assert!(stage.get("count").and_then(value_u64).is_some());
-        }
-        let Some(reactor) = health.field("reactor") else {
-            panic!("health must carry a reactor section");
-        };
-        assert_eq!(reactor.get("wakeups").and_then(value_u64), Some(0));
-        assert_eq!(value_u64(health.field("trace_dropped").unwrap()), Some(0));
     }
 
     /// `telemetry: false` silences the per-task stage records without

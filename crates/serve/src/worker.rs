@@ -47,15 +47,15 @@
 //! same order through the same arithmetic, keeping the shards=1 replay
 //! bit-identical to the simulator.
 
-use crate::admission::AdmissionQueue;
+use crate::admission::{AdmissionPolicy, AdmissionQueue};
 use crate::executor::{RealTimeExecutor, RoundReport};
-use crate::metrics::{AdvisoryCell, Counter, Gauge, Histogram, Registry};
+use crate::metrics::{shard_metric, AdvisoryCell, Counter, Gauge, Histogram, Registry};
 use crate::service::{service_platform, Mode, SchedulerConfig};
 use crate::stage::StageHists;
 use dvfs_core::sched::{ExecutorView, Scheduler as PolicyHooks};
 use dvfs_core::LeastMarginalCost;
-use dvfs_model::{CostParams, Task, TaskRecord};
-use dvfs_trace::SharedRing;
+use dvfs_model::{CostParams, Task, TaskClass, TaskRecord};
+use dvfs_trace::{ClassTag, EventKind, SharedRing};
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
@@ -285,6 +285,14 @@ impl Heartbeat {
     }
 }
 
+pub(crate) fn class_tag(class: TaskClass) -> ClassTag {
+    match class {
+        TaskClass::Batch => ClassTag::Batch,
+        TaskClass::Interactive => ClassTag::Interactive,
+        TaskClass::NonInteractive => ClassTag::NonInteractive,
+    }
+}
+
 /// Shard state shared between the scheduler (submission path, gauges,
 /// trace drains) and the worker that owns the shard's engine. Only
 /// leaf-locked structures live here — the admission queue and the
@@ -320,6 +328,59 @@ pub(crate) struct ShardShared {
 }
 
 impl ShardShared {
+    /// Shard `index`'s shared state: a `queue_capacity`-slot admission
+    /// queue, a `trace_capacity`-event ring (`0` disables tracing: no
+    /// ring is allocated), and its per-shard metric handles, resolved
+    /// once.
+    pub fn new(
+        index: usize,
+        queue_capacity: usize,
+        trace_capacity: usize,
+        metrics: &Registry,
+    ) -> Self {
+        ShardShared {
+            index,
+            queue: AdmissionQueue::new(AdmissionPolicy::with_capacity(queue_capacity)),
+            ring: (trace_capacity > 0).then(|| SharedRing::new(index as u32, trace_capacity)),
+            depth_gauge: metrics.gauge(&shard_metric("queue_depth", index)),
+            pending_gauge: metrics.gauge(&shard_metric("pending_tasks", index)),
+            admitted: metrics.counter(&shard_metric("admitted", index)),
+            shed: metrics.counter(&shard_metric("shed", index)),
+            completed: metrics.counter(&shard_metric("completed", index)),
+            backlog: AdvisoryCell::default(),
+            queued_cost_bits: AdvisoryCell::default(),
+            hb: Heartbeat::new(),
+            stages: StageHists::new(metrics, index),
+        }
+    }
+
+    /// Trace a submit and what admission made of it: `Admit` with the
+    /// post-admit queue depth, or (`None`) `Shed`.
+    pub fn trace_submit(
+        &self,
+        arrival: f64,
+        task: u64,
+        class: TaskClass,
+        cycles: u64,
+        admitted_depth: Option<u64>,
+    ) {
+        let Some(ring) = &self.ring else { return };
+        let class = class_tag(class);
+        ring.record(
+            arrival,
+            EventKind::Submit {
+                task,
+                class,
+                cycles,
+            },
+        );
+        let outcome = match admitted_depth {
+            Some(depth) => EventKind::Admit { task, depth },
+            None => EventKind::Shed { task, class },
+        };
+        ring.record(arrival, outcome);
+    }
+
     /// The published engine queued-cost total.
     pub fn queued_cost(&self) -> f64 {
         f64::from_bits(self.queued_cost_bits.get())
@@ -773,7 +834,7 @@ impl Worker {
             if let Some(ring) = self.shared.ring.as_ref() {
                 ring.record(
                     now,
-                    dvfs_trace::EventKind::Migrate {
+                    EventKind::Migrate {
                         task: task.id.0,
                         from_shard,
                         to_shard: self.shared.index as u32,
@@ -844,24 +905,9 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::AdmissionPolicy;
 
     fn test_shared() -> Arc<ShardShared> {
-        let r = Registry::new();
-        Arc::new(ShardShared {
-            index: 0,
-            queue: AdmissionQueue::new(AdmissionPolicy::with_capacity(4)),
-            ring: None,
-            depth_gauge: r.gauge("queue_depth"),
-            pending_gauge: r.gauge("pending_tasks"),
-            admitted: r.counter("admitted"),
-            shed: r.counter("shed"),
-            completed: r.counter("completed"),
-            backlog: AdvisoryCell::default(),
-            queued_cost_bits: AdvisoryCell::default(),
-            hb: Heartbeat::new(),
-            stages: StageHists::new(&r, 0),
-        })
+        Arc::new(ShardShared::new(0, 4, 0, &Registry::new()))
     }
 
     /// A send into a dead worker must be loud (debug assert) and

@@ -11,8 +11,10 @@
 //!
 //! Also pinned here: the connection budget sheds on accept with the
 //! explicit `overloaded` wire response on both backends, pipelined
-//! submit batches are answered in order, and a replayed drain report
-//! is byte-identical between the two front-ends.
+//! submit batches are answered in order, a replayed drain report is
+//! byte-identical between the two front-ends, and — the differential —
+//! one mixed request script cut at seeded random chunk boundaries
+//! draws the same response stream from both.
 
 use dvfs_net::framing::{edge_cases, Expect};
 use dvfs_serve::loadgen::Connection;
@@ -21,6 +23,8 @@ use dvfs_serve::{
     serve, Endpoint, NetBackend, SchedulerConfig, ServerConfig, ServerHandle, MAX_LINE_BYTES,
 };
 use dvfs_suite::model::TaskClass;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -245,6 +249,119 @@ fn pipelined_batch_answers_in_order_and_drain_matches_across_backends() {
             first, other,
             "drain report must be byte-identical across wire backends"
         );
+    }
+}
+
+/// The differential's request script: every kind of line the handler
+/// distinguishes, ordered so slow commands (`stats`, `drain`) sit
+/// directly in front of fast ones, malformed ones and an oversized one
+/// — the positions where a reactor reply could overtake.
+fn differential_script() -> Vec<Vec<u8>> {
+    let submit = |id: Option<u64>, i: u64| {
+        let class = match i % 3 {
+            0 => TaskClass::Interactive,
+            _ => TaskClass::NonInteractive,
+        };
+        encode_submit(id, (i + 1) * 30_000_000, class, Some(i as f64 * 0.01)).into_bytes()
+    };
+    let cmd = |name: &str| encode_command(name).into_bytes();
+    let mut lines: Vec<Vec<u8>> = Vec::new();
+    lines.extend((0..12).map(|i| submit(Some(i * 3), i)));
+    lines.push(cmd("ping"));
+    lines.push(b"this is not json".to_vec());
+    lines.push(submit(Some(3), 40)); // duplicate id this round
+    lines.push(cmd("stats"));
+    lines.push(vec![b'x'; MAX_LINE_BYTES + 1]);
+    lines.push(cmd("ping"));
+    lines.extend((12..20).map(|i| submit(None, i)));
+    lines.push(cmd("no-such-command"));
+    lines.push(cmd("drain"));
+    lines.push(cmd("health"));
+    lines.push(submit(Some(3), 41)); // the id is free again
+    lines.push(b"\r".to_vec()); // blank: owes no response
+    lines.push(cmd("drain"));
+    lines.push(cmd("ping"));
+    lines
+}
+
+/// What must match byte for byte. Three responses carry values no two
+/// runs share — `stats` and `health` embed wall-clock histograms and
+/// the reactor's own counters, an oversized rejection reports how many
+/// bytes had arrived when the budget tripped (a read-boundary artefact)
+/// — so those are compared by kind and position only.
+fn comparable(line: &str) -> String {
+    let resp = Response::decode(line).expect("response decodes");
+    if resp.field("metrics").is_some() {
+        "<stats>".to_string()
+    } else if resp.field("heartbeats").is_some() {
+        "<health>".to_string()
+    } else if matches!(&resp, Response::Err { message, .. } if message.contains("exceeds")) {
+        "<oversized>".to_string()
+    } else {
+        line.to_string()
+    }
+}
+
+#[test]
+fn seeded_random_chunking_draws_identical_streams_from_both_backends() {
+    let script = differential_script();
+    let responses = script.iter().filter(|l| l != &b"\r").count();
+    let wire: Vec<u8> = script
+        .iter()
+        .flat_map(|l| l.iter().copied().chain([b'\n']))
+        .collect();
+    for seed in 0..6u64 {
+        let mut streams: Vec<Vec<String>> = Vec::new();
+        for net in BACKENDS {
+            let handle = start(net, &format!("diff-{seed}-{}", net.name()), 8);
+            let stream = connect(&handle);
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            // Same seed, same cuts on both backends: chunks of 1 byte
+            // to 40 KB, with an occasional pause so the server really
+            // sees a cut as a read boundary.
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let writer = std::thread::spawn({
+                let wire = wire.clone();
+                move || {
+                    let mut rest = &wire[..];
+                    while !rest.is_empty() {
+                        let max = if rng.gen_bool(0.5) { 64 } else { 40_000 };
+                        let (chunk, tail) = rest.split_at(rng.gen_range(1..=max.min(rest.len())));
+                        (&stream).write_all(chunk).expect("chunk writes");
+                        if rng.gen_bool(0.3) {
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
+                        rest = tail;
+                    }
+                    stream
+                }
+            });
+            let got: Vec<String> = (0..responses)
+                .map(|_| {
+                    let mut line = String::new();
+                    assert!(
+                        reader.read_line(&mut line).expect("reads response") > 0,
+                        "[{net:?}] seed {seed}: server closed early"
+                    );
+                    comparable(line.trim())
+                })
+                .collect();
+            drop(writer.join().expect("writer thread"));
+            ping_ok(&handle);
+            handle.shutdown();
+            handle.wait();
+            streams.push(got);
+        }
+        assert_eq!(
+            streams[0], streams[1],
+            "seed {seed}: threads and reactor must answer the same script identically"
+        );
+        // Sanity on the shared stream: the three special responses sit
+        // where the script put them, nothing overtook.
+        let at = |tag: &str| streams[0].iter().position(|l| l == tag);
+        assert_eq!(at("<stats>"), Some(15), "seed {seed}");
+        assert_eq!(at("<oversized>"), Some(16), "seed {seed}");
+        assert_eq!(at("<health>"), Some(28), "seed {seed}");
     }
 }
 
