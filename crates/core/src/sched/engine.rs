@@ -651,6 +651,25 @@ impl<O: EngineObserver> Engine<O> {
             .collect()
     }
 
+    /// [`Engine::take_completions`] for a driver that keeps its own
+    /// running totals: the same fresh records, but every completed job
+    /// leaves the engine with them, so a long paced round holds only
+    /// the work still in flight. Retired tasks no longer appear in
+    /// [`Engine::records`] or [`Engine::completed_records`], and the
+    /// engine stops guarding their ids against reuse.
+    pub fn retire_completions(&mut self) -> Vec<TaskRecord> {
+        let fresh = std::mem::take(&mut self.drained);
+        let mut records = Vec::with_capacity(self.completions.len() - fresh);
+        for (i, tid) in self.completions.iter().enumerate() {
+            let job = self.jobs.remove(tid).expect("completed job exists");
+            if i >= fresh {
+                records.push(job.record);
+            }
+        }
+        self.completions.clear();
+        records
+    }
+
     /// Records of every completed task so far, in completion order.
     pub fn completed_records(&self) -> impl Iterator<Item = TaskRecord> + '_ {
         self.completions.iter().map(|tid| self.jobs[tid].record)
@@ -1374,6 +1393,31 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert!((done[0].completion.unwrap() - 3.5).abs() < 1e-9);
         assert!((done[0].arrival - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn retired_completions_leave_the_engine() {
+        let mut sim = Simulator::new(SimConfig::new(single_core_platform()));
+        let mut policy = Fifo::new(0);
+        for id in 1..=3 {
+            sim.push_task(&Task::batch(id, 1_600_000_000).unwrap());
+        }
+        sim.step_until(&mut policy, 1.5);
+        // One done and handed out the keeping way, then a second done:
+        // retiring yields only the one not yet handed out and removes
+        // both.
+        assert_eq!(sim.take_completions().len(), 1);
+        sim.step_until(&mut policy, 2.5);
+        let retired = sim.retire_completions();
+        assert_eq!(retired.len(), 1);
+        assert_eq!(retired[0].id, TaskId(2));
+        assert_eq!(sim.records().count(), 1, "only task 3 is resident");
+        assert_eq!(sim.pending_tasks(), 1);
+        assert!(sim.retire_completions().is_empty());
+        // The rest of the round is unaffected.
+        sim.run_to_completion(&mut policy);
+        assert_eq!(sim.completed_records().count(), 1);
+        assert!((sim.makespan() - 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -112,8 +112,10 @@ mod scope {
     /// `prom.rs`) render at drain time and are deliberately excluded.
     pub const TRACE_RECORD_FILES: &[&str] =
         &["crates/trace/src/lib.rs", "crates/trace/src/ring.rs"];
-    /// Rule P: the wire path.
+    /// Rule P: the wire path — including the request decoder and ack
+    /// encoder (`codec.rs`), which meet every hostile byte first.
     pub const PANIC_FILES: &[&str] = &[
+        "crates/serve/src/codec.rs",
         "crates/serve/src/protocol.rs",
         "crates/serve/src/server.rs",
         "crates/serve/src/admission.rs",

@@ -114,8 +114,8 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
 ];
 
 /// Byte offsets of `[` tokens that open an index expression: preceded
-/// (ignoring whitespace) by an identifier that is not a keyword, or by
-/// a closing `)`/`]`.
+/// (ignoring whitespace) by an identifier that is neither a keyword nor
+/// a lifetime (`&'a [T]` is a slice type), or by a closing `)`/`]`.
 fn index_occurrences(text: &str) -> Vec<usize> {
     let bytes = text.as_bytes();
     let mut out = Vec::new();
@@ -134,7 +134,8 @@ fn index_occurrences(text: &str) -> Vec<usize> {
                 s -= 1;
             }
             let token = &text[s..=p];
-            if !NON_INDEX_KEYWORDS.contains(&token) {
+            let lifetime = s > 0 && bytes[s - 1] == b'\'';
+            if !lifetime && !NON_INDEX_KEYWORDS.contains(&token) {
                 out.push(at);
             }
         }
@@ -319,7 +320,7 @@ pub fn reactor_nonblocking(text: &str, file: &str) -> Vec<Violation> {
             file,
             at,
             "reactor-nonblocking",
-            format!("blocking `{what}` inside the reactor event-loop module; the loop must stay nonblocking — blocking work belongs on the slow lane (`net/src/lane.rs`: report the batch as not `Handler::is_fast`), whose replies come back through the mailbox"),
+            format!("blocking `{what}` inside the reactor event-loop module; the loop must stay nonblocking — blocking work belongs on the slow lane (`net/src/lane.rs`: hand the request back from `Handler::answer` and block in `Handler::finish`), whose replies come back through the mailbox"),
         )
     };
     let mut out = Vec::new();
@@ -416,7 +417,8 @@ mod tests {
 
     #[test]
     fn panic_rule_catches_macros_and_indexing() {
-        let src = "fn f(b: &[u8]) { let x = b[0]; m.get(k).unwrap(); unreachable!(\"no\"); }";
+        let src =
+            "fn f<'a>(b: &'a [u8]) { let x = b[0]; m.get(k).unwrap(); unreachable!(\"no\"); }";
         let v = panic_freedom(src, "f.rs");
         assert_eq!(v.len(), 3);
         assert!(v.iter().all(|v| v.rule == "panic"));

@@ -1,16 +1,16 @@
 //! The blocking driver: serve one stream on the calling thread.
 //!
 //! The portable counterpart of the [`reactor`](crate::reactor): same
-//! framer, same batch splitter, same [`Handler`] — only the I/O model
-//! differs. Every batch is answered inline (there is no event loop to
-//! keep responsive, so [`Handler::is_fast`] is never asked).
+//! framer, same [`Handler`] — only the I/O model differs. There is no
+//! event loop to keep responsive, so a request that must wait is
+//! finished right here, on the connection's own thread.
 
-use crate::framing::{split_batches, Frame, LineFramer};
-use crate::handler::{answer_batch, Handler};
-use std::io::{self, BufWriter, ErrorKind, Read, Write};
+use crate::framing::{Batch, LineFramer};
+use crate::handler::{answer_through, push_line, recycle, Handler};
+use std::io::{self, ErrorKind, Read, Write};
 use std::time::Instant;
 
-/// Serve `stream` until the peer closes it, a batch requests a stop
+/// Serve `stream` until the peer closes it, a request asks for a stop
 /// (acknowledged and flushed before [`Handler::stop`] runs), or
 /// [`Handler::should_stop`] turns true. The stop flag is polled between
 /// reads, so the caller should give the stream a read timeout:
@@ -18,14 +18,14 @@ use std::time::Instant;
 ///
 /// # Errors
 /// Hard read or write errors; the connection is finished either way.
-pub fn serve<S: Read + Write>(
+pub fn serve<S: Read + Write, H: Handler + ?Sized>(
     stream: &mut S,
     max_line: usize,
-    handler: &dyn Handler,
+    handler: &H,
 ) -> io::Result<()> {
     let mut framer = LineFramer::new(max_line);
-    let mut frames: Vec<Frame> = Vec::new();
     let mut buf = vec![0u8; 16 * 1024];
+    let mut out: Vec<u8> = Vec::new();
     while !handler.should_stop() {
         let n = match stream.read(&mut buf) {
             Ok(0) => break, // peer closed; a mid-line fragment owes no response
@@ -43,20 +43,21 @@ pub fn serve<S: Read + Write>(
         // Stamped after the (possibly long) block in `read`, so the
         // handler's receive-to-answer time excludes idle socket time.
         let received = Instant::now();
-        framer.feed(buf.get(..n).unwrap_or(&[]), &mut frames);
-        // One buffered flush per read: small acks leave together, a
-        // multi-megabyte reply line passes through uncopied.
-        let mut out = BufWriter::new(&mut *stream);
         let mut stop = false;
-        let mut wrote = Ok(());
-        split_batches(&mut frames, |batch| {
-            let answer = answer_batch(handler, &batch, received);
-            stop = answer.stop;
-            wrote = answer.lines.iter().try_for_each(|l| writeln!(out, "{l}"));
-            wrote.is_ok() && !stop
+        framer.batches(buf.get(..n).unwrap_or(&[]), |batch| {
+            match batch {
+                Batch::Lines(lines) => {
+                    stop = answer_through(handler, None, lines, received, &mut out);
+                }
+                Batch::Oversized { len } => push_line(&mut out, &handler.oversized_line(len)),
+            }
+            !stop
         });
-        wrote?;
-        out.flush()?;
+        // One write per read: every response the read drew leaves
+        // together.
+        stream.write_all(&out)?;
+        stream.flush()?;
+        recycle(&mut out);
         if stop {
             handler.stop();
             break;
@@ -69,30 +70,38 @@ pub fn serve<S: Read + Write>(
 mod tests {
     use super::*;
     use crate::framing::{edge_cases, Expect};
-    use crate::handler::Answer;
+    use std::borrow::Cow;
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Uppercases every line; a "stop" line requests a stop.
+    /// Uppercases every line; a "wait…" line is handed back to be
+    /// finished (lowercased, to tell the two paths apart) and a "stop"
+    /// line is a waiting request that asks for a stop.
     #[derive(Default)]
     struct Upper {
         stopped: AtomicBool,
     }
 
     impl Handler for Upper {
-        fn is_fast(&self, _lines: &[String]) -> bool {
-            panic!("the blocking driver never classifies batches");
-        }
-        fn answer(&self, lines: &[String], _received: Instant) -> Answer {
-            let mut answer = Answer::default();
-            for line in lines {
-                answer.lines.push(line.to_uppercase());
-                if line == "stop" {
-                    answer.stop = true;
-                    break;
+        type Waiting = String;
+
+        fn answer(
+            &self,
+            lines: &[Cow<'_, str>],
+            _received: Instant,
+            out: &mut Vec<u8>,
+        ) -> Option<(usize, String)> {
+            for (k, line) in lines.iter().enumerate() {
+                if line.starts_with("wait") || *line == "stop" {
+                    return Some((k, line.to_string()));
                 }
+                push_line(out, &line.to_uppercase());
             }
-            answer
+            None
+        }
+        fn finish(&self, waiting: String, out: &mut Vec<u8>) -> bool {
+            push_line(out, &waiting.to_lowercase());
+            waiting == "stop"
         }
         fn stop(&self) {
             self.stopped.store(true, Ordering::SeqCst);
@@ -176,22 +185,22 @@ mod tests {
     }
 
     #[test]
-    fn one_write_per_read_and_big_lines_pass_straight_through() {
-        const OUT_BUF: usize = 8 * 1024; // `BufWriter`'s default capacity
-        let big = "b".repeat(OUT_BUF);
+    fn one_write_per_read_in_order_across_waiting_requests() {
+        let big = "b".repeat(8 * 1024);
         let mut stream = Script::new([
-            Some(b"one\ntwo\nthree\n".to_vec()),
+            Some(b"one\nwait-a\ntwo\nwait-b\nwait-c\nthree\n".to_vec()),
             Some(format!("small\n{big}\nafter\n").into_bytes()),
         ]);
-        serve(&mut stream, 2 * OUT_BUF, &Upper::default()).unwrap();
-        assert_eq!(stream.writes[0], b"ONE\nTWO\nTHREE\n");
-        // The second read: the buffered small reply is written out
-        // before the big line so order holds, the big line itself is
-        // not copied, and its newline leaves with what follows.
-        let rest: Vec<usize> = stream.writes[1..].iter().map(Vec::len).collect();
-        assert_eq!(rest, [6, OUT_BUF, 7]);
-        assert_eq!(stream.lines()[4], big.to_uppercase());
-        assert_eq!(stream.lines()[5], "AFTER");
+        serve(&mut stream, 16 * 1024, &Upper::default()).unwrap();
+        // Each read's responses leave in one write, waiting requests
+        // finished in their wire position.
+        assert_eq!(stream.writes.len(), 2);
+        assert_eq!(
+            stream.writes[0],
+            b"ONE\nwait-a\nTWO\nwait-b\nwait-c\nTHREE\n"
+        );
+        assert_eq!(stream.lines()[7], big.to_uppercase());
+        assert_eq!(stream.lines()[8], "AFTER");
     }
 
     #[test]
@@ -206,7 +215,7 @@ mod tests {
         serve(&mut stream, 64, &handler).unwrap();
         // The ack was written before `stop` ran; nothing after the
         // request was answered or even read.
-        assert_eq!(stream.lines(), ["PING", "STOP"]);
+        assert_eq!(stream.lines(), ["PING", "stop"]);
         assert!(handler.stopped.load(Ordering::SeqCst));
         assert_eq!(stream.reads.len(), 1);
     }

@@ -1,7 +1,9 @@
 //! Per-connection state: a nonblocking fd, the read-side framer, and a
 //! buffered write side with explicit backpressure.
 
-use crate::framing::{Frame, LineFramer};
+use crate::framing::{Batch, LineFramer};
+use crate::handler::recycle;
+use crate::poller::Interest;
 use crate::sys;
 use std::io;
 
@@ -21,9 +23,9 @@ pub struct Connection {
     /// Close once the write buffer drains (peer sent EOF, or the
     /// server is shutting the connection down after a final response).
     pub closing: bool,
-    /// Whether the fd is currently armed for `EPOLLOUT` — tracked so
-    /// the reactor only re-arms on transitions.
-    pub write_armed: bool,
+    /// What the fd is currently registered for — tracked so the
+    /// reactor only re-registers on transitions.
+    pub armed: Interest,
 }
 
 impl Connection {
@@ -36,7 +38,7 @@ impl Connection {
             out: Vec::new(),
             out_pos: 0,
             closing: false,
-            write_armed: false,
+            armed: Interest::READ,
         }
     }
 
@@ -46,19 +48,39 @@ impl Connection {
         self.fd
     }
 
-    /// Read until the socket would block (bounded by
-    /// `MAX_READS_PER_WAKE`), pushing completed frames onto `out`.
-    /// Returns `true` when the peer has closed its end.
+    /// Read into `scratch` until the socket would block (bounded by
+    /// `MAX_READS_PER_WAKE`), handing every batch the framer cuts from
+    /// each read — its lines lent straight out of `scratch` — to
+    /// `each`, together with this connection's output buffer to answer
+    /// into. Once `each` has returned `false` the rest of that read is
+    /// still cut and handed over, but nothing more is read (the bytes
+    /// stay in the socket). Returns `true` when the peer has closed its
+    /// end.
     ///
     /// # Errors
     /// Hard socket errors (connection reset, etc.); `WouldBlock` is the
     /// normal exit and is not an error.
-    pub fn fill(&mut self, out: &mut Vec<Frame>) -> io::Result<bool> {
-        let mut scratch = [0u8; 16 * 1024];
+    pub fn fill(
+        &mut self,
+        scratch: &mut [u8],
+        mut each: impl FnMut(Batch<'_>, &mut Vec<u8>) -> bool,
+    ) -> io::Result<bool> {
+        let Connection {
+            fd, framer, out, ..
+        } = self;
         for _ in 0..MAX_READS_PER_WAKE {
-            match sys::read_fd(self.fd, &mut scratch) {
+            match sys::read_fd(*fd, scratch) {
                 Ok(0) => return Ok(true),
-                Ok(n) => self.framer.feed(scratch.get(..n).unwrap_or(&[]), out),
+                Ok(n) => {
+                    let mut keep_reading = true;
+                    framer.batches(scratch.get(..n).unwrap_or(&[]), |batch| {
+                        keep_reading &= each(batch, out);
+                        true
+                    });
+                    if !keep_reading {
+                        return Ok(false);
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -73,10 +95,14 @@ impl Connection {
         self.framer.has_partial()
     }
 
-    /// Queue one response line (newline appended) for writing.
-    pub fn queue_line(&mut self, line: &str) {
-        self.out.extend_from_slice(line.as_bytes());
-        self.out.push(b'\n');
+    /// Queue already newline-terminated response bytes for writing. A
+    /// large reply landing on an empty buffer is adopted, not copied.
+    pub fn queue_bytes(&mut self, bytes: Vec<u8>) {
+        if self.out.is_empty() {
+            self.out = bytes;
+        } else {
+            self.out.extend_from_slice(&bytes);
+        }
     }
 
     /// Bytes queued but not yet written.
@@ -107,7 +133,7 @@ impl Connection {
                 Err(e) => return Err(e),
             }
         }
-        self.out.clear();
+        recycle(&mut self.out);
         self.out_pos = 0;
         Ok(true)
     }
@@ -133,13 +159,19 @@ mod tests {
         let mut conn = Connection::new(local.into_raw_fd(), 1024);
 
         peer.write_all(b"{\"cmd\":\"ping\"}\npartial").unwrap();
-        let mut frames = Vec::new();
-        let eof = conn.fill(&mut frames).unwrap();
+        let mut scratch = [0u8; 64];
+        let eof = conn
+            .fill(&mut scratch, |batch, out| {
+                let Batch::Lines(lines) = batch else {
+                    panic!("no oversized line was sent");
+                };
+                assert_eq!(lines, ["{\"cmd\":\"ping\"}"]);
+                out.extend_from_slice(b"{\"ok\":true}\n");
+                true
+            })
+            .unwrap();
         assert!(!eof);
-        assert_eq!(frames, vec![Frame::Line("{\"cmd\":\"ping\"}".to_owned())]);
         assert!(conn.mid_line());
-
-        conn.queue_line("{\"ok\":true}");
         assert!(conn.flush().unwrap());
         assert_eq!(conn.pending_out(), 0);
         let mut buf = [0u8; 64];
@@ -153,8 +185,7 @@ mod tests {
         local.set_nonblocking(true).unwrap();
         let mut conn = Connection::new(local.into_raw_fd(), 1024);
         drop(peer);
-        let mut frames = Vec::new();
-        assert!(conn.fill(&mut frames).unwrap());
+        assert!(conn.fill(&mut [0u8; 64], |_, _| true).unwrap());
     }
 
     #[test]
@@ -166,9 +197,8 @@ mod tests {
         assert_eq!(conn.fd(), fd);
         // Queue far more than a socketpair buffer holds; with nobody
         // reading, flush must stop at WouldBlock with bytes pending.
-        let chunk = "x".repeat(64 * 1024);
         for _ in 0..64 {
-            conn.queue_line(&chunk);
+            conn.queue_bytes(vec![b'x'; 64 * 1024]);
         }
         assert!(!conn.flush().unwrap());
         assert!(conn.pending_out() > 0);

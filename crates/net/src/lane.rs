@@ -1,48 +1,96 @@
-//! The reactor's slow lane: one thread that answers the batches the
-//! event loop must not wait for (a scheduler drain takes a whole
-//! round) and hands the lines back through the reactor's [`Mailbox`].
-//! One thread and one FIFO channel, so a connection's batches are
-//! answered in the order they were deferred. This file is deliberately
+//! The reactor's slow lane: one thread that answers what the event
+//! loop must not wait for (a scheduler drain takes a whole round) and
+//! hands the response bytes back through the reactor's [`Mailbox`].
+//! One thread and one FIFO channel, so a connection's deferred work is
+//! answered in the order it was deferred. This file is deliberately
 //! outside `dvfs-lint`'s `reactor-nonblocking` scope: blocking is the
 //! lane's job.
 
-use crate::framing::Batch;
-use crate::handler::{answer_batch, Handler};
+use crate::handler::{answer_through, push_line, Handler};
 use crate::reactor::Mailbox;
+use std::borrow::Cow;
 use std::sync::mpsc::{channel, Sender};
 use std::thread::Scope;
 use std::time::Instant;
 
-/// Connection token, wire-receive stamp, and the batch to answer.
-type Job = (u64, Instant, Batch);
+/// One piece of work the event loop handed over, owning its lines (the
+/// read buffer they were lent from is long gone when the lane runs).
+pub(crate) enum Deferred<W> {
+    /// `first` — the request the loop's `Handler::answer` stopped at,
+    /// already decoded — then `rest`, the lines behind it. A whole
+    /// batch queued behind outstanding work has no `first`.
+    Lines {
+        first: Option<W>,
+        rest: Vec<Cow<'static, str>>,
+    },
+    /// An oversized-line rejection queued behind outstanding work.
+    Oversized { len: usize },
+}
+
+impl<W> Deferred<W> {
+    /// `first`, then an owned copy of the lent `rest`.
+    pub(crate) fn lines(first: Option<W>, rest: &[Cow<'_, str>]) -> Self {
+        Deferred::Lines {
+            first,
+            rest: rest
+                .iter()
+                .map(|line| Cow::Owned(line.as_ref().to_owned()))
+                .collect(),
+        }
+    }
+
+    /// Answer this work to the end, blocking wherever the handler has
+    /// to. Returns `true` when a request asked for a stop.
+    pub(crate) fn answer<H>(self, handler: &H, received: Instant, out: &mut Vec<u8>) -> bool
+    where
+        H: Handler<Waiting = W> + ?Sized,
+    {
+        match self {
+            Deferred::Lines { first, rest } => answer_through(handler, first, &rest, received, out),
+            Deferred::Oversized { len } => {
+                push_line(out, &handler.oversized_line(len));
+                false
+            }
+        }
+    }
+}
+
+/// Connection token, wire-receive stamp, and the work to answer.
+type Job<W> = (u64, Instant, Deferred<W>);
 
 /// The event loop's end of the lane. Dropping it hangs the channel up;
 /// the lane thread finishes the jobs already queued and exits.
-pub(crate) struct Lane {
-    tx: Sender<Job>,
+pub(crate) struct Lane<W> {
+    tx: Sender<Job<W>>,
 }
 
-impl Lane {
+impl<W: Send> Lane<W> {
     /// Spawn the lane thread inside `scope`, so it may borrow the
     /// handler and is joined when the reactor returns.
-    pub(crate) fn spawn<'scope>(
+    pub(crate) fn spawn<'scope, H>(
         scope: &'scope Scope<'scope, '_>,
-        handler: &'scope dyn Handler,
+        handler: &'scope H,
         mailbox: &'scope Mailbox,
-    ) -> Lane {
-        // A client waits for a slow command's reply before sending
-        // the next, so the queue is bounded by the connection cap even
-        // though the channel itself is unbounded.
+    ) -> Lane<W>
+    where
+        H: Handler<Waiting = W> + ?Sized,
+        W: 'scope,
+    {
+        // The reactor stops reading a connection at its first deferral
+        // and resumes once every reply has landed, so the queue holds
+        // at most one read's worth of work per connection — bounded by
+        // the connection cap even though the channel itself is not.
         // dvfs-lint: allow(channel-protocol) slow lane bounded by the connection cap
-        let (tx, rx): (Sender<Job>, _) = channel();
+        let (tx, rx): (Sender<Job<W>>, _) = channel();
         scope.spawn(move || {
-            while let Ok((token, received, batch)) = rx.recv() {
-                let answer = answer_batch(handler, &batch, received);
+            while let Ok((token, received, work)) = rx.recv() {
+                let mut out = Vec::new();
+                let stop = work.answer(handler, received, &mut out);
                 // Deliver before acting on a stop request: the ack must
                 // be in the reactor's mailbox before `should_stop` can
                 // turn true, so the loop's final flush carries it out.
-                mailbox.deliver(token, answer.lines);
-                if answer.stop {
+                mailbox.deliver(token, out);
+                if stop {
                     handler.stop();
                 }
             }
@@ -50,10 +98,15 @@ impl Lane {
         Lane { tx }
     }
 
-    /// Queue one batch for the lane thread. Gives the batch back when
+    /// Queue one piece of work for the lane thread. Gives it back when
     /// the thread is gone (it panicked), so the caller can still answer
     /// it.
-    pub(crate) fn defer(&self, token: u64, received: Instant, batch: Batch) -> Result<(), Batch> {
-        self.tx.send((token, received, batch)).map_err(|e| e.0 .2)
+    pub(crate) fn defer(
+        &self,
+        token: u64,
+        received: Instant,
+        work: Deferred<W>,
+    ) -> Result<(), Deferred<W>> {
+        self.tx.send((token, received, work)).map_err(|e| e.0 .2)
     }
 }

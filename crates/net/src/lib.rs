@@ -15,23 +15,26 @@
 //! - [`poller`] — a safe epoll wrapper ([`Poller`], [`Interest`],
 //!   [`Event`]).
 //! - [`framing`] — incremental NDJSON line splitting with an
-//!   oversized-line guard ([`LineFramer`], [`Frame`]), the splitter
-//!   that cuts a read's frames into handler batches, and the shared
+//!   oversized-line guard ([`LineFramer`]): a core that cuts each read
+//!   into handler batches of lines lent from the read buffer
+//!   ([`Batch`]), its owning adapter ([`Frame`]), and the shared
 //!   edge-case table ([`framing::edge_cases`]) both drivers are tested
 //!   against.
-//! - [`handler`] — the seam: [`Handler`] turns a batch of request
-//!   lines into an [`Answer`], on whichever thread a driver calls it.
+//! - [`handler`] — the seam: [`Handler`] answers a batch of request
+//!   lines straight into a connection's output bytes, in one pass,
+//!   and hands back the first request that must wait.
 //! - [`conn`] — per-connection read framer + buffered write side with
 //!   explicit backpressure ([`Connection`]).
 //! - [`reactor`] — the event loop ([`reactor::run`]): accept with a
-//!   shed-on-accept connection budget, answer fast batches inline,
-//!   re-arm `EPOLLOUT` while responses are part-written, and route
-//!   slow batches through a private slow-lane thread whose replies
-//!   come back over an eventfd-woken mailbox, so a slow handler never
-//!   blocks the event loop.
+//!   shed-on-accept connection budget, answer inline up to the first
+//!   request that must wait, re-arm `EPOLLOUT` while responses are
+//!   part-written, and route the waiting request and what follows it
+//!   through a private slow-lane thread whose replies come back over
+//!   an eventfd-woken mailbox, so a slow request never blocks the
+//!   event loop.
 //! - [`blocking`] — the blocking driver ([`blocking::serve`]): one
-//!   `Read + Write` stream served on the calling thread, one buffered
-//!   write per read.
+//!   `Read + Write` stream served on the calling thread, one write per
+//!   read.
 //!
 //! The crate knows nothing about the wire protocol or the scheduler:
 //! embedders supply a [`Handler`] for request lines and an
@@ -48,7 +51,7 @@ pub mod reactor;
 pub mod sys;
 
 pub use conn::Connection;
-pub use framing::{Frame, LineFramer, DEFAULT_MAX_LINE};
-pub use handler::{Answer, Handler};
+pub use framing::{Batch, Frame, LineFramer, DEFAULT_MAX_LINE};
+pub use handler::Handler;
 pub use poller::{Event, Interest, Poller};
 pub use reactor::{NullObserver, Observer, ReactorConfig};

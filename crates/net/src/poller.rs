@@ -25,9 +25,9 @@ impl Interest {
     };
 
     fn bits(self) -> u32 {
-        let mut bits = sys::EPOLLRDHUP;
+        let mut bits = 0;
         if self.readable {
-            bits |= sys::EPOLLIN;
+            bits |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
         if self.writable {
             bits |= sys::EPOLLOUT;

@@ -3,8 +3,8 @@
 //! for replies produced off the event loop.
 //!
 //! Protocol logic stays out of this crate: the embedding server
-//! provides a [`Handler`] (turn a batch of request lines into response
-//! lines) and an [`Observer`] (metrics taps). The reactor owns
+//! provides a [`Handler`] (answer a batch of request lines into the
+//! connection's output bytes) and an [`Observer`] (metrics taps). The reactor owns
 //! readiness, framing, batching, the connection budget,
 //! `EPOLLOUT`-re-armed backpressure, and the slow lane.
 //!
@@ -14,33 +14,40 @@
 //!    polled even when idle),
 //! 2. listener readable → accept until `EAGAIN`, shedding with a final
 //!    response line once the budget is reached,
-//! 3. connection readable → drain reads into the framer, cut the
-//!    frames into batches, answer each fast batch inline and defer the
-//!    rest, queue the responses, flush,
+//! 3. connection readable → read into the loop's one scratch buffer,
+//!    let the framer cut each read into batches of lines lent from it,
+//!    answer each batch inline — straight into the connection's output
+//!    buffer — up to the first request that must wait, defer from
+//!    there, flush,
 //! 4. waker readable → apply the replies the slow lane delivered to
 //!    the mailbox and flush them,
 //! 5. flush stopped by `EPOLLOUT`? re-arm write interest and finish the
 //!    flush on a later wakeup.
 //!
-//! ## Deferred batches (internal)
+//! ## Deferred work (internal)
 //!
-//! A batch the handler does not call fast ([`Handler::is_fast`]) would
-//! block the event loop, so the reactor ships it to its slow-lane
-//! thread (`lane.rs`), which answers it and delivers the lines to the
-//! eventfd-woken mailbox. The reactor keeps the connection open
-//! (even across peer EOF) until every deferred batch's reply has
-//! arrived. Tokens are generation-tagged, so a reply that outlives its
-//! connection is dropped instead of landing on a reused slot. While a
-//! connection has deferred batches outstanding, every further batch of
-//! that connection is deferred too — fast or not — through the same
-//! FIFO lane, or responses would overtake the outstanding ones. None
-//! of this is visible to the handler: it answers batches, on whichever
-//! thread it is called.
+//! [`Handler::answer`] never blocks: it stops at the first request
+//! that must wait and hands it back decoded. The reactor ships that
+//! request — with an owned copy of the batch's lines behind it, the
+//! one copy on this rare path — to its slow-lane thread (`lane.rs`),
+//! which finishes it, answers the rest, and delivers the bytes to the
+//! eventfd-woken mailbox. The reactor keeps the connection open (even
+//! across peer EOF) until every deferred reply has arrived. Tokens are
+//! generation-tagged, so a reply that outlives its connection is
+//! dropped instead of landing on a reused slot. While a connection has
+//! deferred work outstanding it is not read: its next requests wait in
+//! the socket (and, past the socket buffers, in the client), so no
+//! response can overtake the outstanding ones and the lane never holds
+//! more than one read's worth per connection. What that same read
+//! still held behind the deferral — further batches past an oversized
+//! line — is deferred whole through the same FIFO lane. None of this
+//! is visible to the handler: it answers lines, on whichever thread it
+//! is called.
 
 use crate::conn::Connection;
-use crate::framing::{split_batches, Batch, Frame, DEFAULT_MAX_LINE};
-use crate::handler::{answer_batch, Handler};
-use crate::lane::Lane;
+use crate::framing::{Batch, DEFAULT_MAX_LINE};
+use crate::handler::{push_line, Handler};
+use crate::lane::{Deferred, Lane};
 use crate::poller::{Event, Interest, Poller};
 use crate::sys;
 use std::io;
@@ -131,13 +138,13 @@ fn token_parts(token: u64) -> Option<(u32, usize)> {
     Some(((token >> 32) as u32, idx as usize))
 }
 
-/// Thread-safe inbox for deferred-batch replies. The slow lane delivers
-/// the lines and signals the reactor's eventfd waker; the event loop
+/// Thread-safe inbox for deferred replies. The slow lane delivers the
+/// response bytes and signals the reactor's eventfd waker; the event loop
 /// applies them on its next wakeup. [`run`] owns it and joins the lane
 /// thread before dropping it, so the lane never writes to a closed fd.
 pub(crate) struct Mailbox {
     efd: i32,
-    queue: Mutex<Vec<(u64, Vec<String>)>>,
+    queue: Mutex<Vec<(u64, Vec<u8>)>>,
 }
 
 impl Drop for Mailbox {
@@ -147,24 +154,24 @@ impl Drop for Mailbox {
 }
 
 impl Mailbox {
-    /// Deliver the response lines for one deferred batch on the
-    /// connection identified by `token`. An empty `lines` still
-    /// completes the batch. If the connection is already gone — or its
-    /// slot was reused — the reply is dropped when applied; the
+    /// Deliver the (newline-terminated) response bytes for one piece
+    /// of deferred work on the connection identified by `token`. Empty
+    /// `bytes` still complete it. If the connection is already gone —
+    /// or its slot was reused — the reply is dropped when applied; the
     /// generation tag in the token makes that safe.
-    pub(crate) fn deliver(&self, token: u64, lines: Vec<String>) {
+    pub(crate) fn deliver(&self, token: u64, bytes: Vec<u8>) {
         {
             let mut queue = self
                 .queue
                 // dvfs-lint: allow(reactor-nonblocking) deliver runs on the slow-lane thread, never the event loop; the critical section is one push
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            queue.push((token, lines));
+            queue.push((token, bytes));
         }
         sys::eventfd_signal(self.efd);
     }
 
-    fn take(&self) -> Vec<(u64, Vec<String>)> {
+    fn take(&self) -> Vec<(u64, Vec<u8>)> {
         sys::eventfd_drain(self.efd);
         let mut queue = self
             .queue
@@ -178,7 +185,7 @@ impl Mailbox {
 struct Entry {
     conn: Connection,
     generation: u32,
-    /// Deferred batches whose replies have not yet been injected. The
+    /// Deferred work whose replies have not yet been injected. The
     /// connection is not closed — even after peer EOF — while this is
     /// nonzero, so deferred responses can still be flushed.
     pending_deferred: usize,
@@ -253,16 +260,16 @@ impl Slab {
 /// socket until [`Handler::should_stop`] returns `true`. The listener
 /// fd is borrowed: registered with the reactor's epoll instance for
 /// the duration, never closed. Returns once the slow lane has finished
-/// the batches already deferred to it (a stop request's drain, say).
+/// the work already deferred to it (a stop request's drain, say).
 ///
 /// # Errors
 /// Only on setup or wait failures of the epoll instance itself;
 /// per-connection errors close that connection and keep the loop
 /// running.
-pub fn run(
+pub fn run<H: Handler + ?Sized>(
     listener_fd: i32,
     cfg: &ReactorConfig,
-    handler: &dyn Handler,
+    handler: &H,
     observer: &mut dyn Observer,
 ) -> io::Result<()> {
     let poller = Poller::new()?;
@@ -288,20 +295,21 @@ pub fn run(
 }
 
 /// What every step of the event loop needs besides the slab.
-struct Reactor<'a> {
+struct Reactor<'a, H: Handler + ?Sized> {
     listener_fd: i32,
     cfg: &'a ReactorConfig,
     poller: &'a Poller,
     mailbox: &'a Mailbox,
-    lane: Lane,
-    handler: &'a dyn Handler,
+    lane: Lane<H::Waiting>,
+    handler: &'a H,
 }
 
-impl Reactor<'_> {
+impl<H: Handler + ?Sized> Reactor<'_, H> {
     fn event_loop(&self, observer: &mut dyn Observer) -> io::Result<()> {
         let mut slab = Slab::new();
         let mut events: Vec<Event> = Vec::new();
-        let mut frames: Vec<Frame> = Vec::new();
+        // The one read buffer every connection's lines are lent from.
+        let mut scratch = vec![0u8; 16 * 1024];
 
         loop {
             let wait_start = Instant::now();
@@ -322,7 +330,7 @@ impl Reactor<'_> {
                 } else if ev.token == WAKER_TOKEN {
                     self.apply_replies(&mut slab, observer);
                 } else {
-                    self.service_connection(&mut slab, ev, observer, &mut frames);
+                    self.service_connection(&mut slab, ev, observer, &mut scratch);
                 }
             }
             observer.on_loop_times(
@@ -389,7 +397,7 @@ impl Reactor<'_> {
         slab: &mut Slab,
         ev: Event,
         observer: &mut dyn Observer,
-        frames: &mut Vec<Frame>,
+        scratch: &mut [u8],
     ) {
         let Some((generation, idx)) = token_parts(ev.token) else {
             return;
@@ -402,9 +410,33 @@ impl Reactor<'_> {
                 return; // stale event for a reused slot
             }
             if ev.readable || ev.hangup {
-                frames.clear();
-                let eof = entry.conn.fill(frames).unwrap_or(true);
-                self.dispatch_frames(entry, ev.token, frames, observer);
+                // The reactor calls straight out of its read loop, so
+                // "now" is the wire-receive stamp for every line read
+                // on this wakeup.
+                let received = Instant::now();
+                let Entry {
+                    conn,
+                    pending_deferred,
+                    ..
+                } = entry;
+                // Reading stops at the first deferral, and a readiness
+                // event from before the fd was re-registered reads
+                // nothing: what is behind deferred work waits in the
+                // socket until its reply has landed.
+                let eof = *pending_deferred == 0
+                    && conn
+                        .fill(scratch, |batch, out| {
+                            self.dispatch(
+                                batch,
+                                out,
+                                pending_deferred,
+                                ev.token,
+                                received,
+                                observer,
+                            );
+                            *pending_deferred == 0
+                        })
+                        .unwrap_or(true);
                 if eof || ev.hangup {
                     // Drain-then-close: any complete lines above got
                     // their responses (deferred ones keep the connection
@@ -418,9 +450,13 @@ impl Reactor<'_> {
     }
 
     /// Flush a connection's queued output and reconcile its lifecycle:
-    /// re-arm or disarm `EPOLLOUT` on transitions, close once it is
-    /// `closing` with nothing left to write and no deferred batch
-    /// outstanding, close immediately on hard write errors.
+    /// re-register it on transitions — readable unless it is closing or
+    /// has deferred work outstanding (its next requests wait in the
+    /// socket, so one connection never queues more than one read's
+    /// worth on the lane), writable while a flush is stopped short —
+    /// close once it is `closing` with nothing left to write and no
+    /// deferred work outstanding, close immediately on hard write
+    /// errors.
     fn settle_connection(&self, slab: &mut Slab, idx: usize, observer: &mut dyn Observer) {
         let Some(entry) = slab.get_mut(idx) else {
             return;
@@ -429,36 +465,21 @@ impl Reactor<'_> {
         let mut dead = false;
 
         match entry.conn.flush() {
-            Ok(true) => {
-                if let Some(since) = entry.stalled_since.take() {
+            Ok(flushed) => {
+                if !flushed {
+                    entry.stalled_since.get_or_insert_with(Instant::now);
+                } else if let Some(since) = entry.stalled_since.take() {
                     observer.on_backpressure_stall(since.elapsed().as_secs_f64());
                 }
-                if entry.conn.closing && entry.pending_deferred == 0 {
+                let want = Interest {
+                    readable: entry.pending_deferred == 0 && !entry.conn.closing,
+                    writable: !flushed,
+                };
+                if flushed && entry.conn.closing && entry.pending_deferred == 0 {
                     dead = true;
-                } else if entry.conn.write_armed {
-                    entry.conn.write_armed = false;
-                    if self
-                        .poller
-                        .modify(entry.conn.fd(), token, Interest::READ)
-                        .is_err()
-                    {
-                        dead = true;
-                    }
-                }
-            }
-            Ok(false) => {
-                if entry.stalled_since.is_none() {
-                    entry.stalled_since = Some(Instant::now());
-                }
-                if !entry.conn.write_armed {
-                    entry.conn.write_armed = true;
-                    if self
-                        .poller
-                        .modify(entry.conn.fd(), token, Interest::READ_WRITE)
-                        .is_err()
-                    {
-                        dead = true;
-                    }
+                } else if want != entry.conn.armed {
+                    entry.conn.armed = want;
+                    dead = self.poller.modify(entry.conn.fd(), token, want).is_err();
                 }
             }
             Err(_) => dead = true,
@@ -468,8 +489,8 @@ impl Reactor<'_> {
             if let Some(entry) = slab.remove(idx) {
                 let _ = self.poller.remove(entry.conn.fd());
                 // A connection that dies mid-stall still closes its
-                // stall window (the `Ok(true)` arm above already took
-                // the stamp when the flush completed before death).
+                // stall window (the flush arm above already took the
+                // stamp when the flush completed before death).
                 if let Some(since) = entry.stalled_since {
                     observer.on_backpressure_stall(since.elapsed().as_secs_f64());
                 }
@@ -478,12 +499,11 @@ impl Reactor<'_> {
         }
     }
 
-    /// Apply every reply delivered since the last wakeup: land each
-    /// batch's lines on its connection (dropping replies whose
-    /// connection or generation is gone), then flush and reconcile that
-    /// connection.
+    /// Apply every reply delivered since the last wakeup: land its
+    /// bytes on its connection (dropping replies whose connection or
+    /// generation is gone), then flush and reconcile that connection.
     fn apply_replies(&self, slab: &mut Slab, observer: &mut dyn Observer) {
-        for (token, lines) in self.mailbox.take() {
+        for (token, bytes) in self.mailbox.take() {
             let Some((generation, idx)) = token_parts(token) else {
                 continue;
             };
@@ -494,70 +514,67 @@ impl Reactor<'_> {
                 if entry.generation != generation {
                     continue; // slot reused; reply belongs to the old owner
                 }
-                // One delivery completes one deferred batch, even when
-                // it carries no lines.
+                // One delivery completes one piece of deferred work,
+                // even when it carries no bytes.
                 entry.pending_deferred = entry.pending_deferred.saturating_sub(1);
-                for line in &lines {
-                    entry.conn.queue_line(line);
-                }
+                entry.conn.queue_bytes(bytes);
             }
             self.settle_connection(slab, idx, observer);
         }
     }
 
-    /// Answer one socket's drained frames in wire order: fast batches
-    /// and oversized rejections inline, slow batches — and everything
-    /// behind an outstanding deferred batch — through the slow lane.
-    fn dispatch_frames(
+    /// Answer one batch in its wire position: inline — into `out`, the
+    /// connection's output buffer — up to the first request that must
+    /// wait, and from there (or whole, behind work already outstanding
+    /// on this connection) through the slow lane.
+    fn dispatch(
         &self,
-        entry: &mut Entry,
+        batch: Batch<'_>,
+        out: &mut Vec<u8>,
+        pending_deferred: &mut usize,
         token: u64,
-        frames: &mut Vec<Frame>,
+        received: Instant,
         observer: &mut dyn Observer,
     ) {
-        // The reactor calls straight out of its read loop, so "now" is
-        // the wire-receive stamp for every line of the read.
-        let received = Instant::now();
-        split_batches(frames, |batch| {
-            let fast = match &batch {
-                Batch::Lines(lines) => {
-                    observer.on_batch_size(lines.len());
-                    self.handler.is_fast(lines)
+        let queued = *pending_deferred > 0;
+        let work = match batch {
+            Batch::Lines(lines) => {
+                observer.on_batch_size(lines.len());
+                if queued {
+                    Deferred::lines(None, lines)
+                } else {
+                    let Some((at, waiting)) = self.handler.answer(lines, received, out) else {
+                        return;
+                    };
+                    Deferred::lines(Some(waiting), lines.get(at + 1..).unwrap_or(&[]))
                 }
-                Batch::Oversized { .. } => {
-                    observer.on_oversized();
-                    true
-                }
-            };
-            let batch = if fast && entry.pending_deferred == 0 {
-                batch
-            } else {
-                match self.lane.defer(token, received, batch) {
-                    Ok(()) => {
-                        entry.pending_deferred += 1;
-                        return true;
-                    }
-                    // Lane thread gone (it panicked): answer inline
-                    // rather than drop the batch.
-                    Err(batch) => batch,
-                }
-            };
-            let answer = answer_batch(self.handler, &batch, received);
-            for line in &answer.lines {
-                entry.conn.queue_line(line);
             }
-            if answer.stop {
-                self.handler.stop();
+            Batch::Oversized { len } => {
+                observer.on_oversized();
+                if !queued {
+                    push_line(out, &self.handler.oversized_line(len));
+                    return;
+                }
+                Deferred::Oversized { len }
             }
-            true
-        });
+        };
+        match self.lane.defer(token, received, work) {
+            Ok(()) => *pending_deferred += 1,
+            // Lane thread gone (it panicked): answer here rather than
+            // drop the work.
+            Err(work) => {
+                if work.answer(self.handler, received, out) {
+                    self.handler.stop();
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handler::Answer;
+    use std::borrow::Cow;
     use std::io::{BufRead, BufReader, Read as _, Write as _};
     use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
@@ -566,41 +583,45 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    /// Uppercases every line. A line ending in "stop" requests a stop
-    /// (and ends its batch). A batch holding a line that starts with
-    /// "slow" or "hold" is not fast; a "hold" batch also blocks in
-    /// `answer` until the test releases one permit, so a test can race
-    /// its reply against connection death, slot reuse, and other
-    /// connections' traffic. No helper threads: the reactor's own lane
-    /// is the only thing that ever runs a slow batch.
+    /// Uppercases every line. Lines starting with "slow" or "hold" and
+    /// lines ending in "stop" must wait: `answer` hands them back and
+    /// `finish` answers them — a "hold" line only after the test
+    /// releases one permit, so a test can race its reply against
+    /// connection death, slot reuse, and other connections' traffic; a
+    /// "…stop" line asks for a stop. No helper threads: the reactor's
+    /// own lane is the only thing that ever finishes a waiting line.
     struct EchoUpper {
         stop: AtomicBool,
         permits: Mutex<Receiver<()>>,
-        /// "hold" batches that have entered `answer`.
+        /// "hold" lines that have entered `finish`.
         held: AtomicUsize,
     }
 
     impl Handler for EchoUpper {
-        fn is_fast(&self, lines: &[String]) -> bool {
-            !lines
-                .iter()
-                .any(|l| l.starts_with("slow") || l.starts_with("hold"))
+        type Waiting = String;
+
+        fn answer(
+            &self,
+            lines: &[Cow<'_, str>],
+            _received: Instant,
+            out: &mut Vec<u8>,
+        ) -> Option<(usize, String)> {
+            for (k, line) in lines.iter().enumerate() {
+                if line.starts_with("slow") || line.starts_with("hold") || line.ends_with("stop") {
+                    return Some((k, line.to_string()));
+                }
+                push_line(out, &line.to_uppercase());
+            }
+            None
         }
 
-        fn answer(&self, lines: &[String], _received: Instant) -> Answer {
-            if lines.iter().any(|l| l.starts_with("hold")) {
+        fn finish(&self, waiting: String, out: &mut Vec<u8>) -> bool {
+            if waiting.starts_with("hold") {
                 self.held.fetch_add(1, Ordering::SeqCst);
                 let _ = self.permits.lock().unwrap().recv();
             }
-            let mut answer = Answer::default();
-            for line in lines {
-                answer.lines.push(line.to_uppercase());
-                if line.ends_with("stop") {
-                    answer.stop = true;
-                    break;
-                }
-            }
-            answer
+            push_line(out, &waiting.to_uppercase());
+            waiting.ends_with("stop")
         }
         fn stop(&self) {
             self.stop.store(true, Ordering::SeqCst);
@@ -624,8 +645,8 @@ mod tests {
         batches: Vec<usize>,
     }
 
-    /// Shares its counts, so a test can wait for the event loop to have
-    /// seen a batch before it sends the next one.
+    /// Shares its counts, so a test can look at them while the event
+    /// loop runs.
     struct CountingObserver(Arc<Mutex<Counts>>);
 
     impl Observer for CountingObserver {
@@ -673,10 +694,6 @@ mod tests {
             self.wait_until("held batches", |r| {
                 r.handler.held.load(Ordering::SeqCst) >= n
             });
-        }
-
-        fn wait_batches(&self, n: usize) {
-            self.wait_until("batches", |r| r.counts.lock().unwrap().batches.len() >= n);
         }
 
         /// Stop the reactor (if a request has not already) and hand
@@ -789,17 +806,17 @@ mod tests {
         assert!(counts.closes >= 1, "closes = {}", counts.closes);
     }
 
-    /// A stop request is acknowledged before the loop exits, whether
-    /// the batch was answered inline or through the slow lane (which
+    /// A stop request is acknowledged before the loop exits (the lane
     /// delivers the ack to the mailbox before it calls `stop`), and
     /// lines after the request owe nothing.
     #[test]
-    fn stop_is_acked_before_the_loop_exits_on_both_paths() {
+    fn stop_is_acked_before_the_loop_exits() {
         for request in ["stop", "slow-stop"] {
             let rig = spawn_reactor(4);
             let (mut sock, mut reader) = rig.connect();
-            sock.write_all(format!("{request}\nnever-answered\n").as_bytes())
+            sock.write_all(format!("first\n{request}\nnever-answered\n").as_bytes())
                 .unwrap();
+            assert_eq!(read_trimmed(&mut reader), "FIRST");
             assert_eq!(read_trimmed(&mut reader), request.to_uppercase());
             // The reactor stops on its own and closes the connection
             // without answering the trailing line.
@@ -809,12 +826,40 @@ mod tests {
         }
     }
 
+    /// The defer-from-line-k rule: a batch is answered inline up to its
+    /// first waiting line — those responses leave at once — and the
+    /// waiting line plus everything behind it come back through the
+    /// lane, still in request order.
+    #[test]
+    fn a_batch_is_answered_inline_up_to_its_first_waiting_line() {
+        let rig = spawn_reactor(4);
+        let (mut sock, mut reader) = rig.connect();
+        sock.write_all(b"fast-1\nfast-2\nhold-3\nfast-4\nslow-5\nfast-6\n")
+            .unwrap();
+        // The inline part arrives while the lane is parked on line 3.
+        assert_eq!(read_trimmed(&mut reader), "FAST-1");
+        assert_eq!(read_trimmed(&mut reader), "FAST-2");
+        rig.wait_held(1);
+        sock.set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        assert!(
+            reader.fill_buf().is_err(),
+            "a reply overtook the waiting line"
+        );
+        sock.set_read_timeout(None).unwrap();
+        rig.release.send(()).unwrap();
+        let got: Vec<String> = (0..4).map(|_| read_trimmed(&mut reader)).collect();
+        assert_eq!(got, ["HOLD-3", "FAST-4", "SLOW-5", "FAST-6"]);
+        rig.finish();
+    }
+
     #[test]
     fn slow_batches_reply_through_the_lane_in_order() {
         let rig = spawn_reactor(4);
         let (mut sock, mut reader) = rig.connect();
-        // One batch of two lines, deferred whole: replies come back
-        // through the mailbox, still in request order.
+        // One batch of two waiting lines, deferred from the first:
+        // replies come back through the mailbox, still in request
+        // order.
         sock.write_all(b"slow-one\nslow-two\n").unwrap();
         let got: Vec<String> = (0..2).map(|_| read_trimmed(&mut reader)).collect();
         assert_eq!(got, ["SLOW-ONE", "SLOW-TWO"]);
@@ -825,61 +870,70 @@ mod tests {
         rig.finish();
     }
 
-    /// The lane's FIFO rule: while a connection has a deferred batch
-    /// outstanding, its later batches — fast ones and oversized
-    /// rejections included — queue behind it, and nobody else waits.
+    /// While a connection has deferred work outstanding it is not read:
+    /// what it sends meanwhile — fast lines and oversized ones alike —
+    /// waits in the socket and is answered after it, in order, and
+    /// nobody else waits. The same holds for what the deferring read
+    /// itself still held: it queues behind on the lane.
     #[test]
-    fn batches_behind_a_slow_one_wait_their_turn_and_other_connections_do_not() {
+    fn requests_behind_a_waiting_one_wait_their_turn_and_other_connections_do_not() {
         let rig = spawn_reactor(4);
         let (mut a, mut a_reader) = rig.connect();
-        a.write_all(b"hold-a\n").unwrap();
+        // One read: the held line, an oversized line, a fast line.
+        let mut first = b"hold-a\n".to_vec();
+        first.extend_from_slice(&[b'z'; 65]);
+        first.extend_from_slice(b"\nsame-read\n");
+        a.write_all(&first).unwrap();
         rig.wait_held(1);
-        // A fast line, an oversized line and another fast line arrive
-        // while the lane thread is parked inside A's slow batch.
+        // More arrives while the lane thread is parked on A's line.
         a.write_all(b"fast-a\n").unwrap();
         a.write_all(&[b'z'; 65]).unwrap();
         a.write_all(b"\nlast-a\n").unwrap();
-        rig.wait_batches(3);
 
         // Connection B is answered inline, right past the parked lane.
         let (mut b, mut b_reader) = rig.connect();
         b.write_all(b"ping\n").unwrap();
         assert_eq!(read_trimmed(&mut b_reader), "PING");
-        // ... while A has not been sent a byte: nothing overtook.
+        // ... while A has not been sent a byte, nor read any further:
+        // nothing overtook.
         a.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
         assert!(
             a_reader.fill_buf().is_err(),
-            "a reply overtook the held batch"
+            "a reply overtook the held line"
         );
         a.set_read_timeout(None).unwrap();
+        assert_eq!(rig.counts.lock().unwrap().batches, [1, 1, 1]);
 
         rig.release.send(()).unwrap();
-        let got: Vec<String> = (0..4).map(|_| read_trimmed(&mut a_reader)).collect();
-        assert_eq!(got[..2], ["HOLD-A", "FAST-A"]);
-        assert!(got[2].starts_with("oversized:"), "got {got:?}");
-        assert_eq!(got[3], "LAST-A");
+        let got: Vec<String> = (0..6).map(|_| read_trimmed(&mut a_reader)).collect();
+        assert_eq!(got[0], "HOLD-A");
+        assert!(got[1].starts_with("oversized:"), "got {got:?}");
+        assert_eq!(got[2..4], ["SAME-READ", "FAST-A"]);
+        assert!(got[4].starts_with("oversized:"), "got {got:?}");
+        assert_eq!(got[5], "LAST-A");
         rig.finish();
     }
 
     #[test]
     fn stale_deferred_reply_is_dropped_when_the_slot_is_reused() {
         let rig = spawn_reactor(4);
-        // Connection A parks three deferred batches (each write waits
-        // for the event loop to have taken the one before, so each is
-        // its own batch), then disappears.
+        // Connection A parks five pieces of deferred work with one
+        // read — three held lines, cut apart by oversized ones — then
+        // disappears.
         let (mut a, _) = rig.connect();
-        a.write_all(b"hold-1\n").unwrap();
+        let mut script = Vec::new();
+        for held in ["hold-1\n", "hold-2\n", "hold-3\n"] {
+            script.extend_from_slice(&[b'z'; 65]);
+            script.extend_from_slice(format!("\n{held}").as_bytes());
+        }
+        a.write_all(&script[66..]).unwrap();
         rig.wait_held(1);
-        a.write_all(b"hold-2\n").unwrap();
-        rig.wait_batches(2);
-        a.write_all(b"hold-3\n").unwrap();
-        rig.wait_batches(3);
-        drop(a); // FIN; the entry survives on its deferred batches
+        drop(a); // FIN; the entry survives on its deferred work
 
-        // First reply still writes cleanly (the peer's kernel answers
-        // with RST); after the RST lands, the second reply's write
-        // fails hard and the reactor frees the slot — with the third
-        // deferred batch still outstanding: a connection died mid-drain.
+        // First replies still write cleanly (the peer's kernel answers
+        // with RST); after the RST lands, the next reply's write fails
+        // hard and the reactor frees the slot — with the last piece of
+        // deferred work still outstanding: a connection died mid-drain.
         rig.release.send(()).unwrap();
         std::thread::sleep(Duration::from_millis(60));
         rig.release.send(()).unwrap();
@@ -891,9 +945,9 @@ mod tests {
         b.write_all(b"ping\n").unwrap();
         assert_eq!(read_trimmed(&mut reader), "PING");
 
-        // The third batch's reply finally arrives under A's old token.
-        // The generation tag must drop it: B's very next line is its
-        // own response, not A's buffered "HOLD-3".
+        // The last reply finally arrives under A's old token. The
+        // generation tag must drop it: B's very next line is its own
+        // response, not A's buffered "HOLD-3".
         rig.release.send(()).unwrap();
         rig.wait_held(3);
         std::thread::sleep(Duration::from_millis(60));

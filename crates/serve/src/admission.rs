@@ -7,11 +7,21 @@
 //! reserved for interactive tasks (the paper's latency-critical class):
 //! non-interactive work is shed first, so a burst of batch submissions
 //! cannot starve the class the scheduler exists to protect.
+//!
+//! On a paced server the queue is meant to be emptied every tick. One
+//! that is full, or whose oldest task has waited longer than a tick,
+//! says its worker is behind — mid-step, with its next pull about to
+//! empty it. A submitter that can afford to block (a wire connection's
+//! own thread, the reactor's slow lane) may therefore wait for that
+//! pull (`AdmissionQueue::wait_for_worker`) before it goes on, which
+//! paces closed-loop clients to the workers instead of filling the
+//! queue and failing them.
 
 use crate::stage::StageStamp;
 use dvfs_model::{Task, TaskClass};
 use std::collections::VecDeque;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
+use std::time::Duration;
 
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,6 +117,8 @@ pub enum GateOutcome {
 pub struct AdmissionQueue {
     policy: AdmissionPolicy,
     inner: Mutex<VecDeque<(Task, StageStamp)>>,
+    /// Signaled whenever a drain empties the queue.
+    drained: Condvar,
 }
 
 impl AdmissionQueue {
@@ -116,6 +128,7 @@ impl AdmissionQueue {
         AdmissionQueue {
             policy,
             inner: Mutex::new(VecDeque::new()),
+            drained: Condvar::new(),
         }
     }
 
@@ -182,14 +195,53 @@ impl AdmissionQueue {
         GateOutcome::Admitted(q.len())
     }
 
+    /// Whether the oldest queued task has been waiting for its
+    /// worker's pull for longer than `pace`.
+    pub(crate) fn is_stale(&self, pace: Duration) -> bool {
+        Self::stale(&self.lock(), pace)
+    }
+
+    fn stale(q: &VecDeque<(Task, StageStamp)>, pace: Duration) -> bool {
+        q.front().is_some_and(|(_, stamp)| {
+            crate::clock::wall_now().duration_since(stamp.admitted) > pace
+        })
+    }
+
+    /// Block while the worker is behind on this queue — it has no room
+    /// for a task of `class`, or it is stale by `pace` — and `open()`,
+    /// re-evaluated under the queue lock at least every few
+    /// milliseconds, stays true (it turns false when shutdown begins).
+    /// Room is not a reservation: the caller submits afterwards and may
+    /// still be shed if others took it first.
+    pub(crate) fn wait_for_worker(
+        &self,
+        class: TaskClass,
+        pace: Duration,
+        open: impl Fn() -> bool,
+    ) {
+        const RECHECK: Duration = Duration::from_millis(10);
+        let mut q = self.lock();
+        while open() && (self.policy.admit(q.len(), class).is_err() || Self::stale(&q, pace)) {
+            q = self
+                .drained
+                .wait_timeout(q, RECHECK)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+
     /// Take every queued task (scheduler side).
     pub fn drain(&self) -> Vec<Task> {
-        self.lock().drain(..).map(|(task, _)| task).collect()
+        let drained = self.lock().drain(..).map(|(task, _)| task).collect();
+        self.drained.notify_all();
+        drained
     }
 
     /// Take every queued task with its stage stamps (worker side).
     pub(crate) fn drain_stamped(&self) -> Vec<(Task, StageStamp)> {
-        self.lock().drain(..).collect()
+        let drained = self.lock().drain(..).collect();
+        self.drained.notify_all();
+        drained
     }
 
     /// Current depth.
@@ -290,5 +342,53 @@ mod tests {
             q.try_submit_gated(task(2, TaskClass::NonInteractive), || true),
             GateOutcome::Shed(_)
         ));
+    }
+
+    /// `wait_for_worker` returns at the worker's pull — for a full
+    /// queue and for a stale one alike — and when the gate closes;
+    /// an untroubled queue does not wait at all. The waiter signals
+    /// that it is about to block, so the pull provably comes second.
+    #[test]
+    fn wait_for_worker_ends_with_the_pull_or_the_gate() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc::sync_channel;
+        let pace = Duration::from_secs(3600);
+        let q = AdmissionQueue::new(AdmissionPolicy {
+            capacity: 1,
+            interactive_reserve: 0,
+        });
+        // Room and nothing stale: returns at once.
+        q.wait_for_worker(TaskClass::Batch, pace, || true);
+
+        q.try_submit(task(1, TaskClass::Batch)).unwrap();
+        for stale_after in [pace, Duration::ZERO] {
+            // Full (then, with a zero pace, stale as well): blocks
+            // until a drain.
+            let (about_to_wait, waiting) = sync_channel(0);
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| {
+                    about_to_wait.send(()).unwrap();
+                    q.wait_for_worker(TaskClass::Batch, stale_after, || true);
+                });
+                waiting.recv().unwrap();
+                std::thread::sleep(Duration::from_millis(20));
+                assert!(!waiter.is_finished(), "no pull yet: still waiting");
+                assert_eq!(q.drain().len(), 1);
+                waiter.join().unwrap();
+            });
+            q.try_submit(task(2, TaskClass::Batch)).unwrap();
+        }
+
+        // Still full, but the gate closes: returns without a pull.
+        let open = AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                q.wait_for_worker(TaskClass::Batch, pace, || open.load(Ordering::SeqCst));
+            });
+            open.store(false, Ordering::SeqCst);
+            waiter.join().unwrap();
+        });
+        assert_eq!(q.depth(), 1);
+        assert!(q.is_stale(Duration::ZERO) && !q.is_stale(pace));
     }
 }

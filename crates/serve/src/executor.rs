@@ -8,7 +8,8 @@
 //! `dvfs-sysfs` actuator at the moment the engine makes it — the
 //! actuation path a real deployment would use, not an after-the-fact
 //! log replay. This module adds only the [`RateActuator`] backends
-//! (plugged into the engine's observer seam) and the completion-ordered
+//! (plugged into the engine's observer seam), the running totals of
+//! what a paced round has already retired, and the completion-ordered
 //! [`RoundReport`].
 //!
 //! ## Determinism contract
@@ -32,13 +33,22 @@ use std::ops::{Deref, DerefMut};
 /// determinism tests can compare the two directly).
 #[derive(Debug, Clone)]
 pub struct RoundReport {
-    /// Records of completed tasks, in completion order.
+    /// Tasks the round completed: everything in `records` plus what
+    /// paced ticks retired before the drain.
+    pub completed: u64,
+    /// Records of the completed tasks still resident in the engine when
+    /// the report was taken, in completion order. A replay round
+    /// completes nothing before its drain, so there this is every task;
+    /// a paced round's ticks retire what they stream (see
+    /// [`RealTimeExecutor::retire_completions`]), so there it is only
+    /// what finished since the last tick.
     pub records: Vec<TaskRecord>,
     /// Total active energy in joules (integral of busy power).
     pub active_energy_joules: f64,
-    /// Sum of turnaround times, accumulated in task-id order (the same
-    /// summation order as `SimReport::total_turnaround`, so the floats
-    /// match bit for bit).
+    /// Sum of turnaround times: the resident records accumulated in
+    /// task-id order (the same summation order as
+    /// `SimReport::total_turnaround`, so a replay's floats match bit
+    /// for bit) on top of the retired tasks' running total.
     pub total_turnaround_s: f64,
     /// Time the last task completed.
     pub makespan_s: f64,
@@ -53,20 +63,22 @@ impl RoundReport {
     }
 
     /// Merge per-shard reports, accumulated in the given (deterministic
-    /// shard) order: records concatenate, energy and turnaround sum,
-    /// makespan takes the maximum. Merging a single report is the exact
+    /// shard) order: records concatenate, counts, energy and turnaround
+    /// sum, makespan takes the maximum. Merging a single report is the exact
     /// identity (`0.0 + x == x`, `max(0.0, x) == x` for the
     /// non-negative totals a round produces), so a one-shard service
     /// keeps the bit-identical replay contract.
     #[must_use]
     pub fn merge(reports: &[RoundReport]) -> RoundReport {
         let mut merged = RoundReport {
+            completed: 0,
             records: Vec::with_capacity(reports.iter().map(|r| r.records.len()).sum()),
             active_energy_joules: 0.0,
             total_turnaround_s: 0.0,
             makespan_s: 0.0,
         };
         for r in reports {
+            merged.completed += r.completed;
             merged.records.extend(r.records.iter().copied());
             merged.active_energy_joules += r.active_energy_joules;
             merged.total_turnaround_s += r.total_turnaround_s;
@@ -186,6 +198,10 @@ impl EngineObserver for Actuation {
 /// the [`RoundReport`] is defined here.
 pub struct RealTimeExecutor {
     engine: Engine<Actuation>,
+    /// How many tasks [`RealTimeExecutor::retire_completions`] has
+    /// removed from the engine this round, and their summed turnaround.
+    retired: u64,
+    retired_turnaround_s: f64,
 }
 
 impl Deref for RealTimeExecutor {
@@ -225,6 +241,8 @@ impl RealTimeExecutor {
         };
         RealTimeExecutor {
             engine: Engine::new(cfg, observer),
+            retired: 0,
+            retired_turnaround_s: 0.0,
         }
     }
 
@@ -252,19 +270,44 @@ impl RealTimeExecutor {
         )
     }
 
-    /// Summarize the round so far. The turnaround total sums in task-id
-    /// order — exactly like `SimReport`'s `BTreeMap` — so a drained
-    /// replay matches a library run bit for bit.
+    /// The paced streaming path: the records of tasks completed since
+    /// the previous call, which leave the engine for good — their count
+    /// and turnaround fold into the round's running totals (their
+    /// energy already sits in the engine's integral), so a round's
+    /// memory follows the work in flight, not the work done.
+    pub fn retire_completions(&mut self) -> Vec<TaskRecord> {
+        let records = self.engine.retire_completions();
+        self.retired += records.len() as u64;
+        self.retired_turnaround_s += records
+            .iter()
+            .filter_map(TaskRecord::turnaround)
+            .sum::<f64>();
+        records
+    }
+
+    /// Summarize the round so far. The resident turnarounds sum in
+    /// task-id order — exactly like `SimReport`'s `BTreeMap` — and a
+    /// replay retires nothing, so a drained replay matches a library
+    /// run bit for bit.
     #[must_use]
     pub fn round_report(&self) -> RoundReport {
+        let records: Vec<TaskRecord> = self.engine.completed_records().collect();
+        let resident_turnaround_s: f64 = self
+            .engine
+            .records()
+            .filter_map(TaskRecord::turnaround)
+            .sum();
         RoundReport {
-            records: self.engine.completed_records().collect(),
+            completed: self.retired + records.len() as u64,
+            records,
             active_energy_joules: self.engine.active_energy(),
-            total_turnaround_s: self
-                .engine
-                .records()
-                .filter_map(TaskRecord::turnaround)
-                .sum(),
+            // Not `0.0 + resident`: an empty sum is `-0.0`, which the
+            // wire document prints as such.
+            total_turnaround_s: if self.retired == 0 {
+                resident_turnaround_s
+            } else {
+                self.retired_turnaround_s + resident_turnaround_s
+            },
             makespan_s: self.engine.makespan(),
         }
     }

@@ -7,14 +7,22 @@
 //! drain *resets* the namespace together with the engines. The ledger
 //! itself is plain data — the scheduler wraps it in the mutex it holds
 //! across the admission-queue touch and the drain barrier.
+//!
+//! Auto ids come off a cursor and every id below the cursor counts as
+//! used, so the set holds only the explicit ids at or above it: a
+//! round of a million auto-id submits keeps one integer, not a million
+//! set entries.
 
 use std::collections::HashSet;
 
-/// Ids in use this round, plus the auto-id allocation cursor.
+/// The auto-id cursor plus the explicit ids claimed ahead of it.
 #[derive(Debug, Default)]
 pub(crate) struct IdLedger {
-    used: HashSet<u64>,
-    next_auto: u64,
+    /// Every id below this is taken (handed out, or explicit and
+    /// passed over).
+    cursor: u64,
+    /// Explicit ids in use at or above the cursor.
+    explicit: HashSet<u64>,
 }
 
 impl IdLedger {
@@ -24,31 +32,37 @@ impl IdLedger {
     /// # Errors
     /// The explicit id, when it is already in use this round.
     pub fn reserve(&mut self, id: Option<u64>) -> Result<u64, u64> {
-        let id = match id {
-            Some(id) if self.used.contains(&id) => return Err(id),
-            Some(id) => id,
+        match id {
+            Some(id) if id < self.cursor || !self.explicit.insert(id) => Err(id),
+            Some(id) => Ok(id),
             None => {
-                while self.used.contains(&self.next_auto) {
-                    self.next_auto += 1;
+                // An explicit id the cursor passes stays taken by being
+                // below it, so it can leave the set.
+                while self.explicit.remove(&self.cursor) {
+                    self.cursor += 1;
                 }
-                self.next_auto
+                self.cursor += 1;
+                Ok(self.cursor - 1)
             }
-        };
-        self.used.insert(id);
-        Ok(id)
+        }
     }
 
-    /// Give back a reserved id whose task was refused (invalid, shed,
-    /// or turned away by shutdown), so a retry can reuse it.
+    /// Give back the id reserved last, whose task was refused (invalid,
+    /// shed, or turned away by shutdown), so a retry can reuse it: an
+    /// explicit id leaves the set, the newest auto id rolls the cursor
+    /// back. (Any other id below the cursor stays taken — the submit
+    /// path only ever releases what it has just reserved.)
     pub fn release(&mut self, id: u64) {
-        self.used.remove(&id);
+        if !self.explicit.remove(&id) && self.cursor.checked_sub(1) == Some(id) {
+            self.cursor = id;
+        }
     }
 
     /// Start a new round: every id is free again and auto ids restart
     /// at zero.
     pub fn reset(&mut self) {
-        self.used.clear();
-        self.next_auto = 0;
+        self.explicit.clear();
+        self.cursor = 0;
     }
 }
 
@@ -86,6 +100,27 @@ mod tests {
         assert_eq!(ids.reserve(Some(9)), Ok(9));
         ids.release(9);
         assert_eq!(ids.reserve(Some(9)), Ok(9));
+    }
+
+    #[test]
+    fn only_explicit_ids_ahead_of_the_cursor_are_stored() {
+        let mut ids = IdLedger::default();
+        for want in 0..10_000 {
+            assert_eq!(ids.reserve(None), Ok(want));
+        }
+        assert!(ids.explicit.is_empty(), "auto ids cost no set entry");
+        // Explicit ids behind the cursor are duplicates of auto ids ...
+        assert_eq!(ids.reserve(Some(42)), Err(42));
+        // ... ahead of it they are stored until the cursor passes them.
+        assert_eq!(ids.reserve(Some(10_001)), Ok(10_001));
+        assert_eq!(ids.reserve(Some(10_001)), Err(10_001));
+        assert_eq!(ids.reserve(None), Ok(10_000));
+        assert_eq!(ids.reserve(None), Ok(10_002));
+        assert!(ids.explicit.is_empty(), "the passed id left the set");
+        assert_eq!(ids.reserve(Some(10_001)), Err(10_001), "and is still taken");
+        // Releasing the newest auto id after a skip rolls back onto it.
+        ids.release(10_002);
+        assert_eq!(ids.reserve(None), Ok(10_002));
     }
 
     #[test]

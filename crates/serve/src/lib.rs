@@ -30,7 +30,10 @@
 //!
 //! Module map:
 //!
-//! * [`protocol`] — wire request/response encoding.
+//! * [`protocol`] — wire request/response types and encoding; requests
+//!   are decoded, and submit acks encoded, by the crate-private `codec`
+//!   (a borrowed pull decoder that builds no JSON tree, a preformatted
+//!   integer encoder).
 //! * [`admission`] — the bounded queue and shed policy.
 //! * [`clock`] — the wall-clock seam (the only raw `Instant::now`).
 //! * [`metrics`] — counters, gauges, histograms, the registry.
@@ -60,6 +63,7 @@
 
 pub mod admission;
 pub mod clock;
+pub(crate) mod codec;
 pub mod config;
 pub mod executor;
 pub(crate) mod ids;

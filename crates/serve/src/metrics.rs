@@ -178,6 +178,21 @@ impl Histogram {
         }
     }
 
+    /// Record `n` samples of the same value — a batch that shares one
+    /// measured span — under one lock acquisition and one bucket
+    /// lookup.
+    pub fn record_n(&self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let mut h = self.lock();
+        h.counts[bucket_index(v)] += n;
+        h.count += n;
+        h.sum += v * n as f64;
+        h.min = h.min.min(v);
+        h.max = h.max.max(v);
+    }
+
     fn record_locked(h: &mut HistInner, v: f64) {
         h.counts[bucket_index(v)] += 1;
         h.count += 1;

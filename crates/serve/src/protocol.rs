@@ -198,6 +198,20 @@ impl Response {
         encode_or_internal(&obj)
     }
 
+    /// Append the wire line and its newline to a connection's output
+    /// bytes. A reply that lands on an empty buffer too small for it (a
+    /// multi-megabyte trace, typically alone in its batch) is adopted,
+    /// not copied.
+    pub fn push_line(&self, out: &mut Vec<u8>) {
+        let line = self.encode();
+        if out.is_empty() && line.len() >= out.capacity() {
+            *out = line.into_bytes();
+        } else {
+            out.extend_from_slice(line.as_bytes());
+        }
+        out.push(b'\n');
+    }
+
     /// Decode a wire line (client side).
     ///
     /// # Errors
@@ -241,12 +255,29 @@ pub fn field_f64(name: &str, v: f64) -> (String, Value) {
     (name.to_string(), Value::Number(Number::Float(v)))
 }
 
+/// A number as a `u64`, when it is a non-negative integer.
+pub(crate) fn number_u64(n: Number) -> Option<u64> {
+    match n {
+        Number::PosInt(n) => Some(n),
+        Number::NegInt(n) => u64::try_from(n).ok(),
+        Number::Float(_) => None,
+    }
+}
+
+/// A number as an `f64`.
+pub(crate) fn number_f64(n: Number) -> f64 {
+    match n {
+        Number::PosInt(n) => n as f64,
+        Number::NegInt(n) => n as f64,
+        Number::Float(f) => f,
+    }
+}
+
 /// Read a `u64` out of a payload value.
 #[must_use]
 pub fn value_u64(v: &Value) -> Option<u64> {
     match v {
-        Value::Number(Number::PosInt(n)) => Some(*n),
-        Value::Number(Number::NegInt(n)) => u64::try_from(*n).ok(),
+        Value::Number(n) => number_u64(*n),
         _ => None,
     }
 }
@@ -255,14 +286,12 @@ pub fn value_u64(v: &Value) -> Option<u64> {
 #[must_use]
 pub fn value_f64(v: &Value) -> Option<f64> {
     match v {
-        Value::Number(Number::PosInt(n)) => Some(*n as f64),
-        Value::Number(Number::NegInt(n)) => Some(*n as f64),
-        Value::Number(Number::Float(f)) => Some(*f),
+        Value::Number(n) => Some(number_f64(*n)),
         _ => None,
     }
 }
 
-fn parse_class(s: &str) -> Result<TaskClass, String> {
+pub(crate) fn parse_class(s: &str) -> Result<TaskClass, String> {
     match s {
         "interactive" => Ok(TaskClass::Interactive),
         "non_interactive" => Ok(TaskClass::NonInteractive),
@@ -283,56 +312,14 @@ pub fn class_name(class: TaskClass) -> &'static str {
     }
 }
 
-/// Parse one request line.
+/// Parse one request line — in one pass over its bytes, without
+/// building a JSON tree (see the `codec` module).
 ///
 /// # Errors
 /// Describes the malformation; the server wraps this in a
 /// `bad_request` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v: Value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
-    if v.as_object().is_none() {
-        return Err("request is not a JSON object".into());
-    }
-    let cmd = match v.get("cmd") {
-        Some(Value::String(s)) => s.as_str(),
-        Some(_) => return Err("`cmd` must be a string".into()),
-        None => return Err("request missing `cmd`".into()),
-    };
-    match cmd {
-        "submit" => {
-            let cycles = match v.get("cycles") {
-                Some(n) => value_u64(n).ok_or("`cycles` must be a positive integer")?,
-                None => return Err("submit missing `cycles`".into()),
-            };
-            let class = match v.get("class") {
-                Some(Value::String(s)) => parse_class(s)?,
-                Some(_) => return Err("`class` must be a string".into()),
-                None => return Err("submit missing `class`".into()),
-            };
-            let id = match v.get("id") {
-                Some(n) => Some(value_u64(n).ok_or("`id` must be a non-negative integer")?),
-                None => None,
-            };
-            let arrival = match v.get("arrival") {
-                Some(n) => Some(value_f64(n).ok_or("`arrival` must be a number")?),
-                None => None,
-            };
-            Ok(Request::Submit {
-                id,
-                cycles,
-                class,
-                arrival,
-            })
-        }
-        "stats" => Ok(Request::Stats),
-        "drain" => Ok(Request::Drain),
-        "trace" => Ok(Request::Trace),
-        "trace_stream" => Ok(Request::TraceStream),
-        "health" => Ok(Request::Health),
-        "ping" => Ok(Request::Ping),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(format!("unknown cmd `{other}`")),
-    }
+    crate::codec::decode_request(line)
 }
 
 /// Encode a submit request line for a task (client side; no trailing

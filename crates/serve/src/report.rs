@@ -61,7 +61,7 @@ pub(crate) fn drain(params: CostParams, reports: &[RoundReport]) -> Response {
         .map(|(k, r)| {
             Value::Object(vec![
                 field_u64("shard", k as u64),
-                field_u64("completed", r.records.len() as u64),
+                field_u64("completed", r.completed),
                 field_f64("total_cost", r.total_cost(params)),
                 field_f64("active_energy_joules", r.active_energy_joules),
                 field_f64("total_turnaround_s", r.total_turnaround_s),
@@ -70,7 +70,7 @@ pub(crate) fn drain(params: CostParams, reports: &[RoundReport]) -> Response {
         })
         .collect();
     Response::Ok(vec![
-        field_u64("completed", merged.records.len() as u64),
+        field_u64("completed", merged.completed),
         field_f64("total_cost", merged.total_cost(params)),
         field_f64("active_energy_joules", merged.active_energy_joules),
         field_f64("total_turnaround_s", merged.total_turnaround_s),

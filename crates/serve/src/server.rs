@@ -2,16 +2,18 @@
 //!
 //! One request path, two interchangeable wire drivers selected by
 //! [`ServerConfig::net`]. The server's whole protocol logic is one
-//! `dvfs_net::Handler` (implemented once, below): a batch of request
-//! lines in, one response line per request line out, consecutive
-//! submits folded into a single `Scheduler::submit_many` admission
-//! call. Both drivers live in `dvfs-net` and share its framer and batch
-//! splitter, so they cannot drift apart on the wire:
+//! `dvfs_net::Handler` (implemented once, below): one pass over a
+//! batch of request lines lent from the read buffer, each decoded once
+//! and answered straight into the connection's output bytes,
+//! consecutive submits folded into a single admission call. Both
+//! drivers live in `dvfs-net` and share its framer, so they cannot
+//! drift apart on the wire:
 //!
 //! - **`reactor`** (the Linux default): the single-threaded epoll
 //!   mini-reactor, multiplexing tens of thousands of connections on one
-//!   thread. It answers wire-speed batches inline and routes anything
-//!   that waits on the shard workers through its own slow lane.
+//!   thread. It answers inline up to the first request that waits on
+//!   the shard workers and routes the rest of that batch through its
+//!   own slow lane.
 //! - **`threads`**: an accept loop plus `dvfs_net::blocking::serve` on
 //!   one thread per connection. Kept for portability.
 //!
@@ -39,9 +41,9 @@
 
 use crate::metrics::Registry;
 use crate::protocol::{parse_request, ErrorKind, Request, Response};
-use crate::service::{Mode, Scheduler, SchedulerConfig, SubmitItem};
+use crate::service::{Mode, Refused, Scheduler, SchedulerConfig, SubmitItem};
 use crate::snapshot::SnapshotWriter;
-use crate::stage::StageClock;
+use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -159,6 +161,10 @@ enum Listener {
 
 struct Shared {
     scheduler: Scheduler,
+    /// The paced tick interval: how often a worker is meant to empty
+    /// its admission queue, hence how stale one may get before
+    /// submitters wait for the worker.
+    tick: Duration,
     metrics: Arc<Registry>,
     snapshot: Option<SnapshotWriter>,
     max_connections: usize,
@@ -184,109 +190,159 @@ impl Shared {
         }
     }
 
-    /// Push the responses for a run of consecutive submit lines — one
-    /// `Scheduler::submit_many` admission call for the whole run. The
-    /// stage clock closes the frame seam here: the bytes were read at
-    /// `received`, and parsing the run finished just before this call.
-    fn flush_submits(
-        &self,
-        pending: &mut Vec<SubmitItem>,
-        out: &mut Vec<String>,
-        received: Instant,
-    ) {
-        if pending.is_empty() {
-            return;
-        }
-        let clock = StageClock::framed_now(received);
-        for resp in self.scheduler.submit_many_timed(pending, clock) {
-            out.push(resp.encode());
-        }
-        pending.clear();
+    /// How far behind a shard worker may fall before submits wait for
+    /// it: a tick, on a paced service — the one place a worker's next
+    /// pull is coming. `None` on a replay service, whose queues empty on
+    /// a `drain` alone — which the same client may be about to send.
+    fn pace(&self) -> Option<Duration> {
+        matches!(self.scheduler.config().mode, Mode::Paced { .. }).then_some(self.tick)
     }
+}
+
+/// The requests that wait on a shard worker or a file write, decoded.
+/// The reactor finishes them on its slow lane, which keeps the event
+/// loop accepting and admitting while a round runs.
+#[derive(Debug, Clone, Copy)]
+enum Slow {
+    Stats,
+    Drain,
+    Trace,
+    TraceStream,
+    Shutdown,
+    /// A submit that found shard `shard`'s worker behind (paced
+    /// service): its queue full, or its oldest task waiting for longer
+    /// than a tick. It waits for the worker's next pull, so closed-loop
+    /// clients are paced to the workers instead of filling the queue
+    /// and being shed. `received` is its batch's wire-receive stamp.
+    Submit {
+        item: SubmitItem,
+        shard: usize,
+        received: Instant,
+    },
 }
 
 /// The wire protocol over the shared scheduler — the one request path
 /// both drivers call into.
 impl dvfs_net::Handler for Shared {
-    /// Whether every line of the batch is answerable without waiting on
-    /// the shard workers: submits (admission is a bounded queue push,
-    /// never a scheduling round), pings, and `health` — which reads
-    /// only heartbeat slots and leaf-locked metrics — plus malformed
-    /// lines, which cost one error response. `drain`/`stats`/`trace`/
-    /// `trace_stream`/`shutdown` wait on worker replies or file writes —
-    /// those batches belong on the reactor's slow lane, which keeps the
-    /// event loop accepting and admitting while a round runs.
-    fn is_fast(&self, lines: &[String]) -> bool {
-        lines.iter().all(|line| {
-            matches!(
-                parse_request(line),
-                Ok(Request::Submit { .. } | Request::Ping | Request::Health) | Err(_)
-            )
-        })
-    }
+    type Waiting = Slow;
 
-    /// One batch of complete request lines in, one response line per
-    /// request line out, in order. Consecutive submits are folded into
-    /// a single admission call stamped with `received` (when the
-    /// batch's bytes came off the wire). A `shutdown` request ends the
-    /// batch: it is acknowledged, remaining lines are not processed,
-    /// and the driver calls [`dvfs_net::Handler::stop`] once the ack is
-    /// on its way.
-    fn answer(&self, lines: &[String], received: Instant) -> dvfs_net::Answer {
-        let mut out = Vec::with_capacity(lines.len());
-        let mut pending: Vec<SubmitItem> = Vec::new();
-        let mut stop = false;
-        for line in lines {
-            let req = parse_request(line);
-            if !matches!(req, Ok(Request::Submit { .. })) {
-                self.flush_submits(&mut pending, &mut out, received);
-            }
-            let resp = match req {
+    /// One pass over a batch of complete request lines: each line is
+    /// decoded once and answered — its response line appended to `out`
+    /// — before the next is looked at. The batch's submits form one
+    /// [`SubmitRun`](crate::service::SubmitRun) stamped with `received`
+    /// (when the batch's bytes came off the wire). Everything answered
+    /// here is answerable without waiting on the shard workers —
+    /// submits (admission is a bounded queue push, never a scheduling
+    /// round), pings, `health` (heartbeat slots and leaf-locked metrics
+    /// only) and malformed lines (one error response each); the first
+    /// [`Slow`] request ends the pass and is handed back for
+    /// [`dvfs_net::Handler::finish`].
+    fn answer(
+        &self,
+        lines: &[Cow<'_, str>],
+        received: Instant,
+        out: &mut Vec<u8>,
+    ) -> Option<(usize, Slow)> {
+        let mut run = None;
+        for (k, line) in lines.iter().enumerate() {
+            let slow = match parse_request(line) {
                 Ok(Request::Submit {
                     id,
                     cycles,
                     class,
                     arrival,
                 }) => {
-                    pending.push(SubmitItem {
+                    let item = SubmitItem {
                         id,
                         cycles,
                         class,
                         arrival,
-                    });
+                    };
+                    let pace = self.pace();
+                    // The batch's first submit: is a worker more than
+                    // a tick behind already?
+                    let mut behind = match run {
+                        None => pace.and_then(|tick| self.scheduler.behind(tick)),
+                        Some(_) => None,
+                    };
+                    if behind.is_none() {
+                        let run = run.get_or_insert_with(|| self.scheduler.begin_run(received));
+                        match run.submit(item) {
+                            Ok(ack) => ack.push_line(out),
+                            Err(Refused::Response(refused)) => refused.push_line(out),
+                            Err(Refused::Full(full)) if pace.is_some() => behind = Some(full.shard),
+                            Err(Refused::Full(full)) => run.shed(full).push_line(out),
+                        }
+                    }
+                    let Some(shard) = behind else { continue };
+                    Slow::Submit {
+                        item,
+                        shard,
+                        received,
+                    }
+                }
+                Ok(Request::Ping) => {
+                    Response::ok().push_line(out);
                     continue;
                 }
-                Ok(Request::Stats) => self.scheduler.stats(),
-                Ok(Request::Drain) => {
-                    let resp = self.scheduler.drain_run();
-                    self.write_snapshot();
-                    self.scheduler.flush_trace_file();
-                    resp
-                }
-                Ok(Request::Trace) => {
-                    let resp = self.scheduler.trace_run();
-                    self.scheduler.flush_trace_file();
-                    resp
-                }
-                Ok(Request::TraceStream) => self.scheduler.trace_stream_run(),
-                Ok(Request::Health) => self.scheduler.health(),
-                Ok(Request::Ping) => Response::ok(),
-                Ok(Request::Shutdown) => {
-                    stop = true;
-                    Response::ok()
+                Ok(Request::Health) => {
+                    self.scheduler.health().push_line(out);
+                    continue;
                 }
                 Err(msg) => {
                     self.metrics.counter("malformed_requests").inc();
-                    Response::err(ErrorKind::BadRequest, msg)
+                    Response::err(ErrorKind::BadRequest, msg).push_line(out);
+                    continue;
                 }
+                Ok(Request::Stats) => Slow::Stats,
+                Ok(Request::Drain) => Slow::Drain,
+                Ok(Request::Trace) => Slow::Trace,
+                Ok(Request::TraceStream) => Slow::TraceStream,
+                Ok(Request::Shutdown) => Slow::Shutdown,
             };
-            out.push(resp.encode());
-            if stop {
-                break;
-            }
+            return Some((k, slow));
         }
-        self.flush_submits(&mut pending, &mut out, received);
-        dvfs_net::Answer { lines: out, stop }
+        None
+    }
+
+    /// Answer a request that waits on the shard workers or on a file
+    /// write. A `shutdown` is acknowledged here and reported as a stop:
+    /// the lines behind it are not processed, and the driver calls
+    /// [`dvfs_net::Handler::stop`] once the ack is on its way.
+    fn finish(&self, waiting: Slow, out: &mut Vec<u8>) -> bool {
+        let resp = match waiting {
+            Slow::Stats => self.scheduler.stats(),
+            Slow::Drain => {
+                let resp = self.scheduler.drain_run();
+                self.write_snapshot();
+                self.scheduler.flush_trace_file();
+                resp
+            }
+            Slow::Trace => {
+                let resp = self.scheduler.trace_run();
+                self.scheduler.flush_trace_file();
+                resp
+            }
+            Slow::TraceStream => self.scheduler.trace_stream_run(),
+            Slow::Shutdown => Response::ok(),
+            Slow::Submit {
+                item,
+                shard,
+                received,
+            } => {
+                // Room is not a reservation: if others took it first,
+                // the submit is shed after all.
+                self.scheduler.wait_for_worker(shard, item.class, self.tick);
+                let mut run = self.scheduler.begin_run(received);
+                match run.submit(item) {
+                    Ok(ack) => ack.response(),
+                    Err(Refused::Response(refused)) => refused,
+                    Err(Refused::Full(full)) => run.shed(full),
+                }
+            }
+        };
+        resp.push_line(out);
+        matches!(waiting, Slow::Shutdown)
     }
 
     fn stop(&self) {
@@ -421,6 +477,7 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
 
     let shared = Arc::new(Shared {
         scheduler,
+        tick: cfg.tick,
         metrics,
         snapshot,
         max_connections: cfg.max_connections.max(1),

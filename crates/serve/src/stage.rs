@@ -28,9 +28,13 @@ use crate::metrics::{shard_metric, Histogram, Registry};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Wire receive → frame/parse seam (framing + request parsing).
+/// Wire receive → frame/parse seam: framing, and decoding up to the
+/// batch's first submit.
 pub const STAGE_FRAME: &str = "stage_frame_s";
-/// Frame → admission seam (id ledger, validation, routing, queue push).
+/// Frame → admission seam, closed when the batch's last ack is
+/// written: id ledger, validation, routing, queue push — and, since
+/// lines are decoded and answered in one pass, the decoding of the
+/// batch's later lines.
 pub const STAGE_ADMIT: &str = "stage_admit_s";
 /// Admission → worker pull seam (time spent in the admission queue).
 pub const STAGE_QUEUE: &str = "stage_queue_s";
@@ -50,19 +54,12 @@ pub const REQUEST_E2E: &str = "request_e2e_s";
 pub struct StageClock {
     /// When the bytes were read off the wire.
     pub recv: Instant,
-    /// When framing + parsing of the batch finished.
+    /// When the batch's first submit was decoded (its `SubmitRun`
+    /// began).
     pub framed: Instant,
 }
 
 impl StageClock {
-    /// A degenerate clock for in-process submitters (no wire, so the
-    /// frame stage is empty): both seams stamp the current instant.
-    #[must_use]
-    pub fn now() -> Self {
-        let t = crate::clock::wall_now();
-        StageClock { recv: t, framed: t }
-    }
-
     /// A clock whose frame seam closes now (wire receive at `recv`).
     #[must_use]
     pub fn framed_now(recv: Instant) -> Self {
@@ -104,6 +101,13 @@ impl StagePair {
     pub fn record(&self, seconds: f64) {
         self.global.record(seconds);
         self.shard.record(seconds);
+    }
+
+    /// Record the same stage duration for `n` requests (a wire batch's
+    /// shared span), one lock acquisition per histogram.
+    pub fn record_n(&self, seconds: f64, n: u64) {
+        self.global.record_n(seconds, n);
+        self.shard.record_n(seconds, n);
     }
 
     /// Record a round's worth of stage durations, one lock acquisition
@@ -171,9 +175,7 @@ mod tests {
 
     #[test]
     fn stage_clock_seams_are_ordered() {
-        let c = StageClock::now();
+        let c = StageClock::framed_now(crate::clock::wall_now());
         assert!(c.framed >= c.recv);
-        let later = StageClock::framed_now(c.recv);
-        assert!(later.framed >= later.recv);
     }
 }

@@ -28,11 +28,12 @@
 //!   advance the executor to the wall-mapped target (computed from the
 //!   worker's *own* anchor at processing time, so a queued tick can
 //!   never warp a freshly drained engine onto the previous round's
-//!   clock), stream completions into the histograms, reply with the
-//!   pending-task count.
+//!   clock), stream completions into the histograms and retire them
+//!   from the engine, reply with the pending-task count.
 //! * [`Command::Drain`] — pull, run everything to completion, reply
-//!   with the round's [`RoundReport`], then stand up a fresh engine and
-//!   restart the local anchor for the next round.
+//!   with the round's [`RoundReport`] (records of what was still
+//!   resident, totals over the whole round), then stand up a fresh
+//!   engine and restart the local anchor for the next round.
 //! * [`Command::Stats`] — reply with the pending count and engine
 //!   clock.
 //! * [`Command::StartClock`] — arm the paced anchor (idempotent).
@@ -54,7 +55,7 @@ use crate::service::{service_platform, Mode, SchedulerConfig};
 use crate::stage::StageHists;
 use dvfs_core::sched::{ExecutorView, Scheduler as PolicyHooks};
 use dvfs_core::LeastMarginalCost;
-use dvfs_model::{CostParams, Task, TaskClass, TaskRecord};
+use dvfs_model::{Task, TaskClass, TaskRecord};
 use dvfs_trace::{ClassTag, EventKind, SharedRing};
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -555,7 +556,7 @@ pub(crate) fn broadcast<'a, T: 'a>(
 pub(crate) fn spawn(
     shared: Arc<ShardShared>,
     cfg: SchedulerConfig,
-    metrics: Arc<Registry>,
+    metrics: &Registry,
     lmc_hist: Arc<Histogram>,
 ) -> WorkerHandle {
     let (tx, rx) = std::sync::mpsc::sync_channel(COMMAND_QUEUE_BOUND);
@@ -563,6 +564,13 @@ pub(crate) fn spawn(
     let reply_dropped = metrics.counter("worker_reply_dropped");
     let name = format!("dvfs-shard-{}", shared.index);
     let worker_shared = Arc::clone(&shared);
+    let worker_metrics = StepMetrics {
+        completed: metrics.counter("completed"),
+        task_latency: metrics.histogram("task_latency_s"),
+        task_cost: metrics.histogram("task_cost"),
+        actuations: metrics.counter("actuations"),
+        actuation_errors: metrics.counter("actuation_errors"),
+    };
     let join = std::thread::Builder::new()
         .name(name)
         .spawn(move || {
@@ -570,7 +578,7 @@ pub(crate) fn spawn(
                 engine: Engine::fresh(&cfg, worker_shared.ring.clone()),
                 shared: worker_shared,
                 cfg,
-                metrics,
+                metrics: worker_metrics,
                 lmc_hist,
                 anchor: None,
                 recv_stamps: HashMap::new(),
@@ -587,20 +595,32 @@ pub(crate) fn spawn(
     }
 }
 
-/// Stage samples buffered across one step's completions so they land
-/// with one lock acquisition per histogram instead of one per task.
+/// Samples buffered across one step's completions so they land with
+/// one lock acquisition per histogram instead of one per task.
 #[derive(Default)]
-struct StageBatch {
+struct StepSamples {
+    latency: Vec<f64>,
+    cost: Vec<f64>,
     engine: Vec<f64>,
     service: Vec<f64>,
     e2e: Vec<f64>,
+}
+
+/// The service-wide metrics every step publishes into, resolved once
+/// at spawn (the per-shard handles live in [`ShardShared`]).
+struct StepMetrics {
+    completed: Arc<Counter>,
+    task_latency: Arc<Histogram>,
+    task_cost: Arc<Histogram>,
+    actuations: Arc<Counter>,
+    actuation_errors: Arc<Counter>,
 }
 
 /// Everything one worker thread owns.
 struct Worker {
     shared: Arc<ShardShared>,
     cfg: SchedulerConfig,
-    metrics: Arc<Registry>,
+    metrics: StepMetrics,
     lmc_hist: Arc<Histogram>,
     engine: Engine,
     /// This shard's paced-clock anchor. Worker-local on purpose: it is
@@ -712,52 +732,50 @@ impl Worker {
         }
     }
 
-    /// Stream completions into the histograms and publish actuation
-    /// counters — the post-step bookkeeping both tick and drain share.
-    /// Stage samples are buffered across the step's completions and
-    /// landed with one lock acquisition per histogram, so telemetry
-    /// costs a round of batched records, not a mutex round-trip per
-    /// task.
-    fn finish_step(&mut self) {
-        let params = self.cfg.params;
-        let mut batch = StageBatch::default();
+    /// Stream a step's completions into the histograms and publish
+    /// actuation counters — the post-step bookkeeping both tick and
+    /// drain share. Samples are buffered across the step's completions
+    /// and landed with one lock acquisition per histogram, so a
+    /// completion costs a few pushes, not a mutex round-trip per
+    /// histogram per task.
+    fn finish_step(&mut self, records: &[TaskRecord]) {
+        let mut samples = StepSamples::default();
         let now = crate::clock::wall_now();
-        for rec in self.engine.exec.take_completions() {
-            self.observe_completion(&rec, params, now, &mut batch);
+        for rec in records {
+            self.observe_completion(rec, now, &mut samples);
         }
+        let n = records.len() as u64;
+        self.metrics.completed.add(n);
+        self.shared.completed.add(n);
+        self.metrics.task_latency.record_many(&samples.latency);
+        self.metrics.task_cost.record_many(&samples.cost);
         if self.cfg.telemetry {
             let stages = &self.shared.stages;
-            stages.engine.record_many(&batch.engine);
-            stages.service.record_many(&batch.service);
-            stages.e2e.record_many(&batch.e2e);
+            stages.engine.record_many(&samples.engine);
+            stages.service.record_many(&samples.service);
+            stages.e2e.record_many(&samples.e2e);
         }
         let (applied, errored) = self.engine.exec.take_actuations();
-        self.metrics.counter("actuations").add(applied);
-        self.metrics.counter("actuation_errors").add(errored);
+        self.metrics.actuations.add(applied);
+        self.metrics.actuation_errors.add(errored);
     }
 
-    /// Record a finished task into the latency/cost histograms and,
-    /// with telemetry on, close its stage seams: the engine-side stages
-    /// come free from the record's engine-second stamps, and the
-    /// end-to-end seam closes against the wire-receive stamp carried
-    /// through the admission queue (every completion in one step shares
-    /// the step's wall stamp — the seam tolerance already absorbs a
-    /// step of quantization). Migrated-in tasks have no stamp here
-    /// (their receive was observed on the origin shard), so they
-    /// contribute engine stages only.
-    fn observe_completion(
-        &mut self,
-        rec: &TaskRecord,
-        params: CostParams,
-        now: Instant,
-        batch: &mut StageBatch,
-    ) {
-        self.metrics.counter("completed").inc();
-        self.shared.completed.inc();
+    /// Sample a finished task's latency and cost and, with telemetry
+    /// on, close its stage seams: the engine-side stages come free from
+    /// the record's engine-second stamps, and the end-to-end seam
+    /// closes against the wire-receive stamp carried through the
+    /// admission queue (every completion in one step shares the step's
+    /// wall stamp — the seam tolerance already absorbs a step of
+    /// quantization). Migrated-in tasks have no stamp here (their
+    /// receive was observed on the origin shard), so they contribute
+    /// engine stages only.
+    fn observe_completion(&mut self, rec: &TaskRecord, now: Instant, samples: &mut StepSamples) {
         if let Some(turnaround) = rec.turnaround() {
-            self.metrics.histogram("task_latency_s").record(turnaround);
-            let cost = params.re * rec.energy_joules + params.rt * turnaround;
-            self.metrics.histogram("task_cost").record(cost);
+            let params = self.cfg.params;
+            samples.latency.push(turnaround);
+            samples
+                .cost
+                .push(params.re * rec.energy_joules + params.rt * turnaround);
         }
         if self.cfg.telemetry {
             if let (Some(first_start), Some(completion)) = (rec.first_start, rec.completion) {
@@ -772,15 +790,15 @@ impl Worker {
                     Mode::Paced { speed } if speed > 0.0 => speed.recip(),
                     _ => 1.0,
                 };
-                batch
+                samples
                     .engine
                     .push((first_start - rec.arrival).max(0.0) * scale);
-                batch
+                samples
                     .service
                     .push((completion - first_start).max(0.0) * scale);
             }
             if let Some(recv) = self.recv_stamps.remove(&rec.id.0) {
-                batch.e2e.push(now.duration_since(recv).as_secs_f64());
+                samples.e2e.push(now.duration_since(recv).as_secs_f64());
             }
         }
     }
@@ -850,7 +868,9 @@ impl Worker {
     }
 
     /// One paced step: pull admitted work, advance the executor clock
-    /// to the wall-mapped target, stream completions.
+    /// to the wall-mapped target, stream the completions — which leave
+    /// the engine here, so a long round's memory follows the work in
+    /// flight rather than the work done.
     fn tick(&mut self) -> TickReply {
         let target = self.target_time();
         self.pull_admitted();
@@ -862,7 +882,8 @@ impl Worker {
             };
             exec.step_until(&mut timed, target);
         }
-        self.finish_step();
+        let retired = self.engine.exec.retire_completions();
+        self.finish_step(&retired);
         self.publish_load();
         let pending = self.engine.exec.pending_tasks();
         self.shared.pending_gauge.set(pending as i64);
@@ -885,8 +906,10 @@ impl Worker {
             exec.run_to_completion(&mut timed);
         }
         // Completions not yet streamed by a paced tick land in the
-        // histograms now, exactly once.
-        self.finish_step();
+        // histograms now, exactly once, and stay resident for the
+        // report's `records`.
+        let fresh = self.engine.exec.take_completions();
+        self.finish_step(&fresh);
         let report = self.engine.exec.round_report();
         // Fresh round: the trace ring carries over so sequence numbers
         // stay continuous. Any leftover receive stamps (tasks migrated
@@ -1022,9 +1045,9 @@ mod tests {
     fn worker_loop_publishes_heartbeat() {
         let shared = test_shared();
         let cfg = SchedulerConfig::default();
-        let metrics = Arc::new(Registry::new());
+        let metrics = Registry::new();
         let lmc = metrics.histogram("lmc_decision_us");
-        let mut handle = spawn(Arc::clone(&shared), cfg, metrics, lmc);
+        let mut handle = spawn(Arc::clone(&shared), cfg, &metrics, lmc);
         handle.ask("tick", |reply| Command::Tick { reply });
         let snap = shared.hb.snapshot();
         assert_eq!(snap.cmd_depth, 0, "tick was dequeued");

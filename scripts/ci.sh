@@ -56,7 +56,10 @@ fi
 # drained lifecycle trace, byte for byte (trace_e2e). health_e2e drives
 # the runtime health plane over the wire in every cell: heartbeat/stage/
 # reactor sections of `health`, and the stage telescope summing to
-# end-to-end latency.
+# end-to-end latency. paced_retire drives waves of paced submits
+# between ticks at the cell's shard count: every tick retires what it
+# streams, so the drain finds nothing resident, VmRSS stays flat, and
+# the round's totals still equal what the ticks streamed.
 #
 # The shard axis is swept on the reactor (the default backend) only.
 # Both backends now run the same `dvfs_net::Handler` value through the
@@ -74,7 +77,15 @@ for cell in $SWEEP; do
     DVFS_SERVE_NET="$net" DVFS_SERVE_SHARDS="$shards" cargo test -q --test serve_e2e
     DVFS_SERVE_NET="$net" DVFS_SERVE_SHARDS="$shards" cargo test -q --test trace_e2e
     DVFS_SERVE_NET="$net" DVFS_SERVE_SHARDS="$shards" cargo test -q --test health_e2e
+    DVFS_SERVE_NET="$net" DVFS_SERVE_SHARDS="$shards" cargo test -q --test paced_retire
 done
+# Both backends in one binary: the framing table, the mixed-batch reply
+# order (a slow command between submits, an oversized line behind a
+# deferred one, a shutdown mid-batch) and the seeded differential. The
+# request decoder, the ack encoder and the borrowed framer are held to
+# their oracles (the tree parser, the generic encoder, the owning
+# framer) by unit property tests in dvfs-serve and dvfs-net, which
+# `cargo test --workspace` above already ran.
 run cargo test -q --test net_framing
 
 # Executor conformance (dvfs-core's sched::conformance suite): the one
@@ -172,12 +183,37 @@ echo "==> cargo metadata --offline --locked (sysbench manifest)"
 cargo metadata --offline --locked --format-version 1 \
     --manifest-path crates/bench/examples/sysbench/Cargo.toml >/dev/null
 
+# sysbench smoke: three seconds of the closed-loop saturation workload
+# through the stand-alone harness, exactly as BENCHMARK.json builds it.
+# Fails when the run's own verification does (books out of balance, a
+# shed or failed submit: `"correct":false`); the two figures a submit-
+# path change moves are printed, not gated — a 3 s run on a shared CI
+# host is a tripwire, the benchmark proper is the driver's. Two client
+# threads against a reactor and two shard workers need two cores to
+# mean anything.
+if [ "$(nproc)" -ge 2 ]; then
+    echo "==> sysbench smoke: wire_closed_sat, 3 s"
+    smoke="$(cargo run --release --offline --quiet \
+        --manifest-path crates/bench/examples/sysbench/Cargo.toml -- \
+        --workload wire_closed_sat --seed 1 --seconds 3 --trace 0)" || true
+    echo "$smoke" | grep -E '^(tasks_per_s|peak_rss_mib|fail_ratio) '
+    if ! echo "$smoke" | tail -n 1 | grep -q '"correct":true'; then
+        echo "ci: sysbench wire_closed_sat smoke failed its verification" >&2
+        echo "$smoke" | tail -n 3 >&2
+        exit 1
+    fi
+else
+    echo "==> SKIPPED: sysbench wire_closed_sat smoke (nproc < 2)"
+fi
+
 # Invariant gate: dvfs-lint enforces the contracts neither the compiler
 # nor a type can carry, each a per-file token rule over comment-
 # stripped, test-masked source — determinism (no hash-order iteration /
 # raw wall-clock reads outside the serve clock seam), layering
 # (dvfs-core/dvfs-serve must not reach dvfs-sim over normal deps; parsed
-# natively from Cargo.toml), wire-path panic-freedom,
+# natively from Cargo.toml), wire-path panic-freedom (all of dvfs-net,
+# and serve's codec / protocol / server / admission: the request
+# decoder and ack encoder meet every hostile byte first),
 # atomics-discipline (the token `Relaxed` only in serve/src/metrics.rs,
 # home of the AdvisoryCell; everything else names Acquire/Release or
 # SeqCst), channel-protocol (no unbounded `channel()`),

@@ -12,15 +12,19 @@
 //! Also pinned here: the connection budget sheds on accept with the
 //! explicit `overloaded` wire response on both backends, pipelined
 //! submit batches are answered in order, a replayed drain report is
-//! byte-identical between the two front-ends, and — the differential —
-//! one mixed request script cut at seeded random chunk boundaries
-//! draws the same response stream from both.
+//! byte-identical between the two front-ends, mixed batches (a slow
+//! command between submits, an oversized line behind a deferred one, a
+//! `shutdown` mid-batch) are answered in wire order, a paced server
+//! makes submits wait for a full queue's worker instead of shedding
+//! them, and — the differential — one mixed request script cut at
+//! seeded random chunk boundaries draws the same response stream from
+//! both.
 
 use dvfs_net::framing::{edge_cases, Expect};
 use dvfs_serve::loadgen::Connection;
 use dvfs_serve::protocol::{encode_command, encode_submit, value_u64, ErrorKind, Response};
 use dvfs_serve::{
-    serve, Endpoint, NetBackend, SchedulerConfig, ServerConfig, ServerHandle, MAX_LINE_BYTES,
+    serve, Endpoint, Mode, NetBackend, SchedulerConfig, ServerConfig, ServerHandle, MAX_LINE_BYTES,
 };
 use dvfs_suite::model::TaskClass;
 use rand::{Rng, SeedableRng};
@@ -362,6 +366,130 @@ fn seeded_random_chunking_draws_identical_streams_from_both_backends() {
         assert_eq!(at("<stats>"), Some(15), "seed {seed}");
         assert_eq!(at("<oversized>"), Some(16), "seed {seed}");
         assert_eq!(at("<health>"), Some(28), "seed {seed}");
+    }
+}
+
+/// The one-pass seam, batch by batch: each script below goes out in a
+/// single write, so the server meets it as one batch (or, for the
+/// oversized line, a few reads), and the reply order is pinned — on
+/// the reactor a batch is answered inline up to its first line that
+/// waits on a worker and through the slow lane from there, and nothing
+/// may show.
+#[test]
+fn mixed_batches_answer_in_wire_order_on_both_backends() {
+    let submit =
+        |i: u64| encode_submit(None, (i + 1) * 20_000_000, TaskClass::NonInteractive, None) + "\n";
+    let cmd = |name: &str| encode_command(name) + "\n";
+    let oversized = "x".repeat(MAX_LINE_BYTES + 1) + "\n";
+    let batches: [(String, &[&str]); 3] = [
+        // A slow command between submits: acks before it leave inline,
+        // the one after it follows it through the lane.
+        (
+            submit(0) + &submit(1) + &cmd("stats") + &submit(2),
+            &["ack 0", "ack 1", "<stats>", "ack 2"],
+        ),
+        // An oversized line behind a deferred command queues behind it.
+        (
+            cmd("stats") + &oversized + &cmd("ping") + &submit(3),
+            &["<stats>", "<oversized>", "{\"ok\":true}", "ack 3"],
+        ),
+        // A shutdown mid-batch is acknowledged; what follows it owes
+        // nothing, and the connection closes.
+        (
+            submit(4) + &cmd("shutdown") + &cmd("ping") + &submit(5),
+            &["ack 4", "{\"ok\":true}"],
+        ),
+    ];
+    let mut streams: Vec<Vec<String>> = Vec::new();
+    for net in BACKENDS {
+        let handle = start(net, &format!("mixed-{}", net.name()), 8);
+        let stream = connect(&handle);
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut got = Vec::new();
+        for (wire, want) in &batches {
+            (&stream).write_all(wire.as_bytes()).expect("batch writes");
+            for want in *want {
+                let mut line = String::new();
+                assert!(reader.read_line(&mut line).expect("reads") > 0, "[{net:?}]");
+                let line = line.trim();
+                let want = match want.strip_prefix("ack ") {
+                    // Ack bytes are fixed, field order included; a
+                    // replay queue only grows, so the n-th auto id
+                    // finds n tasks ahead of it.
+                    Some(id) => {
+                        let id: u64 = id.parse().expect("ack id");
+                        let depth = id + 1;
+                        format!("{{\"ok\":true,\"id\":{id},\"depth\":{depth},\"shard\":0}}")
+                    }
+                    None => (*want).to_string(),
+                };
+                assert_eq!(comparable(line), want, "[{net:?}] batch {wire:.40?}");
+                got.push(line.to_string());
+            }
+        }
+        let mut rest = String::new();
+        assert_eq!(
+            reader.read_line(&mut rest).expect("eof read"),
+            0,
+            "[{net:?}] lines behind the shutdown owe nothing: {rest:?}"
+        );
+        handle.wait();
+        streams.push(got.iter().map(|l| comparable(l)).collect());
+    }
+    assert_eq!(streams[0], streams[1]);
+}
+
+/// A paced server paces its wire clients to the shard workers: a
+/// submit that finds the admission queue full (eight slots here,
+/// against 3 000 pipelined submits) waits for the worker's next pull
+/// instead of being shed, while its connection is not read — so every
+/// submit is acknowledged, in order, and completes. (A replay server
+/// sheds at the same bound: `serve_e2e.rs`.)
+#[test]
+fn paced_wire_submits_wait_for_the_worker_instead_of_being_shed() {
+    const SUBMITS: u64 = 3_000;
+    for net in BACKENDS {
+        let cfg = ServerConfig {
+            net,
+            scheduler: SchedulerConfig {
+                cores: 2,
+                mode: Mode::Paced { speed: 100_000.0 },
+                queue_capacity: 8,
+                ..SchedulerConfig::default()
+            },
+            tick: Duration::from_millis(2),
+            ..ServerConfig::new(Endpoint::Unix(scratch(&format!("paced-{}", net.name()))))
+        };
+        let handle = serve(cfg).expect("server binds");
+        let stream = connect(&handle);
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let wire: String = (0..SUBMITS)
+            .map(|i| encode_submit(None, 1_000_000 + i, TaskClass::NonInteractive, None) + "\n")
+            .collect();
+        let writer = std::thread::spawn(move || {
+            (&stream).write_all(wire.as_bytes()).expect("submits write");
+            stream
+        });
+        for id in 0..SUBMITS {
+            let resp = read_response(&mut reader);
+            assert_eq!(
+                resp.field("id").and_then(value_u64),
+                Some(id),
+                "[{net:?}] submit {id} must be admitted, in order: {resp:?}"
+            );
+        }
+        let stream = writer.join().expect("writer thread");
+        writeln!(&stream, "{}", encode_command("drain")).expect("drain writes");
+        let drained = read_response(&mut reader);
+        assert_eq!(
+            drained.field("completed").and_then(value_u64),
+            Some(SUBMITS),
+            "[{net:?}] the round counts what its ticks retired: {drained:?}"
+        );
+        assert_eq!(handle.metrics().counter("shed").get(), 0, "[{net:?}]");
+        assert_eq!(handle.metrics().counter("completed").get(), SUBMITS);
+        handle.shutdown();
+        handle.wait();
     }
 }
 
