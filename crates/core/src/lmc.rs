@@ -77,6 +77,18 @@ pub struct LeastMarginalCost {
     cores: Vec<CoreQueue>,
     placement: InteractivePlacement,
     rr_next: usize,
+    /// The per-core Eq. 27 costs of the arrival being placed: filled
+    /// once, read by the argmin and then handed to the trace, if there
+    /// is one. Kept across arrivals so the untraced path never
+    /// allocates.
+    costs: Vec<f64>,
+}
+
+/// The core with the least cost, ties to the lower index.
+fn least(costs: &[f64]) -> CoreId {
+    (0..costs.len())
+        .min_by(|&a, &b| costs[a].partial_cmp(&costs[b]).expect("finite costs"))
+        .expect("platform has cores")
 }
 
 impl LeastMarginalCost {
@@ -99,6 +111,7 @@ impl LeastMarginalCost {
             cores,
             placement: InteractivePlacement::default(),
             rr_next: 0,
+            costs: Vec::new(),
         }
     }
 
@@ -250,26 +263,14 @@ impl LeastMarginalCost {
 
     fn handle_interactive(&mut self, sim: &mut dyn ExecutorView, task: &Task) {
         let tracing = sim.trace().is_some();
-        let mut costs: Vec<f64> = Vec::new();
+        self.costs.clear();
         let best = match self.placement {
             InteractivePlacement::MarginalCost => {
-                if tracing {
-                    // Provenance: re-evaluate the pure Eq. 27 scan into
-                    // a vector (identical values, identical query
-                    // order) so the decision can be audited.
-                    costs = (0..self.cores.len())
-                        .map(|j| self.interactive_marginal_cost(sim, j, task.cycles))
-                        .collect();
+                for j in 0..self.cores.len() {
+                    let cost = self.interactive_marginal_cost(sim, j, task.cycles);
+                    self.costs.push(cost);
                 }
-                (0..self.cores.len())
-                    .map(|j| (self.interactive_marginal_cost(sim, j, task.cycles), j))
-                    .min_by(|a, b| {
-                        a.0.partial_cmp(&b.0)
-                            .expect("finite costs")
-                            .then(a.1.cmp(&b.1))
-                    })
-                    .expect("platform has cores")
-                    .1
+                least(&self.costs)
             }
             InteractivePlacement::LeastQueue => (0..self.cores.len())
                 .min_by_key(|&j| (self.cores[j].n_waiting(), j))
@@ -291,6 +292,7 @@ impl LeastMarginalCost {
             let nj = self.cores[best].n_waiting() as f64;
             let wait_delta =
                 self.params.rt * l * r.time_per_cycle + self.params.rt * l * r.time_per_cycle * nj;
+            let costs = std::mem::take(&mut self.costs);
             self.record_enqueue(
                 sim,
                 task,
@@ -329,25 +331,13 @@ impl LeastMarginalCost {
 
     fn handle_non_interactive(&mut self, sim: &mut dyn ExecutorView, task: &Task) {
         let tracing = sim.trace().is_some();
-        let mut costs: Vec<f64> = Vec::new();
-        if tracing {
-            // Provenance: the same ledger queries in the same order,
-            // collected so the comparison the policy made is in the
-            // trace. `marginal_insert_cost` is a query (no insert), so
-            // re-running it does not perturb the decision below.
-            costs = (0..self.cores.len())
-                .map(|j| self.cores[j].ledger.marginal_insert_cost(task.cycles))
-                .collect();
+        self.costs.clear();
+        for core in &mut self.cores {
+            // A query: the ledger is left as it was found.
+            self.costs
+                .push(core.ledger.marginal_insert_cost(task.cycles));
         }
-        let best = (0..self.cores.len())
-            .map(|j| (self.cores[j].ledger.marginal_insert_cost(task.cycles), j))
-            .min_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("finite costs")
-                    .then(a.1.cmp(&b.1))
-            })
-            .expect("platform has cores")
-            .1;
+        let best = least(&self.costs);
         let h = self.cores[best].ledger.insert(task.cycles);
         self.cores[best].by_handle.insert(h, task.id);
         if tracing {
@@ -360,9 +350,10 @@ impl LeastMarginalCost {
                 .ledger
                 .rate_at(position)
                 .min(sim.max_allowed_rate(best));
-            let total = costs.get(best).copied().unwrap_or(0.0);
+            let total = self.costs[best];
             let r = sim.rate_table(best).rate(rate);
             let energy_delta = self.params.re * task.cycles as f64 * r.energy_per_cycle;
+            let costs = std::mem::take(&mut self.costs);
             self.record_enqueue(
                 sim,
                 task,

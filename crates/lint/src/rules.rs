@@ -320,7 +320,7 @@ pub fn reactor_nonblocking(text: &str, file: &str) -> Vec<Violation> {
             file,
             at,
             "reactor-nonblocking",
-            format!("blocking `{what}` inside the reactor event-loop module; the loop must stay nonblocking — blocking work belongs on the slow lane (`net/src/lane.rs`: hand the request back from `Handler::answer` and block in `Handler::finish`), whose replies come back through the mailbox"),
+            format!("blocking `{what}` inside the reactor event-loop module; the loop must stay nonblocking — blocking work belongs on the slow lane (`net/src/lane.rs`: have `Handler::answer` return `Answered::WouldBlock` to `Caller::EventLoop` and block when called again as `Caller::MayWait`), whose replies come back through the mailbox"),
         )
     };
     let mut out = Vec::new();

@@ -2,11 +2,11 @@
 //!
 //! The portable counterpart of the [`reactor`](crate::reactor): same
 //! framer, same [`Handler`] — only the I/O model differs. There is no
-//! event loop to keep responsive, so a request that must wait is
-//! finished right here, on the connection's own thread.
+//! event loop to keep responsive, so every batch is answered as a
+//! caller that may wait, right here on the connection's own thread.
 
 use crate::framing::{Batch, LineFramer};
-use crate::handler::{answer_through, push_line, recycle, Handler};
+use crate::handler::{push_line, recycle, Answered, Caller, Handler};
 use std::io::{self, ErrorKind, Read, Write};
 use std::time::Instant;
 
@@ -47,7 +47,8 @@ pub fn serve<S: Read + Write, H: Handler + ?Sized>(
         framer.batches(buf.get(..n).unwrap_or(&[]), |batch| {
             match batch {
                 Batch::Lines(lines) => {
-                    stop = answer_through(handler, None, lines, received, &mut out);
+                    stop = handler.answer(lines, received, &mut out, Caller::MayWait)
+                        == Answered::Stop;
                 }
                 Batch::Oversized { len } => push_line(&mut out, &handler.oversized_line(len)),
             }
@@ -74,34 +75,34 @@ mod tests {
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Uppercases every line; a "wait…" line is handed back to be
-    /// finished (lowercased, to tell the two paths apart) and a "stop"
-    /// line is a waiting request that asks for a stop.
+    /// Uppercases every line, but lowercases a "wait…" line and a
+    /// "stop" line (which asks for a stop): the lines an event loop
+    /// would not have been answered. This driver must never call as one.
     #[derive(Default)]
     struct Upper {
         stopped: AtomicBool,
     }
 
     impl Handler for Upper {
-        type Waiting = String;
-
         fn answer(
             &self,
             lines: &[Cow<'_, str>],
             _received: Instant,
             out: &mut Vec<u8>,
-        ) -> Option<(usize, String)> {
-            for (k, line) in lines.iter().enumerate() {
+            caller: Caller,
+        ) -> Answered {
+            assert_eq!(caller, Caller::MayWait);
+            for line in lines {
                 if line.starts_with("wait") || *line == "stop" {
-                    return Some((k, line.to_string()));
+                    push_line(out, &line.to_lowercase());
+                    if *line == "stop" {
+                        return Answered::Stop;
+                    }
+                } else {
+                    push_line(out, &line.to_uppercase());
                 }
-                push_line(out, &line.to_uppercase());
             }
-            None
-        }
-        fn finish(&self, waiting: String, out: &mut Vec<u8>) -> bool {
-            push_line(out, &waiting.to_lowercase());
-            waiting == "stop"
+            Answered::All
         }
         fn stop(&self) {
             self.stopped.store(true, Ordering::SeqCst);
@@ -185,15 +186,15 @@ mod tests {
     }
 
     #[test]
-    fn one_write_per_read_in_order_across_waiting_requests() {
+    fn one_write_per_read_in_order_across_lines_that_wait() {
         let big = "b".repeat(8 * 1024);
         let mut stream = Script::new([
             Some(b"one\nwait-a\ntwo\nwait-b\nwait-c\nthree\n".to_vec()),
             Some(format!("small\n{big}\nafter\n").into_bytes()),
         ]);
         serve(&mut stream, 16 * 1024, &Upper::default()).unwrap();
-        // Each read's responses leave in one write, waiting requests
-        // finished in their wire position.
+        // Each read's responses leave in one write, the lines that
+        // wait answered in their wire position.
         assert_eq!(stream.writes.len(), 2);
         assert_eq!(
             stream.writes[0],

@@ -1,51 +1,66 @@
 //! The one seam between a wire driver and the embedding server's
 //! protocol logic. Both drivers frame bytes with the same framer and
-//! hand every batch it cuts to the same [`Handler`] — which cannot tell
-//! who is calling, and that is what makes the two front-ends
+//! hand every batch it cuts to the same [`Handler::answer`] — which is
+//! told one thing about who is calling, whether that caller may wait,
+//! and nothing else. That is what makes the two front-ends
 //! byte-identical on the wire.
 //!
-//! The contract is one pass: [`Handler::answer`] walks a batch once,
-//! decodes each line once, and writes each response straight into the
-//! connection's output bytes. It never waits. The first request that
-//! would have to (a scheduler drain takes a whole round) ends the walk:
-//! `answer` hands it back, already decoded, as a [`Handler::Waiting`]
-//! together with its index `k`, having answered lines `..k`. Whoever
-//! may block — the blocking driver's own thread, the reactor's slow
-//! lane — then calls [`Handler::finish`] on it and carries on with
-//! lines `k + 1..`; the reactor's event loop instead defers from line
-//! `k`: the waiting request and an owned copy of the lines behind it go
-//! to the lane, and the loop moves on.
+//! The contract is one rule: **blocking is a property of the caller**.
+//! `answer` walks a batch once, decodes each line once, and writes each
+//! response straight into the connection's output bytes. A caller that
+//! may wait ([`Caller::MayWait`]: the blocking driver's own thread, the
+//! reactor's slow lane) gets every line answered, however long a line
+//! takes. The event loop ([`Caller::EventLoop`]) gets every line up to
+//! the first that would have to wait (a scheduler drain takes a whole
+//! round): `answer` stops *before* that line, with no side effect for
+//! it, and says where ([`Answered::WouldBlock`]); the reactor defers an
+//! owned copy of the lines from there to its lane, which calls the same
+//! `answer` again as a caller that may wait.
 
 use std::borrow::Cow;
 use std::time::Instant;
 
+/// Who is calling [`Handler::answer`]: may this thread wait?
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Caller {
+    /// The reactor's event loop: every connection waits while it does.
+    EventLoop,
+    /// A thread whose waiting holds up one connection's replies only.
+    MayWait,
+}
+
+/// How far [`Handler::answer`] got through a batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answered {
+    /// Every line is answered.
+    All,
+    /// A line asked the server to stop and is acknowledged; the lines
+    /// after it are not processed and owe no response. The driver calls
+    /// [`Handler::stop`] once the output is on its way. Stopping may
+    /// block, so only a caller that may wait is told this; on the event
+    /// loop a stop request is a line that would block.
+    Stop,
+    /// Only to [`Caller::EventLoop`]: lines `..k` are answered, line
+    /// `k` must wait and is untouched — nothing counted, nothing
+    /// written — as are the lines behind it.
+    WouldBlock(usize),
+}
+
 /// The embedding server's protocol logic, shared by every connection
 /// of either driver (hence `&self` and `Send + Sync`).
 pub trait Handler: Send + Sync {
-    /// A decoded request whose answer must wait on something slower
-    /// than a leaf lock. Crosses to the reactor's slow-lane thread.
-    type Waiting: Send;
-
     /// Answer a batch — complete request lines drained from one read of
     /// one connection, up to an oversized line — in order, appending
-    /// one newline-terminated response per line to `out`, without ever
-    /// blocking. Returns `None` when every line was answered, or
-    /// `Some((k, waiting))` when line `k` must wait: lines `..k` are
-    /// answered, line `k` is `waiting`, lines `k + 1..` are untouched.
-    /// `received` is when the batch's bytes came off the wire.
+    /// one newline-terminated response per line to `out`. Blocks only
+    /// when `caller` may wait. `received` is when the batch's bytes
+    /// came off the wire.
     fn answer(
         &self,
         lines: &[Cow<'_, str>],
         received: Instant,
         out: &mut Vec<u8>,
-    ) -> Option<(usize, Self::Waiting)>;
-
-    /// Answer a request [`Handler::answer`] handed back, appending its
-    /// response line to `out`. May block. Returns `true` when the
-    /// request asked the server to stop: the lines after it are not
-    /// processed and owe no response, and the driver calls
-    /// [`Handler::stop`] once `out` is on its way.
-    fn finish(&self, waiting: Self::Waiting, out: &mut Vec<u8>) -> bool;
+        caller: Caller,
+    ) -> Answered;
 
     /// Act on a stop request. Called after the requesting line's
     /// response is queued for (reactor) or written to (blocking) the
@@ -84,32 +99,5 @@ pub(crate) fn recycle(out: &mut Vec<u8>) {
         *out = Vec::new();
     } else {
         out.clear();
-    }
-}
-
-/// Answer `first` (a request an earlier [`Handler::answer`] handed
-/// back) and then every one of `lines`, blocking wherever the handler
-/// has to — the one loop the blocking driver and the slow lane share.
-/// Returns `true` when a request asked for a stop.
-pub(crate) fn answer_through<H: Handler + ?Sized>(
-    handler: &H,
-    first: Option<H::Waiting>,
-    lines: &[Cow<'_, str>],
-    received: Instant,
-    out: &mut Vec<u8>,
-) -> bool {
-    let mut waiting = first;
-    let mut rest = lines;
-    loop {
-        if let Some(waiting) = waiting.take() {
-            if handler.finish(waiting, out) {
-                return true;
-            }
-        }
-        let Some((at, next)) = handler.answer(rest, received, out) else {
-            return false;
-        };
-        waiting = Some(next);
-        rest = rest.get(at + 1..).unwrap_or(&[]);
     }
 }

@@ -1,52 +1,39 @@
-//! The reactor's slow lane: one thread that answers what the event
-//! loop must not wait for (a scheduler drain takes a whole round) and
-//! hands the response bytes back through the reactor's [`Mailbox`].
-//! One thread and one FIFO channel, so a connection's deferred work is
-//! answered in the order it was deferred. This file is deliberately
-//! outside `dvfs-lint`'s `reactor-nonblocking` scope: blocking is the
-//! lane's job.
+//! The reactor's slow lane: one thread that calls [`Handler::answer`]
+//! as a caller that may wait, on the lines the event loop stopped at (a
+//! scheduler drain takes a whole round), and hands the response bytes
+//! back through the reactor's [`Mailbox`]. One thread and one FIFO
+//! channel, so a connection's deferred work is answered in the order it
+//! was deferred. This file is deliberately outside `dvfs-lint`'s
+//! `reactor-nonblocking` scope: blocking is the lane's job.
 
-use crate::handler::{answer_through, push_line, Handler};
+use crate::handler::{push_line, Answered, Caller, Handler};
 use crate::reactor::Mailbox;
 use std::borrow::Cow;
 use std::sync::mpsc::{channel, Sender};
 use std::thread::Scope;
 use std::time::Instant;
 
-/// One piece of work the event loop handed over, owning its lines (the
-/// read buffer they were lent from is long gone when the lane runs).
-pub(crate) enum Deferred<W> {
-    /// `first` — the request the loop's `Handler::answer` stopped at,
-    /// already decoded — then `rest`, the lines behind it. A whole
-    /// batch queued behind outstanding work has no `first`.
-    Lines {
-        first: Option<W>,
-        rest: Vec<Cow<'static, str>>,
-    },
+/// One piece of work the event loop handed over.
+pub(crate) enum Deferred {
+    /// Request lines, from the one that would have blocked the loop on
+    /// (or a whole batch queued behind outstanding work) — owned: the
+    /// read buffer they were lent from is long gone when the lane runs.
+    Lines(Vec<Cow<'static, str>>),
     /// An oversized-line rejection queued behind outstanding work.
     Oversized { len: usize },
 }
 
-impl<W> Deferred<W> {
-    /// `first`, then an owned copy of the lent `rest`.
-    pub(crate) fn lines(first: Option<W>, rest: &[Cow<'_, str>]) -> Self {
-        Deferred::Lines {
-            first,
-            rest: rest
-                .iter()
-                .map(|line| Cow::Owned(line.as_ref().to_owned()))
-                .collect(),
-        }
-    }
-
+impl Deferred {
     /// Answer this work to the end, blocking wherever the handler has
     /// to. Returns `true` when a request asked for a stop.
     pub(crate) fn answer<H>(self, handler: &H, received: Instant, out: &mut Vec<u8>) -> bool
     where
-        H: Handler<Waiting = W> + ?Sized,
+        H: Handler + ?Sized,
     {
         match self {
-            Deferred::Lines { first, rest } => answer_through(handler, first, &rest, received, out),
+            Deferred::Lines(lines) => {
+                handler.answer(&lines, received, out, Caller::MayWait) == Answered::Stop
+            }
             Deferred::Oversized { len } => {
                 push_line(out, &handler.oversized_line(len));
                 false
@@ -56,32 +43,31 @@ impl<W> Deferred<W> {
 }
 
 /// Connection token, wire-receive stamp, and the work to answer.
-type Job<W> = (u64, Instant, Deferred<W>);
+type Job = (u64, Instant, Deferred);
 
 /// The event loop's end of the lane. Dropping it hangs the channel up;
 /// the lane thread finishes the jobs already queued and exits.
-pub(crate) struct Lane<W> {
-    tx: Sender<Job<W>>,
+pub(crate) struct Lane {
+    tx: Sender<Job>,
 }
 
-impl<W: Send> Lane<W> {
+impl Lane {
     /// Spawn the lane thread inside `scope`, so it may borrow the
     /// handler and is joined when the reactor returns.
     pub(crate) fn spawn<'scope, H>(
         scope: &'scope Scope<'scope, '_>,
         handler: &'scope H,
         mailbox: &'scope Mailbox,
-    ) -> Lane<W>
+    ) -> Lane
     where
-        H: Handler<Waiting = W> + ?Sized,
-        W: 'scope,
+        H: Handler + ?Sized,
     {
         // The reactor stops reading a connection at its first deferral
         // and resumes once every reply has landed, so the queue holds
         // at most one read's worth of work per connection — bounded by
         // the connection cap even though the channel itself is not.
         // dvfs-lint: allow(channel-protocol) slow lane bounded by the connection cap
-        let (tx, rx): (Sender<Job<W>>, _) = channel();
+        let (tx, rx): (Sender<Job>, _) = channel();
         scope.spawn(move || {
             while let Ok((token, received, work)) = rx.recv() {
                 let mut out = Vec::new();
@@ -105,8 +91,8 @@ impl<W: Send> Lane<W> {
         &self,
         token: u64,
         received: Instant,
-        work: Deferred<W>,
-    ) -> Result<(), Deferred<W>> {
+        work: Deferred,
+    ) -> Result<(), Deferred> {
         self.tx.send((token, received, work)).map_err(|e| e.0 .2)
     }
 }

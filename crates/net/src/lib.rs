@@ -22,16 +22,19 @@
 //!   against.
 //! - [`handler`] — the seam: [`Handler`] answers a batch of request
 //!   lines straight into a connection's output bytes, in one pass,
-//!   and hands back the first request that must wait.
+//!   told whether its caller may wait ([`Caller`]); when it may not,
+//!   the pass stops before the first line that would block
+//!   ([`Answered`]).
 //! - [`conn`] — per-connection read framer + buffered write side with
 //!   explicit backpressure ([`Connection`]).
 //! - [`reactor`] — the event loop ([`reactor::run`]): accept with a
 //!   shed-on-accept connection budget, answer inline up to the first
-//!   request that must wait, re-arm `EPOLLOUT` while responses are
-//!   part-written, and route the waiting request and what follows it
-//!   through a private slow-lane thread whose replies come back over
-//!   an eventfd-woken mailbox, so a slow request never blocks the
-//!   event loop.
+//!   line that would block, re-arm `EPOLLOUT` while responses are
+//!   part-written, and route that line and what follows it through a
+//!   private slow-lane thread — the same `Handler::answer`, called as
+//!   a caller that may wait — whose replies come back over an
+//!   eventfd-woken mailbox, so a slow request never blocks the event
+//!   loop.
 //! - [`blocking`] — the blocking driver ([`blocking::serve`]): one
 //!   `Read + Write` stream served on the calling thread, one write per
 //!   read.
@@ -52,6 +55,6 @@ pub mod sys;
 
 pub use conn::Connection;
 pub use framing::{Batch, Frame, LineFramer, DEFAULT_MAX_LINE};
-pub use handler::Handler;
+pub use handler::{Answered, Caller, Handler};
 pub use poller::{Event, Interest, Poller};
 pub use reactor::{NullObserver, Observer, ReactorConfig};

@@ -4,8 +4,8 @@
 //!
 //! Protocol logic stays out of this crate: the embedding server
 //! provides a [`Handler`] (answer a batch of request lines into the
-//! connection's output bytes) and an [`Observer`] (metrics taps). The reactor owns
-//! readiness, framing, batching, the connection budget,
+//! connection's output bytes) and an [`Observer`] (metrics taps). The
+//! reactor owns readiness, framing, batching, the connection budget,
 //! `EPOLLOUT`-re-armed backpressure, and the slow lane.
 //!
 //! Event-loop shape per wakeup:
@@ -17,8 +17,8 @@
 //! 3. connection readable → read into the loop's one scratch buffer,
 //!    let the framer cut each read into batches of lines lent from it,
 //!    answer each batch inline — straight into the connection's output
-//!    buffer — up to the first request that must wait, defer from
-//!    there, flush,
+//!    buffer — up to the first line that would block, defer from there,
+//!    flush,
 //! 4. waker readable → apply the replies the slow lane delivered to
 //!    the mailbox and flush them,
 //! 5. flush stopped by `EPOLLOUT`? re-arm write interest and finish the
@@ -26,30 +26,30 @@
 //!
 //! ## Deferred work (internal)
 //!
-//! [`Handler::answer`] never blocks: it stops at the first request
-//! that must wait and hands it back decoded. The reactor ships that
-//! request — with an owned copy of the batch's lines behind it, the
-//! one copy on this rare path — to its slow-lane thread (`lane.rs`),
-//! which finishes it, answers the rest, and delivers the bytes to the
-//! eventfd-woken mailbox. The reactor keeps the connection open (even
-//! across peer EOF) until every deferred reply has arrived. Tokens are
-//! generation-tagged, so a reply that outlives its connection is
-//! dropped instead of landing on a reused slot. While a connection has
-//! deferred work outstanding it is not read: its next requests wait in
-//! the socket (and, past the socket buffers, in the client), so no
-//! response can overtake the outstanding ones and the lane never holds
-//! more than one read's worth per connection. What that same read
-//! still held behind the deferral — further batches past an oversized
-//! line — is deferred whole through the same FIFO lane. None of this
-//! is visible to the handler: it answers lines, on whichever thread it
-//! is called.
+//! Called from the loop ([`Caller::EventLoop`]), [`Handler::answer`]
+//! never blocks: it stops before the first line that would and says
+//! where. The reactor ships an owned copy of the batch's lines from
+//! there on — the one copy on this rare path — to its slow-lane thread
+//! (`lane.rs`), which calls the same `answer` as a caller that may wait
+//! and delivers the bytes to the eventfd-woken mailbox. The reactor
+//! keeps the connection open (even across peer EOF) until every
+//! deferred reply has arrived. Tokens are generation-tagged, so a reply
+//! that outlives its connection is dropped instead of landing on a
+//! reused slot. While a connection has deferred work outstanding it is
+//! not read: its next requests wait in the socket (and, past the socket
+//! buffers, in the client), so no response can overtake the outstanding
+//! ones and the lane never holds more than one read's worth per
+//! connection. What that same read still held behind the deferral —
+//! further batches past an oversized line — is deferred whole through
+//! the same FIFO lane.
 
 use crate::conn::Connection;
 use crate::framing::{Batch, DEFAULT_MAX_LINE};
-use crate::handler::{push_line, Handler};
+use crate::handler::{push_line, Answered, Caller, Handler};
 use crate::lane::{Deferred, Lane};
 use crate::poller::{Event, Interest, Poller};
 use crate::sys;
+use std::borrow::Cow;
 use std::io;
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -300,7 +300,7 @@ struct Reactor<'a, H: Handler + ?Sized> {
     cfg: &'a ReactorConfig,
     poller: &'a Poller,
     mailbox: &'a Mailbox,
-    lane: Lane<H::Waiting>,
+    lane: Lane,
     handler: &'a H,
 }
 
@@ -524,8 +524,8 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
     }
 
     /// Answer one batch in its wire position: inline — into `out`, the
-    /// connection's output buffer — up to the first request that must
-    /// wait, and from there (or whole, behind work already outstanding
+    /// connection's output buffer — up to the first line that would
+    /// block, and from there (or whole, behind work already outstanding
     /// on this connection) through the slow lane.
     fn dispatch(
         &self,
@@ -540,14 +540,19 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
         let work = match batch {
             Batch::Lines(lines) => {
                 observer.on_batch_size(lines.len());
-                if queued {
-                    Deferred::lines(None, lines)
+                let from = if queued {
+                    0
                 } else {
-                    let Some((at, waiting)) = self.handler.answer(lines, received, out) else {
-                        return;
-                    };
-                    Deferred::lines(Some(waiting), lines.get(at + 1..).unwrap_or(&[]))
-                }
+                    match self.handler.answer(lines, received, out, Caller::EventLoop) {
+                        Answered::All => return,
+                        Answered::WouldBlock(k) => k,
+                        // Off contract (a stop request would block the
+                        // loop); still honoured rather than lost.
+                        Answered::Stop => return self.handler.stop(),
+                    }
+                };
+                let rest = lines.get(from..).unwrap_or(&[]).iter();
+                Deferred::Lines(rest.map(|line| Cow::Owned(line.to_string())).collect())
             }
             Batch::Oversized { len } => {
                 observer.on_oversized();
@@ -574,7 +579,6 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::borrow::Cow;
     use std::io::{BufRead, BufReader, Read as _, Write as _};
     use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
@@ -584,45 +588,49 @@ mod tests {
     use std::time::Duration;
 
     /// Uppercases every line. Lines starting with "slow" or "hold" and
-    /// lines ending in "stop" must wait: `answer` hands them back and
-    /// `finish` answers them — a "hold" line only after the test
-    /// releases one permit, so a test can race its reply against
-    /// connection death, slot reuse, and other connections' traffic; a
-    /// "…stop" line asks for a stop. No helper threads: the reactor's
-    /// own lane is the only thing that ever finishes a waiting line.
+    /// lines ending in "stop" would block: the event loop is stopped
+    /// before them, a caller that may wait gets them answered — a
+    /// "hold" line only after the test releases one permit, so a test
+    /// can race its reply against connection death, slot reuse, and
+    /// other connections' traffic; a "…stop" line asks for a stop. No
+    /// helper threads: the reactor's own lane is the only caller that
+    /// may wait.
     struct EchoUpper {
         stop: AtomicBool,
         permits: Mutex<Receiver<()>>,
-        /// "hold" lines that have entered `finish`.
+        /// "hold" lines a caller that may wait has started on.
         held: AtomicUsize,
+        /// Response lines written, by either caller.
+        answered: AtomicUsize,
     }
 
     impl Handler for EchoUpper {
-        type Waiting = String;
-
         fn answer(
             &self,
             lines: &[Cow<'_, str>],
             _received: Instant,
             out: &mut Vec<u8>,
-        ) -> Option<(usize, String)> {
+            caller: Caller,
+        ) -> Answered {
             for (k, line) in lines.iter().enumerate() {
                 if line.starts_with("slow") || line.starts_with("hold") || line.ends_with("stop") {
-                    return Some((k, line.to_string()));
+                    if caller == Caller::EventLoop {
+                        return Answered::WouldBlock(k);
+                    }
+                    if line.starts_with("hold") {
+                        self.held.fetch_add(1, Ordering::SeqCst);
+                        let _ = self.permits.lock().unwrap().recv();
+                    }
                 }
                 push_line(out, &line.to_uppercase());
+                self.answered.fetch_add(1, Ordering::SeqCst);
+                if caller == Caller::MayWait && line.ends_with("stop") {
+                    return Answered::Stop;
+                }
             }
-            None
+            Answered::All
         }
 
-        fn finish(&self, waiting: String, out: &mut Vec<u8>) -> bool {
-            if waiting.starts_with("hold") {
-                self.held.fetch_add(1, Ordering::SeqCst);
-                let _ = self.permits.lock().unwrap().recv();
-            }
-            push_line(out, &waiting.to_uppercase());
-            waiting.ends_with("stop")
-        }
         fn stop(&self) {
             self.stop.store(true, Ordering::SeqCst);
         }
@@ -698,7 +706,7 @@ mod tests {
 
         /// Stop the reactor (if a request has not already) and hand
         /// back what the observer counted.
-        fn finish(self) -> Counts {
+        fn shut_down(self) -> Counts {
             self.handler.stop();
             self.thread.join().unwrap();
             std::mem::take(&mut *self.counts.lock().unwrap())
@@ -714,6 +722,7 @@ mod tests {
             stop: AtomicBool::new(false),
             permits: Mutex::new(permits),
             held: AtomicUsize::new(0),
+            answered: AtomicUsize::new(0),
         });
         let counts = Arc::new(Mutex::new(Counts::default()));
         let thread = {
@@ -750,7 +759,7 @@ mod tests {
         sock.write_all(b"alpha\nbeta\ngamma\n").unwrap();
         let got: Vec<String> = (0..3).map(|_| read_trimmed(&mut reader)).collect();
         assert_eq!(got, ["ALPHA", "BETA", "GAMMA"]);
-        let counts = rig.finish();
+        let counts = rig.shut_down();
         // All three lines arrived in one readiness batch (loopback
         // coalesces the single write), so one batch of 3 — but a racy
         // kernel split is tolerated as long as order held above.
@@ -771,7 +780,7 @@ mod tests {
         let mut rest = String::new();
         assert_eq!(shed_reader.read_line(&mut rest).unwrap(), 0);
 
-        let counts = rig.finish();
+        let counts = rig.shut_down();
         assert_eq!(counts.sheds, 1);
         assert_eq!(counts.opens, 1);
     }
@@ -785,7 +794,7 @@ mod tests {
         let line = read_trimmed(&mut reader);
         assert!(line.starts_with("oversized:"), "got {line:?}");
         assert_eq!(read_trimmed(&mut reader), "PING");
-        rig.finish();
+        rig.shut_down();
     }
 
     #[test]
@@ -798,7 +807,7 @@ mod tests {
         let (mut sock, mut reader) = rig.connect();
         sock.write_all(b"still-alive\n").unwrap();
         assert_eq!(read_trimmed(&mut reader), "STILL-ALIVE");
-        let counts = rig.finish();
+        let counts = rig.shut_down();
         assert_eq!(counts.opens, 2);
         // The first (mid-line) disconnect was definitely processed
         // before the second connection's response round-tripped; the
@@ -827,11 +836,12 @@ mod tests {
     }
 
     /// The defer-from-line-k rule: a batch is answered inline up to its
-    /// first waiting line — those responses leave at once — and the
-    /// waiting line plus everything behind it come back through the
-    /// lane, still in request order.
+    /// first line that would block — those responses leave at once —
+    /// and that line plus everything behind it come back through the
+    /// lane, still in request order. The loop's call leaves no mark of
+    /// the line it stopped at: every line is answered exactly once.
     #[test]
-    fn a_batch_is_answered_inline_up_to_its_first_waiting_line() {
+    fn a_batch_is_answered_inline_up_to_its_first_would_block_line() {
         let rig = spawn_reactor(4);
         let (mut sock, mut reader) = rig.connect();
         sock.write_all(b"fast-1\nfast-2\nhold-3\nfast-4\nslow-5\nfast-6\n")
@@ -844,22 +854,24 @@ mod tests {
             .unwrap();
         assert!(
             reader.fill_buf().is_err(),
-            "a reply overtook the waiting line"
+            "a reply overtook the line that waits"
         );
+        assert_eq!(rig.handler.answered.load(Ordering::SeqCst), 2);
         sock.set_read_timeout(None).unwrap();
         rig.release.send(()).unwrap();
         let got: Vec<String> = (0..4).map(|_| read_trimmed(&mut reader)).collect();
         assert_eq!(got, ["HOLD-3", "FAST-4", "SLOW-5", "FAST-6"]);
-        rig.finish();
+        assert_eq!(rig.handler.answered.load(Ordering::SeqCst), 6);
+        rig.shut_down();
     }
 
     #[test]
     fn slow_batches_reply_through_the_lane_in_order() {
         let rig = spawn_reactor(4);
         let (mut sock, mut reader) = rig.connect();
-        // One batch of two waiting lines, deferred from the first:
-        // replies come back through the mailbox, still in request
-        // order.
+        // One batch of two lines that would block, deferred from the
+        // first:
+        // replies come back through the mailbox, still in request order.
         sock.write_all(b"slow-one\nslow-two\n").unwrap();
         let got: Vec<String> = (0..2).map(|_| read_trimmed(&mut reader)).collect();
         assert_eq!(got, ["SLOW-ONE", "SLOW-TWO"]);
@@ -867,7 +879,7 @@ mod tests {
         // round-trips.
         sock.write_all(b"after\n").unwrap();
         assert_eq!(read_trimmed(&mut reader), "AFTER");
-        rig.finish();
+        rig.shut_down();
     }
 
     /// While a connection has deferred work outstanding it is not read:
@@ -876,7 +888,7 @@ mod tests {
     /// nobody else waits. The same holds for what the deferring read
     /// itself still held: it queues behind on the lane.
     #[test]
-    fn requests_behind_a_waiting_one_wait_their_turn_and_other_connections_do_not() {
+    fn requests_behind_deferred_work_wait_their_turn_and_other_connections_do_not() {
         let rig = spawn_reactor(4);
         let (mut a, mut a_reader) = rig.connect();
         // One read: the held line, an oversized line, a fast line.
@@ -911,7 +923,7 @@ mod tests {
         assert_eq!(got[2..4], ["SAME-READ", "FAST-A"]);
         assert!(got[4].starts_with("oversized:"), "got {got:?}");
         assert_eq!(got[5], "LAST-A");
-        rig.finish();
+        rig.shut_down();
     }
 
     #[test]
@@ -957,7 +969,7 @@ mod tests {
             "AFTER",
             "stale deferred reply leaked onto the reused slot"
         );
-        rig.finish();
+        rig.shut_down();
     }
 
     #[test]
@@ -975,7 +987,7 @@ mod tests {
         // ... and then the drain-then-close completes.
         let mut rest = String::new();
         assert_eq!(reader.read_line(&mut rest).unwrap(), 0);
-        let counts = rig.finish();
+        let counts = rig.shut_down();
         assert_eq!(counts.opens, 1);
         assert!(counts.closes >= 1, "closes = {}", counts.closes);
     }

@@ -15,13 +15,15 @@
 //! own thread, the reactor's slow lane) may therefore wait for that
 //! pull (`AdmissionQueue::wait_for_worker`) before it goes on, which
 //! paces closed-loop clients to the workers instead of filling the
-//! queue and failing them.
+//! queue and failing them. The wait has a deadline: a worker that does
+//! not pull by then is wedged, and the submit is shed after all
+//! ([`ShedReason::WorkerBehind`]).
 
 use crate::stage::StageStamp;
 use dvfs_model::{Task, TaskClass};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,6 +35,9 @@ pub enum ShedReason {
         /// Effective capacity for the refused class.
         cap: usize,
     },
+    /// The submitter waited out its deadline for the shard worker's
+    /// next pull and none came.
+    WorkerBehind,
 }
 
 impl std::fmt::Display for ShedReason {
@@ -41,6 +46,7 @@ impl std::fmt::Display for ShedReason {
             ShedReason::QueueFull { depth, cap } => {
                 write!(f, "admission queue full ({depth} of {cap})")
             }
+            ShedReason::WorkerBehind => write!(f, "shard worker behind (no pull in time)"),
         }
     }
 }
@@ -177,7 +183,7 @@ impl AdmissionQueue {
     pub(crate) fn try_submit_stamped(
         &self,
         task: Task,
-        recv: std::time::Instant,
+        recv: Instant,
         open: impl FnOnce() -> bool,
     ) -> GateOutcome {
         let mut q = self.lock();
@@ -211,23 +217,30 @@ impl AdmissionQueue {
     /// for a task of `class`, or it is stale by `pace` — and `open()`,
     /// re-evaluated under the queue lock at least every few
     /// milliseconds, stays true (it turns false when shutdown begins).
-    /// Room is not a reservation: the caller submits afterwards and may
-    /// still be shed if others took it first.
+    /// Returns `false` when `deadline` passed with the worker still
+    /// behind. Room is not a reservation: the caller submits afterwards
+    /// and may still be shed if others took it first.
     pub(crate) fn wait_for_worker(
         &self,
         class: TaskClass,
         pace: Duration,
+        deadline: Instant,
         open: impl Fn() -> bool,
-    ) {
+    ) -> bool {
         const RECHECK: Duration = Duration::from_millis(10);
         let mut q = self.lock();
         while open() && (self.policy.admit(q.len(), class).is_err() || Self::stale(&q, pace)) {
+            let left = deadline.saturating_duration_since(crate::clock::wall_now());
+            if left.is_zero() {
+                return false;
+            }
             q = self
                 .drained
-                .wait_timeout(q, RECHECK)
+                .wait_timeout(q, left.min(RECHECK))
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
+        true
     }
 
     /// Take every queued task (scheduler side).
@@ -346,19 +359,22 @@ mod tests {
 
     /// `wait_for_worker` returns at the worker's pull — for a full
     /// queue and for a stale one alike — and when the gate closes;
-    /// an untroubled queue does not wait at all. The waiter signals
-    /// that it is about to block, so the pull provably comes second.
+    /// an untroubled queue does not wait at all, and a worker that
+    /// never pulls costs the waiter its deadline and no more. The
+    /// waiter signals that it is about to block, so the pull provably
+    /// comes second.
     #[test]
     fn wait_for_worker_ends_with_the_pull_or_the_gate() {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::mpsc::sync_channel;
         let pace = Duration::from_secs(3600);
+        let never = crate::clock::wall_now() + pace;
         let q = AdmissionQueue::new(AdmissionPolicy {
             capacity: 1,
             interactive_reserve: 0,
         });
         // Room and nothing stale: returns at once.
-        q.wait_for_worker(TaskClass::Batch, pace, || true);
+        assert!(q.wait_for_worker(TaskClass::Batch, pace, never, || true));
 
         q.try_submit(task(1, TaskClass::Batch)).unwrap();
         for stale_after in [pace, Duration::ZERO] {
@@ -368,7 +384,7 @@ mod tests {
             std::thread::scope(|scope| {
                 let waiter = scope.spawn(|| {
                     about_to_wait.send(()).unwrap();
-                    q.wait_for_worker(TaskClass::Batch, stale_after, || true);
+                    assert!(q.wait_for_worker(TaskClass::Batch, stale_after, never, || true));
                 });
                 waiting.recv().unwrap();
                 std::thread::sleep(Duration::from_millis(20));
@@ -383,12 +399,22 @@ mod tests {
         let open = AtomicBool::new(true);
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| {
-                q.wait_for_worker(TaskClass::Batch, pace, || open.load(Ordering::SeqCst));
+                assert!(q.wait_for_worker(TaskClass::Batch, pace, never, || {
+                    open.load(Ordering::SeqCst)
+                }));
             });
             open.store(false, Ordering::SeqCst);
             waiter.join().unwrap();
         });
         assert_eq!(q.depth(), 1);
+
+        // Still full and nobody pulls: gives up at the deadline — at
+        // once, when it has already passed.
+        let began = crate::clock::wall_now();
+        let bound = Duration::from_millis(30);
+        assert!(!q.wait_for_worker(TaskClass::Batch, pace, began + bound, || true));
+        assert!(began.elapsed() >= bound);
+        assert!(!q.wait_for_worker(TaskClass::Batch, pace, began, || true));
         assert!(q.is_stale(Duration::ZERO) && !q.is_stale(pace));
     }
 }

@@ -96,6 +96,6 @@ pub use service::{
 };
 pub use snapshot::SnapshotWriter;
 pub use stage::{
-    StageClock, REQUEST_E2E, STAGE_ADMIT, STAGE_CMD_DEQUEUE, STAGE_ENGINE, STAGE_FRAME,
-    STAGE_QUEUE, STAGE_SERVICE, TELESCOPE_STAGES,
+    REQUEST_E2E, STAGE_ADMIT, STAGE_CMD_DEQUEUE, STAGE_ENGINE, STAGE_FRAME, STAGE_QUEUE,
+    STAGE_SERVICE, TELESCOPE_STAGES,
 };

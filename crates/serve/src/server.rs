@@ -11,9 +11,9 @@
 //!
 //! - **`reactor`** (the Linux default): the single-threaded epoll
 //!   mini-reactor, multiplexing tens of thousands of connections on one
-//!   thread. It answers inline up to the first request that waits on
-//!   the shard workers and routes the rest of that batch through its
-//!   own slow lane.
+//!   thread. Its event loop may not wait, so the handler stops there
+//!   before the first request that waits on the shard workers, and the
+//!   reactor's slow lane has the rest of that batch answered.
 //! - **`threads`**: an accept loop plus `dvfs_net::blocking::serve` on
 //!   one thread per connection. Kept for portability.
 //!
@@ -41,8 +41,9 @@
 
 use crate::metrics::Registry;
 use crate::protocol::{parse_request, ErrorKind, Request, Response};
-use crate::service::{Mode, Refused, Scheduler, SchedulerConfig, SubmitItem};
+use crate::service::{Mode, Pace, Scheduler, SchedulerConfig, SubmitItem, Submitted};
 use crate::snapshot::SnapshotWriter;
+use dvfs_net::{Answered, Caller};
 use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -162,8 +163,7 @@ enum Listener {
 struct Shared {
     scheduler: Scheduler,
     /// The paced tick interval: how often a worker is meant to empty
-    /// its admission queue, hence how stale one may get before
-    /// submitters wait for the worker.
+    /// its admission queue.
     tick: Duration,
     metrics: Arc<Registry>,
     snapshot: Option<SnapshotWriter>,
@@ -189,160 +189,95 @@ impl Shared {
             }
         }
     }
-
-    /// How far behind a shard worker may fall before submits wait for
-    /// it: a tick, on a paced service — the one place a worker's next
-    /// pull is coming. `None` on a replay service, whose queues empty on
-    /// a `drain` alone — which the same client may be about to send.
-    fn pace(&self) -> Option<Duration> {
-        matches!(self.scheduler.config().mode, Mode::Paced { .. }).then_some(self.tick)
-    }
-}
-
-/// The requests that wait on a shard worker or a file write, decoded.
-/// The reactor finishes them on its slow lane, which keeps the event
-/// loop accepting and admitting while a round runs.
-#[derive(Debug, Clone, Copy)]
-enum Slow {
-    Stats,
-    Drain,
-    Trace,
-    TraceStream,
-    Shutdown,
-    /// A submit that found shard `shard`'s worker behind (paced
-    /// service): its queue full, or its oldest task waiting for longer
-    /// than a tick. It waits for the worker's next pull, so closed-loop
-    /// clients are paced to the workers instead of filling the queue
-    /// and being shed. `received` is its batch's wire-receive stamp.
-    Submit {
-        item: SubmitItem,
-        shard: usize,
-        received: Instant,
-    },
 }
 
 /// The wire protocol over the shared scheduler — the one request path
 /// both drivers call into.
 impl dvfs_net::Handler for Shared {
-    type Waiting = Slow;
-
     /// One pass over a batch of complete request lines: each line is
     /// decoded once and answered — its response line appended to `out`
     /// — before the next is looked at. The batch's submits form one
     /// [`SubmitRun`](crate::service::SubmitRun) stamped with `received`
-    /// (when the batch's bytes came off the wire). Everything answered
-    /// here is answerable without waiting on the shard workers —
-    /// submits (admission is a bounded queue push, never a scheduling
-    /// round), pings, `health` (heartbeat slots and leaf-locked metrics
-    /// only) and malformed lines (one error response each); the first
-    /// [`Slow`] request ends the pass and is handed back for
-    /// [`dvfs_net::Handler::finish`].
+    /// (when the batch's bytes came off the wire). Pings, `health`
+    /// (heartbeat slots and leaf-locked metrics only), malformed lines
+    /// and submits (admission is a bounded queue push, never a
+    /// scheduling round) wait for nothing — bar a paced submit whose
+    /// shard worker is behind. That submit, and every request that
+    /// waits on the shard workers or a file write, is answered only
+    /// when `caller` may wait; the event loop's pass stops before it.
     fn answer(
         &self,
         lines: &[Cow<'_, str>],
         received: Instant,
         out: &mut Vec<u8>,
-    ) -> Option<(usize, Slow)> {
-        let mut run = None;
+        caller: Caller,
+    ) -> Answered {
+        let may_wait = caller == Caller::MayWait;
+        let pace = Some(Pace::new(self.tick, may_wait));
+        let mut run = self.scheduler.begin_run(received, pace);
         for (k, line) in lines.iter().enumerate() {
-            let slow = match parse_request(line) {
-                Ok(Request::Submit {
-                    id,
-                    cycles,
-                    class,
-                    arrival,
-                }) => {
-                    let item = SubmitItem {
-                        id,
-                        cycles,
-                        class,
-                        arrival,
-                    };
-                    let pace = self.pace();
-                    // The batch's first submit: is a worker more than
-                    // a tick behind already?
-                    let mut behind = match run {
-                        None => pace.and_then(|tick| self.scheduler.behind(tick)),
-                        Some(_) => None,
-                    };
-                    if behind.is_none() {
-                        let run = run.get_or_insert_with(|| self.scheduler.begin_run(received));
-                        match run.submit(item) {
-                            Ok(ack) => ack.push_line(out),
-                            Err(Refused::Response(refused)) => refused.push_line(out),
-                            Err(Refused::Full(full)) if pace.is_some() => behind = Some(full.shard),
-                            Err(Refused::Full(full)) => run.shed(full).push_line(out),
-                        }
-                    }
-                    let Some(shard) = behind else { continue };
-                    Slow::Submit {
-                        item,
-                        shard,
-                        received,
-                    }
-                }
-                Ok(Request::Ping) => {
-                    Response::ok().push_line(out);
-                    continue;
-                }
-                Ok(Request::Health) => {
-                    self.scheduler.health().push_line(out);
-                    continue;
-                }
+            let request = match parse_request(line) {
+                Ok(request) => request,
                 Err(msg) => {
                     self.metrics.counter("malformed_requests").inc();
                     Response::err(ErrorKind::BadRequest, msg).push_line(out);
                     continue;
                 }
-                Ok(Request::Stats) => Slow::Stats,
-                Ok(Request::Drain) => Slow::Drain,
-                Ok(Request::Trace) => Slow::Trace,
-                Ok(Request::TraceStream) => Slow::TraceStream,
-                Ok(Request::Shutdown) => Slow::Shutdown,
             };
-            return Some((k, slow));
-        }
-        None
-    }
-
-    /// Answer a request that waits on the shard workers or on a file
-    /// write. A `shutdown` is acknowledged here and reported as a stop:
-    /// the lines behind it are not processed, and the driver calls
-    /// [`dvfs_net::Handler::stop`] once the ack is on its way.
-    fn finish(&self, waiting: Slow, out: &mut Vec<u8>) -> bool {
-        let resp = match waiting {
-            Slow::Stats => self.scheduler.stats(),
-            Slow::Drain => {
-                let resp = self.scheduler.drain_run();
-                self.write_snapshot();
-                self.scheduler.flush_trace_file();
-                resp
-            }
-            Slow::Trace => {
-                let resp = self.scheduler.trace_run();
-                self.scheduler.flush_trace_file();
-                resp
-            }
-            Slow::TraceStream => self.scheduler.trace_stream_run(),
-            Slow::Shutdown => Response::ok(),
-            Slow::Submit {
-                item,
-                shard,
-                received,
-            } => {
-                // Room is not a reservation: if others took it first,
-                // the submit is shed after all.
-                self.scheduler.wait_for_worker(shard, item.class, self.tick);
-                let mut run = self.scheduler.begin_run(received);
-                match run.submit(item) {
-                    Ok(ack) => ack.response(),
-                    Err(Refused::Response(refused)) => refused,
-                    Err(Refused::Full(full)) => run.shed(full),
+            if !matches!(
+                request,
+                Request::Submit { .. } | Request::Ping | Request::Health
+            ) {
+                if !may_wait {
+                    return Answered::WouldBlock(k);
                 }
+                // The run holds the id ledger a `drain` takes.
+                run.close();
             }
-        };
-        resp.push_line(out);
-        matches!(waiting, Slow::Shutdown)
+            let resp = match request {
+                Request::Submit {
+                    id,
+                    cycles,
+                    class,
+                    arrival,
+                } => match run.submit(SubmitItem {
+                    id,
+                    cycles,
+                    class,
+                    arrival,
+                }) {
+                    Submitted::Ack(ack) => {
+                        ack.push_line(out);
+                        continue;
+                    }
+                    Submitted::Refused(refused) => refused,
+                    Submitted::WouldBlock => return Answered::WouldBlock(k),
+                },
+                Request::Ping => Response::ok(),
+                Request::Health => self.scheduler.health(),
+                Request::Stats => self.scheduler.stats(),
+                Request::Drain => {
+                    let resp = self.scheduler.drain_run();
+                    self.write_snapshot();
+                    self.scheduler.flush_trace_file();
+                    resp
+                }
+                Request::Trace => {
+                    let resp = self.scheduler.trace_run();
+                    self.scheduler.flush_trace_file();
+                    resp
+                }
+                Request::TraceStream => self.scheduler.trace_stream_run(),
+                // Acknowledged here; the driver calls `stop` once the
+                // ack is on its way. The lines behind owe nothing.
+                Request::Shutdown => {
+                    Response::ok().push_line(out);
+                    return Answered::Stop;
+                }
+            };
+            resp.push_line(out);
+        }
+        Answered::All
     }
 
     fn stop(&self) {
@@ -728,6 +663,190 @@ fn micros(seconds: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{encode_command, encode_submit};
+    use dvfs_model::TaskClass;
+    use dvfs_net::Handler;
+
+    /// The one handler over a paced scheduler with `slots` admission
+    /// slots a shard and no ticker: its workers pull only when a test
+    /// ticks.
+    fn paced(tick: Duration, slots: usize, shards: usize) -> Shared {
+        let metrics = Arc::new(Registry::new());
+        let cfg = SchedulerConfig {
+            cores: 1,
+            queue_capacity: slots * shards,
+            shards,
+            mode: Mode::Paced { speed: 1.0 },
+            ..SchedulerConfig::default()
+        };
+        let scheduler = Scheduler::new(cfg, Arc::clone(&metrics));
+        scheduler.start_clock();
+        Shared {
+            scheduler,
+            tick,
+            metrics,
+            snapshot: None,
+            max_connections: 1,
+            shutdown: AtomicBool::new(false),
+            started: crate::clock::wall_now(),
+        }
+    }
+
+    /// A submit long enough never to complete inside a test; the
+    /// interactive class may use every slot.
+    fn submit_id(id: Option<u64>) -> Cow<'static, str> {
+        encode_submit(id, 1_000_000_000_000, TaskClass::Interactive, None).into()
+    }
+
+    fn submit() -> Cow<'static, str> {
+        submit_id(None)
+    }
+
+    fn cmd(name: &str) -> Cow<'static, str> {
+        encode_command(name).into()
+    }
+
+    fn responses(out: &[u8]) -> Vec<Response> {
+        std::str::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|line| Response::decode(line).unwrap())
+            .collect()
+    }
+
+    /// The pace-then-shed boundary: with a worker that never pulls, an
+    /// 8-slot queue admits 8, the 9th submit waits out the bound and is
+    /// shed for a reason of its own, the submits behind it are shed at
+    /// once — a batch pays one bound, not one a line — and the
+    /// `shutdown` behind them is still acknowledged.
+    #[test]
+    fn a_wedged_worker_costs_a_batch_one_bound_and_then_sheds() {
+        let tick = Duration::from_millis(1);
+        let bound = tick * 100;
+        let shared = paced(tick, 8, 1);
+        let mut lines = vec![submit(); 12];
+        lines.push(cmd("shutdown"));
+        lines.push(cmd("ping"));
+        let mut out = Vec::new();
+        let began = Instant::now();
+        let answered = shared.answer(&lines, began, &mut out, Caller::MayWait);
+        let took = began.elapsed();
+        assert_eq!(answered, Answered::Stop);
+        assert!(took >= bound, "the 9th submit waits the bound: {took:?}");
+        assert!(took < bound * 3, "one bound a batch, not a line: {took:?}");
+
+        let got = responses(&out);
+        assert_eq!(got.len(), 13, "nothing behind the shutdown is answered");
+        assert!(got[..8].iter().all(Response::is_ok));
+        for shed in &got[8..12] {
+            let Response::Err { kind, message } = shed else {
+                panic!("expected a shed: {shed:?}");
+            };
+            assert_eq!(*kind, ErrorKind::Overloaded);
+            assert!(message.contains("shard worker behind"), "{message}");
+            assert!(!message.contains("admission queue full"), "{message}");
+        }
+        assert_eq!(got[12], Response::ok());
+
+        let count = |name: &str| shared.metrics.counter(name).get();
+        assert_eq!(count("shed_worker_behind"), 4);
+        assert_eq!(count("paced_waits"), 4);
+        assert_eq!(shared.metrics.histogram("pace_wait_s").count(), 4);
+        // The books balance once the round is drained.
+        assert!(shared.scheduler.drain_run().is_ok());
+        assert_eq!((count("submitted"), count("completed")), (12, 8));
+        assert_eq!(
+            count("submitted"),
+            count("completed") + count("shed") + count("rejected_invalid")
+        );
+    }
+
+    /// One wait a submit: once its own worker has pulled, it is admitted
+    /// even though another shard's worker is (still) behind.
+    #[test]
+    fn a_submit_that_waited_for_its_worker_is_not_held_up_by_another() {
+        let tick = Duration::from_millis(5);
+        let shared = paced(tick, 8, 2);
+        let now = Instant::now();
+        let mut out = Vec::new();
+        // Explicit ids hash to shards: one task in each queue.
+        let both = [submit_id(Some(0)), submit_id(Some(1))];
+        shared.answer(&both, now, &mut out, Caller::MayWait);
+        assert!(responses(&out).iter().all(Response::is_ok));
+        std::thread::sleep(tick * 2); // both queues go stale
+        out.clear();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let third = [submit_id(Some(2))];
+                shared.answer(&third, now, &mut out, Caller::MayWait)
+            });
+            // It waits on shard 0, the first stale one; only that
+            // shard's worker pulls.
+            while shared.metrics.counter("paced_waits").get() == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(shared.scheduler.shard_queue(0).drain().len(), 1);
+            assert_eq!(waiter.join().unwrap(), Answered::All);
+        });
+        assert!(responses(&out)[0].is_ok(), "{:?}", responses(&out));
+        assert_eq!(shared.metrics.counter("shed").get(), 0);
+    }
+
+    /// A line the event loop stopped at is decoded again by the caller
+    /// that may wait, and must still be counted once: answering a
+    /// batch as the reactor does — on the loop up to the line that
+    /// would block, from there as a caller that may wait — leaves every
+    /// counter where answering the same lines without the loop does.
+    #[test]
+    fn a_line_the_loop_stopped_at_is_counted_once() {
+        // Every counter but the ones the worker thread bumps in its own
+        // time.
+        let counters = |shared: &Shared| match shared.metrics.snapshot() {
+            serde::Value::Object(mut sections) => match sections.swap_remove(0).1 {
+                serde::Value::Object(mut counters) => {
+                    counters.retain(|(name, _)| !name.starts_with("actuation"));
+                    counters
+                }
+                other => panic!("counters are an object: {other:?}"),
+            },
+            other => panic!("snapshot is an object: {other:?}"),
+        };
+        // Would block at: a submit whose queue is full; a `stats`.
+        let full_queue = vec![
+            cmd("ping"),
+            "garbage".into(),
+            submit(),
+            submit(),
+            submit(),
+            cmd("no-such-command"),
+            submit(),
+        ];
+        let slow_command = vec![submit(), cmd("stats"), "garbage".into(), submit()];
+        for (lines, at, malformed) in [(full_queue, 4, 2), (slow_command, 1, 1)] {
+            let hour = Duration::from_secs(3600);
+            let [split, whole] = [paced(hour, 2, 1), paced(hour, 2, 1)];
+            let now = Instant::now();
+
+            let mut on_loop = Vec::new();
+            let answered = split.answer(&lines, now, &mut on_loop, Caller::EventLoop);
+            assert_eq!(answered, Answered::WouldBlock(at));
+            let mut reference = Vec::new();
+            whole.answer(&lines[..at], now, &mut reference, Caller::MayWait);
+            assert_eq!(on_loop, reference);
+            assert_eq!(counters(&split), counters(&whole), "nothing for line {at}");
+
+            // The workers pull, and both answer the rest.
+            let mut outs = [Vec::new(), Vec::new()];
+            for (shared, out) in [&split, &whole].into_iter().zip(&mut outs) {
+                shared.scheduler.tick();
+                let answered = shared.answer(&lines[at..], now, out, Caller::MayWait);
+                assert_eq!(answered, Answered::All);
+                assert_eq!(responses(out).len(), lines.len() - at);
+            }
+            assert_eq!(counters(&split), counters(&whole));
+            assert_eq!(split.metrics.counter("malformed_requests").get(), malformed);
+        }
+    }
 
     /// Regression: `accept_loop` used to `break` on any accept error, so
     /// one transient failure ended accepting for good while the daemon

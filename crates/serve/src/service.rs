@@ -84,7 +84,6 @@ use crate::ids::IdLedger;
 use crate::metrics::{AdvisoryCell, Counter, Registry};
 use crate::protocol::{ErrorKind, Response};
 pub use crate::rebalance::RebalanceConfig;
-use crate::stage::StageClock;
 use crate::supervise::StallLatches;
 use crate::tracestore::TraceStore;
 use crate::worker::{self, Command, ShardShared, WorkerHandle};
@@ -161,9 +160,12 @@ impl Scheduler {
             .collect();
         // Health-plane metrics exist from the start, so `stats`,
         // `prometheus_text`, and `health` expose them even before the
-        // first stall or failed send.
+        // first stall, failed send or paced wait.
         let _ = metrics.counter("worker_stalled");
         let _ = metrics.counter("worker_send_failed");
+        let _ = metrics.counter("paced_waits");
+        let _ = metrics.counter("shed_worker_behind");
+        let _ = metrics.histogram("pace_wait_s");
         metrics.gauge("degraded").set(0);
         let lmc_hist = metrics.histogram("lmc_decision_us");
         let workers = shards
@@ -354,46 +356,31 @@ impl Scheduler {
     /// whole batch, paced arrivals are stamped once and the paced
     /// ticker is signaled once at the end instead of per task.
     pub fn submit_many(&self, items: &[SubmitItem]) -> Vec<Response> {
-        // In-process submitters have no wire seams; the frame stage
-        // records as (near) zero.
-        let mut run = self.begin_run(crate::clock::wall_now());
+        // In-process submitters have no wire seams (the frame stage
+        // records as near zero) and bring no pace: a full queue sheds.
+        let mut run = self.begin_run(crate::clock::wall_now(), None);
         items
             .iter()
             .map(|item| match run.submit(*item) {
-                Ok(ack) => ack.response(),
-                Err(Refused::Response(refused)) => refused,
-                Err(Refused::Full(full)) => run.shed(full),
+                Submitted::Ack(ack) => ack.response(),
+                Submitted::Refused(refused) => refused,
+                Submitted::WouldBlock => Response::err(ErrorKind::Internal, "submit would block"),
             })
             .collect()
     }
 
-    /// Open a run of submits whose bytes came off the wire at `recv`
-    /// (see [`SubmitRun`]).
-    pub(crate) fn begin_run(&self, recv: Instant) -> SubmitRun<'_> {
+    /// A run of submits whose bytes came off the wire at `recv` (see
+    /// [`SubmitRun`]). Only a paced service has a `pace`: a replay
+    /// queue empties on a `drain` alone — which the same client may be
+    /// about to send.
+    pub(crate) fn begin_run(&self, recv: Instant, pace: Option<Pace>) -> SubmitRun<'_> {
         SubmitRun {
             sched: self,
-            clock: StageClock::framed_now(recv),
-            now: self.target_time(),
-            admitted: vec![0; self.shards.len()],
-            ids: self.lock_ids(),
+            recv,
+            pace: pace.filter(|_| matches!(self.cfg.mode, Mode::Paced { .. })),
+            admitted: Vec::new(),
+            open: None,
         }
-    }
-
-    /// A shard whose worker is behind by more than `pace`: its oldest
-    /// queued task has been waiting for the next pull for longer than
-    /// that.
-    pub(crate) fn behind(&self, pace: Duration) -> Option<usize> {
-        self.shards.iter().position(|sh| sh.queue.is_stale(pace))
-    }
-
-    /// Block until shard `shard`'s worker has caught up — its queue has
-    /// room for a task of `class` and nothing in it older than `pace`,
-    /// i.e. its next pull — or shutdown begins. For submitters that may
-    /// block; they submit afterwards.
-    pub(crate) fn wait_for_worker(&self, shard: usize, class: TaskClass, pace: Duration) {
-        self.shards[shard]
-            .queue
-            .wait_for_worker(class, pace, || !self.is_shutting_down());
     }
 
     /// Recompute every depth gauge from the live queues at write time.
@@ -673,88 +660,151 @@ impl Drop for Scheduler {
     }
 }
 
-/// A submit whose shard's admission queue was full: nothing is counted
-/// or traced yet and its id is free again. The submitter chooses — shed
-/// it ([`SubmitRun::shed`]), or, when it may block and the service is
-/// paced (a worker's next pull makes room; a replay queue empties only
-/// on a drain the same client may be about to send), wait for the
-/// worker ([`Scheduler::wait_for_worker`]) and submit again.
+/// What a paced service's wire submitter brings to a shard worker that
+/// is behind — its queue full, or its oldest task waiting for longer
+/// than a tick: the submit waits for the worker's next pull, so
+/// closed-loop clients are paced to the workers instead of filling the
+/// queue and being shed.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Full {
-    /// The submit, as it came in.
-    pub item: SubmitItem,
-    /// The shard it was routed to.
-    pub shard: usize,
+pub(crate) struct Pace {
+    /// How often a worker is meant to empty its queue.
+    tick: Duration,
+    /// When to stop waiting and shed instead; `None` for a submitter
+    /// that may not wait at all. One deadline serves a whole run, so a
+    /// wedged worker costs a batch one bound, not one a line; every
+    /// pull that does come pushes it out again.
+    give_up: Option<Instant>,
+}
+
+impl Pace {
+    /// A worker that has not pulled for this many ticks is wedged, not
+    /// behind: a saturated one pulls about once a tick.
+    const BOUND_TICKS: u32 = 100;
+
+    pub(crate) fn new(tick: Duration, may_wait: bool) -> Pace {
+        let give_up = may_wait.then(|| crate::clock::wall_now() + tick * Self::BOUND_TICKS);
+        Pace { tick, give_up }
+    }
+}
+
+/// What became of one submit.
+#[derive(Debug)]
+pub(crate) enum Submitted {
+    Ack(Ack),
+    /// Invalid, duplicate id, shutting down, shed.
+    Refused(Response),
+    /// Its shard's worker is behind and the submitter may not wait:
+    /// nothing is counted or traced, and its id is free again.
+    WouldBlock,
+}
+
+/// A submit turned away at the queue: no room, or (paced) a worker is
+/// behind. Nothing is counted or traced yet and its id is free again.
+struct Behind {
+    shard: usize,
     id: u64,
     arrival: f64,
     reason: ShedReason,
 }
 
-/// Why a submit was not admitted.
-#[derive(Debug)]
-pub(crate) enum Refused {
-    /// With this response: invalid, duplicate id, shutting down.
-    Response(Response),
-    /// By a full queue; the submitter decides what becomes of it.
-    Full(Full),
-}
-
 /// The submits that arrived together — the submit lines of one wire
-/// batch, or one in-process batch — sharing what is
-/// per-batch rather than per-task: the wire stage stamps, the paced
-/// arrival (they came off the wire together, so they arrive on the
-/// engine clock together), and, when the run ends (drop), the stage
-/// samples, the depth gauges and the ticker wake-up.
+/// batch, or one in-process batch — sharing what is per-batch rather
+/// than per-task: the wire stage stamps, the paced arrival (they came
+/// off the wire together, so they arrive on the engine clock together),
+/// and, when the run closes, the stage samples, the depth gauges and
+/// the ticker wake-up. A run opens at its first submit and closes on
+/// drop, or earlier — [`SubmitRun::close`], before its owner waits on
+/// anything — to open again at the next submit.
 pub(crate) struct SubmitRun<'a> {
     sched: &'a Scheduler,
-    /// `recv`: when the bytes were read; `framed`: when the run began,
-    /// i.e. its first line was decoded.
-    clock: StageClock,
+    /// When the bytes were read.
+    recv: Instant,
+    pace: Option<Pace>,
+    /// Admissions per shard since the run opened.
+    admitted: Vec<u64>,
+    open: Option<OpenRun<'a>>,
+}
+
+struct OpenRun<'a> {
+    /// When the run opened, i.e. its first line was decoded.
+    framed: Instant,
     /// Paced arrival stamp (0 in replay).
     now: f64,
-    /// Admissions per shard.
-    admitted: Vec<u64>,
-    /// The id ledger, held for the run: one lock round-trip a batch,
-    /// not one a task. It is held across every admission-queue touch —
-    /// the drain barrier takes it first, so every task admitted before
-    /// is already in its shard's queue and none can slip in between a
-    /// worker's pull and the namespace reset. The only other multi-lock
-    /// paths (drain, shutdown) release every queue lock before taking
-    /// the ledger, so no cycle exists.
+    /// The id ledger, held while the run is open: one lock round-trip
+    /// a batch, not one a task. It is held across every
+    /// admission-queue touch — the drain barrier takes it first, so
+    /// every task admitted before is already in its shard's queue and
+    /// none can slip in between a worker's pull and the namespace
+    /// reset. The only other multi-lock paths (drain, shutdown) release
+    /// every queue lock before taking the ledger, so no cycle exists.
     ids: MutexGuard<'a, IdLedger>,
 }
 
 impl SubmitRun<'_> {
     /// One submit: id assignment, validation, shard routing, admission,
-    /// metrics. Touches the id ledger and one shard's admission queue,
-    /// never a worker.
-    pub(crate) fn submit(&mut self, item: SubmitItem) -> Result<Ack, Refused> {
-        let outcome = self.admit(item);
-        match &outcome {
-            Ok(ack) => self.admitted[ack.shard as usize] += 1,
-            Err(Refused::Full(_)) => return outcome,
-            Err(Refused::Response(_)) => {}
+    /// metrics — and, when the shard's worker is behind, what the run's
+    /// [`Pace`] says: shed (no pace), report would-block, or wait for
+    /// the worker's next pull and shed only if none comes. Touches the
+    /// id ledger and one shard's admission queue, never a worker.
+    pub(crate) fn submit(&mut self, item: SubmitItem) -> Submitted {
+        let behind = match self.admit(item, true) {
+            Ok(done) => return done,
+            Err(behind) => behind,
+        };
+        let Some(pace) = self.pace else {
+            return self.shed(item, &behind);
+        };
+        let Some(deadline) = pace.give_up else {
+            return Submitted::WouldBlock;
+        };
+        // The one place a submit waits: until the worker has caught up
+        // — its queue has room for the task and nothing in it older
+        // than a tick, i.e. its next pull — or shutdown begins. The run
+        // is closed meanwhile: a `drain` needs the ledger it holds.
+        self.close();
+        let s = self.sched;
+        s.metrics.counter("paced_waits").inc();
+        let began = crate::clock::wall_now();
+        let caught_up =
+            s.shards[behind.shard]
+                .queue
+                .wait_for_worker(item.class, pace.tick, deadline, || !s.is_shutting_down());
+        s.metrics
+            .histogram("pace_wait_s")
+            .record(began.elapsed().as_secs_f64());
+        if !caught_up {
+            let reason = ShedReason::WorkerBehind;
+            return self.shed(item, &Behind { reason, ..behind });
         }
-        self.sched.submitted.inc();
-        outcome
+        self.pace = Some(Pace::new(pace.tick, true));
+        // Room is not a reservation: if others took it first, the
+        // submit is shed after all.
+        self.admit(item, false)
+            .unwrap_or_else(|behind| self.shed(item, &behind))
     }
 
-    /// Shed a submit its queue had no room for: count it, trace it,
-    /// and word the `overloaded` response.
-    pub(crate) fn shed(&mut self, full: Full) -> Response {
+    /// Count a submit as shed, trace it, and word the `overloaded`
+    /// response.
+    fn shed(&self, item: SubmitItem, behind: &Behind) -> Submitted {
         let s = self.sched;
-        let SubmitItem { class, cycles, .. } = full.item;
         s.submitted.inc();
         s.metrics.counter("shed").inc();
-        let tag = worker::class_tag(class);
+        let tag = worker::class_tag(item.class);
         s.metrics.counter(&format!("shed.{}", tag.name())).inc();
-        let sh = &s.shards[full.shard];
+        if behind.reason == ShedReason::WorkerBehind {
+            s.metrics.counter("shed_worker_behind").inc();
+        }
+        let sh = &s.shards[behind.shard];
         sh.shed.inc();
-        sh.trace_submit(full.arrival, full.id, class, cycles, None);
-        Response::err(ErrorKind::Overloaded, full.reason.to_string())
+        sh.trace_submit(behind.arrival, behind.id, item.class, item.cycles, None);
+        let message = behind.reason.to_string();
+        Submitted::Refused(Response::err(ErrorKind::Overloaded, message))
     }
 
-    fn admit(&mut self, item: SubmitItem) -> Result<Ack, Refused> {
+    /// Admit `item` or refuse it with a response (both counted), opening
+    /// the run if need be — unless its queue has no room or, for a
+    /// `fresh` submit (one that has not waited yet), a worker is behind.
+    fn admit(&mut self, item: SubmitItem, fresh: bool) -> Result<Submitted, Behind> {
         let SubmitItem {
             id,
             cycles,
@@ -762,98 +812,136 @@ impl SubmitRun<'_> {
             arrival,
         } = item;
         let s = self.sched;
-        let refuse = |kind, message: String| Refused::Response(Response::err(kind, message));
+        let refuse = |kind, message: String| {
+            s.submitted.inc();
+            Ok(Submitted::Refused(Response::err(kind, message)))
+        };
         if s.is_shutting_down() {
-            return Err(refuse(ErrorKind::ShuttingDown, "server is draining".into()));
+            return refuse(ErrorKind::ShuttingDown, "server is draining".into());
         }
-        let ids = &mut *self.ids;
+        // The run's first submit: is a worker more than a tick behind
+        // already?
+        let stale = match (&self.open, self.pace) {
+            (None, Some(pace)) if fresh => {
+                s.shards.iter().position(|sh| sh.queue.is_stale(pace.tick))
+            }
+            _ => None,
+        };
+        self.admitted.resize(s.shards.len(), 0);
+        let open = self.open.get_or_insert_with(|| OpenRun {
+            framed: crate::clock::wall_now(),
+            now: s.target_time(),
+            ids: s.lock_ids(),
+        });
+        let ids = &mut *open.ids;
         // Reserve the id so concurrent submitters can't race to the
         // same one; released again if validation or admission fails.
         let explicit = id.is_some();
-        let id = ids.reserve(id).map_err(|id| {
-            s.metrics.counter("rejected_duplicate_id").inc();
-            refuse(
-                ErrorKind::BadRequest,
-                format!("task id {id} already used this round"),
-            )
-        })?;
+        let id = match ids.reserve(id) {
+            Ok(id) => id,
+            Err(id) => {
+                s.metrics.counter("rejected_duplicate_id").inc();
+                return refuse(
+                    ErrorKind::BadRequest,
+                    format!("task id {id} already used this round"),
+                );
+            }
+        };
         let arrival = match s.cfg.mode {
             Mode::Replay => arrival.unwrap_or(0.0),
             // Paced submissions arrive "now" on the engine clock; an
             // explicit arrival in the future is honored, the past is
             // clamped forward by the executor.
-            Mode::Paced { .. } => arrival.unwrap_or(self.now).max(self.now),
+            Mode::Paced { .. } => arrival.unwrap_or(open.now).max(open.now),
         };
-        let task = Task::online(id, cycles, arrival, None, class).map_err(|e| {
-            ids.release(id);
-            s.metrics.counter("rejected_invalid").inc();
-            refuse(ErrorKind::BadRequest, e.to_string())
-        })?;
+        let task = match Task::online(id, cycles, arrival, None, class) {
+            Ok(task) => task,
+            Err(e) => {
+                ids.release(id);
+                s.metrics.counter("rejected_invalid").inc();
+                return refuse(ErrorKind::BadRequest, e.to_string());
+            }
+        };
         let shard = s.route(explicit, id, class);
         let sh = &s.shards[shard];
         // The gate re-checks the shutdown flag *inside* the queue lock:
         // shutdown's post-drain depth re-check takes the same lock, so
         // a submission either lands before that check (and is drained)
         // or observes the flag and is refused — never silently lost.
-        match sh
-            .queue
-            .try_submit_stamped(task, self.clock.recv, || !s.is_shutting_down())
-        {
+        let outcome = match stale {
+            Some(_) => GateOutcome::Shed(ShedReason::WorkerBehind),
+            None => sh
+                .queue
+                .try_submit_stamped(task, self.recv, || !s.is_shutting_down()),
+        };
+        match outcome {
             GateOutcome::Admitted(depth) => {
+                s.submitted.inc();
                 s.admitted.inc();
                 sh.admitted.inc();
+                self.admitted[shard] += 1;
                 let depth = depth as u64;
                 sh.trace_submit(arrival, id, class, cycles, Some(depth));
-                Ok(Ack {
+                Ok(Submitted::Ack(Ack {
                     id,
                     depth,
                     shard: shard as u64,
-                })
+                }))
             }
             GateOutcome::Shed(reason) => {
                 ids.release(id);
-                Err(Refused::Full(Full {
-                    item,
-                    shard,
+                Err(Behind {
+                    shard: stale.unwrap_or(shard),
                     id,
                     arrival,
                     reason,
-                }))
+                })
             }
             GateOutcome::Closed => {
                 ids.release(id);
-                Err(refuse(ErrorKind::ShuttingDown, "server is draining".into()))
+                refuse(ErrorKind::ShuttingDown, "server is draining".into())
             }
         }
     }
-}
 
-impl Drop for SubmitRun<'_> {
-    fn drop(&mut self) {
+    /// Close the run: record its stage samples, publish the depth
+    /// gauges, wake the ticker, release the id ledger. Whoever owns the
+    /// run calls this before waiting on anything (a `drain` takes the
+    /// ledger first).
+    pub(crate) fn close(&mut self) {
+        let Some(open) = self.open.take() else {
+            return;
+        };
         if self.admitted.iter().all(|&n| n == 0) {
             return;
         }
         let s = self.sched;
         if s.cfg.telemetry {
-            // Close the wire-side seams — receive → run begun, run
-            // begun → run admitted — once for the run: its acks leave
+            // Close the wire-side seams — receive → run opened, run
+            // opened → run admitted — once for the run: its acks leave
             // together, so every admitted task carries the run's two
             // spans.
-            let clock = self.clock;
-            let frame = clock.framed.duration_since(clock.recv).as_secs_f64();
+            let frame = open.framed.duration_since(self.recv).as_secs_f64();
             let admit = crate::clock::wall_now()
-                .duration_since(clock.framed)
+                .duration_since(open.framed)
                 .as_secs_f64();
             for (sh, &n) in s.shards.iter().zip(&self.admitted) {
                 sh.stages.frame.record_n(frame, n);
                 sh.stages.admit.record_n(admit, n);
             }
         }
+        self.admitted.fill(0);
         s.publish_queue_depth();
         // Wake a ticker sleeping in `wait_for_work`; the empty
         // critical section orders the wake after the admits.
         drop(s.work_mx.lock().unwrap_or_else(PoisonError::into_inner));
         s.work_cv.notify_all();
+    }
+}
+
+impl Drop for SubmitRun<'_> {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 

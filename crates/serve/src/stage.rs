@@ -49,27 +49,6 @@ pub const STAGE_CMD_DEQUEUE: &str = "stage_cmd_dequeue_s";
 /// stage histograms must sum to.
 pub const REQUEST_E2E: &str = "request_e2e_s";
 
-/// The wall stamps a submit batch carries into the service layer.
-#[derive(Debug, Clone, Copy)]
-pub struct StageClock {
-    /// When the bytes were read off the wire.
-    pub recv: Instant,
-    /// When the batch's first submit was decoded (its `SubmitRun`
-    /// began).
-    pub framed: Instant,
-}
-
-impl StageClock {
-    /// A clock whose frame seam closes now (wire receive at `recv`).
-    #[must_use]
-    pub fn framed_now(recv: Instant) -> Self {
-        StageClock {
-            recv,
-            framed: crate::clock::wall_now(),
-        }
-    }
-}
-
 /// Per-task stamps carried through the admission queue so the worker
 /// can close the queue-wait and end-to-end seams.
 #[derive(Debug, Clone, Copy)]
@@ -171,11 +150,5 @@ mod tests {
         assert_eq!(r.histogram(&shard_metric(STAGE_QUEUE, 2)).count(), 2);
         assert_eq!(r.histogram(&shard_metric(STAGE_QUEUE, 0)).count(), 0);
         assert!((r.histogram(STAGE_QUEUE).sum() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stage_clock_seams_are_ordered() {
-        let c = StageClock::framed_now(crate::clock::wall_now());
-        assert!(c.framed >= c.recv);
     }
 }

@@ -18,7 +18,8 @@
 //! makes submits wait for a full queue's worker instead of shedding
 //! them, and — the differential — one mixed request script cut at
 //! seeded random chunk boundaries draws the same response stream from
-//! both.
+//! both, as do three such scripts on three connections under a seeded
+//! random interleaving.
 
 use dvfs_net::framing::{edge_cases, Expect};
 use dvfs_serve::loadgen::Connection;
@@ -366,6 +367,141 @@ fn seeded_random_chunking_draws_identical_streams_from_both_backends() {
         assert_eq!(at("<stats>"), Some(15), "seed {seed}");
         assert_eq!(at("<oversized>"), Some(16), "seed {seed}");
         assert_eq!(at("<health>"), Some(28), "seed {seed}");
+    }
+}
+
+/// The differential across connections: three of them, each writing
+/// its own mixed script (submits, `stats`, malformed lines, an oversized
+/// one) in chunks whose sizes *and* interleaving across the connections
+/// come from one seeded generator — one writer owns all three sockets —
+/// so both backends meet the same bytes in the same order. Every
+/// connection must draw the same stream from `threads` and `reactor`,
+/// by the same rule as the single-connection differential.
+///
+/// What one connection is told must not depend on how far the others
+/// have got, so each connection's ids hash to a shard of its own (ack
+/// depths count only its own submits), and the one `drain` goes out
+/// alone, after every response to the first phase has been read.
+#[test]
+fn seeded_random_interleaving_draws_identical_streams_per_connection() {
+    const CONNS: u64 = 3;
+    let submit = |c: u64, i: u64| {
+        encode_submit(
+            Some(c + CONNS * i),
+            (i + 1) * 30_000_000,
+            TaskClass::NonInteractive,
+            Some(i as f64 * 0.01),
+        )
+        .into_bytes()
+    };
+    let cmd = |name: &str| encode_command(name).into_bytes();
+    let wire = |lines: Vec<Vec<u8>>| -> (usize, Vec<u8>) {
+        let bytes = lines.iter().flat_map(|l| l.iter().copied().chain([b'\n']));
+        (lines.len(), bytes.collect())
+    };
+    // Phase one, per connection: slow commands directly in front of
+    // fast, malformed and oversized lines, as in the single script.
+    let first = |c: u64| {
+        let mut lines: Vec<Vec<u8>> = (0..6).map(|i| submit(c, i)).collect();
+        lines.push(cmd("ping"));
+        lines.push(b"this is not json".to_vec());
+        lines.push(submit(c, 0)); // duplicate id this round
+        lines.push(cmd("stats"));
+        lines.push(vec![b'x'; MAX_LINE_BYTES + 1]);
+        lines.push(cmd("ping"));
+        lines.extend((6..10).map(|i| submit(c, i)));
+        lines.push(cmd("no-such-command"));
+        wire(lines)
+    };
+    // Phase two: one connection drains and resubmits a freed id while
+    // the others keep talking.
+    let second = |c: u64| match c {
+        0 => wire(vec![cmd("drain"), submit(0, 0), cmd("ping")]),
+        1 => wire(vec![cmd("health"), b"{\"cmd\":".to_vec()]),
+        _ => wire(vec![cmd("ping"), cmd("stats")]),
+    };
+    for seed in 0..4u64 {
+        let mut streams: Vec<Vec<Vec<String>>> = Vec::new();
+        for net in BACKENDS {
+            let cfg = ServerConfig {
+                net,
+                scheduler: SchedulerConfig {
+                    cores: 2,
+                    shards: CONNS as usize,
+                    ..SchedulerConfig::default()
+                },
+                ..ServerConfig::new(Endpoint::Unix(scratch(&format!(
+                    "multi-{seed}-{}",
+                    net.name()
+                ))))
+            };
+            let handle = serve(cfg).expect("server binds");
+            let socks: Vec<UnixStream> = (0..CONNS).map(|_| connect(&handle)).collect();
+            // One reader a connection, so a write below never waits on
+            // a response nobody reads.
+            let readers: Vec<_> = socks
+                .iter()
+                .map(|sock| {
+                    let (tx, rx) = std::sync::mpsc::channel();
+                    let reader = BufReader::new(sock.try_clone().expect("clone"));
+                    std::thread::spawn(move || {
+                        for line in reader.lines() {
+                            let line = line.expect("reads response");
+                            if tx.send(comparable(line.trim())).is_err() {
+                                break;
+                            }
+                        }
+                    });
+                    rx
+                })
+                .collect();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut got: Vec<Vec<String>> = vec![Vec::new(); socks.len()];
+            for phase in [&first as &dyn Fn(u64) -> (usize, Vec<u8>), &second] {
+                let (counts, wires): (Vec<usize>, Vec<Vec<u8>>) = (0..CONNS).map(phase).unzip();
+                let mut rest: Vec<&[u8]> = wires.iter().map(Vec::as_slice).collect();
+                while rest.iter().any(|r| !r.is_empty()) {
+                    let c = rng.gen_range(0..rest.len());
+                    if rest[c].is_empty() {
+                        continue;
+                    }
+                    let max = if rng.gen_bool(0.5) { 64 } else { 40_000 };
+                    let (chunk, tail) = rest[c].split_at(rng.gen_range(1..=max.min(rest[c].len())));
+                    (&socks[c]).write_all(chunk).expect("chunk writes");
+                    if rng.gen_bool(0.2) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    rest[c] = tail;
+                }
+                // The phase boundary: every response is in.
+                for ((rx, n), got) in readers.iter().zip(counts).zip(&mut got) {
+                    got.extend((0..n).map(|_| {
+                        rx.recv_timeout(Duration::from_secs(30))
+                            .unwrap_or_else(|e| panic!("[{net:?}] seed {seed}: {e}"))
+                    }));
+                }
+            }
+            ping_ok(&handle);
+            handle.shutdown();
+            handle.wait();
+            streams.push(got);
+        }
+        for (c, (threads, reactor)) in streams[0].iter().zip(&streams[1]).enumerate() {
+            assert_eq!(
+                threads, reactor,
+                "seed {seed}: connection {c} must be answered identically by both backends"
+            );
+            // Nothing overtook on any of them.
+            let at = |tag: &str| threads.iter().position(|l| l == tag);
+            assert_eq!(at("<stats>"), Some(9), "seed {seed} connection {c}");
+            assert_eq!(at("<oversized>"), Some(10), "seed {seed} connection {c}");
+        }
+        assert_eq!(streams[0][1][17], "<health>", "seed {seed}");
+        let drained = &streams[0][0][17];
+        assert!(
+            drained.contains("\"completed\":30"),
+            "seed {seed}: {drained}"
+        );
     }
 }
 
