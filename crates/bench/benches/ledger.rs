@@ -60,7 +60,7 @@ fn bench_marginal_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("lmc_marginal_cost_probe");
     for n in [100usize, 10_000] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut l = filled_ledger(n);
+            let l = filled_ledger(n);
             let mut rng = ChaCha8Rng::seed_from_u64(3);
             b.iter(|| black_box(l.marginal_insert_cost(rng.gen_range(1..10_000_000_000))));
         });

@@ -14,13 +14,23 @@
 //! * `α_i`/`β_i` — handles of the first/last task in the range.
 //!
 //! Insertion and deletion maintain all tuples in `O(|P̂| + log N)`: one
-//! tree operation plus at most one boundary shift per dominating range,
-//! each O(1) thanks to the tree's linked-list threading. The total cost
+//! tree descent plus at most one boundary shift per dominating range,
+//! each O(1) thanks to the tree's linked-list threading. The descent
+//! reports the task's [`Position`](dvfs_ostree::Position) — its rank
+//! `k^B` and the `ξ` of everything before it — and Algorithm 5/6's
+//! `shift = ξ([k^B+1, b_i])` is `Σ_{j≤i} x_j` minus that prefix, read off
+//! the tuples; no operation walks the tree twice. The total cost
 //!
 //! `C = Σ_i Re·E(p_i)·x_i + Rt·T(p_i)·(d_i + (a_i − 1)·x_i)`   (Eq. 32)
 //!
 //! is recomputed from the `|P̂|` tuples after each update, so reading it
 //! is Θ(1).
+//!
+//! The marginal cost of an insertion ([`CostLedger::marginal_insert_cost`],
+//! what Least Marginal Cost compares across cores) is a *query*: one
+//! read-only descent says where the task would land, and the tuples say
+//! what that does to each range's `(x_i, γ_i)`, exactly, in integers. It
+//! mutates nothing and subtracts no two totals.
 //!
 //! Note: Algorithm 6 line 20 in the paper reads
 //! `d_i ← d_i − (k^B−a_i+1)·∗ptr **+** range_sum(Z, [k^B+1, b_i])`; the
@@ -163,7 +173,22 @@ impl CostLedger {
     /// to dispatch under shortest-first execution.
     #[must_use]
     pub fn peek_next_dispatch(&self) -> Option<Handle> {
-        self.tree.last()
+        self.st.iter().rev().find_map(|s| s.beta)
+    }
+
+    /// The longest queued tasks: backward position 1 (the first range's
+    /// `α`) and, after it, every task with the same cycle count, in
+    /// queue order.
+    pub fn longest_run(&self) -> impl Iterator<Item = Handle> + '_ {
+        let head = self.st[0].alpha;
+        let longest = head.map(|h| self.tree.cycles(h));
+        std::iter::successors(head, |&h| self.tree.next(h))
+            .take_while(move |&h| Some(self.tree.cycles(h)) == longest)
+    }
+
+    /// `Σ_{j≤i} x_j`: the `ξ` of every task in ranges `0..=i`.
+    fn xi_through(&self, i: usize) -> u128 {
+        self.st[..=i].iter().map(|s| s.x).sum()
     }
 
     fn recompute_cost(&mut self) {
@@ -181,9 +206,11 @@ impl CostLedger {
 
     /// Algorithm 5: insert a task. `O(|P̂| + log N)`.
     pub fn insert(&mut self, cycles: u64) -> Handle {
-        let h = self.tree.insert(cycles);
-        let kb = self.tree.rank(h) as u64;
+        let (h, at) = self.tree.insert_with_position(cycles);
+        let kb = at.rank() as u64;
         let mut i = self.ranges.range_index_for(kb);
+        // The range's tasks behind the new one, each pushed back a place.
+        let shift = self.xi_through(i) - at.xi_before;
         {
             let s = &mut self.st[i];
             if kb == s.a {
@@ -194,10 +221,8 @@ impl CostLedger {
             }
             s.b += 1;
             s.x += cycles as u128;
+            s.d += (kb - s.a + 1) as u128 * cycles as u128 + shift;
         }
-        // d update needs a tree query; split borrows.
-        let shift = self.tree.xi_range(kb as usize + 1, self.st[i].b as usize);
-        self.st[i].d += (kb - self.st[i].a + 1) as u128 * cycles as u128 + shift;
 
         // Cascade overflow across subsequent ranges (one element each).
         while self.st[i].b > self.st[i].ub {
@@ -234,8 +259,10 @@ impl CostLedger {
     /// # Panics
     /// Panics on a stale handle.
     pub fn remove(&mut self, h: Handle) -> u64 {
-        let kb = self.tree.rank(h) as u64;
-        let cycles = self.tree.cycles(h);
+        // The threading around `h`, read before the tree forgets it.
+        let (ahead, behind) = (self.tree.prev(h), self.tree.next(h));
+        let (cycles, at) = self.tree.remove_with_position(h);
+        let kb = at.rank() as u64;
         // Last non-empty range.
         let mut i = self
             .st
@@ -275,40 +302,87 @@ impl CostLedger {
             "cascade must stop at the target range"
         );
         // Remove the task from its own range (paper line 20 with the
-        // sign typo fixed: trailing tasks shift down, subtract their ξ).
-        let shift = self.tree.xi_range(kb as usize + 1, self.st[i].b as usize);
-        {
-            let s = &mut self.st[i];
-            s.d -= (kb - s.a + 1) as u128 * cycles as u128 + shift;
-            s.x -= cycles as u128;
-            s.b -= 1;
-        }
-        if self.st[i].is_empty() {
-            self.st[i].alpha = None;
-            self.st[i].beta = None;
+        // sign typo fixed: trailing tasks shift down, subtract their ξ,
+        // which is the range's end less the task and what precedes it).
+        let shift = self.xi_through(i) - at.xi_before - cycles as u128;
+        let s = &mut self.st[i];
+        s.d -= (kb - s.a + 1) as u128 * cycles as u128 + shift;
+        s.x -= cycles as u128;
+        s.b -= 1;
+        if s.is_empty() {
+            s.alpha = None;
+            s.beta = None;
         } else {
-            if self.st[i].alpha == Some(h) {
-                self.st[i].alpha = self.tree.next(h);
+            if s.alpha == Some(h) {
+                s.alpha = behind;
             }
-            if self.st[i].beta == Some(h) {
-                self.st[i].beta = self.tree.prev(h);
+            if s.beta == Some(h) {
+                s.beta = ahead;
             }
         }
-        self.tree.remove(h);
         self.recompute_cost();
         cycles
     }
 
-    /// The marginal cost of inserting a task with `cycles` cycles:
-    /// `C_after − C_before` (used by Least Marginal Cost when choosing a
-    /// core for a non-interactive task). Leaves the ledger unchanged.
-    pub fn marginal_insert_cost(&mut self, cycles: u64) -> f64 {
-        let before = self.cost;
-        let h = self.insert(cycles);
-        let after = self.cost;
-        self.remove(h);
-        debug_assert!((self.cost - before).abs() <= before.abs() * 1e-9 + 1e-12);
-        after - before
+    /// The marginal cost of inserting a task with `cycles` cycles — what
+    /// [`total_cost`](Self::total_cost) would grow by — without inserting
+    /// it (Least Marginal Cost asks every core's ledger this and inserts
+    /// into one). One read-only descent, `O(|P̂| + log N)`.
+    ///
+    /// With `r` the backward position the task would take this is
+    /// `C^B(r)·L`, plus `Rt·T(p_i)` per cycle for every task pushed back a
+    /// place inside its range `i`, plus `C^B(ub_i+1) − C^B(ub_i)` per
+    /// cycle for each full range's tail, which crosses into the next
+    /// range. It is summed range by range instead, as
+    /// `Re·E(p_i)·Δx_i + Rt·T(p_i)·Δγ_i` — the same total — because those
+    /// changes are exact integers and none is negative: each goes to
+    /// `f64` once and nothing cancels, where the difference of two
+    /// totals over `N` tasks kept only the digits they did not share.
+    #[must_use]
+    pub fn marginal_insert_cost(&self, cycles: u64) -> f64 {
+        let mut cost = 0.0;
+        self.insert_deltas(cycles, |i, dx, dgamma| {
+            let (re_e, rt_t) = self.ranges.coeffs(i);
+            cost += re_e * dx as f64 + rt_t * dgamma as f64;
+        });
+        cost
+    }
+
+    /// What inserting a task with `cycles` cycles would do to the range
+    /// tuples: calls `each(i, Δx_i, Δγ_i)` for every range the insertion
+    /// touches, in ascending order, with `γ_i = d_i + (a_i − 1)·x_i` the
+    /// range's absolute position-weighted sum; returns the backward
+    /// position the task would take. A range gains what enters it (the
+    /// new task at `r`, or the previous range's tail at `a_i`), every
+    /// task behind that moves back one place, and a full range's tail
+    /// leaves from `ub_i + 1`.
+    fn insert_deltas(&self, cycles: u64, mut each: impl FnMut(usize, u128, u128)) -> u64 {
+        let at = self.tree.locate(cycles);
+        let r = at.rank() as u64;
+        let mut i = self.ranges.range_index_for(r);
+        let mut entering = cycles as u128;
+        let mut position = r as u128;
+        let mut displaced = self.xi_through(i) - at.xi_before;
+        loop {
+            let s = &self.st[i];
+            let full = s.b == s.ub;
+            let leaving = match s.beta {
+                Some(tail) if full => self.tree.cycles(tail) as u128,
+                _ => 0,
+            };
+            each(
+                i,
+                entering - leaving,
+                position * entering + displaced - (s.ub as u128 + 1) * leaving,
+            );
+            if !full {
+                return r;
+            }
+            i += 1;
+            entering = leaving;
+            position = self.st[i].a as u128;
+            displaced = self.st[i].x;
+        }
     }
 
     /// Recompute the total via per-range tree queries (Equation 32
@@ -385,6 +459,60 @@ impl CostLedger {
             self.cost,
             via_q
         );
+    }
+}
+
+/// The oracle the marginal-cost query is held to: what
+/// [`CostLedger::marginal_insert_cost`] used to be.
+#[cfg(test)]
+impl CostLedger {
+    /// Insert, read, remove: `C_after − C_before`, and a bound on that
+    /// difference's own rounding error. Each total is a running sum of
+    /// `2·|P̂|` rounded products of a rounded integer, so it is off by at
+    /// most `(2·|P̂| + 1)` half-ulps of itself, and the subtraction keeps
+    /// both errors whole however few digits the two totals differ in.
+    pub(crate) fn reference_marginal_insert_cost(&mut self, cycles: u64) -> (f64, f64) {
+        let before = self.cost;
+        let h = self.insert(cycles);
+        let after = self.cost;
+        self.remove(h);
+        let bound = (2 * self.st.len() + 1) as f64 * f64::EPSILON * after;
+        (after - before, bound)
+    }
+
+    /// Each range's `(x_i, γ_i)`, with `γ_i = d_i + (a_i − 1)·x_i`.
+    fn range_sums(&self) -> Vec<(u128, u128)> {
+        self.st
+            .iter()
+            .map(|s| (s.x, s.d + (s.a as u128 - 1) * s.x))
+            .collect()
+    }
+
+    /// Hold the query to a real insertion of the same task: the same
+    /// backward position, exactly the per-range integer changes it
+    /// priced, and a value within the oracle's rounding error. Leaves
+    /// the ledger as it found it.
+    pub(crate) fn assert_query_matches_insert(&mut self, cycles: u64) {
+        let mut priced = vec![(0u128, 0u128); self.st.len()];
+        let rank = self.insert_deltas(cycles, |i, dx, dgamma| priced[i] = (dx, dgamma));
+        let query = self.marginal_insert_cost(cycles);
+        let (reference, bound) = self.reference_marginal_insert_cost(cycles);
+        assert!(
+            (query - reference).abs() <= bound + query * f64::EPSILON * (priced.len() + 1) as f64,
+            "query {query} vs insert/remove {reference} (bound {bound}) for {cycles} cycles"
+        );
+
+        let before = self.range_sums();
+        let h = self.insert(cycles);
+        assert_eq!(rank, self.backward_position(h), "rank for {cycles} cycles");
+        let expected: Vec<_> = before
+            .iter()
+            .zip(&priced)
+            .map(|(&(x, gamma), &(dx, dgamma))| (x + dx, gamma + dgamma))
+            .collect();
+        assert_eq!(self.range_sums(), expected, "deltas for {cycles} cycles");
+        self.remove(h);
+        assert_eq!(self.range_sums(), before, "remove undoes insert");
     }
 }
 
@@ -490,6 +618,85 @@ mod tests {
         }
         let probe = 1500;
         assert!(long.marginal_insert_cost(probe) > short.marginal_insert_cost(probe));
+    }
+
+    #[test]
+    fn query_on_an_empty_ledger_prices_position_one() {
+        let mut l = ledger();
+        let alone = l.ranges().cost_at(1) * 1e3;
+        assert!((l.marginal_insert_cost(1_000) - alone).abs() <= alone * 1e-15);
+        l.assert_query_matches_insert(1_000);
+        assert!(l.is_empty());
+    }
+
+    #[test]
+    fn query_appending_behind_every_task_displaces_nothing() {
+        let mut l = ledger();
+        for c in (1..=40u64).map(|i| i * 100) {
+            l.insert(c);
+        }
+        // r = N + 1: only the task's own term.
+        let own = l.ranges().cost_at(41);
+        assert!((l.marginal_insert_cost(1) - own).abs() <= own * 1e-15);
+        l.assert_query_matches_insert(1);
+    }
+
+    #[test]
+    fn query_at_every_rank_and_boundary_of_table2() {
+        // Ranges [1,2) [2,3) [3,5) [5,10) [10,inf). At every fill level
+        // 0..=12 probe every rank 1..=N+1: that lands on each range's
+        // first and last position, and at N = 1, 2, 4, 9 a full range
+        // spills its tail into an empty successor.
+        let mut l = ledger();
+        for n in 0..=12u64 {
+            for r in 1..=n + 1 {
+                // Queued cycles are 100·1 ..= 100·n; this lands at rank r.
+                l.assert_query_matches_insert(100 * (n + 1 - r) + 50);
+            }
+            l.insert(100 * (n + 1));
+        }
+        l.assert_state();
+    }
+
+    #[test]
+    fn query_on_a_single_rate_table() {
+        let table = RateTable::synthetic_quadratic(1, 1.0, 1.0);
+        let mut l = CostLedger::new(&table, CostParams::batch_paper());
+        for c in [5u64, 500, 50] {
+            l.assert_query_matches_insert(c);
+            l.insert(c);
+        }
+        for c in [1u64, 5, 49, 51, 501] {
+            l.assert_query_matches_insert(c);
+        }
+    }
+
+    #[test]
+    fn query_lands_behind_an_equal_cycles_run() {
+        let mut l = ledger();
+        for _ in 0..30 {
+            l.insert(777);
+        }
+        let rank = l.insert_deltas(777, |_, _, _| {});
+        assert_eq!(rank, 31, "equal cycles order before the newcomer");
+        for c in [776u64, 777, 778] {
+            l.assert_query_matches_insert(c);
+        }
+    }
+
+    #[test]
+    fn longest_run_is_rank_one_and_its_equals() {
+        let mut l = ledger();
+        assert_eq!(l.longest_run().count(), 0);
+        let small = l.insert(10);
+        let a = l.insert(900);
+        let b = l.insert(900);
+        l.insert(899);
+        assert_eq!(l.longest_run().collect::<Vec<_>>(), vec![a, b]);
+        l.remove(a);
+        l.remove(b);
+        assert_eq!(l.longest_run().count(), 1);
+        assert_eq!(l.peek_next_dispatch(), Some(small));
     }
 
     #[test]
@@ -640,6 +847,31 @@ mod tests {
                 }
                 let naive = l.naive_cost();
                 prop_assert!((l.total_cost() - naive).abs() <= naive.abs() * 1e-9 + 1e-12);
+            }
+            l.assert_state();
+        }
+
+        #[test]
+        fn prop_query_prices_exactly_what_an_insert_does(
+            ops in prop::collection::vec((0u8..3, 1u64..10_000_000), 1..120),
+            levels in 1usize..=8,
+            re in 0.05f64..2.0,
+            rt in 0.05f64..2.0,
+        ) {
+            let table = RateTable::synthetic_quadratic(levels, 0.5, 3.3);
+            let mut l = CostLedger::new(&table, CostParams::new(re, rt).unwrap());
+            let mut live: Vec<Handle> = Vec::new();
+            for (op, val) in ops {
+                if op == 2 && !live.is_empty() {
+                    let h = live.swap_remove(val as usize % live.len());
+                    l.remove(h);
+                } else {
+                    // Two in three fold onto seven values: long runs of
+                    // equal cycles on both sides of every probe.
+                    let cycles = if val % 3 == 0 { val } else { 1_000 * (val % 7 + 1) };
+                    l.assert_query_matches_insert(cycles);
+                    live.push(l.insert(cycles));
+                }
             }
             l.assert_state();
         }

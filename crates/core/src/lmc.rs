@@ -11,9 +11,10 @@
 //!   preempt any non-interactive task running there, and run the
 //!   interactive task at the core's maximum frequency. The preempted task
 //!   resumes once the interactive backlog drains.
-//! * **Non-interactive arrival** — tentatively insert into each core's
-//!   ledger and keep the insertion with the least marginal cost; the
-//!   running non-interactive task's frequency is re-derived from its new
+//! * **Non-interactive arrival** — ask each core's ledger what the task
+//!   would add to its queue's cost (a read-only query; no ledger is
+//!   touched) and insert into the one that answers least; the running
+//!   non-interactive task's frequency is re-derived from its new
 //!   backward position (`N_waiting + 1`), since per-core DVFS may adjust
 //!   rates mid-task in the online mode.
 //! * **Dispatch** — interactive FIFO first, then the suspended
@@ -25,6 +26,7 @@ use crate::sched::{ExecutorView, Scheduler};
 use dvfs_model::{CoreId, CostParams, Platform, RateIdx, Task, TaskClass, TaskId};
 use dvfs_ostree::Handle;
 use dvfs_trace::EventKind;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
 struct CoreQueue {
@@ -236,19 +238,22 @@ impl LeastMarginalCost {
     pub fn steal_longest(&mut self, sim: &mut dyn ExecutorView, max: usize) -> Vec<TaskId> {
         let mut out = Vec::new();
         for _ in 0..max {
-            let mut pick: Option<(u64, TaskId, CoreId, Handle)> = None;
-            for (j, core) in self.cores.iter().enumerate() {
-                for (&h, &tid) in &core.by_handle {
-                    let cycles = core.ledger.cycles(h);
-                    let better = match pick {
-                        None => true,
-                        Some((c, t, _, _)) => cycles > c || (cycles == c && tid < t),
-                    };
-                    if better {
-                        pick = Some((cycles, tid, j, h));
-                    }
-                }
-            }
+            // Each ledger knows its longest task (backward position 1);
+            // only a run of equal cycle counts needs the id compared.
+            let pick = self
+                .cores
+                .iter()
+                .enumerate()
+                .flat_map(|(j, core)| {
+                    core.ledger.longest_run().map(move |h| {
+                        let tid = *core
+                            .by_handle
+                            .get(&h)
+                            .expect("ledger handle maps to a task");
+                        (Reverse(core.ledger.cycles(h)), tid, j, h)
+                    })
+                })
+                .min();
             let Some((_, tid, j, h)) = pick else { break };
             self.cores[j].ledger.remove(h);
             self.cores[j].by_handle.remove(&h);
@@ -332,8 +337,7 @@ impl LeastMarginalCost {
     fn handle_non_interactive(&mut self, sim: &mut dyn ExecutorView, task: &Task) {
         let tracing = sim.trace().is_some();
         self.costs.clear();
-        for core in &mut self.cores {
-            // A query: the ledger is left as it was found.
+        for core in &self.cores {
             self.costs
                 .push(core.ledger.marginal_insert_cost(task.cycles));
         }
@@ -402,5 +406,132 @@ impl Scheduler for LeastMarginalCost {
         debug_assert_eq!(self.cores[core].running.map(|(t, _)| t), Some(task.id));
         self.cores[core].running = None;
         self.dispatch_next(sim, core);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The differential between the marginal-cost query and the
+    //! insert/read/remove probe it replaced, run through the engine.
+    use super::*;
+    use crate::sched::conformance::mixed_trace;
+    use crate::sched::engine::{Engine, EngineConfig, EngineEvent, EngineObserver};
+    use dvfs_model::{CoreSpec, RateTable};
+    use dvfs_workloads::JudgeTraceConfig;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    struct Quiet;
+
+    impl EngineObserver for Quiet {
+        fn on_event(&mut self, _time: f64, _event: EngineEvent) {}
+    }
+
+    /// An arrival the two probes would have sent to different cores.
+    struct Split {
+        /// How far apart the query puts the two candidates.
+        gap: f64,
+        /// The old probe's rounding error on them, summed.
+        noise: f64,
+    }
+
+    /// LMC as it runs, with the old probe asked the same question beside
+    /// it on every non-interactive arrival.
+    struct Shadowed {
+        lmc: LeastMarginalCost,
+        splits: Vec<Split>,
+    }
+
+    impl Scheduler for Shadowed {
+        fn name(&self) -> String {
+            self.lmc.name()
+        }
+
+        fn on_arrival(&mut self, sim: &mut dyn ExecutorView, task: &Task) {
+            if task.class != TaskClass::Interactive {
+                let cores = &mut self.lmc.cores;
+                let query: Vec<f64> = cores
+                    .iter()
+                    .map(|c| c.ledger.marginal_insert_cost(task.cycles))
+                    .collect();
+                let (old, noise): (Vec<f64>, Vec<f64>) = cores
+                    .iter_mut()
+                    .map(|c| c.ledger.reference_marginal_insert_cost(task.cycles))
+                    .unzip();
+                let (q, o) = (least(&query), least(&old));
+                if q != o {
+                    self.splits.push(Split {
+                        gap: (query[q] - query[o]).abs(),
+                        noise: noise[q] + noise[o],
+                    });
+                }
+            }
+            self.lmc.on_arrival(sim, task);
+        }
+
+        fn on_completion(&mut self, sim: &mut dyn ExecutorView, core: CoreId, task: &Task) {
+            self.lmc.on_completion(sim, core, task);
+        }
+    }
+
+    /// Run `tasks` on four Table II cores (the service's platform) and
+    /// return every arrival the two probes split on.
+    fn splits_on(tasks: &[Task]) -> Vec<Split> {
+        let platform = Platform::homogeneous(4, CoreSpec::new(RateTable::i7_950_table2()))
+            .expect("four cores");
+        let params = CostParams::online_paper();
+        let mut policy = Shadowed {
+            lmc: LeastMarginalCost::new(&platform, params),
+            splits: Vec::new(),
+        };
+        let mut engine = Engine::new(EngineConfig::new(platform), Quiet);
+        engine.add_tasks(tasks);
+        engine.run_to_completion(&mut policy);
+        policy.splits
+    }
+
+    #[test]
+    fn query_and_old_probe_agree_on_every_conformance_arrival() {
+        assert!(splits_on(&mixed_trace()).is_empty());
+    }
+
+    #[test]
+    fn query_and_old_probe_agree_on_every_judgegirl_arrival() {
+        let trace = JudgeTraceConfig::paper(1).generate();
+        assert!(trace.len() > 50_000);
+        assert!(splits_on(&trace).is_empty());
+    }
+
+    #[test]
+    fn on_a_deep_batch_the_probes_split_only_inside_the_old_rounding_error() {
+        // sysbench's `engine_drain_deep` input: every task resident
+        // before the first completion, so the totals the old probe
+        // subtracted reach ~4·10^5 while the candidates differ in the
+        // eleventh digit.
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let batch: Vec<Task> = (0..100_000u64)
+            .map(|id| {
+                let cycles = rng.gen_range(1_000_000..=5_000_000u64);
+                Task::online(id, cycles, 0.0, None, TaskClass::NonInteractive).expect("valid task")
+            })
+            .collect();
+        let splits = splits_on(&batch);
+        for s in &splits {
+            assert!(
+                s.gap <= s.noise,
+                "decided differently with the candidates {} apart, rounding error {}",
+                s.gap,
+                s.noise
+            );
+        }
+        let widest = |f: fn(&Split) -> f64| splits.iter().map(f).fold(0.0, f64::max);
+        println!(
+            "deep batch: {} of {} arrivals decided differently; widest gap {:e}, \
+             widest rounding error {:e}",
+            splits.len(),
+            batch.len(),
+            widest(|s| s.gap),
+            widest(|s| s.noise),
+        );
     }
 }

@@ -20,6 +20,15 @@
 //! `dvfs-core` walk dominating-range boundaries in O(1) per step and reach
 //! the paper's `O(|P̂| + log N)` insert/delete bound.
 //!
+//! **One descent per operation.** A mutation reports the [`Position`] it
+//! acted at — how many elements order before the element and their `ξ` —
+//! from the walk it makes anyway ([`CycleTree::insert_with_position`],
+//! [`CycleTree::remove_with_position`]; an insert also learns its
+//! threading neighbours on the way down), and [`CycleTree::locate`] answers
+//! the same question for a key that is *not* inserted, read-only. The
+//! ledger derives every range sum it needs from that one answer, so
+//! neither it nor the Least Marginal Cost probe walks the tree twice.
+//!
 //! Handles are generational indices: using a handle after its element was
 //! removed panics with a clear message instead of silently reading a
 //! recycled slot.
@@ -46,6 +55,41 @@ impl fmt::Display for Handle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "h{}.{}", self.idx, self.gen)
     }
+}
+
+/// Where an element sits — or, for [`CycleTree::locate`], would sit — in
+/// rank order: the elements ordered before it, as a count and as a sum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Position {
+    /// Number of elements ordered before this one.
+    pub before: usize,
+    /// Their `ξ`: `prefix_xi(before)`.
+    pub xi_before: u128,
+}
+
+impl Position {
+    /// The 1-based rank (backward position `k^B`): `before + 1`.
+    #[must_use]
+    pub fn rank(&self) -> usize {
+        self.before + 1
+    }
+
+    /// Step past `node` and everything under its left child.
+    #[inline]
+    fn pass(&mut self, tree: &CycleTree, node: u32) {
+        let n = &tree.nodes[node as usize];
+        self.before += tree.size_of(n.left) as usize + 1;
+        self.xi_before += tree.xi_of(n.left) + n.cycles as u128;
+    }
+}
+
+/// What an insert's descent learns besides the new root: the position the
+/// element took and its in-order neighbours (the last node the walk went
+/// right from, the last it went left from).
+struct Landing {
+    at: Position,
+    prev: u32,
+    next: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -276,20 +320,21 @@ impl CycleTree {
 
     /// Insert a cycle count; returns its handle. `O(log N)`.
     pub fn insert(&mut self, cycles: u64) -> Handle {
+        self.insert_with_position(cycles).0
+    }
+
+    /// [`insert`](Self::insert), also reporting where the element landed
+    /// (equal cycle counts order before it). One descent: rank, prefix `ξ`
+    /// and threading neighbours all come from the insertion walk.
+    pub fn insert_with_position(&mut self, cycles: u64) -> (Handle, Position) {
         let new = self.alloc(cycles);
-        self.root = self.insert_rec(self.root, new);
-        // Splice into the threading using tree neighbors.
-        let h = Handle {
-            idx: new,
-            gen: self.nodes[new as usize].gen,
+        let mut landing = Landing {
+            at: Position::default(),
+            prev: NIL,
+            next: NIL,
         };
-        let r = self.rank(h);
-        let prev = if r > 1 { self.select_idx(r - 1) } else { NIL };
-        let next = if r < self.len() {
-            self.select_idx(r + 1)
-        } else {
-            NIL
-        };
+        self.root = self.insert_rec(self.root, new, &mut landing);
+        let Landing { at, prev, next } = landing;
         self.nodes[new as usize].prev = prev;
         self.nodes[new as usize].next = next;
         if prev != NIL {
@@ -298,15 +343,20 @@ impl CycleTree {
         if next != NIL {
             self.nodes[next as usize].prev = new;
         }
-        h
+        let h = Handle {
+            idx: new,
+            gen: self.nodes[new as usize].gen,
+        };
+        (h, at)
     }
 
-    fn insert_rec(&mut self, node: u32, new: u32) -> u32 {
+    fn insert_rec(&mut self, node: u32, new: u32, landing: &mut Landing) -> u32 {
         if node == NIL {
             return new;
         }
         if self.before(new, node) {
-            let l = self.insert_rec(self.nodes[node as usize].left, new);
+            landing.next = node;
+            let l = self.insert_rec(self.nodes[node as usize].left, new, landing);
             self.nodes[node as usize].left = l;
             if self.nodes[l as usize].prio > self.nodes[node as usize].prio {
                 let top = self.rotate_right(node);
@@ -314,7 +364,9 @@ impl CycleTree {
                 return top;
             }
         } else {
-            let r = self.insert_rec(self.nodes[node as usize].right, new);
+            landing.prev = node;
+            landing.at.pass(self, node);
+            let r = self.insert_rec(self.nodes[node as usize].right, new, landing);
             self.nodes[node as usize].right = r;
             if self.nodes[r as usize].prio > self.nodes[node as usize].prio {
                 let top = self.rotate_left(node);
@@ -324,6 +376,26 @@ impl CycleTree {
         }
         self.pull(node);
         node
+    }
+
+    /// Where a new element with `cycles` would land, without inserting it:
+    /// behind every stored element with at least as many cycles (a new
+    /// element carries the largest tie-break sequence number). Read-only,
+    /// one descent, `O(log N)`.
+    #[must_use]
+    pub fn locate(&self, cycles: u64) -> Position {
+        let mut at = Position::default();
+        let mut node = self.root;
+        while node != NIL {
+            let n = &self.nodes[node as usize];
+            if n.cycles >= cycles {
+                at.pass(self, node);
+                node = n.right;
+            } else {
+                node = n.left;
+            }
+        }
+        at
     }
 
     /// Right rotation: left child becomes the subtree root.
@@ -349,9 +421,19 @@ impl CycleTree {
     /// # Panics
     /// Panics when `h` is stale.
     pub fn remove(&mut self, h: Handle) -> u64 {
+        self.remove_with_position(h).0
+    }
+
+    /// [`remove`](Self::remove), also reporting where the element sat:
+    /// its rank and prefix `ξ` come from the walk that finds it.
+    ///
+    /// # Panics
+    /// Panics when `h` is stale.
+    pub fn remove_with_position(&mut self, h: Handle) -> (u64, Position) {
         self.check(h);
         let target = h.idx;
-        self.root = self.remove_rec(self.root, target);
+        let mut at = Position::default();
+        self.root = self.remove_rec(self.root, target, &mut at);
         // Unsplice from threading.
         let (prev, next) = {
             let n = &self.nodes[target as usize];
@@ -366,46 +448,53 @@ impl CycleTree {
         let cycles = self.nodes[target as usize].cycles;
         self.nodes[target as usize].gen += 1; // odd -> even: dead
         self.free.push(target);
-        cycles
+        (cycles, at)
     }
 
-    fn remove_rec(&mut self, node: u32, target: u32) -> u32 {
+    fn remove_rec(&mut self, node: u32, target: u32, at: &mut Position) -> u32 {
         assert_ne!(node, NIL, "target must exist in the tree");
         if node == target {
             let (l, r) = {
                 let n = &self.nodes[node as usize];
                 (n.left, n.right)
             };
-            if l == NIL {
-                return r;
-            }
-            if r == NIL {
-                return l;
-            }
-            // Rotate the higher-priority child up and recurse.
-            let top = if self.nodes[l as usize].prio > self.nodes[r as usize].prio {
-                let t = self.rotate_right(node);
-                let newr = self.remove_rec(self.nodes[t as usize].right, target);
-                self.nodes[t as usize].right = newr;
-                t
-            } else {
-                let t = self.rotate_left(node);
-                let newl = self.remove_rec(self.nodes[t as usize].left, target);
-                self.nodes[t as usize].left = newl;
-                t
-            };
-            self.pull(top);
-            return top;
+            at.before += self.size_of(l) as usize;
+            at.xi_before += self.xi_of(l);
+            return self.merge(l, r);
         }
         if self.before(target, node) {
-            let l = self.remove_rec(self.nodes[node as usize].left, target);
+            let l = self.remove_rec(self.nodes[node as usize].left, target, at);
             self.nodes[node as usize].left = l;
         } else {
-            let r = self.remove_rec(self.nodes[node as usize].right, target);
+            at.pass(self, node);
+            let r = self.remove_rec(self.nodes[node as usize].right, target, at);
             self.nodes[node as usize].right = r;
         }
         self.pull(node);
         node
+    }
+
+    /// Join two subtrees, every element of `l` ordering before every
+    /// element of `r`: the higher-priority root stays on top (the shape
+    /// rotating a doomed parent down to a leaf would leave).
+    fn merge(&mut self, l: u32, r: u32) -> u32 {
+        if l == NIL {
+            return r;
+        }
+        if r == NIL {
+            return l;
+        }
+        if self.nodes[l as usize].prio > self.nodes[r as usize].prio {
+            let m = self.merge(self.nodes[l as usize].right, r);
+            self.nodes[l as usize].right = m;
+            self.pull(l);
+            l
+        } else {
+            let m = self.merge(l, self.nodes[r as usize].left);
+            self.nodes[r as usize].left = m;
+            self.pull(r);
+            r
+        }
     }
 
     /// 1-based rank of `h` in descending cycle order (its backward

@@ -53,6 +53,30 @@ impl NaiveModel {
     }
 }
 
+/// Insert through the one-descent path and hold what it reports — and
+/// what `locate` predicted for the same key — to the independent reads.
+fn checked_insert(tree: &mut CycleTree, cycles: u64) -> Handle {
+    let predicted = tree.locate(cycles);
+    let (h, at) = tree.insert_with_position(cycles);
+    assert_eq!(at, predicted, "locate must predict the landing position");
+    assert_eq!(at.rank(), tree.rank(h));
+    assert_eq!(at.xi_before, tree.prefix_xi(at.before));
+    h
+}
+
+/// Remove through the one-descent path; the position it reports is the
+/// rank and prefix the element had just before.
+fn checked_remove(tree: &mut CycleTree, h: Handle) -> u64 {
+    let before = tree.rank(h) - 1;
+    let expected = Position {
+        before,
+        xi_before: tree.prefix_xi(before),
+    };
+    let (cycles, at) = tree.remove_with_position(h);
+    assert_eq!(at, expected);
+    cycles
+}
+
 #[test]
 fn empty_tree_basics() {
     let t = CycleTree::new();
@@ -62,6 +86,7 @@ fn empty_tree_basics() {
     assert_eq!(t.first(), None);
     assert_eq!(t.last(), None);
     assert_eq!(t.prefix_xi(0), 0);
+    assert_eq!(t.locate(7), Position::default());
     t.assert_invariants();
 }
 
@@ -109,6 +134,15 @@ fn ties_keep_insertion_order() {
     assert_eq!(t.rank(b), 2);
     assert_eq!(t.rank(c), 3);
     t.assert_invariants();
+    // A fourth 7 would land behind all three; an 8 ahead of them.
+    assert_eq!(
+        t.locate(7),
+        Position {
+            before: 3,
+            xi_before: 21
+        }
+    );
+    assert_eq!(t.locate(8), Position::default());
     // Removing the middle preserves the outer ranks.
     t.remove(b);
     assert_eq!(t.rank(a), 1);
@@ -186,13 +220,13 @@ fn randomized_against_naive_model() {
     for step in 0..3000 {
         if handles.is_empty() || rng.gen_bool(0.6) {
             let c = rng.gen_range(1..10_000u64);
-            let h = tree.insert(c);
+            let h = checked_insert(&mut tree, c);
             let seq = model.insert(c);
             handles.push((seq, h));
         } else {
             let i = rng.gen_range(0..handles.len());
             let (seq, h) = handles.swap_remove(i);
-            assert_eq!(tree.remove(h), model.remove_seq(seq));
+            assert_eq!(checked_remove(&mut tree, h), model.remove_seq(seq));
         }
         assert_eq!(tree.len(), model.items.len());
         if step % 250 == 0 {
@@ -248,13 +282,15 @@ proptest! {
         let mut handles: Vec<(u64, Handle)> = Vec::new();
         for (op, val) in ops {
             if op == 0 || handles.is_empty() {
-                let h = tree.insert(val);
-                let seq = model.insert(val);
+                // Fold most keys onto a few values: long equal-cycles runs.
+                let c = if val % 3 == 0 { val } else { val % 5 + 1 };
+                let h = checked_insert(&mut tree, c);
+                let seq = model.insert(c);
                 handles.push((seq, h));
             } else {
                 let i = (val as usize) % handles.len();
                 let (seq, h) = handles.swap_remove(i);
-                prop_assert_eq!(tree.remove(h), model.remove_seq(seq));
+                prop_assert_eq!(checked_remove(&mut tree, h), model.remove_seq(seq));
             }
         }
         tree.assert_invariants();

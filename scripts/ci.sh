@@ -190,34 +190,42 @@ echo "==> cargo metadata --offline --locked (sysbench manifest)"
 cargo metadata --offline --locked --format-version 1 \
     --manifest-path crates/bench/examples/sysbench/Cargo.toml >/dev/null
 
-# sysbench smoke: three seconds of the closed-loop saturation workload
-# through the stand-alone harness, exactly as BENCHMARK.json builds it.
-# Fails when the run's own verification does (books out of balance, a
-# shed or failed submit: `"correct":false`) or when any operation
-# failed (`fail_ratio` > 0: the paced wait's bound must never trip
-# here); the two figures a submit-path change moves are printed, not
-# gated — a 3 s run on a shared CI host is a tripwire, the benchmark
-# proper is the driver's. Two client
-# threads against a reactor and two shard workers need two cores to
-# mean anything.
-if [ "$(nproc)" -ge 2 ]; then
-    echo "==> sysbench smoke: wire_closed_sat, 3 s"
-    smoke="$(cargo run --release --offline --quiet \
+# sysbench smokes: three seconds of a workload through the stand-alone
+# harness, exactly as BENCHMARK.json builds it. Each fails when the
+# run's own verification does (`"correct":false`: books out of balance,
+# a shed or failed submit, service ≢ `dvfs_sim` or rounds not repeating
+# on the replay workload) or when any operation failed (`fail_ratio` >
+# 0: the paced wait's bound must never trip here); the figures a change
+# moves are printed, not gated — a 3 s run on a shared CI host is a
+# tripwire, the benchmark proper is the driver's.
+sysbench_smoke() {
+    local workload="$1" out
+    echo "==> sysbench smoke: $workload, 3 s"
+    out="$(cargo run --release --offline --quiet \
         --manifest-path crates/bench/examples/sysbench/Cargo.toml -- \
-        --workload wire_closed_sat --seed 1 --seconds 3 --trace 0)" || true
-    echo "$smoke" | grep -E '^(tasks_per_s|peak_rss_mib|fail_ratio) '
-    if ! echo "$smoke" | tail -n 1 | grep -q '"correct":true'; then
-        echo "ci: sysbench wire_closed_sat smoke failed its verification" >&2
-        echo "$smoke" | tail -n 3 >&2
+        --workload "$workload" --seed 1 --seconds 3 --trace 0)" || true
+    echo "$out" | grep -E '^(tasks_per_s|peak_rss_mib|cost_per_task|fail_ratio) ' || true
+    if ! echo "$out" | tail -n 1 | grep -q '"correct":true'; then
+        echo "ci: sysbench $workload smoke failed its verification" >&2
+        echo "$out" | tail -n 3 >&2
         exit 1
     fi
-    if ! echo "$smoke" | grep -qE '^fail_ratio 0(\.0+)? '; then
-        echo "ci: sysbench wire_closed_sat smoke reports failed operations" >&2
+    if ! echo "$out" | grep -qE '^fail_ratio 0(\.0+)? '; then
+        echo "ci: sysbench $workload smoke reports failed operations" >&2
         exit 1
     fi
+}
+# The submit path at saturation: two client threads against a reactor
+# and two shard workers need two cores to mean anything.
+if [ "$(nproc)" -ge 2 ]; then
+    sysbench_smoke wire_closed_sat
 else
     echo "==> SKIPPED: sysbench wire_closed_sat smoke (nproc < 2)"
 fi
+# The engine with 10^5 tasks resident in one replay shard: LMC's
+# marginal-cost query, the ledger and the tree do all the work, and the
+# run checks the service against the simulator on the same batch.
+sysbench_smoke engine_drain_deep
 
 # Invariant gate: dvfs-lint enforces the contracts neither the compiler
 # nor a type can carry, each a per-file token rule over comment-
