@@ -5,7 +5,9 @@ use dvfs_baselines::{OlbOnline, OnDemandOnline};
 use dvfs_core::{schedule_wbg, DominatingRanges, LeastMarginalCost, WbgReassign};
 use dvfs_model::task::batch_workload;
 use dvfs_model::{CostParams, Platform, RateTable};
-use dvfs_sim::{GovernorKind, SimConfig, SimReport, Simulator};
+use dvfs_sim::{GovernorKind, Policy, SimConfig, SimReport, Simulator};
+use dvfs_trace::export::{chrome_trace, parse_jsonl, to_jsonl};
+use dvfs_trace::EventKind;
 use dvfs_workloads::judge::TraceStats;
 use dvfs_workloads::JudgeTraceConfig;
 
@@ -19,12 +21,13 @@ USAGE:
   dvfs-sched schedule-batch --cycles L1,L2,... [--cores N] [--re X] [--rt Y]
   dvfs-sched simulate --trace FILE --policy lmc|wbg|olb|ondemand
              [--cores N] [--re X] [--rt Y] [--report FILE] [--log FILE]
-  dvfs-sched analyze --report FILE [--gantt FILE.csv] [--queue FILE.csv]
+  dvfs-sched analyze [--report FILE] [--log FILE.jsonl] [--gantt FILE.csv]
+             [--queue FILE.csv]
   dvfs-sched ranges [--re X] [--rt Y]
   dvfs-sched serve (--socket PATH | --tcp ADDR) [--mode replay|paced]
              [--speed X] [--cores N] [--shards N] [--re X] [--rt Y]
-             [--queue-cap N] [--snapshot FILE] [--snapshot-period-s S]
-             [--trace-out FILE] [--trace-cap N] [--net threads|reactor]
+             [--queue-cap N] [--trace-out FILE] [--trace-cap N]
+             [--net threads|reactor]
              [--max-connections N] [--actuator simulated|noop]
              [--rebalance on|off] [--telemetry on|off]
   dvfs-sched loadgen (--socket PATH | --tcp ADDR) --mode replay|poisson|closed
@@ -40,8 +43,12 @@ Cost parameters default to the paper's: batch Re=0.1 Rt=0.4 for
 schedule-batch/ranges, online Re=0.4 Rt=0.1 for simulate/serve.
 `serve --trace-cap N` enables per-shard lifecycle tracing (ring of N
 events per shard); `--trace-out` mirrors the drained trace to a JSONL
-file. `trace-export` converts that JSONL into Chrome trace_event JSON
-loadable in Perfetto (ui.perfetto.dev). `loadgen --max-shed F` exits
+file, and `simulate --log` writes the simulator's run in the same
+format. `trace-export` converts either into Chrome trace_event JSON
+loadable in Perfetto (ui.perfetto.dev); `analyze --log` reads either
+for Gantt segments and queue depth (`--report` adds the simulator's
+summary and the arrivals its log has no line for).
+`loadgen --max-shed F` exits
 nonzero when the shed ratio exceeds F. `serve --net` picks the wire
 driver: `reactor` (the default: one epoll thread for every connection)
 or `threads` (one blocking thread per connection, kept for portability)
@@ -195,37 +202,23 @@ fn simulate(argv: &[String]) -> Result<(), String> {
         return Err("trace is empty".into());
     }
 
-    let want_log = args.get("log").is_some();
-    let mk_cfg = |cfg: SimConfig| if want_log { cfg.with_event_log() } else { cfg };
-    let report: SimReport = match policy_name.as_str() {
-        "lmc" => {
-            let mut p = LeastMarginalCost::new(&platform, params);
-            let mut sim = Simulator::new(mk_cfg(SimConfig::new(platform.clone())));
-            sim.add_tasks(&trace);
-            sim.run(&mut p)
-        }
-        "wbg" => {
-            let mut p = WbgReassign::new(&platform, params);
-            let mut sim = Simulator::new(mk_cfg(SimConfig::new(platform.clone())));
-            sim.add_tasks(&trace);
-            sim.run(&mut p)
-        }
-        "olb" => {
-            let mut p = OlbOnline::new(platform.num_cores());
-            let mut sim = Simulator::new(mk_cfg(SimConfig::new(platform.clone())));
-            sim.add_tasks(&trace);
-            sim.run(&mut p)
-        }
+    let mut cfg = SimConfig::new(platform.clone());
+    let mut policy: Box<dyn Policy> = match policy_name.as_str() {
+        "lmc" => Box::new(LeastMarginalCost::new(&platform, params)),
+        "wbg" => Box::new(WbgReassign::new(&platform, params)),
+        "olb" => Box::new(OlbOnline::new(platform.num_cores())),
         "ondemand" => {
-            let mut p = OnDemandOnline::new(platform.num_cores());
-            let mut sim = Simulator::new(mk_cfg(
-                SimConfig::new(platform.clone()).with_governor(GovernorKind::ondemand_paper()),
-            ));
-            sim.add_tasks(&trace);
-            sim.run(&mut p)
+            cfg = cfg.with_governor(GovernorKind::ondemand_paper());
+            Box::new(OnDemandOnline::new(platform.num_cores()))
         }
         other => return Err(format!("unknown policy `{other}` (lmc|wbg|olb|ondemand)")),
     };
+    let mut sim = Simulator::new(cfg);
+    if args.get("log").is_some() {
+        sim.record_trace();
+    }
+    sim.add_tasks(&trace);
+    let report: SimReport = sim.run(policy.as_mut());
 
     let cost = report.cost(params);
     println!("policy          : {}", report.policy);
@@ -245,15 +238,11 @@ fn simulate(argv: &[String]) -> Result<(), String> {
         println!("full report written to {path}");
     }
     if let Some(path) = args.get("log") {
-        let f = std::fs::File::create(path).map_err(|e| e.to_string())?;
-        report
-            .event_log
-            .write_jsonl(std::io::BufWriter::new(f))
-            .map_err(|e| e.to_string())?;
+        let events = sim.take_trace();
+        std::fs::write(path, to_jsonl(&events)).map_err(|e| e.to_string())?;
         println!(
-            "decision log ({} entries, {} rate changes) written to {path}",
-            report.event_log.len(),
-            report.event_log.rate_changes()
+            "lifecycle trace ({} events) written to {path}",
+            events.len()
         );
     }
     Ok(())
@@ -261,38 +250,54 @@ fn simulate(argv: &[String]) -> Result<(), String> {
 
 fn analyze(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &[])?;
-    let report_path = args.require("report")?;
-    let json = std::fs::read_to_string(report_path).map_err(|e| e.to_string())?;
-    let report: SimReport = serde_json::from_str(&json).map_err(|e| e.to_string())?;
-    println!("policy   : {}", report.policy);
-    println!("tasks    : {} completed", report.completed());
-    println!("makespan : {:.2} s", report.makespan);
-    for (j, busy) in report.core_busy.iter().enumerate() {
-        let residency = report
-            .residency_fractions(j)
-            .map(|f| {
-                f.iter()
-                    .enumerate()
-                    .map(|(r, x)| format!("r{r}:{:.0}%", x * 100.0))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .unwrap_or_else(|| "idle".to_string());
-        println!("core {j}  : busy {busy:.1} s  [{residency}]");
+    let report: Option<SimReport> = match args.get("report") {
+        Some(path) => {
+            let json = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+            Some(serde_json::from_str(&json).map_err(|e| e.to_string())?)
+        }
+        None => None,
+    };
+    if let Some(report) = &report {
+        println!("policy   : {}", report.policy);
+        println!("tasks    : {} completed", report.completed());
+        println!("makespan : {:.2} s", report.makespan);
+        for (j, busy) in report.core_busy.iter().enumerate() {
+            let residency = report
+                .residency_fractions(j)
+                .map(|f| {
+                    f.iter()
+                        .enumerate()
+                        .map(|(r, x)| format!("r{r}:{:.0}%", x * 100.0))
+                        .collect::<Vec<_>>()
+                        .join(" ")
+                })
+                .unwrap_or_else(|| "idle".to_string());
+            println!("core {j}  : busy {busy:.1} s  [{residency}]");
+        }
     }
-    if report.event_log.is_empty() {
-        println!("no decision log embedded — run `simulate` with `--log` to enable recording");
+    let Some(log_path) = args.get("log") else {
+        if report.is_none() {
+            return Err("nothing to analyze: give `--report`, `--log`, or both".into());
+        }
+        println!("no trace given — pass what `simulate --log` wrote as `--log`");
         return Ok(());
-    }
-    let segments = dvfs_sim::gantt(&report.event_log);
-    let depth = dvfs_sim::queue_depth_series(&report.event_log);
+    };
+    let text = std::fs::read_to_string(log_path).map_err(|e| e.to_string())?;
+    let events = parse_jsonl(&text)?;
+    // A simulator log has no arrival lines; its report has the stamps.
+    let arrivals: Vec<f64> = (report.iter())
+        .flat_map(|report| report.tasks.values().map(|rec| rec.arrival))
+        .collect();
+    let segments = dvfs_sim::gantt(&events);
+    let depth = dvfs_sim::queue_depth_series(&events, &arrivals);
     let max_depth = depth.iter().map(|&(_, d)| d).max().unwrap_or(0);
+    let rate_changes = (events.iter())
+        .filter(|e| matches!(e.kind, EventKind::RateChange { .. }))
+        .count();
     println!(
-        "log      : {} entries, {} gantt segments, {} rate changes, peak queue depth {}",
-        report.event_log.len(),
+        "log      : {} events, {} gantt segments, {rate_changes} rate changes, peak queue depth {max_depth}",
+        events.len(),
         segments.len(),
-        report.event_log.rate_changes(),
-        max_depth
     );
     if let Some(path) = args.get("gantt") {
         let f = std::fs::File::create(path).map_err(|e| e.to_string())?;
@@ -396,13 +401,7 @@ fn serve_cmd(argv: &[String]) -> Result<(), String> {
         cfg.net = net;
     }
     cfg.max_connections = max_connections;
-    cfg.snapshot_path = args.get("snapshot").map(Into::into);
     cfg.trace_out = trace_out;
-    let period: f64 = args.num("snapshot-period-s", 1.0)?;
-    if !(period.is_finite() && period > 0.0) {
-        return Err("`--snapshot-period-s` must be a positive number".into());
-    }
-    cfg.snapshot_period = std::time::Duration::from_secs_f64(period);
     let handle = dvfs_serve::serve(cfg).map_err(|e| e.to_string())?;
     match handle.endpoint() {
         dvfs_serve::Endpoint::Unix(path) => {
@@ -515,8 +514,8 @@ fn trace_export(argv: &[String]) -> Result<(), String> {
     let input = args.require("in")?;
     let output = args.require("out")?;
     let text = std::fs::read_to_string(input).map_err(|e| e.to_string())?;
-    let events = dvfs_trace::export::parse_jsonl(&text).map_err(|e| e.to_string())?;
-    let json = dvfs_trace::export::chrome_trace(&events);
+    let events = parse_jsonl(&text)?;
+    let json = chrome_trace(&events);
     std::fs::write(output, json).map_err(|e| e.to_string())?;
     println!(
         "wrote {} events as Chrome trace JSON to {output} (open in ui.perfetto.dev)",
@@ -620,7 +619,9 @@ mod tests {
         let json = std::fs::read_to_string(&report).unwrap();
         assert!(json.contains("active_energy_joules"));
         let log_text = std::fs::read_to_string(&log).unwrap();
-        assert!(log_text.contains("Dispatch"));
+        for line in ["\"ev\":\"enqueue\"", "\"ev\":\"dispatch\""] {
+            assert!(log_text.contains(line), "no {line} line in the log");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -654,7 +655,7 @@ mod tests {
     }
 
     #[test]
-    fn analyze_consumes_simulate_report() {
+    fn simulate_log_round_trips_through_analyze_and_trace_export() {
         let dir = std::env::temp_dir().join("dvfs-cli-analyze");
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("t.jsonl");
@@ -662,6 +663,7 @@ mod tests {
         let log = dir.join("l.jsonl");
         let gantt = dir.join("g.csv");
         let queue = dir.join("q.csv");
+        let perfetto = dir.join("p.json");
         dispatch(&sv(&[
             "generate-trace",
             "--out",
@@ -686,6 +688,8 @@ mod tests {
             "analyze",
             "--report",
             report.to_str().unwrap(),
+            "--log",
+            log.to_str().unwrap(),
             "--gantt",
             gantt.to_str().unwrap(),
             "--queue",
@@ -696,7 +700,26 @@ mod tests {
         assert!(g.starts_with("core,task,start,end,rate"));
         let q = std::fs::read_to_string(&queue).unwrap();
         assert!(q.starts_with("time,depth"));
+        // The same file is what `trace-export` takes from the daemon:
+        // one Perfetto span per Gantt row.
+        dispatch(&sv(&[
+            "trace-export",
+            "--in",
+            log.to_str().unwrap(),
+            "--out",
+            perfetto.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let p = std::fs::read_to_string(&perfetto).unwrap();
+        assert_eq!(p.matches("\"ph\":\"X\"").count(), g.lines().count() - 1);
+        // Either input alone is enough; neither is not.
+        for flag in ["--report", "--log"] {
+            let path = if flag == "--log" { &log } else { &report };
+            dispatch(&sv(&["analyze", flag, path.to_str().unwrap()])).unwrap();
+        }
+        assert!(dispatch(&sv(&["analyze"])).is_err());
         assert!(dispatch(&sv(&["analyze", "--report", "/nope.json"])).is_err());
+        assert!(dispatch(&sv(&["analyze", "--log", "/nope.jsonl"])).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -84,12 +84,13 @@ pub trait ExecutorView {
     /// Implementations panic when `j` is idle.
     fn preempt(&mut self, j: CoreId) -> TaskId;
 
-    /// The lifecycle trace sink wired into this executor, if tracing is
-    /// enabled. Policies use it to attach decision provenance (e.g.
-    /// LMC's per-core marginal-cost comparison) to the event stream the
-    /// executor is already recording. The default is `None`: executors
-    /// without tracing pay one virtual call returning `None`, and
-    /// policies need no feature flags.
+    /// The lifecycle trace sink this executor writes to, if tracing is
+    /// enabled — for [`engine::Engine`], its observer's. Policies use
+    /// it to attach decision provenance (e.g. LMC's per-core
+    /// marginal-cost comparison) to the event stream the executor is
+    /// already recording. The default is `None`: executors without
+    /// tracing pay one virtual call returning `None`, and policies need
+    /// no feature flags.
     fn trace(&mut self) -> Option<&mut dyn TraceSink> {
         None
     }

@@ -19,9 +19,11 @@
 //!
 //! Governors, contention, DVFS switch latency and the power timeline
 //! are [`EngineConfig`] capabilities whose defaults reduce to the exact
-//! identities `× 1.0` and `+ 0.0`. What a driver *does* with engine
-//! transitions — keep a decision log, write frequencies to an actuator
-//! — plugs into the [`EngineObserver`] seam, next to the [`TraceSink`].
+//! identities `× 1.0` and `+ 0.0`. Every transition is reported once,
+//! as one [`EngineEvent`], to the engine's one sink — its
+//! [`EngineObserver`]. What a driver *does* with it — write the
+//! lifecycle trace, land frequencies on an actuator — is the
+//! observer's business.
 
 use super::event::{Event, EventKind, EventQueue};
 use super::governor::GovernorKind;
@@ -58,9 +60,6 @@ pub struct EngineConfig {
     /// Real per-core DVFS transitions cost on the order of tens of
     /// microseconds; the default 0 models the paper's idealization.
     pub switch_latency_s: f64,
-    /// Ask the driver to log every [`EngineEvent`] (the simulator's
-    /// `EventLog`); the engine itself only reports to its observer.
-    pub record_event_log: bool,
 }
 
 impl EngineConfig {
@@ -79,7 +78,6 @@ impl EngineConfig {
             contention: None,
             record_power_timeline: false,
             switch_latency_s: 0.0,
-            record_event_log: false,
         }
     }
 
@@ -113,13 +111,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enable decision logging.
-    #[must_use]
-    pub fn with_event_log(mut self) -> Self {
-        self.record_event_log = true;
-        self
-    }
-
     /// Set the DVFS transition latency.
     ///
     /// # Panics
@@ -137,7 +128,7 @@ impl EngineConfig {
 
 /// One engine transition, reported to the [`EngineObserver`] at the
 /// engine time it happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EngineEvent {
     /// A task arrived and is ready for dispatch.
     Arrival {
@@ -155,6 +146,12 @@ pub enum EngineEvent {
         from: RateIdx,
         /// Rate index the core now runs at.
         rate: RateIdx,
+        /// Energy the remaining work will draw if it runs to completion
+        /// undisturbed — the integrator's own expressions, so a drained
+        /// replay can check it bit-exactly against the measurement.
+        predicted_energy_j: f64,
+        /// Predicted remaining run time at this rate, in seconds.
+        predicted_time_s: f64,
     },
     /// A running task was preempted.
     Preempt {
@@ -179,16 +176,92 @@ pub enum EngineEvent {
         core: CoreId,
         /// The task.
         task: TaskId,
+        /// Measured active energy the task drew, in joules.
+        energy_j: f64,
+        /// Measured turnaround (completion − arrival), in seconds.
+        turnaround_s: f64,
     },
+}
+
+impl EngineEvent {
+    /// The lifecycle-trace line of this transition. An arrival has
+    /// none: the trace learns of a task from the service's `submit` or
+    /// the policy's `enqueue`.
+    #[must_use]
+    pub fn trace_kind(self) -> Option<dvfs_trace::EventKind> {
+        use dvfs_trace::EventKind as Line;
+        Some(match self {
+            EngineEvent::Arrival { .. } => return None,
+            EngineEvent::Dispatch {
+                core,
+                task,
+                rate,
+                predicted_energy_j,
+                predicted_time_s,
+                ..
+            } => Line::Dispatch {
+                task: task.0,
+                core: core as u32,
+                rate: rate as u32,
+                predicted_energy_j,
+                predicted_time_s,
+            },
+            EngineEvent::Preempt { core, task } => Line::Preempt {
+                task: task.0,
+                core: core as u32,
+            },
+            EngineEvent::RateChange { core, from, to } => Line::RateChange {
+                core: core as u32,
+                from: from as u32,
+                to: to as u32,
+            },
+            EngineEvent::Completion {
+                core,
+                task,
+                energy_j,
+                turnaround_s,
+            } => Line::Complete {
+                task: task.0,
+                core: core as u32,
+                energy_j,
+                turnaround_s,
+            },
+        })
+    }
 }
 
 /// The engine-event seam: every transition — and so every rate
 /// mutation, whoever caused it — reaches the observer exactly once.
-/// The simulator's decision log and the service's rate actuator are
+/// The simulator's trace recorder and the service's rate actuator are
 /// both observers.
 pub trait EngineObserver {
     /// `event` happened at engine time `time` (seconds).
     fn on_event(&mut self, time: f64, event: EngineEvent);
+
+    /// The sink this observer writes the lifecycle trace to, if it
+    /// keeps one: what [`ExecutorView::trace`] hands a policy, so its
+    /// decision provenance lands in the stream the observer is already
+    /// writing.
+    fn trace(&mut self) -> Option<&mut dyn TraceSink> {
+        None
+    }
+}
+
+/// The plainest observer is an optional trace sink: it writes each
+/// transition's [`EngineEvent::trace_kind`] line and, when `None`,
+/// records and allocates nothing.
+impl<S: TraceSink> EngineObserver for Option<S> {
+    fn on_event(&mut self, time: f64, event: EngineEvent) {
+        if let Some(sink) = self {
+            if let Some(kind) = event.trace_kind() {
+                sink.record(time, kind);
+            }
+        }
+    }
+
+    fn trace(&mut self) -> Option<&mut dyn TraceSink> {
+        self.as_mut().map(|sink| sink as &mut dyn TraceSink)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,11 +318,8 @@ pub struct Engine<O> {
     /// How many of `completions` [`Engine::take_completions`] has
     /// already handed out.
     drained: usize,
-    /// Optional lifecycle trace sink (see `dvfs-trace`). Events are
-    /// timestamped with engine seconds only, so drained traces are
-    /// bit-identical across runs.
-    trace: Option<Box<dyn TraceSink + Send>>,
-    /// The observer this engine reports every transition to.
+    /// The one sink this engine reports every transition to, stamped
+    /// with engine seconds only.
     pub observer: O,
 }
 
@@ -288,28 +358,13 @@ impl<O: EngineObserver> Engine<O> {
             processed: 0,
             completions: Vec::new(),
             drained: 0,
-            trace: None,
             observer,
             cfg,
         }
     }
 
-    /// Attach (or detach, with `None`) a lifecycle trace sink. The
-    /// engine records dispatch / preempt / rate-change / complete
-    /// events into it; policies reach the same sink through
-    /// [`ExecutorView::trace`] to add decision provenance.
-    pub fn set_trace_sink(&mut self, sink: Option<Box<dyn TraceSink + Send>>) {
-        self.trace = sink;
-    }
-
     fn emit(&mut self, event: EngineEvent) {
         self.observer.on_event(self.now, event);
-    }
-
-    fn trace_record(&mut self, kind: dvfs_trace::EventKind) {
-        if let Some(sink) = self.trace.as_mut() {
-            sink.record(self.now, kind);
-        }
     }
 
     /// The one insert path: `record_arrival` is the stamp turnaround is
@@ -498,11 +553,6 @@ impl<O: EngineObserver> Engine<O> {
             self.cores[j].stall_until = self.now + self.cfg.switch_latency_s;
         }
         self.emit(EngineEvent::RateChange { core: j, from, to });
-        self.trace_record(dvfs_trace::EventKind::RateChange {
-            core: j as u32,
-            from: from as u32,
-            to: to as u32,
-        });
         self.reschedule_after_mutation(j);
     }
 
@@ -546,10 +596,9 @@ impl<O: EngineObserver> Engine<O> {
                 self.cores[core].running = None;
                 self.last_completion = self.now;
                 self.completions.push(tid);
-                self.emit(EngineEvent::Completion { core, task: tid });
-                self.trace_record(dvfs_trace::EventKind::Complete {
-                    task: tid.0,
-                    core: core as u32,
+                self.emit(EngineEvent::Completion {
+                    core,
+                    task: tid,
                     energy_j: rec.energy_joules,
                     turnaround_s: self.now - rec.arrival,
                 });
@@ -787,25 +836,18 @@ impl<O: EngineObserver> ExecutorView for Engine<O> {
         job.record.first_start.get_or_insert(self.now);
         let remaining = job.remaining.max(0.0);
         self.cores[j].running = Some(task);
-        let rate_now = self.cores[j].rate;
+        let rate = self.cores[j].rate;
+        let (stall, run) = self.projection(j, remaining);
+        let predicted_time_s = stall + run;
+        let power = self.rate_table(j).rate(rate).active_power_watts();
         self.emit(EngineEvent::Dispatch {
             core: j,
             task,
             from,
-            rate: rate_now,
+            rate,
+            predicted_energy_j: power * predicted_time_s,
+            predicted_time_s,
         });
-        if self.trace.is_some() {
-            let (stall, run) = self.projection(j, remaining);
-            let predicted_time_s = stall + run;
-            let power = self.rate_table(j).rate(rate_now).active_power_watts();
-            self.trace_record(dvfs_trace::EventKind::Dispatch {
-                task: task.0,
-                core: j as u32,
-                rate: rate_now as u32,
-                predicted_energy_j: power * predicted_time_s,
-                predicted_time_s,
-            });
-        }
         self.reschedule_after_mutation(j);
     }
 
@@ -817,18 +859,12 @@ impl<O: EngineObserver> ExecutorView for Engine<O> {
         job.record.preemptions += 1;
         self.cores[j].running = None;
         self.emit(EngineEvent::Preempt { core: j, task: tid });
-        self.trace_record(dvfs_trace::EventKind::Preempt {
-            task: tid.0,
-            core: j as u32,
-        });
         self.reschedule_after_mutation(j);
         tid
     }
 
     fn trace(&mut self) -> Option<&mut dyn TraceSink> {
-        self.trace
-            .as_mut()
-            .map(|s| s.as_mut() as &mut dyn TraceSink)
+        self.observer.trace()
     }
 }
 
@@ -845,12 +881,8 @@ mod tests {
     /// the bare engine plus the handful of report fields they read.
     struct Simulator(Engine<Quiet>);
 
-    /// Observes nothing.
-    struct Quiet;
-
-    impl EngineObserver for Quiet {
-        fn on_event(&mut self, _time: f64, _event: EngineEvent) {}
-    }
+    /// Tracing off: observes nothing.
+    type Quiet = Option<dvfs_trace::Ring>;
 
     struct Report {
         tasks: BTreeMap<TaskId, TaskRecord>,
@@ -873,7 +905,7 @@ mod tests {
 
     impl Simulator {
         fn new(cfg: SimConfig) -> Self {
-            Simulator(Engine::new(cfg, Quiet))
+            Simulator(Engine::new(cfg, None))
         }
         fn run(&mut self, policy: &mut dyn Policy) -> Report {
             self.0.run_to_completion(policy);
@@ -1449,13 +1481,14 @@ mod tests {
         sim.run(&mut Doubler);
     }
 
-    /// Records every engine event it is handed.
-    #[derive(Default)]
-    struct Recorder(Vec<(f64, EngineEvent)>);
+    /// Records every engine event it is handed, and writes the trace
+    /// the way both drivers' observers do: through an optional sink.
+    struct Recorder(Vec<(f64, EngineEvent)>, Option<dvfs_trace::Ring>);
 
     impl EngineObserver for Recorder {
         fn on_event(&mut self, time: f64, event: EngineEvent) {
             self.0.push((time, event));
+            self.1.on_event(time, event);
         }
     }
 
@@ -1487,7 +1520,8 @@ mod tests {
         // to the top rate, the third source of rate mutations.
         let cfg =
             SimConfig::new(single_core_platform()).with_governor(GovernorKind::ondemand_paper());
-        let mut engine = Engine::new(cfg, Recorder::default());
+        let recorder = Recorder(Vec::new(), Some(dvfs_trace::Ring::new(0, usize::MAX)));
+        let mut engine = Engine::new(cfg, recorder);
         engine.add_tasks(&[
             Task::batch(1, 4_000_000_000).unwrap(),
             Task::online(2, 1_000, 0.5, None, TaskClass::Batch).unwrap(),
@@ -1528,5 +1562,22 @@ mod tests {
         assert_eq!(count(|e| matches!(e, EngineEvent::Dispatch { .. })), 2);
         assert_eq!(count(|e| matches!(e, EngineEvent::Completion { .. })), 2);
         assert_eq!(count(|e| matches!(e, EngineEvent::Preempt { .. })), 0);
+        // The trace holds exactly one line per non-arrival event, in
+        // order, at the event's time: nothing reaches it a second way.
+        let lines: Vec<(f64, dvfs_trace::EventKind)> = (engine.observer.1.take())
+            .expect("recording")
+            .drain()
+            .into_iter()
+            .map(|line| (line.time, line.kind))
+            .collect();
+        let want: Vec<(f64, dvfs_trace::EventKind)> = (engine.observer.0.iter())
+            .filter_map(|&(t, e)| Some((t, e.trace_kind()?)))
+            .collect();
+        assert_eq!(
+            lines.len(),
+            2 + 2 + 2,
+            "dispatches, rate changes, completions"
+        );
+        assert_eq!(lines, want);
     }
 }

@@ -95,11 +95,8 @@ mod scope {
     /// one execution engine (`crates/core/src/sched/engine.rs`).
     pub const DET_COLLECTIONS_DIRS: &[&str] = &["crates/core/src", "crates/model/src"];
     /// Exact files for rule D (collections/RNG) outside those dirs: the
-    /// serve metrics/snapshot paths, which still hold iterated maps.
-    pub const DET_COLLECTIONS_FILES: &[&str] = &[
-        "crates/serve/src/metrics.rs",
-        "crates/serve/src/snapshot.rs",
-    ];
+    /// serve metrics registry, which still holds iterated maps.
+    pub const DET_COLLECTIONS_FILES: &[&str] = &["crates/serve/src/metrics.rs"];
     /// Rule D (clocks): all of core/model/serve — the engine runs on
     /// engine time, and wall time enters the service only through the
     /// clock seam.

@@ -110,8 +110,6 @@ pub trait Observer {
     fn on_backpressure_stall(&mut self, stall_s: f64) {
         let _ = stall_s;
     }
-    /// A request line exceeded the byte budget.
-    fn on_oversized(&mut self) {}
 }
 
 /// Ignores everything — for tests and minimal embedders.
@@ -555,7 +553,6 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
                 Deferred::Lines(rest.map(|line| Cow::Owned(line.to_string())).collect())
             }
             Batch::Oversized { len } => {
-                observer.on_oversized();
                 if !queued {
                     push_line(out, &self.handler.oversized_line(len));
                     return;

@@ -7,10 +7,10 @@
 //! [`Engine::step_until`], and every frequency decision reaches the
 //! `dvfs-sysfs` actuator at the moment the engine makes it — the
 //! actuation path a real deployment would use, not an after-the-fact
-//! log replay. This module adds only the [`RateActuator`] backends
-//! (plugged into the engine's observer seam), the running totals of
-//! what a paced round has already retired, and the completion-ordered
-//! [`RoundReport`].
+//! log replay. This module adds only the engine's observer — the
+//! [`RateActuator`] backends beside the shard's trace ring — the
+//! running totals of what a paced round has already retired, and the
+//! completion-ordered [`RoundReport`].
 //!
 //! ## Determinism contract
 //!
@@ -25,7 +25,7 @@
 use dvfs_core::sched::engine::{Engine, EngineConfig, EngineEvent, EngineObserver};
 use dvfs_model::{CostBreakdown, CostParams, Platform, RateIdx, TaskRecord};
 use dvfs_sysfs::{DvfsActuator, SimulatedSysfs};
-use dvfs_trace::SharedRing;
+use dvfs_trace::{SharedRing, TraceSink};
 use std::ops::{Deref, DerefMut};
 
 /// Everything one completed round of service produced, in the same
@@ -165,17 +165,21 @@ impl ActuatorKind {
     }
 }
 
-/// The actuator as an engine observer: one `apply` per dispatch and
-/// one per rate change outside a dispatch (an effective `set_rate` or a
-/// governor tick), counted until [`RealTimeExecutor::take_actuations`].
+/// The engine's observer: the shard's trace ring (when tracing is on)
+/// takes every transition's lifecycle line, and the actuator one
+/// `apply` per dispatch and one per rate change outside a dispatch (an
+/// effective `set_rate` or a governor tick), counted until
+/// [`RealTimeExecutor::take_actuations`].
 pub struct Actuation {
     actuator: Box<dyn RateActuator>,
     applied: u64,
     errored: u64,
+    ring: Option<SharedRing>,
 }
 
 impl EngineObserver for Actuation {
-    fn on_event(&mut self, _time: f64, event: EngineEvent) {
+    fn on_event(&mut self, time: f64, event: EngineEvent) {
+        self.ring.on_event(time, event);
         let (cpu, rate) = match event {
             EngineEvent::Dispatch { core, rate, .. } => (core, rate),
             EngineEvent::RateChange { core, to, .. } => (core, to),
@@ -186,6 +190,10 @@ impl EngineObserver for Actuation {
         } else {
             self.errored += 1;
         }
+    }
+
+    fn trace(&mut self) -> Option<&mut dyn TraceSink> {
+        self.ring.trace()
     }
 }
 
@@ -238,6 +246,7 @@ impl RealTimeExecutor {
             actuator: kind.build(&cfg.platform),
             applied: 0,
             errored: 0,
+            ring: None,
         };
         RealTimeExecutor {
             engine: Engine::new(cfg, observer),
@@ -250,8 +259,7 @@ impl RealTimeExecutor {
     /// (the shard drains it at round boundaries). Events carry engine
     /// seconds only, preserving the replay contract.
     pub fn set_trace_ring(&mut self, sink: Option<SharedRing>) {
-        self.engine
-            .set_trace_sink(sink.map(|ring| Box::new(ring) as _));
+        self.engine.observer.ring = sink;
     }
 
     /// Current executor time in seconds.

@@ -12,7 +12,7 @@
 //! frequency decision to the `dvfs-sysfs` actuator as it is made, and
 //! the service publishes counters, gauges,
 //! and log-bucketed latency/cost histograms through a metrics registry
-//! — queryable over the wire (`stats`) and flushed to JSONL snapshots.
+//! queryable over the wire (`stats`, `health`).
 //!
 //! The service is **sharded and threaded**: [`SchedulerConfig::shards`]
 //! engine instances run side by side, each owned outright by a
@@ -37,8 +37,9 @@
 //! * [`admission`] — the bounded queue and shed policy.
 //! * [`clock`] — the wall-clock seam (the only raw `Instant::now`).
 //! * [`metrics`] — counters, gauges, histograms, the registry.
-//! * [`executor`] — the wall-clock driver of the shared engine, the
-//!   rate actuators, and the per-round report.
+//! * [`executor`] — the wall-clock driver of the shared engine, its
+//!   observer (rate actuator + the shard's trace ring), and the
+//!   per-round report.
 //! * [`stage`] — the per-request stage clock feeding stage-level
 //!   latency attribution histograms (the runtime health plane).
 //! * [`config`] — [`SchedulerConfig`], [`Mode`], [`SubmitItem`].
@@ -57,7 +58,6 @@
 //!   both wire drivers call (the `dvfs-net` epoll reactor, or an accept
 //!   loop running `dvfs_net::blocking::serve` per connection, behind
 //!   the [`NetBackend`] seam), graceful shutdown.
-//! * [`snapshot`] — periodic JSONL state snapshots.
 //! * [`loadgen`] — the companion load generator (replay, open-loop
 //!   Poisson, closed-loop clients, idle-connection holding).
 
@@ -74,7 +74,6 @@ pub mod rebalance;
 pub(crate) mod report;
 pub mod server;
 pub mod service;
-pub mod snapshot;
 pub mod stage;
 pub(crate) mod supervise;
 pub(crate) mod tracestore;
@@ -94,7 +93,6 @@ pub use server::{
 pub use service::{
     service_platform, Mode, RebalanceConfig, Scheduler, SchedulerConfig, SubmitItem,
 };
-pub use snapshot::SnapshotWriter;
 pub use stage::{
     REQUEST_E2E, STAGE_ADMIT, STAGE_CMD_DEQUEUE, STAGE_ENGINE, STAGE_FRAME, STAGE_QUEUE,
     STAGE_SERVICE, TELESCOPE_STAGES,

@@ -16,7 +16,7 @@
 //! {"cmd":"trace_stream"} → drain-and-forget the trace incrementally
 //! {"cmd":"health"}       → runtime health snapshot (one JSON document)
 //! {"cmd":"ping"}         → liveness probe
-//! {"cmd":"shutdown"}     → graceful stop: drain, flush snapshot, exit
+//! {"cmd":"shutdown"}     → graceful stop: drain, flush the trace file, exit
 //! ```
 //!
 //! Responses: `{"ok":true, ...}` or
@@ -94,7 +94,7 @@ pub enum Request {
     Health,
     /// Liveness probe.
     Ping,
-    /// Graceful shutdown: drain, flush the final snapshot, stop.
+    /// Graceful shutdown: drain, flush the trace file, stop.
     Shutdown,
 }
 

@@ -22,8 +22,8 @@
 //! malformed line produces a `bad_request` response and the connection
 //! continues — client input can never crash the server. Shutdown (wire
 //! `shutdown` command or [`ServerHandle::shutdown`]) drains the
-//! scheduler backlog, flushes a final metrics snapshot, and joins every
-//! thread before [`ServerHandle::wait`] returns.
+//! scheduler backlog, catches the trace file up, and joins every thread
+//! before [`ServerHandle::wait`] returns.
 //!
 //! The reactor exports its own registry series: `net_connections_open`
 //! / `net_connections_peak` gauges, `net_accepts` / `net_accepts_shed`
@@ -42,7 +42,6 @@
 use crate::metrics::Registry;
 use crate::protocol::{parse_request, ErrorKind, Request, Response};
 use crate::service::{Mode, Pace, Scheduler, SchedulerConfig, SubmitItem, Submitted};
-use crate::snapshot::SnapshotWriter;
 use dvfs_net::{Answered, Caller};
 use std::borrow::Cow;
 use std::io::{Read, Write};
@@ -117,10 +116,6 @@ pub struct ServerConfig {
     pub scheduler: SchedulerConfig,
     /// Paced-mode tick interval.
     pub tick: Duration,
-    /// Snapshot file (JSONL); `None` disables snapshots.
-    pub snapshot_path: Option<PathBuf>,
-    /// How often to append a metrics snapshot line.
-    pub snapshot_period: Duration,
     /// Lifecycle-trace file (JSONL); append-only behind a written-lines
     /// cursor, caught up on every drain, trace fetch, `trace_stream`
     /// chunk, and shutdown — so the file holds the full stream even
@@ -137,17 +132,14 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Defaults around an endpoint: 4 cores, replay mode, 1024-slot
-    /// queue, 10 ms ticks, 1 s snapshots (disabled without a path),
-    /// wire front-end from `DVFS_SERVE_NET` (the reactor unless set to
-    /// `threads`).
+    /// queue, 10 ms ticks, wire front-end from `DVFS_SERVE_NET` (the
+    /// reactor unless set to `threads`).
     #[must_use]
     pub fn new(endpoint: Endpoint) -> Self {
         ServerConfig {
             endpoint,
             scheduler: SchedulerConfig::default(),
             tick: Duration::from_millis(10),
-            snapshot_path: None,
-            snapshot_period: Duration::from_secs(1),
             trace_out: None,
             net: NetBackend::from_env(),
             max_connections: DEFAULT_MAX_CONNECTIONS,
@@ -166,29 +158,8 @@ struct Shared {
     /// its admission queue.
     tick: Duration,
     metrics: Arc<Registry>,
-    snapshot: Option<SnapshotWriter>,
     max_connections: usize,
     shutdown: AtomicBool,
-    started: Instant,
-}
-
-impl Shared {
-    fn write_snapshot(&self) {
-        if let Some(snap) = &self.snapshot {
-            let uptime = self.started.elapsed().as_secs_f64();
-            let sim_now = match self.scheduler.stats() {
-                Response::Ok(ref fields) => fields
-                    .iter()
-                    .find(|(k, _)| k == "sim_now_s")
-                    .and_then(|(_, v)| crate::protocol::value_f64(v))
-                    .unwrap_or(0.0),
-                Response::Err { .. } => 0.0,
-            };
-            if snap.write_metrics(uptime, sim_now, &self.metrics).is_err() {
-                self.metrics.counter("snapshot_errors").inc();
-            }
-        }
-    }
 }
 
 /// The wire protocol over the shared scheduler — the one request path
@@ -258,7 +229,6 @@ impl dvfs_net::Handler for Shared {
                 Request::Stats => self.scheduler.stats(),
                 Request::Drain => {
                     let resp = self.scheduler.drain_run();
-                    self.write_snapshot();
                     self.scheduler.flush_trace_file();
                     resp
                 }
@@ -341,8 +311,8 @@ impl ServerHandle {
         begin_shutdown(&self.shared);
     }
 
-    /// Block until the server has fully shut down (all threads joined,
-    /// final snapshot flushed).
+    /// Block until the server has fully shut down (all threads
+    /// joined).
     pub fn wait(self) {
         for t in self.threads {
             let _ = t.join();
@@ -358,7 +328,6 @@ fn begin_shutdown(shared: &Shared) {
         return; // already shutting down
     }
     shared.scheduler.begin_shutdown();
-    shared.write_snapshot();
     shared.scheduler.flush_trace_file();
 }
 
@@ -367,28 +336,10 @@ fn begin_shutdown(shared: &Shared) {
 /// background threads.
 ///
 /// # Errors
-/// Propagates bind and snapshot-file failures.
+/// Propagates bind failures.
 pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let metrics = Arc::new(Registry::new());
     let scheduler = Scheduler::new(cfg.scheduler, Arc::clone(&metrics));
-    let snapshot = match &cfg.snapshot_path {
-        Some(path) => {
-            let writer = SnapshotWriter::create(path)?;
-            // Lead the file with the configuration in force, so a
-            // snapshot is interpretable without the launch command.
-            writer.write_config(
-                scheduler.shard_count(),
-                cfg.scheduler.cores,
-                cfg.scheduler.queue_capacity,
-                match cfg.scheduler.mode {
-                    Mode::Replay => "replay",
-                    Mode::Paced { .. } => "paced",
-                },
-            )?;
-            Some(writer)
-        }
-        None => None,
-    };
 
     // Both front-ends poll the shutdown flag between accepts, which
     // needs nonblocking accepts; a blocking listener would wedge
@@ -414,10 +365,8 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         scheduler,
         tick: cfg.tick,
         metrics,
-        snapshot,
         max_connections: cfg.max_connections.max(1),
         shutdown: AtomicBool::new(false),
-        started: crate::clock::wall_now(),
     });
     if let Some(path) = &cfg.trace_out {
         shared.scheduler.set_trace_file(path.clone());
@@ -428,16 +377,10 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     if let Mode::Paced { .. } = cfg.scheduler.mode {
         let shared = Arc::clone(&shared);
         let tick = cfg.tick;
-        let period = cfg.snapshot_period;
         threads.push(std::thread::spawn(move || {
-            let mut last_snapshot = crate::clock::wall_now();
             while !shared.shutdown.load(Ordering::SeqCst) {
                 shared.scheduler.wait_for_work(tick);
                 shared.scheduler.tick();
-                if last_snapshot.elapsed() >= period {
-                    shared.write_snapshot();
-                    last_snapshot = crate::clock::wall_now();
-                }
             }
         }));
     }
@@ -566,7 +509,7 @@ fn accept_loop<S: Read + Write + Send>(
 /// The `reactor` backend: run the `dvfs-net` mini-reactor over the
 /// bound listener, in the same thread slot as [`accept_loop`].
 /// Returns once the reactor's slow lane has finished its in-flight work
-/// (a shutdown drain, a final snapshot).
+/// (a shutdown drain).
 fn reactor_loop(listener: &Listener, shared: &Shared) {
     let fd = match listener {
         Listener::Unix(l) => l.as_raw_fd(),
@@ -685,10 +628,8 @@ mod tests {
             scheduler,
             tick,
             metrics,
-            snapshot: None,
             max_connections: 1,
             shutdown: AtomicBool::new(false),
-            started: crate::clock::wall_now(),
         }
     }
 

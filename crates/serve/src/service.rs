@@ -203,12 +203,6 @@ impl Scheduler {
         &self.cfg
     }
 
-    /// Number of engine shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The metrics registry this scheduler publishes into.
     #[must_use]
     pub fn metrics(&self) -> &Arc<Registry> {

@@ -1,133 +1,45 @@
-//! Offline analysis of a recorded [`EventLog`].
+//! Offline analysis of a recorded lifecycle trace.
 //!
-//! Reconstructs what actually happened on the platform from the decision
-//! log alone: per-core Gantt segments (who ran where, when, at which
-//! rate) and the waiting-queue depth over time. Both are the raw
-//! material for plotting and for sanity cross-checks against the
-//! engine's own accounting (the tests do exactly that).
+//! Reconstructs what happened on the platform from the trace alone —
+//! [`Simulator::take_trace`](crate::Simulator::take_trace), or the
+//! parsed JSONL of `simulate --log` / `serve --trace-out`: per-core
+//! Gantt segments (who ran where, when, at which rate) and the
+//! waiting-queue depth over time. Both are the raw material for
+//! plotting and for sanity cross-checks against the engine's own
+//! accounting (the tests do exactly that).
 
-use crate::eventlog::{EventLog, LogEvent};
-use dvfs_model::{CoreId, RateIdx, TaskId};
-use serde::{Deserialize, Serialize};
+use dvfs_trace::{EventKind, TraceEvent};
 
-/// One contiguous execution interval of a task on a core at a rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GanttSegment {
-    /// Core index.
-    pub core: CoreId,
-    /// Task executing.
-    pub task: TaskId,
-    /// Segment start time.
-    pub start: f64,
-    /// Segment end time.
-    pub end: f64,
-    /// Rate index during the segment.
-    pub rate: RateIdx,
-}
-
-impl GanttSegment {
-    /// Segment length in seconds.
-    #[must_use]
-    pub fn duration(&self) -> f64 {
-        self.end - self.start
-    }
-}
-
-/// Reconstruct per-core Gantt segments from a decision log. A segment
-/// closes on preemption, completion, or a rate change (the latter opens
-/// a new segment for the same task at the new rate).
-///
-/// # Panics
-/// Panics on a malformed log (e.g. completion on an idle core), which
-/// cannot be produced by the engine.
-#[must_use]
-pub fn gantt(log: &EventLog) -> Vec<GanttSegment> {
-    #[derive(Clone, Copy)]
-    struct Open {
-        task: TaskId,
-        since: f64,
-        rate: RateIdx,
-    }
-    let ncores = log
-        .entries
-        .iter()
-        .filter_map(|e| match e.event {
-            LogEvent::Dispatch { core, .. }
-            | LogEvent::Preempt { core, .. }
-            | LogEvent::RateChange { core, .. }
-            | LogEvent::Completion { core, .. } => Some(core + 1),
-            LogEvent::Arrival { .. } => None,
-        })
-        .max()
-        .unwrap_or(0);
-    let mut open: Vec<Option<Open>> = vec![None; ncores];
-    let mut out = Vec::new();
-    for e in &log.entries {
-        match e.event {
-            LogEvent::Arrival { .. } => {}
-            LogEvent::Dispatch { core, task, rate } => {
-                assert!(open[core].is_none(), "dispatch on a busy core in the log");
-                open[core] = Some(Open {
-                    task,
-                    since: e.time,
-                    rate,
-                });
-            }
-            LogEvent::Preempt { core, task } | LogEvent::Completion { core, task } => {
-                let o = open[core].take().expect("stop event on an idle core");
-                debug_assert_eq!(o.task, task);
-                if e.time > o.since {
-                    out.push(GanttSegment {
-                        core,
-                        task: o.task,
-                        start: o.since,
-                        end: e.time,
-                        rate: o.rate,
-                    });
-                }
-            }
-            LogEvent::RateChange { core, to, .. } => {
-                // Only splits a segment when the core is busy; idle-core
-                // rate changes just set the rate for the next dispatch
-                // (the dispatch logs it).
-                if let Some(o) = open[core].take() {
-                    if e.time > o.since {
-                        out.push(GanttSegment {
-                            core,
-                            task: o.task,
-                            start: o.since,
-                            end: e.time,
-                            rate: o.rate,
-                        });
-                    }
-                    open[core] = Some(Open {
-                        task: o.task,
-                        since: e.time,
-                        rate: to,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
+/// Per-core Gantt segments of a trace: `dvfs-trace`'s span builder, the
+/// one Perfetto export reads too. A segment closes on preemption,
+/// completion, or a rate change (which opens a new segment for the
+/// same task at the new rate).
+pub use dvfs_trace::export::{spans as gantt, Span as GanttSegment};
 
 /// Waiting-queue depth over time: `(time, tasks arrived but neither
-/// running nor finished)`. One point per change.
+/// running nor finished)`, one point per change. A served trace marks
+/// each arrival with its `admit` line; a simulator log has no arrival
+/// line, so `arrivals` supplies the task records' stamps (empty for a
+/// served trace). A trace that lost lines to a full ring cannot take
+/// the depth below zero.
 #[must_use]
-pub fn queue_depth_series(log: &EventLog) -> Vec<(f64, usize)> {
-    let mut depth: i64 = 0;
+pub fn queue_depth_series(events: &[TraceEvent], arrivals: &[f64]) -> Vec<(f64, usize)> {
+    let mut steps: Vec<(f64, isize)> = arrivals.iter().map(|&t| (t, 1)).collect();
+    steps.extend(events.iter().filter_map(|e| match e.kind {
+        EventKind::Admit { .. } | EventKind::Preempt { .. } => Some((e.time, 1)),
+        EventKind::Dispatch { .. } => Some((e.time, -1)),
+        _ => None,
+    }));
+    // Stable: at one instant `arrivals` come first, then the trace's
+    // own order.
+    steps.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut depth = 0usize;
     let mut out: Vec<(f64, usize)> = Vec::new();
-    for e in &log.entries {
-        match e.event {
-            LogEvent::Arrival { .. } | LogEvent::Preempt { .. } => depth += 1,
-            LogEvent::Dispatch { .. } => depth -= 1,
-            LogEvent::Completion { .. } | LogEvent::RateChange { .. } => continue,
-        }
-        debug_assert!(depth >= 0, "queue depth went negative");
+    for (time, step) in steps {
+        depth = depth.saturating_add_signed(step);
         match out.last_mut() {
-            Some(last) if last.0 == e.time => last.1 = depth as usize,
-            _ => out.push((e.time, depth as usize)),
+            Some(last) if last.0 == time => last.1 = depth,
+            _ => out.push((time, depth)),
         }
     }
     out
@@ -143,11 +55,7 @@ pub fn write_gantt_csv<W: std::io::Write>(
 ) -> std::io::Result<()> {
     writeln!(w, "core,task,start,end,rate")?;
     for s in segments {
-        writeln!(
-            w,
-            "{},{},{},{},{}",
-            s.core, s.task.0, s.start, s.end, s.rate
-        )?;
+        writeln!(w, "{},{},{},{},{}", s.core, s.task, s.start, s.end, s.rate)?;
     }
     Ok(())
 }
@@ -157,7 +65,7 @@ mod tests {
     use super::*;
     use crate::engine::{SimConfig, Simulator};
     use dvfs_core::sched::{ExecutorView, Scheduler as Policy};
-    use dvfs_model::{CoreSpec, Platform, RateTable, Task};
+    use dvfs_model::{CoreId, CoreSpec, Platform, RateIdx, RateTable, Task, TaskId};
 
     struct Fifo {
         rate: RateIdx,
@@ -181,14 +89,18 @@ mod tests {
         }
     }
 
-    fn run_logged(tasks: &[Task]) -> crate::SimReport {
+    /// The report, the trace, and the task records' arrival stamps.
+    fn run_logged(tasks: &[Task]) -> (crate::SimReport, Vec<TraceEvent>, Vec<f64>) {
         let platform = Platform::homogeneous(1, CoreSpec::new(RateTable::i7_950_table2())).unwrap();
-        let mut sim = Simulator::new(SimConfig::new(platform).with_event_log());
+        let mut sim = Simulator::new(SimConfig::new(platform));
+        sim.record_trace();
         sim.add_tasks(tasks);
-        sim.run(&mut Fifo {
+        let report = sim.run(&mut Fifo {
             rate: 0,
             queue: Default::default(),
-        })
+        });
+        let arrivals = report.tasks.values().map(|rec| rec.arrival).collect();
+        (report, sim.take_trace(), arrivals)
     }
 
     #[test]
@@ -197,13 +109,13 @@ mod tests {
             Task::batch(1, 1_600_000_000).unwrap(), // 1 s
             Task::batch(2, 3_200_000_000).unwrap(), // 2 s
         ];
-        let report = run_logged(&tasks);
-        let segs = gantt(&report.event_log);
+        let (_, trace, _) = run_logged(&tasks);
+        let segs = gantt(&trace);
         assert_eq!(segs.len(), 2);
-        assert_eq!(segs[0].task, TaskId(1));
+        assert_eq!(segs[0].task, 1);
         assert!((segs[0].start - 0.0).abs() < 1e-12);
         assert!((segs[0].end - 1.0).abs() < 1e-9);
-        assert_eq!(segs[1].task, TaskId(2));
+        assert_eq!(segs[1].task, 2);
         assert!((segs[1].end - 3.0).abs() < 1e-9);
         // Per-core segments never overlap.
         assert!(segs[0].end <= segs[1].start + 1e-12);
@@ -214,8 +126,8 @@ mod tests {
         let tasks: Vec<Task> = (0..7)
             .map(|i| Task::batch(i, (i + 1) * 300_000_000).unwrap())
             .collect();
-        let report = run_logged(&tasks);
-        let segs = gantt(&report.event_log);
+        let (report, trace, _) = run_logged(&tasks);
+        let segs = gantt(&trace);
         let gantt_busy: f64 = segs.iter().map(GanttSegment::duration).sum();
         assert!(
             (gantt_busy - report.core_busy[0]).abs() < 1e-6,
@@ -231,8 +143,8 @@ mod tests {
             Task::batch(1, 1_600_000_000).unwrap(),
             Task::batch(2, 1_600_000_000).unwrap(),
         ];
-        let report = run_logged(&tasks);
-        let series = queue_depth_series(&report.event_log);
+        let (_, trace, arrivals) = run_logged(&tasks);
+        let series = queue_depth_series(&trace, &arrivals);
         let max_depth = series.iter().map(|&(_, d)| d).max().unwrap();
         assert_eq!(max_depth, 1, "one task waits while the first runs");
         assert_eq!(series.last().unwrap().1, 0, "backlog drains");
@@ -241,8 +153,8 @@ mod tests {
     #[test]
     fn csv_export_has_header_and_rows() {
         let tasks = vec![Task::batch(1, 100_000).unwrap()];
-        let report = run_logged(&tasks);
-        let segs = gantt(&report.event_log);
+        let (_, trace, _) = run_logged(&tasks);
+        let segs = gantt(&trace);
         let mut buf = Vec::new();
         write_gantt_csv(&mut buf, &segs).unwrap();
         let text = String::from_utf8(buf).unwrap();
@@ -253,8 +165,33 @@ mod tests {
 
     #[test]
     fn empty_log_yields_empty_outputs() {
-        let log = EventLog::default();
-        assert!(gantt(&log).is_empty());
-        assert!(queue_depth_series(&log).is_empty());
+        assert!(gantt(&[]).is_empty());
+        assert!(queue_depth_series(&[], &[]).is_empty());
+    }
+
+    #[test]
+    fn a_served_trace_brings_its_own_arrivals_as_admit_lines() {
+        let (_, mut trace, arrivals) = run_logged(&[
+            Task::batch(1, 1_600_000_000).unwrap(),
+            Task::batch(2, 1_600_000_000).unwrap(),
+        ]);
+        let want = queue_depth_series(&trace, &arrivals);
+        // A ring that overwrote the admit lines: the depth cannot sink.
+        let lost = queue_depth_series(&trace, &[]);
+        assert!(lost.iter().all(|&(_, d)| d == 0), "{lost:?}");
+        // The same run as the service would have written it.
+        for (task, &time) in arrivals.iter().enumerate() {
+            let (task, depth) = (task as u64 + 1, task as u64 + 1);
+            trace.insert(
+                0,
+                TraceEvent {
+                    time,
+                    shard: 0,
+                    seq: 0,
+                    kind: EventKind::Admit { task, depth },
+                },
+            );
+        }
+        assert_eq!(queue_depth_series(&trace, &[]), want);
     }
 }

@@ -2,51 +2,25 @@
 //!
 //! The event loop, cores, jobs and all arithmetic live in
 //! [`dvfs_core::sched::engine`]; this module adds what only a simulation
-//! needs — the decision [`EventLog`] (an engine observer) and the
-//! [`SimReport`] with idle energy — and keeps the `Simulator` /
-//! `SimConfig` names every experiment is written against.
+//! needs — the [`SimReport`] with idle energy and an unbounded trace
+//! ring — and keeps the `Simulator` / `SimConfig` names every
+//! experiment is written against.
 
-use crate::eventlog::{EventLog, LogEvent};
 use crate::metrics::SimReport;
-use dvfs_core::sched::engine::{Engine, EngineEvent, EngineObserver};
+use dvfs_core::sched::engine::Engine;
 use dvfs_core::sched::Scheduler as Policy;
+use dvfs_trace::{Ring, TraceEvent};
 use std::ops::{Deref, DerefMut};
 
 pub use dvfs_core::sched::engine::{ContentionFn, EngineConfig as SimConfig};
-
-/// The decision log as an engine observer (off unless
-/// [`SimConfig::with_event_log`]).
-pub struct LogObserver {
-    enabled: bool,
-    log: EventLog,
-}
-
-impl EngineObserver for LogObserver {
-    fn on_event(&mut self, time: f64, event: EngineEvent) {
-        if !self.enabled {
-            return;
-        }
-        let event = match event {
-            EngineEvent::Arrival { task } => LogEvent::Arrival { task },
-            // Dispatch-time rate selection is logged as the dispatch
-            // itself, never as a separate rate change.
-            EngineEvent::Dispatch {
-                core, task, rate, ..
-            } => LogEvent::Dispatch { core, task, rate },
-            EngineEvent::Preempt { core, task } => LogEvent::Preempt { core, task },
-            EngineEvent::RateChange { core, from, to } => LogEvent::RateChange { core, from, to },
-            EngineEvent::Completion { core, task } => LogEvent::Completion { core, task },
-        };
-        self.log.push(time, event);
-    }
-}
 
 /// The simulator: the engine paced in virtual time. Construct with
 /// [`Simulator::new`], add tasks, then [`Simulator::run`] with a policy.
 /// It dereferences to its [`Engine`], whose API — `add_tasks`,
 /// `push_task`, `step_until`, `now`, `pending_tasks`,
-/// `take_completions`, `set_trace_sink` — is the simulator's own; only
-/// what needs the [`EventLog`] or the [`SimReport`] is defined here.
+/// `take_completions` — is the simulator's own; only what needs the
+/// trace ring or the [`SimReport`] is defined here. The engine's
+/// observer is that ring: `None` until [`Simulator::record_trace`].
 ///
 /// ```
 /// use dvfs_core::PlanPolicy;
@@ -65,11 +39,11 @@ impl EngineObserver for LogObserver {
 /// assert!((report.makespan - 1.0).abs() < 1e-9);
 /// ```
 pub struct Simulator {
-    engine: Engine<LogObserver>,
+    engine: Engine<Option<Ring>>,
 }
 
 impl Deref for Simulator {
-    type Target = Engine<LogObserver>;
+    type Target = Engine<Option<Ring>>;
     fn deref(&self) -> &Self::Target {
         &self.engine
     }
@@ -85,13 +59,27 @@ impl Simulator {
     /// Build a simulator from a configuration.
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
-        let log = LogObserver {
-            enabled: cfg.record_event_log,
-            log: EventLog::default(),
-        };
         Simulator {
-            engine: Engine::new(cfg, log),
+            engine: Engine::new(cfg, None),
         }
+    }
+
+    /// Record the lifecycle trace from here on — the lines a traced
+    /// `dvfs-serve` shard writes for the same transitions, the policy's
+    /// `enqueue` provenance included — into a ring that never
+    /// overwrites.
+    pub fn record_trace(&mut self) {
+        self.engine.observer = Some(Ring::new(0, usize::MAX));
+    }
+
+    /// Take the trace recorded so far (empty unless
+    /// [`Simulator::record_trace`]); sequence numbers keep counting.
+    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
+        self.engine
+            .observer
+            .as_mut()
+            .map(Ring::drain)
+            .unwrap_or_default()
     }
 
     /// Run the simulation to completion and report.
@@ -109,15 +97,8 @@ impl Simulator {
         self.report(policy.name())
     }
 
-    /// The decision log accumulated so far (empty unless
-    /// [`SimConfig::with_event_log`]).
-    #[must_use]
-    pub fn event_log(&self) -> &EventLog {
-        &self.engine.observer.log
-    }
-
     /// Snapshot a report of everything simulated so far without
-    /// consuming the simulator (the timeline and event log move out;
+    /// consuming the simulator (the power timeline moves out;
     /// incremental callers should treat this as final).
     pub fn report(&mut self, policy_name: String) -> SimReport {
         let engine = &mut self.engine;
@@ -135,7 +116,6 @@ impl Simulator {
             power_timeline: engine.take_power_timeline(),
             core_busy,
             rate_residency: engine.rate_residency(),
-            event_log: std::mem::take(&mut engine.observer.log),
         }
     }
 }
@@ -205,39 +185,45 @@ mod tests {
     }
 
     #[test]
-    fn event_log_records_lifecycle() {
-        let cfg = SimConfig::new(single_core_platform()).with_event_log();
-        let mut sim = Simulator::new(cfg);
+    fn a_recorded_trace_holds_the_lifecycle() {
+        use dvfs_trace::EventKind;
+        let mut sim = Simulator::new(SimConfig::new(single_core_platform()));
+        sim.record_trace();
         sim.add_tasks(&[
             Task::batch(1, 1_600_000_000).unwrap(),
             Task::batch(2, 1_600_000_000).unwrap(),
         ]);
-        let report = sim.run(&mut Fifo::new(2));
-        let log = &report.event_log;
-        assert!(!log.is_empty());
-        use crate::LogEvent;
-        let count =
-            |pred: fn(&LogEvent) -> bool| log.entries.iter().filter(|e| pred(&e.event)).count();
-        assert_eq!(count(|e| matches!(e, LogEvent::Arrival { .. })), 2);
-        assert_eq!(count(|e| matches!(e, LogEvent::Dispatch { .. })), 2);
-        assert_eq!(count(|e| matches!(e, LogEvent::Completion { .. })), 2);
+        sim.run(&mut Fifo::new(2));
+        let trace = sim.take_trace();
+        let count = |pred: fn(&EventKind) -> bool| trace.iter().filter(|e| pred(&e.kind)).count();
+        assert_eq!(count(|k| matches!(k, EventKind::Dispatch { .. })), 2);
+        assert_eq!(count(|k| matches!(k, EventKind::Complete { .. })), 2);
         assert_eq!(
-            log.rate_changes(),
+            count(|k| matches!(k, EventKind::RateChange { .. })),
             0,
-            "dispatch-time rate selection is logged as the dispatch itself"
+            "dispatch-time rate selection is the dispatch itself"
         );
-        // Per-task view has arrival -> dispatch -> completion in order.
-        let t1: Vec<_> = log.for_task(TaskId(1)).collect();
-        assert_eq!(t1.len(), 3);
-        assert!(t1.windows(2).all(|w| w[0].time <= w[1].time));
+        // Task 1: dispatch then completion, in time and sequence order.
+        let t1: Vec<_> = (trace.iter())
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::Dispatch { task: 1, .. } | EventKind::Complete { task: 1, .. }
+                )
+            })
+            .collect();
+        assert_eq!(t1.len(), 2);
+        assert!(t1[0].time <= t1[1].time && t1[0].seq < t1[1].seq);
+        assert!(sim.take_trace().is_empty(), "taken means gone");
     }
 
     #[test]
-    fn event_log_off_by_default() {
+    fn the_trace_is_off_by_default() {
         let mut sim = Simulator::new(SimConfig::new(single_core_platform()));
         sim.add_tasks(&[Task::batch(1, 100_000).unwrap()]);
-        let report = sim.run(&mut Fifo::new(0));
-        assert!(report.event_log.is_empty());
+        sim.run(&mut Fifo::new(0));
+        assert!(sim.observer.is_none());
+        assert!(sim.take_trace().is_empty());
     }
 
     #[test]

@@ -24,21 +24,21 @@
 //! same engine the wall-clock executor in `dvfs-serve` drives, which is
 //! why a replayed trace costs the same bits on both. See that module
 //! for the execution semantics (continuous cycles, per-core epochs,
-//! event ordering). This crate adds the decision [`EventLog`], the
-//! [`SimReport`], and the offline [`analysis`] on top.
+//! event ordering). Its observer here is an optional `dvfs_trace`
+//! ring ([`Simulator::record_trace`]): the simulator writes the same
+//! lifecycle lines a traced `dvfs-serve` shard does. This crate adds
+//! the [`SimReport`] and the offline [`analysis`] of such a trace.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod engine;
-pub mod eventlog;
 pub mod metrics;
 
 pub use analysis::{gantt, queue_depth_series, GanttSegment};
 pub use dvfs_core::sched::governor::{self, GovernorKind};
 pub use engine::{SimConfig, Simulator};
-pub use eventlog::{EventLog, LogEntry, LogEvent};
 pub use metrics::{SimReport, TaskRecord};
 
 /// The engine-agnostic policy trait this executor drives. An alias for

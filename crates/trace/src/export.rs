@@ -1,6 +1,7 @@
-//! Trace rendering: JSONL lines (the wire/snapshot format, with an
-//! exact inverse parser) and Chrome `trace_event` JSON for
-//! `chrome://tracing` / Perfetto.
+//! Trace rendering: JSONL lines (the wire and file format, with an
+//! exact inverse parser), the per-core execution [`Span`]s behind every
+//! Gantt view, and Chrome `trace_event` JSON for `chrome://tracing` /
+//! Perfetto.
 //!
 //! The JSONL encoding is the determinism oracle: floats are rendered
 //! with Rust's shortest-round-trip `Display`, field order is fixed, and
@@ -344,12 +345,86 @@ fn json_str(s: &str) -> String {
     out
 }
 
+/// One constant-rate execution interval of a task on a core.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Span {
+    /// Shard whose ring recorded the run.
+    pub shard: u32,
+    /// Core index.
+    pub core: u32,
+    /// Task executing.
+    pub task: u64,
+    /// Start, in engine seconds.
+    pub start: f64,
+    /// End, in engine seconds.
+    pub end: f64,
+    /// Rate index held from `start` to `end`.
+    pub rate: u32,
+    /// What closed the span: `"preempted"`, `"completed"`, or
+    /// `"rerated"` when the same task runs on at another rate.
+    pub closed_by: &'static str,
+}
+
+impl Span {
+    /// Span length in seconds.
+    #[must_use]
+    pub fn duration(&self) -> f64 {
+        self.end - self.start
+    }
+}
+
+/// Every [`Span`] of a trace read in order, in closing order — the one
+/// place dispatch / stop events become spans. A `dispatch` opens a
+/// span, `preempt` / `complete` close it, and a `rate_change` on a busy
+/// core closes it and opens the same task again at the new rate (on an
+/// idle core it opens nothing: the next `dispatch` carries the rate).
+/// Spans of zero length are not reported, and a stop on an idle core —
+/// a ring that overwrote the dispatch — closes nothing.
+#[must_use]
+pub fn spans(events: &[TraceEvent]) -> Vec<Span> {
+    // (shard, core) -> (task, start, rate) of the running span.
+    let mut open: BTreeMap<(u32, u32), (u64, f64, u32)> = BTreeMap::new();
+    let mut out = Vec::new();
+    for ev in events {
+        let (core, closed_by, rerate) = match ev.kind {
+            EventKind::Dispatch {
+                task, core, rate, ..
+            } => {
+                open.insert((ev.shard, core), (task, ev.time, rate));
+                continue;
+            }
+            EventKind::Preempt { core, .. } => (core, "preempted", None),
+            EventKind::Complete { core, .. } => (core, "completed", None),
+            EventKind::RateChange { core, to, .. } => (core, "rerated", Some(to)),
+            _ => continue,
+        };
+        let Some((task, start, rate)) = open.remove(&(ev.shard, core)) else {
+            continue;
+        };
+        if let Some(to) = rerate {
+            open.insert((ev.shard, core), (task, ev.time, to));
+        }
+        if ev.time > start {
+            out.push(Span {
+                shard: ev.shard,
+                core,
+                task,
+                start,
+                end: ev.time,
+                rate,
+                closed_by,
+            });
+        }
+    }
+    out
+}
+
 /// Render a trace as Chrome `trace_event` JSON, loadable in
 /// `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): one
-/// process per shard, one thread (track) per core, tasks as `"X"`
-/// duration events from `dispatch` to the next `preempt`/`complete` on
-/// that core, and `rate_change` as `"i"` instant events. Timestamps are
-/// engine seconds scaled to microseconds (the format's native unit).
+/// process per shard, one thread (track) per core, one `"X"` duration
+/// event per [`Span`], and `rate_change` as `"i"` instant events.
+/// Timestamps are engine seconds scaled to microseconds (the format's
+/// native unit).
 ///
 /// Three `"C"` counter tracks ride along per shard: `core J rate` (the
 /// rate index a core is actuated to, stepped on every `dispatch` and
@@ -360,8 +435,18 @@ fn json_str(s: &str) -> String {
 #[must_use]
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
     let mut out: Vec<String> = Vec::new();
-    // (shard, core) -> (task, start ts µs, rate) for the running span.
-    let mut open: BTreeMap<(u32, u32), (u64, f64, u32)> = BTreeMap::new();
+    for span in spans(events) {
+        let start = span.start * 1e6;
+        out.push(format!(
+            "{{\"name\":{},\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{start},\"dur\":{},\"args\":{{\"rate\":{},\"end\":{}}}}}",
+            json_str(&format!("task {}", span.task)),
+            span.shard,
+            span.core,
+            span.end * 1e6 - start,
+            span.rate,
+            json_str(span.closed_by)
+        ));
+    }
     let mut tracks: BTreeMap<(u32, u32), ()> = BTreeMap::new();
     // shard -> cumulative measured energy for the accrual counter.
     let mut energy: BTreeMap<u32, f64> = BTreeMap::new();
@@ -377,18 +462,11 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                     &depth.to_string(),
                 ));
             }
-            EventKind::Dispatch {
-                task, core, rate, ..
-            } => {
+            EventKind::Dispatch { core, rate, .. } => {
                 tracks.insert((ev.shard, *core), ());
-                open.insert((ev.shard, *core), (*task, ts, *rate));
                 out.push(rate_counter(ev.shard, *core, ts, *rate));
             }
-            EventKind::Preempt { core, .. } => {
-                close_span(&mut out, &mut open, ev.shard, *core, ts, "preempted");
-            }
-            EventKind::Complete { core, energy_j, .. } => {
-                close_span(&mut out, &mut open, ev.shard, *core, ts, "completed");
+            EventKind::Complete { energy_j, .. } => {
                 let total = energy.entry(ev.shard).or_insert(0.0);
                 *total += energy_j;
                 out.push(counter(
@@ -464,24 +542,6 @@ fn rate_counter(shard: u32, core: u32, ts: f64, rate: u32) -> String {
         "rate",
         &rate.to_string(),
     )
-}
-
-fn close_span(
-    out: &mut Vec<String>,
-    open: &mut BTreeMap<(u32, u32), (u64, f64, u32)>,
-    shard: u32,
-    core: u32,
-    ts: f64,
-    how: &str,
-) {
-    if let Some((task, start, rate)) = open.remove(&(shard, core)) {
-        let dur = (ts - start).max(0.0);
-        out.push(format!(
-            "{{\"name\":{},\"ph\":\"X\",\"pid\":{shard},\"tid\":{core},\"ts\":{start},\"dur\":{dur},\"args\":{{\"rate\":{rate},\"end\":{}}}}}",
-            json_str(&format!("task {task}")),
-            json_str(how)
-        ));
-    }
 }
 
 #[cfg(test)]
@@ -590,9 +650,61 @@ mod tests {
         assert!(json.contains("\"name\":\"migrate task 6\""), "{json}");
         assert!(json.contains("\"name\":\"shard 0\""));
         assert!(json.contains("\"name\":\"core 1\""));
-        // Dispatch at 0.015 s -> 15000 µs; complete at 0.05 s.
-        assert!(json.contains("\"ts\":15000"), "{json}");
-        assert!(json.contains("\"dur\":35000"), "{json}");
+    }
+
+    #[test]
+    fn a_mid_run_rate_change_splits_the_span_and_the_perfetto_event() {
+        // Task 4 is dispatched at 0.015 s at rate 3, re-rated to 2 at
+        // 0.02 s and completes at 0.05 s: two constant-rate spans, not
+        // one span reporting the dispatch-time rate for 35 ms.
+        let span = |start, end, rate, closed_by| Span {
+            shard: 0,
+            core: 1,
+            task: 4,
+            start,
+            end,
+            rate,
+            closed_by,
+        };
+        assert_eq!(
+            spans(&sample()),
+            vec![
+                span(0.015, 0.02, 3, "rerated"),
+                span(0.02, 0.05, 2, "completed")
+            ]
+        );
+        // One "X" event per span, microseconds.
+        let json = chrome_trace(&sample());
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2, "{json}");
+        for x in [
+            "\"ts\":15000,\"dur\":5000,\"args\":{\"rate\":3,\"end\":\"rerated\"}",
+            "\"ts\":20000,\"dur\":30000,\"args\":{\"rate\":2,\"end\":\"completed\"}",
+        ] {
+            assert!(json.contains(x), "missing {x} in {json}");
+        }
+    }
+
+    #[test]
+    fn a_rate_change_on_an_idle_core_and_a_stop_without_a_dispatch_open_nothing() {
+        let at = |time, seq, kind| TraceEvent {
+            time,
+            shard: 0,
+            seq,
+            kind,
+        };
+        let events = [
+            at(
+                0.0,
+                0,
+                EventKind::RateChange {
+                    core: 0,
+                    from: 0,
+                    to: 2,
+                },
+            ),
+            at(0.5, 1, EventKind::Preempt { task: 1, core: 0 }),
+        ];
+        assert!(spans(&events).is_empty());
     }
 
     #[test]

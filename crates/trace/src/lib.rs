@@ -232,15 +232,6 @@ pub trait TraceSink: std::fmt::Debug {
     fn record(&mut self, time: f64, kind: EventKind);
 }
 
-/// The disabled sink: drops everything. Useful as an explicit "tracing
-/// off" value where a `TraceSink` is required.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _time: f64, _kind: EventKind) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,11 +276,5 @@ mod tests {
             .name(),
             "migrate"
         );
-    }
-
-    #[test]
-    fn null_sink_accepts_and_drops() {
-        let mut sink = NullSink;
-        sink.record(1.0, EventKind::Preempt { task: 1, core: 0 });
     }
 }

@@ -1,6 +1,6 @@
-//! Post-mortem analysis of a scheduling run: record the decision log,
-//! reconstruct the Gantt chart, and inspect frequency residency and
-//! interactive latency percentiles.
+//! Post-mortem analysis of a scheduling run: record the lifecycle
+//! trace, reconstruct the Gantt chart, and inspect frequency residency
+//! and interactive latency percentiles.
 //!
 //! ```text
 //! cargo run --release --example trace_analysis [seed]
@@ -9,6 +9,7 @@
 use dvfs_suite::core::LeastMarginalCost;
 use dvfs_suite::model::{CostParams, Platform, TaskClass};
 use dvfs_suite::sim::{gantt, queue_depth_series, SimConfig, Simulator};
+use dvfs_suite::trace::EventKind;
 use dvfs_suite::workloads::JudgeTraceConfig;
 
 fn main() {
@@ -24,9 +25,11 @@ fn main() {
     let platform = Platform::i7_950_quad();
     let params = CostParams::online_paper();
     let mut policy = LeastMarginalCost::new(&platform, params);
-    let mut sim = Simulator::new(SimConfig::new(platform.clone()).with_event_log());
+    let mut sim = Simulator::new(SimConfig::new(platform.clone()));
+    sim.record_trace();
     sim.add_tasks(&trace);
     let report = sim.run(&mut policy);
+    let events = sim.take_trace();
 
     println!(
         "Run: {} tasks, makespan {:.1} s, cost {:.2}",
@@ -54,27 +57,30 @@ fn main() {
         }
     }
 
-    // Gantt reconstruction from the decision log.
-    let segments = gantt(&report.event_log);
+    // Gantt reconstruction from the trace.
+    let segments = gantt(&events);
     println!(
-        "\nDecision log: {} entries → {} Gantt segments, {} mid-run rate changes",
-        report.event_log.len(),
+        "\nLifecycle trace: {} events → {} Gantt segments, {} mid-run rate changes",
+        events.len(),
         segments.len(),
-        report.event_log.rate_changes()
+        (events.iter())
+            .filter(|e| matches!(e.kind, EventKind::RateChange { .. }))
+            .count()
     );
     println!("First segments on core 0:");
     for s in segments.iter().filter(|s| s.core == 0).take(5) {
         println!(
-            "  {} ran {:.3}s–{:.3}s at {:.1} GHz",
+            "  j{} ran {:.3}s–{:.3}s at {:.1} GHz",
             s.task,
             s.start,
             s.end,
-            table.rate(s.rate).freq_hz / 1e9
+            table.rate(s.rate as usize).freq_hz / 1e9
         );
     }
 
-    // Backlog over time.
-    let depth = queue_depth_series(&report.event_log);
+    // Backlog over time; the arrivals are the task records'.
+    let arrivals: Vec<f64> = report.tasks.values().map(|rec| rec.arrival).collect();
+    let depth = queue_depth_series(&events, &arrivals);
     let peak = depth
         .iter()
         .max_by_key(|&&(_, d)| d)

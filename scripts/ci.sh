@@ -32,14 +32,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 # (ROADMAP: "a 2 000-line module is several modules"), and so does a
 # total past the ceiling below — the last total a PR paid lines back
 # to, so they stay paid. Lower it with the total; never raise it.
-TOTAL_CEILING=8040
+# The engine side (crates/{core,sim,trace}/src) is printed after it,
+# ungated: a baseline for the next PR that pays lines back there.
+TOTAL_CEILING=7889
+non_test_lines() {
+    awk '/^#\[cfg\(test\)\]$/ { attr = NR }
+         /^mod tests/ && attr == NR - 1 { print attr - 1; found = 1; exit }
+         END { if (!found) print NR }' "$1"
+}
 echo "==> non-test lines per file, crates/{serve,net}/src"
 oversize=0
 total=0
 for f in crates/serve/src/*.rs crates/net/src/*.rs; do
-    n=$(awk '/^#\[cfg\(test\)\]$/ { attr = NR }
-             /^mod tests/ && attr == NR - 1 { print attr - 1; found = 1; exit }
-             END { if (!found) print NR }' "$f")
+    n=$(non_test_lines "$f")
     printf '%6d  %s\n' "$n" "$f"
     total=$((total + n))
     case "$f" in
@@ -55,6 +60,14 @@ if [ "$total" -gt "$TOTAL_CEILING" ]; then
     echo "ci: crates/{serve,net}/src non-test total $total exceeds the ceiling $TOTAL_CEILING" >&2
     exit 1
 fi
+echo "==> non-test lines per file, crates/{core,sim,trace}/src (not gated)"
+total=0
+for f in crates/core/src/*.rs crates/core/src/sched/*.rs crates/sim/src/*.rs crates/trace/src/*.rs; do
+    n=$(non_test_lines "$f")
+    printf '%6d  %s\n' "$n" "$f"
+    total=$((total + n))
+done
+printf '%6d  total\n' "$total"
 
 # Backend × shard sweep: the serve end-to-end suite at one engine shard
 # (the bit-identical-to-the-simulator pin) and at multiple shards (the
@@ -153,7 +166,7 @@ run cargo test -q -p dvfs-bench --test rebalance -- --ignored
 # the right components is installed, rerun the concurrency stress under
 # ThreadSanitizer and the dvfs-core/dvfs-sim unit tests under Miri
 # (the engine and its unit tests live in dvfs-core's `sched::engine`;
-# dvfs-sim contributes the driver, event log and report tests).
+# dvfs-sim contributes the driver, trace analysis and report tests).
 # Both catch the bug classes dvfs-lint can only approximate statically
 # (real data races, real UB). Absent nightly/components the stage skips
 # with a visible notice — tier-1 stays stable-toolchain-only by design.

@@ -4,7 +4,9 @@
 use dvfs_suite::baselines::{OlbOnline, OnDemandOnline};
 use dvfs_suite::core::LeastMarginalCost;
 use dvfs_suite::model::{CostParams, Platform, TaskClass};
+use dvfs_suite::serve::{service_platform, Registry, Scheduler, SchedulerConfig};
 use dvfs_suite::sim::{GovernorKind, SimConfig, SimReport, Simulator};
+use dvfs_suite::trace::export::jsonl_line;
 use dvfs_suite::workloads::io::{read_trace, write_trace};
 use dvfs_suite::workloads::JudgeTraceConfig;
 
@@ -118,4 +120,67 @@ fn trace_survives_serialization_before_scheduling() {
         roundtripped.active_energy_joules
     );
     assert_eq!(direct.makespan, roundtripped.makespan);
+}
+
+/// A trace line with its `shard` / `seq` envelope set aside: the
+/// service's ring also numbers the `submit` / `admit` lines only it
+/// writes.
+fn sans_envelope(line: &str) -> String {
+    let (time, rest) = line.split_once(",\"shard\":").expect("a trace line");
+    let (_, payload) = rest.split_once(",\"ev\":").expect("a trace line");
+    format!("{time},\"ev\":{payload}")
+}
+
+#[test]
+fn simulator_and_served_replay_write_the_same_lifecycle_lines() {
+    // The Judgegirl mix squeezed into half a minute: a queue has to
+    // grow past 27 under a running task before LMC re-rates it (the
+    // first dominating-range boundary at the online prices), and every
+    // kind of line — `rate_change` and `preempt` included — must show.
+    let mut cfg = JudgeTraceConfig::paper_heavy(3);
+    cfg.non_interactive = 256;
+    cfg.interactive = 1024;
+    cfg.duration_s = 30.0;
+    let trace = cfg.generate();
+    let params = CostParams::online_paper();
+
+    let platform = service_platform(4);
+    let mut policy = LeastMarginalCost::new(&platform, params);
+    let mut sim = Simulator::new(SimConfig::new(platform));
+    sim.record_trace();
+    sim.add_tasks(&trace);
+    sim.run(&mut policy);
+    let simulated: Vec<String> = (sim.take_trace().iter())
+        .map(|ev| sans_envelope(&jsonl_line(ev)))
+        .collect();
+
+    let scheduler = Scheduler::new(
+        SchedulerConfig {
+            cores: 4,
+            params,
+            queue_capacity: 2 * trace.len(),
+            trace_capacity: 16 * trace.len(),
+            ..SchedulerConfig::default()
+        },
+        std::sync::Arc::new(Registry::new()),
+    );
+    for t in &trace {
+        let r = scheduler.submit(Some(t.id.0), t.cycles, t.class, Some(t.arrival));
+        assert!(r.is_ok(), "submit failed: {r:?}");
+    }
+    scheduler.drain_round();
+    assert_eq!(scheduler.trace_dropped(), 0, "ring must not overflow");
+    let served: Vec<String> = (scheduler.trace_lines().iter())
+        .filter(|l| !l.contains("\"ev\":\"submit\"") && !l.contains("\"ev\":\"admit\""))
+        .map(|l| sans_envelope(l))
+        .collect();
+
+    for ev in ["enqueue", "dispatch", "preempt", "rate_change", "complete"] {
+        let tag = format!("\"ev\":\"{ev}\"");
+        assert!(simulated.iter().any(|l| l.contains(&tag)), "no {ev} line");
+    }
+    assert_eq!(simulated.len(), served.len());
+    for (i, (sim_line, served_line)) in simulated.iter().zip(&served).enumerate() {
+        assert_eq!(sim_line, served_line, "line {i} differs");
+    }
 }
