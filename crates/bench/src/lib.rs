@@ -2,8 +2,7 @@
 //!
 //! The experiment harness: one function per table/figure of the paper's
 //! evaluation (Section V), shared by the `table1`/`table2`/`fig1`/
-//! `fig2`/`fig3`/`experiments` binaries, the integration tests, and the
-//! Criterion benches.
+//! `fig2`/`fig3`/`experiments` binaries and the integration tests.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

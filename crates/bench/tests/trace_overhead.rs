@@ -1,7 +1,7 @@
 //! Trace-overhead smoke test (CI runs it with `-- --ignored`): replay
 //! the LMC arrival path against the null executor twice — tracing
 //! disabled vs. a live ring sink — and bound the slowdown. The point is
-//! not a tight benchmark (that is `benches/online.rs`); it is a
+//! not a tight benchmark (that is sysbench's `core.lmc.*` rows); it is a
 //! regression tripwire that recording provenance into the ring stays
 //! within the same order of magnitude as not tracing at all, i.e. the
 //! record path never grows an allocation or a syscall.
@@ -12,7 +12,7 @@ use dvfs_model::{CoreId, CostParams, Platform, RateIdx, RateTable, TaskId};
 use dvfs_trace::{SharedRing, TraceSink};
 use dvfs_workloads::JudgeTraceConfig;
 
-/// The same minimal executor as `benches/online.rs`: occupancy state
+/// A minimal `ExecutorView` (the same as sysbench's): occupancy state
 /// only, so the measurement isolates the policy plus (here) the sink.
 struct NullExecutor {
     table: RateTable,

@@ -8,6 +8,8 @@
 //! dvfs-sched ranges [--re X --rt Y]
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 

@@ -47,3 +47,10 @@ pub use ledger::CostLedger;
 pub use lmc::{InteractivePlacement, LeastMarginalCost};
 pub use sched::{ExecutorView, PlanPolicy, Scheduler};
 pub use wbg_online::WbgReassign;
+
+#[cfg(clippy)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "canary: fails clippy if this crate's clippy.toml stops applying"
+)]
+const _: fn() -> usize = || std::collections::HashSet::<u8>::new().len();

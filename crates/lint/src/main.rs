@@ -1,84 +1,39 @@
-//! `dvfs-lint` CLI.
-//!
-//! ```text
-//! dvfs-lint [--json] [--deny all] [--root PATH]
-//! ```
-//!
-//! Advisory by default (exit 0 even with findings, so it can run in
-//! exploratory checkouts); `--deny all` makes any surviving violation
-//! fail the process, which is how `scripts/ci.sh` runs it. `--root`
-//! overrides workspace discovery (walking up from the current directory
-//! to the first `Cargo.toml` containing `[workspace]`).
+//! `dvfs-lint [--root PATH]`: prints every finding and exits 1 when
+//! there is one. Without `--root` the workspace is the first directory
+//! upward of the current one whose `Cargo.toml` contains `[workspace]`.
 
-use std::path::{Path, PathBuf};
+#![forbid(unsafe_code)]
+
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: dvfs-lint [--json] [--deny all] [--root PATH]";
-
-fn find_root(start: &Path) -> Option<PathBuf> {
-    let mut cur = Some(start.to_path_buf());
-    while let Some(dir) = cur {
-        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
-        }
-        cur = dir.parent().map(Path::to_path_buf);
-    }
-    None
+fn find_root() -> Option<PathBuf> {
+    let cwd = std::env::current_dir().ok()?;
+    let is_root = |dir: &&std::path::Path| {
+        std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|t| t.contains("[workspace]"))
+    };
+    cwd.ancestors().find(is_root).map(PathBuf::from)
 }
 
 fn main() -> ExitCode {
-    let mut json = false;
-    let mut deny = false;
-    let mut root: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--deny" => match args.next().as_deref() {
-                Some("all") => deny = true,
-                other => {
-                    eprintln!(
-                        "dvfs-lint: `--deny` takes `all` (got {})\n{USAGE}",
-                        other.unwrap_or("nothing")
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            "--root" => match args.next() {
-                Some(p) => root = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("dvfs-lint: `--root` needs a path\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("dvfs-lint: unknown argument `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let root = root.or_else(|| std::env::current_dir().ok().and_then(|d| find_root(&d)));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let root = match args.as_slice() {
+        [] => find_root(),
+        [flag, path] if flag == "--root" => Some(PathBuf::from(path)),
+        _ => None,
+    };
     let Some(root) = root else {
-        eprintln!("dvfs-lint: no workspace root found (no `Cargo.toml` with `[workspace]` upward of the current directory); pass --root");
+        eprintln!("usage: dvfs-lint [--root PATH] (default: the nearest workspace upward of here)");
         return ExitCode::from(2);
     };
-
-    let report = dvfs_lint::run(&root);
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", report.render_text());
+    let found = dvfs_lint::run(&root);
+    for v in &found {
+        println!("{}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
     }
-    if deny && !report.is_clean() {
-        ExitCode::FAILURE
-    } else {
+    println!("dvfs-lint: {} violation(s)", found.len());
+    if found.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

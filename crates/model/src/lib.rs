@@ -45,3 +45,10 @@ pub use platform::{CoreId, CoreSpec, Platform};
 pub use rates::{RateIdx, RatePoint, RateTable};
 pub use record::TaskRecord;
 pub use task::{Task, TaskClass, TaskId};
+
+#[cfg(clippy)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "canary: fails clippy if this crate's clippy.toml stops applying"
+)]
+const _: fn() -> usize = || std::collections::HashSet::<u8>::new().len();

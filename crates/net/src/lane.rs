@@ -3,8 +3,8 @@
 //! scheduler drain takes a whole round), and hands the response bytes
 //! back through the reactor's [`Mailbox`]. One thread and one FIFO
 //! channel, so a connection's deferred work is answered in the order it
-//! was deferred. This file is deliberately outside `dvfs-lint`'s
-//! `reactor-nonblocking` scope: blocking is the lane's job.
+//! was deferred. Blocking is the lane's job: its `recv` is the one
+//! blocking call `crates/net/clippy.toml` excuses outside the mailbox.
 
 use crate::handler::{push_line, Answered, Caller, Handler};
 use crate::reactor::Mailbox;
@@ -66,8 +66,12 @@ impl Lane {
         // and resumes once every reply has landed, so the queue holds
         // at most one read's worth of work per connection — bounded by
         // the connection cap even though the channel itself is not.
-        // dvfs-lint: allow(channel-protocol) slow lane bounded by the connection cap
+        #[expect(clippy::disallowed_methods, reason = "bounded by the connection cap")]
         let (tx, rx): (Sender<Job>, _) = channel();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "blocking on the next deferred job is the lane thread's whole job; the event loop never runs this closure"
+        )]
         scope.spawn(move || {
             while let Ok((token, received, work)) = rx.recv() {
                 let mut out = Vec::new();

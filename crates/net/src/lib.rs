@@ -44,6 +44,8 @@
 //! [`Observer`] for metrics. It deliberately has **no dependencies**
 //! (workspace or external) so the layering invariant is structural.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, reason = "tests may block"))]
+
 pub mod blocking;
 pub mod conn;
 pub mod framing;
@@ -51,6 +53,7 @@ pub mod handler;
 mod lane;
 pub mod poller;
 pub mod reactor;
+#[expect(unsafe_code, reason = "the audited syscall boundary")]
 pub mod sys;
 
 pub use conn::Connection;

@@ -159,11 +159,11 @@ impl Mailbox {
     /// generation tag in the token makes that safe.
     pub(crate) fn deliver(&self, token: u64, bytes: Vec<u8>) {
         {
-            let mut queue = self
-                .queue
-                // dvfs-lint: allow(reactor-nonblocking) deliver runs on the slow-lane thread, never the event loop; the critical section is one push
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "deliver runs on the slow-lane thread, never the event loop; the critical section is one push"
+            )]
+            let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
             queue.push((token, bytes));
         }
         sys::eventfd_signal(self.efd);
@@ -171,11 +171,11 @@ impl Mailbox {
 
     fn take(&self) -> Vec<(u64, Vec<u8>)> {
         sys::eventfd_drain(self.efd);
-        let mut queue = self
-            .queue
-            // dvfs-lint: allow(reactor-nonblocking) leaf mailbox mutex held only to swap the Vec out; contenders are one-push slow-lane writers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "leaf mailbox mutex held only to swap the Vec out; contenders are one-push slow-lane writers"
+        )]
+        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         std::mem::take(&mut *queue)
     }
 }

@@ -19,6 +19,9 @@
 //! not pull by then is wedged, and the submit is shed after all
 //! ([`ShedReason::WorkerBehind`]).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
+
 use crate::stage::StageStamp;
 use dvfs_model::{Task, TaskClass};
 use std::collections::VecDeque;
@@ -154,11 +157,14 @@ impl AdmissionQueue {
     ///
     /// # Errors
     /// Returns the shed reason when the queue is full for this class.
+    #[expect(
+        clippy::unreachable,
+        reason = "the gate closure is the constant `|| true`, so `Closed` is statically impossible here"
+    )]
     pub fn try_submit(&self, task: Task) -> Result<usize, ShedReason> {
         match self.try_submit_gated(task, || true) {
             GateOutcome::Admitted(depth) => Ok(depth),
             GateOutcome::Shed(reason) => Err(reason),
-            // dvfs-lint: allow(panic) the gate closure is the constant `|| true`, so `Closed` is statically impossible here
             GateOutcome::Closed => unreachable!("gate `|| true` never closes"),
         }
     }

@@ -12,6 +12,9 @@
 //! bytes of heap, never call stack. Nothing here can panic on any
 //! input.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
+
 use crate::protocol::{field_u64, number_f64, number_u64, parse_class, Request, Response};
 use serde::Number;
 use std::borrow::Cow;

@@ -61,6 +61,8 @@
 //! * [`loadgen`] — the companion load generator (replay, open-loop
 //!   Poisson, closed-loop clients, idle-connection holding).
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod clock;
 pub(crate) mod codec;

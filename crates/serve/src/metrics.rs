@@ -6,6 +6,15 @@
 //! decades of latency (or cost) while quantile error stays bounded by
 //! the bucket growth factor.
 
+#![deny(clippy::disallowed_types)]
+
+#[cfg(clippy)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "canary: fails clippy if the crate's `disallowed-types` list stops applying"
+)]
+const _: fn() -> usize = || std::collections::HashSet::<u8>::new().len();
+
 use serde::{Number, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -53,8 +62,8 @@ impl Gauge {
 /// may see a stale value and nothing scheduled ever reads one back, so
 /// every access is a single relaxed atomic op — and because relaxed
 /// set/add/get is the whole API, a cell cannot be misused as a
-/// cross-thread handshake. This file is the only one where `dvfs-lint`'s
-/// `atomics-discipline` rule lets the token `Relaxed` appear; anything
+/// cross-thread handshake. This file is the only one where `dvfs-lint`
+/// lets the word `Relaxed` appear, comments included; anything
 /// that needs ordering uses a std atomic with Acquire/Release or SeqCst.
 #[derive(Debug, Default)]
 pub struct AdvisoryCell(AtomicU64);
@@ -235,29 +244,6 @@ impl Histogram {
             }
         }
         Some(bucket_value(HIST_BUCKETS - 1))
-    }
-
-    /// Fold another histogram's samples into this one: bucket counts,
-    /// count, and sum add; min/max widen. Merging is commutative and
-    /// associative (floating-point sum reassociation aside), so merging
-    /// every `name.shardK` stage histogram reproduces the global `name`
-    /// histogram bucket-for-bucket.
-    pub fn merge_from(&self, other: &Histogram) {
-        // Snapshot the source first so the two locks are never held at
-        // once (self.merge_from(self) would otherwise deadlock, and a
-        // fixed single-lock-at-a-time discipline cannot invert).
-        let (counts, count, sum, min, max) = {
-            let o = other.lock();
-            (o.counts, o.count, o.sum, o.min, o.max)
-        };
-        let mut h = self.lock();
-        for (dst, src) in h.counts.iter_mut().zip(counts.iter()) {
-            *dst += src;
-        }
-        h.count += count;
-        h.sum += sum;
-        h.min = h.min.min(min);
-        h.max = h.max.max(max);
     }
 
     /// Snapshot as a JSON object: count, sum, min/max, p50/p95/p99, and
@@ -552,6 +538,13 @@ mod tests {
         };
         assert_eq!(pair(&buckets[0]), (bucket_index(1.0e-3) as u64, 2));
         assert_eq!(pair(&buckets[1]), (bucket_index(1.0) as u64, 1));
+        // An empty histogram has no quantiles and still renders finite
+        // min/max.
+        let empty = Histogram::default();
+        assert_eq!(empty.quantile(0.5), None);
+        let v = empty.to_value();
+        assert_eq!(v.get("min").unwrap(), &Value::Number(Number::Float(0.0)));
+        assert_eq!(v.get("max").unwrap(), &Value::Number(Number::Float(0.0)));
     }
 
     #[test]
@@ -637,114 +630,6 @@ mod tests {
         h.record(1.0);
         assert_eq!(h.quantile(0.0), Some(bucket_value(bucket_index(1.0e-3))));
         assert_eq!(h.quantile(1.0), Some(bucket_value(bucket_index(1.0))));
-    }
-
-    fn hist_fingerprint(
-        h: &Histogram,
-    ) -> (Vec<u64>, u64, f64, Option<f64>, Option<f64>, Option<f64>) {
-        (
-            h.bucket_counts(),
-            h.count(),
-            h.sum(),
-            h.quantile(0.50),
-            h.quantile(0.95),
-            h.quantile(0.99),
-        )
-    }
-
-    #[test]
-    fn merging_empty_stage_histograms_is_identity() {
-        // An idle stage (no samples yet) merged in either direction must
-        // not disturb counts, sum, or quantiles.
-        let stage = Histogram::default();
-        let empty = Histogram::default();
-        stage.record(2.0e-3);
-        stage.record(3.0e-3);
-        let before = hist_fingerprint(&stage);
-        stage.merge_from(&empty);
-        assert_eq!(hist_fingerprint(&stage), before);
-        empty.merge_from(&stage);
-        assert_eq!(hist_fingerprint(&empty), before);
-        // Empty ⊕ empty stays empty: no count, no quantiles, and the
-        // snapshot still renders finite min/max.
-        let a = Histogram::default();
-        a.merge_from(&Histogram::default());
-        assert_eq!(a.count(), 0);
-        assert_eq!(a.quantile(0.5), None);
-        let v = a.to_value();
-        assert_eq!(v.get("min").unwrap(), &Value::Number(Number::Float(0.0)));
-        assert_eq!(v.get("max").unwrap(), &Value::Number(Number::Float(0.0)));
-    }
-
-    #[test]
-    fn merging_single_bucket_histograms_accumulates_in_place() {
-        // Both sources occupy the same bucket: the merge lands every
-        // sample in that one bucket and the quantiles stay put.
-        let a = Histogram::default();
-        let b = Histogram::default();
-        for _ in 0..3 {
-            a.record(1.1e-3);
-        }
-        for _ in 0..5 {
-            b.record(1.2e-3);
-        }
-        // Both samples sit inside [1.024e-3, 2.048e-3) — one bucket.
-        assert_eq!(bucket_index(1.1e-3), bucket_index(1.2e-3));
-        a.merge_from(&b);
-        assert_eq!(a.count(), 8);
-        let occupied: Vec<(usize, u64)> = a
-            .bucket_counts()
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-            .collect();
-        assert_eq!(occupied, vec![(bucket_index(1.1e-3), 8)]);
-        assert_eq!(a.quantile(0.5), Some(bucket_value(bucket_index(1.1e-3))));
-        assert!((a.sum() - (3.0 * 1.1e-3 + 5.0 * 1.2e-3)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cross_shard_merge_is_associative_and_matches_global() {
-        // Three per-shard stage histograms with distinct profiles.
-        let shards = [
-            Histogram::default(),
-            Histogram::default(),
-            Histogram::default(),
-        ];
-        let global = Histogram::default();
-        let samples: [&[f64]; 3] = [
-            &[1.0e-4, 2.0e-4, 5.0e-2],
-            &[3.0e-3],
-            &[1.0e-5, 4.0e-1, 4.0e-1, 2.0],
-        ];
-        for (h, vals) in shards.iter().zip(samples.iter()) {
-            for &v in vals.iter() {
-                h.record(v);
-                global.record(v);
-            }
-        }
-        // (s0 ⊕ s1) ⊕ s2
-        let left = Histogram::default();
-        left.merge_from(&shards[0]);
-        left.merge_from(&shards[1]);
-        left.merge_from(&shards[2]);
-        // s0 ⊕ (s1 ⊕ s2)
-        let inner = Histogram::default();
-        inner.merge_from(&shards[1]);
-        inner.merge_from(&shards[2]);
-        let right = Histogram::default();
-        right.merge_from(&shards[0]);
-        right.merge_from(&inner);
-        let (lb, lc, ls, l50, l95, l99) = hist_fingerprint(&left);
-        let (rb, rc, rs, r50, r95, r99) = hist_fingerprint(&right);
-        assert_eq!((lb.clone(), lc, l50, l95, l99), (rb, rc, r50, r95, r99));
-        assert!((ls - rs).abs() < 1e-12);
-        // And the merged result reproduces the global histogram the
-        // worker records alongside the per-shard variants.
-        let (gb, gc, gs, g50, g95, g99) = hist_fingerprint(&global);
-        assert_eq!((lb, lc, l50, l95, l99), (gb, gc, g50, g95, g99));
-        assert!((ls - gs).abs() < 1e-12);
     }
 
     #[test]

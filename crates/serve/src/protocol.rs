@@ -52,6 +52,9 @@
 //!   lock-free heartbeat slots and leaf-locked metrics only — no worker
 //!   fan-out — so the reactor serves it inline on the fast path.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
+
 use dvfs_model::TaskClass;
 use serde::{Number, Value};
 

@@ -114,11 +114,7 @@ fn migrate(
     // next tick re-evaluates with fresh gauges rather than chasing
     // the remainder in one pass.
     let gap_share = (hot_cost - cold_cost) / (2.0 * hot_cost);
-    #[allow(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        reason = "gap_share is in (0, 0.5], so the product is a small non-negative count"
-    )]
+    // `gap_share` is in (0, 0.5], so the product is a small non-negative count.
     let batch = ((backlog as f64 * gap_share) as usize).clamp(1, cfg.max_batch);
     let tasks = workers[hot].ask("steal", |reply| Command::Steal { max: batch, reply });
     if tasks.is_empty() {

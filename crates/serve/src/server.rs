@@ -39,6 +39,9 @@
 //! replay contract, and connection-level visibility belongs to metrics
 //! (and the Perfetto counter tracks built from them at export time).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
+
 use crate::metrics::Registry;
 use crate::protocol::{parse_request, ErrorKind, Request, Response};
 use crate::service::{Mode, Pace, Scheduler, SchedulerConfig, SubmitItem, Submitted};
@@ -564,7 +567,6 @@ impl dvfs_net::Observer for MetricsObserver {
     }
 
     fn on_batch_size(&mut self, lines: usize) {
-        #[allow(clippy::cast_precision_loss)]
         self.metrics
             .histogram("net_batch_lines")
             .record(lines as f64);
@@ -572,7 +574,6 @@ impl dvfs_net::Observer for MetricsObserver {
 
     fn on_wakeup(&mut self, events: usize) {
         self.metrics.counter("net_wakeups").inc();
-        #[allow(clippy::cast_precision_loss)]
         self.metrics
             .histogram("net_events_per_wakeup")
             .record(events as f64);
@@ -593,14 +594,7 @@ impl dvfs_net::Observer for MetricsObserver {
 
 /// Non-negative seconds to whole microseconds for counter arithmetic.
 fn micros(seconds: f64) -> u64 {
-    #[allow(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        reason = "observer durations are non-negative and far below u64 micros range"
-    )]
-    {
-        (seconds.max(0.0) * 1e6).round() as u64
-    }
+    (seconds.max(0.0) * 1e6).round() as u64
 }
 
 #[cfg(test)]
@@ -669,7 +663,7 @@ mod tests {
         lines.push(cmd("shutdown"));
         lines.push(cmd("ping"));
         let mut out = Vec::new();
-        let began = Instant::now();
+        let began = crate::clock::wall_now();
         let answered = shared.answer(&lines, began, &mut out, Caller::MayWait);
         let took = began.elapsed();
         assert_eq!(answered, Answered::Stop);
@@ -708,7 +702,7 @@ mod tests {
     fn a_submit_that_waited_for_its_worker_is_not_held_up_by_another() {
         let tick = Duration::from_millis(5);
         let shared = paced(tick, 8, 2);
-        let now = Instant::now();
+        let now = crate::clock::wall_now();
         let mut out = Vec::new();
         // Explicit ids hash to shards: one task in each queue.
         let both = [submit_id(Some(0)), submit_id(Some(1))];
@@ -766,7 +760,7 @@ mod tests {
         for (lines, at, malformed) in [(full_queue, 4, 2), (slow_command, 1, 1)] {
             let hour = Duration::from_secs(3600);
             let [split, whole] = [paced(hour, 2, 1), paced(hour, 2, 1)];
-            let now = Instant::now();
+            let now = crate::clock::wall_now();
 
             let mut on_loop = Vec::new();
             let answered = split.answer(&lines, now, &mut on_loop, Caller::EventLoop);

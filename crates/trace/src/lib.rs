@@ -20,19 +20,33 @@
 //! drain mode the prediction can be diffed bit-exactly against the
 //! measured round report.
 //!
-//! Like `dvfs-lint`, this crate has **zero dependencies** and sits at
-//! the bottom of the workspace layering: `dvfs-core → dvfs-trace` is
-//! the only edge policies need, and `dvfs-trace` itself depends on
-//! nothing (enforced by the lint's layering rule).
+//! This crate has **zero dependencies** and sits at the bottom of the
+//! workspace layering: `dvfs-core → dvfs-trace` is the only edge
+//! policies need, and `dvfs-trace` itself depends on nothing (enforced
+//! by `dvfs-lint`'s layering rule).
 //!
 //! Determinism contract: events are timestamped with *engine seconds*
 //! (sim time), never wall clock, and the record paths in this file and
-//! [`ring`] must not read `Instant::now` or allocate through formatting
-//! (`format!`/`.to_string()`) — `dvfs-lint`'s `determinism` rule scans
+//! [`ring`] must not read `Instant::now` or build strings (`format!`,
+//! `.to_string()`, `String`) — the crate's `clippy.toml` disallows
 //! them. Rendering lives in [`export`] and [`prom`], off the record
-//! path.
+//! path, which is why their `mod` lines below are the two excused.
 
+#![forbid(unsafe_code)]
+
+#[expect(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "exporters render at drain time, off the record path"
+)]
 pub mod export;
+#[expect(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "exporters render at drain time, off the record path"
+)]
 pub mod prom;
 pub mod ring;
 

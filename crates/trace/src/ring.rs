@@ -9,8 +9,8 @@
 //! the number of overwritten events between them.
 //!
 //! The record path here is replay-critical: no wall-clock reads and no
-//! allocation-heavy formatting (`dvfs-lint`'s `determinism` rule scans
-//! this file). Rendering happens in [`crate::export`], off the ring.
+//! allocation-heavy formatting (the crate's `clippy.toml` disallows
+//! both here). Rendering happens in [`crate::export`], off the ring.
 
 use crate::{EventKind, TraceEvent, TraceSink};
 use std::collections::VecDeque;
