@@ -35,7 +35,8 @@
 //!   (a borrowed pull decoder that builds no JSON tree, a preformatted
 //!   integer encoder).
 //! * [`admission`] — the bounded queue and shed policy.
-//! * [`clock`] — the wall-clock seam (the only raw `Instant::now`).
+//! * [`clock`] — the wall-clock seam (the only raw `Instant::now`) and
+//!   the paced engine clock the scheduler and its workers share.
 //! * [`metrics`] — counters, gauges, histograms, the registry.
 //! * [`executor`] — the wall-clock driver of the shared engine, its
 //!   observer (rate actuator + the shard's trace ring), and the
@@ -58,8 +59,9 @@
 //!   both wire drivers call (the `dvfs-net` epoll reactor, or an accept
 //!   loop running `dvfs_net::blocking::serve` per connection, behind
 //!   the [`NetBackend`] seam), graceful shutdown.
-//! * [`loadgen`] — the companion load generator (replay, open-loop
-//!   Poisson, closed-loop clients, idle-connection holding).
+//! * [`loadgen`] — the companion load generator (replay, Poisson-paced
+//!   sends on one connection, closed-loop clients, idle-connection
+//!   holding).
 
 #![forbid(unsafe_code)]
 
@@ -86,7 +88,7 @@ pub use executor::{
     ActuatorKind, NoopActuator, RateActuator, RealTimeExecutor, RoundReport, SimulatedActuator,
 };
 pub use loadgen::{class_idx, DrainSummary, IdleSummary, LoadMode, LoadReport, StageQuantiles};
-pub use metrics::{prometheus_text, shard_metric, Counter, Gauge, Histogram, Registry};
+pub use metrics::{shard_metric, Counter, Gauge, Histogram, Registry};
 pub use protocol::{ErrorKind, Request, Response};
 pub use server::{
     serve, Endpoint, NetBackend, ServerConfig, ServerHandle, DEFAULT_MAX_CONNECTIONS,

@@ -6,10 +6,14 @@
 //!   from `dvfs-workloads`) with its explicit ids and arrivals, then
 //!   `drain` and report the served totals. Round-trips deterministically
 //!   against a replay-mode server.
-//! * **Poisson** — open-loop: exponential inter-arrival gaps at a target
-//!   rate for a fixed duration; senders do not wait for the previous
-//!   completion, so overload shows up as shed responses rather than as
-//!   a silently slowed offered load.
+//! * **Poisson** — one connection sending on an exponential-gap
+//!   schedule at a target rate for a fixed duration. It is *not* an
+//!   open loop: every submit waits for its reply, and the next send
+//!   waits for that reply as well as for its scheduled time, so a slow
+//!   server slows the generator down and the target rate is an upper
+//!   bound on the offered load. For a real open loop (a scheduled
+//!   writer and a separate reader) use sysbench's `wire_open_40k`
+//!   driver in `crates/bench/examples/sysbench/wire.rs`.
 //! * **Closed** — `clients` connections, each submitting its next task
 //!   only after the previous acknowledgment; throughput is bounded by
 //!   round-trip latency, the classic closed-loop profile. The run ends
@@ -45,7 +49,8 @@ pub enum LoadMode {
         /// The tasks to submit, in order.
         trace: Vec<Task>,
     },
-    /// Open-loop Poisson arrivals.
+    /// Exponential-gap sends on one connection, each after the previous
+    /// reply: the rate is an upper bound, not an open loop.
     Poisson {
         /// Mean arrival rate in tasks per second.
         rate_hz: f64,

@@ -62,9 +62,10 @@ impl Gauge {
 /// may see a stale value and nothing scheduled ever reads one back, so
 /// every access is a single relaxed atomic op — and because relaxed
 /// set/add/get is the whole API, a cell cannot be misused as a
-/// cross-thread handshake. This file is the only one where `dvfs-lint`
-/// lets the word `Relaxed` appear, comments included; anything
-/// that needs ordering uses a std atomic with Acquire/Release or SeqCst.
+/// cross-thread handshake. This file is the only one where
+/// `scripts/ci.sh` lets the word `Relaxed` appear, comments included;
+/// anything that needs ordering uses a std atomic with Acquire/Release
+/// or SeqCst.
 #[derive(Debug, Default)]
 pub struct AdvisoryCell(AtomicU64);
 
@@ -150,18 +151,6 @@ pub fn bucket_value(i: usize) -> f64 {
     lo * HIST_GROWTH.sqrt()
 }
 
-/// Exclusive upper bound of bucket `i` (the `le` bound Prometheus
-/// renders). The final bucket clamps to infinity, so callers exporting
-/// bounded buckets should stop at `HIST_BUCKETS - 2` and let the
-/// `+Inf` bucket cover the clamp.
-#[must_use]
-pub fn bucket_upper_bound(i: usize) -> f64 {
-    if i == 0 {
-        return HIST_BASE;
-    }
-    HIST_BASE * HIST_GROWTH.powi(i as i32)
-}
-
 impl Histogram {
     fn lock(&self) -> std::sync::MutexGuard<'_, HistInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
@@ -218,13 +207,6 @@ impl Histogram {
     /// Sum of samples.
     pub fn sum(&self) -> f64 {
         self.lock().sum
-    }
-
-    /// Raw per-bucket counts, length [`HIST_BUCKETS`]. Index with
-    /// [`bucket_index`] / [`bucket_upper_bound`].
-    #[must_use]
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.lock().counts.to_vec()
     }
 
     /// Nearest-rank quantile (`q` in `[0, 1]`), reported as the
@@ -363,158 +345,9 @@ impl Registry {
     }
 }
 
-/// Split a registry metric name into its base family name and an
-/// optional shard label: `"completed.shard3"` → `("completed",
-/// Some("3"))`, anything else passes through unlabelled.
-fn split_shard(name: &str) -> (&str, Option<&str>) {
-    if let Some(pos) = name.rfind(".shard") {
-        let digits = &name[pos + ".shard".len()..];
-        if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
-            return (&name[..pos], Some(digits));
-        }
-    }
-    (name, None)
-}
-
-fn shard_labels(shard: Option<&str>) -> Vec<(String, String)> {
-    match shard {
-        Some(k) => vec![("shard".to_string(), k.to_string())],
-        None => Vec::new(),
-    }
-}
-
-/// Render the registry in the Prometheus text exposition format
-/// ([`dvfs_trace::prom::TEXT_FORMAT`]). Per-shard variants
-/// (`name.shardK`) fold into their base family with a `shard` label;
-/// every family gets a `dvfs_` namespace prefix.
-#[must_use]
-pub fn prometheus_text(registry: &Registry) -> String {
-    use dvfs_trace::prom::{
-        render, sanitize_name, PromFamily, PromHistogram, PromSample, PromValue,
-    };
-
-    // BTreeMap iteration gives deterministic family order; within a
-    // family, the unsuffixed total sorts before its shard breakdown.
-    let mut families: Vec<PromFamily> = Vec::new();
-    let mut push_samples = |raw: Vec<(String, Vec<PromSample>)>, help: &str, gauge: bool| {
-        let mut grouped: BTreeMap<String, Vec<PromSample>> = BTreeMap::new();
-        for (name, samples) in raw {
-            grouped.entry(name).or_default().extend(samples);
-        }
-        for (base, samples) in grouped {
-            families.push(PromFamily {
-                name: sanitize_name(&format!("dvfs_{base}")),
-                help: help.to_string(),
-                value: if gauge {
-                    PromValue::Gauge(samples)
-                } else {
-                    PromValue::Counter(samples)
-                },
-            });
-        }
-    };
-
-    let counters: Vec<(String, Vec<PromSample>)> = read_or_recover(&registry.counters)
-        .iter()
-        .map(|(name, c)| {
-            let (base, shard) = split_shard(name);
-            (
-                base.to_string(),
-                vec![PromSample {
-                    labels: shard_labels(shard),
-                    value: c.get() as f64,
-                }],
-            )
-        })
-        .collect();
-    push_samples(counters, "Service counter.", false);
-
-    let gauges: Vec<(String, Vec<PromSample>)> = read_or_recover(&registry.gauges)
-        .iter()
-        .map(|(name, g)| {
-            let (base, shard) = split_shard(name);
-            (
-                base.to_string(),
-                vec![PromSample {
-                    labels: shard_labels(shard),
-                    value: g.get() as f64,
-                }],
-            )
-        })
-        .collect();
-    push_samples(gauges, "Service gauge.", true);
-
-    let mut hist_grouped: BTreeMap<String, Vec<PromHistogram>> = BTreeMap::new();
-    for (name, h) in read_or_recover(&registry.histograms).iter() {
-        let (base, shard) = split_shard(name);
-        let counts = h.bucket_counts();
-        let last_occupied = counts.iter().rposition(|&c| c > 0);
-        let mut cum = 0u64;
-        let mut buckets = Vec::new();
-        if let Some(last) = last_occupied {
-            // Bounded buckets stop before the clamp bucket; the
-            // renderer's +Inf sample covers the rest.
-            for (i, &c) in counts
-                .iter()
-                .enumerate()
-                .take(last.min(HIST_BUCKETS - 2) + 1)
-            {
-                cum += c;
-                buckets.push((bucket_upper_bound(i), cum));
-            }
-        }
-        hist_grouped
-            .entry(base.to_string())
-            .or_default()
-            .push(PromHistogram {
-                labels: shard_labels(shard),
-                buckets,
-                sum: h.sum(),
-                count: h.count(),
-            });
-    }
-    for (base, series) in hist_grouped {
-        families.push(PromFamily {
-            name: sanitize_name(&format!("dvfs_{base}")),
-            help: "Service histogram.".to_string(),
-            value: PromValue::Histogram(series),
-        });
-    }
-
-    render(&families)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn prometheus_text_folds_shard_suffixes_into_labels() {
-        let r = Registry::new();
-        r.counter("completed").add(7);
-        r.counter(&shard_metric("completed", 0)).add(3);
-        r.counter(&shard_metric("completed", 1)).add(4);
-        r.gauge("queue_depth").set(2);
-        r.histogram("task_latency_s").record(0.01);
-        let text = prometheus_text(&r);
-        assert!(text.contains("# TYPE dvfs_completed counter\n"), "{text}");
-        assert!(text.contains("dvfs_completed 7\n"));
-        assert!(text.contains("dvfs_completed{shard=\"0\"} 3\n"));
-        assert!(text.contains("dvfs_completed{shard=\"1\"} 4\n"));
-        assert!(text.contains("# TYPE dvfs_queue_depth gauge\n"));
-        assert!(text.contains("dvfs_queue_depth 2\n"));
-        assert!(text.contains("# TYPE dvfs_task_latency_s histogram\n"));
-        assert!(text.contains("dvfs_task_latency_s_count 1\n"));
-        assert!(text.contains("dvfs_task_latency_s_bucket{le=\"+Inf\"} 1\n"));
-    }
-
-    #[test]
-    fn split_shard_only_matches_all_digit_suffixes() {
-        assert_eq!(split_shard("completed.shard3"), ("completed", Some("3")));
-        assert_eq!(split_shard("completed"), ("completed", None));
-        assert_eq!(split_shard("a.shardX"), ("a.shardX", None));
-        assert_eq!(split_shard("a.shard"), ("a.shard", None));
-    }
 
     #[test]
     fn histogram_snapshot_carries_raw_buckets() {
@@ -545,19 +378,6 @@ mod tests {
         let v = empty.to_value();
         assert_eq!(v.get("min").unwrap(), &Value::Number(Number::Float(0.0)));
         assert_eq!(v.get("max").unwrap(), &Value::Number(Number::Float(0.0)));
-    }
-
-    #[test]
-    fn bucket_upper_bounds_are_exclusive() {
-        assert_eq!(bucket_index(bucket_upper_bound(0)), 1);
-        for i in 1..HIST_BUCKETS - 2 {
-            assert_eq!(
-                bucket_index(bucket_upper_bound(i)),
-                i + 1,
-                "bound of bucket {i} opens bucket {}",
-                i + 1
-            );
-        }
     }
 
     #[test]

@@ -259,12 +259,12 @@ mod tests {
     }
 
     /// The health-plane counters exist from construction and are pinned
-    /// to their exposition names: `stats` carries them as top-level
-    /// fields and `prometheus_text` exports them under the `dvfs_`
-    /// prefix, so dashboards can alert on them before the first
-    /// failure ever happens.
+    /// to their names in the `stats` document: top-level fields for the
+    /// counters, and `degraded` among the snapshot's gauges, so
+    /// dashboards can alert on them before the first failure ever
+    /// happens.
     #[test]
-    fn stall_counters_are_pinned_in_stats_and_prometheus_exposition() {
+    fn stall_counters_are_pinned_in_the_stats_document() {
         let s = sharded(2, 64);
         let stats = s.stats();
         assert_eq!(
@@ -272,19 +272,15 @@ mod tests {
             Some(0)
         );
         assert_eq!(value_u64(stats.field("worker_stalled").unwrap()), Some(0));
-        let text = crate::metrics::prometheus_text(s.metrics());
-        assert!(
-            text.contains("dvfs_worker_send_failed 0"),
-            "exposition must pin dvfs_worker_send_failed: {text}"
-        );
-        assert!(
-            text.contains("dvfs_worker_stalled 0"),
-            "exposition must pin dvfs_worker_stalled: {text}"
-        );
-        assert!(
-            text.contains("dvfs_degraded 0"),
-            "exposition must pin dvfs_degraded: {text}"
-        );
+        let metrics = stats.field("metrics").unwrap();
+        for (kind, name) in [
+            ("counters", "worker_send_failed"),
+            ("counters", "worker_stalled"),
+            ("gauges", "degraded"),
+        ] {
+            let value = metrics.get(kind).and_then(|m| m.get(name));
+            assert_eq!(value.and_then(value_u64), Some(0), "{kind}.{name}");
+        }
     }
 
     /// `health` is served from heartbeat slots and leaf metrics only;

@@ -14,9 +14,10 @@
 //!   clocks (`engine_seconds = wall_seconds * speed`) and steps them
 //!   incrementally; submissions arrive at the current engine time and
 //!   completions stream into the latency/cost histograms as they
-//!   happen. Each worker's paced anchor restarts together with its
-//!   engine on every drain, so a fresh round always begins near engine
-//!   time zero instead of inheriting the previous round's clock.
+//!   happen. Arrival stamps and tick targets read one shared paced
+//!   clock (`clock::PacedClock`), which every drain restarts, so a
+//!   fresh round always begins near engine time zero instead of
+//!   inheriting the previous round's clock.
 //!
 //! ## Sharding
 //!
@@ -62,12 +63,12 @@
 //! blocks the others — and with `shards = N` on an N-core host the
 //! rounds genuinely run in parallel.
 //!
-//! A drain is still a global round barrier: a small `round_mx` mutex
-//! serializes rounds, and the id ledger and paced clock reset inside
-//! it, while per-shard reports are collected in ascending order. The
-//! barrier is released *before* the reports are merged and encoded —
-//! no cross-shard state is read during the merge, so nothing needs to
-//! stay blocked across it.
+//! A drain is still a global round barrier: it holds the id ledger
+//! across the paced clock's restart and the id namespace reset, which
+//! serializes rounds, while per-shard reports are collected in
+//! ascending order. The barrier is released *before* the reports are
+//! merged and encoded — no cross-shard state is read during the merge,
+//! so nothing needs to stay blocked across it.
 //!
 //! [`Scheduler`] itself is a façade over submit / tick / drain /
 //! shutdown. What it decides with lives in sibling modules, one
@@ -77,6 +78,7 @@
 //! detection (`supervise`).
 
 use crate::admission::{AdmissionQueue, GateOutcome, ShedReason};
+use crate::clock::PacedClock;
 use crate::codec::Ack;
 pub use crate::config::{service_platform, Mode, SchedulerConfig, SubmitItem};
 use crate::executor::RoundReport;
@@ -100,8 +102,8 @@ type RoundHook = Box<dyn FnOnce(&Scheduler) + Send>;
 
 /// The long-running scheduler: a router over N shards — each an
 /// admission queue feeding an engine owned by a dedicated worker
-/// thread — plus a global id ledger, the paced-clock anchor used for
-/// arrival stamping, and metrics.
+/// thread — plus a global id ledger, the paced clock (shared with the
+/// workers), and metrics.
 pub struct Scheduler {
     cfg: SchedulerConfig,
     shards: Vec<Arc<ShardShared>>,
@@ -117,15 +119,9 @@ pub struct Scheduler {
     /// The round's task-id namespace, global across shards so
     /// duplicate-id rejection holds service-wide.
     ids: Mutex<IdLedger>,
-    /// Wall-clock anchor for stamping paced submissions with an engine
-    /// arrival time. Reset on every drain so a fresh round starts near
-    /// engine time zero. (Each worker keeps its *own* anchor for tick
-    /// targets, reset inside its drain processing.)
-    anchor: Mutex<Option<Instant>>,
-    /// Serializes rounds: a drain broadcasts to every worker and
-    /// collects every report under this lock, so two concurrent drains
-    /// cannot interleave their rounds across shards.
-    round_mx: Mutex<()>,
+    /// Paced mode's engine clock, shared with every worker: submissions
+    /// are stamped with it and ticks step toward it. `None` in replay.
+    clock: Option<Arc<PacedClock>>,
     /// Signals `wait_for_work` when any shard admits a task.
     work_mx: Mutex<()>,
     work_cv: Condvar,
@@ -158,9 +154,9 @@ impl Scheduler {
                 Arc::new(ShardShared::new(k, cap, cfg.trace_capacity, &metrics))
             })
             .collect();
-        // Health-plane metrics exist from the start, so `stats`,
-        // `prometheus_text`, and `health` expose them even before the
-        // first stall, failed send or paced wait.
+        // Health-plane metrics exist from the start, so `stats` and
+        // `health` expose them even before the first stall, failed send
+        // or paced wait.
         let _ = metrics.counter("worker_stalled");
         let _ = metrics.counter("worker_send_failed");
         let _ = metrics.counter("paced_waits");
@@ -168,9 +164,16 @@ impl Scheduler {
         let _ = metrics.histogram("pace_wait_s");
         metrics.gauge("degraded").set(0);
         let lmc_hist = metrics.histogram("lmc_decision_us");
+        let clock = match cfg.mode {
+            Mode::Paced { speed } => Some(Arc::new(PacedClock::new(speed))),
+            Mode::Replay => None,
+        };
         let workers = shards
             .iter()
-            .map(|sh| worker::spawn(Arc::clone(sh), cfg, &metrics, Arc::clone(&lmc_hist)))
+            .map(|sh| {
+                let lmc_hist = Arc::clone(&lmc_hist);
+                worker::spawn(Arc::clone(sh), cfg, clock.clone(), &metrics, lmc_hist)
+            })
             .collect();
         Scheduler {
             trace: TraceStore::new(cfg.params, Arc::clone(&metrics)),
@@ -181,8 +184,7 @@ impl Scheduler {
             metrics,
             shutting_down: AtomicBool::new(false),
             ids: Mutex::default(),
-            anchor: Mutex::new(None),
-            round_mx: Mutex::new(()),
+            clock,
             work_mx: Mutex::new(()),
             work_cv: Condvar::new(),
             router_cursor: AdvisoryCell::default(),
@@ -247,44 +249,13 @@ impl Scheduler {
         self.shutting_down.load(Ordering::SeqCst)
     }
 
-    /// Start the paced clock (no-op in replay mode). Called once when
-    /// the server begins serving. Arms the submission-stamping anchor
-    /// and broadcasts `StartClock` so every worker arms its own tick
-    /// anchor.
+    /// Start the paced clock (no-op in replay mode, idempotent). Called
+    /// once when the server begins serving; until then paced engine
+    /// time stands at zero.
     pub fn start_clock(&self) {
-        {
-            let mut anchor = self.anchor.lock().unwrap_or_else(PoisonError::into_inner);
-            if anchor.is_none() {
-                *anchor = Some(crate::clock::wall_now());
-            }
+        if let Some(clock) = &self.clock {
+            clock.start();
         }
-        for w in &self.workers {
-            w.send(Command::StartClock);
-        }
-    }
-
-    /// Restart the submission-stamping anchor for a fresh round (no-op
-    /// until [`Scheduler::start_clock`] ran). Called by `drain`: the
-    /// workers stand up fresh engines at time zero and restart their
-    /// own tick anchors, so the arrival-stamping anchor must restart
-    /// with them or every later arrival would be stamped far in the
-    /// fresh engines' future.
-    fn reset_clock(&self) {
-        let mut anchor = self.anchor.lock().unwrap_or_else(PoisonError::into_inner);
-        if anchor.is_some() {
-            *anchor = Some(crate::clock::wall_now());
-        }
-    }
-
-    /// Wall-mapped target engine time for paced mode (0 in replay).
-    /// Reads only the anchor — used to stamp a submit batch's arrivals,
-    /// once per batch.
-    fn target_time(&self) -> f64 {
-        let Mode::Paced { speed } = self.cfg.mode else {
-            return 0.0;
-        };
-        let anchor = *self.anchor.lock().unwrap_or_else(PoisonError::into_inner);
-        anchor.map_or(0.0, |t0| t0.elapsed().as_secs_f64() * speed)
     }
 
     /// Route a submission to a shard. Explicit ids hash (`id % shards`)
@@ -371,7 +342,7 @@ impl Scheduler {
         SubmitRun {
             sched: self,
             recv,
-            pace: pace.filter(|_| matches!(self.cfg.mode, Mode::Paced { .. })),
+            pace: pace.filter(|_| self.clock.is_some()),
             admitted: Vec::new(),
             open: None,
         }
@@ -450,42 +421,41 @@ impl Scheduler {
 
     /// Run everything buffered (and, in paced mode, everything still in
     /// flight) to completion on every shard; return the per-shard
-    /// reports in shard order. Each worker runs its round concurrently,
-    /// stands up a fresh engine, and restarts its paced anchor; the
-    /// reports are collected in ascending shard order under the round
-    /// barrier, and the id ledger and the arrival-stamping anchor reset
-    /// inside it.
+    /// reports in shard order. Each worker runs its round concurrently
+    /// and stands up a fresh engine; the reports are collected in
+    /// ascending shard order under the round barrier.
     ///
-    /// The round barrier (`round_mx`) serializes whole rounds, so two
-    /// concurrent drains cannot interleave across shards. It is
-    /// released before the caller merges or encodes the reports —
-    /// nothing cross-shard is read during a merge, so no worker or
-    /// lock stays held across it.
+    /// The barrier is the id ledger, held from the paced clock's
+    /// restart to the namespace reset, so two concurrent drains cannot
+    /// interleave across shards. It is released before the caller
+    /// merges or encodes the reports — nothing cross-shard is read
+    /// during a merge, so no worker or lock stays held across it.
     pub fn drain_shards(&self) -> Vec<RoundReport> {
         self.metrics.counter("drains").inc();
         let reports: Vec<RoundReport>;
         {
-            let _round = self.round_mx.lock().unwrap_or_else(PoisonError::into_inner);
             // Hold the id ledger across the whole barrier: submissions
-            // assign ids and enqueue under this lock, so every task
-            // admitted before we take it is already in its shard's
-            // queue (and gets pulled by the worker's drain below), and
-            // none can slip in between a worker's queue pull and the
-            // namespace reset — the window where an old-round task and
-            // a post-reset id reuse would collide in the next round's
-            // engine.
+            // assign ids, stamp arrivals and enqueue under this lock, so
+            // every task admitted before we take it is already in its
+            // shard's queue (and gets pulled by the worker's drain
+            // below), and none can slip in between a worker's queue
+            // pull and the namespace reset — the window where an
+            // old-round task and a post-reset id reuse would collide in
+            // the next round's engine.
             let mut ids = self.lock_ids();
+            // The next round's clock starts before any worker sees the
+            // `Drain`: a tick a worker takes after it targets the fresh
+            // clock, and one queued ahead of it steps the old engine by
+            // nothing (ticks never step an engine backwards).
+            if let Some(clock) = &self.clock {
+                clock.restart();
+            }
             reports = worker::broadcast(&self.workers, "drain", |reply| Command::Drain { reply })
                 .collect();
             // Capture the round's trace before anything of the next
             // round can be recorded (submits record under the ledger).
             self.collect_trace_residue();
-            // New round: the id space and the arrival-stamping clock
-            // restart together with the engines, still inside the
-            // round barrier.
             ids.reset();
-            drop(ids);
-            self.reset_clock();
         }
         self.metrics.gauge("pending_tasks").set(0);
         self.fire_round_hook();
@@ -722,8 +692,8 @@ pub(crate) struct SubmitRun<'a> {
 struct OpenRun<'a> {
     /// When the run opened, i.e. its first line was decoded.
     framed: Instant,
-    /// Paced arrival stamp (0 in replay).
-    now: f64,
+    /// Paced arrival stamp (`None` in replay).
+    now: Option<f64>,
     /// The id ledger, held while the run is open: one lock round-trip
     /// a batch, not one a task. It is held across every
     /// admission-queue touch — the drain barrier takes it first, so
@@ -824,7 +794,7 @@ impl SubmitRun<'_> {
         self.admitted.resize(s.shards.len(), 0);
         let open = self.open.get_or_insert_with(|| OpenRun {
             framed: crate::clock::wall_now(),
-            now: s.target_time(),
+            now: s.clock.as_deref().map(PacedClock::now),
             ids: s.lock_ids(),
         });
         let ids = &mut *open.ids;
@@ -841,12 +811,12 @@ impl SubmitRun<'_> {
                 );
             }
         };
-        let arrival = match s.cfg.mode {
-            Mode::Replay => arrival.unwrap_or(0.0),
+        let arrival = match open.now {
             // Paced submissions arrive "now" on the engine clock; an
             // explicit arrival in the future is honored, the past is
             // clamped forward by the executor.
-            Mode::Paced { .. } => arrival.unwrap_or(open.now).max(open.now),
+            Some(now) => arrival.unwrap_or(now).max(now),
+            None => arrival.unwrap_or(0.0),
         };
         let task = match Task::online(id, cycles, arrival, None, class) {
             Ok(task) => task,
@@ -1163,6 +1133,69 @@ mod tests {
         // And the round still completes normally.
         let round2 = s.drain_round();
         assert_eq!(round2.completed, 1);
+    }
+
+    /// A drain restarts the shared clock before its workers see the
+    /// `Drain`, so a tick a worker takes in between reads a clock far
+    /// behind the old engine. That tick must leave the engine where it
+    /// is — not trip `step_until`'s precedes-now assert — and the tick
+    /// after the drain must land near zero.
+    #[test]
+    fn a_tick_behind_the_restarted_clock_leaves_the_engine_where_it_is() {
+        let s = paced(1, 2_000.0);
+        s.start_clock();
+        assert!(s
+            .submit(None, 1_000_000, TaskClass::NonInteractive, None)
+            .is_ok());
+        std::thread::sleep(Duration::from_millis(120));
+        s.tick();
+        let sim_now = |s: &Scheduler| value_f64(s.stats().field("sim_now_s").unwrap()).unwrap();
+        let before = sim_now(&s);
+        assert!(before > 200.0, "the engine ran to {before} engine seconds");
+        s.clock.as_ref().unwrap().restart();
+        s.tick();
+        let after = sim_now(&s);
+        assert!(
+            after >= before,
+            "engine clock went back: {before} -> {after}"
+        );
+        assert_eq!(s.drain_round().completed, 1);
+        s.tick();
+        let fresh = sim_now(&s);
+        assert!(
+            fresh < 100.0,
+            "fresh round started at {fresh} engine seconds"
+        );
+    }
+
+    /// Every paced server's shutdown drain races its ticker. One thread
+    /// ticks in a loop while this one drains round after round on two
+    /// shards: no worker may panic, and every admitted task completes.
+    #[test]
+    fn ticks_racing_drains_never_step_an_engine_backwards() {
+        let s = Arc::new(paced(2, 5_000.0));
+        s.start_clock();
+        let stop = Arc::new(AtomicBool::new(false));
+        let ticker = {
+            let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    s.tick();
+                }
+            })
+        };
+        for _ in 0..50 {
+            for _ in 0..4 {
+                assert!(s
+                    .submit(None, 50_000_000, TaskClass::NonInteractive, None)
+                    .is_ok());
+            }
+            std::thread::sleep(Duration::from_millis(2));
+            let _ = s.drain_round();
+        }
+        stop.store(true, Ordering::SeqCst);
+        ticker.join().expect("the ticker's workers never panic");
+        assert_eq!(s.metrics().counter("completed").get(), 200);
     }
 
     /// Regression (shutdown/submit race): a task that enters the queue

@@ -60,7 +60,7 @@ pub(crate) struct StageStamp {
 }
 
 /// A global + per-shard histogram pair; every stage sample lands in
-/// both so `prometheus_text` exposes the total and the `{shard="K"}`
+/// both so the `stats` snapshot carries the total and the `.shardK`
 /// breakdown from one record call.
 #[derive(Debug)]
 pub(crate) struct StagePair {

@@ -1,15 +1,15 @@
 //! Per-shard worker threads: message-passing ownership of the engines.
 //!
-//! Each shard's engine — the wall-clock [`RealTimeExecutor`], the
-//! [`LeastMarginalCost`] policy state, and the shard's paced-clock
-//! anchor — is owned *outright* by one worker thread. Nothing else in
-//! the process can reach an engine: the scheduler talks to the worker
-//! over a bounded command channel, and the worker applies commands in
-//! FIFO order against state only it can touch. The compiler enforces
-//! it: `Engine` and its fields are private to this module, so no other
-//! module can name an engine — let alone wrap one in a `Mutex` or call
-//! its migration primitives (`steal_longest`, `remove_ready`,
-//! `push_migrated`) off the owning thread. Cross-shard migration is
+//! Each shard's engine — the wall-clock [`RealTimeExecutor`] and the
+//! [`LeastMarginalCost`] policy state — is owned *outright* by one
+//! worker thread. Nothing else in the process can reach an engine: the
+//! scheduler talks to the worker over a bounded command channel, and
+//! the worker applies commands in FIFO order against state only it can
+//! touch. The compiler enforces it: `Engine` and its fields are private
+//! to this module, so no other module can name an engine — let alone
+//! wrap one in a `Mutex` or call its migration primitives
+//! (`steal_longest`, `remove_ready`, `push_migrated`) off the owning
+//! thread. Cross-shard migration is
 //! [`Command::Steal`] / [`Command::Inject`] or it does not compile.
 //!
 //! ## Command/reply protocol
@@ -25,18 +25,17 @@
 //! "worker exited" panic message.
 //!
 //! * [`Command::Tick`] — pull admitted work from the shard's queue,
-//!   advance the executor to the wall-mapped target (computed from the
-//!   worker's *own* anchor at processing time, so a queued tick can
-//!   never warp a freshly drained engine onto the previous round's
-//!   clock), stream completions into the histograms and retire them
+//!   advance the executor to the shared paced clock's reading at
+//!   processing time (never backwards: a tick queued ahead of a drain
+//!   reads the already restarted clock and leaves the old engine where
+//!   it is), stream completions into the histograms and retire them
 //!   from the engine, reply with the pending-task count.
 //! * [`Command::Drain`] — pull, run everything to completion, reply
 //!   with the round's [`RoundReport`] (records of what was still
 //!   resident, totals over the whole round), then stand up a fresh
-//!   engine and restart the local anchor for the next round.
+//!   engine for the next round.
 //! * [`Command::Stats`] — reply with the pending count and engine
 //!   clock.
-//! * [`Command::StartClock`] — arm the paced anchor (idempotent).
 //! * [`Command::Shutdown`] — exit the worker loop (also triggered by
 //!   channel disconnect, so a dropped scheduler can never leak
 //!   threads).
@@ -49,9 +48,10 @@
 //! bit-identical to the simulator.
 
 use crate::admission::{AdmissionPolicy, AdmissionQueue};
+use crate::clock::PacedClock;
 use crate::executor::{RealTimeExecutor, RoundReport};
 use crate::metrics::{shard_metric, AdvisoryCell, Counter, Gauge, Histogram, Registry};
-use crate::service::{service_platform, Mode, SchedulerConfig};
+use crate::service::{service_platform, SchedulerConfig};
 use crate::stage::StageHists;
 use dvfs_core::sched::{ExecutorView, Scheduler as PolicyHooks};
 use dvfs_core::LeastMarginalCost;
@@ -438,7 +438,6 @@ pub(crate) enum Command {
         tasks: Vec<Task>,
         reply: Reply<usize>,
     },
-    StartClock,
     Shutdown,
 }
 
@@ -552,10 +551,12 @@ pub(crate) fn broadcast<'a, T: 'a>(
         .map(move |(w, rx)| w.wait(&rx, what))
 }
 
-/// Spawn the worker thread owning shard `shared`'s engine.
+/// Spawn the worker thread owning shard `shared`'s engine, stepping it
+/// toward `clock` in paced mode.
 pub(crate) fn spawn(
     shared: Arc<ShardShared>,
     cfg: SchedulerConfig,
+    clock: Option<Arc<PacedClock>>,
     metrics: &Registry,
     lmc_hist: Arc<Histogram>,
 ) -> WorkerHandle {
@@ -578,9 +579,9 @@ pub(crate) fn spawn(
                 engine: Engine::fresh(&cfg, worker_shared.ring.clone()),
                 shared: worker_shared,
                 cfg,
+                clock,
                 metrics: worker_metrics,
                 lmc_hist,
-                anchor: None,
                 recv_stamps: HashMap::new(),
             }
             .run(&rx);
@@ -620,15 +621,11 @@ struct StepMetrics {
 struct Worker {
     shared: Arc<ShardShared>,
     cfg: SchedulerConfig,
+    /// The scheduler's paced clock (`None` in replay).
+    clock: Option<Arc<PacedClock>>,
     metrics: StepMetrics,
     lmc_hist: Arc<Histogram>,
     engine: Engine,
-    /// This shard's paced-clock anchor. Worker-local on purpose: it is
-    /// reset inside the worker's own drain processing, so a tick queued
-    /// behind a drain computes its target against the *fresh* anchor —
-    /// the per-worker FIFO makes the anti-time-warp regression hold
-    /// without any cross-thread clock coordination.
-    anchor: Option<Instant>,
     /// Wire-receive stamps of tasks this engine currently holds, keyed
     /// by task id, closing the end-to-end seam at completion. Entries
     /// leave on completion, steal (the task completes elsewhere), and
@@ -688,24 +685,8 @@ impl Worker {
                     reply.send(r);
                     self.shared.hb.note_service(ServiceSlot::Inject, t0);
                 }
-                Command::StartClock => {
-                    if self.anchor.is_none() {
-                        self.anchor = Some(crate::clock::wall_now());
-                    }
-                    self.shared.hb.mark_progress();
-                }
                 Command::Shutdown => break,
             }
-        }
-    }
-
-    /// Wall-mapped target engine time for paced mode (0 in replay),
-    /// computed at command-processing time from the worker's own
-    /// anchor.
-    fn target_time(&self) -> f64 {
-        match (self.cfg.mode, self.anchor) {
-            (Mode::Paced { speed }, Some(t0)) => t0.elapsed().as_secs_f64() * speed,
-            _ => 0.0,
         }
     }
 
@@ -786,8 +767,8 @@ impl Worker {
                 // Replay compresses engine time arbitrarily, so the raw
                 // engine seconds are reported there (no wall telescope
                 // exists to honor).
-                let scale = match self.cfg.mode {
-                    Mode::Paced { speed } if speed > 0.0 => speed.recip(),
+                let scale = match &self.clock {
+                    Some(clock) if clock.speed() > 0.0 => clock.speed().recip(),
                     _ => 1.0,
                 };
                 samples
@@ -868,11 +849,16 @@ impl Worker {
     }
 
     /// One paced step: pull admitted work, advance the executor clock
-    /// to the wall-mapped target, stream the completions — which leave
+    /// to the paced clock's reading (0 in replay) or leave it where it
+    /// is if that is behind it, stream the completions — which leave
     /// the engine here, so a long round's memory follows the work in
     /// flight rather than the work done.
     fn tick(&mut self) -> TickReply {
-        let target = self.target_time();
+        let target = self
+            .clock
+            .as_deref()
+            .map_or(0.0, PacedClock::now)
+            .max(self.engine.exec.exec_now());
         self.pull_admitted();
         {
             let Engine { exec, policy } = &mut self.engine;
@@ -891,10 +877,7 @@ impl Worker {
     }
 
     /// Run everything buffered (and still in flight) to completion,
-    /// report the round, and stand up a fresh engine — restarting the
-    /// local paced anchor with it, so the next tick's target starts
-    /// near engine time zero instead of inheriting the old round's
-    /// clock.
+    /// report the round, and stand up a fresh engine at time zero.
     fn drain(&mut self) -> RoundReport {
         self.pull_admitted();
         {
@@ -916,9 +899,6 @@ impl Worker {
         // away mid-round) go with the old engine.
         self.recv_stamps.clear();
         self.engine = Engine::fresh(&self.cfg, self.shared.ring.clone());
-        if self.anchor.is_some() {
-            self.anchor = Some(crate::clock::wall_now());
-        }
         self.publish_load();
         self.shared.pending_gauge.set(0);
         report
@@ -954,7 +934,7 @@ mod tests {
         assert_eq!(send_failed.get(), 0, "begin_stop is quiet by design");
 
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle.send(Command::StartClock);
+            handle.send(Command::Shutdown);
         }));
         assert_eq!(send_failed.get(), 1, "the failed send is counted");
         assert_eq!(
@@ -1047,7 +1027,7 @@ mod tests {
         let cfg = SchedulerConfig::default();
         let metrics = Registry::new();
         let lmc = metrics.histogram("lmc_decision_us");
-        let mut handle = spawn(Arc::clone(&shared), cfg, &metrics, lmc);
+        let mut handle = spawn(Arc::clone(&shared), cfg, None, &metrics, lmc);
         handle.ask("tick", |reply| Command::Tick { reply });
         let snap = shared.hb.snapshot();
         assert_eq!(snap.cmd_depth, 0, "tick was dequeued");

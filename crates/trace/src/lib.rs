@@ -23,14 +23,14 @@
 //! This crate has **zero dependencies** and sits at the bottom of the
 //! workspace layering: `dvfs-core → dvfs-trace` is the only edge
 //! policies need, and `dvfs-trace` itself depends on nothing (enforced
-//! by `dvfs-lint`'s layering rule).
+//! by the layering check in `scripts/ci.sh`, over `cargo tree`).
 //!
 //! Determinism contract: events are timestamped with *engine seconds*
 //! (sim time), never wall clock, and the record paths in this file and
 //! [`ring`] must not read `Instant::now` or build strings (`format!`,
 //! `.to_string()`, `String`) — the crate's `clippy.toml` disallows
-//! them. Rendering lives in [`export`] and [`prom`], off the record
-//! path, which is why their `mod` lines below are the two excused.
+//! them. Rendering lives in [`export`], off the record path, which is
+//! why its `mod` line below is the one excused.
 
 #![forbid(unsafe_code)]
 
@@ -41,13 +41,6 @@
     reason = "exporters render at drain time, off the record path"
 )]
 pub mod export;
-#[expect(
-    clippy::disallowed_macros,
-    clippy::disallowed_methods,
-    clippy::disallowed_types,
-    reason = "exporters render at drain time, off the record path"
-)]
-pub mod prom;
 pub mod ring;
 
 pub use ring::{Ring, SharedRing};
