@@ -20,10 +20,16 @@
 //! client end and the server end share the process); the JSON records
 //! the count actually held so the baseline stays honest.
 
-use dvfs_serve::loadgen::{self, Connection, LoadMode};
-use dvfs_serve::protocol::{encode_command, value_u64};
-use dvfs_serve::{serve, Endpoint, NetBackend, SchedulerConfig, ServerConfig};
+use dvfs_model::TaskClass;
+use dvfs_serve::client::Connection;
+use dvfs_serve::protocol::{encode_command, encode_submit, value_u64};
+use dvfs_serve::{serve, Endpoint, Histogram, NetBackend, SchedulerConfig, ServerConfig};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::time::Instant;
+
+/// Submissions timed from the one active connection.
+const ACTIVE_REQUESTS: u64 = 256;
 
 fn bench_json_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_net_10k.json")
@@ -62,32 +68,45 @@ fn reactor_holds_ten_thousand_idle_connections() {
             cores: 2,
             ..SchedulerConfig::default()
         },
-        ..ServerConfig::new(Endpoint::Unix(sock))
+        ..ServerConfig::new(Endpoint::Unix(sock.clone()))
     };
     let handle = serve(cfg).expect("reactor server binds");
 
-    let report = loadgen::run(
-        handle.endpoint(),
-        &LoadMode::Idle {
-            connections,
-            active_requests: 256,
-            seed: 1,
-            interactive_fraction: 0.3,
-            mean_cycles: 2.0e8,
-        },
-    )
-    .expect("idle loadgen run succeeds");
+    // The herd: bare sockets, held open and silent for the whole run. A
+    // buffered `Connection` would add ~16 kB of client-side buffers per
+    // socket and swamp the RSS measurement.
+    let rss_before_kb = rss_kb();
+    let herd: Vec<UnixStream> = (0..connections)
+        .map(|_| UnixStream::connect(&sock).expect("herd connection"))
+        .collect();
+    let rss_after_kb = rss_kb();
+    // Process-side growth only (client and server share the process);
+    // kernel socket buffers are not resident memory.
+    let rss_per_conn_bytes = rss_after_kb.saturating_sub(rss_before_kb) * 1024 / connections as u64;
 
-    let idle = report.idle.clone().expect("idle mode reports a summary");
-    assert_eq!(idle.connections, connections, "whole herd held");
-    assert_eq!(report.errors, 0, "no wire errors under the herd");
-    assert_eq!(report.sent, 256, "active set submitted");
+    // The active set: one connection submitting while the herd sits
+    // registered but silent.
+    let rtt = Histogram::default();
+    let mut errors = 0u64;
+    let mut active = Connection::open(handle.endpoint()).expect("active connection");
+    for i in 0..ACTIVE_REQUESTS {
+        let class = if i % 3 == 0 {
+            TaskClass::Interactive
+        } else {
+            TaskClass::NonInteractive
+        };
+        let line = encode_submit(None, 200_000_000, class, None);
+        let t0 = Instant::now();
+        let resp = active.round_trip(&line).expect("submit round-trips");
+        rtt.record(t0.elapsed().as_secs_f64());
+        errors += u64::from(!resp.is_ok());
+    }
+    assert_eq!(errors, 0, "no wire errors under the herd");
 
     // The reactor's own accounting must have seen the herd: peak open
     // connections is at least the herd (the active submitter rides on
     // top of it).
-    let mut conn = Connection::open(handle.endpoint()).expect("stats connection");
-    let stats = conn.round_trip(&encode_command("stats")).expect("stats");
+    let stats = active.round_trip(&encode_command("stats")).expect("stats");
     let peak = stats
         .field("metrics")
         .and_then(|m| m.get("gauges"))
@@ -98,11 +117,11 @@ fn reactor_holds_ten_thousand_idle_connections() {
         peak >= connections as u64,
         "reactor peak {peak} never covered the herd of {connections}"
     );
-    drop(conn);
+    drop((active, herd));
     handle.shutdown();
     handle.wait();
 
-    let q = |p: f64| report.rtt.quantile(p).unwrap_or(0.0);
+    let q = |p: f64| rtt.quantile(p).unwrap_or(0.0);
     let (p50, p95, p99) = (q(0.50), q(0.95), q(0.99));
 
     // Gate against the committed previous run, if any. Generous
@@ -119,23 +138,29 @@ fn reactor_holds_ten_thousand_idle_connections() {
         if let Some(base_rss) = baseline_field(&prev, "rss_per_conn_bytes") {
             let bound = base_rss * 4.0 + 4096.0;
             assert!(
-                (idle.rss_per_conn_bytes as f64) <= bound,
-                "per-connection RSS regressed: {} B vs baseline {base_rss} B (bound {bound} B)",
-                idle.rss_per_conn_bytes
+                (rss_per_conn_bytes as f64) <= bound,
+                "per-connection RSS regressed: {rss_per_conn_bytes} B vs baseline {base_rss} B (bound {bound} B)"
             );
         }
     }
 
     let json = format!(
-        "{{\"connections\":{},\"peak_connections\":{},\"rss_per_conn_bytes\":{},\"p50_submit_s\":{p50},\"p95_submit_s\":{p95},\"p99_submit_s\":{p99},\"active_requests\":{},\"errors\":{}}}\n",
-        idle.connections, peak, idle.rss_per_conn_bytes, report.sent, report.errors
+        "{{\"connections\":{connections},\"peak_connections\":{peak},\"rss_per_conn_bytes\":{rss_per_conn_bytes},\"p50_submit_s\":{p50},\"p95_submit_s\":{p95},\"p99_submit_s\":{p99},\"active_requests\":{ACTIVE_REQUESTS},\"errors\":{errors}}}\n"
     );
     std::fs::write(&path, json).expect("bench json writes");
     println!(
-        "net_10k: {} connections held, ~{} B/conn, submit p50 {:.3} ms p99 {:.3} ms",
-        idle.connections,
-        idle.rss_per_conn_bytes,
+        "net_10k: {connections} connections held, ~{rss_per_conn_bytes} B/conn, submit p50 {:.3} ms p99 {:.3} ms",
         p50 * 1e3,
         p99 * 1e3
     );
+}
+
+/// This process's resident set in kB, from `/proc/self/status`.
+fn rss_kb() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is readable");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("status carries VmRSS")
 }

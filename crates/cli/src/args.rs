@@ -10,9 +10,10 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse `--key value` / `--switch` style argument lists. `switches`
-    /// names the keys that take no value.
-    pub fn parse(argv: &[String], switches: &[&str]) -> Result<Self, String> {
+    /// Parse `--key value` / `--switch` style argument lists. `keys`
+    /// names the flags that take a value, `switches` those that take
+    /// none; any other flag is an error.
+    pub fn parse(argv: &[String], keys: &[&str], switches: &[&str]) -> Result<Self, String> {
         let mut out = Args::default();
         let mut i = 0;
         while i < argv.len() {
@@ -23,12 +24,14 @@ impl Args {
             if switches.contains(&key) {
                 out.bools.push(key.to_string());
                 i += 1;
-            } else {
+            } else if keys.contains(&key) {
                 let val = argv
                     .get(i + 1)
                     .ok_or_else(|| format!("`--{key}` expects a value"))?;
                 out.flags.insert(key.to_string(), val.clone());
                 i += 2;
+            } else {
+                return Err(format!("unknown flag --{key}"));
             }
         }
         Ok(out)
@@ -90,6 +93,7 @@ mod tests {
     fn parses_pairs_and_switches() {
         let a = Args::parse(
             &sv(&["--seed", "7", "--heavy", "--out", "x.jsonl"]),
+            &["seed", "out"],
             &["heavy"],
         )
         .unwrap();
@@ -103,11 +107,13 @@ mod tests {
 
     #[test]
     fn rejects_dangling_flag_and_positional() {
-        assert!(Args::parse(&sv(&["--seed"]), &[]).is_err());
-        assert!(Args::parse(&sv(&["seed", "7"]), &[]).is_err());
-        let a = Args::parse(&sv(&["--x", "nope"]), &[]).unwrap();
+        assert!(Args::parse(&sv(&["--seed"]), &["seed"], &[]).is_err());
+        assert!(Args::parse(&sv(&["seed", "7"]), &["seed"], &[]).is_err());
+        let a = Args::parse(&sv(&["--x", "nope"]), &["x", "y"], &[]).unwrap();
         assert!(a.num::<u64>("x", 0).is_err());
         assert!(a.require("y").is_err());
+        let err = Args::parse(&sv(&["--shard", "4"]), &["shards"], &[]).unwrap_err();
+        assert_eq!(err, "unknown flag --shard");
     }
 
     #[test]

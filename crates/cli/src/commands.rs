@@ -5,6 +5,7 @@ use dvfs_baselines::{OlbOnline, OnDemandOnline};
 use dvfs_core::{schedule_wbg, DominatingRanges, LeastMarginalCost, WbgReassign};
 use dvfs_model::task::batch_workload;
 use dvfs_model::{CostParams, Platform, RateTable};
+use dvfs_serve::protocol::{encode_command, value_f64, value_u64};
 use dvfs_sim::{GovernorKind, Policy, SimConfig, SimReport, Simulator};
 use dvfs_trace::export::{chrome_trace, parse_jsonl, to_jsonl};
 use dvfs_trace::EventKind;
@@ -30,15 +31,10 @@ USAGE:
              [--net threads|reactor]
              [--max-connections N] [--actuator simulated|noop]
              [--rebalance on|off] [--telemetry on|off]
-  dvfs-sched loadgen (--socket PATH | --tcp ADDR) --mode replay|poisson|closed
-             [--trace FILE] [--rate HZ] [--duration-s S] [--clients N]
-             [--requests N] [--interactive-frac F] [--mean-cycles C]
-             [--seed N] [--max-shed F] [--skew F] [--shutdown]
-  dvfs-sched loadgen (--socket PATH | --tcp ADDR) --idle [--connections N]
-             [--requests N] [--seed N] [--interactive-frac F]
-             [--mean-cycles C] [--shutdown]
+  dvfs-sched loadgen (--socket PATH | --tcp ADDR) --trace FILE [--shutdown]
   dvfs-sched trace-export --in FILE.jsonl --out FILE.json
 
+Any flag a subcommand does not list is an error.
 Cost parameters default to the paper's: batch Re=0.1 Rt=0.4 for
 schedule-batch/ranges, online Re=0.4 Rt=0.1 for simulate/serve.
 `serve --trace-cap N` enables per-shard lifecycle tracing (ring of N
@@ -48,21 +44,20 @@ format. `trace-export` converts either into Chrome trace_event JSON
 loadable in Perfetto (ui.perfetto.dev); `analyze --log` reads either
 for Gantt segments and queue depth (`--report` adds the simulator's
 summary and the arrivals its log has no line for).
-`loadgen --max-shed F` exits
-nonzero when the shed ratio exceeds F. `serve --net` picks the wire
+`loadgen` replays a trace over one connection (explicit ids and
+arrivals), drains the round, and prints the submissions admitted, shed
+and rejected beside the served totals. `serve --net` picks the wire
 driver: `reactor` (the default: one epoll thread for every connection)
 or `threads` (one blocking thread per connection, kept for portability)
 — same request handler, same wire bytes, same replay semantics;
 `--max-connections` caps concurrent connections on either, shedding on
-accept.
-`loadgen --idle` holds `--connections` mostly-idle sockets while one
-active connection submits `--requests` tasks, reporting submit latency
-percentiles and per-connection RSS growth. `serve --rebalance on`
-enables the Eq. 27 cross-shard rebalancer (tick-driven task migration
-hot->cold); `loadgen --mode closed --skew F` pins fraction F of
-submissions to shard 0 via explicit ids to provoke it. `serve
---telemetry off` silences per-request stage-attribution histograms
-(the `health` command's worker heartbeats and loop counters stay on).";
+accept. `serve --rebalance on` enables the Eq. 27 cross-shard
+rebalancer (tick-driven task migration hot->cold); replaying a trace
+whose ids are all multiples of `--shards` to a paced server piles it
+onto shard 0 and provokes it.
+`serve --telemetry off` silences per-request stage-attribution
+histograms (the `health` command's worker heartbeats and loop counters
+stay on).";
 
 fn cost_params(args: &Args, default: CostParams) -> Result<CostParams, String> {
     let re = args.num("re", default.re)?;
@@ -105,7 +100,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
 }
 
 fn generate_trace(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["heavy"])?;
+    let args = Args::parse(argv, &["out", "seed", "scale", "kind"], &["heavy"])?;
     let out = args.require("out")?;
     let seed: u64 = args.num("seed", 1)?;
     let scale: usize = args.num("scale", 1)?;
@@ -154,7 +149,7 @@ fn generate_trace(argv: &[String]) -> Result<(), String> {
 }
 
 fn schedule_batch(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["cycles", "cores", "re", "rt"], &[])?;
     let cycles = parse_cycles_list(args.require("cycles")?)?;
     if cycles.contains(&0) {
         return Err("cycle counts must be positive".into());
@@ -191,7 +186,8 @@ fn schedule_batch(argv: &[String]) -> Result<(), String> {
 }
 
 fn simulate(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let keys = ["trace", "policy", "cores", "re", "rt", "report", "log"];
+    let args = Args::parse(argv, &keys, &[])?;
     let trace_path = args.require("trace")?;
     let policy_name = args.require("policy")?.to_string();
     let params = cost_params(&args, CostParams::online_paper())?;
@@ -249,7 +245,7 @@ fn simulate(argv: &[String]) -> Result<(), String> {
 }
 
 fn analyze(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["report", "log", "gantt", "queue"], &[])?;
     let report: Option<SimReport> = match args.get("report") {
         Some(path) => {
             let json = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
@@ -326,7 +322,25 @@ fn endpoint(args: &Args) -> Result<dvfs_serve::Endpoint, String> {
 }
 
 fn serve_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let keys = [
+        "socket",
+        "tcp",
+        "re",
+        "rt",
+        "cores",
+        "queue-cap",
+        "shards",
+        "mode",
+        "speed",
+        "trace-cap",
+        "trace-out",
+        "actuator",
+        "net",
+        "max-connections",
+        "rebalance",
+        "telemetry",
+    ];
+    let args = Args::parse(argv, &keys, &[])?;
     let endpoint = endpoint(&args)?;
     let params = cost_params(&args, CostParams::online_paper())?;
     let cores: usize = args.num("cores", 4)?;
@@ -416,101 +430,40 @@ fn serve_cmd(argv: &[String]) -> Result<(), String> {
 }
 
 fn loadgen_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["shutdown", "idle"])?;
+    let args = Args::parse(argv, &["socket", "tcp", "trace"], &["shutdown"])?;
     let endpoint = endpoint(&args)?;
-    let seed: u64 = args.num("seed", 1)?;
-    let interactive_fraction: f64 = args.num("interactive-frac", 0.3)?;
-    let mean_cycles: f64 = args.num("mean-cycles", 2.0e8)?;
-    let mode = if args.switch("idle") {
-        if args.get("mode").is_some() {
-            return Err("`--idle` and `--mode` are mutually exclusive".into());
-        }
-        let connections: usize = args.num("connections", 1000)?;
-        if connections == 0 {
-            return Err("`--connections` must be positive".into());
-        }
-        dvfs_serve::LoadMode::Idle {
-            connections,
-            active_requests: args.num("requests", 100)?,
-            seed,
-            interactive_fraction,
-            mean_cycles,
-        }
-    } else {
-        loadgen_mode(&args, seed, interactive_fraction, mean_cycles)?
-    };
-    let report = dvfs_serve::loadgen::run(&endpoint, &mode).map_err(|e| e.to_string())?;
-    print!("{}", report.render());
+    let trace_path = args.require("trace")?;
+    let trace = dvfs_workloads::io::load_trace(std::path::Path::new(trace_path))
+        .map_err(|e| e.to_string())?;
+    if trace.is_empty() {
+        return Err("trace is empty".into());
+    }
+    let r = dvfs_serve::client::replay(&endpoint, &trace).map_err(|e| e.to_string())?;
+    println!(
+        "sent {} | admitted {} | shed {} | errors {}",
+        r.sent, r.admitted, r.shed, r.errors
+    );
+    let f = |name| r.drain.field(name).and_then(value_f64).unwrap_or(0.0);
+    println!(
+        "served: {} tasks | total cost {:.6} | energy {:.3} J | turnaround {:.3} s | makespan {:.3} s",
+        r.drain.field("completed").and_then(value_u64).unwrap_or(0),
+        f("total_cost"),
+        f("active_energy_joules"),
+        f("total_turnaround_s"),
+        f("makespan_s")
+    );
     if args.switch("shutdown") {
         let mut conn =
-            dvfs_serve::loadgen::Connection::open(&endpoint).map_err(|e| e.to_string())?;
-        conn.round_trip("{\"cmd\":\"shutdown\"}")
+            dvfs_serve::client::Connection::open(&endpoint).map_err(|e| e.to_string())?;
+        conn.round_trip(&encode_command("shutdown"))
             .map_err(|e| e.to_string())?;
         println!("server shutdown requested");
-    }
-    if let Some(max_shed) = args.get("max-shed") {
-        let max: f64 = max_shed
-            .parse()
-            .map_err(|_| format!("`--max-shed` is not a number: `{max_shed}`"))?;
-        if !(0.0..=1.0).contains(&max) {
-            return Err("`--max-shed` must be between 0 and 1".into());
-        }
-        let ratio = report.shed_ratio();
-        if ratio > max {
-            return Err(format!(
-                "shed ratio {ratio:.4} exceeds --max-shed {max} ({} of {} submissions shed)",
-                report.shed, report.sent
-            ));
-        }
     }
     Ok(())
 }
 
-fn loadgen_mode(
-    args: &Args,
-    seed: u64,
-    interactive_fraction: f64,
-    mean_cycles: f64,
-) -> Result<dvfs_serve::LoadMode, String> {
-    match args.require("mode")? {
-        "replay" => {
-            let trace_path = args.require("trace")?;
-            let trace = dvfs_workloads::io::load_trace(std::path::Path::new(trace_path))
-                .map_err(|e| e.to_string())?;
-            if trace.is_empty() {
-                return Err("trace is empty".into());
-            }
-            Ok(dvfs_serve::LoadMode::Replay { trace })
-        }
-        "poisson" => Ok(dvfs_serve::LoadMode::Poisson {
-            rate_hz: args.num("rate", 50.0)?,
-            duration: std::time::Duration::from_secs_f64(args.num("duration-s", 5.0)?),
-            seed,
-            interactive_fraction,
-            mean_cycles,
-        }),
-        "closed" => {
-            let skew: f64 = args.num("skew", 0.0)?;
-            if !(0.0..=1.0).contains(&skew) {
-                return Err("`--skew` must be between 0 and 1".into());
-            }
-            Ok(dvfs_serve::LoadMode::Closed {
-                clients: args.num("clients", 4)?,
-                requests_per_client: args.num("requests", 100)?,
-                seed,
-                interactive_fraction,
-                mean_cycles,
-                skew,
-            })
-        }
-        other => Err(format!(
-            "unknown loadgen mode `{other}` (replay|poisson|closed)"
-        )),
-    }
-}
-
 fn trace_export(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["in", "out"], &[])?;
     let input = args.require("in")?;
     let output = args.require("out")?;
     let text = std::fs::read_to_string(input).map_err(|e| e.to_string())?;
@@ -525,7 +478,7 @@ fn trace_export(argv: &[String]) -> Result<(), String> {
 }
 
 fn ranges(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["re", "rt"], &[])?;
     let params = cost_params(&args, CostParams::batch_paper())?;
     let table = RateTable::i7_950_table2();
     let dr = DominatingRanges::compute(&table, params);
@@ -753,17 +706,52 @@ mod tests {
     }
 
     #[test]
-    fn loadgen_rejects_out_of_range_skew() {
-        assert!(dispatch(&sv(&[
+    fn flags_a_subcommand_does_not_read_are_errors() {
+        assert_eq!(
+            dispatch(&sv(&["ranges", "--ree", "0.1"])),
+            Err("unknown flag --ree".to_string())
+        );
+        // Options of the old load modes must not quietly become a replay.
+        for stale in ["skew", "mode", "rate", "clients"] {
+            let flag = format!("--{stale}");
+            let argv = [
+                "loadgen",
+                "--tcp",
+                "127.0.0.1:1",
+                "--trace",
+                "f",
+                &flag,
+                "0.5",
+            ];
+            assert_eq!(dispatch(&sv(&argv)), Err(format!("unknown flag --{stale}")));
+        }
+    }
+
+    #[test]
+    fn loadgen_replays_a_trace_and_shuts_the_server_down() {
+        let dir = std::env::temp_dir().join(format!("dvfs-cli-loadgen-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("t.jsonl");
+        let sock = dir.join("d.sock");
+        let trace_s = trace.to_str().unwrap();
+        dispatch(&sv(&["generate-trace", "--out", trace_s, "--scale", "500"])).unwrap();
+        let endpoint = dvfs_serve::Endpoint::Unix(sock.clone());
+        let handle = dvfs_serve::serve(dvfs_serve::ServerConfig::new(endpoint)).unwrap();
+        let metrics = handle.metrics();
+        dispatch(&sv(&[
             "loadgen",
-            "--tcp",
-            "127.0.0.1:1",
-            "--mode",
-            "closed",
-            "--skew",
-            "1.5"
+            "--socket",
+            sock.to_str().unwrap(),
+            "--trace",
+            trace_s,
+            "--shutdown",
         ]))
-        .is_err());
+        .unwrap();
+        // Returns only once the wire `shutdown` has stopped the server.
+        handle.wait();
+        let tasks = dvfs_workloads::io::load_trace(&trace).unwrap().len() as u64;
+        assert_eq!(metrics.counter("completed").get(), tasks);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

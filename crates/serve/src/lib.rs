@@ -59,19 +59,18 @@
 //!   both wire drivers call (the `dvfs-net` epoll reactor, or an accept
 //!   loop running `dvfs_net::blocking::serve` per connection, behind
 //!   the [`NetBackend`] seam), graceful shutdown.
-//! * [`loadgen`] — the companion load generator (replay, Poisson-paced
-//!   sends on one connection, closed-loop clients, idle-connection
-//!   holding).
+//! * [`client`] — the wire client: one NDJSON connection, and a trace
+//!   replay that submits with explicit ids and arrivals, then drains.
 
 #![forbid(unsafe_code)]
 
 pub mod admission;
+pub mod client;
 pub mod clock;
 pub(crate) mod codec;
 pub mod config;
 pub mod executor;
 pub(crate) mod ids;
-pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
 pub mod rebalance;
@@ -87,7 +86,6 @@ pub use admission::{AdmissionPolicy, AdmissionQueue, GateOutcome, ShedReason};
 pub use executor::{
     ActuatorKind, NoopActuator, RateActuator, RealTimeExecutor, RoundReport, SimulatedActuator,
 };
-pub use loadgen::{class_idx, DrainSummary, IdleSummary, LoadMode, LoadReport, StageQuantiles};
 pub use metrics::{shard_metric, Counter, Gauge, Histogram, Registry};
 pub use protocol::{ErrorKind, Request, Response};
 pub use server::{

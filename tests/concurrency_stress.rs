@@ -11,7 +11,7 @@
 //! landing in admission queues while drain barriers broadcast, collect
 //! in ascending shard order, and reset the round.
 
-use dvfs_serve::loadgen::{self, Connection, LoadMode};
+use dvfs_serve::client::Connection;
 use dvfs_serve::protocol::{encode_command, encode_submit, value_u64, ErrorKind, Response};
 use dvfs_serve::{serve, Endpoint, Mode, RebalanceConfig, SchedulerConfig, ServerConfig};
 use dvfs_suite::model::TaskClass;
@@ -32,23 +32,25 @@ fn scratch(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dvfs-stress-{}-{name}.sock", std::process::id()))
 }
 
-/// Completed count of one drain response, plus the invariant that its
-/// per-shard reports sum to it.
-fn drained_of(resp: &Response) -> u64 {
+/// Completed count of one drain response, plus the invariants that it
+/// carries one report per shard and that their counts sum to it.
+fn drained_of(resp: &Response, shards: usize) -> u64 {
     let completed = resp
         .field("completed")
         .and_then(value_u64)
         .expect("drain reports completed");
-    if let Some(Value::Array(reports)) = resp.field("shard_reports") {
-        let per_shard: u64 = reports
-            .iter()
-            .filter_map(|r| r.get("completed").and_then(value_u64))
-            .sum();
-        assert_eq!(
-            per_shard, completed,
-            "per-shard completions must sum to the round total"
-        );
-    }
+    let Some(Value::Array(reports)) = resp.field("shard_reports") else {
+        panic!("drain carries shard_reports: {resp:?}");
+    };
+    assert_eq!(reports.len(), shards, "one report per shard");
+    let per_shard: u64 = reports
+        .iter()
+        .map(|r| r.get("completed").and_then(value_u64).expect("completed"))
+        .sum();
+    assert_eq!(
+        per_shard, completed,
+        "per-shard completions must sum to the round total"
+    );
     completed
 }
 
@@ -58,10 +60,11 @@ fn burst_submits_race_drains_and_shutdown_without_losing_tasks() {
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 200;
 
+    let shards = env_shards();
     let cfg = ServerConfig {
         scheduler: SchedulerConfig {
             cores: 2,
-            shards: env_shards(),
+            shards,
             ..SchedulerConfig::default()
         },
         ..ServerConfig::new(Endpoint::Unix(scratch("burst")))
@@ -79,7 +82,7 @@ fn burst_submits_race_drains_and_shutdown_without_losing_tasks() {
             let mut completed = 0u64;
             while !stop.load(Ordering::Acquire) {
                 let resp = conn.round_trip(&encode_command("drain"))?;
-                completed += drained_of(&resp);
+                completed += drained_of(&resp, shards);
                 std::thread::sleep(Duration::from_millis(2));
             }
             Ok(completed)
@@ -144,7 +147,7 @@ fn burst_submits_race_drains_and_shutdown_without_losing_tasks() {
     let resp = conn
         .round_trip(&encode_command("drain"))
         .expect("final drain");
-    let total_completed = drained_mid_race + drained_of(&resp);
+    let total_completed = drained_mid_race + drained_of(&resp, shards);
     assert_eq!(
         total_completed, admitted,
         "admitted tasks must all complete across drained rounds (shed {shed})"
@@ -202,7 +205,7 @@ fn drain_races_wire_shutdown_with_rebalancer_on() {
                 match conn.round_trip(&encode_command("drain")) {
                     // `drained_of` re-checks the per-shard sum
                     // invariant on every mid-race round.
-                    Ok(resp @ Response::Ok(_)) => completed += drained_of(&resp),
+                    Ok(resp @ Response::Ok(_)) => completed += drained_of(&resp, shards),
                     Ok(Response::Err { .. }) | Err(_) => break,
                 }
                 std::thread::sleep(Duration::from_millis(1));
@@ -278,52 +281,4 @@ fn drain_races_wire_shutdown_with_rebalancer_on() {
     // The real assertion: every shard worker joins — a dropped reply
     // sender or a wedged Steal/Inject round-trip would hang here.
     handle.wait();
-}
-
-#[test]
-#[ignore = "CI stress: run with `cargo test --test concurrency_stress -- --ignored`"]
-fn closed_loop_loadgen_reports_per_shard_completions() {
-    let shards = env_shards();
-    let cfg = ServerConfig {
-        scheduler: SchedulerConfig {
-            cores: 2,
-            shards,
-            ..SchedulerConfig::default()
-        },
-        ..ServerConfig::new(Endpoint::Unix(scratch("closed")))
-    };
-    let handle = serve(cfg).expect("server binds");
-
-    let report = loadgen::run(
-        handle.endpoint(),
-        &LoadMode::Closed {
-            clients: 4,
-            requests_per_client: 50,
-            seed: 7,
-            interactive_fraction: 0.3,
-            mean_cycles: 2.0e7,
-            skew: 0.0,
-        },
-    )
-    .expect("closed-loop run succeeds");
-
-    handle.shutdown();
-    handle.wait();
-
-    assert_eq!(report.errors, 0);
-    let drain = report
-        .drain
-        .expect("closed-loop mode drains and reports served totals");
-    assert_eq!(drain.shards as usize, shards);
-    assert_eq!(
-        drain.per_shard_completed.len(),
-        shards,
-        "one count per shard"
-    );
-    assert_eq!(
-        drain.per_shard_completed.iter().sum::<u64>(),
-        drain.completed,
-        "per-shard counts sum to the served total"
-    );
-    assert_eq!(drain.completed, report.admitted, "nothing lost");
 }

@@ -13,7 +13,7 @@
 //! (default 1) and the wire front-end from `DVFS_SERVE_NET`; CI
 //! sweeps both backends at 1, 2, and 4 shards.
 
-use dvfs_serve::loadgen::{self, Connection, LoadMode};
+use dvfs_serve::client::{self, Connection};
 use dvfs_serve::protocol::{encode_command, encode_submit, value_f64, value_u64, Response};
 use dvfs_serve::{
     serve, Endpoint, Mode, SchedulerConfig, ServerConfig, REQUEST_E2E, TELESCOPE_STAGES,
@@ -80,21 +80,9 @@ fn health_serves_heartbeats_stages_and_reactor_over_the_wire() {
     let shards = cfg.scheduler.shards.max(1);
     let handle = serve(cfg).expect("server binds");
 
-    let report = loadgen::run(
-        handle.endpoint(),
-        &LoadMode::Replay {
-            trace: mixed_trace(),
-        },
-    )
-    .expect("loadgen run succeeds");
+    let report = client::replay(handle.endpoint(), &mixed_trace()).expect("replay succeeds");
     assert_eq!(report.shed, 0);
     assert_eq!(report.errors, 0);
-    // The loadgen's own post-run health fetch saw stage attribution.
-    assert!(
-        report.stages.iter().any(|s| s.name == "stage_queue_s"),
-        "loadgen summary carries server stages: {:?}",
-        report.stages
-    );
 
     let mut conn = Connection::open(handle.endpoint()).expect("client connects");
     let resp = conn

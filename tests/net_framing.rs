@@ -22,7 +22,7 @@
 //! random interleaving.
 
 use dvfs_net::framing::{edge_cases, Expect};
-use dvfs_serve::loadgen::Connection;
+use dvfs_serve::client::Connection;
 use dvfs_serve::protocol::{encode_command, encode_submit, value_u64, ErrorKind, Response};
 use dvfs_serve::{
     serve, Endpoint, Mode, NetBackend, SchedulerConfig, ServerConfig, ServerHandle, MAX_LINE_BYTES,

@@ -11,7 +11,7 @@
 //! the pinned trace's ids all hash to shard 0 at 1, 2, and 4 shards,
 //! so the drained event stream must not depend on the shard count.
 
-use dvfs_serve::loadgen::{self, Connection, LoadMode};
+use dvfs_serve::client::{self, Connection};
 use dvfs_serve::protocol::{encode_command, value_u64};
 use dvfs_serve::{serve, Endpoint, Registry, Response, SchedulerConfig, ServerConfig};
 use dvfs_suite::model::{Task, TaskClass};
@@ -132,13 +132,7 @@ fn wire_trace_and_trace_out_file_serve_the_same_bytes() {
     };
     let handle = serve(cfg).expect("server binds");
 
-    let report = loadgen::run(
-        handle.endpoint(),
-        &LoadMode::Replay {
-            trace: mixed_trace(),
-        },
-    )
-    .expect("loadgen run succeeds");
+    let report = client::replay(handle.endpoint(), &mixed_trace()).expect("replay succeeds");
     assert_eq!(report.shed, 0);
     assert_eq!(report.errors, 0);
 
@@ -223,13 +217,7 @@ fn trace_stream_chunks_and_file_match_the_one_shot_trace() {
     };
     let handle = serve(cfg).expect("server binds");
 
-    let report = loadgen::run(
-        handle.endpoint(),
-        &LoadMode::Replay {
-            trace: mixed_trace(),
-        },
-    )
-    .expect("loadgen run succeeds");
+    let report = client::replay(handle.endpoint(), &mixed_trace()).expect("replay succeeds");
     assert_eq!(report.shed, 0);
     assert_eq!(report.errors, 0);
 
