@@ -216,6 +216,11 @@ impl LeastMarginalCost {
         self.cores.iter().map(|c| c.ledger.total_cost()).sum()
     }
 
+    /// Every core's ledger, ascending core order.
+    pub fn ledgers(&self) -> impl Iterator<Item = &CostLedger> + '_ {
+        self.cores.iter().map(|c| &c.ledger)
+    }
+
     /// Non-interactive tasks resident in the per-core ledgers — the
     /// stealable population. Excludes interactive FIFOs, suspended
     /// tasks, and running tasks, none of which migrate.

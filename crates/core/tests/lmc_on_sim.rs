@@ -8,6 +8,7 @@
 use dvfs_core::{InteractivePlacement, LeastMarginalCost};
 use dvfs_model::{CoreSpec, CostParams, Platform, RateTable, Task, TaskId};
 use dvfs_sim::{SimConfig, SimReport, Simulator};
+use proptest::prelude::*;
 
 fn quad() -> Platform {
     Platform::i7_950_quad()
@@ -312,4 +313,82 @@ fn steal_longest_picks_longest_first_and_lowers_the_queued_cost() {
     assert_eq!(rest, vec![TaskId(2)]);
     assert_eq!(policy.stealable_tasks(), 0);
     assert_eq!(policy.queued_cost(), 0.0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Migration keeps both ledgers exact: arrivals into
+    /// either of two engines, `steal_longest` out of the first with the
+    /// stolen tasks `push_migrated` into the second, and time passing,
+    /// interleaved. After every step each core's maintained Eq. 32 cost
+    /// is bit for bit the one re-derived from tree queries (both sum the
+    /// same exact integers) and, within rounding, the naive per-position
+    /// walk. At the end every task has completed exactly once.
+    #[test]
+    fn steal_and_inject_keep_both_ledgers_exact(
+        ops in prop::collection::vec((0u8..6, 1u64..4_000_000_000), 1..80),
+    ) {
+        let platform = Platform::homogeneous(2, CoreSpec::new(RateTable::i7_950_table2())).unwrap();
+        let params = CostParams::online_paper();
+        let mut lmc = [
+            LeastMarginalCost::new(&platform, params),
+            LeastMarginalCost::new(&platform, params),
+        ];
+        let mut sim = [
+            Simulator::new(SimConfig::new(platform.clone())),
+            Simulator::new(SimConfig::new(platform)),
+        ];
+        let mut arrived = 0u64;
+        for (op, val) in ops {
+            match op {
+                // An arrival at either engine's now, three in four at
+                // engine 0 so it has a queue to steal from; one in four
+                // is a short interactive task, which preempts.
+                0..=3 => {
+                    let e = usize::from(op == 3);
+                    let now = sim[e].now();
+                    let task = if val % 4 == 0 {
+                        Task::interactive(arrived, val / 100 + 1, now)
+                    } else {
+                        Task::non_interactive(arrived, val, now)
+                    }
+                    .unwrap();
+                    arrived += 1;
+                    sim[e].push_task(&task);
+                    sim[e].step_until(&mut lmc[e], now);
+                }
+                // Steal up to four from engine 0 and inject them into 1.
+                4 => {
+                    let [from, to] = &mut sim;
+                    let stolen = lmc[0].steal_longest(&mut **from, (val % 4 + 1) as usize);
+                    for id in stolen {
+                        let task = from.remove_ready(id).expect("a ledger-resident task is Ready");
+                        to.push_migrated(&task);
+                    }
+                    let now = to.now();
+                    to.step_until(&mut lmc[1], now);
+                }
+                // Time passes on both engines: up to 40 ms.
+                _ => {
+                    for e in 0..2 {
+                        let t = sim[e].now() + val as f64 * 1e-11;
+                        sim[e].step_until(&mut lmc[e], t);
+                    }
+                }
+            }
+            for ledger in lmc.iter().flat_map(LeastMarginalCost::ledgers) {
+                let cost = ledger.total_cost();
+                prop_assert_eq!(cost, ledger.recompute_via_queries());
+                let naive = ledger.naive_cost();
+                prop_assert!((cost - naive).abs() <= naive.abs() * 1e-9 + 1e-12);
+            }
+        }
+        let mut completed = 0;
+        for e in 0..2 {
+            sim[e].run_to_completion(&mut lmc[e]);
+            completed += sim[e].take_completions().len() as u64;
+        }
+        prop_assert_eq!(completed, arrived);
+    }
 }

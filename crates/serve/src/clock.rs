@@ -1,5 +1,4 @@
-//! The service's wall-clock seam, and the paced engine clock built on
-//! it.
+//! The service's wall-clock seam, and the engine clock built on it.
 //!
 //! Every wall-time read in `dvfs-serve` goes through [`wall_now`] — the
 //! single place the wall clock enters the crate. Everything downstream
@@ -11,6 +10,7 @@
 //! drivers pass to `Handler::answer`, which feeds stage histograms and
 //! nothing else.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -21,50 +21,69 @@ pub fn wall_now() -> Instant {
     Instant::now()
 }
 
-/// A paced service's engine clock: `speed` engine seconds per wall
-/// second since one anchor. The scheduler stamps arrivals with it and
-/// every shard worker steps its engine toward it, all through one
-/// `Arc`, so arrival and completion are measured on the same clock. A
-/// replay service has none.
+/// A service's engine clock, shared through one `Arc` by the scheduler
+/// (which stamps arrivals with it) and every shard worker (which steps
+/// its engine toward it), so arrival and completion are read off the
+/// same clock. Paced mode runs on wall time; replay on a virtual clock
+/// that nothing moves, so it reads zero.
 #[derive(Debug)]
-pub(crate) struct PacedClock {
-    speed: f64,
-    /// `None` until [`PacedClock::start`]: engine time stands at zero.
-    anchor: Mutex<Option<Instant>>,
+pub(crate) enum EngineClock {
+    /// `speed` engine seconds per wall second since the anchor, which
+    /// is `None` — time standing at zero — until [`EngineClock::start`].
+    Wall {
+        speed: f64,
+        anchor: Mutex<Option<Instant>>,
+    },
+    /// `f64::to_bits` of the time its holder last set (zero at first).
+    Virtual(AtomicU64),
 }
 
-impl PacedClock {
-    pub(crate) fn new(speed: f64) -> Self {
-        PacedClock {
-            speed,
-            anchor: Mutex::new(None),
+impl EngineClock {
+    /// Start a wall clock counting (idempotent).
+    pub(crate) fn start(&self) {
+        if let EngineClock::Wall { anchor, .. } = self {
+            lock(anchor).get_or_insert_with(wall_now);
         }
     }
 
-    /// Engine seconds per wall second.
-    pub(crate) fn speed(&self) -> f64 {
-        self.speed
-    }
-
-    /// Start counting (idempotent).
-    pub(crate) fn start(&self) {
-        self.anchor().get_or_insert_with(wall_now);
-    }
-
-    /// Count again from zero, for a fresh round (no-op until started).
+    /// Count again from zero, for a fresh round.
     pub(crate) fn restart(&self) {
-        if let Some(anchor) = self.anchor().as_mut() {
-            *anchor = wall_now();
+        match self {
+            EngineClock::Wall { anchor, .. } => {
+                if let Some(t0) = lock(anchor).as_mut() {
+                    *t0 = wall_now();
+                }
+            }
+            EngineClock::Virtual(_) => self.set(0.0),
+        }
+    }
+
+    /// Move a virtual clock to `t` (a wall clock moves by itself).
+    pub(crate) fn set(&self, t: f64) {
+        if let EngineClock::Virtual(bits) = self {
+            bits.store(t.to_bits(), Ordering::Release);
         }
     }
 
     /// The current engine time.
     pub(crate) fn now(&self) -> f64 {
-        self.anchor()
-            .map_or(0.0, |t0| t0.elapsed().as_secs_f64() * self.speed)
+        match self {
+            EngineClock::Wall { speed, anchor } => {
+                lock(anchor).map_or(0.0, |t0| t0.elapsed().as_secs_f64() * speed)
+            }
+            EngineClock::Virtual(bits) => f64::from_bits(bits.load(Ordering::Acquire)),
+        }
     }
 
-    fn anchor(&self) -> MutexGuard<'_, Option<Instant>> {
-        self.anchor.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Wall seconds per engine second (a virtual second is its own).
+    pub(crate) fn wall_scale(&self) -> f64 {
+        match self {
+            EngineClock::Wall { speed, .. } if *speed > 0.0 => speed.recip(),
+            _ => 1.0,
+        }
     }
+}
+
+fn lock(anchor: &Mutex<Option<Instant>>) -> MutexGuard<'_, Option<Instant>> {
+    anchor.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -81,7 +81,8 @@ pub struct SubmitItem {
     pub cycles: u64,
     /// Scheduling class.
     pub class: TaskClass,
-    /// Arrival on the engine clock; defaulted per [`Mode`].
+    /// Arrival on the engine clock: `None` is now, one behind now is
+    /// clamped to it, and a negative or non-finite one is refused.
     pub arrival: Option<f64>,
 }
 

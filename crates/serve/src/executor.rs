@@ -262,12 +262,6 @@ impl RealTimeExecutor {
         self.engine.observer.ring = sink;
     }
 
-    /// Current executor time in seconds.
-    #[must_use]
-    pub fn exec_now(&self) -> f64 {
-        self.engine.now()
-    }
-
     /// Drain the actuation counters: `(applied, errored)` since the
     /// previous drain.
     pub fn take_actuations(&mut self) -> (u64, u64) {

@@ -36,7 +36,8 @@
 //!   integer encoder).
 //! * [`admission`] — the bounded queue and shed policy.
 //! * [`clock`] — the wall-clock seam (the only raw `Instant::now`) and
-//!   the paced engine clock the scheduler and its workers share.
+//!   the engine clock the scheduler and its workers share: wall time
+//!   when paced, a virtual clock left at zero in replay.
 //! * [`metrics`] — counters, gauges, histograms, the registry.
 //! * [`executor`] — the wall-clock driver of the shared engine, its
 //!   observer (rate actuator + the shard's trace ring), and the

@@ -1,23 +1,22 @@
 //! The scheduler service: wire requests in, LMC scheduling decisions
 //! out.
 //!
-//! Two operating modes:
+//! Arrival stamps and tick targets read one engine clock, shared with
+//! every worker and restarted by every drain, so each round begins at
+//! engine time zero. What moves it depends on the mode:
 //!
-//! * **Replay** — submissions buffer in the admission queues with their
-//!   explicit arrival times; a `drain` command runs the whole workload
-//!   through the wall-clock executors at once. Because the buffered
-//!   tasks reach each engine in submission order with untouched
-//!   arrivals, a drained round on a single shard is *bit-identical* to
-//!   running `LeastMarginalCost` over the same trace on the simulator
-//!   — the determinism contract the end-to-end tests pin.
-//! * **Paced** — a ticker thread maps wall time onto the executor
-//!   clocks (`engine_seconds = wall_seconds * speed`) and steps them
-//!   incrementally; submissions arrive at the current engine time and
-//!   completions stream into the latency/cost histograms as they
-//!   happen. Arrival stamps and tick targets read one shared paced
-//!   clock (`clock::PacedClock`), which every drain restarts, so a
-//!   fresh round always begins near engine time zero instead of
-//!   inheriting the previous round's clock.
+//! * **Replay** — nothing: it reads zero. Submissions buffer in the
+//!   admission queues with their explicit arrival times; a `drain`
+//!   command runs the whole workload through the wall-clock executors
+//!   at once. Because the buffered tasks reach each engine in
+//!   submission order with untouched arrivals, a drained round on a
+//!   single shard is *bit-identical* to running `LeastMarginalCost`
+//!   over the same trace on the simulator — the determinism contract
+//!   the end-to-end tests pin.
+//! * **Paced** — wall time (`engine_seconds = wall_seconds * speed`),
+//!   which a ticker thread steps the executors toward; submissions
+//!   arrive at the current engine time and completions stream into the
+//!   latency/cost histograms as they happen.
 //!
 //! ## Sharding
 //!
@@ -29,14 +28,9 @@
 //! * **Explicit ids** hash to `id % shards`, so replaying a recorded
 //!   trace is reproducible — the same task always lands on the same
 //!   shard.
-//! * **Auto-assigned ids** route class-aware by load: each shard is
-//!   scored by its *combined* load — admission depth plus the engine
-//!   backlog its worker publishes through a shared atomic — and the
-//!   shard with the most class headroom against that load wins, ties
-//!   going to the lower combined load and then the rotating cursor.
-//!   Admission depth alone is blind to tasks a tick already pulled
-//!   into an engine, which let auto-ids pile onto a shard whose queue
-//!   looked empty while its engine was deep.
+//! * **Auto-assigned ids** go to the shard with the most class headroom
+//!   against its admission depth plus engine backlog (`route` says why
+//!   both).
 //!
 //! `tick`, `drain`, `stats`, and shutdown fan out across shards in
 //! ascending index order and merge the per-shard results
@@ -64,7 +58,7 @@
 //! rounds genuinely run in parallel.
 //!
 //! A drain is still a global round barrier: it holds the id ledger
-//! across the paced clock's restart and the id namespace reset, which
+//! across the engine clock's restart and the id namespace reset, which
 //! serializes rounds, while per-shard reports are collected in
 //! ascending order. The barrier is released *before* the reports are
 //! merged and encoded — no cross-shard state is read during the merge,
@@ -78,7 +72,7 @@
 //! detection (`supervise`).
 
 use crate::admission::{AdmissionQueue, GateOutcome, ShedReason};
-use crate::clock::PacedClock;
+use crate::clock::EngineClock;
 use crate::codec::Ack;
 pub use crate::config::{service_platform, Mode, SchedulerConfig, SubmitItem};
 use crate::executor::RoundReport;
@@ -93,7 +87,7 @@ use crate::{rebalance, report};
 use dvfs_model::{Task, TaskClass};
 use dvfs_trace::SharedRing;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -102,7 +96,7 @@ type RoundHook = Box<dyn FnOnce(&Scheduler) + Send>;
 
 /// The long-running scheduler: a router over N shards — each an
 /// admission queue feeding an engine owned by a dedicated worker
-/// thread — plus a global id ledger, the paced clock (shared with the
+/// thread — plus a global id ledger, the engine clock (shared with the
 /// workers), and metrics.
 pub struct Scheduler {
     cfg: SchedulerConfig,
@@ -119,9 +113,9 @@ pub struct Scheduler {
     /// The round's task-id namespace, global across shards so
     /// duplicate-id rejection holds service-wide.
     ids: Mutex<IdLedger>,
-    /// Paced mode's engine clock, shared with every worker: submissions
-    /// are stamped with it and ticks step toward it. `None` in replay.
-    clock: Option<Arc<PacedClock>>,
+    /// The engine clock, shared with every worker: submissions are
+    /// stamped with it and ticks step toward it.
+    clock: Arc<EngineClock>,
     /// Signals `wait_for_work` when any shard admits a task.
     work_mx: Mutex<()>,
     work_cv: Condvar,
@@ -145,6 +139,23 @@ impl Scheduler {
     /// thread per shard.
     #[must_use]
     pub fn new(cfg: SchedulerConfig, metrics: Arc<Registry>) -> Self {
+        let clock = match cfg.mode {
+            Mode::Paced { speed } => EngineClock::Wall {
+                speed,
+                anchor: Mutex::default(),
+            },
+            Mode::Replay => EngineClock::Virtual(AtomicU64::default()),
+        };
+        Self::with_clock(cfg, metrics, Arc::new(clock))
+    }
+
+    /// [`Scheduler::new`] on `clock` — a virtual one lets its holder
+    /// step a paced service by hand.
+    pub(crate) fn with_clock(
+        cfg: SchedulerConfig,
+        metrics: Arc<Registry>,
+        clock: Arc<EngineClock>,
+    ) -> Self {
         let n = cfg.shards.max(1);
         let shards: Vec<Arc<ShardShared>> = (0..n)
             .map(|k| {
@@ -164,15 +175,11 @@ impl Scheduler {
         let _ = metrics.histogram("pace_wait_s");
         metrics.gauge("degraded").set(0);
         let lmc_hist = metrics.histogram("lmc_decision_us");
-        let clock = match cfg.mode {
-            Mode::Paced { speed } => Some(Arc::new(PacedClock::new(speed))),
-            Mode::Replay => None,
-        };
         let workers = shards
             .iter()
             .map(|sh| {
                 let lmc_hist = Arc::clone(&lmc_hist);
-                worker::spawn(Arc::clone(sh), cfg, clock.clone(), &metrics, lmc_hist)
+                worker::spawn(Arc::clone(sh), cfg, Arc::clone(&clock), &metrics, lmc_hist)
             })
             .collect();
         Scheduler {
@@ -249,13 +256,10 @@ impl Scheduler {
         self.shutting_down.load(Ordering::SeqCst)
     }
 
-    /// Start the paced clock (no-op in replay mode, idempotent). Called
-    /// once when the server begins serving; until then paced engine
-    /// time stands at zero.
+    /// Start the engine clock (idempotent). The server calls it once it
+    /// serves; until then paced engine time stands at zero.
     pub fn start_clock(&self) {
-        if let Some(clock) = &self.clock {
-            clock.start();
-        }
+        self.clock.start();
     }
 
     /// Route a submission to a shard. Explicit ids hash (`id % shards`)
@@ -318,8 +322,8 @@ impl Scheduler {
     /// Handle one batch of submits. Semantics are exactly sequential
     /// [`Scheduler::submit`] calls (responses in order, same counters,
     /// same trace records), but the id ledger is locked once for the
-    /// whole batch, paced arrivals are stamped once and the paced
-    /// ticker is signaled once at the end instead of per task.
+    /// whole batch, the engine clock is read once and the paced ticker
+    /// is signaled once at the end instead of per task.
     pub fn submit_many(&self, items: &[SubmitItem]) -> Vec<Response> {
         // In-process submitters have no wire seams (the frame stage
         // records as near zero) and bring no pace: a full queue sheds.
@@ -342,7 +346,7 @@ impl Scheduler {
         SubmitRun {
             sched: self,
             recv,
-            pace: pace.filter(|_| self.clock.is_some()),
+            pace: pace.filter(|_| matches!(self.cfg.mode, Mode::Paced { .. })),
             admitted: Vec::new(),
             open: None,
         }
@@ -383,18 +387,6 @@ impl Scheduler {
         }
     }
 
-    /// Arm the round hook (test builds only): runs once inside the next
-    /// `tick` or `drain`, after the queues were drained into the
-    /// engines but before the depth gauges are published — the position
-    /// of a submitter racing the round.
-    #[cfg(test)]
-    fn set_round_hook(&self, hook: impl FnOnce(&Scheduler) + Send + 'static) {
-        *self
-            .round_hook
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(Box::new(hook));
-    }
-
     /// One paced step: broadcast a tick to every worker — each pulls
     /// admitted work into its engine, advances the executor clock to
     /// its wall-mapped target, and streams completions into the
@@ -425,7 +417,7 @@ impl Scheduler {
     /// and stands up a fresh engine; the reports are collected in
     /// ascending shard order under the round barrier.
     ///
-    /// The barrier is the id ledger, held from the paced clock's
+    /// The barrier is the id ledger, held from the engine clock's
     /// restart to the namespace reset, so two concurrent drains cannot
     /// interleave across shards. It is released before the caller
     /// merges or encodes the reports — nothing cross-shard is read
@@ -447,9 +439,7 @@ impl Scheduler {
             // `Drain`: a tick a worker takes after it targets the fresh
             // clock, and one queued ahead of it steps the old engine by
             // nothing (ticks never step an engine backwards).
-            if let Some(clock) = &self.clock {
-                clock.restart();
-            }
+            self.clock.restart();
             reports = worker::broadcast(&self.workers, "drain", |reply| Command::Drain { reply })
                 .collect();
             // Capture the round's trace before anything of the next
@@ -673,8 +663,8 @@ struct Behind {
 
 /// The submits that arrived together — the submit lines of one wire
 /// batch, or one in-process batch — sharing what is per-batch rather
-/// than per-task: the wire stage stamps, the paced arrival (they came
-/// off the wire together, so they arrive on the engine clock together),
+/// than per-task: the wire stage stamps, the engine clock's reading
+/// (they came off the wire together, so they arrive on it together),
 /// and, when the run closes, the stage samples, the depth gauges and
 /// the ticker wake-up. A run opens at its first submit and closes on
 /// drop, or earlier — [`SubmitRun::close`], before its owner waits on
@@ -692,8 +682,8 @@ pub(crate) struct SubmitRun<'a> {
 struct OpenRun<'a> {
     /// When the run opened, i.e. its first line was decoded.
     framed: Instant,
-    /// Paced arrival stamp (`None` in replay).
-    now: Option<f64>,
+    /// The engine clock's reading when the run opened.
+    now: f64,
     /// The id ledger, held while the run is open: one lock round-trip
     /// a batch, not one a task. It is held across every
     /// admission-queue touch — the drain barrier takes it first, so
@@ -794,7 +784,7 @@ impl SubmitRun<'_> {
         self.admitted.resize(s.shards.len(), 0);
         let open = self.open.get_or_insert_with(|| OpenRun {
             framed: crate::clock::wall_now(),
-            now: s.clock.as_deref().map(PacedClock::now),
+            now: s.clock.now(),
             ids: s.lock_ids(),
         });
         let ids = &mut *open.ids;
@@ -811,12 +801,12 @@ impl SubmitRun<'_> {
                 );
             }
         };
-        let arrival = match open.now {
-            // Paced submissions arrive "now" on the engine clock; an
-            // explicit arrival in the future is honored, the past is
-            // clamped forward by the executor.
-            Some(now) => arrival.unwrap_or(now).max(now),
-            None => arrival.unwrap_or(0.0),
+        // A submission arrives "now" on the engine clock; an explicit
+        // arrival in the future is honored, one in the past clamped
+        // forward, and an invalid one left for `Task::online` to refuse.
+        let arrival = match arrival {
+            Some(a) if !(0.0..open.now).contains(&a) => a,
+            _ => open.now,
         };
         let task = match Task::online(id, cycles, arrival, None, class) {
             Ok(task) => task,
@@ -913,7 +903,7 @@ impl Drop for SubmitRun<'_> {
 mod tests {
     use super::*;
     use crate::metrics::shard_metric;
-    use crate::protocol::{value_f64, value_u64};
+    use crate::protocol::value_u64;
     use crate::stage::{REQUEST_E2E, TELESCOPE_STAGES};
     use dvfs_core::LeastMarginalCost;
     use dvfs_model::CostParams;
@@ -944,17 +934,44 @@ mod tests {
         )
     }
 
-    fn paced(shards: usize, speed: f64) -> Scheduler {
-        Scheduler::new(
-            SchedulerConfig {
-                cores: 1,
-                queue_capacity: 64,
-                mode: Mode::Paced { speed },
-                shards,
-                ..SchedulerConfig::default()
-            },
-            Arc::new(Registry::new()),
-        )
+    /// A paced scheduler on a virtual clock the test moves by hand.
+    fn stepped(shards: usize) -> (Scheduler, Arc<EngineClock>) {
+        let cfg = SchedulerConfig {
+            cores: 1,
+            queue_capacity: 64,
+            mode: Mode::Paced { speed: 1.0 },
+            shards,
+            ..SchedulerConfig::default()
+        };
+        let clock = Arc::new(EngineClock::Virtual(AtomicU64::default()));
+        let s = Scheduler::with_clock(cfg, Arc::new(Registry::new()), Arc::clone(&clock));
+        (s, clock)
+    }
+
+    /// Every shard's engine clock, ascending shard order.
+    fn engine_clocks(s: &Scheduler) -> Vec<f64> {
+        worker::broadcast(&s.workers, "stats", |reply| Command::Stats { reply })
+            .map(|r| r.now)
+            .collect()
+    }
+
+    impl Scheduler {
+        /// Arm the round hook: runs once inside the next `tick` or
+        /// `drain`, after the queues were drained into the engines but
+        /// before the depth gauges are published — the position of a
+        /// submitter racing the round.
+        fn set_round_hook(&self, hook: impl FnOnce(&Scheduler) + Send + 'static) {
+            *self
+                .round_hook
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) = Some(Box::new(hook));
+        }
+    }
+
+    fn submit_one(s: &Scheduler, cycles: u64) {
+        assert!(s
+            .submit(None, cycles, TaskClass::NonInteractive, None)
+            .is_ok());
     }
 
     #[test]
@@ -1048,42 +1065,25 @@ mod tests {
         }
     }
 
+    /// 1.6 Gcycles take at most 1 s at the slowest rate: one tick at
+    /// 10 s completes the task.
     #[test]
     fn paced_ticks_complete_tasks_and_actuate() {
-        let s = paced(1, 10_000.0);
-        s.start_clock();
-        assert!(s
-            .submit(None, 1_600_000_000, TaskClass::NonInteractive, None)
-            .is_ok());
-        // Tick until the task completes (bounded wait).
-        let mut done = false;
-        for _ in 0..200 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            s.tick();
-            if s.metrics().counter("completed").get() == 1 {
-                done = true;
-                break;
-            }
-        }
-        assert!(done, "paced task never completed");
+        let (s, clock) = stepped(1);
+        submit_one(&s, 1_600_000_000);
+        clock.set(10.0);
+        s.tick();
+        assert_eq!(s.metrics().counter("completed").get(), 1);
         assert!(s.metrics().counter("actuations").get() >= 1);
         assert_eq!(s.metrics().histogram("task_latency_s").count(), 1);
     }
 
     #[test]
     fn paced_drain_counts_streamed_completions_once() {
-        let s = paced(1, 10_000.0);
-        s.start_clock();
-        assert!(s
-            .submit(None, 1_600_000_000, TaskClass::NonInteractive, None)
-            .is_ok());
-        for _ in 0..200 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            s.tick();
-            if s.metrics().counter("completed").get() == 1 {
-                break;
-            }
-        }
+        let (s, clock) = stepped(1);
+        submit_one(&s, 1_600_000_000);
+        clock.set(10.0);
+        s.tick();
         assert_eq!(s.metrics().counter("completed").get(), 1);
         // The drain counts the round's single task — whose record the
         // tick already streamed and retired — but must not feed its
@@ -1100,81 +1100,54 @@ mod tests {
     }
 
     /// Regression (paced-clock time warp): a drain stands up fresh
-    /// engines at time zero, so the paced anchors must restart with
-    /// them. Pre-fix, the tick target kept growing from the original
-    /// anchor and the first tick of the next round warped the fresh
+    /// engines at time zero, so the clock must restart with them.
+    /// Pre-fix, the first tick of the next round warped the fresh
     /// engine to the previous round's clock.
     #[test]
     fn paced_clock_restarts_with_the_round_on_drain() {
-        let s = paced(1, 2_000.0);
-        s.start_clock();
-        assert!(s
-            .submit(None, 1_000_000, TaskClass::NonInteractive, None)
-            .is_ok());
-        // Let the wall-mapped target grow well past 200 engine seconds.
-        std::thread::sleep(std::time::Duration::from_millis(120));
+        let (s, clock) = stepped(1);
+        submit_one(&s, 1_000_000);
+        clock.set(240.0);
         s.tick();
-        let round1 = s.drain_round();
-        assert_eq!(round1.completed, 1);
-
-        // Round two: the engine clock after one immediate tick must be
-        // near zero again, not the previous round's ~240 s.
-        assert!(s
-            .submit(None, 1_000_000, TaskClass::NonInteractive, None)
-            .is_ok());
+        assert_eq!(s.drain_round().completed, 1);
+        submit_one(&s, 1_000_000);
         s.tick();
-        let stats = s.stats();
-        let now = value_f64(stats.field("sim_now_s").unwrap()).unwrap();
-        assert!(
-            now < 100.0,
-            "fresh round time-warped to {now} engine seconds: the paced \
-             anchor was not reset on drain"
-        );
-        // And the round still completes normally.
-        let round2 = s.drain_round();
-        assert_eq!(round2.completed, 1);
+        assert_eq!(engine_clocks(&s), [0.0], "the fresh round time-warped");
+        assert_eq!(s.drain_round().completed, 1);
     }
 
     /// A drain restarts the shared clock before its workers see the
     /// `Drain`, so a tick a worker takes in between reads a clock far
     /// behind the old engine. That tick must leave the engine where it
     /// is — not trip `step_until`'s precedes-now assert — and the tick
-    /// after the drain must land near zero.
+    /// after the drain must land at zero.
     #[test]
     fn a_tick_behind_the_restarted_clock_leaves_the_engine_where_it_is() {
-        let s = paced(1, 2_000.0);
-        s.start_clock();
-        assert!(s
-            .submit(None, 1_000_000, TaskClass::NonInteractive, None)
-            .is_ok());
-        std::thread::sleep(Duration::from_millis(120));
+        let (s, clock) = stepped(1);
+        submit_one(&s, 1_000_000);
+        clock.set(240.0);
         s.tick();
-        let sim_now = |s: &Scheduler| value_f64(s.stats().field("sim_now_s").unwrap()).unwrap();
-        let before = sim_now(&s);
-        assert!(before > 200.0, "the engine ran to {before} engine seconds");
-        s.clock.as_ref().unwrap().restart();
+        assert_eq!(engine_clocks(&s), [240.0]);
+        clock.restart();
         s.tick();
-        let after = sim_now(&s);
-        assert!(
-            after >= before,
-            "engine clock went back: {before} -> {after}"
-        );
+        assert_eq!(engine_clocks(&s), [240.0], "the engine clock went back");
         assert_eq!(s.drain_round().completed, 1);
         s.tick();
-        let fresh = sim_now(&s);
-        assert!(
-            fresh < 100.0,
-            "fresh round started at {fresh} engine seconds"
+        assert_eq!(
+            engine_clocks(&s),
+            [0.0],
+            "the fresh round did not start at zero"
         );
     }
 
     /// Every paced server's shutdown drain races its ticker. One thread
-    /// ticks in a loop while this one drains round after round on two
-    /// shards: no worker may panic, and every admitted task completes.
+    /// ticks in a loop while this one steps both engines ahead and then
+    /// drains — restarting the clock behind them — round after round:
+    /// no worker may panic, and every admitted task completes.
     #[test]
     fn ticks_racing_drains_never_step_an_engine_backwards() {
-        let s = Arc::new(paced(2, 5_000.0));
-        s.start_clock();
+        let (s, clock) = stepped(2);
+        let s = Arc::new(s);
         let stop = Arc::new(AtomicBool::new(false));
         let ticker = {
             let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
@@ -1186,16 +1159,90 @@ mod tests {
         };
         for _ in 0..50 {
             for _ in 0..4 {
-                assert!(s
-                    .submit(None, 50_000_000, TaskClass::NonInteractive, None)
-                    .is_ok());
+                submit_one(&s, 50_000_000);
             }
-            std::thread::sleep(Duration::from_millis(2));
+            clock.set(1.0);
+            s.tick();
             let _ = s.drain_round();
         }
         stop.store(true, Ordering::SeqCst);
         ticker.join().expect("the ticker's workers never panic");
         assert_eq!(s.metrics().counter("completed").get(), 200);
+    }
+
+    /// One arrival rule in both modes: a missing arrival is the clock's
+    /// reading, a valid one behind it is clamped forward, and a negative
+    /// or non-finite one is a `bad_request` whose id is free again.
+    #[test]
+    fn explicit_arrivals_follow_one_rule_in_both_modes() {
+        let (paced, clock) = stepped(1);
+        clock.set(5.0);
+        for (s, now) in [(scheduler(8), 0.0), (paced, 5.0)] {
+            for bad in [-1.0, f64::INFINITY, f64::NAN] {
+                let r = s.submit(Some(7), 1_000, TaskClass::NonInteractive, Some(bad));
+                let Response::Err { kind, .. } = r else {
+                    panic!("arrival {bad} admitted at clock {now}");
+                };
+                assert_eq!(kind, ErrorKind::BadRequest);
+            }
+            for (id, arrival) in [(7, Some(1.0)), (8, None), (9, Some(7.5))] {
+                assert!(s
+                    .submit(Some(id), 1_000, TaskClass::NonInteractive, arrival)
+                    .is_ok());
+            }
+            let mut got: Vec<(u64, f64)> = s
+                .drain_round()
+                .records
+                .iter()
+                .map(|r| (r.id.0, r.arrival))
+                .collect();
+            got.sort_by_key(|&(id, _)| id);
+            assert_eq!(got, [(7, f64::max(1.0, now)), (8, now), (9, 7.5)]);
+        }
+    }
+
+    /// A clock step: the clock jumps 10^6 engine seconds
+    /// with tasks in flight on two shards. One tick completes them all
+    /// and the books balance; the drain after it finds nothing left and
+    /// the next round starts at zero. A restart mid-round then steps
+    /// neither engine backwards.
+    #[test]
+    fn a_clock_step_completes_the_round_in_one_tick() {
+        let (s, clock) = stepped(2);
+        let m = Arc::clone(s.metrics());
+        for _ in 0..8 {
+            submit_one(&s, 4_000_000_000);
+        }
+        clock.set(0.5);
+        s.tick();
+        assert!(m.gauge("pending_tasks").get() > 0, "tasks in flight");
+        clock.set(1e6);
+        s.tick();
+        assert_eq!(m.gauge("pending_tasks").get(), 0);
+        let (submitted, completed) = (m.counter("submitted").get(), m.counter("completed").get());
+        assert_eq!(completed, 8);
+        assert_eq!(
+            submitted,
+            completed + m.counter("failed").get() + m.counter("shed").get()
+        );
+        let round = s.drain_round();
+        assert!(
+            round.records.is_empty(),
+            "the step's tick retired every task"
+        );
+        assert_eq!(engine_clocks(&s), [0.0, 0.0]);
+        assert_eq!(clock.now(), 0.0);
+
+        for _ in 0..4 {
+            submit_one(&s, 4_000_000_000);
+        }
+        clock.set(0.5);
+        s.tick();
+        let before = engine_clocks(&s);
+        clock.restart();
+        s.tick();
+        assert_eq!(engine_clocks(&s), before, "an engine stepped backwards");
+        assert_eq!(s.drain_round().completed, 4);
     }
 
     /// Regression (shutdown/submit race): a task that enters the queue

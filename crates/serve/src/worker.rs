@@ -25,7 +25,7 @@
 //! "worker exited" panic message.
 //!
 //! * [`Command::Tick`] — pull admitted work from the shard's queue,
-//!   advance the executor to the shared paced clock's reading at
+//!   advance the executor to the shared engine clock's reading at
 //!   processing time (never backwards: a tick queued ahead of a drain
 //!   reads the already restarted clock and leaves the old engine where
 //!   it is), stream completions into the histograms and retire them
@@ -48,7 +48,7 @@
 //! bit-identical to the simulator.
 
 use crate::admission::{AdmissionPolicy, AdmissionQueue};
-use crate::clock::PacedClock;
+use crate::clock::EngineClock;
 use crate::executor::{RealTimeExecutor, RoundReport};
 use crate::metrics::{shard_metric, AdvisoryCell, Counter, Gauge, Histogram, Registry};
 use crate::service::{service_platform, SchedulerConfig};
@@ -552,11 +552,11 @@ pub(crate) fn broadcast<'a, T: 'a>(
 }
 
 /// Spawn the worker thread owning shard `shared`'s engine, stepping it
-/// toward `clock` in paced mode.
+/// toward `clock`.
 pub(crate) fn spawn(
     shared: Arc<ShardShared>,
     cfg: SchedulerConfig,
-    clock: Option<Arc<PacedClock>>,
+    clock: Arc<EngineClock>,
     metrics: &Registry,
     lmc_hist: Arc<Histogram>,
 ) -> WorkerHandle {
@@ -621,8 +621,8 @@ struct StepMetrics {
 struct Worker {
     shared: Arc<ShardShared>,
     cfg: SchedulerConfig,
-    /// The scheduler's paced clock (`None` in replay).
-    clock: Option<Arc<PacedClock>>,
+    /// The scheduler's engine clock.
+    clock: Arc<EngineClock>,
     metrics: StepMetrics,
     lmc_hist: Arc<Histogram>,
     engine: Engine,
@@ -665,7 +665,7 @@ impl Worker {
                 Command::Stats { reply } => {
                     reply.send(StatsReply {
                         pending: self.engine.exec.pending_tasks(),
-                        now: self.engine.exec.exec_now(),
+                        now: self.engine.exec.now(),
                     });
                     self.shared.hb.mark_progress();
                 }
@@ -760,17 +760,9 @@ impl Worker {
         }
         if self.cfg.telemetry {
             if let (Some(first_start), Some(completion)) = (rec.first_start, rec.completion) {
-                // In paced mode engine seconds map to wall seconds
-                // through the speed factor; dividing it back out keeps
-                // the engine-side stages in wall-equivalent seconds, so
-                // the telescope sums to `request_e2e_s` at any speed.
-                // Replay compresses engine time arbitrarily, so the raw
-                // engine seconds are reported there (no wall telescope
-                // exists to honor).
-                let scale = match &self.clock {
-                    Some(clock) if clock.speed() > 0.0 => clock.speed().recip(),
-                    _ => 1.0,
-                };
+                // Engine-side stages in wall-equivalent seconds, so the
+                // telescope sums to `request_e2e_s` at any speed.
+                let scale = self.clock.wall_scale();
                 samples
                     .engine
                     .push((first_start - rec.arrival).max(0.0) * scale);
@@ -828,7 +820,7 @@ impl Worker {
     /// The arrival events fire on the next tick or drain, which routes
     /// them through the normal `on_arrival` insert path (Algorithm 5).
     fn inject(&mut self, from_shard: u32, from_cost: f64, to_cost: f64, tasks: &[Task]) -> usize {
-        let now = self.engine.exec.exec_now();
+        let now = self.engine.exec.now();
         for task in tasks {
             if let Some(ring) = self.shared.ring.as_ref() {
                 ring.record(
@@ -848,17 +840,13 @@ impl Worker {
         tasks.len()
     }
 
-    /// One paced step: pull admitted work, advance the executor clock
-    /// to the paced clock's reading (0 in replay) or leave it where it
-    /// is if that is behind it, stream the completions — which leave
-    /// the engine here, so a long round's memory follows the work in
-    /// flight rather than the work done.
+    /// One step: pull admitted work, advance the executor clock to the
+    /// engine clock's reading (0 in replay) or leave it where it is if
+    /// that is behind it, stream the completions — which leave the
+    /// engine here, so a long round's memory follows the work in flight
+    /// rather than the work done.
     fn tick(&mut self) -> TickReply {
-        let target = self
-            .clock
-            .as_deref()
-            .map_or(0.0, PacedClock::now)
-            .max(self.engine.exec.exec_now());
+        let target = self.clock.now().max(self.engine.exec.now());
         self.pull_admitted();
         {
             let Engine { exec, policy } = &mut self.engine;
@@ -1027,7 +1015,8 @@ mod tests {
         let cfg = SchedulerConfig::default();
         let metrics = Registry::new();
         let lmc = metrics.histogram("lmc_decision_us");
-        let mut handle = spawn(Arc::clone(&shared), cfg, None, &metrics, lmc);
+        let clock = Arc::new(EngineClock::Virtual(Default::default()));
+        let mut handle = spawn(Arc::clone(&shared), cfg, clock, &metrics, lmc);
         handle.ask("tick", |reply| Command::Tick { reply });
         let snap = shared.hb.snapshot();
         assert_eq!(snap.cmd_depth, 0, "tick was dequeued");

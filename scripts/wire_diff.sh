@@ -2,8 +2,9 @@
 # Same bytes on the wire? Runs two `dvfs-sched` binaries (say, a parent
 # build and a change build) as replay servers on both wire backends at
 # shards 1 and 2, plays one script at each — every request kind,
-# malformed and oversized lines, queue-cap sheds, a `shutdown` mid-batch
-# — in a single write, and compares the response streams byte for byte.
+# malformed and oversized lines, a negative arrival, queue-cap sheds,
+# a `shutdown` mid-batch — in a single write, and compares the response
+# streams byte for byte.
 # `stats` and `health` carry wall-clock histograms and the counter set,
 # and an oversized rejection reports how many bytes had arrived when the
 # budget tripped (a read-boundary artefact): those three are compared by
@@ -23,6 +24,7 @@ script() {
     printf '{"cmd":"ping"}\nthis is not json\n{"cmd":"nope"}\n{"cmd":"submit","cycles":5}\n'
     printf "$submit" 3 1000 interactive 0.5       # duplicate id
     printf '{"cmd":"submit","cycles":0,"class":"batch"}\n' # invalid
+    printf "$submit" 16 1000 batch -1               # negative arrival
     head -c 70000 /dev/zero | tr '\0' x; printf '\n' # oversized
     printf '{"cmd":"stats"}\n{"cmd":"ping"}\n'
     for i in 6 7 8 9 10 11 12 13 14 15; do           # past the queue cap
