@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 const SHARDS: u64 = 4;
 const TASKS: u64 = 120;
-/// Rebalance passes before the drain. Each pass moves at most
-/// `max_batch` tasks, so this bounds how far the skew can spread; the
+/// Rebalance passes before the drain. Each pass moves at most eight
+/// tasks, so this bounds how far the skew can spread; the
 /// gap guard stops the passes early once the shards even out.
 const TICKS: usize = 30;
 

@@ -29,8 +29,8 @@ USAGE:
              [--speed X] [--cores N] [--shards N] [--re X] [--rt Y]
              [--queue-cap N] [--trace-out FILE] [--trace-cap N]
              [--net threads|reactor]
-             [--max-connections N] [--actuator simulated|noop]
-             [--rebalance on|off] [--telemetry on|off]
+             [--max-connections N] [--rebalance on|off]
+             [--telemetry on|off]
   dvfs-sched loadgen (--socket PATH | --tcp ADDR) --trace FILE [--shutdown]
   dvfs-sched trace-export --in FILE.jsonl --out FILE.json
 
@@ -334,7 +334,6 @@ fn serve_cmd(argv: &[String]) -> Result<(), String> {
         "speed",
         "trace-cap",
         "trace-out",
-        "actuator",
         "net",
         "max-connections",
         "rebalance",
@@ -371,11 +370,6 @@ fn serve_cmd(argv: &[String]) -> Result<(), String> {
     if trace_out.is_some() && trace_capacity == 0 {
         return Err("`--trace-out` requires `--trace-cap N` to enable tracing".into());
     }
-    let actuator = match args.get("actuator").unwrap_or("simulated") {
-        "simulated" => dvfs_serve::ActuatorKind::Simulated,
-        "noop" => dvfs_serve::ActuatorKind::Noop,
-        other => return Err(format!("unknown actuator `{other}` (simulated|noop)")),
-    };
     // `--net` overrides the DVFS_SERVE_NET env default picked up by
     // `ServerConfig::new`; absent, the env selection stands.
     let net = match args.get("net") {
@@ -407,9 +401,9 @@ fn serve_cmd(argv: &[String]) -> Result<(), String> {
         queue_capacity,
         shards,
         trace_capacity,
-        actuator,
         rebalance,
         telemetry,
+        ..dvfs_serve::SchedulerConfig::default()
     };
     if let Some(net) = net {
         cfg.net = net;

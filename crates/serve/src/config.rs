@@ -39,7 +39,7 @@ pub struct SchedulerConfig {
     /// record paths stay dormant.
     pub trace_capacity: usize,
     /// Which actuator backend every shard's executor lands frequency
-    /// decisions on. `Simulated` (the default) runs the full
+    /// decisions on. `Simulated`, the one backend today, runs the full
     /// sysfs-protocol model and is what the bit-identical replay
     /// contract is pinned against.
     pub actuator: ActuatorKind,

@@ -93,9 +93,9 @@ impl RoundReport {
 /// The default backend ([`SimulatedActuator`]) runs the paper's full
 /// sysfs protocol against a simulated tree — userspace governor,
 /// `scaling_setspeed` write, readback verification — and is what the
-/// bit-identical replay contract is pinned against. [`NoopActuator`]
-/// acknowledges without modeling anything, for raw-throughput runs
-/// where the sysfs bookkeeping is pure overhead.
+/// bit-identical replay contract is pinned against. A backend that
+/// writes real cpufreq files is another implementation of this trait
+/// and another [`ActuatorKind`].
 pub trait RateActuator: Send {
     /// Apply `rate` to core `cpu`; `true` means applied and verified.
     fn apply(&mut self, cpu: usize, rate: RateIdx) -> bool;
@@ -131,27 +131,12 @@ impl RateActuator for SimulatedActuator {
     }
 }
 
-/// Accepts every decision without modeling a sysfs tree.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopActuator;
-
-impl RateActuator for NoopActuator {
-    fn apply(&mut self, _cpu: usize, _rate: RateIdx) -> bool {
-        true
-    }
-    fn name(&self) -> &'static str {
-        "noop"
-    }
-}
-
-/// Config-selectable actuator backend (`--actuator simulated|noop`).
+/// Config-selectable actuator backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ActuatorKind {
     /// Full simulated-sysfs protocol with readback verification.
     #[default]
     Simulated,
-    /// Count applications, touch nothing.
-    Noop,
 }
 
 impl ActuatorKind {
@@ -160,7 +145,6 @@ impl ActuatorKind {
     pub fn build(self, platform: &Platform) -> Box<dyn RateActuator> {
         match self {
             ActuatorKind::Simulated => Box::new(SimulatedActuator::new(platform)),
-            ActuatorKind::Noop => Box::new(NoopActuator),
         }
     }
 }

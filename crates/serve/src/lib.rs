@@ -20,10 +20,12 @@
 //! there is no engine mutex. A router assigns submissions to shards —
 //! explicit ids hash (`id % shards`, reproducible for replays),
 //! auto-assigned ids go to the least-loaded shard for the task's class
-//! — and `tick`/`drain`/`stats`/`shutdown` broadcast commands to every
-//! worker over bounded channels, collecting the one-shot replies and
-//! merging the per-shard [`RoundReport`]s in deterministic ascending
-//! shard order. With `shards = 1` the service is bit-identical to the
+//! — and `tick`/`drain`/`shutdown` broadcast commands to every worker
+//! over bounded channels, collecting the one-shot replies and merging
+//! the per-shard [`RoundReport`]s in deterministic ascending shard
+//! order. `stats` and `health` ask no worker: each worker publishes its
+//! engine's resting state after every command, and they read that.
+//! With `shards = 1` the service is bit-identical to the
 //! single-engine path (and to the simulator on replayed traces); with
 //! `shards = N` on an N-core host the scheduling rounds genuinely run
 //! in parallel.
@@ -84,9 +86,7 @@ pub(crate) mod tracestore;
 pub(crate) mod worker;
 
 pub use admission::{AdmissionPolicy, AdmissionQueue, GateOutcome, ShedReason};
-pub use executor::{
-    ActuatorKind, NoopActuator, RateActuator, RealTimeExecutor, RoundReport, SimulatedActuator,
-};
+pub use executor::{ActuatorKind, RateActuator, RealTimeExecutor, RoundReport, SimulatedActuator};
 pub use metrics::{shard_metric, Counter, Gauge, Histogram, Registry};
 pub use protocol::{ErrorKind, Request, Response};
 pub use server::{

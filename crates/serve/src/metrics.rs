@@ -454,7 +454,7 @@ mod tests {
 
     #[test]
     fn shard_metric_names_group_under_the_total() {
-        assert_eq!(shard_metric("queue_depth", 0), "queue_depth.shard0");
+        assert_eq!(shard_metric("admitted", 0), "admitted.shard0");
         assert_eq!(shard_metric("completed", 13), "completed.shard13");
     }
 

@@ -5,8 +5,8 @@
 //! rebalance pass: it reads each worker's published load gauge
 //! (engine backlog + the Eq. 32 queued-cost total of its resident
 //! queue), and when the hottest shard's queued cost exceeds the
-//! coldest's by more than the configured gap it moves a batch — sized
-//! to close about half the cost gap, capped at `max_batch` — of queued
+//! coldest's by more than `MIN_COST_GAP` it moves a batch — sized
+//! to close about half the cost gap, capped at `MAX_BATCH` — of queued
 //! (never dispatched) tasks hot→cold through the worker command
 //! protocol — `Steal` on the hot worker (Algorithm 6 ledger deletes,
 //! longest-cycles first), `Inject` on the cold worker (normal
@@ -20,39 +20,26 @@ use crate::metrics::{shard_metric, Registry};
 use crate::worker::{Command, ShardShared, WorkerHandle};
 use std::sync::Arc;
 
-/// Cross-shard rebalancer knobs (`--rebalance on|off`).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Relative queued-cost gap the hot shard must hold over the cold one
+/// before tasks move (`hot > cold * (1 + MIN_COST_GAP)`) — the guard
+/// that keeps near-balanced shards from thrashing work back and forth.
+const MIN_COST_GAP: f64 = 0.25;
+/// Most tasks migrated per rebalance pass.
+const MAX_BATCH: usize = 8;
+
+/// Cross-shard rebalancer switch (`--rebalance on|off`).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RebalanceConfig {
     /// Master switch. Off by default: a disabled rebalancer touches no
     /// engine, so replay rounds stay bit-identical to the simulator.
     pub enabled: bool,
-    /// Relative queued-cost gap the hot shard must hold over the cold
-    /// one before tasks move (`hot > cold * (1 + min_cost_gap)`) — the
-    /// guard that keeps near-balanced shards from thrashing work back
-    /// and forth.
-    pub min_cost_gap: f64,
-    /// Most tasks migrated per rebalance pass.
-    pub max_batch: usize,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        RebalanceConfig {
-            enabled: false,
-            min_cost_gap: 0.25,
-            max_batch: 8,
-        }
-    }
 }
 
 impl RebalanceConfig {
-    /// The default knobs with the master switch on.
+    /// The rebalancer switched on.
     #[must_use]
     pub fn on() -> Self {
-        RebalanceConfig {
-            enabled: true,
-            ..RebalanceConfig::default()
-        }
+        RebalanceConfig { enabled: true }
     }
 }
 
@@ -69,7 +56,7 @@ pub(crate) fn pass(
         return;
     }
     let t0 = crate::clock::wall_now();
-    migrate(cfg, shards, workers, metrics);
+    migrate(shards, workers, metrics);
     let micros = crate::clock::wall_now().duration_since(t0).as_micros();
     metrics
         .gauge("rebalance_pass_us")
@@ -78,17 +65,12 @@ pub(crate) fn pass(
 
 /// Read the load gauges every worker just republished during its
 /// tick, pick the hottest and coldest shards by Eq. 32 queued cost,
-/// and — when the gap clears `min_cost_gap` and the hot shard has
-/// queued (not-yet-dispatched) work — move up to `max_batch` tasks:
+/// and — when the gap clears `MIN_COST_GAP` and the hot shard has
+/// queued (not-yet-dispatched) work — move up to `MAX_BATCH` tasks:
 /// `Steal` pulls them out of the hot engine's ledger, `Inject`
 /// re-enqueues them on the cold engine's arrival path (recording a
 /// `migrate` trace event per task).
-fn migrate(
-    cfg: &RebalanceConfig,
-    shards: &[Arc<ShardShared>],
-    workers: &[WorkerHandle],
-    metrics: &Registry,
-) {
+fn migrate(shards: &[Arc<ShardShared>], workers: &[WorkerHandle], metrics: &Registry) {
     let (mut hot, mut cold) = (0usize, 0usize);
     let (mut hot_cost, mut cold_cost) = (f64::MIN, f64::MAX);
     for (k, sh) in shards.iter().enumerate() {
@@ -103,19 +85,19 @@ fn migrate(
         }
     }
     let backlog = shards[hot].backlog();
-    if hot == cold || backlog == 0 || hot_cost <= cold_cost * (1.0 + cfg.min_cost_gap) {
+    if hot == cold || backlog == 0 || hot_cost <= cold_cost * (1.0 + MIN_COST_GAP) {
         return;
     }
     // Size the batch to close about half the cost gap, converting
     // cost to a task count via the hot shard's average queued cost.
     // Sizing off the backlog alone oscillates: once shards are
-    // near-balanced it keeps swinging `max_batch` of the longest
+    // near-balanced it keeps swinging `MAX_BATCH` of the longest
     // tasks between them, flipping hot and cold every tick. The
     // next tick re-evaluates with fresh gauges rather than chasing
     // the remainder in one pass.
     let gap_share = (hot_cost - cold_cost) / (2.0 * hot_cost);
     // `gap_share` is in (0, 0.5], so the product is a small non-negative count.
-    let batch = ((backlog as f64 * gap_share) as usize).clamp(1, cfg.max_batch);
+    let batch = ((backlog as f64 * gap_share) as usize).clamp(1, MAX_BATCH);
     let tasks = workers[hot].ask("steal", |reply| Command::Steal { max: batch, reply });
     if tasks.is_empty() {
         // Every backlogged job was already running or not yet
@@ -184,7 +166,7 @@ mod tests {
         // is zero, so the gap clears and half the backlog moves.
         s.tick();
         let moved = s.metrics().counter("migrations").get();
-        assert_eq!(moved, 3, "half the backlog of 6, capped by max_batch");
+        assert_eq!(moved, 3, "half the backlog of 6, capped by MAX_BATCH");
         assert_eq!(
             s.metrics()
                 .counter(&shard_metric("migrations_out", 0))

@@ -2,7 +2,8 @@
 //! `trace_stream` responses, encoded from what the scheduler collected.
 //!
 //! Pure encoders — nothing here sends a worker command or takes a
-//! scheduler lock, so a document's field list and order (which the
+//! scheduler lock (`stats` and `health` read what the workers
+//! publish), so a document's field list and order (which the
 //! byte-identical-across-backends and across-shard-counts tests pin)
 //! is decided in exactly one place.
 
@@ -11,7 +12,7 @@ use crate::metrics::{shard_metric, Registry};
 use crate::protocol::{field_f64, field_u64, ErrorKind, Response};
 use crate::stage::{REQUEST_E2E, STAGE_CMD_DEQUEUE, TELESCOPE_STAGES};
 use crate::tracestore::TraceChunk;
-use crate::worker::{ShardShared, StatsReply};
+use crate::worker::ShardShared;
 use dvfs_model::CostParams;
 use serde::Value;
 use std::sync::Arc;
@@ -80,26 +81,24 @@ pub(crate) fn drain(params: CostParams, reports: &[RoundReport]) -> Response {
     ])
 }
 
-/// `stats`: registry snapshot plus live per-shard depths and clocks
-/// (`replies` are the workers' answers, ascending shard order).
-pub(crate) fn stats(
-    shards: &[Arc<ShardShared>],
-    replies: impl Iterator<Item = StatsReply>,
-    metrics: &Registry,
-) -> Response {
+/// `stats`: registry snapshot plus per-shard depths, pending counts and
+/// clocks — the admission queues live, the rest as each worker last
+/// published it.
+pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry) -> Response {
     let mut shard_stats = Vec::with_capacity(shards.len());
     let mut depth_total = 0u64;
     let mut pending_total = 0u64;
     let mut now_max = 0.0f64;
-    for (sh, reply) in shards.iter().zip(replies) {
+    for sh in shards {
         // Waiting work wherever it sits: admission depth plus the
         // engine backlog — the same combined load the router and
         // the rebalancer score shards by.
         let depth = (sh.queue.depth() + sh.backlog()) as u64;
-        let pending = reply.pending as u64;
+        let pending = sh.pending() as u64;
+        let now = sh.engine_now();
         depth_total += depth;
         pending_total += pending;
-        now_max = now_max.max(reply.now);
+        now_max = now_max.max(now);
         let out = metrics
             .counter(&shard_metric("migrations_out", sh.index))
             .get();
@@ -111,7 +110,7 @@ pub(crate) fn stats(
             field_u64("shard", sh.index as u64),
             field_u64("queue_depth", depth),
             field_u64("pending_tasks", pending),
-            field_f64("sim_now_s", reply.now),
+            field_f64("sim_now_s", now),
             field_u64("migrations_out", out),
             field_u64("migrations_in", inn),
             field_f64(

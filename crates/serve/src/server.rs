@@ -33,11 +33,12 @@
 //! histograms. A supervisor thread (the `supervise` module) flags
 //! workers that sit on an outstanding command without progress
 //! (`worker_stalled` episodes, the `degraded` gauge) — all snapshotted
-//! by the `health` wire command, which is served inline on the reactor
-//! fast path. Reactor lifecycle deliberately records **no** trace
-//! events: the lifecycle trace schema is pinned by the byte-identical
-//! replay contract, and connection-level visibility belongs to metrics
-//! (and the Perfetto counter tracks built from them at export time).
+//! by the `health` wire command, which, like `stats`, is served inline
+//! on the reactor fast path. Reactor lifecycle deliberately records
+//! **no** trace events: the lifecycle trace schema is pinned by the
+//! byte-identical replay contract, and connection-level visibility
+//! belongs to metrics (and the Perfetto counter tracks built from them
+//! at export time).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
@@ -172,13 +173,14 @@ impl dvfs_net::Handler for Shared {
     /// decoded once and answered — its response line appended to `out`
     /// — before the next is looked at. The batch's submits form one
     /// [`SubmitRun`](crate::service::SubmitRun) stamped with `received`
-    /// (when the batch's bytes came off the wire). Pings, `health`
-    /// (heartbeat slots and leaf-locked metrics only), malformed lines
-    /// and submits (admission is a bounded queue push, never a
-    /// scheduling round) wait for nothing — bar a paced submit whose
-    /// shard worker is behind. That submit, and every request that
-    /// waits on the shard workers or a file write, is answered only
-    /// when `caller` may wait; the event loop's pass stops before it.
+    /// (when the batch's bytes came off the wire). Pings, `health` and
+    /// `stats` (published worker cells and leaf-locked metrics only),
+    /// malformed lines and submits (admission is a bounded queue push,
+    /// never a scheduling round) wait for nothing — bar a paced submit
+    /// whose shard worker is behind. That submit, and every request
+    /// that waits on the shard workers or a file write, is answered
+    /// only when `caller` may wait; the event loop's pass stops before
+    /// it.
     fn answer(
         &self,
         lines: &[Cow<'_, str>],
@@ -200,7 +202,7 @@ impl dvfs_net::Handler for Shared {
             };
             if !matches!(
                 request,
-                Request::Submit { .. } | Request::Ping | Request::Health
+                Request::Submit { .. } | Request::Ping | Request::Health | Request::Stats
             ) {
                 if !may_wait {
                     return Answered::WouldBlock(k);
@@ -600,7 +602,7 @@ fn micros(seconds: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{encode_command, encode_submit};
+    use crate::protocol::{encode_command, encode_submit, value_u64};
     use dvfs_model::TaskClass;
     use dvfs_net::Handler;
 
@@ -746,7 +748,7 @@ mod tests {
             },
             other => panic!("snapshot is an object: {other:?}"),
         };
-        // Would block at: a submit whose queue is full; a `stats`.
+        // Would block at: a submit whose queue is full; a `trace`.
         let full_queue = vec![
             cmd("ping"),
             "garbage".into(),
@@ -756,7 +758,7 @@ mod tests {
             cmd("no-such-command"),
             submit(),
         ];
-        let slow_command = vec![submit(), cmd("stats"), "garbage".into(), submit()];
+        let slow_command = vec![submit(), cmd("trace"), "garbage".into(), submit()];
         for (lines, at, malformed) in [(full_queue, 4, 2), (slow_command, 1, 1)] {
             let hour = Duration::from_secs(3600);
             let [split, whole] = [paced(hour, 2, 1), paced(hour, 2, 1)];
@@ -781,6 +783,21 @@ mod tests {
             assert_eq!(counters(&split), counters(&whole));
             assert_eq!(split.metrics.counter("malformed_requests").get(), malformed);
         }
+    }
+
+    /// `stats` asks no worker, so the event loop answers it: a batch of
+    /// one `stats` is answered in full, with the document, on a
+    /// sharded paced service.
+    #[test]
+    fn the_event_loop_answers_stats() {
+        let shared = paced(Duration::from_millis(10), 2, 2);
+        let mut out = Vec::new();
+        let now = crate::clock::wall_now();
+        let answered = shared.answer(&[cmd("stats")], now, &mut out, Caller::EventLoop);
+        assert_eq!(answered, Answered::All);
+        let got = responses(&out);
+        assert_eq!(got.len(), 1, "one stats line");
+        assert_eq!(got[0].field("shards").and_then(value_u64), Some(2));
     }
 
     /// Regression: `accept_loop` used to `break` on any accept error, so

@@ -32,10 +32,11 @@
 //!   against its admission depth plus engine backlog (`route` says why
 //!   both).
 //!
-//! `tick`, `drain`, `stats`, and shutdown fan out across shards in
-//! ascending index order and merge the per-shard results
-//! deterministically. With `shards = 1` the service is exactly the
-//! single-engine scheduler it replaces.
+//! `tick`, `drain` and shutdown fan out across shards in ascending
+//! index order and merge the per-shard results deterministically;
+//! `stats` reads what each worker last published, in the same order.
+//! With `shards = 1` the service is exactly the single-engine scheduler
+//! it replaces.
 //!
 //! Routing is one-shot; shards that diverge afterwards are evened out
 //! by the optional cross-shard rebalancer ([`crate::rebalance`]), which
@@ -50,12 +51,14 @@
 //! (the `ids` module) under a small mutex taken once per batch, and hands
 //! the task to one shard's admission queue
 //! (which has its own lock and re-checks the shutdown flag inside it —
-//! see [`AdmissionQueue::try_submit_gated`]). `tick`, `drain`, and
-//! `stats` broadcast a command to every worker and collect the
-//! one-shot replies in ascending shard order, so a slow scheduling
-//! round never blocks admission, a slow round on one shard never
-//! blocks the others — and with `shards = N` on an N-core host the
-//! rounds genuinely run in parallel.
+//! see [`AdmissionQueue::try_submit_gated`]). `tick` and `drain`
+//! broadcast a command to every worker and collect the one-shot
+//! replies in ascending shard order, so a slow scheduling round never
+//! blocks admission, a slow round on one shard never blocks the others
+//! — and with `shards = N` on an N-core host the rounds genuinely run
+//! in parallel. `stats` and `health` touch no worker: they read the
+//! advisory cells each worker publishes after every command, so
+//! neither waits behind a running round.
 //!
 //! A drain is still a global round barrier: it holds the id ledger
 //! across the engine clock's restart and the id namespace reset, which
@@ -128,8 +131,7 @@ pub struct Scheduler {
     trace: TraceStore,
     stalls: StallLatches,
     /// Test-only seam: runs once inside the next `tick`/`drain` after
-    /// the queues were drained but before the depth gauges are
-    /// published, standing in for a racing submitter.
+    /// the queues were drained, standing in for a racing submitter.
     #[cfg(test)]
     round_hook: Mutex<Option<RoundHook>>,
 }
@@ -352,25 +354,6 @@ impl Scheduler {
         }
     }
 
-    /// Recompute every depth gauge from the live queues at write time.
-    /// Snapshotting the depth earlier (a submit's post-admit depth, or
-    /// a constant zero after a drain) goes stale the moment a
-    /// concurrent submit lands. The gauge counts waiting work wherever
-    /// it sits — admission depth *plus* the engine backlog the worker
-    /// publishes — so the metric agrees with what the router and the
-    /// rebalancer see; counting the admission queue alone made the
-    /// gauge drop to zero on every tick while hundreds of tasks still
-    /// waited inside the engines.
-    fn publish_queue_depth(&self) {
-        let mut total = 0i64;
-        for sh in &self.shards {
-            let depth = (sh.queue.depth() + sh.backlog()) as i64;
-            sh.depth_gauge.set(depth);
-            total += depth;
-        }
-        self.metrics.gauge("queue_depth").set(total);
-    }
-
     /// Run the test-only round hook, if one is armed (no-op otherwise
     /// and in non-test builds).
     fn fire_round_hook(&self) {
@@ -394,13 +377,7 @@ impl Scheduler {
     /// With more shards than one, the per-shard steps run genuinely in
     /// parallel on the worker threads.
     pub fn tick(&self) {
-        let pending_total: usize =
-            worker::broadcast(&self.workers, "tick", |reply| Command::Tick { reply })
-                .map(|r| r.pending)
-                .sum();
-        self.metrics
-            .gauge("pending_tasks")
-            .set(pending_total as i64);
+        worker::broadcast(&self.workers, "tick", |reply| Command::Tick { reply }).for_each(drop);
         rebalance::pass(
             &self.cfg.rebalance,
             &self.shards,
@@ -408,7 +385,6 @@ impl Scheduler {
             &self.metrics,
         );
         self.fire_round_hook();
-        self.publish_queue_depth();
     }
 
     /// Run everything buffered (and, in paced mode, everything still in
@@ -447,9 +423,7 @@ impl Scheduler {
             self.collect_trace_residue();
             ids.reset();
         }
-        self.metrics.gauge("pending_tasks").set(0);
         self.fire_round_hook();
-        self.publish_queue_depth();
         reports
     }
 
@@ -545,20 +519,12 @@ impl Scheduler {
         report::drain(self.cfg.params, &self.drain_shards())
     }
 
-    /// Sum of pending (registered but uncompleted) tasks across every
-    /// worker, via a stats broadcast.
-    fn pending_tasks_total(&self) -> usize {
-        worker::broadcast(&self.workers, "stats", |reply| Command::Stats { reply })
-            .map(|r| r.pending)
-            .sum()
-    }
-
-    /// Handle a stats request: registry snapshot plus live per-shard
-    /// depths and clocks (collected from the workers in ascending shard
-    /// order).
+    /// Wire handler for `stats`: registry snapshot plus per-shard
+    /// depths, pending counts and clocks, as each worker last published
+    /// them. Touches no worker, so the reactor serves it inline on the
+    /// fast path, and it never waits behind a running round.
     pub fn stats(&self) -> Response {
-        let replies = worker::broadcast(&self.workers, "stats", |reply| Command::Stats { reply });
-        report::stats(&self.shards, replies, &self.metrics)
+        report::stats(&self.shards, &self.metrics)
     }
 
     /// One supervisor pass over the worker heartbeats (the `supervise`
@@ -579,23 +545,24 @@ impl Scheduler {
         )
     }
 
-    /// Begin graceful shutdown: refuse new submissions, then drain the
-    /// backlog until every queue and engine is observed empty, so
-    /// nothing admitted is lost. A submitter that passed the shutdown
-    /// check before the flag was stored can still be admitted
-    /// concurrently with a drain; re-checking the depths after each
-    /// drain (under the queue locks the admission gate also takes)
-    /// catches it, and every later submit observes the flag inside the
-    /// gate and is refused — so the loop terminates.
+    /// Begin graceful shutdown: refuse new submissions, then drain
+    /// until every admission queue is observed empty after a drain, so
+    /// nothing admitted is lost. The first drain always runs: the
+    /// published pending counts cannot vouch for an empty engine, since
+    /// a tick that has pulled tasks but not yet published reads as
+    /// empty. A submitter that passed the shutdown check before the
+    /// flag was stored can still be admitted concurrently with a drain;
+    /// re-checking the depths after each drain (under the queue locks
+    /// the admission gate also takes) catches it, and every later
+    /// submit observes the flag inside the gate and is refused — so the
+    /// loop terminates.
     pub fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
         loop {
-            let queued = self.queue_depth();
-            let pending = self.pending_tasks_total();
-            if queued == 0 && pending == 0 {
+            let _ = self.drain_shards();
+            if self.queue_depth() == 0 {
                 break;
             }
-            let _ = self.drain_run();
         }
     }
 }
@@ -665,10 +632,10 @@ struct Behind {
 /// batch, or one in-process batch — sharing what is per-batch rather
 /// than per-task: the wire stage stamps, the engine clock's reading
 /// (they came off the wire together, so they arrive on it together),
-/// and, when the run closes, the stage samples, the depth gauges and
-/// the ticker wake-up. A run opens at its first submit and closes on
-/// drop, or earlier — [`SubmitRun::close`], before its owner waits on
-/// anything — to open again at the next submit.
+/// and, when the run closes, the stage samples and the ticker wake-up.
+/// A run opens at its first submit and closes on drop, or earlier —
+/// [`SubmitRun::close`], before its owner waits on anything — to open
+/// again at the next submit.
 pub(crate) struct SubmitRun<'a> {
     sched: &'a Scheduler,
     /// When the bytes were read.
@@ -858,10 +825,9 @@ impl SubmitRun<'_> {
         }
     }
 
-    /// Close the run: record its stage samples, publish the depth
-    /// gauges, wake the ticker, release the id ledger. Whoever owns the
-    /// run calls this before waiting on anything (a `drain` takes the
-    /// ledger first).
+    /// Close the run: record its stage samples, wake the ticker,
+    /// release the id ledger. Whoever owns the run calls this before
+    /// waiting on anything (a `drain` takes the ledger first).
     pub(crate) fn close(&mut self) {
         let Some(open) = self.open.take() else {
             return;
@@ -885,7 +851,6 @@ impl SubmitRun<'_> {
             }
         }
         self.admitted.fill(0);
-        s.publish_queue_depth();
         // Wake a ticker sleeping in `wait_for_work`; the empty
         // critical section orders the wake after the admits.
         drop(s.work_mx.lock().unwrap_or_else(PoisonError::into_inner));
@@ -948,18 +913,29 @@ mod tests {
         (s, clock)
     }
 
-    /// Every shard's engine clock, ascending shard order.
+    /// Every shard's published engine clock, ascending shard order.
     fn engine_clocks(s: &Scheduler) -> Vec<f64> {
-        worker::broadcast(&s.workers, "stats", |reply| Command::Stats { reply })
-            .map(|r| r.now)
-            .collect()
+        s.shards.iter().map(|sh| sh.engine_now()).collect()
+    }
+
+    /// A field of the `stats` document: top-level, or shard `k`'s.
+    fn stat(s: &Scheduler, shard: Option<usize>, name: &str) -> u64 {
+        let stats = s.stats();
+        let doc = match shard {
+            None => stats.field(name),
+            Some(k) => match stats.field("shard_stats") {
+                Some(Value::Array(shards)) => shards[k].get(name),
+                other => panic!("stats carries a shard_stats array: {other:?}"),
+            },
+        };
+        doc.and_then(value_u64)
+            .unwrap_or_else(|| panic!("stats field {name}"))
     }
 
     impl Scheduler {
         /// Arm the round hook: runs once inside the next `tick` or
-        /// `drain`, after the queues were drained into the engines but
-        /// before the depth gauges are published — the position of a
-        /// submitter racing the round.
+        /// `drain`, after the queues were drained into the engines — the
+        /// position of a submitter racing the round.
         fn set_round_hook(&self, hook: impl FnOnce(&Scheduler) + Send + 'static) {
             *self
                 .round_hook
@@ -1215,10 +1191,10 @@ mod tests {
         }
         clock.set(0.5);
         s.tick();
-        assert!(m.gauge("pending_tasks").get() > 0, "tasks in flight");
+        assert!(stat(&s, None, "pending_tasks") > 0, "tasks in flight");
         clock.set(1e6);
         s.tick();
-        assert_eq!(m.gauge("pending_tasks").get(), 0);
+        assert_eq!(stat(&s, None, "pending_tasks"), 0);
         let (submitted, completed) = (m.counter("submitted").get(), m.counter("completed").get());
         assert_eq!(completed, 8);
         assert_eq!(
@@ -1308,10 +1284,10 @@ mod tests {
         assert_eq!(s.queue_depth(), 0);
     }
 
-    /// Regression (stale queue-depth gauge): `tick` and `drain` used to
-    /// write a constant zero after emptying the queues, clobbering the
-    /// depth of any task admitted concurrently. The gauge must be
-    /// recomputed from the live queues at write time.
+    /// Regression (stale queue depth): `tick` and `drain` used to write
+    /// a constant zero into a stored depth gauge after emptying the
+    /// queues, clobbering the depth of any task admitted concurrently.
+    /// `stats` must report the live queues.
     #[test]
     fn queue_depth_gauge_tracks_tasks_admitted_during_a_round() {
         let s = scheduler(8);
@@ -1327,9 +1303,9 @@ mod tests {
         s.tick();
         assert_eq!(s.queue_depth(), 1, "racing task still queued");
         assert_eq!(
-            s.metrics().gauge("queue_depth").get(),
+            stat(&s, None, "queue_depth"),
             1,
-            "gauge must reflect the live queue, not a stale zero"
+            "stats must reflect the live queue, not a stale zero"
         );
 
         // Same window during a drain.
@@ -1339,7 +1315,8 @@ mod tests {
         });
         let _ = s.drain_round();
         assert_eq!(s.queue_depth(), 1);
-        assert_eq!(s.metrics().gauge("queue_depth").get(), 1);
+        assert_eq!(stat(&s, None, "queue_depth"), 1);
+        assert_eq!(stat(&s, Some(0), "queue_depth"), 1);
     }
 
     #[test]
@@ -1403,13 +1380,14 @@ mod tests {
         }
         s.tick();
         assert_eq!(s.queue_depth(), 0, "admission queues drained by the tick");
-        // The depth gauges must keep counting the engine-held tasks.
-        assert_eq!(s.metrics().gauge("queue_depth").get(), 4);
+        // The reported depths must keep counting the engine-held tasks.
+        assert_eq!(stat(&s, None, "queue_depth"), 4);
         assert_eq!(
-            s.metrics().gauge(&shard_metric("queue_depth", 0)).get(),
+            stat(&s, Some(0), "queue_depth"),
             4,
-            "shard gauge must include the engine backlog"
+            "shard depth must include the engine backlog"
         );
+        assert_eq!(stat(&s, Some(0), "pending_tasks"), 6);
         // Pre-fix the router scored both shards as equally empty and
         // kept feeding the deep shard 0; the published backlog must now
         // push every auto id to shard 1 until the loads equalize.

@@ -29,16 +29,22 @@
 //!   processing time (never backwards: a tick queued ahead of a drain
 //!   reads the already restarted clock and leaves the old engine where
 //!   it is), stream completions into the histograms and retire them
-//!   from the engine, reply with the pending-task count.
+//!   from the engine, reply once done (the tick barrier).
 //! * [`Command::Drain`] — pull, run everything to completion, reply
 //!   with the round's [`RoundReport`] (records of what was still
 //!   resident, totals over the whole round), then stand up a fresh
 //!   engine for the next round.
-//! * [`Command::Stats`] — reply with the pending count and engine
-//!   clock.
+//! * [`Command::Steal`] / [`Command::Inject`] — the two halves of a
+//!   cross-shard migration.
 //! * [`Command::Shutdown`] — exit the worker loop (also triggered by
 //!   channel disconnect, so a dropped scheduler can never leak
 //!   threads).
+//!
+//! After every command that touches its engine the worker publishes
+//! the engine's resting state — backlog, Eq. 32 queued cost, pending
+//! count, engine clock — into [`ShardShared`]'s advisory cells, before
+//! it replies. Whoever needs only that state (the router, the
+//! rebalancer, `stats`) reads the cells and never asks the worker.
 //!
 //! Determinism: submissions never touch a worker — they land in the
 //! shard's admission queue (its own short lock) and are pulled in FIFO
@@ -50,7 +56,7 @@
 use crate::admission::{AdmissionPolicy, AdmissionQueue};
 use crate::clock::EngineClock;
 use crate::executor::{RealTimeExecutor, RoundReport};
-use crate::metrics::{shard_metric, AdvisoryCell, Counter, Gauge, Histogram, Registry};
+use crate::metrics::{shard_metric, AdvisoryCell, Counter, Histogram, Registry};
 use crate::service::{service_platform, SchedulerConfig};
 use crate::stage::StageHists;
 use dvfs_core::sched::{ExecutorView, Scheduler as PolicyHooks};
@@ -294,7 +300,7 @@ pub(crate) fn class_tag(class: TaskClass) -> ClassTag {
     }
 }
 
-/// Shard state shared between the scheduler (submission path, gauges,
+/// Shard state shared between the scheduler (submission path, `stats`,
 /// trace drains) and the worker that owns the shard's engine. Only
 /// leaf-locked structures live here — the admission queue and the
 /// trace ring carry their own short internal locks.
@@ -305,8 +311,6 @@ pub(crate) struct ShardShared {
     /// (`None` when tracing is disabled). Drained at round boundaries
     /// by the scheduler, in ascending shard order.
     pub ring: Option<SharedRing>,
-    pub depth_gauge: Arc<Gauge>,
-    pub pending_gauge: Arc<Gauge>,
     pub admitted: Arc<Counter>,
     pub shed: Arc<Counter>,
     pub completed: Arc<Counter>,
@@ -315,12 +319,16 @@ pub(crate) struct ShardShared {
     /// folds this into its load score (admission depth alone is blind
     /// to work a tick already pulled). Advisory only: the value steers
     /// placement, never the replayed schedule.
-    pub backlog: AdvisoryCell,
+    backlog: AdvisoryCell,
     /// `f64::to_bits` of the shard policy's summed Eq. 32 queued-cost
     /// total — the marginal-cost half of the load gauge, read by the
     /// rebalancer to find the hot/cold gap. Same advisory-only status
     /// as `backlog`.
-    pub queued_cost_bits: AdvisoryCell,
+    queued_cost_bits: AdvisoryCell,
+    /// Tasks registered with the engine and not yet completed.
+    pending: AdvisoryCell,
+    /// `f64::to_bits` of the engine clock, in executor seconds.
+    now_bits: AdvisoryCell,
     /// The worker's lock-free loop-telemetry slot.
     pub hb: Heartbeat,
     /// The shard's stage-attribution histogram bundle (global +
@@ -343,13 +351,13 @@ impl ShardShared {
             index,
             queue: AdmissionQueue::new(AdmissionPolicy::with_capacity(queue_capacity)),
             ring: (trace_capacity > 0).then(|| SharedRing::new(index as u32, trace_capacity)),
-            depth_gauge: metrics.gauge(&shard_metric("queue_depth", index)),
-            pending_gauge: metrics.gauge(&shard_metric("pending_tasks", index)),
             admitted: metrics.counter(&shard_metric("admitted", index)),
             shed: metrics.counter(&shard_metric("shed", index)),
             completed: metrics.counter(&shard_metric("completed", index)),
             backlog: AdvisoryCell::default(),
             queued_cost_bits: AdvisoryCell::default(),
+            pending: AdvisoryCell::default(),
+            now_bits: AdvisoryCell::default(),
             hb: Heartbeat::new(),
             stages: StageHists::new(metrics, index),
         }
@@ -391,33 +399,27 @@ impl ShardShared {
     pub fn backlog(&self) -> usize {
         self.backlog.get() as usize
     }
-}
 
-/// Reply to [`Command::Tick`].
-pub(crate) struct TickReply {
-    /// Tasks registered but not yet completed after the step.
-    pub pending: usize,
-}
+    /// The published count of tasks the engine holds, uncompleted.
+    pub fn pending(&self) -> usize {
+        self.pending.get() as usize
+    }
 
-/// Reply to [`Command::Stats`].
-pub(crate) struct StatsReply {
-    pub pending: usize,
-    /// Engine clock, in executor seconds.
-    pub now: f64,
+    /// The published engine clock, in executor seconds.
+    pub fn engine_now(&self) -> f64 {
+        f64::from_bits(self.now_bits.get())
+    }
 }
 
 /// One message across the scheduler→worker channel. Answers travel on
 /// per-call one-shot [`Reply`]s, so concurrent callers (ticker thread,
-/// wire drains, stats) can never receive each other's answers.
+/// wire drains, the rebalancer) can never receive each other's answers.
 pub(crate) enum Command {
     Tick {
-        reply: Reply<TickReply>,
+        reply: Reply<()>,
     },
     Drain {
         reply: Reply<RoundReport>,
-    },
-    Stats {
-        reply: Reply<StatsReply>,
     },
     /// Remove up to `max` queued (never dispatched) non-interactive
     /// tasks from the engine, longest first, and hand them back for
@@ -653,21 +655,14 @@ impl Worker {
             }
             match env.cmd {
                 Command::Tick { reply } => {
-                    let r = self.tick();
-                    reply.send(r);
+                    self.tick();
+                    reply.send(());
                     self.shared.hb.note_service(ServiceSlot::Tick, t0);
                 }
                 Command::Drain { reply } => {
                     let r = self.drain();
                     reply.send(r);
                     self.shared.hb.note_service(ServiceSlot::Drain, t0);
-                }
-                Command::Stats { reply } => {
-                    reply.send(StatsReply {
-                        pending: self.engine.exec.pending_tasks(),
-                        now: self.engine.exec.now(),
-                    });
-                    self.shared.hb.mark_progress();
                 }
                 Command::Steal { max, reply } => {
                     let r = self.steal(max);
@@ -776,17 +771,19 @@ impl Worker {
         }
     }
 
-    /// Publish the engine's load gauge: queued (not-yet-dispatched)
-    /// backlog and the policy's Eq. 32 queued-cost total. Runs after
-    /// every engine mutation so the router and rebalancer always see
-    /// the engine's latest resting state.
+    /// Publish the engine's resting state: queued (not-yet-dispatched)
+    /// backlog, the policy's Eq. 32 queued-cost total, the pending count
+    /// and the engine clock. Runs after every engine mutation, before
+    /// the reply, so the router, the rebalancer and `stats` always see
+    /// the engine as its last command left it.
     fn publish_load(&self) {
-        self.shared
-            .backlog
-            .set(self.engine.exec.queued_tasks() as u64);
-        self.shared
+        let (shared, exec) = (&self.shared, &self.engine.exec);
+        shared.backlog.set(exec.queued_tasks() as u64);
+        shared
             .queued_cost_bits
             .set(self.engine.policy.queued_cost().to_bits());
+        shared.pending.set(exec.pending_tasks() as u64);
+        shared.now_bits.set(exec.now().to_bits());
     }
 
     /// The hot half of a migration: remove up to `max` queued
@@ -845,7 +842,7 @@ impl Worker {
     /// that is behind it, stream the completions — which leave the
     /// engine here, so a long round's memory follows the work in flight
     /// rather than the work done.
-    fn tick(&mut self) -> TickReply {
+    fn tick(&mut self) {
         let target = self.clock.now().max(self.engine.exec.now());
         self.pull_admitted();
         {
@@ -859,9 +856,6 @@ impl Worker {
         let retired = self.engine.exec.retire_completions();
         self.finish_step(&retired);
         self.publish_load();
-        let pending = self.engine.exec.pending_tasks();
-        self.shared.pending_gauge.set(pending as i64);
-        TickReply { pending }
     }
 
     /// Run everything buffered (and still in flight) to completion,
@@ -888,7 +882,6 @@ impl Worker {
         self.recv_stamps.clear();
         self.engine = Engine::fresh(&self.cfg, self.shared.ring.clone());
         self.publish_load();
-        self.shared.pending_gauge.set(0);
         report
     }
 }

@@ -88,7 +88,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 # to, so they stay paid. Lower it with the total; never raise it.
 # The engine side (crates/{core,sim,trace}/src) is printed after it,
 # ungated: a baseline for the next PR that pays lines back there.
-TOTAL_CEILING=7139
+TOTAL_CEILING=7070
 non_test_lines() {
     awk '/^#\[cfg\(test\)\]$/ { attr = NR }
          /^mod tests/ && attr == NR - 1 { print attr - 1; found = 1; exit }

@@ -13,13 +13,14 @@
 //! explicit `overloaded` wire response on both backends, pipelined
 //! submit batches are answered in order, a replayed drain report is
 //! byte-identical between the two front-ends, mixed batches (a slow
-//! command between submits, an oversized line behind a deferred one, a
-//! `shutdown` mid-batch) are answered in wire order, a paced server
-//! makes submits wait for a full queue's worker instead of shedding
-//! them, and — the differential — one mixed request script cut at
-//! seeded random chunk boundaries draws the same response stream from
-//! both, as do three such scripts on three connections under a seeded
-//! random interleaving.
+//! command between submits, a `stats` and an oversized line behind a
+//! deferred one, a `shutdown` mid-batch) are answered in wire order, a
+//! `stats` is answered while another connection's `drain` runs, a paced
+//! server makes submits wait for a full queue's worker instead of
+//! shedding them, and — the differential — one mixed request script
+//! cut at seeded random chunk boundaries draws the same response stream
+//! from both, as do three such scripts on three connections under a
+//! seeded random interleaving.
 
 use dvfs_net::framing::{edge_cases, Expect};
 use dvfs_serve::client::Connection;
@@ -30,10 +31,11 @@ use dvfs_serve::{
 use dvfs_suite::model::TaskClass;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const BACKENDS: [NetBackend; 2] = [NetBackend::Threads, NetBackend::Reactor];
 
@@ -258,9 +260,10 @@ fn pipelined_batch_answers_in_order_and_drain_matches_across_backends() {
 }
 
 /// The differential's request script: every kind of line the handler
-/// distinguishes, ordered so slow commands (`stats`, `drain`) sit
-/// directly in front of fast ones, malformed ones and an oversized one
-/// — the positions where a reactor reply could overtake.
+/// distinguishes, ordered so slow commands (`trace`, `drain`) sit
+/// directly in front of fast ones (`stats`, `health`), malformed ones
+/// and an oversized one — the positions where a reactor reply could
+/// overtake.
 fn differential_script() -> Vec<Vec<u8>> {
     let submit = |id: Option<u64>, i: u64| {
         let class = match i % 3 {
@@ -275,6 +278,7 @@ fn differential_script() -> Vec<Vec<u8>> {
     lines.push(cmd("ping"));
     lines.push(b"this is not json".to_vec());
     lines.push(submit(Some(3), 40)); // duplicate id this round
+    lines.push(cmd("trace"));
     lines.push(cmd("stats"));
     lines.push(vec![b'x'; MAX_LINE_BYTES + 1]);
     lines.push(cmd("ping"));
@@ -364,17 +368,18 @@ fn seeded_random_chunking_draws_identical_streams_from_both_backends() {
         // Sanity on the shared stream: the three special responses sit
         // where the script put them, nothing overtook.
         let at = |tag: &str| streams[0].iter().position(|l| l == tag);
-        assert_eq!(at("<stats>"), Some(15), "seed {seed}");
-        assert_eq!(at("<oversized>"), Some(16), "seed {seed}");
-        assert_eq!(at("<health>"), Some(28), "seed {seed}");
+        assert_eq!(at("<stats>"), Some(16), "seed {seed}");
+        assert_eq!(at("<oversized>"), Some(17), "seed {seed}");
+        assert_eq!(at("<health>"), Some(29), "seed {seed}");
     }
 }
 
 /// The differential across connections: three of them, each writing
-/// its own mixed script (submits, `stats`, malformed lines, an oversized
-/// one) in chunks whose sizes *and* interleaving across the connections
-/// come from one seeded generator — one writer owns all three sockets —
-/// so both backends meet the same bytes in the same order. Every
+/// its own mixed script (submits, `trace`, `stats`, malformed lines, an
+/// oversized one) in chunks whose sizes *and* interleaving across the
+/// connections come from one seeded generator — one writer owns all
+/// three sockets — so both backends meet the same bytes in the same
+/// order. Every
 /// connection must draw the same stream from `threads` and `reactor`,
 /// by the same rule as the single-connection differential.
 ///
@@ -406,6 +411,7 @@ fn seeded_random_interleaving_draws_identical_streams_per_connection() {
         lines.push(cmd("ping"));
         lines.push(b"this is not json".to_vec());
         lines.push(submit(c, 0)); // duplicate id this round
+        lines.push(cmd("trace"));
         lines.push(cmd("stats"));
         lines.push(vec![b'x'; MAX_LINE_BYTES + 1]);
         lines.push(cmd("ping"));
@@ -493,11 +499,11 @@ fn seeded_random_interleaving_draws_identical_streams_per_connection() {
             );
             // Nothing overtook on any of them.
             let at = |tag: &str| threads.iter().position(|l| l == tag);
-            assert_eq!(at("<stats>"), Some(9), "seed {seed} connection {c}");
-            assert_eq!(at("<oversized>"), Some(10), "seed {seed} connection {c}");
+            assert_eq!(at("<stats>"), Some(10), "seed {seed} connection {c}");
+            assert_eq!(at("<oversized>"), Some(11), "seed {seed} connection {c}");
         }
-        assert_eq!(streams[0][1][17], "<health>", "seed {seed}");
-        let drained = &streams[0][0][17];
+        assert_eq!(streams[0][1][18], "<health>", "seed {seed}");
+        let drained = &streams[0][0][18];
         assert!(
             drained.contains("\"completed\":30"),
             "seed {seed}: {drained}"
@@ -517,17 +523,21 @@ fn mixed_batches_answer_in_wire_order_on_both_backends() {
         |i: u64| encode_submit(None, (i + 1) * 20_000_000, TaskClass::NonInteractive, None) + "\n";
     let cmd = |name: &str| encode_command(name) + "\n";
     let oversized = "x".repeat(MAX_LINE_BYTES + 1) + "\n";
+    // `trace` waits (on the trace store and file) even when tracing is
+    // off, which is all it answers here.
+    let no_trace = r#"{"ok":false,"kind":"bad_request","error":"tracing is disabled (start the server with --trace-cap)"}"#;
     let batches: [(String, &[&str]); 3] = [
         // A slow command between submits: acks before it leave inline,
         // the one after it follows it through the lane.
         (
-            submit(0) + &submit(1) + &cmd("stats") + &submit(2),
-            &["ack 0", "ack 1", "<stats>", "ack 2"],
+            submit(0) + &submit(1) + &cmd("trace") + &submit(2),
+            &["ack 0", "ack 1", no_trace, "ack 2"],
         ),
-        // An oversized line behind a deferred command queues behind it.
+        // A `stats` the loop could answer, and an oversized line, both
+        // behind a deferred command queue behind it.
         (
-            cmd("stats") + &oversized + &cmd("ping") + &submit(3),
-            &["<stats>", "<oversized>", "{\"ok\":true}", "ack 3"],
+            cmd("trace") + &cmd("stats") + &oversized + &cmd("ping") + &submit(3),
+            &[no_trace, "<stats>", "<oversized>", "{\"ok\":true}", "ack 3"],
         ),
         // A shutdown mid-batch is acknowledged; what follows it owes
         // nothing, and the connection closes.
@@ -573,6 +583,84 @@ fn mixed_batches_answer_in_wire_order_on_both_backends() {
         streams.push(got.iter().map(|l| comparable(l)).collect());
     }
     assert_eq!(streams[0], streams[1]);
+}
+
+/// `stats` asks no shard worker, so a round running for another
+/// connection cannot hold it up. Connection A fills one replay shard
+/// and sends `drain`; once that round runs, connection B's `stats`
+/// must come back within its first half — on the reactor it is
+/// answered on the event loop rather than queued on the slow lane
+/// behind A's drain, and on the threads backend it no longer waits in
+/// the busy worker's command queue.
+#[test]
+fn stats_is_answered_while_a_drain_runs_on_both_backends() {
+    // A round of a few hundred milliseconds in either build.
+    let tasks: u64 = if cfg!(debug_assertions) {
+        50_000
+    } else {
+        100_000
+    };
+    for net in BACKENDS {
+        let cfg = ServerConfig {
+            net,
+            scheduler: SchedulerConfig {
+                cores: 2,
+                queue_capacity: 2 * tasks as usize,
+                ..SchedulerConfig::default()
+            },
+            ..ServerConfig::new(Endpoint::Unix(scratch(&format!("stats-{}", net.name()))))
+        };
+        let handle = serve(cfg).expect("server binds");
+        let a = connect(&handle);
+        let mut a_reader = BufReader::new(a.try_clone().expect("clone"));
+        let wire: String = (0..tasks)
+            .map(|i| {
+                let cycles = 1_000_000 + (i % 97) * 100_000;
+                encode_submit(Some(i), cycles, TaskClass::NonInteractive, Some(0.0)) + "\n"
+            })
+            .collect();
+        let writer = std::thread::spawn(move || {
+            (&a).write_all(wire.as_bytes()).expect("submits write");
+            a
+        });
+        for _ in 0..tasks {
+            let resp = read_response(&mut a_reader);
+            assert!(resp.is_ok(), "[{net:?}] submit admitted: {resp:?}");
+        }
+        let a = writer.join().expect("writer thread");
+        writeln!(&a, "{}", encode_command("drain")).expect("drain writes");
+        let sent = Instant::now();
+        let drained = std::thread::spawn(move || (read_response(&mut a_reader), Instant::now()));
+        // A's round is in flight once its worker has pulled the queue
+        // (`health` is answered inline on both backends, before and
+        // after this change).
+        let mut b = Connection::open(handle.endpoint()).expect("B connects");
+        let queued = |b: &mut Connection| {
+            let health = b.round_trip(&encode_command("health")).expect("health");
+            match health.field("heartbeats") {
+                Some(Value::Array(beats)) => beats[0].get("queue_depth").and_then(value_u64),
+                other => panic!("[{net:?}] health carries heartbeats: {other:?}"),
+            }
+        };
+        while queued(&mut b) != Some(0) {
+            std::thread::yield_now();
+        }
+        let stats = b.round_trip(&encode_command("stats")).expect("stats");
+        let stats_at = Instant::now();
+        let (drain, drain_at) = drained.join().expect("A's reader");
+        assert!(stats.field("shard_stats").is_some(), "[{net:?}] {stats:?}");
+        assert_eq!(drain.field("completed").and_then(value_u64), Some(tasks));
+        // Waiting on the worker would answer `stats` when the round
+        // ends, only the drain's merge and encode ahead of A's reply:
+        // the first half of the round is what sets the two apart.
+        let (stats_after, round) = (stats_at - sent, drain_at - sent);
+        assert!(
+            stats_after < round / 2,
+            "[{net:?}] stats waited for the drain: answered {stats_after:?} into a {round:?} round"
+        );
+        handle.shutdown();
+        handle.wait();
+    }
 }
 
 /// A paced server paces its wire clients to the shard workers: a
