@@ -17,13 +17,16 @@
 //!
 //! In OLB and On-demand, interactive tasks have priority over
 //! non-interactive ones, and equal-priority tasks run FIFO, exactly as
-//! Section V-B specifies.
+//! Section V-B specifies. [`OnlinePolicy`] builds these baselines and the
+//! paper's own online schedulers by the names the CLI takes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod online;
+pub mod policy;
 
 pub use batch::{olb_assignment, power_saving_config, GovernedPlanPolicy};
 pub use online::{OlbOnline, OnDemandOnline};
+pub use policy::OnlinePolicy;

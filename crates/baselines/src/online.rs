@@ -103,8 +103,8 @@ impl Scheduler for OlbOnline {
 }
 
 /// The On-demand baseline: round-robin placement, frequencies owned by
-/// the `ondemand` governor (configure the simulator with
-/// `GovernorKind::ondemand_paper()`).
+/// the `ondemand` governor ([`OnlinePolicy::OnDemand`](crate::OnlinePolicy)
+/// builds it with `GovernorKind::ondemand_paper()` on every core).
 #[derive(Debug)]
 pub struct OnDemandOnline {
     queues: Vec<PriorityFifo>,

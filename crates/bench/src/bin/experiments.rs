@@ -1,91 +1,58 @@
-//! Runs the full evaluation suite (Fig. 1, Fig. 2, Fig. 3) and prints a
-//! paper-vs-measured summary in Markdown, ready for EXPERIMENTS.md.
+//! Regenerates every evaluation artifact: the paper's tables and
+//! figures, their sweeps, and the extension experiments, one file each.
 //!
-//! Usage: `experiments [fig3-scale]` (default scale 1 = the full
-//! 51 293-task online trace).
+//! Usage: `experiments [DIR]` (default `results`). Every artifact runs
+//! at the parameters its file records. The run exits non-zero, after
+//! writing every file, when an artifact's own check fails.
 
-use dvfs_bench::format::pct_change;
-use dvfs_bench::{run_fig1, run_fig2, run_fig3};
+use dvfs_bench::{batch, online, paper, Artifact};
+use std::path::PathBuf;
+use std::process::ExitCode;
 
-fn main() {
-    let scale: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+/// Every artifact: its file name and the function that writes its text.
+const ARTIFACTS: &[(&str, Artifact)] = &[
+    // The paper's tables and figures.
+    ("table1.txt", paper::table1),
+    ("table2.txt", paper::table2),
+    ("fig1.txt", paper::fig1),
+    ("fig2.txt", paper::fig2),
+    ("fig3.txt", paper::fig3),
+    ("experiments.md", paper::summary),
+    // Sweeps and robustness.
+    ("fig1_sweep.txt", batch::fig1_sweep),
+    ("fig2_sweep.txt", batch::fig2_sweep),
+    ("fig3_sweep.txt", online::fig3_sweep),
+    ("fig3_seeds.txt", online::fig3_seeds),
+    // Extension experiments.
+    ("lmc_vs_wbg_online.txt", online::lmc_vs_wbg_online),
+    ("switch_latency.txt", online::switch_latency),
+    ("idle_energy.txt", batch::idle_energy),
+    ("governors.txt", online::governors),
+    ("hetero_online.txt", online::hetero_online),
+    ("deadline_sweep.txt", batch::deadline_sweep),
+    ("budget_sweep.txt", batch::budget_sweep),
+    ("yds_compare.txt", batch::yds_compare),
+    ("validate_wbg.txt", batch::validate_wbg),
+    ("lmc_variants.txt", online::lmc_variants),
+    ("qos_misses.txt", online::qos_misses),
+];
 
-    println!("# Experiment summary (generated by `cargo run -p dvfs-bench --bin experiments`)\n");
-
-    let f1 = run_fig1(1);
-    println!("## Fig. 1 — model verification");
-    println!("| quantity | paper | measured |");
-    println!("|---|---|---|");
-    println!(
-        "| Exp/Sim total-cost gap | ≈ +8% | {:+.1}% |",
-        pct_change(f1.exp.total(), f1.sim.total())
-    );
-    println!(
-        "| Exp/Sim energy gap | positive | {:+.1}% |",
-        pct_change(f1.exp.energy_cost, f1.sim.energy_cost)
-    );
-    println!(
-        "| Exp/Sim time gap | positive | {:+.1}% |\n",
-        pct_change(f1.exp.time_cost, f1.sim.time_cost)
-    );
-
-    let f2 = run_fig2();
-    println!("## Fig. 2 — batch mode (WBG vs OLB vs Power Saving)");
-    println!("| comparison | paper | measured |");
-    println!("|---|---|---|");
-    println!(
-        "| WBG vs OLB energy | −46% | {:+.1}% |",
-        pct_change(f2.wbg.energy_cost, f2.olb.energy_cost)
-    );
-    println!(
-        "| WBG vs OLB time cost | +4% | {:+.1}% |",
-        pct_change(f2.wbg.time_cost, f2.olb.time_cost)
-    );
-    println!(
-        "| WBG vs OLB total cost | −27% | {:+.1}% |",
-        pct_change(f2.wbg.total(), f2.olb.total())
-    );
-    println!(
-        "| WBG vs PS energy | −27% | {:+.1}% |",
-        pct_change(f2.wbg.energy_cost, f2.ps.energy_cost)
-    );
-    println!(
-        "| WBG vs PS time cost | −13% | {:+.1}% |\n",
-        pct_change(f2.wbg.time_cost, f2.ps.time_cost)
-    );
-
-    let f3 = run_fig3(1, scale);
-    println!(
-        "## Fig. 3 — online mode (LMC vs OLB vs On-demand), {} tasks",
-        f3.num_tasks
-    );
-    println!("| comparison | paper | measured |");
-    println!("|---|---|---|");
-    println!(
-        "| LMC vs OLB energy | −11% | {:+.1}% |",
-        pct_change(f3.lmc.energy_cost, f3.olb.energy_cost)
-    );
-    println!(
-        "| LMC vs OLB time cost | −31% | {:+.1}% |",
-        pct_change(f3.lmc.time_cost, f3.olb.time_cost)
-    );
-    println!(
-        "| LMC vs OLB total cost | −17% | {:+.1}% |",
-        pct_change(f3.lmc.total(), f3.olb.total())
-    );
-    println!(
-        "| LMC vs OD energy | −11% | {:+.1}% |",
-        pct_change(f3.lmc.energy_cost, f3.od.energy_cost)
-    );
-    println!(
-        "| LMC vs OD time cost | −46% | {:+.1}% |",
-        pct_change(f3.lmc.time_cost, f3.od.time_cost)
-    );
-    println!(
-        "| LMC vs OD total cost | −24% | {:+.1}% |",
-        pct_change(f3.lmc.total(), f3.od.total())
-    );
+fn main() -> std::io::Result<ExitCode> {
+    let dir = PathBuf::from(std::env::args().nth(1).unwrap_or_else(|| "results".into()));
+    std::fs::create_dir_all(&dir)?;
+    let mut status = ExitCode::SUCCESS;
+    for (file, write) in ARTIFACTS {
+        let mut text = String::new();
+        let outcome = write(&mut text);
+        let path = dir.join(file);
+        std::fs::write(&path, text)?;
+        match outcome {
+            Ok(()) => eprintln!("wrote {}", path.display()),
+            Err(e) => {
+                eprintln!("wrote {}, and it FAILED: {e}", path.display());
+                status = ExitCode::FAILURE;
+            }
+        }
+    }
+    Ok(status)
 }

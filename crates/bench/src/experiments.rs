@@ -1,11 +1,9 @@
-//! The reproduction of every evaluation artifact in Section V.
+//! The Fig. 1–3 experiments of Section V, and the replay helpers the
+//! artifact modules share.
 
-use dvfs_baselines::{
-    olb_assignment, power_saving_config, GovernedPlanPolicy, OlbOnline, OnDemandOnline,
-};
+use dvfs_baselines::{olb_assignment, power_saving_config, GovernedPlanPolicy, OnlinePolicy};
 use dvfs_core::batch::predict_plan_cost;
-use dvfs_core::PlanPolicy;
-use dvfs_core::{schedule_wbg, LeastMarginalCost};
+use dvfs_core::{schedule_wbg, PlanPolicy};
 use dvfs_model::{CoreSpec, CostParams, Platform, RateTable, Task};
 use dvfs_power::{memory_contention, PowerMeter};
 use dvfs_sim::{GovernorKind, Policy, SimConfig, SimReport, Simulator};
@@ -49,16 +47,23 @@ impl CostRow {
     }
 }
 
-/// The paper's quad-core platform with the full Table II rate set.
-#[must_use]
-pub fn paper_platform() -> Platform {
-    Platform::i7_950_quad()
-}
-
-fn run_policy(cfg: SimConfig, tasks: &[Task], policy: &mut dyn Policy) -> SimReport {
+/// Replay `tasks` under `policy` on the simulator `cfg` describes.
+pub fn run_policy(cfg: SimConfig, tasks: &[Task], policy: &mut dyn Policy) -> SimReport {
     let mut sim = Simulator::new(cfg);
     sim.add_tasks(tasks);
     sim.run(policy)
+}
+
+/// Replay `trace` under the online `policy` on `cfg`'s platform.
+#[must_use]
+pub fn run_online(
+    policy: OnlinePolicy,
+    cfg: SimConfig,
+    trace: &[Task],
+    params: CostParams,
+) -> SimReport {
+    let (cfg, mut policy) = policy.build(cfg, params);
+    run_policy(cfg, trace, policy.as_mut())
 }
 
 // ---------------------------------------------------------------------
@@ -73,14 +78,6 @@ pub struct Fig1Result {
     /// Full-simulator measurement with contention and a noisy power
     /// meter ("Exp" bars).
     pub exp: CostRow,
-}
-
-impl Fig1Result {
-    /// `Exp/Sim` total-cost ratio (the paper reports ≈ 1.08).
-    #[must_use]
-    pub fn cost_gap(&self) -> f64 {
-        self.exp.total() / self.sim.total()
-    }
 }
 
 /// Fig. 1: verify the analytic cost model against the "hardware"
@@ -151,6 +148,31 @@ pub fn run_fig1(seed: u64) -> Fig1Result {
 // Figure 2 — batch-mode scheduler comparison
 // ---------------------------------------------------------------------
 
+/// Fig. 2's two main bars, each replayed on `platform`: WBG's plan at
+/// userspace frequencies, and OLB's earliest-ready placement under the
+/// on-demand governor (it ramps to max under full load, exactly the
+/// paper's configuration).
+#[must_use]
+pub fn wbg_and_olb(
+    tasks: &[Task],
+    platform: &Platform,
+    params: CostParams,
+) -> (SimReport, SimReport) {
+    let plan = schedule_wbg(tasks, platform, params);
+    let wbg = run_policy(
+        SimConfig::new(platform.clone()),
+        tasks,
+        &mut PlanPolicy::new(plan),
+    );
+    let seqs = olb_assignment(tasks, platform, None);
+    let olb = run_policy(
+        SimConfig::new(platform.clone()).with_governor(GovernorKind::ondemand_paper()),
+        tasks,
+        &mut GovernedPlanPolicy::new("olb", seqs),
+    );
+    (wbg, olb)
+}
+
 /// Result of the Fig. 2 experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig2Result {
@@ -168,24 +190,9 @@ pub struct Fig2Result {
 pub fn run_fig2() -> Fig2Result {
     let params = CostParams::batch_paper();
     let tasks = spec_batch_tasks(SpecInput::Both);
-    let platform = paper_platform();
+    let platform = Platform::i7_950_quad();
 
-    // WBG: userspace frequencies from the plan.
-    let plan = schedule_wbg(&tasks, &platform, params);
-    let wbg_report = run_policy(
-        SimConfig::new(platform.clone()),
-        &tasks,
-        &mut PlanPolicy::new(plan),
-    );
-
-    // OLB: earliest-ready placement, on-demand governor (ramps to max
-    // under full load, exactly the paper's configuration).
-    let seqs = olb_assignment(&tasks, &platform, None);
-    let olb_report = run_policy(
-        SimConfig::new(platform.clone()).with_governor(GovernorKind::ondemand_paper()),
-        &tasks,
-        &mut GovernedPlanPolicy::new("olb", seqs),
-    );
+    let (wbg_report, olb_report) = wbg_and_olb(&tasks, &platform, params);
 
     // Power Saving: frequencies limited to {1.6, 2.0, 2.4} GHz (cap 2).
     let seqs = olb_assignment(&tasks, &platform, Some(2));
@@ -219,39 +226,31 @@ pub struct Fig3Result {
     pub num_tasks: usize,
 }
 
+/// The loaded Judgegirl-style trace (`JudgeTraceConfig::paper_heavy`)
+/// with both task counts divided by `scale` (1 = the full 51 293 tasks).
+#[must_use]
+pub fn heavy_trace(seed: u64, scale: usize) -> JudgeTraceConfig {
+    let mut cfg = JudgeTraceConfig::paper_heavy(seed);
+    cfg.non_interactive = (cfg.non_interactive / scale).max(1);
+    cfg.interactive = (cfg.interactive / scale).max(1);
+    cfg
+}
+
 /// Fig. 3: LMC vs OLB vs On-demand on a synthesized Judgegirl-style
 /// trace, `Re = 0.4` ¢/J, `Rt = 0.1` ¢/s. `scale` divides the trace
 /// size (1 = the full 51 293-task trace).
 #[must_use]
 pub fn run_fig3(seed: u64, scale: usize) -> Fig3Result {
     let params = CostParams::online_paper();
-    let platform = paper_platform();
-    let cfg = if scale <= 1 {
-        JudgeTraceConfig::paper_heavy(seed)
-    } else {
-        let mut c = JudgeTraceConfig::paper_heavy(seed);
-        c.non_interactive = (c.non_interactive / scale).max(1);
-        c.interactive = (c.interactive / scale).max(1);
-        c
-    };
-    let trace = cfg.generate();
+    let platform = Platform::i7_950_quad();
+    let trace = heavy_trace(seed, scale).generate();
 
-    let lmc_report = {
-        let mut policy = LeastMarginalCost::new(&platform, params);
-        run_policy(SimConfig::new(platform.clone()), &trace, &mut policy)
-    };
-    let olb_report = {
-        let mut policy = OlbOnline::new(platform.num_cores());
-        run_policy(SimConfig::new(platform.clone()), &trace, &mut policy)
-    };
-    let od_report = {
-        let mut policy = OnDemandOnline::new(platform.num_cores());
-        run_policy(
-            SimConfig::new(platform.clone()).with_governor(GovernorKind::ondemand_paper()),
-            &trace,
-            &mut policy,
-        )
-    };
+    let run = |p| run_online(p, SimConfig::new(platform.clone()), &trace, params);
+    let (lmc_report, olb_report, od_report) = (
+        run(OnlinePolicy::Lmc),
+        run(OnlinePolicy::Olb),
+        run(OnlinePolicy::OnDemand),
+    );
 
     Fig3Result {
         lmc: CostRow::from_report("LMC", &lmc_report, params),
@@ -268,7 +267,8 @@ mod tests {
     #[test]
     fn fig1_gap_is_positive_and_moderate() {
         let r = run_fig1(1);
-        let gap = r.cost_gap();
+        // `Exp/Sim` total-cost ratio: the paper reports ≈ 1.08.
+        let gap = r.exp.total() / r.sim.total();
         assert!(
             gap > 1.0 && gap < 1.2,
             "Exp/Sim total-cost gap {gap} outside the paper's regime"

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text tables and percentage changes for the artifacts.
 
 use crate::experiments::CostRow;
 
@@ -41,6 +41,12 @@ pub fn absolute_table(rows: &[&CostRow]) -> String {
         ));
     }
     out
+}
+
+/// Percentage change `(new/old − 1) × 100`, unrounded.
+#[must_use]
+pub fn pct(new: f64, old: f64) -> f64 {
+    (new / old - 1.0) * 100.0
 }
 
 /// Percentage-change helper: `(new/old − 1) × 100`, rounded to 0.1.

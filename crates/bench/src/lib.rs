@@ -1,16 +1,26 @@
 //! # dvfs-bench
 //!
-//! The experiment harness: one function per table/figure of the paper's
-//! evaluation (Section V), shared by the `table1`/`table2`/`fig1`/
-//! `fig2`/`fig3`/`experiments` binaries and the integration tests.
+//! The experiment harness: one function per artifact of the paper's
+//! evaluation (Section V) and of the sweeps and extensions around it,
+//! each writing the text of one `results/` file. The `experiments`
+//! binary holds the table that names those files and writes them all.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod batch;
 pub mod experiments;
 pub mod format;
+pub mod online;
+pub mod paper;
 
-pub use experiments::{run_fig1, run_fig2, run_fig3, CostRow, Fig1Result, Fig2Result, Fig3Result};
+/// What an artifact function returns once its text is written: an error
+/// when the experiment's own check fails (only `validate_wbg` has one)
+/// or the text could not be formatted.
+pub type Outcome = Result<(), Box<dyn std::error::Error>>;
+
+/// An artifact: writes the text of one `results/` file into the string.
+pub type Artifact = fn(&mut String) -> Outcome;
 
 /// Run `f(seed)` for every seed in `0..n` on all available cores and
 /// return the results in seed order. Seeds are dealt to threads in

@@ -1,12 +1,12 @@
 //! Subcommand implementations.
 
 use crate::args::{parse_cycles_list, Args};
-use dvfs_baselines::{OlbOnline, OnDemandOnline};
-use dvfs_core::{schedule_wbg, DominatingRanges, LeastMarginalCost, WbgReassign};
+use dvfs_baselines::OnlinePolicy;
+use dvfs_core::{schedule_wbg, DominatingRanges};
 use dvfs_model::task::batch_workload;
 use dvfs_model::{CostParams, Platform, RateTable};
 use dvfs_serve::protocol::{encode_command, value_f64, value_u64};
-use dvfs_sim::{GovernorKind, Policy, SimConfig, SimReport, Simulator};
+use dvfs_sim::{SimConfig, SimReport, Simulator};
 use dvfs_trace::export::{chrome_trace, parse_jsonl, to_jsonl};
 use dvfs_trace::EventKind;
 use dvfs_workloads::judge::TraceStats;
@@ -189,7 +189,7 @@ fn simulate(argv: &[String]) -> Result<(), String> {
     let keys = ["trace", "policy", "cores", "re", "rt", "report", "log"];
     let args = Args::parse(argv, &keys, &[])?;
     let trace_path = args.require("trace")?;
-    let policy_name = args.require("policy")?.to_string();
+    let policy: OnlinePolicy = args.require("policy")?.parse()?;
     let params = cost_params(&args, CostParams::online_paper())?;
     let platform = platform(&args)?;
     let trace = dvfs_workloads::io::load_trace(std::path::Path::new(trace_path))
@@ -198,17 +198,7 @@ fn simulate(argv: &[String]) -> Result<(), String> {
         return Err("trace is empty".into());
     }
 
-    let mut cfg = SimConfig::new(platform.clone());
-    let mut policy: Box<dyn Policy> = match policy_name.as_str() {
-        "lmc" => Box::new(LeastMarginalCost::new(&platform, params)),
-        "wbg" => Box::new(WbgReassign::new(&platform, params)),
-        "olb" => Box::new(OlbOnline::new(platform.num_cores())),
-        "ondemand" => {
-            cfg = cfg.with_governor(GovernorKind::ondemand_paper());
-            Box::new(OnDemandOnline::new(platform.num_cores()))
-        }
-        other => return Err(format!("unknown policy `{other}` (lmc|wbg|olb|ondemand)")),
-    };
+    let (cfg, mut policy) = policy.build(SimConfig::new(platform), params);
     let mut sim = Simulator::new(cfg);
     if args.get("log").is_some() {
         sim.record_trace();

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: formatting, crate layering and atomics, lints, release
-# build, full test suite.
+# Tier-1 gate: formatting, crate layering and atomics, doc references,
+# lints, release build, full test suite, results/ against the runner.
 #
 # Everything resolves offline — external dependencies are local path
 # shims under shims/ and Cargo.lock is committed — so this script is
@@ -57,6 +57,33 @@ if grep -rnw --include='*.rs' Relaxed crates/*/src | grep -v '^crates/serve/src/
     exit 1
 fi
 
+# Docs name only what exists: every backticked path ending in .rs .sh
+# .json .jsonl .toml .txt or .md, and every `--bin NAME`, in the docs
+# below must resolve in the tree: a file that is the path or ends in
+# `/path`, a bin target Cargo lists. The allow-list holds glob tails.
+echo "==> doc references resolve in the tree"
+docs="README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
+allowed="/clippy.toml"
+tree="$(git ls-files --cached --others --exclude-standard)"
+bins="$(cargo metadata --offline --no-deps --format-version 1 |
+    grep -o '"kind":\["bin"\][^}]*"name":"[^"]*"' | sed 's/.*"name":"//; s/"$//')"
+docs_ok=1
+for path in $(grep -ho '`[^`]*`' $docs |
+        grep -oE '[A-Za-z0-9_./-]+\.(rs|sh|json|jsonl|toml|txt|md)\b' | sed 's|^\./||' | sort -u); do
+    grep -qxF "$path" <<<"$allowed" && continue
+    if ! grep -qE "(^|/)${path//./\\.}\$" <<<"$tree"; then
+        echo "ci: the docs name \`$path\`, which is not in the tree" >&2
+        docs_ok=0
+    fi
+done
+for bin in $(grep -ohE -- '--bin[ =][A-Za-z0-9_-]+' $docs | sed 's/^--bin[ =]//' | sort -u); do
+    if ! grep -qxF "$bin" <<<"$bins"; then
+        echo "ci: the docs name \`--bin $bin\`, which no package builds" >&2
+        docs_ok=0
+    fi
+done
+[ "$docs_ok" -eq 1 ] || exit 1
+
 # The source invariants the conformance pins rest on are lint levels,
 # so clippy is their gate: determinism (no `HashMap`/`HashSet` or wall
 # clock in dvfs-core/dvfs-model, wall time in dvfs-serve only through
@@ -79,6 +106,19 @@ run cargo test --workspace -q
 # malformed doc comments are errors, not warnings).
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+
+# Results gate: results/ is what the experiment runner writes, so the
+# numbers EXPERIMENTS.md quotes are the code's. The runner also fails
+# when validate_wbg finds a plan that beats WBG. Regenerate with
+# `cargo run --release -p dvfs-bench --bin experiments`.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+run cargo run --release -q -p dvfs-bench --bin experiments -- "$tmp"
+echo "==> results/ equals the experiments runner's output"
+if ! diff -r results "$tmp" >&2; then
+    echo "ci: results/ differs from what the experiments runner writes (diff above)" >&2
+    exit 1
+fi
 
 # Module-size table: lines above `#[cfg(test)] mod tests` for every
 # file of the two crates the request path lives in. Printed so growth
