@@ -219,7 +219,7 @@ fn simulate(argv: &[String]) -> Result<(), String> {
         cost.time_cost
     );
     if let Some(path) = args.get("report") {
-        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+        let json = serde_json::to_string_pretty(&report.to_value());
         std::fs::write(path, json).map_err(|e| e.to_string())?;
         println!("full report written to {path}");
     }
@@ -239,7 +239,8 @@ fn analyze(argv: &[String]) -> Result<(), String> {
     let report: Option<SimReport> = match args.get("report") {
         Some(path) => {
             let json = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-            Some(serde_json::from_str(&json).map_err(|e| e.to_string())?)
+            let doc = serde_json::from_str(&json).map_err(|e| e.to_string())?;
+            Some(SimReport::from_value(&doc)?)
         }
         None => None,
     };

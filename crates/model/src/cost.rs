@@ -10,10 +10,9 @@
 
 use crate::error::ModelError;
 use crate::rates::{RateIdx, RateTable};
-use serde::{Deserialize, Serialize};
 
 /// The monetary constants of the cost function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// `Re`: amount paid per joule of energy (e.g. cents per joule).
     pub re: f64,
@@ -85,7 +84,7 @@ impl CostParams {
 }
 
 /// Energy, time, and total monetary cost of an executed workload.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostBreakdown {
     /// Total energy in joules.
     pub energy_joules: f64,

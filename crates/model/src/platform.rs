@@ -7,13 +7,12 @@
 
 use crate::error::ModelError;
 use crate::rates::RateTable;
-use serde::{Deserialize, Serialize};
 
 /// Index of a core within a platform.
 pub type CoreId = usize;
 
 /// One CPU core: its available rates and idle power.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreSpec {
     /// The discrete processing rates the core supports.
     pub rates: RateTable,
@@ -42,7 +41,7 @@ impl CoreSpec {
 }
 
 /// A multi-core platform with per-core DVFS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     cores: Vec<CoreSpec>,
 }

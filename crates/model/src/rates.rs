@@ -6,13 +6,12 @@
 //! per-cycle time `T(p)` (strictly decreasing with the rate).
 
 use crate::error::ModelError;
-use serde::{Deserialize, Serialize};
 
 /// Index of a rate within a [`RateTable`] (0 = slowest).
 pub type RateIdx = usize;
 
 /// One processing rate `p` with its per-cycle energy and time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RatePoint {
     /// Processing rate in Hz (cycles per second).
     pub freq_hz: f64,
@@ -59,7 +58,7 @@ impl RatePoint {
 /// * `E(p)` strictly increasing;
 /// * `T(p)` strictly decreasing;
 /// * all values finite and positive.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateTable {
     points: Vec<RatePoint>,
 }

@@ -5,10 +5,9 @@
 //! record lives here so neither has to import the other.
 
 use crate::task::{TaskClass, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// The lifecycle record of one task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskRecord {
     /// Task identity.
     pub id: TaskId,

@@ -5,10 +5,9 @@
 //! here `None` — when the task has no time constraint).
 
 use crate::error::ModelError;
-use serde::{Deserialize, Serialize};
 
 /// Opaque identifier for a task. Unique within one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u64);
 
 impl std::fmt::Display for TaskId {
@@ -19,7 +18,7 @@ impl std::fmt::Display for TaskId {
 
 /// The execution class of a task, which determines its priority and how
 /// the online scheduler treats it (Section II-A / Section IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskClass {
     /// A batch-mode task: arrival time 0, scheduled offline, non-preemptive.
     Batch,
@@ -46,7 +45,7 @@ impl TaskClass {
 }
 
 /// A task `j_k = (L_k, A_k, D_k)` from Section II-A.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Unique identifier.
     pub id: TaskId,
@@ -213,14 +212,6 @@ mod tests {
         assert_eq!(ts[0].id, TaskId(0));
         assert_eq!(ts[2].id, TaskId(2));
         assert_eq!(ts[1].cycles, 10);
-    }
-
-    #[test]
-    fn task_serde_roundtrip() {
-        let t = Task::online(7, 1234, 1.5, Some(9.0), TaskClass::Interactive).unwrap();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Task = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
 
-use crate::protocol::{field_u64, number_f64, number_u64, parse_class, Request, Response};
-use serde::Number;
+use crate::protocol::{field_u64, parse_class, Request, Response};
+use serde_json::Number;
 use std::borrow::Cow;
 
 /// What a successful submit reports: the task's id, the admission
@@ -439,7 +439,7 @@ pub(crate) fn decode_request(line: &str) -> Result<Request, String> {
             let cycles = match &found.cycles {
                 Some(f) => f
                     .number()
-                    .and_then(number_u64)
+                    .and_then(Number::as_u64)
                     .ok_or("`cycles` must be a positive integer")?,
                 None => return Err("submit missing `cycles`".into()),
             };
@@ -451,7 +451,7 @@ pub(crate) fn decode_request(line: &str) -> Result<Request, String> {
             let id = match &found.id {
                 Some(f) => Some(
                     f.number()
-                        .and_then(number_u64)
+                        .and_then(Number::as_u64)
                         .ok_or("`id` must be a non-negative integer")?,
                 ),
                 None => None,
@@ -459,7 +459,7 @@ pub(crate) fn decode_request(line: &str) -> Result<Request, String> {
             let arrival = match &found.arrival {
                 Some(f) => Some(
                     f.number()
-                        .map(number_f64)
+                        .map(Number::as_f64)
                         .ok_or("`arrival` must be a number")?,
                 ),
                 None => None,
@@ -489,14 +489,14 @@ mod tests {
     use proptest::prelude::*;
     use proptest::TestRng;
     use rand::Rng;
-    use serde::Value;
+    use serde_json::Value;
 
     /// The tree parser `parse_request` was before this module: build
     /// the whole line as a `Value`, then read five fields out of it.
     /// Kept as the oracle the pull decoder must agree with on every
     /// line — same request, or word for word the same explanation.
     fn tree_parse(line: &str) -> Result<Request, String> {
-        let v: Value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
+        let v = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
         if v.as_object().is_none() {
             return Err("request is not a JSON object".into());
         }

@@ -15,7 +15,7 @@
 )]
 const _: fn() -> usize = || std::collections::HashSet::<u8>::new().len();
 
-use serde::{Number, Value};
+use serde_json::{Number, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};

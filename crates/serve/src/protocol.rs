@@ -62,17 +62,7 @@
 #![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
 
 use dvfs_model::TaskClass;
-use serde::{Number, Value};
-
-/// Encode a value, degrading to a hand-built `internal` error line if
-/// the encoder ever fails. It cannot for the values this module builds,
-/// but the wire path must not be able to panic, so the impossible case
-/// becomes a well-formed error response instead of an `expect`.
-fn encode_or_internal(obj: &Value) -> String {
-    serde_json::to_string(obj).unwrap_or_else(|_| {
-        "{\"ok\":false,\"kind\":\"internal\",\"error\":\"encoding failed\"}".to_string()
-    })
-}
+use serde_json::{Number, Value};
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,7 +194,7 @@ impl Response {
                 ("error".to_string(), Value::String(message.clone())),
             ]),
         };
-        encode_or_internal(&obj)
+        serde_json::to_string(&obj)
     }
 
     /// Append the wire line and its newline to a connection's output
@@ -226,7 +216,7 @@ impl Response {
     /// # Errors
     /// Describes the malformation.
     pub fn decode(line: &str) -> Result<Self, String> {
-        let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+        let v = serde_json::from_str(line).map_err(|e| e.to_string())?;
         let Some(obj) = v.as_object() else {
             return Err("response is not a JSON object".into());
         };
@@ -264,40 +254,16 @@ pub fn field_f64(name: &str, v: f64) -> (String, Value) {
     (name.to_string(), Value::Number(Number::Float(v)))
 }
 
-/// A number as a `u64`, when it is a non-negative integer.
-pub(crate) fn number_u64(n: Number) -> Option<u64> {
-    match n {
-        Number::PosInt(n) => Some(n),
-        Number::NegInt(n) => u64::try_from(n).ok(),
-        Number::Float(_) => None,
-    }
-}
-
-/// A number as an `f64`.
-pub(crate) fn number_f64(n: Number) -> f64 {
-    match n {
-        Number::PosInt(n) => n as f64,
-        Number::NegInt(n) => n as f64,
-        Number::Float(f) => f,
-    }
-}
-
 /// Read a `u64` out of a payload value.
 #[must_use]
 pub fn value_u64(v: &Value) -> Option<u64> {
-    match v {
-        Value::Number(n) => number_u64(*n),
-        _ => None,
-    }
+    v.as_u64()
 }
 
 /// Read an `f64` out of a payload value.
 #[must_use]
 pub fn value_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Number(n) => Some(number_f64(*n)),
-        _ => None,
-    }
+    v.as_f64()
 }
 
 pub(crate) fn parse_class(s: &str) -> Result<TaskClass, String> {
@@ -352,14 +318,14 @@ pub fn encode_submit(
     if let Some(a) = arrival {
         pairs.push(field_f64("arrival", a));
     }
-    encode_or_internal(&Value::Object(pairs))
+    serde_json::to_string(&Value::Object(pairs))
 }
 
 /// Encode a bare command request line (`stats`, `drain`, `trace`,
 /// `trace_stream`, `health`, `ping`, `shutdown`).
 #[must_use]
 pub fn encode_command(cmd: &str) -> String {
-    encode_or_internal(&Value::Object(vec![(
+    serde_json::to_string(&Value::Object(vec![(
         "cmd".to_string(),
         Value::String(cmd.to_string()),
     )]))
@@ -451,5 +417,19 @@ mod tests {
         let back = Response::decode(&err.encode()).unwrap();
         assert_eq!(back, err);
         assert!(!back.is_ok());
+    }
+
+    /// A reply a client reads is parsed as a tree; nesting a recursive
+    /// parser would overflow on is refused past the depth limit.
+    #[test]
+    fn decode_refuses_hostile_nesting() {
+        let err = Response::decode(&"[".repeat(65_536)).unwrap_err();
+        assert_eq!(err, "recursion limit exceeded at byte 128");
+        let deep = format!(
+            "{{\"ok\":true,\"x\":{}{}}}",
+            "[".repeat(127),
+            "]".repeat(127)
+        );
+        assert!(Response::decode(&deep).unwrap().is_ok());
     }
 }

@@ -14,7 +14,7 @@ use crate::stage::{REQUEST_E2E, STAGE_CMD_DEQUEUE, TELESCOPE_STAGES};
 use crate::tracestore::TraceChunk;
 use crate::worker::ShardShared;
 use dvfs_model::CostParams;
-use serde::Value;
+use serde_json::Value;
 use std::sync::Arc;
 
 fn json_lines(lines: Vec<String>) -> (String, Value) {
@@ -222,7 +222,7 @@ mod tests {
     use crate::stage::{REQUEST_E2E, STAGE_CMD_DEQUEUE, TELESCOPE_STAGES};
     use crate::Registry;
     use dvfs_model::TaskClass;
-    use serde::Value;
+    use serde_json::Value;
     use std::sync::Arc;
 
     fn sharded(shards: usize, capacity: usize) -> Scheduler {

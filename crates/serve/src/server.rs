@@ -739,8 +739,8 @@ mod tests {
         // Every counter but the ones the worker thread bumps in its own
         // time.
         let counters = |shared: &Shared| match shared.metrics.snapshot() {
-            serde::Value::Object(mut sections) => match sections.swap_remove(0).1 {
-                serde::Value::Object(mut counters) => {
+            serde_json::Value::Object(mut sections) => match sections.swap_remove(0).1 {
+                serde_json::Value::Object(mut counters) => {
                     counters.retain(|(name, _)| !name.starts_with("actuation"));
                     counters
                 }

@@ -873,7 +873,7 @@ mod tests {
     use dvfs_core::LeastMarginalCost;
     use dvfs_model::CostParams;
     use dvfs_sim::{SimConfig, Simulator};
-    use serde::Value;
+    use serde_json::Value;
     use std::collections::HashSet;
 
     fn scheduler(capacity: usize) -> Scheduler {

@@ -1,7 +1,7 @@
 //! Per-task and platform-level measurement collected by the simulator.
 
 use dvfs_model::{CostBreakdown, CostParams, TaskClass, TaskId};
-use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::collections::BTreeMap;
 
 // The per-task lifecycle record moved to `dvfs_model::record` so every
@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 pub use dvfs_model::TaskRecord;
 
 /// The full outcome of a simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Name of the policy that produced this run.
     pub policy: String,
@@ -145,6 +145,157 @@ impl SimReport {
     }
 }
 
+/// The report document that `simulate --report` writes and `analyze
+/// --report` reads; this is the format's one owner. A report is an
+/// object with the fields of `SimReport` in declaration order. `tasks`
+/// maps each decimal task id to a record object with the fields of
+/// `TaskRecord` in order, and a `power_timeline` point is a
+/// `[time, watts]` pair. An unset `first_start` or `completion` is
+/// `null`; a class is `"Batch"`, `"Interactive"` or `"NonInteractive"`.
+/// The reader rules are the trace reader's (`dvfs_workloads::io`): an
+/// absent optional field is `null`, an integer reads as a float and an
+/// integral float as an integer, unknown fields are ignored, and a
+/// missing required field or an unknown class is an error naming the
+/// field.
+impl SimReport {
+    /// The report as its JSON document.
+    #[must_use]
+    pub fn to_value(&self) -> Value {
+        let tasks = (self.tasks.iter())
+            .map(|(id, rec)| (id.0.to_string(), record_to_value(rec)))
+            .collect();
+        let timeline = (self.power_timeline.iter())
+            .map(|&(t, w)| Value::from(vec![t, w]))
+            .collect();
+        Value::Object(vec![
+            ("policy".into(), self.policy.as_str().into()),
+            ("tasks".into(), Value::Object(tasks)),
+            (
+                "active_energy_joules".into(),
+                self.active_energy_joules.into(),
+            ),
+            ("idle_energy_joules".into(), self.idle_energy_joules.into()),
+            ("makespan".into(), self.makespan.into()),
+            ("power_timeline".into(), Value::Array(timeline)),
+            ("core_busy".into(), self.core_busy.clone().into()),
+            ("rate_residency".into(), self.rate_residency.clone().into()),
+        ])
+    }
+
+    /// Read a report back from its JSON document.
+    ///
+    /// # Errors
+    /// Names the field that is missing or malformed.
+    pub fn from_value(v: &Value) -> Result<SimReport, String> {
+        let tasks = field(v, "tasks", Value::as_object)?;
+        let tasks = (tasks.iter())
+            .map(|(id, rec)| {
+                let id = id
+                    .parse()
+                    .map_err(|_| format!("field `tasks`: invalid task id `{id}`"))?;
+                let rec = record_from_value(rec).map_err(|e| format!("field `tasks`: {e}"))?;
+                Ok((TaskId(id), rec))
+            })
+            .collect::<Result<_, String>>()?;
+        let pair = |p: &Value| match p.as_array()? {
+            [t, w] => Some((t.as_f64()?, w.as_f64()?)),
+            _ => None,
+        };
+        Ok(SimReport {
+            policy: field(v, "policy", |p| p.as_str().map(String::from))?,
+            tasks,
+            active_energy_joules: field(v, "active_energy_joules", Value::as_f64)?,
+            idle_energy_joules: field(v, "idle_energy_joules", Value::as_f64)?,
+            makespan: field(v, "makespan", Value::as_f64)?,
+            power_timeline: field(v, "power_timeline", |a| list(a, pair))?,
+            core_busy: field(v, "core_busy", |a| list(a, Value::as_f64))?,
+            rate_residency: field(v, "rate_residency", |a| list(a, |r| list(r, Value::as_f64)))?,
+        })
+    }
+}
+
+fn record_to_value(rec: &TaskRecord) -> Value {
+    Value::Object(vec![
+        ("id".into(), rec.id.0.into()),
+        ("class".into(), class_name(rec.class).into()),
+        ("cycles".into(), rec.cycles.into()),
+        ("arrival".into(), rec.arrival.into()),
+        ("first_start".into(), rec.first_start.into()),
+        ("completion".into(), rec.completion.into()),
+        ("energy_joules".into(), rec.energy_joules.into()),
+        ("preemptions".into(), rec.preemptions.into()),
+    ])
+}
+
+fn record_from_value(v: &Value) -> Result<TaskRecord, String> {
+    Ok(TaskRecord {
+        id: TaskId(field(v, "id", whole)?),
+        class: field(v, "class", class)?,
+        cycles: field(v, "cycles", whole)?,
+        arrival: field(v, "arrival", Value::as_f64)?,
+        first_start: field(v, "first_start", optional_f64)?,
+        completion: field(v, "completion", optional_f64)?,
+        energy_joules: field(v, "energy_joules", Value::as_f64)?,
+        preemptions: field(v, "preemptions", |p| u32::try_from(whole(p)?).ok())?,
+    })
+}
+
+fn class_name(class: TaskClass) -> &'static str {
+    match class {
+        TaskClass::Batch => "Batch",
+        TaskClass::Interactive => "Interactive",
+        TaskClass::NonInteractive => "NonInteractive",
+    }
+}
+
+fn class(v: &Value) -> Option<TaskClass> {
+    [
+        TaskClass::Batch,
+        TaskClass::Interactive,
+        TaskClass::NonInteractive,
+    ]
+    .into_iter()
+    .find(|&c| v.as_str() == Some(class_name(c)))
+}
+
+/// Field `name` of the object `obj` as `read` takes it. An absent field
+/// is read as `null`, so only an optional one may be left out.
+fn field<'v, T>(
+    obj: &'v Value,
+    name: &str,
+    read: impl Fn(&'v Value) -> Option<T>,
+) -> Result<T, String> {
+    if obj.as_object().is_none() {
+        return Err(format!("expected an object holding `{name}`"));
+    }
+    match obj.get(name) {
+        None => read(&Value::Null).ok_or_else(|| format!("missing field `{name}`")),
+        Some(v) => (read(v))
+            .ok_or_else(|| format!("field `{name}`: unexpected {}", serde_json::to_string(v))),
+    }
+}
+
+/// Every item of an array, read by `read`.
+fn list<T>(v: &Value, read: impl Fn(&Value) -> Option<T>) -> Option<Vec<T>> {
+    v.as_array()?.iter().map(read).collect()
+}
+
+/// A number, or `null` for none.
+fn optional_f64(v: &Value) -> Option<Option<f64>> {
+    match v {
+        Value::Null => Some(None),
+        v => v.as_f64().map(Some),
+    }
+}
+
+/// A non-negative integer, written as one or as an integral float.
+fn whole(v: &Value) -> Option<u64> {
+    v.as_u64().or_else(|| {
+        let f = v.as_f64()?;
+        (f.fract() == 0.0 && (0.0..=u64::MAX as f64).contains(&f)).then_some(f as u64)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,5 +415,133 @@ mod tests {
         let mut idle = r.clone();
         idle.rate_residency = vec![vec![0.0, 0.0]];
         assert_eq!(idle.residency_fractions(0), None);
+    }
+
+    /// A report as the serde derives wrote it before this writer
+    /// replaced them: one finished and one unstarted task, a power
+    /// timeline and rate residency.
+    const GOLDEN: &str = r#"{
+  "policy": "least-marginal-cost",
+  "tasks": {
+    "3": {
+      "id": 3,
+      "class": "Interactive",
+      "cycles": 3000000,
+      "arrival": 0.5,
+      "first_start": 0.5,
+      "completion": 2.0,
+      "energy_joules": 1.25,
+      "preemptions": 0
+    },
+    "12": {
+      "id": 12,
+      "class": "NonInteractive",
+      "cycles": 12000000,
+      "arrival": 0.5,
+      "first_start": null,
+      "completion": null,
+      "energy_joules": 1.25,
+      "preemptions": 2
+    }
+  },
+  "active_energy_joules": 3.5,
+  "idle_energy_joules": 1.0,
+  "makespan": 2.0,
+  "power_timeline": [
+    [
+      0.0,
+      0.0
+    ],
+    [
+      0.5,
+      17.25
+    ],
+    [
+      2.0,
+      0.0
+    ]
+  ],
+  "core_busy": [
+    1.5,
+    0.0
+  ],
+  "rate_residency": [
+    [
+      0.0,
+      1.5
+    ],
+    [
+      0.0,
+      0.0
+    ]
+  ]
+}"#;
+
+    fn golden_report() -> SimReport {
+        let rec = |id: u64, class, first_start, completion, preemptions| TaskRecord {
+            id: TaskId(id),
+            class,
+            cycles: 1_000_000 * id,
+            arrival: 0.5,
+            first_start,
+            completion,
+            energy_joules: 1.25,
+            preemptions,
+        };
+        SimReport {
+            policy: "least-marginal-cost".into(),
+            tasks: [
+                rec(3, TaskClass::Interactive, Some(0.5), Some(2.0), 0),
+                rec(12, TaskClass::NonInteractive, None, None, 2),
+            ]
+            .into_iter()
+            .map(|r| (r.id, r))
+            .collect(),
+            active_energy_joules: 3.5,
+            idle_energy_joules: 1.0,
+            makespan: 2.0,
+            power_timeline: vec![(0.0, 0.0), (0.5, 17.25), (2.0, 0.0)],
+            core_busy: vec![1.5, 0.0],
+            rate_residency: vec![vec![0.0, 1.5], vec![0.0, 0.0]],
+        }
+    }
+
+    fn read(text: &str) -> Result<SimReport, String> {
+        SimReport::from_value(&serde_json::from_str(text).map_err(|e| e.to_string())?)
+    }
+
+    #[test]
+    fn report_document_is_written_byte_for_byte_as_before() {
+        let report = golden_report();
+        assert_eq!(serde_json::to_string_pretty(&report.to_value()), GOLDEN);
+        let back = read(GOLDEN).unwrap();
+        assert_eq!(back.tasks, report.tasks);
+        assert_eq!(serde_json::to_string_pretty(&back.to_value()), GOLDEN);
+    }
+
+    #[test]
+    fn report_reader_rules_hold() {
+        let compact = serde_json::to_string(&golden_report().to_value());
+        // Unknown fields are ignored; an integer reads as a float; an
+        // absent optional field reads as `null`.
+        let lenient = compact
+            .replacen("{", "{\"schema\":[1,{}],", 1)
+            .replace("\"makespan\":2.0", "\"makespan\":2")
+            .replace("\"first_start\":null,", "");
+        let back = read(&lenient).unwrap();
+        assert_eq!(back.makespan, 2.0);
+        assert_eq!(back.tasks[&TaskId(12)].first_start, None);
+        let missing = compact.replace("\"core_busy\":[1.5,0.0],", "");
+        assert_eq!(read(&missing).unwrap_err(), "missing field `core_busy`");
+        let warp = compact.replacen("\"Interactive\"", "\"warp\"", 1);
+        assert_eq!(
+            read(&warp).unwrap_err(),
+            "field `tasks`: field `class`: unexpected \"warp\""
+        );
+        let triple = compact.replace("[0.5,17.25]", "[0.5,17.25,1.0]");
+        assert_eq!(
+            read(&triple).unwrap_err(),
+            "field `power_timeline`: unexpected [[0.0,0.0],[0.5,17.25,1.0],[2.0,0.0]]"
+        );
     }
 }

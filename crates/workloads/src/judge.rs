@@ -21,7 +21,6 @@
 use dvfs_model::{Task, TaskClass};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for a synthetic judge trace.
 ///
@@ -33,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// // Deterministic: the same seed regenerates the same trace.
 /// assert_eq!(trace, JudgeTraceConfig::paper_scaled(42, 100).generate());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JudgeTraceConfig {
     /// Trace length in seconds (paper: 1800 — half an hour).
     pub duration_s: f64,
@@ -190,7 +189,7 @@ fn lognormal_factor(rng: &mut ChaCha8Rng, sigma: f64) -> f64 {
 }
 
 /// Aggregate statistics of a trace, for sanity checks and reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceStats {
     /// Number of interactive tasks.
     pub interactive: usize,

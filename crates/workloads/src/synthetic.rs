@@ -17,7 +17,6 @@
 use dvfs_model::{Task, TaskClass};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 fn lognormal(rng: &mut ChaCha8Rng, median: f64, sigma: f64) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
@@ -32,7 +31,7 @@ fn exponential(rng: &mut ChaCha8Rng, rate: f64) -> f64 {
 }
 
 /// Constant-rate Poisson arrivals with lognormal cycle requirements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoissonTrace {
     /// Mean arrivals per second.
     pub rate_per_s: f64,
@@ -100,7 +99,7 @@ impl PoissonTrace {
 /// Poisson arrivals whose intensity follows a sinusoidal day profile:
 /// `rate(t) = base · (1 + amplitude · sin(2πt/period))`, thinned from a
 /// homogeneous process (Lewis–Shedler).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalTrace {
     /// Base (mean) arrivals per second.
     pub base_rate_per_s: f64,

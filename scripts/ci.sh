@@ -16,6 +16,13 @@ run() {
     "$@"
 }
 
+# Lines of a Rust file above its `#[cfg(test)] mod tests`.
+non_test_lines() {
+    awk '/^#\[cfg\(test\)\]$/ { attr = NR }
+         /^mod tests/ && attr == NR - 1 { print attr - 1; found = 1; exit }
+         END { if (!found) print NR }' "$1"
+}
+
 run cargo fmt --all --check
 
 # The two invariants that span crates, which neither rustc nor clippy
@@ -61,6 +68,10 @@ fi
 # .json .jsonl .toml .txt or .md, and every `--bin NAME`, in the docs
 # below must resolve in the tree: a file that is the path or ends in
 # `/path`, a bin target Cargo lists. The allow-list holds glob tails.
+# Every `--flag` they name must be a key or switch that an
+# `Args::parse` call in the non-test part of the CLI's commands.rs
+# accepts, a flag sysbench's main.rs parses, or a cargo / rustfmt /
+# grep flag of the short list below.
 echo "==> doc references resolve in the tree"
 docs="README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
 allowed="/clippy.toml"
@@ -79,6 +90,19 @@ done
 for bin in $(grep -ohE -- '--bin[ =][A-Za-z0-9_-]+' $docs | sed 's/^--bin[ =]//' | sort -u); do
     if ! grep -qxF "$bin" <<<"$bins"; then
         echo "ci: the docs name \`--bin $bin\`, which no package builds" >&2
+        docs_ok=0
+    fi
+done
+cli=crates/cli/src/commands.rs
+known_flags="$(head -n "$(non_test_lines "$cli")" "$cli" |
+    awk '/Args::parse\(|let keys = \[/ { on = 1 } on { print } /;/ { on = 0 }' |
+    grep -oE '"[a-z][a-z0-9-]*"' | tr -d '"' | sed 's/^/--/'
+    grep -oE '^ *"--[a-z][a-z0-9-]*" =>' crates/bench/examples/sysbench/main.rs | grep -oE -- '--[a-z0-9-]+'
+    printf -- '--%s\n' all-targets bin check example include lib locked no-deps offline \
+        prefix release target test workspace)"
+for flag in $(grep -ohE -- '--[a-z][a-z0-9-]*' $docs | sort -u); do
+    if ! grep -qxF -- "$flag" <<<"$known_flags"; then
+        echo "ci: the docs name \`$flag\`, which no command parses" >&2
         docs_ok=0
     fi
 done
@@ -126,14 +150,13 @@ fi
 # (ROADMAP: "a 2 000-line module is several modules"), and so does a
 # total past the ceiling below — the last total a PR paid lines back
 # to, so they stay paid. Lower it with the total; never raise it.
-# The engine side (crates/{core,sim,trace}/src) is printed after it,
+# shims/ (the offline stand-ins for registry crates) has a table and
+# a ceiling of its own, on the same terms.
+# The engine side (crates/{core,sim,trace}/src) is printed after them,
 # ungated: a baseline for the next PR that pays lines back there.
-TOTAL_CEILING=7070
-non_test_lines() {
-    awk '/^#\[cfg\(test\)\]$/ { attr = NR }
-         /^mod tests/ && attr == NR - 1 { print attr - 1; found = 1; exit }
-         END { if (!found) print NR }' "$1"
-}
+TOTAL_CEILING=7036
+# Lower it with the total; never raise it.
+SHIMS_CEILING=1409
 echo "==> non-test lines per file, crates/{serve,net}/src"
 oversize=0
 total=0
@@ -152,6 +175,18 @@ if [ "$oversize" -ne 0 ]; then
 fi
 if [ "$total" -gt "$TOTAL_CEILING" ]; then
     echo "ci: crates/{serve,net}/src non-test total $total exceeds the ceiling $TOTAL_CEILING" >&2
+    exit 1
+fi
+echo "==> non-test lines per file, shims/*/src/lib.rs"
+total=0
+for f in shims/*/src/lib.rs; do
+    n=$(non_test_lines "$f")
+    printf '%6d  %s\n' "$n" "$f"
+    total=$((total + n))
+done
+printf '%6d  total\n' "$total"
+if [ "$total" -gt "$SHIMS_CEILING" ]; then
+    echo "ci: shims/ non-test total $total exceeds the ceiling $SHIMS_CEILING" >&2
     exit 1
 fi
 echo "==> non-test lines per file, crates/{core,sim,trace}/src (not gated)"

@@ -1,588 +1,3 @@
-//! Offline stand-in for `serde`.
-//!
-//! The build environment cannot reach a cargo registry, so the workspace
-//! replaces registry dependencies with local path crates exposing the API
-//! subset it uses. This `serde` converts through an owned JSON-shaped
-//! [`Value`] tree instead of serde's zero-copy visitor machinery:
-//!
-//! - [`Serialize`] renders a type to a [`Value`];
-//! - [`Deserialize`] rebuilds a type from a `&Value`;
-//! - `#[derive(Serialize, Deserialize)]` (re-exported from the local
-//!   `serde_derive` proc-macro) generates both impls with serde's default
-//!   representations: structs as objects, newtype structs transparent,
-//!   enums externally tagged (`"Unit"` / `{"Variant": {...}}`), maps with
-//!   stringified keys.
-//!
-//! Text encoding to and from JSON lives in the `serde_json` shim, which
-//! reuses this crate's [`Value`].
-
-pub use serde_derive::{Deserialize, Serialize};
-
-use std::collections::{BTreeMap, HashMap};
-use std::fmt;
-
-/// A JSON-shaped value tree.
-///
-/// Object fields keep insertion order (a `Vec` of pairs, like
-/// `serde_json`'s `preserve_order` mode) so serialized output matches the
-/// declaration order of derived structs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    Number(Number),
-    String(String),
-    Array(Vec<Value>),
-    Object(Vec<(String, Value)>),
-}
-
-/// A JSON number, keeping integers exact.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Number {
-    PosInt(u64),
-    NegInt(i64),
-    Float(f64),
-}
-
-impl Value {
-    #[must_use]
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
-    #[must_use]
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.as_object()
-            .and_then(|pairs| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v))
-    }
-
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-}
-
-/// Serialization/deserialization error.
-#[derive(Debug, Clone)]
-pub struct Error {
-    msg: String,
-}
-
-impl Error {
-    pub fn custom(msg: impl fmt::Display) -> Self {
-        Error {
-            msg: msg.to_string(),
-        }
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.msg)
-    }
-}
-
-impl std::error::Error for Error {}
-
-/// Render `self` into a [`Value`].
-pub trait Serialize {
-    fn serialize(&self) -> Value;
-}
-
-/// Rebuild `Self` from a [`Value`].
-pub trait Deserialize: Sized {
-    fn deserialize(value: &Value) -> Result<Self, Error>;
-}
-
-// ---------------------------------------------------------------------
-// Helpers used by derive-generated code (public, hidden from docs).
-// ---------------------------------------------------------------------
-
-/// Look up a struct field by name; a missing field is deserialized from
-/// `Null` so `Option` fields may be omitted, and the error is annotated
-/// with the field name either way.
-#[doc(hidden)]
-pub fn __field<T: Deserialize>(pairs: &[(String, Value)], name: &str) -> Result<T, Error> {
-    match pairs.iter().find(|(k, _)| k == name) {
-        Some((_, v)) => {
-            T::deserialize(v).map_err(|e| Error::custom(format!("field `{name}`: {e}")))
-        }
-        None => T::deserialize(&Value::Null)
-            .map_err(|_| Error::custom(format!("missing field `{name}`"))),
-    }
-}
-
-/// Externally-tagged enum data variant: `{"Variant": inner}`.
-#[doc(hidden)]
-#[must_use]
-pub fn __variant(name: &str, inner: Value) -> Value {
-    Value::Object(vec![(name.to_string(), inner)])
-}
-
-/// Expect an array of exactly `n` elements (tuple structs/variants).
-#[doc(hidden)]
-pub fn __tuple<'v>(value: &'v Value, n: usize, ty: &str) -> Result<&'v [Value], Error> {
-    let items = value.as_array().ok_or_else(|| {
-        Error::custom(format!(
-            "expected array for {ty}, found {}",
-            value.type_name()
-        ))
-    })?;
-    if items.len() != n {
-        return Err(Error::custom(format!(
-            "expected {n} elements for {ty}, found {}",
-            items.len()
-        )));
-    }
-    Ok(items)
-}
-
-// ---------------------------------------------------------------------
-// Primitive impls
-// ---------------------------------------------------------------------
-
-impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!(
-                "expected bool, found {}",
-                other.type_name()
-            ))),
-        }
-    }
-}
-
-macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::Number(Number::PosInt(*self as u64))
-            }
-        }
-
-        impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                let wide: u64 = match value {
-                    Value::Number(Number::PosInt(u)) => *u,
-                    Value::Number(Number::NegInt(i)) if *i >= 0 => *i as u64,
-                    Value::Number(Number::Float(f))
-                        if f.fract() == 0.0 && *f >= 0.0 && *f <= u64::MAX as f64 =>
-                    {
-                        *f as u64
-                    }
-                    other => {
-                        return Err(Error::custom(format!(
-                            concat!("expected ", stringify!($t), ", found {}"),
-                            other.type_name()
-                        )))
-                    }
-                };
-                <$t>::try_from(wide).map_err(|_| {
-                    Error::custom(format!(
-                        concat!("integer {} out of range for ", stringify!($t)),
-                        wide
-                    ))
-                })
-            }
-        }
-    )*};
-}
-
-impl_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                let v = *self as i64;
-                if v >= 0 {
-                    Value::Number(Number::PosInt(v as u64))
-                } else {
-                    Value::Number(Number::NegInt(v))
-                }
-            }
-        }
-
-        impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                let wide: i64 = match value {
-                    Value::Number(Number::NegInt(i)) => *i,
-                    Value::Number(Number::PosInt(u)) if *u <= i64::MAX as u64 => *u as i64,
-                    Value::Number(Number::Float(f))
-                        if f.fract() == 0.0
-                            && *f >= i64::MIN as f64
-                            && *f <= i64::MAX as f64 =>
-                    {
-                        *f as i64
-                    }
-                    other => {
-                        return Err(Error::custom(format!(
-                            concat!("expected ", stringify!($t), ", found {}"),
-                            other.type_name()
-                        )))
-                    }
-                };
-                <$t>::try_from(wide).map_err(|_| {
-                    Error::custom(format!(
-                        concat!("integer {} out of range for ", stringify!($t)),
-                        wide
-                    ))
-                })
-            }
-        }
-    )*};
-}
-
-impl_signed!(i8, i16, i32, i64, isize);
-
-impl Serialize for u128 {
-    fn serialize(&self) -> Value {
-        // JSON numbers in this shim are at most u64; wider integers fall
-        // back to a decimal string (round-trips exactly).
-        match u64::try_from(*self) {
-            Ok(u) => Value::Number(Number::PosInt(u)),
-            Err(_) => Value::String(self.to_string()),
-        }
-    }
-}
-
-impl Deserialize for u128 {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Number(Number::PosInt(u)) => Ok(*u as u128),
-            Value::Number(Number::NegInt(i)) if *i >= 0 => Ok(*i as u128),
-            Value::String(s) => s
-                .parse::<u128>()
-                .map_err(|_| Error::custom(format!("invalid u128 string `{s}`"))),
-            other => Err(Error::custom(format!(
-                "expected u128, found {}",
-                other.type_name()
-            ))),
-        }
-    }
-}
-
-macro_rules! impl_float {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::Number(Number::Float(*self as f64))
-            }
-        }
-
-        impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                match value {
-                    Value::Number(Number::Float(f)) => Ok(*f as $t),
-                    Value::Number(Number::PosInt(u)) => Ok(*u as $t),
-                    Value::Number(Number::NegInt(i)) => Ok(*i as $t),
-                    other => Err(Error::custom(format!(
-                        concat!("expected ", stringify!($t), ", found {}"),
-                        other.type_name()
-                    ))),
-                }
-            }
-        }
-    )*};
-}
-
-impl_float!(f32, f64);
-
-impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::String(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!(
-                "expected string, found {}",
-                other.type_name()
-            ))),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn serialize(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::String(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(Error::custom(format!(
-                "expected single-char string, found {}",
-                other.type_name()
-            ))),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Composite impls
-// ---------------------------------------------------------------------
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
-        match self {
-            Some(v) => v.serialize(),
-            None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::deserialize(other).map(Some),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let items = value
-            .as_array()
-            .ok_or_else(|| Error::custom(format!("expected array, found {}", value.type_name())))?;
-        items.iter().map(T::deserialize).collect()
-    }
-}
-
-macro_rules! impl_tuple {
-    ($(($($name:ident : $idx:tt),+) => $n:expr;)*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize(&self) -> Value {
-                Value::Array(vec![$(self.$idx.serialize()),+])
-            }
-        }
-
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                let items = __tuple(value, $n, "tuple")?;
-                Ok(($($name::deserialize(&items[$idx])?,)+))
-            }
-        }
-    )*};
-}
-
-impl_tuple! {
-    (A: 0) => 1;
-    (A: 0, B: 1) => 2;
-    (A: 0, B: 1, C: 2) => 3;
-    (A: 0, B: 1, C: 2, D: 3) => 4;
-}
-
-/// Map keys serialize through their `Value` form: string keys stay
-/// strings, numeric keys (e.g. newtype ids over integers) become their
-/// decimal rendering — the same convention as `serde_json`.
-fn key_to_string(key: Value) -> Result<String, Error> {
-    match key {
-        Value::String(s) => Ok(s),
-        Value::Number(Number::PosInt(u)) => Ok(u.to_string()),
-        Value::Number(Number::NegInt(i)) => Ok(i.to_string()),
-        other => Err(Error::custom(format!(
-            "map key must be a string or integer, found {}",
-            other.type_name()
-        ))),
-    }
-}
-
-/// Inverse of [`key_to_string`]: try the string form first, then the
-/// integer reading for numeric-keyed maps.
-fn key_from_string<K: Deserialize>(s: &str) -> Result<K, Error> {
-    if let Ok(k) = K::deserialize(&Value::String(s.to_string())) {
-        return Ok(k);
-    }
-    if let Ok(u) = s.parse::<u64>() {
-        return K::deserialize(&Value::Number(Number::PosInt(u)));
-    }
-    if let Ok(i) = s.parse::<i64>() {
-        return K::deserialize(&Value::Number(Number::NegInt(i)));
-    }
-    Err(Error::custom(format!("invalid map key `{s}`")))
-}
-
-impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn serialize(&self) -> Value {
-        let pairs = self
-            .iter()
-            .map(|(k, v)| {
-                let key = key_to_string(k.serialize())
-                    .expect("BTreeMap key must serialize to a string or integer");
-                (key, v.serialize())
-            })
-            .collect();
-        Value::Object(pairs)
-    }
-}
-
-impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let pairs = value.as_object().ok_or_else(|| {
-            Error::custom(format!("expected object, found {}", value.type_name()))
-        })?;
-        pairs
-            .iter()
-            .map(|(k, v)| Ok((key_from_string(k)?, V::deserialize(v)?)))
-            .collect()
-    }
-}
-
-impl<K: Serialize, V: Serialize, S: std::hash::BuildHasher> Serialize for HashMap<K, V, S> {
-    fn serialize(&self) -> Value {
-        // Sort for deterministic output, matching BTreeMap behavior.
-        let mut pairs: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| {
-                let key = key_to_string(k.serialize())
-                    .expect("HashMap key must serialize to a string or integer");
-                (key, v.serialize())
-            })
-            .collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(pairs)
-    }
-}
-
-impl<K, V, S> Deserialize for HashMap<K, V, S>
-where
-    K: Deserialize + Eq + std::hash::Hash,
-    V: Deserialize,
-    S: std::hash::BuildHasher + Default,
-{
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let pairs = value.as_object().ok_or_else(|| {
-            Error::custom(format!("expected object, found {}", value.type_name()))
-        })?;
-        pairs
-            .iter()
-            .map(|(k, v)| Ok((key_from_string(k)?, V::deserialize(v)?)))
-            .collect()
-    }
-}
-
-impl Serialize for Value {
-    fn serialize(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn option_null_roundtrip() {
-        let some: Option<f64> = Some(1.5);
-        let none: Option<f64> = None;
-        assert_eq!(some.serialize(), Value::Number(Number::Float(1.5)));
-        assert_eq!(none.serialize(), Value::Null);
-        assert_eq!(Option::<f64>::deserialize(&Value::Null).unwrap(), None);
-    }
-
-    #[test]
-    fn missing_field_is_null_for_option() {
-        let pairs: Vec<(String, Value)> = vec![];
-        let opt: Option<u64> = __field(&pairs, "deadline").unwrap();
-        assert_eq!(opt, None);
-        let err = __field::<u64>(&pairs, "cycles").unwrap_err();
-        assert!(err.to_string().contains("missing field"), "{err}");
-    }
-
-    #[test]
-    fn numeric_map_keys_stringify() {
-        let mut m = BTreeMap::new();
-        m.insert(7u64, "seven".to_string());
-        let v = m.serialize();
-        assert_eq!(
-            v,
-            Value::Object(vec![("7".to_string(), Value::String("seven".to_string()))])
-        );
-        let back: BTreeMap<u64, String> = Deserialize::deserialize(&v).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn u128_wide_integers_roundtrip() {
-        let small: u128 = 12_345;
-        let big: u128 = u128::from(u64::MAX) + 10;
-        let s = small.serialize();
-        let b = big.serialize();
-        assert_eq!(u128::deserialize(&s).unwrap(), small);
-        assert_eq!(u128::deserialize(&b).unwrap(), big);
-    }
-
-    #[test]
-    fn u64_precision_is_exact() {
-        // Must not round through f64: 2^53 + 1 is not representable.
-        let v = (1u64 << 53) + 1;
-        assert_eq!(u64::deserialize(&v.serialize()).unwrap(), v);
-    }
-}
+//! Empty: nothing in the workspace uses `serde`. The package stays only
+//! because the frozen lockfile of `crates/bench/examples/sysbench` lists
+//! it (and its edge to `serde_derive`); it goes at the next re-lock.

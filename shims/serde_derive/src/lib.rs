@@ -1,448 +1,3 @@
-//! Offline stand-in for `serde_derive`.
-//!
-//! Generates `Serialize`/`Deserialize` impls for the local `serde` shim
-//! (value-tree based) without depending on `syn`/`quote`: the item is
-//! parsed by walking `proc_macro::TokenTree`s directly. Supported shapes —
-//! the ones this workspace uses — are non-generic structs (named, tuple,
-//! unit) and non-generic enums whose variants are unit, tuple, or
-//! struct-like, in serde's default representations (externally tagged
-//! enums, transparent newtypes).
-
-use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    expand(input, gen_serialize)
-}
-
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    expand(input, gen_deserialize)
-}
-
-fn expand(input: TokenStream, gen: fn(&Item) -> String) -> TokenStream {
-    match parse_item(input) {
-        Ok(item) => gen(&item)
-            .parse()
-            .expect("serde_derive shim produced invalid Rust"),
-        Err(msg) => format!("compile_error!({msg:?});").parse().unwrap(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Item model
-// ---------------------------------------------------------------------
-
-enum Fields {
-    Unit,
-    /// Tuple fields: arity.
-    Tuple(usize),
-    /// Named fields, in declaration order.
-    Named(Vec<String>),
-}
-
-enum Shape {
-    Struct(Fields),
-    Enum(Vec<(String, Fields)>),
-}
-
-struct Item {
-    name: String,
-    shape: Shape,
-}
-
-// ---------------------------------------------------------------------
-// Token walking
-// ---------------------------------------------------------------------
-
-struct Cursor {
-    toks: Vec<TokenTree>,
-    pos: usize,
-}
-
-impl Cursor {
-    fn new(stream: TokenStream) -> Self {
-        Cursor {
-            toks: stream.into_iter().collect(),
-            pos: 0,
-        }
-    }
-
-    fn peek(&self) -> Option<&TokenTree> {
-        self.toks.get(self.pos)
-    }
-
-    fn next(&mut self) -> Option<TokenTree> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    /// Skip `#[...]` attributes (doc comments arrive in this form too).
-    fn skip_attributes(&mut self) {
-        while let Some(TokenTree::Punct(p)) = self.peek() {
-            if p.as_char() != '#' {
-                break;
-            }
-            self.pos += 1; // '#'
-            if let Some(TokenTree::Group(g)) = self.peek() {
-                if g.delimiter() == Delimiter::Bracket {
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    /// Skip `pub`, `pub(crate)`, `pub(in ...)`.
-    fn skip_visibility(&mut self) {
-        if let Some(TokenTree::Ident(id)) = self.peek() {
-            if id.to_string() == "pub" {
-                self.pos += 1;
-                if let Some(TokenTree::Group(g)) = self.peek() {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        self.pos += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    fn expect_ident(&mut self, what: &str) -> Result<String, String> {
-        match self.next() {
-            Some(TokenTree::Ident(id)) => Ok(id.to_string()),
-            other => Err(format!(
-                "serde shim derive: expected {what}, found {other:?}"
-            )),
-        }
-    }
-
-    /// Skip a type (or expression) until a `,` at angle-bracket depth 0.
-    /// The comma itself is consumed. Groups are single trees, so only
-    /// `<`/`>` need tracking; `->` is recognized so the `>` of a return
-    /// arrow does not unbalance the count.
-    fn skip_until_top_level_comma(&mut self) {
-        let mut depth: i64 = 0;
-        while let Some(tok) = self.peek() {
-            match tok {
-                TokenTree::Punct(p) => {
-                    let c = p.as_char();
-                    if c == ',' && depth == 0 {
-                        self.pos += 1;
-                        return;
-                    }
-                    if c == '<' {
-                        depth += 1;
-                    } else if c == '-' {
-                        // Possible `->`: swallow the arrow head with it.
-                        self.pos += 1;
-                        if let Some(TokenTree::Punct(q)) = self.peek() {
-                            if q.as_char() == '>' {
-                                self.pos += 1;
-                            }
-                        }
-                        continue;
-                    } else if c == '>' {
-                        depth -= 1;
-                    }
-                    self.pos += 1;
-                }
-                _ => self.pos += 1,
-            }
-        }
-    }
-}
-
-fn parse_item(input: TokenStream) -> Result<Item, String> {
-    let mut cur = Cursor::new(input);
-    cur.skip_attributes();
-    cur.skip_visibility();
-
-    let kind = cur.expect_ident("`struct` or `enum`")?;
-    let name = cur.expect_ident("item name")?;
-
-    if let Some(TokenTree::Punct(p)) = cur.peek() {
-        if p.as_char() == '<' {
-            return Err(format!(
-                "serde shim derive: generic type `{name}` is not supported"
-            ));
-        }
-    }
-
-    match kind.as_str() {
-        "struct" => {
-            let fields = match cur.peek() {
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    parse_named_fields(g.stream())?
-                }
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    Fields::Tuple(count_top_level_items(g.stream()))
-                }
-                Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
-                other => {
-                    return Err(format!(
-                        "serde shim derive: unexpected struct body for `{name}`: {other:?}"
-                    ))
-                }
-            };
-            Ok(Item {
-                name,
-                shape: Shape::Struct(fields),
-            })
-        }
-        "enum" => match cur.peek() {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let variants = parse_variants(g.stream())?;
-                Ok(Item {
-                    name,
-                    shape: Shape::Enum(variants),
-                })
-            }
-            other => Err(format!(
-                "serde shim derive: unexpected enum body for `{name}`: {other:?}"
-            )),
-        },
-        other => Err(format!(
-            "serde shim derive: `{other}` items are not supported"
-        )),
-    }
-}
-
-fn parse_named_fields(stream: TokenStream) -> Result<Fields, String> {
-    let mut cur = Cursor::new(stream);
-    let mut names = Vec::new();
-    loop {
-        cur.skip_attributes();
-        cur.skip_visibility();
-        if cur.peek().is_none() {
-            break;
-        }
-        let field = cur.expect_ident("field name")?;
-        match cur.next() {
-            Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
-            other => {
-                return Err(format!(
-                    "serde shim derive: expected `:` after field `{field}`, found {other:?}"
-                ))
-            }
-        }
-        cur.skip_until_top_level_comma();
-        names.push(field);
-    }
-    Ok(Fields::Named(names))
-}
-
-/// Count comma-separated items at angle-bracket depth 0 (tuple arity).
-fn count_top_level_items(stream: TokenStream) -> usize {
-    let mut cur = Cursor::new(stream);
-    let mut n = 0;
-    while cur.peek().is_some() {
-        cur.skip_until_top_level_comma();
-        n += 1;
-    }
-    n
-}
-
-fn parse_variants(stream: TokenStream) -> Result<Vec<(String, Fields)>, String> {
-    let mut cur = Cursor::new(stream);
-    let mut variants = Vec::new();
-    loop {
-        cur.skip_attributes();
-        if cur.peek().is_none() {
-            break;
-        }
-        let name = cur.expect_ident("variant name")?;
-        let fields = match cur.peek() {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let f = parse_named_fields(g.stream())?;
-                cur.pos += 1;
-                f
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let f = Fields::Tuple(count_top_level_items(g.stream()));
-                cur.pos += 1;
-                f
-            }
-            _ => Fields::Unit,
-        };
-        // Skip a possible discriminant and the trailing comma.
-        cur.skip_until_top_level_comma();
-        variants.push((name, fields));
-    }
-    Ok(variants)
-}
-
-// ---------------------------------------------------------------------
-// Code generation
-// ---------------------------------------------------------------------
-
-fn gen_serialize(item: &Item) -> String {
-    let name = &item.name;
-    let body = match &item.shape {
-        Shape::Struct(Fields::Unit) => "::serde::Value::Null".to_string(),
-        Shape::Struct(Fields::Tuple(1)) => "::serde::Serialize::serialize(&self.0)".to_string(),
-        Shape::Struct(Fields::Tuple(n)) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::serialize(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", elems.join(", "))
-        }
-        Shape::Struct(Fields::Named(fields)) => {
-            let mut s =
-                String::from("let mut __fields: Vec<(String, ::serde::Value)> = Vec::new();\n");
-            for f in fields {
-                s.push_str(&format!(
-                    "__fields.push((\"{f}\".to_string(), ::serde::Serialize::serialize(&self.{f})));\n"
-                ));
-            }
-            s.push_str("::serde::Value::Object(__fields)");
-            s
-        }
-        Shape::Enum(variants) => {
-            let mut arms = String::new();
-            for (v, fields) in variants {
-                match fields {
-                    Fields::Unit => arms.push_str(&format!(
-                        "{name}::{v} => ::serde::Value::String(\"{v}\".to_string()),\n"
-                    )),
-                    Fields::Tuple(1) => arms.push_str(&format!(
-                        "{name}::{v}(__f0) => ::serde::__variant(\"{v}\", ::serde::Serialize::serialize(__f0)),\n"
-                    )),
-                    Fields::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let elems: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::serialize({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{v}({}) => ::serde::__variant(\"{v}\", ::serde::Value::Array(vec![{}])),\n",
-                            binds.join(", "),
-                            elems.join(", ")
-                        ));
-                    }
-                    Fields::Named(fs) => {
-                        let binds = fs.join(", ");
-                        let mut inner = String::from(
-                            "let mut __fields: Vec<(String, ::serde::Value)> = Vec::new();\n",
-                        );
-                        for f in fs {
-                            inner.push_str(&format!(
-                                "__fields.push((\"{f}\".to_string(), ::serde::Serialize::serialize({f})));\n"
-                            ));
-                        }
-                        arms.push_str(&format!(
-                            "{name}::{v} {{ {binds} }} => {{ {inner} ::serde::__variant(\"{v}\", ::serde::Value::Object(__fields)) }},\n"
-                        ));
-                    }
-                }
-            }
-            format!("match self {{\n{arms}}}")
-        }
-    };
-    format!(
-        "#[automatically_derived]\n\
-         impl ::serde::Serialize for {name} {{\n\
-             fn serialize(&self) -> ::serde::Value {{\n\
-                 {body}\n\
-             }}\n\
-         }}"
-    )
-}
-
-fn gen_deserialize(item: &Item) -> String {
-    let name = &item.name;
-    let body = match &item.shape {
-        Shape::Struct(Fields::Unit) => format!("let _ = __value; Ok({name})"),
-        Shape::Struct(Fields::Tuple(1)) => {
-            format!("Ok({name}(::serde::Deserialize::deserialize(__value)?))")
-        }
-        Shape::Struct(Fields::Tuple(n)) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::deserialize(&__items[{i}])?"))
-                .collect();
-            format!(
-                "let __items = ::serde::__tuple(__value, {n}, \"{name}\")?;\n\
-                 Ok({name}({}))",
-                elems.join(", ")
-            )
-        }
-        Shape::Struct(Fields::Named(fields)) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::__field(__obj, \"{f}\")?"))
-                .collect();
-            format!(
-                "let __obj = __value.as_object().ok_or_else(|| \
-                     ::serde::Error::custom(\"expected object for {name}\"))?;\n\
-                 Ok({name} {{ {} }})",
-                inits.join(", ")
-            )
-        }
-        Shape::Enum(variants) => {
-            let mut unit_arms = String::new();
-            let mut data_arms = String::new();
-            for (v, fields) in variants {
-                match fields {
-                    Fields::Unit => unit_arms.push_str(&format!("\"{v}\" => Ok({name}::{v}),\n")),
-                    Fields::Tuple(1) => data_arms.push_str(&format!(
-                        "\"{v}\" => Ok({name}::{v}(::serde::Deserialize::deserialize(_inner)?)),\n"
-                    )),
-                    Fields::Tuple(n) => {
-                        let elems: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Deserialize::deserialize(&__items[{i}])?"))
-                            .collect();
-                        data_arms.push_str(&format!(
-                            "\"{v}\" => {{\n\
-                                 let __items = ::serde::__tuple(_inner, {n}, \"{name}::{v}\")?;\n\
-                                 Ok({name}::{v}({}))\n\
-                             }},\n",
-                            elems.join(", ")
-                        ));
-                    }
-                    Fields::Named(fs) => {
-                        let inits: Vec<String> = fs
-                            .iter()
-                            .map(|f| format!("{f}: ::serde::__field(__obj, \"{f}\")?"))
-                            .collect();
-                        data_arms.push_str(&format!(
-                            "\"{v}\" => {{\n\
-                                 let __obj = _inner.as_object().ok_or_else(|| \
-                                     ::serde::Error::custom(\"expected object for {name}::{v}\"))?;\n\
-                                 Ok({name}::{v} {{ {} }})\n\
-                             }},\n",
-                            inits.join(", ")
-                        ));
-                    }
-                }
-            }
-            format!(
-                "match __value {{\n\
-                     ::serde::Value::String(__s) => match __s.as_str() {{\n\
-                         {unit_arms}\
-                         __other => Err(::serde::Error::custom(format!(\
-                             \"unknown variant `{{}}` for {name}\", __other))),\n\
-                     }},\n\
-                     ::serde::Value::Object(__pairs) if __pairs.len() == 1 => {{\n\
-                         let (__tag, _inner) = &__pairs[0];\n\
-                         match __tag.as_str() {{\n\
-                             {data_arms}\
-                             __other => Err(::serde::Error::custom(format!(\
-                                 \"unknown variant `{{}}` for {name}\", __other))),\n\
-                         }}\n\
-                     }},\n\
-                     __other => Err(::serde::Error::custom(format!(\
-                         \"invalid enum representation for {name}: {{:?}}\", __other))),\n\
-                 }}"
-            )
-        }
-    };
-    format!(
-        "#[automatically_derived]\n\
-         impl ::serde::Deserialize for {name} {{\n\
-             fn deserialize(__value: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                 {body}\n\
-             }}\n\
-         }}"
-    )
-}
+//! Empty: nothing in the workspace derives anything. The package stays
+//! only because the frozen lockfile of `crates/bench/examples/sysbench`
+//! lists it as a dependency of `serde`; it goes at the next re-lock.

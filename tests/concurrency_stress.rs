@@ -15,7 +15,7 @@ use dvfs_serve::client::Connection;
 use dvfs_serve::protocol::{encode_command, encode_submit, value_u64, ErrorKind, Response};
 use dvfs_serve::{serve, Endpoint, Mode, RebalanceConfig, SchedulerConfig, ServerConfig};
 use dvfs_suite::model::TaskClass;
-use serde::Value;
+use serde_json::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

@@ -19,7 +19,7 @@ use dvfs_serve::{
     serve, Endpoint, Mode, SchedulerConfig, ServerConfig, REQUEST_E2E, TELESCOPE_STAGES,
 };
 use dvfs_suite::model::{Task, TaskClass};
-use serde::Value;
+use serde_json::Value;
 use std::path::PathBuf;
 
 /// Shard count under test, from `DVFS_SERVE_SHARDS` (default 1).

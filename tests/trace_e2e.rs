@@ -17,7 +17,7 @@ use dvfs_serve::{serve, Endpoint, Registry, Response, SchedulerConfig, ServerCon
 use dvfs_suite::model::{Task, TaskClass};
 use dvfs_suite::trace::export::{chrome_trace, parse_jsonl};
 use dvfs_suite::trace::EventKind;
-use serde::Value;
+use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::Arc;
 
