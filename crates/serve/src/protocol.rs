@@ -179,35 +179,35 @@ impl Response {
         }
     }
 
-    /// Encode as one wire line (no trailing newline).
+    /// Encode as one wire line (no trailing newline). A success writes
+    /// `"ok"` and then its fields as they stand, no copy of the
+    /// document in between.
     #[must_use]
     pub fn encode(&self) -> String {
-        let obj = match self {
+        match self {
             Response::Ok(fields) => {
-                let mut pairs = vec![("ok".to_string(), Value::Bool(true))];
-                pairs.extend(fields.iter().cloned());
-                Value::Object(pairs)
+                let mut line = String::from("{\"ok\":true");
+                for (name, value) in fields {
+                    line.push(',');
+                    line.push_str(&serde_json::to_string(&Value::from(name.as_str())));
+                    line.push(':');
+                    line.push_str(&serde_json::to_string(value));
+                }
+                line.push('}');
+                line
             }
-            Response::Err { kind, message } => Value::Object(vec![
+            Response::Err { kind, message } => serde_json::to_string(&Value::Object(vec![
                 ("ok".to_string(), Value::Bool(false)),
                 ("kind".to_string(), Value::String(kind.as_str().to_string())),
                 ("error".to_string(), Value::String(message.clone())),
-            ]),
-        };
-        serde_json::to_string(&obj)
+            ])),
+        }
     }
 
     /// Append the wire line and its newline to a connection's output
-    /// bytes. A reply that lands on an empty buffer too small for it (a
-    /// multi-megabyte trace, typically alone in its batch) is adopted,
-    /// not copied.
+    /// bytes.
     pub fn push_line(&self, out: &mut Vec<u8>) {
-        let line = self.encode();
-        if out.is_empty() && line.len() >= out.capacity() {
-            *out = line.into_bytes();
-        } else {
-            out.extend_from_slice(line.as_bytes());
-        }
+        out.extend_from_slice(self.encode().as_bytes());
         out.push(b'\n');
     }
 
@@ -412,6 +412,24 @@ mod tests {
         assert_eq!(Response::decode(&line).unwrap(), ok);
         assert_eq!(value_u64(ok.field("id").unwrap()), Some(3));
         assert_eq!(value_f64(ok.field("cost").unwrap()), Some(1.25));
+
+        // Fields are written by reference, in the bytes of the whole
+        // document handed to the generic writer.
+        let nested = vec![
+            field_u64("n", 1),
+            ("odd \"key\"\n".to_string(), Value::from("tab\there")),
+            (
+                "rows".to_string(),
+                Value::Array(vec![Value::Object(vec![field_f64("x", 2.0)]), Value::Null]),
+            ),
+        ];
+        let mut doc = vec![("ok".to_string(), Value::Bool(true))];
+        doc.extend(nested.iter().cloned());
+        assert_eq!(
+            Response::Ok(nested).encode(),
+            serde_json::to_string(&Value::Object(doc))
+        );
+        assert_eq!(Response::ok().encode(), r#"{"ok":true}"#);
 
         let err = Response::err(ErrorKind::Overloaded, "queue full");
         let back = Response::decode(&err.encode()).unwrap();

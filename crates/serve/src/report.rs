@@ -5,24 +5,22 @@
 //! scheduler lock (`stats` and `health` read what the workers
 //! publish), so a document's field list and order (which the
 //! byte-identical-across-backends and across-shard-counts tests pin)
-//! is decided in exactly one place.
+//! is decided in exactly one place. The first three are `Response`
+//! values; the two trace replies, which run to tens of megabytes, are
+//! written straight into the connection's output bytes, in the bytes
+//! `Response::encode` would give the same document.
 
 use crate::executor::RoundReport;
 use crate::metrics::{shard_metric, Registry};
 use crate::protocol::{field_f64, field_u64, ErrorKind, Response};
 use crate::stage::{REQUEST_E2E, STAGE_CMD_DEQUEUE, TELESCOPE_STAGES};
-use crate::tracestore::TraceChunk;
 use crate::worker::ShardShared;
 use dvfs_model::CostParams;
+use dvfs_trace::export::{write_events, Framing};
+use dvfs_trace::TraceEvent;
 use serde_json::Value;
+use std::io::Write;
 use std::sync::Arc;
-
-fn json_lines(lines: Vec<String>) -> (String, Value) {
-    (
-        "events".to_string(),
-        Value::Array(lines.into_iter().map(Value::String).collect()),
-    )
-}
 
 /// The error both trace commands answer when `trace_capacity` is 0.
 pub(crate) fn tracing_disabled() -> Response {
@@ -32,24 +30,21 @@ pub(crate) fn tracing_disabled() -> Response {
     )
 }
 
-/// `trace`: the accumulated trace as an array of JSONL strings plus
-/// the ring-drop counter.
-pub(crate) fn trace(lines: Vec<String>, dropped: u64) -> Response {
-    Response::Ok(vec![
-        field_u64("count", lines.len() as u64),
-        field_u64("dropped", dropped),
-        json_lines(lines),
-    ])
-}
-
-/// `trace_stream`: one chunk, with the running streamed total.
-pub(crate) fn trace_stream(chunk: TraceChunk, dropped: u64) -> Response {
-    Response::Ok(vec![
-        field_u64("count", chunk.lines.len() as u64),
-        field_u64("dropped", dropped),
-        field_u64("streamed", chunk.streamed_total),
-        json_lines(chunk.lines),
-    ])
+/// `trace` and (with `streamed`) `trace_stream`: the counts, then
+/// `events` as an array of JSONL strings, as one reply line appended to
+/// `out`.
+pub(crate) fn trace(out: &mut Vec<u8>, events: &[TraceEvent], dropped: u64, streamed: Option<u64>) {
+    let _ = write!(
+        out,
+        "{{\"ok\":true,\"count\":{},\"dropped\":{dropped}",
+        events.len()
+    );
+    if let Some(streamed) = streamed {
+        let _ = write!(out, ",\"streamed\":{streamed}");
+    }
+    out.extend_from_slice(b",\"events\":[");
+    write_events(out, events, Framing::Strings);
+    out.extend_from_slice(b"]}\n");
 }
 
 /// `drain`: the merged round report plus the per-shard reports, in

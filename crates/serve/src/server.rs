@@ -238,11 +238,14 @@ impl dvfs_net::Handler for Shared {
                     resp
                 }
                 Request::Trace => {
-                    let resp = self.scheduler.trace_run();
+                    self.scheduler.trace_run(out);
                     self.scheduler.flush_trace_file();
-                    resp
+                    continue;
                 }
-                Request::TraceStream => self.scheduler.trace_stream_run(),
+                Request::TraceStream => {
+                    self.scheduler.trace_stream_run(out);
+                    continue;
+                }
                 // Acknowledged here; the driver calls `stop` once the
                 // ack is on its way. The lines behind owe nothing.
                 Request::Shutdown => {

@@ -482,15 +482,14 @@ impl Scheduler {
     }
 
     /// Wire handler for `trace_stream`: everything recorded and not yet
-    /// streamed, appended to the `--trace-out` file and then forgotten
-    /// server-side.
-    pub fn trace_stream_run(&self) -> Response {
+    /// streamed, appended to the `--trace-out` file, forgotten
+    /// server-side, and written into `out` as one reply line.
+    pub fn trace_stream_run(&self, out: &mut Vec<u8>) {
         if !self.trace_enabled() {
-            return report::tracing_disabled();
+            return report::tracing_disabled().push_line(out);
         }
         self.collect_trace_residue();
-        let dropped = self.trace_dropped();
-        report::trace_stream(self.trace.take_chunk(), dropped)
+        self.trace.write_chunk(out, self.trace_dropped());
     }
 
     /// Events dropped by full (or zero-capacity) trace rings so far.
@@ -504,12 +503,14 @@ impl Scheduler {
     }
 
     /// Wire handler for `trace`: the accumulated trace as an array of
-    /// JSONL strings plus the ring-drop counter.
-    pub fn trace_run(&self) -> Response {
+    /// JSONL strings plus the ring-drop counter, written into `out` as
+    /// one reply line.
+    pub fn trace_run(&self, out: &mut Vec<u8>) {
         if !self.trace_enabled() {
-            return report::tracing_disabled();
+            return report::tracing_disabled().push_line(out);
         }
-        report::trace(self.trace_lines(), self.trace_dropped())
+        self.collect_trace_residue();
+        self.trace.write_trace(out, self.trace_dropped());
     }
 
     /// Wire handler for `drain`: run the round and encode the merged
@@ -1529,8 +1530,12 @@ mod tests {
                 }
                 assert!(s.drain_run().is_ok());
                 if streamed {
-                    s.collect_trace_residue();
-                    lines.extend(s.trace.take_chunk().lines);
+                    let mut out = Vec::new();
+                    s.trace_stream_run(&mut out);
+                    let reply = std::str::from_utf8(&out).unwrap().trim_end();
+                    let reply = Response::decode(reply).unwrap();
+                    let chunk = reply.field("events").and_then(Value::as_array).unwrap();
+                    lines.extend(chunk.iter().map(|l| l.as_str().unwrap().to_owned()));
                 }
             }
             if streamed {

@@ -10,42 +10,126 @@
 //! is the exact inverse of [`jsonl_line`] (`f64` round-trips bit-for-
 //! bit), which is what lets downstream tools diff predicted against
 //! measured cost per task.
+//!
+//! One writer renders every line, into a byte buffer: as is, or as a
+//! JSON string inside a reply ([`Framing`]). [`write_events`] renders a
+//! long run in contiguous pieces on every core and joins them in order,
+//! so a server writes a multi-megabyte trace reply straight into its
+//! output bytes; [`jsonl_line`] and [`to_jsonl`] wrap the same writer.
 
 use crate::{ClassTag, EventKind, TraceEvent};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
-/// Render one event as a single JSONL line (no trailing newline).
-/// Field order is fixed: `t`, `shard`, `seq`, `ev`, then the payload
-/// fields in declaration order.
-#[must_use]
-pub fn jsonl_line(ev: &TraceEvent) -> String {
-    let mut s = String::with_capacity(96);
-    let _ = write!(
-        s,
-        "{{\"t\":{},\"shard\":{},\"seq\":{},\"ev\":\"{}\"",
-        ev.time,
-        ev.shard,
-        ev.seq,
-        ev.kind.name()
-    );
+/// How [`write_events`] frames each event's JSONL line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Framing {
+    /// The line as is, ended by a newline: a JSONL file.
+    Lines,
+    /// The line as a JSON string (`"` around it, `\"` for each quote
+    /// in it), comma-separated: the body of a reply's `events` array.
+    Strings,
+}
+
+/// The fewest events a piece of a split run holds: a run shorter than
+/// two pieces renders on the calling thread, a longer one in at most
+/// one piece per available core.
+const PIECE_EVENTS: usize = 16_384;
+
+/// A field's key in both spellings of the quote, as one literal each:
+/// `,"name":` and `,\"name\":` (or with `{` leading, for the first).
+struct Key(&'static str, &'static str);
+
+macro_rules! key {
+    ($name:literal) => {
+        key!($name, ",")
+    };
+    ($name:literal, $lead:literal) => {
+        Key(
+            concat!($lead, "\"", $name, "\":"),
+            concat!($lead, "\\\"", $name, "\\\":"),
+        )
+    };
+}
+
+/// One event's JSONL being written, each quote spelled `\"` when
+/// `escaped`, else `"`.
+struct Line<'a> {
+    out: &'a mut Vec<u8>,
+    escaped: bool,
+}
+
+impl Line<'_> {
+    fn key(&mut self, key: Key) {
+        let key = if self.escaped { key.1 } else { key.0 };
+        self.out.extend_from_slice(key.as_bytes());
+    }
+
+    fn str(&mut self, key: Key, v: &str) {
+        self.key(key);
+        let quote: &[u8] = if self.escaped { b"\\\"" } else { b"\"" };
+        self.out.extend_from_slice(quote);
+        self.out.extend_from_slice(v.as_bytes());
+        self.out.extend_from_slice(quote);
+    }
+
+    /// An integer in decimal — `Display`'s bytes, without a formatter.
+    fn int(&mut self, key: Key, v: impl Into<u64>) {
+        self.key(key);
+        let mut v = v.into();
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.out.extend_from_slice(&digits[start..]);
+    }
+
+    fn float(&mut self, key: Key, v: f64) {
+        self.key(key);
+        self.display(v);
+    }
+
+    fn display(&mut self, v: f64) {
+        let _ = write!(self.out, "{v}");
+    }
+}
+
+/// Append one event's JSONL line (no newline) to `out`, spelling each
+/// of its quotes `\"` when `escaped` (the line inside a JSON string),
+/// else `"` (the line itself). Nothing else needs escaping in either:
+/// the only strings an event carries are [`EventKind::name`] and
+/// [`ClassTag::name`] identifiers, and numbers render in Rust's
+/// shortest-round-trip `Display` form. Field order is fixed: `t`,
+/// `shard`, `seq`, `ev`, then the payload fields in declaration order.
+fn write_event(out: &mut Vec<u8>, ev: &TraceEvent, escaped: bool) {
+    let mut w = Line { out, escaped };
+    w.float(key!("t", "{"), ev.time);
+    w.int(key!("shard"), ev.shard);
+    w.int(key!("seq"), ev.seq);
+    w.str(key!("ev"), ev.kind.name());
     match &ev.kind {
         EventKind::Submit {
             task,
             class,
             cycles,
         } => {
-            let _ = write!(
-                s,
-                ",\"task\":{task},\"class\":\"{}\",\"cycles\":{cycles}",
-                class.name()
-            );
+            w.int(key!("task"), *task);
+            w.str(key!("class"), class.name());
+            w.int(key!("cycles"), *cycles);
         }
         EventKind::Admit { task, depth } => {
-            let _ = write!(s, ",\"task\":{task},\"depth\":{depth}");
+            w.int(key!("task"), *task);
+            w.int(key!("depth"), *depth);
         }
         EventKind::Shed { task, class } => {
-            let _ = write!(s, ",\"task\":{task},\"class\":\"{}\"", class.name());
+            w.int(key!("task"), *task);
+            w.str(key!("class"), class.name());
         }
         EventKind::Enqueue {
             task,
@@ -55,22 +139,20 @@ pub fn jsonl_line(ev: &TraceEvent) -> String {
             energy_delta,
             wait_delta,
         } => {
-            let _ = write!(
-                s,
-                ",\"task\":{task},\"core\":{core},\"position\":{position}"
-            );
-            s.push_str(",\"costs\":[");
+            w.int(key!("task"), *task);
+            w.int(key!("core"), *core);
+            w.int(key!("position"), *position);
+            w.key(key!("costs"));
+            w.out.push(b'[');
             for (i, c) in costs.iter().enumerate() {
                 if i > 0 {
-                    s.push(',');
+                    w.out.push(b',');
                 }
-                let _ = write!(s, "{c}");
+                w.display(*c);
             }
-            s.push(']');
-            let _ = write!(
-                s,
-                ",\"energy_delta\":{energy_delta},\"wait_delta\":{wait_delta}"
-            );
+            w.out.push(b']');
+            w.float(key!("energy_delta"), *energy_delta);
+            w.float(key!("wait_delta"), *wait_delta);
         }
         EventKind::Dispatch {
             task,
@@ -79,16 +161,20 @@ pub fn jsonl_line(ev: &TraceEvent) -> String {
             predicted_energy_j,
             predicted_time_s,
         } => {
-            let _ = write!(
-                s,
-                ",\"task\":{task},\"core\":{core},\"rate\":{rate},\"predicted_energy_j\":{predicted_energy_j},\"predicted_time_s\":{predicted_time_s}"
-            );
+            w.int(key!("task"), *task);
+            w.int(key!("core"), *core);
+            w.int(key!("rate"), *rate);
+            w.float(key!("predicted_energy_j"), *predicted_energy_j);
+            w.float(key!("predicted_time_s"), *predicted_time_s);
         }
         EventKind::Preempt { task, core } => {
-            let _ = write!(s, ",\"task\":{task},\"core\":{core}");
+            w.int(key!("task"), *task);
+            w.int(key!("core"), *core);
         }
         EventKind::RateChange { core, from, to } => {
-            let _ = write!(s, ",\"core\":{core},\"from\":{from},\"to\":{to}");
+            w.int(key!("core"), *core);
+            w.int(key!("from"), *from);
+            w.int(key!("to"), *to);
         }
         EventKind::Migrate {
             task,
@@ -97,10 +183,11 @@ pub fn jsonl_line(ev: &TraceEvent) -> String {
             from_cost,
             to_cost,
         } => {
-            let _ = write!(
-                s,
-                ",\"task\":{task},\"from_shard\":{from_shard},\"to_shard\":{to_shard},\"from_cost\":{from_cost},\"to_cost\":{to_cost}"
-            );
+            w.int(key!("task"), *task);
+            w.int(key!("from_shard"), *from_shard);
+            w.int(key!("to_shard"), *to_shard);
+            w.float(key!("from_cost"), *from_cost);
+            w.float(key!("to_cost"), *to_cost);
         }
         EventKind::Complete {
             task,
@@ -108,26 +195,89 @@ pub fn jsonl_line(ev: &TraceEvent) -> String {
             energy_j,
             turnaround_s,
         } => {
-            let _ = write!(
-                s,
-                ",\"task\":{task},\"core\":{core},\"energy_j\":{energy_j},\"turnaround_s\":{turnaround_s}"
-            );
+            w.int(key!("task"), *task);
+            w.int(key!("core"), *core);
+            w.float(key!("energy_j"), *energy_j);
+            w.float(key!("turnaround_s"), *turnaround_s);
         }
     }
-    s.push('}');
-    s
+    w.out.push(b'}');
+}
+
+/// Append `events` to `out` framed as `framing`. A run of at least two
+/// `PIECE_EVENTS` is cut into contiguous pieces, at most one per
+/// available core, so a multi-megabyte reply renders on every core.
+pub fn write_events(out: &mut Vec<u8>, events: &[TraceEvent], framing: Framing) {
+    let mut pieces = events.len() / PIECE_EVENTS;
+    if pieces > 1 {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        pieces = pieces.min(cores);
+    }
+    write_in_pieces(out, events, framing, pieces);
+}
+
+/// [`write_events`] cut into `pieces` contiguous pieces (at least
+/// one), rendered on scoped threads — the first straight into `out` —
+/// and joined in order: the bytes do not depend on the cut.
+fn write_in_pieces(out: &mut Vec<u8>, events: &[TraceEvent], framing: Framing, pieces: usize) {
+    let mut chunks = events.chunks(events.len().div_ceil(pieces.max(1)).max(1));
+    let Some(first) = chunks.next() else { return };
+    std::thread::scope(|s| {
+        let rest: Vec<_> = chunks
+            .map(|piece| {
+                s.spawn(move || {
+                    let mut buf = Vec::new();
+                    write_piece(&mut buf, piece, framing, false);
+                    buf
+                })
+            })
+            .collect();
+        write_piece(out, first, framing, true);
+        for handle in rest {
+            match handle.join() {
+                Ok(buf) => out.extend_from_slice(&buf),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+}
+
+/// [`write_events`] for one piece; `leading` says whether it opens the
+/// run (a `Strings` piece after the first starts with its separator).
+fn write_piece(out: &mut Vec<u8>, events: &[TraceEvent], framing: Framing, leading: bool) {
+    for (i, ev) in events.iter().enumerate() {
+        match framing {
+            Framing::Lines => {
+                write_event(out, ev, false);
+                out.push(b'\n');
+            }
+            Framing::Strings => {
+                if i > 0 || !leading {
+                    out.push(b',');
+                }
+                out.push(b'"');
+                write_event(out, ev, true);
+                out.push(b'"');
+            }
+        }
+    }
+}
+
+/// Render one event as a single JSONL line (no trailing newline).
+#[must_use]
+pub fn jsonl_line(ev: &TraceEvent) -> String {
+    let mut out = Vec::with_capacity(128);
+    write_event(&mut out, ev, false);
+    String::from_utf8(out).expect("an event renders as ASCII")
 }
 
 /// Render a whole trace as JSONL (one line per event, trailing
 /// newline).
 #[must_use]
 pub fn to_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        out.push_str(&jsonl_line(ev));
-        out.push('\n');
-    }
-    out
+    let mut out = Vec::new();
+    write_events(&mut out, events, Framing::Lines);
+    String::from_utf8(out).expect("an event renders as ASCII")
 }
 
 /// One parsed scalar or array field of a trace line.
@@ -619,6 +769,167 @@ mod tests {
                 },
             },
         ]
+    }
+
+    /// One event of every kind, with floats whose `Display` takes each
+    /// shape (integral, negative, tiny, non-representable) and an
+    /// enqueue that compared no costs.
+    fn every_kind() -> Vec<TraceEvent> {
+        let mut events = sample();
+        let at = |seq: u64, kind: EventKind| TraceEvent {
+            time: seq as f64 * 0.25,
+            shard: 3,
+            seq,
+            kind,
+        };
+        events.extend([
+            at(
+                6,
+                EventKind::Admit {
+                    task: u64::MAX,
+                    depth: 17,
+                },
+            ),
+            at(
+                7,
+                EventKind::Shed {
+                    task: 9,
+                    class: ClassTag::NonInteractive,
+                },
+            ),
+            at(
+                8,
+                EventKind::Submit {
+                    task: 10,
+                    class: ClassTag::Batch,
+                    cycles: 0,
+                },
+            ),
+            at(
+                9,
+                EventKind::Enqueue {
+                    task: 10,
+                    core: 0,
+                    position: 0,
+                    costs: Vec::new(),
+                    energy_delta: -2.5,
+                    wait_delta: 1e-7,
+                },
+            ),
+            at(10, EventKind::Preempt { task: 10, core: 0 }),
+            at(
+                11,
+                EventKind::Complete {
+                    task: 10,
+                    core: 0,
+                    energy_j: 3.0,
+                    turnaround_s: 1.5e-9,
+                },
+            ),
+        ]);
+        events
+    }
+
+    /// What the writer rendered before it wrote into byte buffers.
+    const EVERY_KIND_JSONL: &str = r#"{"t":0,"shard":0,"seq":0,"ev":"submit","task":4,"class":"interactive","cycles":50000000}
+{"t":0,"shard":0,"seq":1,"ev":"enqueue","task":4,"core":1,"position":2,"costs":[0.125,0.1,0.00000035],"energy_delta":0.0625,"wait_delta":0.0375}
+{"t":0.015,"shard":0,"seq":2,"ev":"dispatch","task":4,"core":1,"rate":3,"predicted_energy_j":0.30000000000000004,"predicted_time_s":0.03333333333333333}
+{"t":0.02,"shard":0,"seq":3,"ev":"rate_change","core":1,"from":3,"to":2}
+{"t":0.03,"shard":0,"seq":4,"ev":"migrate","task":6,"from_shard":1,"to_shard":0,"from_cost":0.7999999999999999,"to_cost":0.0125}
+{"t":0.05,"shard":0,"seq":5,"ev":"complete","task":4,"core":1,"energy_j":0.30000000000000004,"turnaround_s":0.05}
+{"t":1.5,"shard":3,"seq":6,"ev":"admit","task":18446744073709551615,"depth":17}
+{"t":1.75,"shard":3,"seq":7,"ev":"shed","task":9,"class":"non_interactive"}
+{"t":2,"shard":3,"seq":8,"ev":"submit","task":10,"class":"batch","cycles":0}
+{"t":2.25,"shard":3,"seq":9,"ev":"enqueue","task":10,"core":0,"position":0,"costs":[],"energy_delta":-2.5,"wait_delta":0.0000001}
+{"t":2.5,"shard":3,"seq":10,"ev":"preempt","task":10,"core":0}
+{"t":2.75,"shard":3,"seq":11,"ev":"complete","task":10,"core":0,"energy_j":3,"turnaround_s":0.0000000015}
+"#;
+
+    #[test]
+    fn jsonl_lines_are_the_golden_bytes() {
+        assert_eq!(to_jsonl(&every_kind()), EVERY_KIND_JSONL);
+        for (ev, line) in every_kind().iter().zip(EVERY_KIND_JSONL.lines()) {
+            assert_eq!(jsonl_line(ev), line);
+        }
+    }
+
+    /// However a run is cut, the pieces join to the one-piece bytes:
+    /// JSONL lines, or each line as a JSON string of an array body.
+    #[test]
+    fn every_cut_renders_the_same_bytes() {
+        let events = every_kind();
+        let strings: Vec<String> = EVERY_KIND_JSONL
+            .lines()
+            .map(|l| format!("\"{}\"", l.replace('"', "\\\"")))
+            .collect();
+        for (framing, want) in [
+            (Framing::Lines, EVERY_KIND_JSONL.to_owned()),
+            (Framing::Strings, strings.join(",")),
+        ] {
+            for pieces in 0..=events.len() + 1 {
+                let mut out = b"head".to_vec();
+                write_in_pieces(&mut out, &events, framing, pieces);
+                assert_eq!(
+                    out,
+                    [b"head", want.as_bytes()].concat(),
+                    "{framing:?} in {pieces}"
+                );
+            }
+            let mut out = Vec::new();
+            write_events(&mut out, &[], framing);
+            assert!(out.is_empty());
+        }
+    }
+
+    #[test]
+    fn integers_render_as_display_does() {
+        for v in [
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let mut out = Vec::new();
+            let mut w = Line {
+                out: &mut out,
+                escaped: false,
+            };
+            w.int(key!("n", ""), v);
+            assert_eq!(out, format!("\"n\":{v}").into_bytes());
+        }
+    }
+
+    /// The writer's one escaping rule — quotes only — holds because no
+    /// string an event carries has a byte JSON must escape.
+    #[test]
+    fn event_and_class_names_need_no_escaping() {
+        let classes = [
+            ClassTag::Interactive,
+            ClassTag::NonInteractive,
+            ClassTag::Batch,
+        ];
+        let names = every_kind()
+            .iter()
+            .map(|ev| ev.kind.name())
+            .collect::<Vec<_>>();
+        assert_eq!(
+            names
+                .iter()
+                .collect::<std::collections::BTreeSet<_>>()
+                .len(),
+            9
+        );
+        for name in names.into_iter().chain(classes.map(ClassTag::name)) {
+            assert!(
+                name.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\'),
+                "{name:?}"
+            );
+        }
     }
 
     #[test]

@@ -154,7 +154,7 @@ fi
 # a ceiling of its own, on the same terms.
 # The engine side (crates/{core,sim,trace}/src) is printed after them,
 # ungated: a baseline for the next PR that pays lines back there.
-TOTAL_CEILING=7036
+TOTAL_CEILING=7034
 # Lower it with the total; never raise it.
 SHIMS_CEILING=1409
 echo "==> non-test lines per file, crates/{serve,net}/src"

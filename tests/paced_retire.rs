@@ -2,13 +2,17 @@
 //! done.
 //!
 //! One test, in a process of its own so `VmRSS` is its alone: waves of
-//! submits with ticks in between. Every tick streams what completed
-//! into the registry and retires it from the engine, so after each wave
-//! nothing is resident, the process stops growing, and the drain's
-//! report — whose `records` now holds only what no tick had streamed —
-//! still totals the whole round: its count, turnaround and cost equal
-//! what the ticks streamed, and the books balance. Auto ids cost no
-//! dedup entry either, and explicit ids still collide with them.
+//! submits with ticks in between, the trace ring on and a
+//! `trace_stream` after every wave. Every tick streams what completed
+//! into the registry and retires it from the engine, and every
+//! `trace_stream` hands out what the rings recorded and forgets it, so
+//! after each wave nothing is resident, the process stops growing, and
+//! the drain's report — whose `records` now holds only what no tick had
+//! streamed — still totals the whole round: its count, turnaround and
+//! cost equal what the ticks streamed, and the books balance. The
+//! trace loses nothing either: no ring drops an event, and the chunks'
+//! counts sum to the stream cursor. Auto ids cost no dedup entry
+//! either, and explicit ids still collide with them.
 //!
 //! Honours `DVFS_SERVE_SHARDS` (default 1) like the wire suites.
 
@@ -22,6 +26,9 @@ const WAVES: usize = 10;
 const WAVE: usize = 20_000;
 /// Below a wave: every wave sheds its excess, so `shed` is exercised.
 const CAPACITY: usize = 16_384;
+/// Per shard: room for every event of a wave, so a ring drops nothing
+/// between two `trace_stream`s.
+const TRACE_CAPACITY: usize = 1 << 20;
 
 fn env_shards() -> usize {
     std::env::var("DVFS_SERVE_SHARDS")
@@ -42,6 +49,20 @@ fn vm_rss_kib() -> u64 {
         .nth(1)
         .and_then(|kib| kib.parse().ok())
         .expect("VmRSS value")
+}
+
+/// One `trace_stream` through the in-process wire handler: the reply's
+/// `count`, `dropped` and `streamed`. Only the header ahead of the
+/// event array is parsed: a wave's reply runs to 13 MB, and the unit
+/// tests hold its events to the generic encoder.
+fn trace_stream(s: &Scheduler) -> (u64, u64, u64) {
+    let mut out = Vec::new();
+    s.trace_stream_run(&mut out);
+    let line = std::str::from_utf8(&out).expect("UTF-8 reply");
+    let (header, _) = line.split_once(",\"events\":[").expect("an event array");
+    let reply = Response::decode(&format!("{header}}}")).expect("a trace_stream header");
+    let field = |name| reply.field(name).and_then(value_u64).expect(name);
+    (field("count"), field("dropped"), field("streamed"))
 }
 
 fn counter(s: &Scheduler, name: &str) -> u64 {
@@ -65,6 +86,7 @@ fn paced_waves_retire_what_they_complete_and_the_drain_still_totals_the_round() 
         shards: env_shards(),
         mode: Mode::Paced { speed: 100_000.0 },
         queue_capacity: CAPACITY,
+        trace_capacity: TRACE_CAPACITY,
         ..SchedulerConfig::default()
     };
     let params = cfg.params;
@@ -85,6 +107,7 @@ fn paced_waves_retire_what_they_complete_and_the_drain_still_totals_the_round() 
         .collect();
     let mut rss_kib = Vec::with_capacity(WAVES);
     let mut highest_id = 0;
+    let (mut counted, mut streamed) = (0, 0);
     for _ in 0..WAVES {
         for chunk in wave.chunks(64) {
             for ack in s.submit_many(chunk).iter().filter(|r| r.is_ok()) {
@@ -99,8 +122,13 @@ fn paced_waves_retire_what_they_complete_and_the_drain_still_totals_the_round() 
             std::thread::sleep(Duration::from_millis(1));
             s.tick();
         }
+        let (count, dropped, total) = trace_stream(&s);
+        assert!(count > 0, "every wave is traced");
+        assert_eq!(dropped, 0, "no ring overflows between two trace_streams");
+        (counted, streamed) = (counted + count, total);
         rss_kib.push(vm_rss_kib());
     }
+    assert_eq!(counted, streamed, "the chunks' counts sum to the cursor");
     assert!(counter(&s, "shed") > 0, "the waves overflow the queue");
 
     // The id namespace after 200 000 auto ids: explicit ids behind the
