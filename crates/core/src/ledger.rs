@@ -15,9 +15,10 @@
 //!
 //! Insertion and deletion maintain all tuples in `O(|P̂| + log N)`: one
 //! tree descent plus at most one boundary shift per dominating range,
-//! each O(1) thanks to the tree's linked-list threading. The descent
-//! reports the task's [`Position`](dvfs_ostree::Position) — its rank
-//! `k^B` and the `ξ` of everything before it — and Algorithm 5/6's
+//! each a `prev`/`next` step of the tree — a scan of at most one leaf
+//! plus a sibling hop, constant in N. The descent reports the task's
+//! [`Position`](dvfs_ostree::Position) — its rank `k^B` and the `ξ` of
+//! everything before it — and Algorithm 5/6's
 //! `shift = ξ([k^B+1, b_i])` is `Σ_{j≤i} x_j` minus that prefix, read off
 //! the tuples; no operation walks the tree twice. The total cost
 //!
@@ -259,7 +260,7 @@ impl CostLedger {
     /// # Panics
     /// Panics on a stale handle.
     pub fn remove(&mut self, h: Handle) -> u64 {
-        // The threading around `h`, read before the tree forgets it.
+        // The neighbours of `h`, read before the tree forgets it.
         let (ahead, behind) = (self.tree.prev(h), self.tree.next(h));
         let (cycles, at) = self.tree.remove_with_position(h);
         let kb = at.rank() as u64;
@@ -681,6 +682,42 @@ mod tests {
         assert_eq!(rank, 31, "equal cycles order before the newcomer");
         for c in [776u64, 777, 778] {
             l.assert_query_matches_insert(c);
+        }
+    }
+
+    #[test]
+    fn query_lands_behind_runs_that_span_leaves_and_range_boundaries() {
+        // Energy-heavy weights (Re = 1, Rt = 10⁻³) put range boundaries
+        // at backward positions 6 760 and 9 750. Two runs of 300 equal cycle counts straddle
+        // them among 10⁴ distinct ones, each run wider than a tree leaf.
+        let params = CostParams::new(1.0, 1e-3).unwrap();
+        let mut l = CostLedger::new(&RateTable::i7_950_table2(), params);
+        let bounds: Vec<u64> = l.ranges().entries().iter().map(|e| e.lb).collect();
+        assert_eq!(bounds[1..3], [6_760, 9_750]);
+        let key = |r: u64| 1_000_000 - 10 * r;
+        let runs = [6_610..6_910, 9_600..9_900];
+        let mut keys: Vec<u64> = (1..=10_000u64)
+            .map(|r| {
+                runs.iter()
+                    .find(|run| run.contains(&r))
+                    .map_or(key(r), |run| key(run.start))
+            })
+            .collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(300);
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, rng.gen_range(0..=i));
+        }
+        for &c in &keys {
+            l.insert(c);
+        }
+        l.assert_state();
+        for run in runs {
+            let c = key(run.start);
+            for probe in [c - 1, c, c + 1] {
+                let behind = keys.iter().filter(|&&k| k >= probe).count() as u64;
+                assert_eq!(l.insert_deltas(probe, |_, _, _| {}), behind + 1, "{probe}");
+                l.assert_query_matches_insert(probe);
+            }
         }
     }
 

@@ -1,37 +1,47 @@
 //! # dvfs-ostree
 //!
-//! An arena-allocated, order-statistic **treap with range aggregates** — the
-//! realization of the "1D range tree" of Section IV-A of the ICPP 2014
-//! paper. It stores task cycle counts sorted **descending**, so the 1-based
-//! rank of an element equals its *backward position* `k^B` in the optimal
+//! An order-statistic **B+tree with range aggregates** — the realization
+//! of the "1D range tree" of Section IV-A of the ICPP 2014 paper. It
+//! stores task cycle counts sorted **descending**, so the 1-based rank of
+//! an element equals its *backward position* `k^B` in the optimal
 //! execution order (Theorem 3: tasks execute in non-decreasing cycle
 //! order, so the largest task is last and has backward position 1).
+//! Equal cycle counts keep insertion order: a new element lands behind
+//! every stored element with at least as many cycles.
 //!
-//! Every subtree maintains three associative aggregates (Equations 28–30,
-//! merged with Equations 33–34):
+//! **Shape.** Leaves hold up to 64 cycle counts with their element ids,
+//! in rank order, and link to their neighbouring leaves. Inner nodes hold
+//! up to 32 children and, per child, its first key and three associative
+//! aggregates (Equations 28–30, merged with Equations 33–34):
 //!
 //! * `size` — number of elements;
 //! * `xi`   — `ξ = Σ L_k`, the sum of cycles;
 //! * `delta`— `Δ = Σ (k − a + 1)·L_k`, the position-weighted sum with
-//!   positions counted from the subtree's own start.
+//!   positions counted from the child's own start.
 //!
-//! On top of the tree the crate maintains **doubly-linked threading**
-//! (`prev`/`next` handles), which is what lets the dynamic cost ledger in
-//! `dvfs-core` walk dominating-range boundaries in O(1) per step and reach
-//! the paper's `O(|P̂| + log N)` insert/delete bound.
+//! A full node splits; a node falling below half full takes an item from
+//! a sibling or merges with it. Every node but the root stays at least
+//! half full, so the height is `O(log N)` in the current `N` — three
+//! levels at `N = 10⁵` — and a descent is a few linear scans over
+//! contiguous arrays instead of a chain of pointer chases.
 //!
-//! **One descent per operation.** A mutation reports the [`Position`] it
+//! `prev`/`next` are a scan of at most one leaf plus a sibling hop, which
+//! is what lets the dynamic cost ledger in `dvfs-core` walk
+//! dominating-range boundaries in constant time per step and reach the
+//! paper's `O(|P̂| + log N)` insert/delete bound.
+//!
+//! **One pass per operation.** A mutation reports the [`Position`] it
 //! acted at — how many elements order before the element and their `ξ` —
-//! from the walk it makes anyway ([`CycleTree::insert_with_position`],
-//! [`CycleTree::remove_with_position`]; an insert also learns its
-//! threading neighbours on the way down), and [`CycleTree::locate`] answers
-//! the same question for a key that is *not* inserted, read-only. The
-//! ledger derives every range sum it needs from that one answer, so
+//! from the root-to-leaf path it walks anyway
+//! ([`CycleTree::insert_with_position`],
+//! [`CycleTree::remove_with_position`]), and [`CycleTree::locate`]
+//! answers the same question for a key that is *not* inserted, read-only.
+//! The ledger derives every range sum it needs from that one answer, so
 //! neither it nor the Least Marginal Cost probe walks the tree twice.
 //!
-//! Handles are generational indices: using a handle after its element was
-//! removed panics with a clear message instead of silently reading a
-//! recycled slot.
+//! Handles are generational indices into an element slab: using a handle
+//! after its element was removed panics with a clear message instead of
+//! silently reading a recycled slot.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,6 +50,13 @@ use std::fmt;
 
 /// Sentinel for "no node".
 const NIL: u32 = u32::MAX;
+/// Most elements a leaf holds; a non-root leaf holds at least half.
+const LEAF_CAP: usize = 64;
+/// Most children an inner node holds; a non-root one holds at least half.
+const INNER_CAP: usize = 32;
+/// Inner levels above the leaves: with every non-root node half full,
+/// eight levels index more than `2³²` elements.
+const MAX_HEIGHT: usize = 8;
 
 /// A generational handle to an element in a [`CycleTree`].
 ///
@@ -73,51 +90,212 @@ impl Position {
     pub fn rank(&self) -> usize {
         self.before + 1
     }
+}
 
-    /// Step past `node` and everything under its left child.
-    #[inline]
-    fn pass(&mut self, tree: &CycleTree, node: u32) {
-        let n = &tree.nodes[node as usize];
-        self.before += tree.size_of(n.left) as usize + 1;
-        self.xi_before += tree.xi_of(n.left) + n.cycles as u128;
+/// One slot of the element slab.
+#[derive(Debug, Clone)]
+struct Element {
+    /// The leaf holding the element.
+    leaf: u32,
+    /// Generation for handle validation; odd = live, even = free.
+    gen: u32,
+    cycles: u64,
+}
+
+/// Up to `LEAF_CAP` elements in rank order.
+#[derive(Debug, Clone)]
+struct Leaf {
+    keys: [u64; LEAF_CAP],
+    ids: [u32; LEAF_CAP],
+    len: u32,
+    parent: u32,
+    /// Neighbouring leaves in rank order.
+    prev: u32,
+    next: u32,
+}
+
+/// Up to `INNER_CAP` children in rank order, each with its first key and
+/// its aggregates, one array per field so a scan reads contiguous memory.
+#[derive(Debug, Clone)]
+struct Inner {
+    first: [u64; INNER_CAP],
+    size: [u32; INNER_CAP],
+    child: [u32; INNER_CAP],
+    xi: [u128; INNER_CAP],
+    /// Child Δ, positions counted from the child's own start.
+    delta: [u128; INNER_CAP],
+    len: u32,
+    parent: u32,
+}
+
+/// A child of an inner node with its first key and aggregates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    first: u64,
+    size: u32,
+    child: u32,
+    xi: u128,
+    delta: u128,
+}
+
+/// An inner node a descent passed: the child it took, and the position of
+/// that child's first element.
+#[derive(Clone, Copy, Default)]
+struct Step {
+    node: u32,
+    slot: usize,
+    at: Position,
+}
+
+impl Leaf {
+    fn new() -> Self {
+        Leaf {
+            keys: [0; LEAF_CAP],
+            ids: [0; LEAF_CAP],
+            len: 0,
+            parent: NIL,
+            prev: NIL,
+            next: NIL,
+        }
+    }
+
+    fn insert(&mut self, j: usize, key: u64, id: u32) {
+        let n = self.len as usize;
+        self.keys.copy_within(j..n, j + 1);
+        self.ids.copy_within(j..n, j + 1);
+        self.keys[j] = key;
+        self.ids[j] = id;
+        self.len += 1;
+    }
+
+    fn remove(&mut self, j: usize) {
+        let n = self.len as usize;
+        self.keys.copy_within(j + 1..n, j);
+        self.ids.copy_within(j + 1..n, j);
+        self.len -= 1;
+    }
+
+    fn slot_of(&self, id: u32) -> usize {
+        self.ids[..self.len as usize]
+            .iter()
+            .position(|&x| x == id)
+            .expect("an element is in the leaf it names")
     }
 }
 
-/// What an insert's descent learns besides the new root: the position the
-/// element took and its in-order neighbours (the last node the walk went
-/// right from, the last it went left from).
-struct Landing {
-    at: Position,
-    prev: u32,
-    next: u32,
+impl Inner {
+    fn new() -> Self {
+        Inner {
+            first: [0; INNER_CAP],
+            size: [0; INNER_CAP],
+            child: [0; INNER_CAP],
+            xi: [0; INNER_CAP],
+            delta: [0; INNER_CAP],
+            len: 0,
+            parent: NIL,
+        }
+    }
+
+    fn entry(&self, i: usize) -> Entry {
+        Entry {
+            first: self.first[i],
+            size: self.size[i],
+            child: self.child[i],
+            xi: self.xi[i],
+            delta: self.delta[i],
+        }
+    }
+
+    fn set(&mut self, i: usize, e: Entry) {
+        self.first[i] = e.first;
+        self.size[i] = e.size;
+        self.child[i] = e.child;
+        self.xi[i] = e.xi;
+        self.delta[i] = e.delta;
+    }
+
+    fn insert(&mut self, i: usize, e: Entry) {
+        let n = self.len as usize;
+        self.first.copy_within(i..n, i + 1);
+        self.size.copy_within(i..n, i + 1);
+        self.child.copy_within(i..n, i + 1);
+        self.xi.copy_within(i..n, i + 1);
+        self.delta.copy_within(i..n, i + 1);
+        self.set(i, e);
+        self.len += 1;
+    }
+
+    fn remove(&mut self, i: usize) {
+        let n = self.len as usize;
+        self.first.copy_within(i + 1..n, i);
+        self.size.copy_within(i + 1..n, i);
+        self.child.copy_within(i + 1..n, i);
+        self.xi.copy_within(i + 1..n, i);
+        self.delta.copy_within(i + 1..n, i);
+        self.len -= 1;
+    }
+
+    fn slot_of(&self, child: u32) -> usize {
+        self.child[..self.len as usize]
+            .iter()
+            .position(|&c| c == child)
+            .expect("a node is a child of its parent")
+    }
+
+    /// Elements and their `ξ` in the children before `i`.
+    fn ahead_of(&self, i: usize) -> (usize, u128) {
+        let size = self.size[..i].iter().map(|&s| s as usize).sum();
+        (size, self.xi[..i].iter().sum())
+    }
 }
 
-#[derive(Debug, Clone)]
-struct Node {
-    /// Cycle count (primary key, descending).
-    cycles: u64,
-    /// Tie-break sequence number (ascending): equal cycle counts keep
-    /// insertion order, making ranks deterministic.
-    seq: u64,
-    /// Treap heap priority.
-    prio: u64,
-    left: u32,
-    right: u32,
-    /// Linked-list threading in rank order.
-    prev: u32,
-    next: u32,
-    /// Subtree size.
-    size: u32,
-    /// Subtree ξ = Σ cycles.
-    xi: u128,
-    /// Subtree Δ = Σ (local position)·cycles.
-    delta: u128,
-    /// Generation for handle validation; odd = live, even = free.
-    gen: u32,
+/// Move `count` items between the tail of `l` (holding `ln`) and the head
+/// of `r` (holding `rn`): from `r` to `l` when `leftward`, else from `l`
+/// to `r`.
+fn shift<T: Copy>(l: &mut [T], r: &mut [T], ln: usize, rn: usize, count: usize, leftward: bool) {
+    if leftward {
+        l[ln..ln + count].copy_from_slice(&r[..count]);
+        r.copy_within(count..rn, 0);
+    } else {
+        r.copy_within(..rn, count);
+        r[..count].copy_from_slice(&l[ln - count..ln]);
+    }
 }
 
-/// Order-statistic treap over cycle counts, sorted descending, with ξ/Δ
-/// aggregates and linked-list threading. See the crate docs.
+/// A slot of `arena` holding `node`: the last freed one, or a new one.
+fn alloc<T>(arena: &mut Vec<T>, free: &mut Vec<u32>, node: T) -> u32 {
+    if let Some(i) = free.pop() {
+        arena[i as usize] = node;
+        i
+    } else {
+        arena.push(node);
+        (arena.len() - 1) as u32
+    }
+}
+
+/// Two distinct slots of one arena, both mutable.
+fn pair<T>(v: &mut [T], a: u32, b: u32) -> (&mut T, &mut T) {
+    let (a, b) = (a as usize, b as usize);
+    if a < b {
+        let (x, y) = v.split_at_mut(b);
+        (&mut x[a], &mut y[0])
+    } else {
+        let (x, y) = v.split_at_mut(a);
+        (&mut y[0], &mut x[b])
+    }
+}
+
+/// `ξ` and `Δ` of a run of keys.
+fn sums(keys: &[u64]) -> (u128, u128) {
+    // Δ = Σ_k k·L_k is the sum of the suffix sums.
+    keys.iter().rev().fold((0, 0), |(xi, delta), &k| {
+        let xi = xi + k as u128;
+        (xi, delta + xi)
+    })
+}
+
+/// Order-statistic B+tree over cycle counts, sorted descending, with ξ/Δ
+/// aggregates per child and linked leaves. See the crate docs.
 ///
 /// ```
 /// use dvfs_ostree::CycleTree;
@@ -134,11 +312,18 @@ struct Node {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CycleTree {
-    nodes: Vec<Node>,
+    elems: Vec<Element>,
     free: Vec<u32>,
+    leaves: Vec<Leaf>,
+    free_leaves: Vec<u32>,
+    inners: Vec<Inner>,
+    free_inners: Vec<u32>,
+    /// A leaf when `height == 0`; `NIL` until the first insert.
     root: u32,
-    next_seq: u64,
-    rng: u64,
+    /// Inner levels above the leaves.
+    height: usize,
+    len: usize,
+    xi: u128,
 }
 
 impl Default for CycleTree {
@@ -148,52 +333,50 @@ impl Default for CycleTree {
 }
 
 impl CycleTree {
-    /// An empty tree with a fixed deterministic priority seed.
+    /// An empty tree. Allocates nothing until the first insert.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_seed(0x9E37_79B9_7F4A_7C15)
+        CycleTree {
+            elems: Vec::new(),
+            free: Vec::new(),
+            leaves: Vec::new(),
+            free_leaves: Vec::new(),
+            inners: Vec::new(),
+            free_inners: Vec::new(),
+            root: NIL,
+            height: 0,
+            len: 0,
+            xi: 0,
+        }
     }
 
-    /// An empty tree with an explicit priority seed (non-zero).
+    /// An alias of [`new`](Self::new): the tree's shape depends only on
+    /// its contents, so the seed shapes nothing.
     ///
     /// # Panics
-    /// Panics when `seed == 0` (xorshift's absorbing state).
+    /// Panics when `seed == 0`.
     #[must_use]
     pub fn with_seed(seed: u64) -> Self {
-        assert_ne!(seed, 0, "xorshift seed must be non-zero");
-        CycleTree {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
-            next_seq: 0,
-            rng: seed,
-        }
+        assert_ne!(seed, 0, "seed must be non-zero");
+        Self::new()
     }
 
     /// Number of stored elements.
     #[must_use]
     pub fn len(&self) -> usize {
-        if self.root == NIL {
-            0
-        } else {
-            self.nodes[self.root as usize].size as usize
-        }
+        self.len
     }
 
     /// Whether the tree is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.root == NIL
+        self.len == 0
     }
 
     /// Total ξ over all elements (`Σ L_k`).
     #[must_use]
     pub fn total_xi(&self) -> u128 {
-        if self.root == NIL {
-            0
-        } else {
-            self.nodes[self.root as usize].xi
-        }
+        self.xi
     }
 
     /// The cycle count stored under `h`.
@@ -203,119 +386,174 @@ impl CycleTree {
     #[must_use]
     pub fn cycles(&self, h: Handle) -> u64 {
         self.check(h);
-        self.nodes[h.idx as usize].cycles
-    }
-
-    fn xorshift(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
+        self.elems[h.idx as usize].cycles
     }
 
     #[inline]
     fn check(&self, h: Handle) {
-        let n = self
-            .nodes
+        let e = self
+            .elems
             .get(h.idx as usize)
             .unwrap_or_else(|| panic!("handle {h} out of range"));
         assert!(
-            n.gen == h.gen && h.gen % 2 == 1,
+            e.gen == h.gen && h.gen % 2 == 1,
             "stale handle {h}: element was removed"
         );
     }
 
-    /// `a` orders strictly before `b` (descending cycles, ascending seq).
-    #[inline]
-    fn before(&self, a: u32, b: u32) -> bool {
-        let (na, nb) = (&self.nodes[a as usize], &self.nodes[b as usize]);
-        (na.cycles, nb.seq) > (nb.cycles, na.seq)
-    }
-
-    #[inline]
-    fn size_of(&self, n: u32) -> u32 {
-        if n == NIL {
-            0
-        } else {
-            self.nodes[n as usize].size
+    fn handle(&self, id: u32) -> Handle {
+        Handle {
+            idx: id,
+            gen: self.elems[id as usize].gen,
         }
     }
 
-    #[inline]
-    fn xi_of(&self, n: u32) -> u128 {
-        if n == NIL {
-            0
+    fn alloc_elem(&mut self, cycles: u64) -> u32 {
+        if let Some(id) = self.free.pop() {
+            let e = &mut self.elems[id as usize];
+            e.gen += 1; // even -> odd
+            e.cycles = cycles;
+            id
         } else {
-            self.nodes[n as usize].xi
-        }
-    }
-
-    #[inline]
-    fn delta_of(&self, n: u32) -> u128 {
-        if n == NIL {
-            0
-        } else {
-            self.nodes[n as usize].delta
-        }
-    }
-
-    /// Recompute aggregates of `n` from its children (Equations 33–34).
-    fn pull(&mut self, n: u32) {
-        let (l, r, c) = {
-            let nd = &self.nodes[n as usize];
-            (nd.left, nd.right, nd.cycles)
-        };
-        let szl = self.size_of(l) as u128;
-        let size = self.size_of(l) + 1 + self.size_of(r);
-        let xi = self.xi_of(l) + c as u128 + self.xi_of(r);
-        // Node position within its subtree is szl + 1; the right subtree
-        // is offset by szl + 1 positions.
-        let delta =
-            self.delta_of(l) + (szl + 1) * c as u128 + self.delta_of(r) + (szl + 1) * self.xi_of(r);
-        let nd = &mut self.nodes[n as usize];
-        nd.size = size;
-        nd.xi = xi;
-        nd.delta = delta;
-    }
-
-    fn alloc(&mut self, cycles: u64) -> u32 {
-        let prio = self.xorshift();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if let Some(idx) = self.free.pop() {
-            let gen = self.nodes[idx as usize].gen + 1; // even -> odd
-            self.nodes[idx as usize] = Node {
-                cycles,
-                seq,
-                prio,
-                left: NIL,
-                right: NIL,
-                prev: NIL,
-                next: NIL,
-                size: 1,
-                xi: cycles as u128,
-                delta: cycles as u128,
-                gen,
-            };
-            idx
-        } else {
-            self.nodes.push(Node {
-                cycles,
-                seq,
-                prio,
-                left: NIL,
-                right: NIL,
-                prev: NIL,
-                next: NIL,
-                size: 1,
-                xi: cycles as u128,
-                delta: cycles as u128,
+            self.elems.push(Element {
+                leaf: NIL,
                 gen: 1,
+                cycles,
             });
-            (self.nodes.len() - 1) as u32
+            (self.elems.len() - 1) as u32
         }
+    }
+
+    /// Items (elements or children) in `node` at `level` (0: a leaf).
+    fn fill(&self, node: u32, level: usize) -> usize {
+        if level == 0 {
+            self.leaves[node as usize].len as usize
+        } else {
+            self.inners[node as usize].len as usize
+        }
+    }
+
+    fn parent_of(&self, node: u32, level: usize) -> u32 {
+        if level == 0 {
+            self.leaves[node as usize].parent
+        } else {
+            self.inners[node as usize].parent
+        }
+    }
+
+    fn set_parent(&mut self, node: u32, level: usize, parent: u32) {
+        if level == 0 {
+            self.leaves[node as usize].parent = parent;
+        } else {
+            self.inners[node as usize].parent = parent;
+        }
+    }
+
+    /// The entry a parent keeps for `node` at `level`, computed from the
+    /// node itself (Equations 33–34 across its items).
+    fn entry_of(&self, node: u32, level: usize) -> Entry {
+        if level == 0 {
+            let l = &self.leaves[node as usize];
+            let (xi, delta) = sums(&l.keys[..l.len as usize]);
+            return Entry {
+                first: l.keys[0],
+                size: l.len,
+                child: node,
+                xi,
+                delta,
+            };
+        }
+        let n = &self.inners[node as usize];
+        let mut e = Entry {
+            first: n.first[0],
+            size: 0,
+            child: node,
+            xi: 0,
+            delta: 0,
+        };
+        for i in 0..n.len as usize {
+            e.delta += n.delta[i] + e.size as u128 * n.xi[i];
+            e.size += n.size[i];
+            e.xi += n.xi[i];
+        }
+        e
+    }
+
+    /// Recompute `parent`'s entry `i` from its child at `level`.
+    fn refresh(&mut self, parent: u32, i: usize, level: usize) {
+        let e = self.entry_of(self.inners[parent as usize].child[i], level);
+        self.inners[parent as usize].set(i, e);
+    }
+
+    /// Move `count` items between siblings `left` and `right` at `level`
+    /// (see [`shift`]), and point what moved at its new node.
+    fn move_items(&mut self, level: usize, left: u32, right: u32, count: usize, leftward: bool) {
+        let (ln, rn);
+        if level == 0 {
+            let (l, r) = pair(&mut self.leaves, left, right);
+            (ln, rn) = (l.len as usize, r.len as usize);
+            shift(&mut l.keys, &mut r.keys, ln, rn, count, leftward);
+            shift(&mut l.ids, &mut r.ids, ln, rn, count, leftward);
+        } else {
+            let (l, r) = pair(&mut self.inners, left, right);
+            (ln, rn) = (l.len as usize, r.len as usize);
+            shift(&mut l.first, &mut r.first, ln, rn, count, leftward);
+            shift(&mut l.size, &mut r.size, ln, rn, count, leftward);
+            shift(&mut l.child, &mut r.child, ln, rn, count, leftward);
+            shift(&mut l.xi, &mut r.xi, ln, rn, count, leftward);
+            shift(&mut l.delta, &mut r.delta, ln, rn, count, leftward);
+        }
+        let (to, moved, ln, rn) = if leftward {
+            (left, ln..ln + count, ln + count, rn - count)
+        } else {
+            (right, 0..count, ln - count, rn + count)
+        };
+        if level == 0 {
+            self.leaves[left as usize].len = ln as u32;
+            self.leaves[right as usize].len = rn as u32;
+            for j in moved {
+                let id = self.leaves[to as usize].ids[j];
+                self.elems[id as usize].leaf = to;
+            }
+        } else {
+            self.inners[left as usize].len = ln as u32;
+            self.inners[right as usize].len = rn as u32;
+            for i in moved {
+                let child = self.inners[to as usize].child[i];
+                self.set_parent(child, level - 1, to);
+            }
+        }
+    }
+
+    /// Walk from the root to the leaf where a new element with `cycles`
+    /// lands — behind every element with at least as many cycles — and
+    /// report each inner node passed, top down, to `step`. Returns the
+    /// leaf, the slot in it and the position. The tree must have a root.
+    #[inline]
+    fn descend(&self, cycles: u64, mut step: impl FnMut(Step)) -> (u32, usize, Position) {
+        let mut at = Position::default();
+        let mut node = self.root;
+        for _ in 0..self.height {
+            let n = &self.inners[node as usize];
+            // The last child whose first key is at least `cycles`: the one
+            // holding the end of an equal-cycles run however many leaves
+            // it spans (the first child when there is none).
+            let i = n.first[1..n.len as usize]
+                .iter()
+                .take_while(|&&f| f >= cycles)
+                .count();
+            let (size, xi) = n.ahead_of(i);
+            at.before += size;
+            at.xi_before += xi;
+            step(Step { node, slot: i, at });
+            node = n.child[i];
+        }
+        let l = &self.leaves[node as usize];
+        let keys = &l.keys[..l.len as usize];
+        let j = keys.iter().take_while(|&&k| k >= cycles).count();
+        at.before += j;
+        at.xi_before += keys[..j].iter().map(|&k| k as u128).sum::<u128>();
+        (node, j, at)
     }
 
     /// Insert a cycle count; returns its handle. `O(log N)`.
@@ -324,96 +562,119 @@ impl CycleTree {
     }
 
     /// [`insert`](Self::insert), also reporting where the element landed
-    /// (equal cycle counts order before it). One descent: rank, prefix `ξ`
-    /// and threading neighbours all come from the insertion walk.
+    /// (equal cycle counts order before it). One root-to-leaf pass: the
+    /// rank and prefix `ξ` come from the walk that finds the slot.
     pub fn insert_with_position(&mut self, cycles: u64) -> (Handle, Position) {
-        let new = self.alloc(cycles);
-        let mut landing = Landing {
-            at: Position::default(),
-            prev: NIL,
-            next: NIL,
-        };
-        self.root = self.insert_rec(self.root, new, &mut landing);
-        let Landing { at, prev, next } = landing;
-        self.nodes[new as usize].prev = prev;
-        self.nodes[new as usize].next = next;
-        if prev != NIL {
-            self.nodes[prev as usize].next = new;
+        if self.root == NIL {
+            // A tree that stays one leaf (a shallow queue) holds one leaf,
+            // not the four a first `push` would reserve.
+            self.leaves.reserve_exact(1);
+            self.root = alloc(&mut self.leaves, &mut self.free_leaves, Leaf::new());
         }
-        if next != NIL {
-            self.nodes[next as usize].prev = new;
+        let mut path = [Step::default(); MAX_HEIGHT];
+        let mut depth = 0;
+        let (leaf, j, at) = self.descend(cycles, |s| {
+            path[depth] = s;
+            depth += 1;
+        });
+        let c = cycles as u128;
+        for s in &path[..depth] {
+            let n = &mut self.inners[s.node as usize];
+            let i = s.slot;
+            let ahead = at.before - s.at.before;
+            // The child's elements behind the new one each move back a place.
+            n.delta[i] += (ahead as u128 + 1) * c + n.xi[i] - (at.xi_before - s.at.xi_before);
+            n.xi[i] += c;
+            n.size[i] += 1;
+            if ahead == 0 {
+                n.first[i] = cycles;
+            }
         }
-        let h = Handle {
-            idx: new,
-            gen: self.nodes[new as usize].gen,
-        };
-        (h, at)
+        self.len += 1;
+        self.xi += c;
+        let id = self.alloc_elem(cycles);
+        self.leaf_insert(&path[..depth], leaf, j, cycles, id);
+        (self.handle(id), at)
     }
 
-    fn insert_rec(&mut self, node: u32, new: u32, landing: &mut Landing) -> u32 {
-        if node == NIL {
-            return new;
-        }
-        if self.before(new, node) {
-            landing.next = node;
-            let l = self.insert_rec(self.nodes[node as usize].left, new, landing);
-            self.nodes[node as usize].left = l;
-            if self.nodes[l as usize].prio > self.nodes[node as usize].prio {
-                let top = self.rotate_right(node);
-                self.pull(top);
-                return top;
-            }
+    /// Put element `id` at slot `j` of `leaf`, which `path` leads to,
+    /// splitting the leaf when it is full.
+    fn leaf_insert(&mut self, path: &[Step], leaf: u32, j: usize, key: u64, id: u32) {
+        let half = LEAF_CAP / 2;
+        let (to, j, right) = if (self.leaves[leaf as usize].len as usize) < LEAF_CAP {
+            (leaf, j, NIL)
         } else {
-            landing.prev = node;
-            landing.at.pass(self, node);
-            let r = self.insert_rec(self.nodes[node as usize].right, new, landing);
-            self.nodes[node as usize].right = r;
-            if self.nodes[r as usize].prio > self.nodes[node as usize].prio {
-                let top = self.rotate_left(node);
-                self.pull(top);
-                return top;
+            let right = alloc(&mut self.leaves, &mut self.free_leaves, Leaf::new());
+            self.move_items(0, leaf, right, half, false);
+            let next = self.leaves[leaf as usize].next;
+            self.leaves[leaf as usize].next = right;
+            self.leaves[right as usize].prev = leaf;
+            self.leaves[right as usize].next = next;
+            if next != NIL {
+                self.leaves[next as usize].prev = right;
             }
+            if j <= half {
+                (leaf, j, right)
+            } else {
+                (right, j - half, right)
+            }
+        };
+        self.leaves[to as usize].insert(j, key, id);
+        self.elems[id as usize].leaf = to;
+        if right != NIL {
+            self.grow(path, right);
         }
-        self.pull(node);
-        node
+    }
+
+    /// `new` was split off as the right sibling of the node `path` leads
+    /// to: give it an entry beside that node, splitting the parent in turn
+    /// when it is full, and growing a new root when the root split.
+    fn grow(&mut self, path: &[Step], new: u32) {
+        let level = self.height - path.len();
+        let Some((last, rest)) = path.split_last() else {
+            let old = self.root;
+            let root = alloc(&mut self.inners, &mut self.free_inners, Inner::new());
+            self.inners[root as usize].len = 2;
+            self.inners[root as usize].child[..2].copy_from_slice(&[old, new]);
+            for (i, child) in [old, new].into_iter().enumerate() {
+                self.set_parent(child, level, root);
+                self.refresh(root, i, level);
+            }
+            self.root = root;
+            self.height += 1;
+            return;
+        };
+        let (parent, slot) = (last.node, last.slot);
+        self.refresh(parent, slot, level);
+        let entry = self.entry_of(new, level);
+        let half = INNER_CAP / 2;
+        let (to, i, right) = if (self.inners[parent as usize].len as usize) < INNER_CAP {
+            (parent, slot + 1, NIL)
+        } else {
+            let right = alloc(&mut self.inners, &mut self.free_inners, Inner::new());
+            self.move_items(level + 1, parent, right, half, false);
+            if slot < half {
+                (parent, slot + 1, right)
+            } else {
+                (right, slot + 1 - half, right)
+            }
+        };
+        self.inners[to as usize].insert(i, entry);
+        self.set_parent(new, level, to);
+        if right != NIL {
+            self.grow(rest, right);
+        }
     }
 
     /// Where a new element with `cycles` would land, without inserting it:
-    /// behind every stored element with at least as many cycles (a new
-    /// element carries the largest tie-break sequence number). Read-only,
-    /// one descent, `O(log N)`.
+    /// behind every stored element with at least as many cycles. Read-only,
+    /// one root-to-leaf pass, `O(log N)`.
     #[must_use]
     pub fn locate(&self, cycles: u64) -> Position {
-        let mut at = Position::default();
-        let mut node = self.root;
-        while node != NIL {
-            let n = &self.nodes[node as usize];
-            if n.cycles >= cycles {
-                at.pass(self, node);
-                node = n.right;
-            } else {
-                node = n.left;
-            }
+        if self.root == NIL {
+            return Position::default();
         }
-        at
-    }
-
-    /// Right rotation: left child becomes the subtree root.
-    fn rotate_right(&mut self, n: u32) -> u32 {
-        let l = self.nodes[n as usize].left;
-        self.nodes[n as usize].left = self.nodes[l as usize].right;
-        self.nodes[l as usize].right = n;
-        self.pull(n);
-        l
-    }
-
-    /// Left rotation: right child becomes the subtree root.
-    fn rotate_left(&mut self, n: u32) -> u32 {
-        let r = self.nodes[n as usize].right;
-        self.nodes[n as usize].right = self.nodes[r as usize].left;
-        self.nodes[r as usize].left = n;
-        self.pull(n);
-        r
+        self.descend(cycles, |_| {}).2
     }
 
     /// Remove the element under `h`; returns its cycle count. `O(log N)`.
@@ -425,76 +686,96 @@ impl CycleTree {
     }
 
     /// [`remove`](Self::remove), also reporting where the element sat:
-    /// its rank and prefix `ξ` come from the walk that finds it.
+    /// its rank and prefix `ξ` come from the one leaf-to-root pass that
+    /// updates the aggregates above it.
     ///
     /// # Panics
     /// Panics when `h` is stale.
     pub fn remove_with_position(&mut self, h: Handle) -> (u64, Position) {
         self.check(h);
-        let target = h.idx;
-        let mut at = Position::default();
-        self.root = self.remove_rec(self.root, target, &mut at);
-        // Unsplice from threading.
-        let (prev, next) = {
-            let n = &self.nodes[target as usize];
-            (n.prev, n.next)
+        let Element { leaf, cycles, .. } = self.elems[h.idx as usize];
+        let l = &mut self.leaves[leaf as usize];
+        let j = l.slot_of(h.idx);
+        let mut at = Position {
+            before: j,
+            xi_before: l.keys[..j].iter().map(|&k| k as u128).sum(),
         };
-        if prev != NIL {
-            self.nodes[prev as usize].next = next;
+        l.remove(j);
+        let c = cycles as u128;
+        // Up the path: `at` is the element's position inside `node`.
+        let mut path = [(NIL, 0); MAX_HEIGHT];
+        let mut node = leaf;
+        for (level, step) in path[..self.height].iter_mut().enumerate() {
+            let parent = self.parent_of(node, level);
+            let first = if level == 0 {
+                self.leaves[node as usize].keys[0]
+            } else {
+                self.inners[node as usize].first[0]
+            };
+            let p = &mut self.inners[parent as usize];
+            let i = p.slot_of(node);
+            // The child's elements behind the removed one move up a place.
+            p.delta[i] -= (at.before as u128 + 1) * c + (p.xi[i] - at.xi_before - c);
+            p.xi[i] -= c;
+            p.size[i] -= 1;
+            p.first[i] = first;
+            let (size, xi) = p.ahead_of(i);
+            at.before += size;
+            at.xi_before += xi;
+            *step = (parent, i);
+            node = parent;
         }
-        if next != NIL {
-            self.nodes[next as usize].prev = prev;
+        self.len -= 1;
+        self.xi -= c;
+        let mut node = leaf;
+        for (level, &(parent, i)) in path[..self.height].iter().enumerate() {
+            let half = if level == 0 { LEAF_CAP } else { INNER_CAP } / 2;
+            if self.fill(node, level) >= half || !self.rebalance(parent, i, level) {
+                break;
+            }
+            node = parent;
         }
-        let cycles = self.nodes[target as usize].cycles;
-        self.nodes[target as usize].gen += 1; // odd -> even: dead
-        self.free.push(target);
+        if self.height > 0 && self.inners[self.root as usize].len == 1 {
+            let old = self.root;
+            self.root = self.inners[old as usize].child[0];
+            self.height -= 1;
+            self.set_parent(self.root, self.height, NIL);
+            self.free_inners.push(old);
+        }
+        self.elems[h.idx as usize].gen += 1; // odd -> even: dead
+        self.free.push(h.idx);
         (cycles, at)
     }
 
-    fn remove_rec(&mut self, node: u32, target: u32, at: &mut Position) -> u32 {
-        assert_ne!(node, NIL, "target must exist in the tree");
-        if node == target {
-            let (l, r) = {
-                let n = &self.nodes[node as usize];
-                (n.left, n.right)
-            };
-            at.before += self.size_of(l) as usize;
-            at.xi_before += self.xi_of(l);
-            return self.merge(l, r);
+    /// Child `i` of `parent`, at `level`, fell below half full: take one
+    /// item from a sibling that can spare it, or merge the two. Returns
+    /// whether they merged, which costs `parent` a child.
+    fn rebalance(&mut self, parent: u32, i: usize, level: usize) -> bool {
+        let li = i.saturating_sub(1);
+        let p = &self.inners[parent as usize];
+        let (left, right) = (p.child[li], p.child[li + 1]);
+        let (ln, rn) = (self.fill(left, level), self.fill(right, level));
+        let cap = if level == 0 { LEAF_CAP } else { INNER_CAP };
+        if ln + rn > cap {
+            self.move_items(level, left, right, 1, ln < rn);
+            self.refresh(parent, li, level);
+            self.refresh(parent, li + 1, level);
+            return false;
         }
-        if self.before(target, node) {
-            let l = self.remove_rec(self.nodes[node as usize].left, target, at);
-            self.nodes[node as usize].left = l;
+        self.move_items(level, left, right, rn, true);
+        if level == 0 {
+            let next = self.leaves[right as usize].next;
+            self.leaves[left as usize].next = next;
+            if next != NIL {
+                self.leaves[next as usize].prev = left;
+            }
+            self.free_leaves.push(right);
         } else {
-            at.pass(self, node);
-            let r = self.remove_rec(self.nodes[node as usize].right, target, at);
-            self.nodes[node as usize].right = r;
+            self.free_inners.push(right);
         }
-        self.pull(node);
-        node
-    }
-
-    /// Join two subtrees, every element of `l` ordering before every
-    /// element of `r`: the higher-priority root stays on top (the shape
-    /// rotating a doomed parent down to a leaf would leave).
-    fn merge(&mut self, l: u32, r: u32) -> u32 {
-        if l == NIL {
-            return r;
-        }
-        if r == NIL {
-            return l;
-        }
-        if self.nodes[l as usize].prio > self.nodes[r as usize].prio {
-            let m = self.merge(self.nodes[l as usize].right, r);
-            self.nodes[l as usize].right = m;
-            self.pull(l);
-            l
-        } else {
-            let m = self.merge(l, self.nodes[r as usize].left);
-            self.nodes[r as usize].left = m;
-            self.pull(r);
-            r
-        }
+        self.inners[parent as usize].remove(li + 1);
+        self.refresh(parent, li, level);
+        true
     }
 
     /// 1-based rank of `h` in descending cycle order (its backward
@@ -505,38 +786,15 @@ impl CycleTree {
     #[must_use]
     pub fn rank(&self, h: Handle) -> usize {
         self.check(h);
-        let target = h.idx;
-        let mut node = self.root;
-        let mut acc = 0usize;
-        loop {
-            assert_ne!(node, NIL, "live handle must be reachable from root");
-            if node == target {
-                return acc + self.size_of(self.nodes[node as usize].left) as usize + 1;
-            }
-            if self.before(target, node) {
-                node = self.nodes[node as usize].left;
-            } else {
-                acc += self.size_of(self.nodes[node as usize].left) as usize + 1;
-                node = self.nodes[node as usize].right;
-            }
+        let mut node = self.elems[h.idx as usize].leaf;
+        let mut before = self.leaves[node as usize].slot_of(h.idx);
+        for level in 0..self.height {
+            let parent = self.parent_of(node, level);
+            let p = &self.inners[parent as usize];
+            before += p.ahead_of(p.slot_of(node)).0;
+            node = parent;
         }
-    }
-
-    fn select_idx(&self, rank: usize) -> u32 {
-        assert!(rank >= 1 && rank <= self.len(), "rank {rank} out of range");
-        let mut node = self.root;
-        let mut k = rank;
-        loop {
-            let szl = self.size_of(self.nodes[node as usize].left) as usize;
-            if k <= szl {
-                node = self.nodes[node as usize].left;
-            } else if k == szl + 1 {
-                return node;
-            } else {
-                k -= szl + 1;
-                node = self.nodes[node as usize].right;
-            }
-        }
+        before + 1
     }
 
     /// Handle of the element at 1-based `rank`. `O(log N)`.
@@ -545,11 +803,19 @@ impl CycleTree {
     /// Panics when `rank` is out of `[1, len]`.
     #[must_use]
     pub fn select(&self, rank: usize) -> Handle {
-        let idx = self.select_idx(rank);
-        Handle {
-            idx,
-            gen: self.nodes[idx as usize].gen,
+        assert!(rank >= 1 && rank <= self.len, "rank {rank} out of range");
+        let mut k = rank - 1;
+        let mut node = self.root;
+        for _ in 0..self.height {
+            let n = &self.inners[node as usize];
+            let mut i = 0;
+            while k >= n.size[i] as usize {
+                k -= n.size[i] as usize;
+                i += 1;
+            }
+            node = n.child[i];
         }
+        self.handle(self.leaves[node as usize].ids[k])
     }
 
     /// Handle of rank 1 (largest cycles), or `None` when empty.
@@ -572,32 +838,39 @@ impl CycleTree {
         }
     }
 
-    /// Successor in rank order (next-smaller element) via threading. `O(1)`.
+    /// Successor in rank order (next-smaller element): a scan of `h`'s
+    /// leaf, then a hop to the next leaf. `O(1)` in `N`.
     ///
     /// # Panics
     /// Panics when `h` is stale.
     #[must_use]
     pub fn next(&self, h: Handle) -> Option<Handle> {
         self.check(h);
-        let n = self.nodes[h.idx as usize].next;
-        (n != NIL).then(|| Handle {
-            idx: n,
-            gen: self.nodes[n as usize].gen,
-        })
+        let l = &self.leaves[self.elems[h.idx as usize].leaf as usize];
+        let j = l.slot_of(h.idx) + 1;
+        if j < l.len as usize {
+            Some(self.handle(l.ids[j]))
+        } else {
+            (l.next != NIL).then(|| self.handle(self.leaves[l.next as usize].ids[0]))
+        }
     }
 
-    /// Predecessor in rank order (next-larger element) via threading. `O(1)`.
+    /// Predecessor in rank order (next-larger element): a scan of `h`'s
+    /// leaf, then a hop to the previous leaf. `O(1)` in `N`.
     ///
     /// # Panics
     /// Panics when `h` is stale.
     #[must_use]
     pub fn prev(&self, h: Handle) -> Option<Handle> {
         self.check(h);
-        let p = self.nodes[h.idx as usize].prev;
-        (p != NIL).then(|| Handle {
-            idx: p,
-            gen: self.nodes[p as usize].gen,
-        })
+        let l = &self.leaves[self.elems[h.idx as usize].leaf as usize];
+        match l.slot_of(h.idx) {
+            0 => (l.prev != NIL).then(|| {
+                let p = &self.leaves[l.prev as usize];
+                self.handle(p.ids[p.len as usize - 1])
+            }),
+            j => Some(self.handle(l.ids[j - 1])),
+        }
     }
 
     /// Prefix sum `Σ_{r<=k} L_r` over the first `k` ranks. `O(log N)`.
@@ -606,27 +879,28 @@ impl CycleTree {
     /// Panics when `k > len`.
     #[must_use]
     pub fn prefix_xi(&self, k: usize) -> u128 {
-        if k == 0 {
-            return 0;
-        }
-        assert!(k <= self.len(), "prefix length {k} out of range");
-        let mut node = self.root;
-        let mut remaining = k;
+        assert!(k <= self.len, "prefix length {k} out of range");
+        let mut rest = k;
         let mut acc = 0u128;
-        loop {
-            let left = self.nodes[node as usize].left;
-            let szl = self.size_of(left) as usize;
-            if remaining <= szl {
-                node = left;
-            } else {
-                acc += self.xi_of(left) + self.nodes[node as usize].cycles as u128;
-                remaining -= szl + 1;
-                if remaining == 0 {
-                    return acc;
-                }
-                node = self.nodes[node as usize].right;
+        let mut node = self.root;
+        for _ in 0..self.height {
+            let n = &self.inners[node as usize];
+            let mut i = 0;
+            while rest > 0 && rest >= n.size[i] as usize {
+                acc += n.xi[i];
+                rest -= n.size[i] as usize;
+                i += 1;
             }
+            if rest == 0 {
+                return acc;
+            }
+            node = n.child[i];
         }
+        if rest == 0 {
+            return acc;
+        }
+        let keys = &self.leaves[node as usize].keys[..rest];
+        acc + keys.iter().map(|&k| k as u128).sum::<u128>()
     }
 
     /// Prefix weighted sum `γ(k) = Σ_{r<=k} r·L_r` over the first `k`
@@ -636,32 +910,32 @@ impl CycleTree {
     /// Panics when `k > len`.
     #[must_use]
     pub fn prefix_gamma(&self, k: usize) -> u128 {
-        if k == 0 {
-            return 0;
-        }
-        assert!(k <= self.len(), "prefix length {k} out of range");
-        let mut node = self.root;
-        let mut remaining = k;
-        let mut offset = 0u128; // ranks consumed before this subtree
+        assert!(k <= self.len, "prefix length {k} out of range");
+        let mut rest = k;
+        let mut offset = 0u128; // ranks consumed before this node
         let mut acc = 0u128;
-        loop {
-            let left = self.nodes[node as usize].left;
-            let szl = self.size_of(left) as usize;
-            if remaining <= szl {
-                node = left;
-            } else {
-                // Whole left subtree: positions offset+1 .. offset+szl.
-                acc += self.delta_of(left) + offset * self.xi_of(left);
-                let my_pos = offset + szl as u128 + 1;
-                acc += my_pos * self.nodes[node as usize].cycles as u128;
-                remaining -= szl + 1;
-                if remaining == 0 {
-                    return acc;
-                }
-                offset = my_pos;
-                node = self.nodes[node as usize].right;
+        let mut node = self.root;
+        for _ in 0..self.height {
+            let n = &self.inners[node as usize];
+            let mut i = 0;
+            while rest > 0 && rest >= n.size[i] as usize {
+                // Whole child: positions offset+1 .. offset+size.
+                acc += n.delta[i] + offset * n.xi[i];
+                offset += n.size[i] as u128;
+                rest -= n.size[i] as usize;
+                i += 1;
             }
+            if rest == 0 {
+                return acc;
+            }
+            node = n.child[i];
         }
+        if rest == 0 {
+            return acc;
+        }
+        let keys = &self.leaves[node as usize].keys[..rest];
+        let (xi, delta) = sums(keys);
+        acc + delta + offset * xi
     }
 
     /// `ξ([a, b]) = Σ_{k=a}^{b} L_k` over ranks (Equation 28). Empty when
@@ -706,70 +980,93 @@ impl CycleTree {
         self.prefix_gamma(b) - self.prefix_gamma(a - 1)
     }
 
-    /// Iterate `(handle, cycles)` in rank order via the threading.
+    /// Iterate `(handle, cycles)` in rank order along the leaf links.
     pub fn iter(&self) -> impl Iterator<Item = (Handle, u64)> + '_ {
-        let mut cur = self.first();
-        std::iter::from_fn(move || {
-            let h = cur?;
-            cur = self.next(h);
-            Some((h, self.cycles(h)))
+        let mut leaf = self.root;
+        for _ in 0..self.height {
+            leaf = self.inners[leaf as usize].child[0];
+        }
+        std::iter::successors((leaf != NIL).then_some(leaf), |&l| {
+            let next = self.leaves[l as usize].next;
+            (next != NIL).then_some(next)
+        })
+        .flat_map(move |l| {
+            let l = &self.leaves[l as usize];
+            let n = l.len as usize;
+            l.ids[..n]
+                .iter()
+                .zip(&l.keys[..n])
+                .map(move |(&id, &k)| (self.handle(id), k))
         })
     }
 
-    /// Exhaustively verify every structural invariant (BST order, heap
-    /// priorities, aggregate sums, threading). Intended for tests; `O(N)`.
+    /// Exhaustively verify every structural invariant: keys descending
+    /// across leaves; each child's first key, size, `ξ` and `Δ`; parent,
+    /// sibling and element→leaf links; every non-root node at least half
+    /// full. Intended for tests; `O(N)`.
     ///
     /// # Panics
     /// Panics on the first violated invariant.
     pub fn assert_invariants(&self) {
-        fn walk(t: &CycleTree, n: u32, out: &mut Vec<u32>) -> (u32, u128, u128) {
-            if n == NIL {
-                return (0, 0, 0);
-            }
-            let node = &t.nodes[n as usize];
-            if node.left != NIL {
-                assert!(
-                    t.before(node.left, n),
-                    "BST order violated at left child of {n}"
-                );
-                assert!(
-                    t.nodes[node.left as usize].prio <= node.prio,
-                    "heap priority violated at {n}"
-                );
-            }
-            if node.right != NIL {
-                assert!(
-                    t.before(n, node.right),
-                    "BST order violated at right child of {n}"
-                );
-                assert!(
-                    t.nodes[node.right as usize].prio <= node.prio,
-                    "heap priority violated at {n}"
-                );
-            }
-            let (ls, lx, _ld) = walk(t, node.left, out);
-            out.push(n);
-            let my_pos = ls as u128 + 1;
-            let (rs, rx, rd) = walk(t, node.right, out);
-            let size = ls + 1 + rs;
-            let xi = lx + node.cycles as u128 + rx;
-            let delta = t.delta_of(node.left) + my_pos * node.cycles as u128 + rd + my_pos * rx;
-            assert_eq!(node.size, size, "size aggregate wrong at {n}");
-            assert_eq!(node.xi, xi, "xi aggregate wrong at {n}");
-            assert_eq!(node.delta, delta, "delta aggregate wrong at {n}");
-            (size, xi, delta)
+        let mut leaves = Vec::new();
+        if self.root == NIL {
+            assert_eq!(self.len, 0, "elements without a root");
+        } else {
+            assert_eq!(self.parent_of(self.root, self.height), NIL, "root parent");
+            let e = self.check_node(self.root, self.height, true, &mut leaves);
+            assert_eq!(e.size as usize, self.len, "len");
+            assert_eq!(e.xi, self.xi, "total xi");
         }
-        let mut order = Vec::new();
-        walk(self, self.root, &mut order);
-        // Threading must visit exactly the in-order sequence.
-        let mut cur = if order.is_empty() { NIL } else { order[0] };
-        for (i, &n) in order.iter().enumerate() {
-            assert_eq!(cur, n, "threading diverges from in-order at rank {}", i + 1);
-            let expected_prev = if i == 0 { NIL } else { order[i - 1] };
-            assert_eq!(self.nodes[n as usize].prev, expected_prev, "prev wrong");
-            cur = self.nodes[n as usize].next;
+        for (k, &l) in leaves.iter().enumerate() {
+            let leaf = &self.leaves[l as usize];
+            let prev = if k == 0 { NIL } else { leaves[k - 1] };
+            assert_eq!(leaf.prev, prev, "prev link of leaf {l}");
+            assert_eq!(
+                leaf.next,
+                *leaves.get(k + 1).unwrap_or(&NIL),
+                "next link of leaf {l}"
+            );
         }
-        assert_eq!(cur, NIL, "threading longer than tree");
+        let keys: Vec<u64> = self.iter().map(|(_, c)| c).collect();
+        assert_eq!(keys.len(), self.len, "leaf chain length");
+        assert!(keys.windows(2).all(|w| w[0] >= w[1]), "keys not descending");
+        let live = self.elems.iter().filter(|e| e.gen % 2 == 1).count();
+        assert_eq!(live, self.len, "live elements in the slab");
+    }
+
+    /// Check the subtree under `node` at `level` and return its entry;
+    /// leaves are appended to `leaves` in rank order.
+    fn check_node(&self, node: u32, level: usize, root: bool, leaves: &mut Vec<u32>) -> Entry {
+        let n = self.fill(node, level);
+        if level == 0 {
+            assert!(
+                root || n >= LEAF_CAP / 2,
+                "leaf {node} below half full: {n}"
+            );
+            let l = &self.leaves[node as usize];
+            for (&id, &k) in l.ids[..n].iter().zip(&l.keys[..n]) {
+                let e = &self.elems[id as usize];
+                assert!(e.gen % 2 == 1, "dead element {id} in leaf {node}");
+                assert_eq!(e.leaf, node, "element {id} names the wrong leaf");
+                assert_eq!(e.cycles, k, "element {id} key");
+            }
+            leaves.push(node);
+        } else {
+            let min = if root { 2 } else { INNER_CAP / 2 };
+            assert!(n >= min, "inner node {node} below half full: {n}");
+            let p = &self.inners[node as usize];
+            for i in 0..n {
+                let child = p.child[i];
+                assert_eq!(
+                    self.parent_of(child, level - 1),
+                    node,
+                    "parent link of {child}"
+                );
+                let e = self.check_node(child, level - 1, false, leaves);
+                assert_eq!(p.entry(i), e, "entry {i} of inner node {node}");
+            }
+        }
+        self.entry_of(node, level)
     }
 }
 

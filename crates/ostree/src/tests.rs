@@ -4,34 +4,38 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Naive reference model: a Vec kept sorted descending (stable by
-/// insertion order for ties).
+/// insertion order for ties), searched by binary search.
 #[derive(Default)]
 struct NaiveModel {
     // (cycles, seq)
     items: Vec<(u64, u64)>,
-    next_seq: u64,
+    // cycles by seq
+    cycles_of: Vec<u64>,
 }
 
 impl NaiveModel {
+    /// Index of `(cycles, seq)`: how many items order strictly before it.
+    fn slot(&self, cycles: u64, seq: u64) -> usize {
+        self.items.partition_point(|&(c, s)| (c, seq) > (cycles, s))
+    }
+
     fn insert(&mut self, cycles: u64) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let pos = self
-            .items
-            .iter()
-            .position(|&(c, s)| (c, seq) < (cycles, s))
-            .unwrap_or(self.items.len());
+        let seq = self.cycles_of.len() as u64;
+        self.cycles_of.push(cycles);
+        let pos = self.slot(cycles, seq);
         self.items.insert(pos, (cycles, seq));
         seq
     }
 
     fn remove_seq(&mut self, seq: u64) -> u64 {
-        let pos = self.items.iter().position(|&(_, s)| s == seq).unwrap();
+        let pos = self.rank_of_seq(seq) - 1;
         self.items.remove(pos).0
     }
 
     fn rank_of_seq(&self, seq: u64) -> usize {
-        self.items.iter().position(|&(_, s)| s == seq).unwrap() + 1
+        let pos = self.slot(self.cycles_of[seq as usize], seq);
+        assert_eq!(self.items[pos].1, seq, "seq {seq} is live");
+        pos + 1
     }
 
     fn xi_range(&self, a: usize, b: usize) -> u128 {
@@ -75,6 +79,57 @@ fn checked_remove(tree: &mut CycleTree, h: Handle) -> u64 {
     let (cycles, at) = tree.remove_with_position(h);
     assert_eq!(at, expected);
     cycles
+}
+
+/// The tree and the model side by side, with every live element's seq
+/// and handle; each operation is checked position for position.
+#[derive(Default)]
+struct Pair {
+    tree: CycleTree,
+    model: NaiveModel,
+    live: Vec<(u64, Handle)>,
+    handle_of: Vec<Handle>,
+}
+
+impl Pair {
+    fn insert(&mut self, cycles: u64) -> Handle {
+        let h = checked_insert(&mut self.tree, cycles);
+        let seq = self.model.insert(cycles);
+        let rank = self.model.rank_of_seq(seq);
+        assert_eq!(self.tree.rank(h), rank, "rank of a new {cycles}");
+        self.handle_of.push(h);
+        self.live.push((seq, h));
+        let neighbour = |r: usize| self.model.items.get(r.wrapping_sub(1));
+        let handle = |&(_, s): &(u64, u64)| self.handle_of[s as usize];
+        assert_eq!(self.tree.prev(h), neighbour(rank - 1).map(handle), "prev");
+        assert_eq!(self.tree.next(h), neighbour(rank + 1).map(handle), "next");
+        h
+    }
+
+    fn remove_at(&mut self, i: usize) {
+        let (seq, h) = self.live.swap_remove(i);
+        assert_eq!(self.tree.rank(h), self.model.rank_of_seq(seq));
+        assert_eq!(
+            checked_remove(&mut self.tree, h),
+            self.model.remove_seq(seq)
+        );
+    }
+
+    /// Invariants, a spread of live ranks, and a few random ranges.
+    fn check(&self, rng: &mut ChaCha8Rng) {
+        self.tree.assert_invariants();
+        assert_eq!(self.tree.len(), self.model.items.len());
+        for &(seq, h) in self.live.iter().step_by(1 + self.live.len() / 2_000) {
+            assert_eq!(self.tree.rank(h), self.model.rank_of_seq(seq));
+        }
+        let n = self.tree.len();
+        for _ in 0..8.min(n) {
+            let a = rng.gen_range(1..=n);
+            let b = rng.gen_range(a..=n.min(a + 5_000));
+            assert_eq!(self.tree.xi_range(a, b), self.model.xi_range(a, b));
+            assert_eq!(self.tree.delta_range(a, b), self.model.delta_range(a, b));
+        }
+    }
 }
 
 #[test]
@@ -212,38 +267,19 @@ fn threading_walks_full_order() {
 #[test]
 fn randomized_against_naive_model() {
     let mut rng = ChaCha8Rng::seed_from_u64(42);
-    let mut tree = CycleTree::new();
-    let mut model = NaiveModel::default();
-    // seq -> handle
-    let mut handles: Vec<(u64, Handle)> = Vec::new();
-
+    let mut pair = Pair::default();
     for step in 0..3000 {
-        if handles.is_empty() || rng.gen_bool(0.6) {
-            let c = rng.gen_range(1..10_000u64);
-            let h = checked_insert(&mut tree, c);
-            let seq = model.insert(c);
-            handles.push((seq, h));
+        if pair.live.is_empty() || rng.gen_bool(0.6) {
+            pair.insert(rng.gen_range(1..10_000u64));
         } else {
-            let i = rng.gen_range(0..handles.len());
-            let (seq, h) = handles.swap_remove(i);
-            assert_eq!(checked_remove(&mut tree, h), model.remove_seq(seq));
+            let i = rng.gen_range(0..pair.live.len());
+            pair.remove_at(i);
         }
-        assert_eq!(tree.len(), model.items.len());
         if step % 250 == 0 {
-            tree.assert_invariants();
-            for &(seq, h) in &handles {
-                assert_eq!(tree.rank(h), model.rank_of_seq(seq));
-            }
-            let n = tree.len();
-            if n > 0 {
-                let a = rng.gen_range(1..=n);
-                let b = rng.gen_range(a..=n);
-                assert_eq!(tree.xi_range(a, b), model.xi_range(a, b));
-                assert_eq!(tree.delta_range(a, b), model.delta_range(a, b));
-            }
+            pair.check(&mut rng);
         }
     }
-    tree.assert_invariants();
+    pair.check(&mut rng);
 }
 
 #[test]
@@ -270,6 +306,126 @@ fn deterministic_across_identical_runs() {
         ranks
     };
     assert_eq!(build(), build());
+}
+
+#[test]
+fn grows_past_height_two_and_drains_in_random_order() {
+    // 64 × 32 × 32 = 65 536 elements fill two inner levels: 70 000
+    // need a third, and draining them back to empty has to merge.
+    let mut rng = ChaCha8Rng::seed_from_u64(35);
+    let mut pair = Pair::default();
+    for step in 0..70_000 {
+        pair.insert(rng.gen_range(1..1_000_000));
+        if step % 5_000 == 0 {
+            pair.check(&mut rng);
+        }
+    }
+    assert_eq!(pair.tree.height, 3);
+    pair.check(&mut rng);
+    let mut step = 0;
+    while !pair.live.is_empty() {
+        let i = rng.gen_range(0..pair.live.len());
+        pair.remove_at(i);
+        step += 1;
+        if step % 5_000 == 0 {
+            pair.check(&mut rng);
+        }
+    }
+    assert_eq!(pair.tree.height, 0);
+    pair.check(&mut rng);
+}
+
+#[test]
+fn equal_cycles_runs_longer_than_a_leaf_are_passed_whole() {
+    let mut rng = ChaCha8Rng::seed_from_u64(777);
+    let mut pair = Pair::default();
+    // 300 × 777 between larger and smaller neighbours, interleaved so
+    // the run is cut across several leaves and inner entries.
+    for i in 0..300 {
+        pair.insert(777);
+        pair.insert(if i % 2 == 0 { 778 + i } else { 776 - i % 700 });
+    }
+    let run: Vec<Handle> = pair
+        .tree
+        .iter()
+        .filter(|&(_, c)| c == 777)
+        .map(|(h, _)| h)
+        .collect();
+    let leaves: std::collections::BTreeSet<u32> = run
+        .iter()
+        .map(|h| pair.tree.elems[h.idx as usize].leaf)
+        .collect();
+    assert!(leaves.len() >= 5, "the run spans {} leaves", leaves.len());
+    let run_end = pair.tree.rank(*run.last().unwrap());
+    assert_eq!(
+        pair.tree.locate(777),
+        Position {
+            before: run_end,
+            xi_before: pair.tree.prefix_xi(run_end),
+        }
+    );
+    // Each newcomer lands behind the whole run; removals from inside
+    // it report where they sat.
+    for k in 1..=50 {
+        let h = pair.insert(777);
+        assert_eq!(pair.tree.rank(h), run_end + k);
+    }
+    for _ in 0..200 {
+        let i = rng.gen_range(0..pair.live.len());
+        pair.remove_at(i);
+        pair.insert(777);
+    }
+    pair.check(&mut rng);
+}
+
+#[test]
+fn a_fresh_tree_allocates_nothing() {
+    for t in [CycleTree::new(), CycleTree::with_seed(7)] {
+        assert_eq!(
+            t.elems.capacity() + t.free.capacity() + t.leaves.capacity(),
+            0
+        );
+        assert_eq!(
+            t.free_leaves.capacity() + t.inners.capacity() + t.free_inners.capacity(),
+            0
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "seed must be non-zero")]
+fn a_zero_seed_panics() {
+    let _ = CycleTree::with_seed(0);
+}
+
+/// 10⁶ seeded inserts and removes against the model, in waves that grow
+/// the tree to 10⁵ elements and shrink it again, with most keys folded
+/// onto seven values so equal-cycles runs span many leaves.
+#[test]
+#[ignore = "10^6 operations: run in release with `-- --ignored`"]
+fn a_million_mixed_operations_match_the_model() {
+    let mut rng = ChaCha8Rng::seed_from_u64(2014);
+    let mut pair = Pair::default();
+    let mut growing = true;
+    for step in 0..1_000_000 {
+        let n = pair.live.len();
+        if n >= 100_000 {
+            growing = false;
+        } else if n == 0 {
+            growing = true;
+        }
+        if n == 0 || rng.gen_bool(if growing { 0.8 } else { 0.2 }) {
+            let v = rng.gen_range(1..1_000_000_000u64);
+            pair.insert(if v % 3 == 0 { v } else { v % 7 + 1 });
+        } else {
+            let i = rng.gen_range(0..n);
+            pair.remove_at(i);
+        }
+        if step % 50_000 == 0 {
+            pair.check(&mut rng);
+        }
+    }
+    pair.check(&mut rng);
 }
 
 proptest! {

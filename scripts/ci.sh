@@ -152,8 +152,9 @@ fi
 # to, so they stay paid. Lower it with the total; never raise it.
 # shims/ (the offline stand-ins for registry crates) has a table and
 # a ceiling of its own, on the same terms.
-# The engine side (crates/{core,sim,trace}/src) is printed after them,
-# ungated: a baseline for the next PR that pays lines back there.
+# The engine side (crates/{ostree,core,sim,trace}/src) is printed after
+# them, ungated: a baseline for the next PR that pays lines back there.
+# A `tests.rs` there is a `#[cfg(test)] mod tests;` body, so it is skipped.
 TOTAL_CEILING=7034
 # Lower it with the total; never raise it.
 SHIMS_CEILING=1409
@@ -189,9 +190,11 @@ if [ "$total" -gt "$SHIMS_CEILING" ]; then
     echo "ci: shims/ non-test total $total exceeds the ceiling $SHIMS_CEILING" >&2
     exit 1
 fi
-echo "==> non-test lines per file, crates/{core,sim,trace}/src (not gated)"
+echo "==> non-test lines per file, crates/{ostree,core,sim,trace}/src (not gated)"
 total=0
-for f in crates/core/src/*.rs crates/core/src/sched/*.rs crates/sim/src/*.rs crates/trace/src/*.rs; do
+for f in crates/ostree/src/*.rs crates/core/src/*.rs crates/core/src/sched/*.rs \
+        crates/sim/src/*.rs crates/trace/src/*.rs; do
+    [ "${f##*/}" = tests.rs ] && continue
     n=$(non_test_lines "$f")
     printf '%6d  %s\n' "$n" "$f"
     total=$((total + n))
@@ -256,6 +259,12 @@ for cell in $SWEEP; do
         DVFS_SERVE_NET="$net" DVFS_SERVE_SHARDS="$shards" cargo test -q --test concurrency_stress -- --ignored
     done
 done
+
+# Cycle-tree differential at scale: 10^6 seeded inserts and removes,
+# most keys folded onto a few values so equal-cycles runs span many
+# leaves, held position for position to a sorted-Vec model — too slow
+# for the debug suite above.
+run cargo test -q --release -p dvfs-ostree -- --ignored
 
 # Trace-overhead smoke: the ring sink on the LMC hot path must stay
 # within an order of magnitude of running untraced (a miss means the
