@@ -27,11 +27,13 @@ use dvfs_model::{CoreId, CostParams, Platform, RateIdx, Task, TaskClass, TaskId}
 use dvfs_ostree::Handle;
 use dvfs_trace::EventKind;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 struct CoreQueue {
     ledger: CostLedger,
-    by_handle: BTreeMap<Handle, TaskId>,
+    /// The task behind each ledger element, indexed by its handle's
+    /// [`Handle::slot`].
+    by_handle: Vec<Option<TaskId>>,
     interactive: VecDeque<TaskId>,
     suspended: Option<TaskId>,
     /// Class of the task the policy last dispatched on this core.
@@ -42,6 +44,30 @@ impl CoreQueue {
     /// Non-interactive tasks waiting on this core (`N_j` in Equation 27).
     fn n_waiting(&self) -> usize {
         self.ledger.len() + usize::from(self.suspended.is_some())
+    }
+
+    /// Queue `task` with `cycles` cycles in the ledger.
+    fn insert(&mut self, task: TaskId, cycles: u64) -> Handle {
+        let h = self.ledger.insert(cycles);
+        if self.by_handle.len() <= h.slot() {
+            self.by_handle.resize(h.slot() + 1, None);
+        }
+        self.by_handle[h.slot()] = Some(task);
+        h
+    }
+
+    /// The task queued under `h`.
+    fn task(&self, h: Handle) -> TaskId {
+        self.by_handle[h.slot()].expect("ledger handle maps to a task")
+    }
+
+    /// Take the task queued under `h` out of the ledger.
+    fn remove(&mut self, h: Handle) -> TaskId {
+        let task = self.by_handle[h.slot()]
+            .take()
+            .expect("ledger handle maps to a task");
+        self.ledger.remove(h);
+        task
     }
 }
 
@@ -102,7 +128,7 @@ impl LeastMarginalCost {
             .iter()
             .map(|c| CoreQueue {
                 ledger: CostLedger::new(&c.rates, params),
-                by_handle: BTreeMap::new(),
+                by_handle: Vec::new(),
                 interactive: VecDeque::new(),
                 suspended: None,
                 running: None,
@@ -163,11 +189,7 @@ impl LeastMarginalCost {
             return;
         }
         if let Some(h) = self.cores[j].ledger.peek_next_dispatch() {
-            let tid = self.cores[j]
-                .by_handle
-                .remove(&h)
-                .expect("ledger handle maps to a task");
-            self.cores[j].ledger.remove(h);
+            let tid = self.cores[j].remove(h);
             let rate = self.running_rate(sim, j);
             sim.dispatch(j, tid, Some(rate));
             self.cores[j].running = Some((tid, TaskClass::NonInteractive));
@@ -250,18 +272,13 @@ impl LeastMarginalCost {
                 .iter()
                 .enumerate()
                 .flat_map(|(j, core)| {
-                    core.ledger.longest_run().map(move |h| {
-                        let tid = *core
-                            .by_handle
-                            .get(&h)
-                            .expect("ledger handle maps to a task");
-                        (Reverse(core.ledger.cycles(h)), tid, j, h)
-                    })
+                    core.ledger
+                        .longest_run()
+                        .map(move |h| (Reverse(core.ledger.cycles(h)), core.task(h), j, h))
                 })
                 .min();
             let Some((_, tid, j, h)) = pick else { break };
-            self.cores[j].ledger.remove(h);
-            self.cores[j].by_handle.remove(&h);
+            self.cores[j].remove(h);
             if matches!(self.cores[j].running, Some((_, TaskClass::NonInteractive))) {
                 let rate = self.running_rate(sim, j);
                 sim.set_rate(j, rate);
@@ -347,8 +364,7 @@ impl LeastMarginalCost {
                 .push(core.ledger.marginal_insert_cost(task.cycles));
         }
         let best = least(&self.costs);
-        let h = self.cores[best].ledger.insert(task.cycles);
-        self.cores[best].by_handle.insert(h, task.id);
+        let h = self.cores[best].insert(task.id, task.cycles);
         if tracing {
             // Theorem-3 backward position of the fresh insertion and
             // the rate that position dominates; the waiting delta is

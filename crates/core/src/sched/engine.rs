@@ -30,6 +30,7 @@ use super::governor::GovernorKind;
 use super::{ExecutorView, Scheduler};
 use dvfs_model::{CoreId, Platform, RateIdx, RateTable, Task, TaskId, TaskRecord};
 use dvfs_trace::TraceSink;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Contention factor: given the number of simultaneously busy cores,
@@ -276,6 +277,7 @@ enum JobPhase {
     Done,
 }
 
+/// One registered task, held in [`Engine`]'s slab at a dense slot.
 struct Job {
     task: Task,
     remaining: f64,
@@ -287,7 +289,8 @@ struct Job {
 struct Core {
     rate: RateIdx,
     epoch: u64,
-    running: Option<TaskId>,
+    /// Slot of the job executing here.
+    running: Option<usize>,
     last_sync: f64,
     busy_time: f64,
     busy_at_last_tick: f64,
@@ -305,7 +308,17 @@ struct Core {
 pub struct Engine<O> {
     cfg: EngineConfig,
     cores: Vec<Core>,
-    jobs: BTreeMap<TaskId, Job>,
+    /// Every registered job, at a dense slot that events, cores and
+    /// `completions` carry. A slot freed by a retire or a steal goes on
+    /// `free` and the next registration reuses it, so the slab follows
+    /// the work in flight.
+    jobs: Vec<Job>,
+    free: Vec<usize>,
+    /// `TaskId → slot` for every job still in the slab: consulted only
+    /// where a task id crosses the engine's boundary (registration, the
+    /// policy's `dispatch` / `remaining_cycles`, `remove_ready`, retire)
+    /// and walked by [`Engine::records`] for task-id order.
+    index: BTreeMap<TaskId, usize>,
     queue: EventQueue,
     now: f64,
     active_energy: f64,
@@ -313,8 +326,8 @@ pub struct Engine<O> {
     last_completion: f64,
     /// Events processed so far (budget accounting across steps).
     processed: u64,
-    /// Every completion so far, in order.
-    completions: Vec<TaskId>,
+    /// Slots of every completion so far, in order.
+    completions: Vec<usize>,
     /// How many of `completions` [`Engine::take_completions`] has
     /// already handed out.
     drained: usize,
@@ -349,7 +362,9 @@ impl<O: EngineObserver> Engine<O> {
         }
         Engine {
             cores,
-            jobs: BTreeMap::new(),
+            jobs: Vec::new(),
+            free: Vec::new(),
+            index: BTreeMap::new(),
             queue,
             now: 0.0,
             active_energy: 0.0,
@@ -370,27 +385,47 @@ impl<O: EngineObserver> Engine<O> {
     /// The one insert path: `record_arrival` is the stamp turnaround is
     /// measured from, `event_at` when the arrival event fires.
     fn insert(&mut self, task: &Task, record_arrival: f64, event_at: f64) {
-        let prev = self.jobs.insert(
-            task.id,
-            Job {
-                task: task.clone(),
-                remaining: task.cycles as f64,
-                phase: JobPhase::Future,
-                record: TaskRecord {
-                    id: task.id,
-                    class: task.class,
-                    cycles: task.cycles,
-                    arrival: record_arrival,
-                    first_start: None,
-                    completion: None,
-                    energy_joules: 0.0,
-                    preemptions: 0,
-                },
+        let Entry::Vacant(entry) = self.index.entry(task.id) else {
+            panic!("duplicate task id {}", task.id);
+        };
+        let job = Job {
+            task: task.clone(),
+            remaining: task.cycles as f64,
+            phase: JobPhase::Future,
+            record: TaskRecord {
+                id: task.id,
+                class: task.class,
+                cycles: task.cycles,
+                arrival: record_arrival,
+                first_start: None,
+                completion: None,
+                energy_joules: 0.0,
+                preemptions: 0,
             },
-        );
-        assert!(prev.is_none(), "duplicate task id {}", task.id);
-        self.queue
-            .push(event_at, EventKind::Arrival { task: task.id });
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.jobs[slot] = job;
+                slot
+            }
+            None => {
+                self.jobs.push(job);
+                self.jobs.len() - 1
+            }
+        };
+        entry.insert(slot);
+        self.queue.push(event_at, EventKind::Arrival { slot });
+    }
+
+    /// The slot of a registered task.
+    ///
+    /// # Panics
+    /// Panics when `task` is not in the engine.
+    fn slot(&self, task: TaskId) -> usize {
+        *self
+            .index
+            .get(&task)
+            .unwrap_or_else(|| panic!("unknown task {task}"))
     }
 
     /// Register one live submission: it arrives at `task.arrival` or
@@ -438,11 +473,13 @@ impl<O: EngineObserver> Engine<O> {
     /// the task from its policy's queue; the engine only forgets the
     /// job.
     pub fn remove_ready(&mut self, task: TaskId) -> Option<Task> {
-        match self.jobs.get(&task) {
-            Some(job) if job.phase == JobPhase::Ready => {}
-            _ => return None,
+        let slot = *self.index.get(&task)?;
+        if self.jobs[slot].phase != JobPhase::Ready {
+            return None;
         }
-        self.jobs.remove(&task).map(|job| job.task)
+        self.index.remove(&task);
+        self.free.push(slot);
+        Some(self.jobs[slot].task.clone())
     }
 
     fn busy_count(&self) -> usize {
@@ -467,7 +504,7 @@ impl<O: EngineObserver> Engine<O> {
             let dt = self.now - core.last_sync;
             debug_assert!(dt >= -1e-9, "time went backwards on a core");
             if dt > 0.0 {
-                if let Some(tid) = core.running {
+                if let Some(slot) = core.running {
                     let rp = spec.rates.rate(core.rate);
                     // Execution speed follows the model's T(p), which the
                     // paper publishes with rounding (Table II), rather
@@ -478,7 +515,7 @@ impl<O: EngineObserver> Engine<O> {
                     let exec_dt = (self.now - core.stall_until.max(core.last_sync)).clamp(0.0, dt);
                     let cycles_done = (1.0 / rp.time_per_cycle) * factor * exec_dt;
                     let energy = rp.active_power_watts() * dt;
-                    let job = self.jobs.get_mut(&tid).expect("running job exists");
+                    let job = &mut self.jobs[slot];
                     job.remaining -= cycles_done;
                     job.record.energy_joules += energy;
                     self.active_energy += energy;
@@ -518,8 +555,8 @@ impl<O: EngineObserver> Engine<O> {
     /// projection.
     fn reschedule(&mut self, j: CoreId) {
         self.cores[j].epoch += 1;
-        if let Some(tid) = self.cores[j].running {
-            let (stall, run) = self.projection(j, self.jobs[&tid].remaining.max(0.0));
+        if let Some(slot) = self.cores[j].running {
+            let (stall, run) = self.projection(j, self.jobs[slot].remaining.max(0.0));
             let t_fin = self.now + stall + run;
             self.queue.push(
                 t_fin,
@@ -566,13 +603,13 @@ impl<O: EngineObserver> Engine<O> {
         debug_assert!(ev.time >= self.now - 1e-9, "event time precedes now");
         self.now = self.now.max(ev.time);
         match ev.kind {
-            EventKind::Arrival { task } => {
+            EventKind::Arrival { slot } => {
                 self.sync_all();
-                let job = self.jobs.get_mut(&task).expect("arrival for known task");
+                let job = &mut self.jobs[slot];
                 debug_assert_eq!(job.phase, JobPhase::Future);
                 job.phase = JobPhase::Ready;
                 let t = job.task.clone();
-                self.emit(EngineEvent::Arrival { task });
+                self.emit(EngineEvent::Arrival { task: t.id });
                 policy.on_arrival(self, &t);
             }
             EventKind::Completion { core, epoch } => {
@@ -580,10 +617,10 @@ impl<O: EngineObserver> Engine<O> {
                     return; // stale projection
                 }
                 self.sync_all();
-                let tid = self.cores[core]
+                let slot = self.cores[core]
                     .running
                     .expect("valid completion implies a running task");
-                let job = self.jobs.get_mut(&tid).expect("job exists");
+                let job = &mut self.jobs[slot];
                 debug_assert!(
                     job.remaining.abs() < 1.0,
                     "completion fired with {} cycles left",
@@ -595,10 +632,10 @@ impl<O: EngineObserver> Engine<O> {
                 let (t, rec) = (job.task.clone(), job.record);
                 self.cores[core].running = None;
                 self.last_completion = self.now;
-                self.completions.push(tid);
+                self.completions.push(slot);
                 self.emit(EngineEvent::Completion {
                     core,
-                    task: tid,
+                    task: t.id,
                     energy_j: rec.energy_joules,
                     turnaround_s: self.now - rec.arrival,
                 });
@@ -662,7 +699,7 @@ impl<O: EngineObserver> Engine<O> {
                     "event queue drained with {} of {} tasks unfinished: the policy \
                      failed to dispatch them",
                     self.pending_tasks(),
-                    self.jobs.len()
+                    self.index.len()
                 )
             });
             self.process_event(policy, ev);
@@ -679,7 +716,7 @@ impl<O: EngineObserver> Engine<O> {
     /// Tasks registered but not yet completed.
     #[must_use]
     pub fn pending_tasks(&self) -> usize {
-        self.jobs.len() - self.completions.len()
+        self.index.len() - self.completions.len()
     }
 
     /// Tasks registered but neither running nor completed — the
@@ -696,7 +733,7 @@ impl<O: EngineObserver> Engine<O> {
         let fresh = std::mem::replace(&mut self.drained, self.completions.len());
         self.completions[fresh..]
             .iter()
-            .map(|tid| self.jobs[tid].record)
+            .map(|&slot| self.jobs[slot].record)
             .collect()
     }
 
@@ -709,10 +746,12 @@ impl<O: EngineObserver> Engine<O> {
     pub fn retire_completions(&mut self) -> Vec<TaskRecord> {
         let fresh = std::mem::take(&mut self.drained);
         let mut records = Vec::with_capacity(self.completions.len() - fresh);
-        for (i, tid) in self.completions.iter().enumerate() {
-            let job = self.jobs.remove(tid).expect("completed job exists");
+        for (i, &slot) in self.completions.iter().enumerate() {
+            let record = self.jobs[slot].record;
+            self.index.remove(&record.id);
+            self.free.push(slot);
             if i >= fresh {
-                records.push(job.record);
+                records.push(record);
             }
         }
         self.completions.clear();
@@ -721,13 +760,13 @@ impl<O: EngineObserver> Engine<O> {
 
     /// Records of every completed task so far, in completion order.
     pub fn completed_records(&self) -> impl Iterator<Item = TaskRecord> + '_ {
-        self.completions.iter().map(|tid| self.jobs[tid].record)
+        self.completions.iter().map(|&slot| self.jobs[slot].record)
     }
 
     /// Records of every registered task, in task-id order (the order
     /// every report sums in, so aggregates match bit for bit).
     pub fn records(&self) -> impl Iterator<Item = &TaskRecord> + '_ {
-        self.jobs.values().map(|job| &job.record)
+        self.index.values().map(|&slot| &self.jobs[slot].record)
     }
 
     /// The platform this engine executes on.
@@ -789,11 +828,11 @@ impl<O: EngineObserver> ExecutorView for Engine<O> {
     }
 
     fn running_task(&self, j: CoreId) -> Option<TaskId> {
-        self.cores[j].running
+        self.cores[j].running.map(|slot| self.jobs[slot].record.id)
     }
 
     fn remaining_cycles(&self, t: TaskId) -> f64 {
-        self.jobs[&t].remaining.max(0.0)
+        self.jobs[self.slot(t)].remaining.max(0.0)
     }
 
     fn set_rate(&mut self, j: CoreId, rate: RateIdx) {
@@ -826,7 +865,8 @@ impl<O: EngineObserver> ExecutorView for Engine<O> {
             }
             self.cores[j].rate = r;
         }
-        let job = self.jobs.get_mut(&task).expect("dispatch unknown task");
+        let slot = self.slot(task);
+        let job = &mut self.jobs[slot];
         assert_eq!(
             job.phase,
             JobPhase::Ready,
@@ -835,7 +875,7 @@ impl<O: EngineObserver> ExecutorView for Engine<O> {
         job.phase = JobPhase::Running;
         job.record.first_start.get_or_insert(self.now);
         let remaining = job.remaining.max(0.0);
-        self.cores[j].running = Some(task);
+        self.cores[j].running = Some(slot);
         let rate = self.cores[j].rate;
         let (stall, run) = self.projection(j, remaining);
         let predicted_time_s = stall + run;
@@ -852,11 +892,12 @@ impl<O: EngineObserver> ExecutorView for Engine<O> {
     }
 
     fn preempt(&mut self, j: CoreId) -> TaskId {
-        let tid = self.cores[j].running.expect("preempt on an idle core");
+        let slot = self.cores[j].running.expect("preempt on an idle core");
         self.sync_all();
-        let job = self.jobs.get_mut(&tid).expect("job exists");
+        let job = &mut self.jobs[slot];
         job.phase = JobPhase::Ready;
         job.record.preemptions += 1;
+        let tid = job.record.id;
         self.cores[j].running = None;
         self.emit(EngineEvent::Preempt { core: j, task: tid });
         self.reschedule_after_mutation(j);
@@ -1458,6 +1499,97 @@ mod tests {
         let mut sim = Simulator::new(SimConfig::new(single_core_platform()));
         sim.push_task(&Task::batch(1, 100).unwrap());
         sim.push_task(&Task::batch(1, 100).unwrap());
+    }
+
+    /// Ids of the records the engine still holds, in [`Engine::records`] order.
+    fn resident_ids(sim: &Simulator) -> Vec<u64> {
+        sim.records().map(|rec| rec.id.0).collect()
+    }
+
+    #[test]
+    fn stolen_and_retired_slots_are_reused_and_reports_stay_in_id_order() {
+        let mut sim = Simulator::new(SimConfig::new(single_core_platform()));
+        let mut policy = Fifo::new(0);
+        // One second each at rate 0: 10 runs first, the rest wait.
+        for id in [40, 10, 30, 20] {
+            sim.push_task(&Task::batch(id, 1_600_000_000).unwrap());
+        }
+        sim.step_until(&mut policy, 0.5);
+        assert_eq!((sim.pending_tasks(), sim.queued_tasks()), (4, 3));
+        // Steal 30: only a ready task leaves, and the policy forgets it.
+        assert!(sim.remove_ready(TaskId(40)).is_none(), "40 is running");
+        assert!(sim.remove_ready(TaskId(99)).is_none(), "99 is unknown");
+        assert_eq!(sim.remove_ready(TaskId(30)).unwrap().id, TaskId(30));
+        assert!(sim.remove_ready(TaskId(30)).is_none(), "30 already left");
+        policy.queue.retain(|&t| t != TaskId(30));
+        assert_eq!((sim.pending_tasks(), sim.queued_tasks()), (3, 2));
+        assert_eq!(resident_ids(&sim), [10, 20, 40]);
+        // 40 and 10 finish; 20 runs.
+        sim.step_until(&mut policy, 2.5);
+        let retired: Vec<u64> = sim.retire_completions().iter().map(|r| r.id.0).collect();
+        assert_eq!(retired, [40, 10]);
+        assert_eq!((sim.pending_tasks(), sim.queued_tasks()), (1, 0));
+        assert_eq!(resident_ids(&sim), [20]);
+        // Three new tasks fill the three freed slots; the slab stays
+        // at its peak of four.
+        for id in [35, 5, 25] {
+            sim.push_task(&Task::batch(id, 1_600_000_000).unwrap());
+        }
+        assert_eq!(sim.jobs.len(), 4);
+        assert_eq!(resident_ids(&sim), [5, 20, 25, 35]);
+        assert_eq!((sim.pending_tasks(), sim.queued_tasks()), (4, 3));
+        // A retired id may come back; it takes a fresh slot.
+        sim.push_task(&Task::batch(10, 1_600_000_000).unwrap());
+        assert_eq!(sim.jobs.len(), 5);
+        assert_eq!(resident_ids(&sim), [5, 10, 20, 25, 35]);
+        sim.run_to_completion(&mut policy);
+        let order: Vec<u64> = sim.completed_records().map(|r| r.id.0).collect();
+        assert_eq!(order, [20, 35, 5, 25, 10]);
+        assert_eq!((sim.pending_tasks(), sim.queued_tasks()), (0, 0));
+        assert!((sim.makespan() - 7.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate task id j2")]
+    fn duplicate_id_on_a_reused_slot_still_panics() {
+        let mut sim = Simulator::new(SimConfig::new(single_core_platform()));
+        sim.push_task(&Task::batch(1, 100).unwrap());
+        sim.run_to_completion(&mut Fifo::new(0));
+        assert_eq!(sim.retire_completions().len(), 1);
+        // 2 takes the slot 1 left, and is guarded like any other id.
+        sim.push_task(&Task::batch(2, 100).unwrap());
+        assert_eq!(sim.jobs.len(), 1);
+        sim.push_task(&Task::batch(2, 100).unwrap());
+    }
+
+    #[test]
+    fn paced_waves_keep_the_slab_at_the_peak_in_flight() {
+        let mut sim = Simulator::new(SimConfig::new(single_core_platform()));
+        let mut policy = Fifo::new(0);
+        let (mut next_id, mut peak, mut completed) = (0, 0, 0);
+        for wave in 0..100 {
+            // 0.2 s tasks, 1 to 5 a wave, 3 a wave's worth of time: the
+            // backlog rises and falls.
+            for _ in 0..=wave % 5 {
+                sim.push_task(&Task::batch(next_id, 320_000_000).unwrap());
+                next_id += 1;
+            }
+            peak = peak.max(sim.pending_tasks());
+            sim.step_until(&mut policy, 0.6 * f64::from(wave + 1));
+            completed += sim.retire_completions().len();
+            assert_eq!(completed + sim.pending_tasks(), next_id as usize);
+            let ids = resident_ids(&sim);
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "records in id order");
+        }
+        assert!(peak > 5, "the backlog carried over between waves");
+        assert!(
+            sim.jobs.len() <= peak,
+            "slab of {} for a peak of {peak} in flight",
+            sim.jobs.len()
+        );
+        sim.run_to_completion(&mut policy);
+        completed += sim.retire_completions().len();
+        assert_eq!(completed, next_id as usize);
     }
 
     #[test]

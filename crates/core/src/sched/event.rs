@@ -1,7 +1,7 @@
 //! Engine events and the time-ordered event queue (private to
 //! [`super::engine`], the one place a `BinaryHeap<Event>` lives).
 
-use dvfs_model::{CoreId, TaskId};
+use dvfs_model::CoreId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -23,8 +23,8 @@ pub enum EventKind {
     },
     /// A task arrives in the system.
     Arrival {
-        /// The arriving task.
-        task: TaskId,
+        /// The engine slot of the arriving task.
+        slot: usize,
     },
 }
 
@@ -112,9 +112,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::default();
-        q.push(3.0, EventKind::Arrival { task: TaskId(3) });
-        q.push(1.0, EventKind::Arrival { task: TaskId(1) });
-        q.push(2.0, EventKind::Arrival { task: TaskId(2) });
+        q.push(3.0, EventKind::Arrival { slot: 3 });
+        q.push(1.0, EventKind::Arrival { slot: 1 });
+        q.push(2.0, EventKind::Arrival { slot: 2 });
         let order: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|e| e.time).collect();
         assert_eq!(order, vec![1.0, 2.0, 3.0]);
     }
@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn same_time_completion_before_tick_before_arrival() {
         let mut q = EventQueue::default();
-        q.push(1.0, EventKind::Arrival { task: TaskId(9) });
+        q.push(1.0, EventKind::Arrival { slot: 9 });
         q.push(1.0, EventKind::GovernorTick { core: 0 });
         q.push(1.0, EventKind::Completion { core: 0, epoch: 0 });
         assert!(matches!(
@@ -139,16 +139,16 @@ mod tests {
     #[test]
     fn same_time_same_kind_is_fifo() {
         let mut q = EventQueue::default();
-        q.push(1.0, EventKind::Arrival { task: TaskId(1) });
-        q.push(1.0, EventKind::Arrival { task: TaskId(2) });
-        q.push(1.0, EventKind::Arrival { task: TaskId(3) });
-        let ids: Vec<TaskId> = std::iter::from_fn(|| q.pop())
+        q.push(1.0, EventKind::Arrival { slot: 1 });
+        q.push(1.0, EventKind::Arrival { slot: 2 });
+        q.push(1.0, EventKind::Arrival { slot: 3 });
+        let slots: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
-                EventKind::Arrival { task } => task,
+                EventKind::Arrival { slot } => slot,
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(ids, vec![TaskId(1), TaskId(2), TaskId(3)]);
+        assert_eq!(slots, vec![1, 2, 3]);
     }
 
     #[test]

@@ -68,6 +68,17 @@ pub struct Handle {
     gen: u32,
 }
 
+impl Handle {
+    /// The element's slab index: dense, below the most elements the
+    /// tree has ever held at once, and reused once the element is
+    /// removed — so a caller can keep per-element data in a `Vec`
+    /// indexed by it instead of a map keyed by the handle.
+    #[must_use]
+    pub fn slot(self) -> usize {
+        self.idx as usize
+    }
+}
+
 impl fmt::Display for Handle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "h{}.{}", self.idx, self.gen)

@@ -146,6 +146,23 @@ fn empty_tree_basics() {
 }
 
 #[test]
+fn handle_slots_are_dense_and_reused() {
+    let mut t = CycleTree::new();
+    let hs: Vec<Handle> = (1..=100).map(|c| t.insert(c * 7 % 31)).collect();
+    let mut slots: Vec<usize> = hs.iter().map(|h| h.slot()).collect();
+    slots.sort_unstable();
+    assert_eq!(slots, (0..100).collect::<Vec<_>>());
+    // A removed element's slot goes to the next insert; the slab does
+    // not grow past the most elements held at once.
+    let freed = hs[40].slot();
+    t.remove(hs[40]);
+    let h = t.insert(5);
+    assert_eq!(h.slot(), freed);
+    assert_ne!(h, hs[40], "the generation tells the two apart");
+    assert_eq!(t.insert(6).slot(), 100);
+}
+
+#[test]
 fn single_element() {
     let mut t = CycleTree::new();
     let h = t.insert(42);

@@ -137,19 +137,20 @@ impl Engine {
     }
 }
 
-/// Wraps a shard's policy to time every scheduling decision into the
-/// `lmc_decision_us` histogram. Timing goes through the blessed wall
-/// clock seam and lands only in metrics — trace events themselves stay
+/// Wraps a shard's policy to time every scheduling decision, buffering
+/// the times for [`Worker::timed`] to land in `lmc_decision_us` with one
+/// `record_many` per step. Timing goes through the blessed wall clock
+/// seam and lands only in metrics — trace events themselves stay
 /// wall-free, preserving the bit-identical replay contract.
 struct TimedPolicy<'a> {
     inner: &'a mut LeastMarginalCost,
-    hist: &'a Histogram,
+    samples: Vec<f64>,
 }
 
 impl TimedPolicy<'_> {
-    fn observe(&self, t0: Instant) {
+    fn observe(&mut self, t0: Instant) {
         let dt = crate::clock::wall_now().duration_since(t0);
-        self.hist.record(dt.as_secs_f64() * 1e6);
+        self.samples.push(dt.as_secs_f64() * 1e6);
     }
 }
 
@@ -837,6 +838,17 @@ impl Worker {
         tasks.len()
     }
 
+    /// Advance the engine by `run` under a [`TimedPolicy`], then land its times.
+    fn timed(&mut self, run: impl FnOnce(&mut RealTimeExecutor, &mut dyn PolicyHooks)) {
+        let Engine { exec, policy } = &mut self.engine;
+        let mut timed = TimedPolicy {
+            inner: policy,
+            samples: Vec::new(),
+        };
+        run(exec, &mut timed);
+        self.lmc_hist.record_many(&timed.samples);
+    }
+
     /// One step: pull admitted work, advance the executor clock to the
     /// engine clock's reading (0 in replay) or leave it where it is if
     /// that is behind it, stream the completions — which leave the
@@ -845,14 +857,7 @@ impl Worker {
     fn tick(&mut self) {
         let target = self.clock.now().max(self.engine.exec.now());
         self.pull_admitted();
-        {
-            let Engine { exec, policy } = &mut self.engine;
-            let mut timed = TimedPolicy {
-                inner: policy,
-                hist: &self.lmc_hist,
-            };
-            exec.step_until(&mut timed, target);
-        }
+        self.timed(|exec, policy| exec.step_until(policy, target));
         let retired = self.engine.exec.retire_completions();
         self.finish_step(&retired);
         self.publish_load();
@@ -862,14 +867,7 @@ impl Worker {
     /// report the round, and stand up a fresh engine at time zero.
     fn drain(&mut self) -> RoundReport {
         self.pull_admitted();
-        {
-            let Engine { exec, policy } = &mut self.engine;
-            let mut timed = TimedPolicy {
-                inner: policy,
-                hist: &self.lmc_hist,
-            };
-            exec.run_to_completion(&mut timed);
-        }
+        self.timed(|exec, policy| exec.run_to_completion(policy));
         // Completions not yet streamed by a paced tick land in the
         // histograms now, exactly once, and stay resident for the
         // report's `records`.

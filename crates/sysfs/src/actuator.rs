@@ -1,6 +1,6 @@
 //! Bridging scheduler rate decisions onto a cpufreq backend.
 
-use crate::{Cpufreq, Result};
+use crate::{Cpufreq, Result, SysfsError};
 use dvfs_model::{RateIdx, RateTable};
 
 /// Applies per-core rate decisions (indices into a [`RateTable`]) to a
@@ -31,16 +31,18 @@ impl<B: Cpufreq> DvfsActuator<B> {
     /// verification step). Returns the verified frequency in kHz.
     ///
     /// # Errors
-    /// Backend failures, or [`crate::SysfsError::Parse`] when the
+    /// Backend failures, or [`SysfsError::Readback`] when the
     /// verification readback mismatches.
     pub fn apply(&mut self, cpu: usize, rate: RateIdx) -> Result<u64> {
         let khz = (self.table.rate(rate).freq_hz / 1e3).round() as u64;
         self.backend.set_speed(cpu, khz)?;
         let cur = self.backend.current_frequency(cpu)?;
         if cur != khz {
-            return Err(crate::SysfsError::Parse(format!(
-                "cpu{cpu}: set {khz} kHz but scaling_cur_freq reports {cur}"
-            )));
+            return Err(SysfsError::Readback {
+                cpu,
+                set_khz: khz,
+                read_khz: cur,
+            });
         }
         Ok(cur)
     }
@@ -98,12 +100,55 @@ mod tests {
         assert_eq!(tree.governor(2).unwrap(), "ondemand");
     }
 
+    /// A backend whose `scaling_cur_freq` always reads `reads`.
+    struct Lying {
+        reads: u64,
+    }
+
+    impl Cpufreq for Lying {
+        fn num_cpus(&self) -> usize {
+            2
+        }
+        fn available_frequencies(&self, _cpu: usize) -> Result<Vec<u64>> {
+            Ok(vec![self.reads])
+        }
+        fn governor(&self, _cpu: usize) -> Result<String> {
+            Ok("userspace".into())
+        }
+        fn set_governor(&mut self, _cpu: usize, _governor: &str) -> Result<()> {
+            Ok(())
+        }
+        fn set_speed(&mut self, _cpu: usize, _khz: u64) -> Result<()> {
+            Ok(())
+        }
+        fn current_frequency(&self, _cpu: usize) -> Result<u64> {
+            Ok(self.reads)
+        }
+    }
+
     #[test]
     fn apply_verifies_readback() {
         let table = RateTable::i7_950_table2();
         let tree = SimulatedSysfs::new(1, &table);
-        let mut act = DvfsActuator::new(tree, table).unwrap();
+        let mut act = DvfsActuator::new(tree, table.clone()).unwrap();
         // Normal path verifies fine.
         assert!(act.apply(0, 2).is_ok());
+        // A write the backend accepts but does not honour is caught by
+        // the readback and named as such.
+        let mut act = DvfsActuator::new(Lying { reads: 1_600_000 }, table).unwrap();
+        assert_eq!(act.apply(1, 0).unwrap(), 1_600_000);
+        let err = act.apply(1, 4).unwrap_err();
+        assert_eq!(
+            err,
+            SysfsError::Readback {
+                cpu: 1,
+                set_khz: 3_000_000,
+                read_khz: 1_600_000
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "cpu1: set 3000000 kHz but scaling_cur_freq reports 1600000"
+        );
     }
 }

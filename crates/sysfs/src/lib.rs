@@ -62,6 +62,16 @@ pub enum SysfsError {
     UnsupportedGovernor(String),
     /// A value could not be parsed.
     Parse(String),
+    /// `scaling_cur_freq` did not read back the frequency just written
+    /// to `scaling_setspeed`.
+    Readback {
+        /// The CPU index.
+        cpu: usize,
+        /// The frequency written, in kHz.
+        set_khz: u64,
+        /// The frequency read back, in kHz.
+        read_khz: u64,
+    },
     /// Underlying I/O failure (real backend).
     Io(String),
 }
@@ -80,6 +90,14 @@ impl fmt::Display for SysfsError {
             ),
             SysfsError::UnsupportedGovernor(g) => write!(f, "unsupported governor: {g}"),
             SysfsError::Parse(s) => write!(f, "could not parse sysfs value: {s}"),
+            SysfsError::Readback {
+                cpu,
+                set_khz,
+                read_khz,
+            } => write!(
+                f,
+                "cpu{cpu}: set {set_khz} kHz but scaling_cur_freq reports {read_khz}"
+            ),
             SysfsError::Io(s) => write!(f, "sysfs i/o error: {s}"),
         }
     }
@@ -154,6 +172,11 @@ mod tests {
             SysfsError::UnsupportedFrequency { cpu: 0, khz: 1234 },
             SysfsError::UnsupportedGovernor("turbo".into()),
             SysfsError::Parse("?".into()),
+            SysfsError::Readback {
+                cpu: 0,
+                set_khz: 1,
+                read_khz: 2,
+            },
             SysfsError::Io("eperm".into()),
         ];
         for e in errs {

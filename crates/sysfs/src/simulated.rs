@@ -107,7 +107,7 @@ impl SimulatedSysfs {
                     .trim()
                     .parse()
                     .map_err(|_| SysfsError::Parse(value.to_string()))?;
-                self.set_speed_inner(cpu, khz, path)
+                self.set_speed_inner(cpu, khz, || path.to_string())
             }
             _ => Err(SysfsError::NoSuchFile(path.to_string())),
         }
@@ -131,11 +131,15 @@ impl SimulatedSysfs {
         Ok(())
     }
 
-    fn set_speed_inner(&self, cpu: usize, khz: u64, path: &str) -> Result<()> {
+    /// The `scaling_setspeed` write both [`Self::write_path`] and the
+    /// typed [`Cpufreq::set_speed`] land on: governor gate, listed
+    /// frequency, then `cur_freq`. `path` names the file in the error
+    /// for a CPU the tree does not have, and is built only then.
+    fn set_speed_inner(&self, cpu: usize, khz: u64, path: impl FnOnce() -> String) -> Result<()> {
         let mut nodes = self.inner.lock();
         let node = nodes
             .get_mut(cpu)
-            .ok_or_else(|| SysfsError::NoSuchFile(path.to_string()))?;
+            .ok_or_else(|| SysfsError::NoSuchFile(path()))?;
         if node.governor != "userspace" {
             return Err(SysfsError::NotUserspace {
                 cpu,
@@ -186,13 +190,21 @@ impl Cpufreq for SimulatedSysfs {
         self.write_path(&cpufreq_path(cpu, "scaling_governor"), governor)
     }
 
+    /// Typed: the same checks and errors as writing the frequency to
+    /// `scaling_setspeed` with [`SimulatedSysfs::write_path`], without
+    /// formatting a path or a number.
     fn set_speed(&mut self, cpu: usize, khz: u64) -> Result<()> {
-        self.write_path(&cpufreq_path(cpu, "scaling_setspeed"), &khz.to_string())
+        self.set_speed_inner(cpu, khz, || cpufreq_path(cpu, "scaling_setspeed"))
     }
 
+    /// Typed: what reading `scaling_cur_freq` with
+    /// [`SimulatedSysfs::read_path`] would parse to.
     fn current_frequency(&self, cpu: usize) -> Result<u64> {
-        let s = self.read_path(&cpufreq_path(cpu, "scaling_cur_freq"))?;
-        s.trim().parse().map_err(|_| SysfsError::Parse(s))
+        self.inner
+            .lock()
+            .get(cpu)
+            .map(|node| node.cur_khz)
+            .ok_or_else(|| SysfsError::NoSuchFile(cpufreq_path(cpu, "scaling_cur_freq")))
     }
 }
 
@@ -326,6 +338,55 @@ mod tests {
         });
         h.join().unwrap();
         assert_eq!(t.current_frequency(1).unwrap(), 2_000_000);
+    }
+
+    /// Every attribute of every CPU, one past the last included, as
+    /// `read_path` renders it.
+    fn snapshot(t: &SimulatedSysfs) -> Vec<Result<String>> {
+        let attrs = [
+            "scaling_governor",
+            "scaling_cur_freq",
+            "scaling_setspeed",
+            "scaling_available_frequencies",
+        ];
+        (0..=t.num_cpus())
+            .flat_map(|cpu| attrs.map(|attr| t.read_path(&cpufreq_path(cpu, attr))))
+            .collect()
+    }
+
+    #[test]
+    fn typed_calls_match_the_path_protocol() {
+        let listed = RateTable::i7_950_table2().available_frequencies_khz();
+        let unlisted = [0, 1_599_999, 2_500_000, u64::MAX];
+        // cpu 4 is one past the tree's last CPU.
+        for cpu in 0..=4 {
+            for governor in KNOWN_GOVERNORS {
+                for &khz in listed.iter().chain(&unlisted) {
+                    let (mut typed, by_path) = (tree(), tree());
+                    for t in [&typed, &by_path] {
+                        for c in 0..4 {
+                            t.write_path(&cpufreq_path(c, "scaling_governor"), governor)
+                                .unwrap();
+                        }
+                    }
+                    let case = format!("cpu{cpu} {governor} {khz} kHz");
+                    assert_eq!(
+                        typed.set_speed(cpu, khz),
+                        by_path
+                            .write_path(&cpufreq_path(cpu, "scaling_setspeed"), &khz.to_string()),
+                        "set_speed, {case}"
+                    );
+                    assert_eq!(
+                        typed.current_frequency(cpu),
+                        by_path
+                            .read_path(&cpufreq_path(cpu, "scaling_cur_freq"))
+                            .map(|s| s.parse().unwrap()),
+                        "current_frequency, {case}"
+                    );
+                    assert_eq!(snapshot(&typed), snapshot(&by_path), "tree, {case}");
+                }
+            }
+        }
     }
 
     #[test]

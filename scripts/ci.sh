@@ -152,12 +152,14 @@ fi
 # to, so they stay paid. Lower it with the total; never raise it.
 # shims/ (the offline stand-ins for registry crates) has a table and
 # a ceiling of its own, on the same terms.
-# The engine side (crates/{ostree,core,sim,trace}/src) is printed after
-# them, ungated: a baseline for the next PR that pays lines back there.
-# A `tests.rs` there is a `#[cfg(test)] mod tests;` body, so it is skipped.
-TOTAL_CEILING=7034
+# The engine side (crates/{ostree,core,sim,trace}/src) has a table and a
+# ceiling of its own too. A `tests.rs` there is a `#[cfg(test)] mod
+# tests;` body, so it is skipped.
+TOTAL_CEILING=7032
 # Lower it with the total; never raise it.
 SHIMS_CEILING=1409
+# Lower it with the total; never raise it.
+ENGINE_CEILING=6732
 echo "==> non-test lines per file, crates/{serve,net}/src"
 oversize=0
 total=0
@@ -190,7 +192,7 @@ if [ "$total" -gt "$SHIMS_CEILING" ]; then
     echo "ci: shims/ non-test total $total exceeds the ceiling $SHIMS_CEILING" >&2
     exit 1
 fi
-echo "==> non-test lines per file, crates/{ostree,core,sim,trace}/src (not gated)"
+echo "==> non-test lines per file, crates/{ostree,core,sim,trace}/src"
 total=0
 for f in crates/ostree/src/*.rs crates/core/src/*.rs crates/core/src/sched/*.rs \
         crates/sim/src/*.rs crates/trace/src/*.rs; do
@@ -200,6 +202,10 @@ for f in crates/ostree/src/*.rs crates/core/src/*.rs crates/core/src/sched/*.rs 
     total=$((total + n))
 done
 printf '%6d  total\n' "$total"
+if [ "$total" -gt "$ENGINE_CEILING" ]; then
+    echo "ci: crates/{ostree,core,sim,trace}/src non-test total $total exceeds the ceiling $ENGINE_CEILING" >&2
+    exit 1
+fi
 
 # Backend × shard sweep: the serve end-to-end suite at one engine shard
 # (the bit-identical-to-the-simulator pin) and at multiple shards (the
