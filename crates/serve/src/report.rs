@@ -84,6 +84,7 @@ pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry) -> Response
     let mut depth_total = 0u64;
     let mut pending_total = 0u64;
     let mut now_max = 0.0f64;
+    let mut admitted_total = 0u64;
     for sh in shards {
         // Waiting work wherever it sits: admission depth plus the
         // engine backlog — the same combined load the router and
@@ -101,6 +102,7 @@ pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry) -> Response
             .counter(&shard_metric("migrations_in", sh.index))
             .get();
         let admitted = sh.admitted.get();
+        admitted_total += admitted;
         shard_stats.push(Value::Object(vec![
             field_u64("shard", sh.index as u64),
             field_u64("queue_depth", depth),
@@ -115,7 +117,6 @@ pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry) -> Response
         ]));
     }
     let migrations = metrics.counter("migrations").get();
-    let admitted_total = metrics.counter("admitted").get();
     Response::Ok(vec![
         ("metrics".to_string(), metrics.snapshot()),
         field_u64("queue_depth", depth_total),

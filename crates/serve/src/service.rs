@@ -80,9 +80,10 @@ use crate::codec::Ack;
 pub use crate::config::{service_platform, Mode, SchedulerConfig, SubmitItem};
 use crate::executor::RoundReport;
 use crate::ids::IdLedger;
-use crate::metrics::{AdvisoryCell, Counter, Registry};
+use crate::metrics::{AdvisoryCell, Counter, Histogram, Registry};
 use crate::protocol::{ErrorKind, Response};
 pub use crate::rebalance::RebalanceConfig;
+use crate::stage::{STAGE_ADMIT, STAGE_FRAME};
 use crate::supervise::StallLatches;
 use crate::tracestore::TraceStore;
 use crate::worker::{self, Command, ShardShared, WorkerHandle};
@@ -109,9 +110,19 @@ pub struct Scheduler {
     /// order, which is what makes every fan-out deterministic.
     workers: Vec<WorkerHandle>,
     metrics: Arc<Registry>,
-    /// The two counters every submit bumps, resolved once.
+    /// The books, resolved once: every submit ends in exactly one
+    /// terminal state (see [`Scheduler::books_balanced`]).
     submitted: Arc<Counter>,
     admitted: Arc<Counter>,
+    completed: Arc<Counter>,
+    shed: Arc<Counter>,
+    shed_worker_behind: Arc<Counter>,
+    rejected_invalid: Arc<Counter>,
+    rejected_duplicate_id: Arc<Counter>,
+    rejected_shutting_down: Arc<Counter>,
+    /// The wire-side stage histograms; the workers hold the rest.
+    stage_frame: Arc<Histogram>,
+    stage_admit: Arc<Histogram>,
     shutting_down: AtomicBool,
     /// The round's task-id namespace, global across shards so
     /// duplicate-id rejection holds service-wide.
@@ -171,17 +182,16 @@ impl Scheduler {
         // `health` expose them even before the first stall, failed send
         // or paced wait.
         let _ = metrics.counter("worker_stalled");
-        let _ = metrics.counter("worker_send_failed");
         let _ = metrics.counter("paced_waits");
-        let _ = metrics.counter("shed_worker_behind");
         let _ = metrics.histogram("pace_wait_s");
         metrics.gauge("degraded").set(0);
         let lmc_hist = metrics.histogram("lmc_decision_us");
+        let completed = metrics.counter("completed");
         let workers = shards
             .iter()
             .map(|sh| {
-                let lmc_hist = Arc::clone(&lmc_hist);
-                worker::spawn(Arc::clone(sh), cfg, Arc::clone(&clock), &metrics, lmc_hist)
+                let (lmc, done) = (Arc::clone(&lmc_hist), Arc::clone(&completed));
+                worker::spawn(Arc::clone(sh), cfg, Arc::clone(&clock), &metrics, lmc, done)
             })
             .collect();
         Scheduler {
@@ -190,6 +200,14 @@ impl Scheduler {
             workers,
             submitted: metrics.counter("submitted"),
             admitted: metrics.counter("admitted"),
+            completed,
+            shed: metrics.counter("shed"),
+            shed_worker_behind: metrics.counter("shed_worker_behind"),
+            rejected_invalid: metrics.counter("rejected_invalid"),
+            rejected_duplicate_id: metrics.counter("rejected_duplicate_id"),
+            rejected_shutting_down: metrics.counter("rejected_shutting_down"),
+            stage_frame: metrics.histogram(STAGE_FRAME),
+            stage_admit: metrics.histogram(STAGE_ADMIT),
             metrics,
             shutting_down: AtomicBool::new(false),
             ids: Mutex::default(),
@@ -228,6 +246,25 @@ impl Scheduler {
     #[must_use]
     pub fn shard_queue(&self, k: usize) -> &AdmissionQueue {
         &self.shards[k].queue
+    }
+
+    /// Tasks admitted and not yet completed (queued or in an engine).
+    #[must_use]
+    pub fn in_flight(&self) -> u64 {
+        self.admitted.get().saturating_sub(self.completed.get())
+    }
+
+    /// The books' one identity: nothing is in flight, and every submit
+    /// ended in exactly one terminal state — completed, shed, or
+    /// rejected (invalid, duplicate id, shutting down). Holds after
+    /// every drain that no submit races.
+    #[must_use]
+    pub fn books_balanced(&self) -> bool {
+        let rejected = self.rejected_invalid.get()
+            + self.rejected_duplicate_id.get()
+            + self.rejected_shutting_down.get();
+        self.in_flight() == 0
+            && self.submitted.get() == self.completed.get() + self.shed.get() + rejected
     }
 
     /// Total queued depth across all shards.
@@ -349,7 +386,7 @@ impl Scheduler {
             sched: self,
             recv,
             pace: pace.filter(|_| matches!(self.cfg.mode, Mode::Paced { .. })),
-            admitted: Vec::new(),
+            admitted: 0,
             open: None,
         }
     }
@@ -399,7 +436,6 @@ impl Scheduler {
     /// merges or encodes the reports — nothing cross-shard is read
     /// during a merge, so no worker or lock stays held across it.
     pub fn drain_shards(&self) -> Vec<RoundReport> {
-        self.metrics.counter("drains").inc();
         let reports: Vec<RoundReport>;
         {
             // Hold the id ledger across the whole barrier: submissions
@@ -642,8 +678,8 @@ pub(crate) struct SubmitRun<'a> {
     /// When the bytes were read.
     recv: Instant,
     pace: Option<Pace>,
-    /// Admissions per shard since the run opened.
-    admitted: Vec<u64>,
+    /// Admissions since the run opened.
+    admitted: u64,
     open: Option<OpenRun<'a>>,
 }
 
@@ -710,11 +746,9 @@ impl SubmitRun<'_> {
     fn shed(&self, item: SubmitItem, behind: &Behind) -> Submitted {
         let s = self.sched;
         s.submitted.inc();
-        s.metrics.counter("shed").inc();
-        let tag = worker::class_tag(item.class);
-        s.metrics.counter(&format!("shed.{}", tag.name())).inc();
+        s.shed.inc();
         if behind.reason == ShedReason::WorkerBehind {
-            s.metrics.counter("shed_worker_behind").inc();
+            s.shed_worker_behind.inc();
         }
         let sh = &s.shards[behind.shard];
         sh.shed.inc();
@@ -734,12 +768,17 @@ impl SubmitRun<'_> {
             arrival,
         } = item;
         let s = self.sched;
-        let refuse = |kind, message: String| {
+        let refuse = |books: &Counter, kind, message: String| {
             s.submitted.inc();
+            books.inc();
             Ok(Submitted::Refused(Response::err(kind, message)))
         };
+        let draining = || {
+            let message = "server is draining".into();
+            refuse(&s.rejected_shutting_down, ErrorKind::ShuttingDown, message)
+        };
         if s.is_shutting_down() {
-            return refuse(ErrorKind::ShuttingDown, "server is draining".into());
+            return draining();
         }
         // The run's first submit: is a worker more than a tick behind
         // already?
@@ -749,7 +788,6 @@ impl SubmitRun<'_> {
             }
             _ => None,
         };
-        self.admitted.resize(s.shards.len(), 0);
         let open = self.open.get_or_insert_with(|| OpenRun {
             framed: crate::clock::wall_now(),
             now: s.clock.now(),
@@ -762,8 +800,8 @@ impl SubmitRun<'_> {
         let id = match ids.reserve(id) {
             Ok(id) => id,
             Err(id) => {
-                s.metrics.counter("rejected_duplicate_id").inc();
                 return refuse(
+                    &s.rejected_duplicate_id,
                     ErrorKind::BadRequest,
                     format!("task id {id} already used this round"),
                 );
@@ -780,8 +818,7 @@ impl SubmitRun<'_> {
             Ok(task) => task,
             Err(e) => {
                 ids.release(id);
-                s.metrics.counter("rejected_invalid").inc();
-                return refuse(ErrorKind::BadRequest, e.to_string());
+                return refuse(&s.rejected_invalid, ErrorKind::BadRequest, e.to_string());
             }
         };
         let shard = s.route(explicit, id, class);
@@ -801,7 +838,7 @@ impl SubmitRun<'_> {
                 s.submitted.inc();
                 s.admitted.inc();
                 sh.admitted.inc();
-                self.admitted[shard] += 1;
+                self.admitted += 1;
                 let depth = depth as u64;
                 sh.trace_submit(arrival, id, class, cycles, Some(depth));
                 Ok(Submitted::Ack(Ack {
@@ -821,7 +858,7 @@ impl SubmitRun<'_> {
             }
             GateOutcome::Closed => {
                 ids.release(id);
-                refuse(ErrorKind::ShuttingDown, "server is draining".into())
+                draining()
             }
         }
     }
@@ -833,7 +870,8 @@ impl SubmitRun<'_> {
         let Some(open) = self.open.take() else {
             return;
         };
-        if self.admitted.iter().all(|&n| n == 0) {
+        let n = std::mem::take(&mut self.admitted);
+        if n == 0 {
             return;
         }
         let s = self.sched;
@@ -846,12 +884,9 @@ impl SubmitRun<'_> {
             let admit = crate::clock::wall_now()
                 .duration_since(open.framed)
                 .as_secs_f64();
-            for (sh, &n) in s.shards.iter().zip(&self.admitted) {
-                sh.stages.frame.record_n(frame, n);
-                sh.stages.admit.record_n(admit, n);
-            }
+            s.stage_frame.record_n(frame, n);
+            s.stage_admit.record_n(admit, n);
         }
-        self.admitted.fill(0);
         // Wake a ticker sleeping in `wait_for_work`; the empty
         // critical section orders the wake after the admits.
         drop(s.work_mx.lock().unwrap_or_else(PoisonError::into_inner));
@@ -1040,6 +1075,8 @@ mod tests {
             Response::Err { kind, .. } => assert_eq!(kind, ErrorKind::ShuttingDown),
             Response::Ok(_) => panic!("submit must fail during shutdown"),
         }
+        assert_eq!(s.metrics().counter("rejected_shutting_down").get(), 1);
+        assert!(s.books_balanced(), "the refused submit is on the books");
     }
 
     /// 1.6 Gcycles take at most 1 s at the slowest rate: one tick at
@@ -1186,7 +1223,6 @@ mod tests {
     #[test]
     fn a_clock_step_completes_the_round_in_one_tick() {
         let (s, clock) = stepped(2);
-        let m = Arc::clone(s.metrics());
         for _ in 0..8 {
             submit_one(&s, 4_000_000_000);
         }
@@ -1196,13 +1232,9 @@ mod tests {
         clock.set(1e6);
         s.tick();
         assert_eq!(stat(&s, None, "pending_tasks"), 0);
-        let (submitted, completed) = (m.counter("submitted").get(), m.counter("completed").get());
-        assert_eq!(completed, 8);
-        assert_eq!(
-            submitted,
-            completed + m.counter("failed").get() + m.counter("shed").get()
-        );
+        assert_eq!(s.metrics().counter("completed").get(), 8);
         let round = s.drain_round();
+        assert!(s.books_balanced());
         assert!(
             round.records.is_empty(),
             "the step's tick retired every task"

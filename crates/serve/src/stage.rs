@@ -7,10 +7,11 @@
 //!              → dispatch → complete
 //! ```
 //!
-//! — and each stage feeds a log-bucketed histogram in the [`Registry`],
-//! both globally and per shard (`stage_*_s.shardK`). The first three
-//! stages are measured on the wall clock (`crate::clock::wall_now`, the
-//! single blessed clock seam); the engine-side stages come for free
+//! — and each stage feeds one log-bucketed histogram in the
+//! [`Registry`], global across shards (counters keep their `.shardK`
+//! series; stage histograms have none). The first three stages are
+//! measured on the wall clock (`crate::clock::wall_now`, the single
+//! blessed clock seam); the engine-side stages come for free
 //! from the `TaskRecord` timestamps the executor already stamps in
 //! engine seconds, scaled back to wall-equivalent seconds by the paced
 //! speed factor. In paced mode the two clocks therefore advance
@@ -24,7 +25,7 @@
 //! events — so the determinism contract (bit-identical drained replay)
 //! is untouched, mirroring how `TimedPolicy` handles `lmc_decision_us`.
 
-use crate::metrics::{shard_metric, Histogram, Registry};
+use crate::metrics::{Histogram, Registry};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -59,68 +60,26 @@ pub(crate) struct StageStamp {
     pub admitted: Instant,
 }
 
-/// A global + per-shard histogram pair; every stage sample lands in
-/// both so the `stats` snapshot carries the total and the `.shardK`
-/// breakdown from one record call.
-#[derive(Debug)]
-pub(crate) struct StagePair {
-    global: Arc<Histogram>,
-    shard: Arc<Histogram>,
-}
-
-impl StagePair {
-    fn new(metrics: &Registry, name: &str, shard: usize) -> Self {
-        StagePair {
-            global: metrics.histogram(name),
-            shard: metrics.histogram(&shard_metric(name, shard)),
-        }
-    }
-
-    /// Record a stage duration in seconds.
-    pub fn record(&self, seconds: f64) {
-        self.global.record(seconds);
-        self.shard.record(seconds);
-    }
-
-    /// Record the same stage duration for `n` requests (a wire batch's
-    /// shared span), one lock acquisition per histogram.
-    pub fn record_n(&self, seconds: f64, n: u64) {
-        self.global.record_n(seconds, n);
-        self.shard.record_n(seconds, n);
-    }
-
-    /// Record a round's worth of stage durations, one lock acquisition
-    /// per histogram instead of one per sample.
-    pub fn record_many(&self, seconds: &[f64]) {
-        self.global.record_many(seconds);
-        self.shard.record_many(seconds);
-    }
-}
-
-/// The full stage histogram bundle for one shard. Handles are resolved
-/// once at construction so the hot submit/complete paths never touch
-/// the registry's name map.
+/// The worker-side stage histograms (the scheduler holds the frame and
+/// admit ones), resolved once so the completion path never touches the
+/// registry's name map.
 #[derive(Debug)]
 pub(crate) struct StageHists {
-    pub frame: StagePair,
-    pub admit: StagePair,
-    pub queue: StagePair,
-    pub engine: StagePair,
-    pub service: StagePair,
-    pub cmd_dequeue: StagePair,
-    pub e2e: StagePair,
+    pub queue: Arc<Histogram>,
+    pub engine: Arc<Histogram>,
+    pub service: Arc<Histogram>,
+    pub cmd_dequeue: Arc<Histogram>,
+    pub e2e: Arc<Histogram>,
 }
 
 impl StageHists {
-    pub fn new(metrics: &Registry, shard: usize) -> Self {
+    pub fn new(metrics: &Registry) -> Self {
         StageHists {
-            frame: StagePair::new(metrics, STAGE_FRAME, shard),
-            admit: StagePair::new(metrics, STAGE_ADMIT, shard),
-            queue: StagePair::new(metrics, STAGE_QUEUE, shard),
-            engine: StagePair::new(metrics, STAGE_ENGINE, shard),
-            service: StagePair::new(metrics, STAGE_SERVICE, shard),
-            cmd_dequeue: StagePair::new(metrics, STAGE_CMD_DEQUEUE, shard),
-            e2e: StagePair::new(metrics, REQUEST_E2E, shard),
+            queue: metrics.histogram(STAGE_QUEUE),
+            engine: metrics.histogram(STAGE_ENGINE),
+            service: metrics.histogram(STAGE_SERVICE),
+            cmd_dequeue: metrics.histogram(STAGE_CMD_DEQUEUE),
+            e2e: metrics.histogram(REQUEST_E2E),
         }
     }
 }
@@ -141,14 +100,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stage_pairs_record_global_and_shard() {
+    fn a_stage_sample_lands_in_its_one_global_histogram() {
         let r = Registry::new();
-        let hists = StageHists::new(&r, 2);
+        let hists = StageHists::new(&r);
         hists.queue.record(0.25);
         hists.queue.record(0.5);
+        let names: Vec<String> = match r.snapshot().get("histograms") {
+            Some(serde_json::Value::Object(h)) => h.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("snapshot histograms: {other:?}"),
+        };
+        let stages = [
+            REQUEST_E2E,
+            STAGE_CMD_DEQUEUE,
+            STAGE_ENGINE,
+            STAGE_QUEUE,
+            STAGE_SERVICE,
+        ];
+        assert_eq!(names, stages, "no per-shard stage series");
         assert_eq!(r.histogram(STAGE_QUEUE).count(), 2);
-        assert_eq!(r.histogram(&shard_metric(STAGE_QUEUE, 2)).count(), 2);
-        assert_eq!(r.histogram(&shard_metric(STAGE_QUEUE, 0)).count(), 0);
         assert!((r.histogram(STAGE_QUEUE).sum() - 0.75).abs() < 1e-12);
+        assert_eq!(r.histogram(STAGE_ENGINE).count(), 0);
     }
 }

@@ -332,9 +332,6 @@ pub(crate) struct ShardShared {
     now_bits: AdvisoryCell,
     /// The worker's lock-free loop-telemetry slot.
     pub hb: Heartbeat,
-    /// The shard's stage-attribution histogram bundle (global +
-    /// per-shard handles, resolved once).
-    pub stages: StageHists,
 }
 
 impl ShardShared {
@@ -360,7 +357,6 @@ impl ShardShared {
             pending: AdvisoryCell::default(),
             now_bits: AdvisoryCell::default(),
             hb: Heartbeat::new(),
-            stages: StageHists::new(metrics, index),
         }
     }
 
@@ -555,13 +551,14 @@ pub(crate) fn broadcast<'a, T: 'a>(
 }
 
 /// Spawn the worker thread owning shard `shared`'s engine, stepping it
-/// toward `clock`.
+/// toward `clock` and counting what it finishes into `completed`.
 pub(crate) fn spawn(
     shared: Arc<ShardShared>,
     cfg: SchedulerConfig,
     clock: Arc<EngineClock>,
     metrics: &Registry,
     lmc_hist: Arc<Histogram>,
+    completed: Arc<Counter>,
 ) -> WorkerHandle {
     let (tx, rx) = std::sync::mpsc::sync_channel(COMMAND_QUEUE_BOUND);
     let send_failed = metrics.counter("worker_send_failed");
@@ -569,7 +566,8 @@ pub(crate) fn spawn(
     let name = format!("dvfs-shard-{}", shared.index);
     let worker_shared = Arc::clone(&shared);
     let worker_metrics = StepMetrics {
-        completed: metrics.counter("completed"),
+        completed,
+        stages: StageHists::new(metrics),
         task_latency: metrics.histogram("task_latency_s"),
         task_cost: metrics.histogram("task_cost"),
         actuations: metrics.counter("actuations"),
@@ -611,9 +609,11 @@ struct StepSamples {
 }
 
 /// The service-wide metrics every step publishes into, resolved once
-/// at spawn (the per-shard handles live in [`ShardShared`]).
+/// at spawn or, for `completed`, handed in from the scheduler's books
+/// (the per-shard handles live in [`ShardShared`]).
 struct StepMetrics {
     completed: Arc<Counter>,
+    stages: StageHists,
     task_latency: Arc<Histogram>,
     task_cost: Arc<Histogram>,
     actuations: Arc<Counter>,
@@ -649,10 +649,8 @@ impl Worker {
             self.shared.hb.note_dequeue(env.sent);
             let t0 = crate::clock::wall_now();
             if self.cfg.telemetry {
-                self.shared
-                    .stages
-                    .cmd_dequeue
-                    .record(t0.duration_since(env.sent).as_secs_f64());
+                let age = t0.duration_since(env.sent).as_secs_f64();
+                self.metrics.stages.cmd_dequeue.record(age);
             }
             match env.cmd {
                 Command::Tick { reply } => {
@@ -701,7 +699,7 @@ impl Worker {
                 self.recv_stamps.insert(task.id.0, stamp.recv);
                 self.engine.exec.push_task(&task);
             }
-            self.shared.stages.queue.record_many(&waits);
+            self.metrics.stages.queue.record_many(&waits);
         } else {
             for task in self.shared.queue.drain() {
                 self.engine.exec.push_task(&task);
@@ -727,7 +725,7 @@ impl Worker {
         self.metrics.task_latency.record_many(&samples.latency);
         self.metrics.task_cost.record_many(&samples.cost);
         if self.cfg.telemetry {
-            let stages = &self.shared.stages;
+            let stages = &self.metrics.stages;
             stages.engine.record_many(&samples.engine);
             stages.service.record_many(&samples.service);
             stages.e2e.record_many(&samples.e2e);
@@ -1007,7 +1005,8 @@ mod tests {
         let metrics = Registry::new();
         let lmc = metrics.histogram("lmc_decision_us");
         let clock = Arc::new(EngineClock::Virtual(Default::default()));
-        let mut handle = spawn(Arc::clone(&shared), cfg, clock, &metrics, lmc);
+        let completed = metrics.counter("completed");
+        let mut handle = spawn(Arc::clone(&shared), cfg, clock, &metrics, lmc, completed);
         handle.ask("tick", |reply| Command::Tick { reply });
         let snap = shared.hb.snapshot();
         assert_eq!(snap.cmd_depth, 0, "tick was dequeued");

@@ -63,6 +63,24 @@ if grep -rnw --include='*.rs' Relaxed crates/*/src | grep -v '^crates/serve/src/
     echo "ci: Relaxed outside crates/serve/src/metrics.rs; publish advisory values through metrics::AdvisoryCell" >&2
     exit 1
 fi
+# Books: the counters every submit ends in are resolved once each, as
+# `name: metrics.counter("name")` (or `let name = …`) in
+# `Scheduler::with_clock`, and bumped through those handles;
+# `Scheduler::books_balanced` is the identity over them. Any other
+# `counter("…")` call with a books name in dvfs-serve's non-test code
+# is a second write path (or a per-event name lookup) and fails here.
+echo "==> books: counters resolved once, in crates/serve/src/service.rs"
+books="submitted admitted completed shed shed_worker_behind rejected_invalid"
+books="$books rejected_duplicate_id rejected_shutting_down"
+hits="$(for f in crates/serve/src/*.rs; do
+    head -n "$(non_test_lines "$f")" "$f" |
+        grep -nE "counter\(\"(${books// /|})\"\)" | sed "s|^|$f:|" || true
+done)"
+if grep -vE '^crates/serve/src/service\.rs:[0-9]+: *(let )?([a-z_]+)(:| =) metrics\.counter\("\2"\)[,;]$' \
+        <<<"$hits" | grep . >&2 || [ "$(grep -c . <<<"$hits")" -ne "$(wc -w <<<"$books")" ]; then
+    echo "ci: a books counter is looked up outside its one resolution in Scheduler::with_clock" >&2
+    exit 1
+fi
 
 # Docs name only what exists: every backticked path ending in .rs .sh
 # .json .jsonl .toml .txt or .md, and every `--bin NAME`, in the docs
@@ -155,7 +173,7 @@ fi
 # The engine side (crates/{ostree,core,sim,trace}/src) has a table and a
 # ceiling of its own too. A `tests.rs` there is a `#[cfg(test)] mod
 # tests;` body, so it is skipped.
-TOTAL_CEILING=7032
+TOTAL_CEILING=7030
 # Lower it with the total; never raise it.
 SHIMS_CEILING=1409
 # Lower it with the total; never raise it.

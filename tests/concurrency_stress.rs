@@ -65,6 +65,9 @@ fn burst_submits_race_drains_and_shutdown_without_losing_tasks() {
         scheduler: SchedulerConfig {
             cores: 2,
             shards,
+            // Far below what the bursts put in flight between two
+            // drains, so the race sheds too and the books must carry it.
+            queue_capacity: 64,
             ..SchedulerConfig::default()
         },
         ..ServerConfig::new(Endpoint::Unix(scratch("burst")))
@@ -152,6 +155,14 @@ fn burst_submits_race_drains_and_shutdown_without_losing_tasks() {
         total_completed, admitted,
         "admitted tasks must all complete across drained rounds (shed {shed})"
     );
+    // The server's books agree with the replies: what it shed is what
+    // the clients saw shed, and every submit is in a terminal state.
+    assert_eq!(
+        handle.metrics().counter("shed").get(),
+        shed,
+        "server vs replies"
+    );
+    assert!(handle.books_balanced(), "{:?}", handle.metrics().snapshot());
 
     // Shutdown races the still-open connections; it must ack, drain
     // any stragglers, and join every shard worker.

@@ -266,6 +266,12 @@ fn queue_overflow_sheds_with_explicit_overloaded_error() {
         .expect("interactive submit round-trips");
     assert!(reserved.is_ok());
     assert_eq!(handle.metrics().counter("shed").get(), 1);
+    // Two admitted, one shed: once drained, the books balance.
+    let drained = conn
+        .round_trip(&encode_command("drain"))
+        .expect("drain round-trips");
+    assert_eq!(drained.field("completed").and_then(value_u64), Some(2));
+    assert!(handle.books_balanced(), "{:?}", handle.metrics().snapshot());
 
     handle.shutdown();
     handle.wait();
