@@ -31,7 +31,7 @@ use std::ops::{Deref, DerefMut};
 /// Everything one completed round of service produced, in the same
 /// accounting the simulator's report uses (so wire responses and the
 /// determinism tests can compare the two directly).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RoundReport {
     /// Tasks the round completed: everything in `records` plus what
     /// paced ticks retired before the drain.
@@ -70,16 +70,19 @@ impl RoundReport {
     /// keeps the bit-identical replay contract.
     #[must_use]
     pub fn merge(reports: &[RoundReport]) -> RoundReport {
-        let mut merged = RoundReport {
-            completed: 0,
-            records: Vec::with_capacity(reports.iter().map(|r| r.records.len()).sum()),
-            active_energy_joules: 0.0,
-            total_turnaround_s: 0.0,
-            makespan_s: 0.0,
-        };
+        let records: Vec<&[TaskRecord]> = reports.iter().map(|r| r.records.as_slice()).collect();
+        RoundReport {
+            records: records.concat(),
+            ..Self::totals(reports)
+        }
+    }
+
+    /// [`merge`](Self::merge) without the records: the same fold, no copy.
+    #[must_use]
+    pub fn totals(reports: &[RoundReport]) -> RoundReport {
+        let mut merged = RoundReport::default();
         for r in reports {
             merged.completed += r.completed;
-            merged.records.extend(r.records.iter().copied());
             merged.active_energy_joules += r.active_energy_joules;
             merged.total_turnaround_s += r.total_turnaround_s;
             merged.makespan_s = merged.makespan_s.max(r.makespan_s);
@@ -411,6 +414,24 @@ mod tests {
             a.total_turnaround_s + b.total_turnaround_s
         );
         assert_eq!(both.makespan_s, a.makespan_s.max(b.makespan_s));
+
+        // `totals` is `merge` without the records, bit for bit — an
+        // empty shard's `-0.0` turnaround included, which both folds
+        // turn into `0.0`.
+        let empty = RealTimeExecutor::new(service_platform(1)).round_report();
+        assert_eq!(empty.total_turnaround_s.to_bits(), (-0.0f64).to_bits());
+        for reports in [vec![empty.clone()], vec![a.clone(), empty, b]] {
+            let (merged, totals) = (RoundReport::merge(&reports), RoundReport::totals(&reports));
+            assert!(totals.records.is_empty());
+            assert_eq!(totals.completed, merged.completed);
+            for (t, m) in [
+                (totals.active_energy_joules, merged.active_energy_joules),
+                (totals.total_turnaround_s, merged.total_turnaround_s),
+                (totals.makespan_s, merged.makespan_s),
+            ] {
+                assert_eq!(t.to_bits(), m.to_bits());
+            }
+        }
     }
 
     #[test]

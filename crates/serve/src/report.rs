@@ -50,7 +50,7 @@ pub(crate) fn trace(out: &mut Vec<u8>, events: &[TraceEvent], dropped: u64, stre
 /// `drain`: the merged round report plus the per-shard reports, in
 /// ascending shard order.
 pub(crate) fn drain(params: CostParams, reports: &[RoundReport]) -> Response {
-    let merged = RoundReport::merge(reports);
+    let merged = RoundReport::totals(reports);
     let shard_reports: Vec<Value> = reports
         .iter()
         .enumerate()
@@ -85,6 +85,7 @@ pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry) -> Response
     let mut pending_total = 0u64;
     let mut now_max = 0.0f64;
     let mut admitted_total = 0u64;
+    let counter = |name: &str| metrics.counter(name).get();
     for sh in shards {
         // Waiting work wherever it sits: admission depth plus the
         // engine backlog — the same combined load the router and
@@ -95,12 +96,8 @@ pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry) -> Response
         depth_total += depth;
         pending_total += pending;
         now_max = now_max.max(now);
-        let out = metrics
-            .counter(&shard_metric("migrations_out", sh.index))
-            .get();
-        let inn = metrics
-            .counter(&shard_metric("migrations_in", sh.index))
-            .get();
+        let of_shard = |name| counter(&shard_metric(name, sh.index));
+        let (out, inn) = (of_shard("migrations_out"), of_shard("migrations_in"));
         let admitted = sh.admitted.get();
         admitted_total += admitted;
         shard_stats.push(Value::Object(vec![
@@ -116,7 +113,7 @@ pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry) -> Response
             ),
         ]));
     }
-    let migrations = metrics.counter("migrations").get();
+    let migrations = counter("migrations");
     Response::Ok(vec![
         ("metrics".to_string(), metrics.snapshot()),
         field_u64("queue_depth", depth_total),
@@ -128,11 +125,8 @@ pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry) -> Response
             "migration_rate",
             migrations as f64 / admitted_total.max(1) as f64,
         ),
-        field_u64(
-            "worker_send_failed",
-            metrics.counter("worker_send_failed").get(),
-        ),
-        field_u64("worker_stalled", metrics.counter("worker_stalled").get()),
+        field_u64("worker_send_failed", counter("worker_send_failed")),
+        field_u64("worker_stalled", counter("worker_stalled")),
         ("shard_stats".to_string(), Value::Array(shard_stats)),
     ])
 }
@@ -169,10 +163,11 @@ pub(crate) fn health(
             ])
         })
         .collect();
+    let hist = |name: &str| metrics.histogram(name).to_value();
     let stages: Vec<(String, Value)> = TELESCOPE_STAGES
         .iter()
         .chain([&STAGE_CMD_DEQUEUE, &REQUEST_E2E])
-        .map(|name| ((*name).to_string(), metrics.histogram(name).to_value()))
+        .map(|name| ((*name).to_string(), hist(name)))
         .collect();
     let counter = |name: &str| metrics.counter(name).get();
     let reactor = Value::Object(vec![
@@ -181,12 +176,9 @@ pub(crate) fn health(
         field_u64("work_micros", counter("net_work_micros")),
         (
             "events_per_wakeup".to_string(),
-            metrics.histogram("net_events_per_wakeup").to_value(),
+            hist("net_events_per_wakeup"),
         ),
-        (
-            "batch_lines".to_string(),
-            metrics.histogram("net_batch_lines").to_value(),
-        ),
+        ("batch_lines".to_string(), hist("net_batch_lines")),
         field_u64("backpressure_stalls", counter("net_backpressure_stalls")),
         field_u64(
             "backpressure_stall_micros",

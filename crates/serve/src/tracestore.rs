@@ -113,7 +113,12 @@ impl TraceStore {
                 self.metrics.counter(&of_core).add(micros);
             }
         }
-        self.lock_retained().events.extend(events);
+        let mut retained = self.lock_retained();
+        if retained.events.is_empty() {
+            retained.events = events; // as after a `trace_stream`: a move, no copy
+        } else {
+            retained.events.extend(events);
+        }
     }
 
     /// Events streamed-and-forgotten so far (the stream cursor).

@@ -3,23 +3,25 @@
 //! Gantt view, and Chrome `trace_event` JSON for `chrome://tracing` /
 //! Perfetto.
 //!
-//! The JSONL encoding is the determinism oracle: floats are rendered
-//! with Rust's shortest-round-trip `Display`, field order is fixed, and
-//! nothing here reads a clock — so a drained replay produces a
-//! byte-identical trace across runs and shard counts. [`parse_jsonl`]
+//! The JSONL encoding is the determinism oracle: numbers render through
+//! `num.rs` in exactly the bytes of Rust's shortest-round-trip
+//! `Display` (Ryū's digits, an exact halfway tie rounded up; `Display`
+//! itself for subnormals, |v| ≥ 2⁵⁴, NaN and ±inf), field order is
+//! fixed, and nothing here reads a clock — so a drained replay produces
+//! a byte-identical trace across runs and shard counts. [`parse_jsonl`]
 //! is the exact inverse of [`jsonl_line`] (`f64` round-trips bit-for-
 //! bit), which is what lets downstream tools diff predicted against
 //! measured cost per task.
 //!
 //! One writer renders every line, into a byte buffer: as is, or as a
 //! JSON string inside a reply ([`Framing`]). [`write_events`] renders a
-//! long run in contiguous pieces on every core and joins them in order,
-//! so a server writes a multi-megabyte trace reply straight into its
-//! output bytes; [`jsonl_line`] and [`to_jsonl`] wrap the same writer.
+//! long run in contiguous pieces on every core, each into a buffer
+//! reserved once, and joins them in order, so a server writes a
+//! multi-megabyte trace reply straight into its output bytes;
+//! [`jsonl_line`] and [`to_jsonl`] wrap the same writer.
 
-use crate::{ClassTag, EventKind, TraceEvent};
+use crate::{num, ClassTag, EventKind, TraceEvent};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 
 /// How [`write_events`] frames each event's JSONL line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +37,10 @@ pub enum Framing {
 /// two pieces renders on the calling thread, a longer one in at most
 /// one piece per available core.
 const PIECE_EVENTS: usize = 16_384;
+
+/// Bytes reserved per event, so a run's buffer is allocated once, not
+/// grown by doubling (a Judgegirl round averages ≈170 as strings).
+const EVENT_BYTES: usize = 192;
 
 /// A field's key in both spellings of the quote, as one literal each:
 /// `,"name":` and `,\"name\":` (or with `{` leading, for the first).
@@ -73,30 +79,14 @@ impl Line<'_> {
         self.out.extend_from_slice(quote);
     }
 
-    /// An integer in decimal — `Display`'s bytes, without a formatter.
     fn int(&mut self, key: Key, v: impl Into<u64>) {
         self.key(key);
-        let mut v = v.into();
-        let mut digits = [0u8; 20];
-        let mut start = digits.len();
-        loop {
-            start -= 1;
-            digits[start] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        self.out.extend_from_slice(&digits[start..]);
+        num::write_u64(self.out, v.into());
     }
 
     fn float(&mut self, key: Key, v: f64) {
         self.key(key);
-        self.display(v);
-    }
-
-    fn display(&mut self, v: f64) {
-        let _ = write!(self.out, "{v}");
+        num::write_f64(self.out, v);
     }
 }
 
@@ -104,9 +94,10 @@ impl Line<'_> {
 /// of its quotes `\"` when `escaped` (the line inside a JSON string),
 /// else `"` (the line itself). Nothing else needs escaping in either:
 /// the only strings an event carries are [`EventKind::name`] and
-/// [`ClassTag::name`] identifiers, and numbers render in Rust's
-/// shortest-round-trip `Display` form. Field order is fixed: `t`,
-/// `shard`, `seq`, `ev`, then the payload fields in declaration order.
+/// [`ClassTag::name`] identifiers, and numbers render through `num.rs`
+/// (`scripts/ci.sh` fails on a formatter call here). Field order is
+/// fixed: `t`, `shard`, `seq`, `ev`, then the payload fields in
+/// declaration order.
 fn write_event(out: &mut Vec<u8>, ev: &TraceEvent, escaped: bool) {
     let mut w = Line { out, escaped };
     w.float(key!("t", "{"), ev.time);
@@ -148,7 +139,7 @@ fn write_event(out: &mut Vec<u8>, ev: &TraceEvent, escaped: bool) {
                 if i > 0 {
                     w.out.push(b',');
                 }
-                w.display(*c);
+                num::write_f64(w.out, *c);
             }
             w.out.push(b']');
             w.float(key!("energy_delta"), *energy_delta);
@@ -222,11 +213,12 @@ pub fn write_events(out: &mut Vec<u8>, events: &[TraceEvent], framing: Framing) 
 fn write_in_pieces(out: &mut Vec<u8>, events: &[TraceEvent], framing: Framing, pieces: usize) {
     let mut chunks = events.chunks(events.len().div_ceil(pieces.max(1)).max(1));
     let Some(first) = chunks.next() else { return };
+    out.reserve(events.len() * EVENT_BYTES);
     std::thread::scope(|s| {
         let rest: Vec<_> = chunks
             .map(|piece| {
                 s.spawn(move || {
-                    let mut buf = Vec::new();
+                    let mut buf = Vec::with_capacity(piece.len() * EVENT_BYTES);
                     write_piece(&mut buf, piece, framing, false);
                     buf
                 })
@@ -881,26 +873,248 @@ mod tests {
         }
     }
 
+    /// Floats that take every path of the number writer: its fast
+    /// path's edges, an exact tie, and each fallback.
+    const ADVERSE: [f64; 16] = [
+        1_658_206_780_088_562.0 + 0.25,
+        -0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        9_007_199_254_740_994.0,
+        18_014_398_509_481_984.0,
+        1e-7,
+        1e15,
+        1e21,
+        1e23,
+        0.300_000_000_000_000_04,
+        -1.5e-300,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    /// An event of each kind with the `k`-th float of [`ADVERSE`] onward
+    /// in its float fields, `costs` included.
+    fn adverse_events(k: usize) -> Vec<TraceEvent> {
+        let f = |i: usize| ADVERSE[(k + i) % ADVERSE.len()];
+        let kinds = [
+            EventKind::Submit {
+                task: 1,
+                class: ClassTag::Batch,
+                cycles: u64::MAX,
+            },
+            EventKind::Admit { task: 2, depth: 3 },
+            EventKind::Shed {
+                task: 4,
+                class: ClassTag::Interactive,
+            },
+            EventKind::Enqueue {
+                task: 5,
+                core: 6,
+                position: 7,
+                costs: vec![f(1), f(2), f(3)],
+                energy_delta: f(4),
+                wait_delta: f(5),
+            },
+            EventKind::Dispatch {
+                task: 8,
+                core: u32::MAX,
+                rate: 9,
+                predicted_energy_j: f(6),
+                predicted_time_s: f(7),
+            },
+            EventKind::Preempt { task: 10, core: 11 },
+            EventKind::RateChange {
+                core: 12,
+                from: 13,
+                to: 14,
+            },
+            EventKind::Migrate {
+                task: 15,
+                from_shard: 16,
+                to_shard: 17,
+                from_cost: f(8),
+                to_cost: f(9),
+            },
+            EventKind::Complete {
+                task: 18,
+                core: 19,
+                energy_j: f(10),
+                turnaround_s: f(11),
+            },
+        ];
+        kinds
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| TraceEvent {
+                time: f(i),
+                shard: 2,
+                seq: i as u64,
+                kind,
+            })
+            .collect()
+    }
+
+    /// The event's line with every number through `format!`.
+    fn oracle_line(ev: &TraceEvent) -> String {
+        let mut line = format!(
+            "{{\"t\":{},\"shard\":{},\"seq\":{},\"ev\":\"{}\"",
+            ev.time,
+            ev.shard,
+            ev.seq,
+            ev.kind.name()
+        );
+        let fields: Vec<(&str, String)> = match &ev.kind {
+            EventKind::Submit {
+                task,
+                class,
+                cycles,
+            } => vec![
+                ("task", format!("{task}")),
+                ("class", format!("\"{}\"", class.name())),
+                ("cycles", format!("{cycles}")),
+            ],
+            EventKind::Admit { task, depth } => {
+                vec![("task", format!("{task}")), ("depth", format!("{depth}"))]
+            }
+            EventKind::Shed { task, class } => vec![
+                ("task", format!("{task}")),
+                ("class", format!("\"{}\"", class.name())),
+            ],
+            EventKind::Enqueue {
+                task,
+                core,
+                position,
+                costs,
+                energy_delta,
+                wait_delta,
+            } => {
+                let costs: Vec<String> = costs.iter().map(|c| format!("{c}")).collect();
+                vec![
+                    ("task", format!("{task}")),
+                    ("core", format!("{core}")),
+                    ("position", format!("{position}")),
+                    ("costs", format!("[{}]", costs.join(","))),
+                    ("energy_delta", format!("{energy_delta}")),
+                    ("wait_delta", format!("{wait_delta}")),
+                ]
+            }
+            EventKind::Dispatch {
+                task,
+                core,
+                rate,
+                predicted_energy_j,
+                predicted_time_s,
+            } => vec![
+                ("task", format!("{task}")),
+                ("core", format!("{core}")),
+                ("rate", format!("{rate}")),
+                ("predicted_energy_j", format!("{predicted_energy_j}")),
+                ("predicted_time_s", format!("{predicted_time_s}")),
+            ],
+            EventKind::Preempt { task, core } => {
+                vec![("task", format!("{task}")), ("core", format!("{core}"))]
+            }
+            EventKind::RateChange { core, from, to } => vec![
+                ("core", format!("{core}")),
+                ("from", format!("{from}")),
+                ("to", format!("{to}")),
+            ],
+            EventKind::Migrate {
+                task,
+                from_shard,
+                to_shard,
+                from_cost,
+                to_cost,
+            } => vec![
+                ("task", format!("{task}")),
+                ("from_shard", format!("{from_shard}")),
+                ("to_shard", format!("{to_shard}")),
+                ("from_cost", format!("{from_cost}")),
+                ("to_cost", format!("{to_cost}")),
+            ],
+            EventKind::Complete {
+                task,
+                core,
+                energy_j,
+                turnaround_s,
+            } => vec![
+                ("task", format!("{task}")),
+                ("core", format!("{core}")),
+                ("energy_j", format!("{energy_j}")),
+                ("turnaround_s", format!("{turnaround_s}")),
+            ],
+        };
+        for (key, value) in fields {
+            line += &format!(",\"{key}\":{value}");
+        }
+        line + "}"
+    }
+
+    /// Every float an event carries, as bits.
+    fn float_bits(ev: &TraceEvent) -> Vec<u64> {
+        let floats = match &ev.kind {
+            EventKind::Enqueue {
+                costs,
+                energy_delta,
+                wait_delta,
+                ..
+            } => [costs.as_slice(), &[*energy_delta, *wait_delta]].concat(),
+            EventKind::Dispatch {
+                predicted_energy_j,
+                predicted_time_s,
+                ..
+            } => vec![*predicted_energy_j, *predicted_time_s],
+            EventKind::Migrate {
+                from_cost, to_cost, ..
+            } => vec![*from_cost, *to_cost],
+            EventKind::Complete {
+                energy_j,
+                turnaround_s,
+                ..
+            } => vec![*energy_j, *turnaround_s],
+            _ => Vec::new(),
+        };
+        std::iter::once(ev.time)
+            .chain(floats)
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    /// Each kind, with every adversarial float in every float field,
+    /// renders under both framings as the `format!` oracle does, and
+    /// parses back to the same bits.
     #[test]
-    fn integers_render_as_display_does() {
-        for v in [
-            0,
-            1,
-            9,
-            10,
-            99,
-            100,
-            u64::from(u32::MAX),
-            u64::MAX - 1,
-            u64::MAX,
-        ] {
-            let mut out = Vec::new();
-            let mut w = Line {
-                out: &mut out,
-                escaped: false,
-            };
-            w.int(key!("n", ""), v);
-            assert_eq!(out, format!("\"n\":{v}").into_bytes());
+    fn every_kind_with_adversarial_floats_matches_the_format_oracle() {
+        for k in 0..ADVERSE.len() {
+            let events = adverse_events(k);
+            let lines: Vec<String> = events.iter().map(oracle_line).collect();
+            let strings: Vec<String> = lines
+                .iter()
+                .map(|l| format!("\"{}\"", l.replace('"', "\\\"")))
+                .collect();
+            for (framing, want) in [
+                (
+                    Framing::Lines,
+                    lines.iter().map(|l| l.clone() + "\n").collect(),
+                ),
+                (Framing::Strings, strings.join(",")),
+            ] {
+                let mut out = Vec::new();
+                write_events(&mut out, &events, framing);
+                assert_eq!(
+                    String::from_utf8(out).unwrap(),
+                    want,
+                    "{framing:?}, k = {k}"
+                );
+            }
+            let parsed = parse_jsonl(&to_jsonl(&events)).expect("parses");
+            assert_eq!(parsed.len(), events.len());
+            for (back, ev) in parsed.iter().zip(&events) {
+                assert_eq!(float_bits(back), float_bits(ev), "{ev:?}");
+                assert_eq!(jsonl_line(back), jsonl_line(ev));
+            }
         }
     }
 

@@ -41,6 +41,11 @@
     reason = "exporters render at drain time, off the record path"
 )]
 pub mod export;
+#[expect(
+    clippy::disallowed_macros,
+    reason = "numbers outside the fast path fall back to `Display`, at drain time"
+)]
+mod num;
 pub mod ring;
 
 pub use ring::{Ring, SharedRing};
