@@ -5,9 +5,10 @@ use dvfs_baselines::OnlinePolicy;
 use dvfs_core::{schedule_wbg, DominatingRanges};
 use dvfs_model::task::batch_workload;
 use dvfs_model::{CostParams, Platform, RateTable};
+use dvfs_serve::parse_jsonl;
 use dvfs_serve::protocol::{encode_command, value_f64, value_u64};
 use dvfs_sim::{SimConfig, SimReport, Simulator};
-use dvfs_trace::export::{chrome_trace, parse_jsonl, to_jsonl};
+use dvfs_trace::export::{chrome_trace, to_jsonl};
 use dvfs_trace::EventKind;
 use dvfs_workloads::judge::TraceStats;
 use dvfs_workloads::JudgeTraceConfig;

@@ -21,6 +21,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::string_slice)]
 
 use crate::stage::StageStamp;
 use dvfs_model::{Task, TaskClass};

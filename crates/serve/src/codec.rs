@@ -2,21 +2,23 @@
 //! lines and a preformatted encoder for submit acks.
 //!
 //! A request line is decoded in one pass over its bytes, field by
-//! field: the walk validates the whole line as JSON (so a malformed
-//! line is refused exactly where a tree parser would refuse it, with
-//! the same explanation), keeps only the five values a request can
-//! mean anything by — `cmd`, `cycles`, `class`, `id`, `arrival`, first
-//! occurrence each — and skips everything else without building it. A
-//! string is borrowed from the line unless it carries an escape;
-//! nesting is walked with an explicit stack, so hostile depth costs
-//! bytes of heap, never call stack. Nothing here can panic on any
-//! input.
+//! field, on the shim's [`serde_json::Reader`]: the walk validates the
+//! whole line as JSON (so a malformed line is refused exactly where the
+//! tree parser refuses it, with the same explanation), keeps only the
+//! five values a request can mean anything by — `cmd`, `cycles`,
+//! `class`, `id`, `arrival`, first occurrence each — and skips
+//! everything else without building it. A string is borrowed from the
+//! line unless it carries an escape. Nesting deeper than 128 arrays /
+//! objects, counted from the request's own braces, is refused, as the
+//! tree parser refuses it. Nothing here can panic on any input.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::string_slice)]
 
 use crate::protocol::{field_u64, parse_class, Request, Response};
-use serde_json::Number;
+use dvfs_trace::num::write_u64;
+use serde_json::{Number, Reader};
 use std::borrow::Cow;
 
 /// What a successful submit reports: the task's id, the admission
@@ -42,31 +44,13 @@ impl Ack {
     /// [`Ack::response`] encodes to, plus the newline — to `out`.
     pub fn push_line(self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"{\"ok\":true,\"id\":");
-        push_u64(out, self.id);
+        write_u64(out, self.id);
         out.extend_from_slice(b",\"depth\":");
-        push_u64(out, self.depth);
+        write_u64(out, self.depth);
         out.extend_from_slice(b",\"shard\":");
-        push_u64(out, self.shard);
+        write_u64(out, self.shard);
         out.extend_from_slice(b"}\n");
     }
-}
-
-/// Append `v` in decimal.
-fn push_u64(out: &mut Vec<u8>, mut v: u64) {
-    // 20 digits hold `u64::MAX`.
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        if let Some(slot) = digits.get_mut(at) {
-            *slot = b'0' + (v % 10) as u8;
-        }
-        v /= 10;
-        if v == 0 || at == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(digits.get(at..).unwrap_or(&[]));
 }
 
 /// The value found under one of the keys a request reads.
@@ -77,277 +61,24 @@ enum Field<'a> {
     Other,
 }
 
-/// Position in the line being decoded. `pos` only ever rests on a
-/// character boundary: it steps over whole ASCII tokens, or to the next
-/// `"` / `\`, which never occur inside a multi-byte character.
-struct Cursor<'a> {
-    text: &'a str,
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.pos).copied()
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("invalid JSON: {msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn rest(&self) -> &'a str {
-        self.text.get(self.pos..).unwrap_or("")
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.rest().starts_with(lit) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err("invalid literal"))
-        }
-    }
-
-    /// Nothing but whitespace may follow the one top-level value.
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos == self.text.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "invalid JSON: trailing characters at byte {}",
-                self.pos
-            ))
-        }
-    }
-
-    /// Advance to the next `"` or `\` (or the end) and return what was
-    /// stepped over.
-    fn plain_run(&mut self) -> &'a str {
-        let rest = self.rest();
-        let len = rest
-            .bytes()
-            .position(|b| b == b'"' || b == b'\\')
-            .unwrap_or(rest.len());
-        self.pos += len;
-        rest.get(..len).unwrap_or("")
-    }
-
-    /// A string token: borrowed from the line unless it holds an
-    /// escape.
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
-        self.eat(b'"')?;
-        let plain = self.plain_run();
-        if self.peek() == Some(b'"') {
-            self.pos += 1;
-            return Ok(Cow::Borrowed(plain));
-        }
-        let mut out = plain.to_owned();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(Cow::Owned(out));
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    out.push(self.escape()?);
-                }
-                Some(_) => out.push_str(self.plain_run()),
-            }
-        }
-    }
-
-    /// The character an escape sequence stands for; `pos` is just past
-    /// the backslash.
-    fn escape(&mut self) -> Result<char, String> {
-        let c = match self.peek() {
-            Some(b'"') => '"',
-            Some(b'\\') => '\\',
-            Some(b'/') => '/',
-            Some(b'n') => '\n',
-            Some(b'r') => '\r',
-            Some(b't') => '\t',
-            Some(b'b') => '\u{08}',
-            Some(b'f') => '\u{0c}',
-            Some(b'u') => {
-                self.pos += 1;
-                let hi = self.hex4()?;
-                let code = if (0xD800..0xDC00).contains(&hi) {
-                    // Surrogate pair: expect the \uXXXX low half.
-                    if !self.rest().starts_with("\\u") {
-                        return Err(self.err("expected low surrogate"));
-                    }
-                    self.pos += 2;
-                    let lo = self.hex4()?;
-                    if !(0xDC00..0xE000).contains(&lo) {
-                        return Err(self.err("invalid low surrogate"));
-                    }
-                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                } else {
-                    hi
-                };
-                return char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"));
-            }
-            _ => return Err(self.err("invalid escape")),
-        };
-        self.pos += 1;
-        Ok(c)
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        if self.pos + 4 > self.text.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let v = self
-            .text
-            .get(self.pos..self.pos + 4)
-            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-            .ok_or_else(|| self.err("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn digits(&mut self) {
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-    }
-
-    /// A number token, integers kept exact: `u64`, else `i64`, else (and
-    /// for fraction / exponent forms) `f64`.
-    fn number(&mut self) -> Result<Number, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        self.digits();
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            self.digits();
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            self.digits();
-        }
-        let text = self.text.get(start..self.pos).unwrap_or("");
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Number::PosInt(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Number::NegInt(i));
-            }
-        }
-        text.parse::<f64>()
-            .map(Number::Float)
-            .map_err(|_| format!("invalid JSON: invalid number `{text}`"))
-    }
-
-    /// An object key and its colon.
-    fn key(&mut self) -> Result<Cow<'a, str>, String> {
-        self.skip_ws();
-        let key = self.string()?;
-        self.skip_ws();
-        self.eat(b':')?;
-        Ok(key)
-    }
-
-    /// Validate and step over one value of any shape. Containers are
-    /// tracked on an explicit stack (one byte per open bracket), so the
-    /// depth a line can reach is bounded by its length, not by the
-    /// thread's stack.
-    fn skip_value(&mut self) -> Result<(), String> {
-        let mut open: Vec<u8> = Vec::new();
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                None => return Err(self.err("unexpected end of input")),
-                Some(b'n') => self.literal("null")?,
-                Some(b't') => self.literal("true")?,
-                Some(b'f') => self.literal("false")?,
-                Some(b'"') => {
-                    self.string()?;
-                }
-                Some(b'-' | b'0'..=b'9') => {
-                    self.number()?;
-                }
-                Some(bracket @ (b'[' | b'{')) => {
-                    self.pos += 1;
-                    self.skip_ws();
-                    let close = if bracket == b'[' { b']' } else { b'}' };
-                    if self.peek() == Some(close) {
-                        self.pos += 1;
-                    } else {
-                        open.push(bracket);
-                        if bracket == b'{' {
-                            self.key()?;
-                        }
-                        continue;
-                    }
-                }
-                Some(b) => {
-                    return Err(self.err(&format!("unexpected character `{}`", b as char)));
-                }
-            }
-            // A value just ended: close every container it completes,
-            // or move on to the enclosing container's next element.
-            loop {
-                let Some(&top) = open.last() else {
-                    return Ok(());
-                };
-                self.skip_ws();
-                match (top, self.peek()) {
-                    (_, Some(b',')) => {
-                        self.pos += 1;
-                        if top == b'{' {
-                            self.key()?;
-                        }
-                        break;
-                    }
-                    (b'[', Some(b']')) | (b'{', Some(b'}')) => {
-                        self.pos += 1;
-                        open.pop();
-                    }
-                    (b'[', _) => return Err(self.err("expected `,` or `]`")),
-                    _ => return Err(self.err("expected `,` or `}`")),
-                }
-            }
-        }
-    }
-
-    /// One value under a key the request reads.
-    fn field(&mut self) -> Result<Field<'a>, String> {
-        self.skip_ws();
-        Ok(match self.peek() {
-            Some(b'"') => Field::Str(self.string()?),
-            Some(b'-' | b'0'..=b'9') => Field::Num(self.number()?),
+impl<'a> Field<'a> {
+    /// Read the value at the reader's position.
+    fn read(r: &mut Reader<'a>) -> Result<Self, serde_json::Error> {
+        Ok(match r.peek() {
+            Some(b'"') => Field::Str(r.string()?),
+            Some(b'-' | b'0'..=b'9') => Field::Num(r.number()?),
             _ => {
-                self.skip_value()?;
+                r.skip_value()?;
                 Field::Other
             }
         })
+    }
+
+    fn number(&self) -> Option<Number> {
+        match self {
+            Field::Num(n) => Some(*n),
+            _ => None,
+        }
     }
 }
 
@@ -376,48 +107,21 @@ impl<'a> Fields<'a> {
 }
 
 /// Walk a whole line: `None` when it is valid JSON but not an object.
-fn fields(line: &str) -> Result<Option<Fields<'_>>, String> {
-    let mut c = Cursor { text: line, pos: 0 };
-    c.skip_ws();
-    if c.peek() != Some(b'{') {
-        c.skip_value()?;
-        c.end()?;
-        return Ok(None);
-    }
-    c.pos += 1;
-    c.skip_ws();
-    let mut found = Fields::default();
-    if c.peek() == Some(b'}') {
-        c.pos += 1;
-    } else {
-        loop {
-            let key = c.key()?;
-            match found.slot(&key) {
-                Some(slot @ None) => *slot = Some(c.field()?),
-                _ => c.skip_value()?,
+fn fields(line: &str) -> Result<Option<Fields<'_>>, serde_json::Error> {
+    let mut r = Reader::new(line);
+    let mut found = (r.peek() == Some(b'{')).then(Fields::default);
+    match &mut found {
+        Some(found) => r.container(|r, key| {
+            match key.as_deref().and_then(|key| found.slot(key)) {
+                Some(slot @ None) => *slot = Some(Field::read(r)?),
+                _ => r.skip_value()?,
             }
-            c.skip_ws();
-            match c.peek() {
-                Some(b',') => c.pos += 1,
-                Some(b'}') => {
-                    c.pos += 1;
-                    break;
-                }
-                _ => return Err(c.err("expected `,` or `}`")),
-            }
-        }
+            Ok(())
+        })?,
+        None => r.skip_value()?,
     }
-    c.end()?;
-    Ok(Some(found))
-}
-
-impl Field<'_> {
-    fn number(&self) -> Option<Number> {
-        match self {
-            Field::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
+    r.end()?;
+    Ok(found)
 }
 
 /// Decode one request line.
@@ -426,7 +130,7 @@ impl Field<'_> {
 /// Describes the malformation; the server wraps this in a
 /// `bad_request` response.
 pub(crate) fn decode_request(line: &str) -> Result<Request, String> {
-    let Some(found) = fields(line)? else {
+    let Some(found) = fields(line).map_err(|e| format!("invalid JSON: {e}"))? else {
         return Err("request is not a JSON object".into());
     };
     let cmd = match &found.cmd {
@@ -847,27 +551,63 @@ mod tests {
         );
     }
 
-    /// Nesting a recursive parser would overflow its stack on is walked
-    /// on the heap: refused (or accepted) by the grammar, never by the
-    /// thread's stack.
+    /// The number rules the decoder shares with the tree parser: `-0`
+    /// is the float `-0.0`, so it is no id, and a literal past `f64`'s
+    /// range is refused as a number before any field sees it.
     #[test]
-    fn hostile_nesting_depth_costs_heap_not_stack() {
+    fn minus_zero_is_no_id_and_an_overflowing_literal_is_no_arrival() {
+        for (line, want) in [
+            (
+                r#"{"cmd":"submit","cycles":5,"class":"batch","id":-0}"#,
+                "`id` must be a non-negative integer",
+            ),
+            (
+                r#"{"cmd":"submit","cycles":5,"class":"batch","arrival":1e999}"#,
+                "invalid JSON: number out of range at byte 58",
+            ),
+        ] {
+            assert_eq!(decode_request(line), Err(want.into()));
+            assert_eq!(decode_request(line), tree_parse(line));
+        }
+    }
+
+    /// One depth rule for both readers: 128 arrays / objects, counted
+    /// from the request's own braces. A line nested deeper is refused at
+    /// the bracket that crosses the limit, whatever follows it.
+    #[test]
+    fn nesting_past_128_is_refused_at_the_bracket_that_crosses_it() {
+        for depth in [127, 128, 129, 40_001] {
+            let nest = depth - 1;
+            let line = format!(
+                "{{\"cmd\":\"ping\",\"x\":{}{}}}",
+                "[".repeat(nest),
+                "]".repeat(nest)
+            );
+            let want = if depth <= 128 {
+                Ok(Request::Ping)
+            } else {
+                Err("invalid JSON: recursion limit exceeded at byte 145".into())
+            };
+            assert_eq!(decode_request(&line), want, "depth {depth}");
+            assert_eq!(decode_request(&line), tree_parse(&line), "depth {depth}");
+        }
         let deep = "[".repeat(60_000);
-        assert!(decode_request(&deep).unwrap_err().contains("invalid JSON"));
+        assert_eq!(
+            decode_request(&deep),
+            Err("invalid JSON: recursion limit exceeded at byte 128".into())
+        );
+        let crossed = Err("invalid JSON: recursion limit exceeded at byte 384".into());
         let balanced = format!(
             "{{\"x\":{}{},\"cmd\":\"ping\"}}",
             "[{\"k\":".repeat(20_000),
             "}]".repeat(20_000)
         );
-        assert_eq!(
-            decode_request(&balanced),
-            Err("invalid JSON: unexpected character `}` at byte 120005".into())
-        );
+        assert_eq!(decode_request(&balanced), crossed);
         let closed = format!(
             "{{\"x\":{}1{},\"cmd\":\"ping\"}}",
             "[{\"k\":".repeat(20_000),
             "}]".repeat(20_000)
         );
-        assert_eq!(decode_request(&closed), Ok(Request::Ping));
+        assert_eq!(decode_request(&closed), crossed);
     }
 }

@@ -52,7 +52,8 @@
 //!   it relies on sits behind one crate-private module: `ids` (the
 //!   round's id namespace: reserve / release / reset), [`rebalance`]
 //!   (hot→cold migration), `tracestore` (retained trace events, the
-//!   `trace_stream` cursor and the `--trace-out` file cursor),
+//!   `trace_stream` cursor and the `--trace-out` file cursor; its
+//!   [`parse_jsonl`] reads a trace back),
 //!   `report` (the `drain`/`stats`/`health`/`trace` wire documents),
 //!   `supervise` (stall detection).
 //! * `worker` (crate-private) — the per-shard worker thread that owns
@@ -100,3 +101,4 @@ pub use stage::{
     REQUEST_E2E, STAGE_ADMIT, STAGE_CMD_DEQUEUE, STAGE_ENGINE, STAGE_FRAME, STAGE_QUEUE,
     STAGE_SERVICE, TELESCOPE_STAGES,
 };
+pub use tracestore::{parse_jsonl, parse_jsonl_line};

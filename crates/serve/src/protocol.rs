@@ -3,7 +3,10 @@
 //! Every request and response is one JSON object on one line. Requests
 //! carry a `"cmd"` discriminator; responses carry `"ok"`. A malformed
 //! line yields a `bad_request` error response and the connection stays
-//! open — a misbehaving client can never take the server down.
+//! open — a misbehaving client can never take the server down. A line
+//! nested deeper than 128 arrays / objects, counted from its own
+//! braces, is malformed: it is refused at the bracket that crosses the
+//! limit (`invalid JSON: recursion limit exceeded at byte N`).
 //!
 //! Requests:
 //!
@@ -42,7 +45,13 @@
 //!   merge over shards in deterministic shard order.
 //! * `trace` carries `"count"`, `"dropped"`, and an `"events"` array of
 //!   JSONL strings — the exact lines a `--trace-out` file holds, so the
-//!   two are byte-identical (tracing must be enabled server-side).
+//!   two are byte-identical (tracing must be enabled server-side). Its
+//!   size is bounded by ring capacity: between two collections (each
+//!   `drain`, `trace` and `trace_stream` collects) a shard's ring keeps
+//!   at most `--trace-cap` events, overwriting the oldest and counting
+//!   them in `"dropped"`, and the server keeps what it collected until
+//!   a `trace_stream` takes it. A reply thus holds at most `--trace-cap`
+//!   × shards events per collection since the last `trace_stream`.
 //! * `trace_stream` carries the same `"count"`/`"dropped"`/`"events"`
 //!   shape plus `"streamed"` (total events streamed so far), but each
 //!   call returns only events not yet streamed and then forgets them
@@ -60,6 +69,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::string_slice)]
 
 use dvfs_model::TaskClass;
 use serde_json::{Number, Value};

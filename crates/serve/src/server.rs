@@ -42,6 +42,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::string_slice)]
 
 use crate::metrics::Registry;
 use crate::protocol::{parse_request, ErrorKind, Request, Response};

@@ -20,12 +20,15 @@
 //! the file cursor never falls behind the stream cursor, whatever the
 //! interleaving. Lock order is always file cursor → retained events,
 //! and this module is the only place that takes both.
+//!
+//! [`parse_jsonl`] reads any of those JSONL streams back into events.
 
 use crate::metrics::{shard_metric, Registry};
 use crate::report;
 use dvfs_model::CostParams;
 use dvfs_trace::export::{jsonl_line, write_events, Framing};
-use dvfs_trace::{EventKind, TraceEvent};
+use dvfs_trace::{ClassTag, EventKind, TraceEvent};
+use serde_json::{Reader, Value};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
@@ -208,13 +211,150 @@ fn fresh_lines(file: &FileCursor, first_abs: u64, events: &[TraceEvent]) -> Opti
     Some((body, fresh.len() as u64))
 }
 
+/// The writer spells the floats JSON has no number for as `Display`
+/// does; the trace reader takes these words in any value position.
+const NON_FINITE: [(&str, f64); 3] = [
+    ("NaN", f64::NAN),
+    ("-inf", f64::NEG_INFINITY),
+    ("inf", f64::INFINITY),
+];
+
+/// One value of a trace line as a tree: JSON, or a [`NON_FINITE`] word,
+/// in an array (`costs`) too.
+fn trace_value(r: &mut Reader<'_>) -> Result<Value, serde_json::Error> {
+    if let Some(&(_, f)) = NON_FINITE.iter().find(|(word, _)| r.eat_token(word)) {
+        return Ok(Value::from(f));
+    }
+    if r.peek() != Some(b'[') {
+        return r.value();
+    }
+    let mut items = Vec::new();
+    r.container(|r, _| {
+        items.push(trace_value(r)?);
+        Ok(())
+    })?;
+    Ok(Value::Array(items))
+}
+
+/// Parse one line [`dvfs_trace::export::jsonl_line`] wrote back into
+/// its [`TraceEvent`], through the shim's JSON reader: integers come
+/// back exact (`u64::MAX` included) and floats bit for bit (`-0`,
+/// ±inf and NaN included), so a tool can diff predicted against
+/// measured cost per task.
+///
+/// # Errors
+/// Describes the line's first malformed or missing field.
+pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, String> {
+    let mut r = Reader::new(line);
+    let mut pairs = Vec::new();
+    (r.container(|r, key| {
+        pairs.push((key.unwrap_or_default().into_owned(), trace_value(r)?));
+        Ok(())
+    }))
+    .and_then(|()| r.end())
+    .map_err(|e| format!("invalid JSON: {e}"))?;
+    let v = Value::Object(pairs);
+    let field = |key: &str| v.get(key).ok_or_else(|| format!("missing field `{key}`"));
+    let num = |key: &str| {
+        let n = field(key)?.as_f64();
+        n.ok_or_else(|| format!("field `{key}` is not a number"))
+    };
+    let u64 = |key: &str| {
+        let n = field(key)?.as_u64();
+        n.ok_or_else(|| format!("field `{key}` is not a non-negative integer"))
+    };
+    let u32 =
+        |key: &str| u32::try_from(u64(key)?).map_err(|_| format!("field `{key}` overflows u32"));
+    let str = |key: &str| {
+        field(key)?
+            .as_str()
+            .ok_or_else(|| format!("field `{key}` is not a string"))
+    };
+    let class = |key: &str| {
+        let s = str(key)?;
+        ClassTag::parse(s).ok_or_else(|| format!("unknown class `{s}`"))
+    };
+    let kind = match str("ev")? {
+        "submit" => EventKind::Submit {
+            task: u64("task")?,
+            class: class("class")?,
+            cycles: u64("cycles")?,
+        },
+        "admit" => EventKind::Admit {
+            task: u64("task")?,
+            depth: u64("depth")?,
+        },
+        "shed" => EventKind::Shed {
+            task: u64("task")?,
+            class: class("class")?,
+        },
+        "enqueue" => EventKind::Enqueue {
+            task: u64("task")?,
+            core: u32("core")?,
+            position: u64("position")?,
+            costs: (field("costs")?.as_array())
+                .ok_or("field `costs` is not an array")?
+                .iter()
+                .map(|c| c.as_f64().ok_or("field `costs` holds a non-number"))
+                .collect::<Result<_, _>>()?,
+            energy_delta: num("energy_delta")?,
+            wait_delta: num("wait_delta")?,
+        },
+        "dispatch" => EventKind::Dispatch {
+            task: u64("task")?,
+            core: u32("core")?,
+            rate: u32("rate")?,
+            predicted_energy_j: num("predicted_energy_j")?,
+            predicted_time_s: num("predicted_time_s")?,
+        },
+        "preempt" => EventKind::Preempt {
+            task: u64("task")?,
+            core: u32("core")?,
+        },
+        "rate_change" => EventKind::RateChange {
+            core: u32("core")?,
+            from: u32("from")?,
+            to: u32("to")?,
+        },
+        "migrate" => EventKind::Migrate {
+            task: u64("task")?,
+            from_shard: u32("from_shard")?,
+            to_shard: u32("to_shard")?,
+            from_cost: num("from_cost")?,
+            to_cost: num("to_cost")?,
+        },
+        "complete" => EventKind::Complete {
+            task: u64("task")?,
+            core: u32("core")?,
+            energy_j: num("energy_j")?,
+            turnaround_s: num("turnaround_s")?,
+        },
+        other => return Err(format!("unknown event `{other}`")),
+    };
+    Ok(TraceEvent {
+        time: num("t")?,
+        shard: u32("shard")?,
+        seq: u64("seq")?,
+        kind,
+    })
+}
+
+/// Parse a whole JSONL trace (blank lines skipped).
+///
+/// # Errors
+/// Returns the 1-based line number and cause of the first bad line.
+pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
+    let lines = text.lines().enumerate();
+    (lines.filter(|(_, line)| !line.trim().is_empty()))
+        .map(|(i, line)| parse_jsonl_line(line).map_err(|e| format!("line {}: {e}", i + 1)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{field_u64, Response};
-    use dvfs_trace::export::parse_jsonl;
-    use dvfs_trace::ClassTag;
-    use serde_json::Value;
+    use dvfs_trace::export::to_jsonl;
 
     fn store() -> TraceStore {
         TraceStore::new(CostParams::online_paper(), Arc::new(Registry::new()))
@@ -465,5 +605,135 @@ mod tests {
         assert_eq!(counter(&shard_metric("wait_cost_micros.core2", 1)), wait);
         assert_eq!(counter(&shard_metric("energy_cost_micros.core0", 1)), 0);
         assert_eq!(counter(&shard_metric("wait_cost_micros.core0", 1)), 0);
+    }
+
+    /// Every float an event carries, as bits.
+    fn float_bits(ev: &TraceEvent) -> Vec<u64> {
+        let floats = match &ev.kind {
+            EventKind::Enqueue {
+                costs,
+                energy_delta,
+                wait_delta,
+                ..
+            } => [costs.as_slice(), &[*energy_delta, *wait_delta]].concat(),
+            EventKind::Dispatch {
+                predicted_energy_j,
+                predicted_time_s,
+                ..
+            } => vec![*predicted_energy_j, *predicted_time_s],
+            EventKind::Migrate {
+                from_cost, to_cost, ..
+            } => vec![*from_cost, *to_cost],
+            EventKind::Complete {
+                energy_j,
+                turnaround_s,
+                ..
+            } => vec![*energy_j, *turnaround_s],
+            _ => Vec::new(),
+        };
+        std::iter::once(ev.time)
+            .chain(floats)
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    /// Every kind reads back as it was written, bit for bit, and
+    /// re-renders to the same bytes: integers at 2⁵³ + 1 and `u64::MAX`
+    /// (`task`, `seq`, `cycles` and the rest), and every float shape
+    /// the writer has in every float field — `-0` and `0`, an exact
+    /// tie, the subnormal minimum, `f64::MAX`, 2⁵⁴, numbers `Display`
+    /// writes as long integers or long fractions, and ±inf and NaN,
+    /// which it spells as `Display` does.
+    #[test]
+    fn jsonl_round_trips_bit_for_bit() {
+        const BIG: [u64; 2] = [(1 << 53) + 1, u64::MAX];
+        const FLOATS: [f64; 16] = [
+            -0.0,
+            0.0,
+            1_658_206_780_088_562.0 + 0.25,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            9_007_199_254_740_994.0,
+            18_014_398_509_481_984.0,
+            1e-7,
+            1e21,
+            1e23,
+            0.300_000_000_000_000_04,
+            -1.5e-300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut events = every_kind();
+        for k in 0..FLOATS.len() {
+            let f = |i: usize| FLOATS[(k + i) % FLOATS.len()];
+            let (task, n) = (BIG[k % 2], BIG[(k + 1) % 2]);
+            let kinds = [
+                EventKind::Submit {
+                    task,
+                    class: ClassTag::Batch,
+                    cycles: n,
+                },
+                EventKind::Admit { task, depth: n },
+                EventKind::Enqueue {
+                    task,
+                    core: u32::MAX,
+                    position: n,
+                    costs: vec![f(1), f(2)],
+                    energy_delta: f(3),
+                    wait_delta: f(4),
+                },
+                EventKind::Dispatch {
+                    task,
+                    core: 0,
+                    rate: u32::MAX,
+                    predicted_energy_j: f(5),
+                    predicted_time_s: f(6),
+                },
+                EventKind::Migrate {
+                    task,
+                    from_shard: 0,
+                    to_shard: u32::MAX,
+                    from_cost: f(7),
+                    to_cost: f(8),
+                },
+                EventKind::Complete {
+                    task,
+                    core: 2,
+                    energy_j: f(9),
+                    turnaround_s: f(10),
+                },
+            ];
+            events.extend(kinds.into_iter().map(|kind| TraceEvent {
+                time: f(0),
+                shard: u32::MAX,
+                seq: n,
+                kind,
+            }));
+        }
+        let text = to_jsonl(&events);
+        let parsed = parse_jsonl(&text).expect("parses");
+        assert_eq!(parsed.len(), events.len());
+        for (back, ev) in parsed.iter().zip(&events) {
+            assert_eq!(float_bits(back), float_bits(ev), "{ev:?}");
+            // NaN is unequal to itself, so the rest is held by the bytes.
+            assert_eq!(jsonl_line(back), jsonl_line(ev));
+        }
+        assert_eq!(to_jsonl(&parsed), text);
+    }
+
+    #[test]
+    fn parser_rejects_garbage_with_line_numbers() {
+        assert!(parse_jsonl_line("not json").is_err());
+        assert!(parse_jsonl_line("{\"t\":0,\"shard\":0,\"seq\":0,\"ev\":\"nope\"}").is_err());
+        // Only the writer's own spellings of the non-finite floats.
+        for word in ["nan", "Infinity", "+inf", "-NaN", "infinity"] {
+            let line = format!("{{\"t\":{word},\"shard\":0,\"seq\":0,\"ev\":\"admit\"}}");
+            let err = parse_jsonl_line(&line).unwrap_err();
+            assert!(err.starts_with("invalid JSON: "), "{word}: {err}");
+        }
+        let err = parse_jsonl("{\"t\":0,\"shard\":0,\"seq\":0,\"ev\":\"admit\"}\n").unwrap_err();
+        assert!(err.starts_with("line 1:"), "{err}");
     }
 }

@@ -1,17 +1,17 @@
-//! Trace rendering: JSONL lines (the wire and file format, with an
-//! exact inverse parser), the per-core execution [`Span`]s behind every
-//! Gantt view, and Chrome `trace_event` JSON for `chrome://tracing` /
-//! Perfetto.
+//! Trace rendering: JSONL lines (the wire and file format), the
+//! per-core execution [`Span`]s behind every Gantt view, and Chrome
+//! `trace_event` JSON for `chrome://tracing` / Perfetto.
 //!
 //! The JSONL encoding is the determinism oracle: numbers render through
-//! `num.rs` in exactly the bytes of Rust's shortest-round-trip
+//! [`num`] in exactly the bytes of Rust's shortest-round-trip
 //! `Display` (Ryū's digits, an exact halfway tie rounded up; `Display`
 //! itself for subnormals, |v| ≥ 2⁵⁴, NaN and ±inf), field order is
 //! fixed, and nothing here reads a clock — so a drained replay produces
-//! a byte-identical trace across runs and shard counts. [`parse_jsonl`]
-//! is the exact inverse of [`jsonl_line`] (`f64` round-trips bit-for-
-//! bit), which is what lets downstream tools diff predicted against
-//! measured cost per task.
+//! a byte-identical trace across runs and shard counts. The inverse
+//! parser is `dvfs_serve::parse_jsonl`, on the `serde_json` shim's one
+//! JSON reader (this crate depends on nothing): every integer comes
+//! back exact and every float bit for bit, NaN and ±inf included, so
+//! downstream tools can diff predicted against measured cost per task.
 //!
 //! One writer renders every line, into a byte buffer: as is, or as a
 //! JSON string inside a reply ([`Framing`]). [`write_events`] renders a
@@ -20,7 +20,7 @@
 //! multi-megabyte trace reply straight into its output bytes;
 //! [`jsonl_line`] and [`to_jsonl`] wrap the same writer.
 
-use crate::{num, ClassTag, EventKind, TraceEvent};
+use crate::{num, EventKind, TraceEvent};
 use std::collections::BTreeMap;
 
 /// How [`write_events`] frames each event's JSONL line.
@@ -94,7 +94,7 @@ impl Line<'_> {
 /// of its quotes `\"` when `escaped` (the line inside a JSON string),
 /// else `"` (the line itself). Nothing else needs escaping in either:
 /// the only strings an event carries are [`EventKind::name`] and
-/// [`ClassTag::name`] identifiers, and numbers render through `num.rs`
+/// [`ClassTag::name`](crate::ClassTag::name) identifiers, and numbers render through `num.rs`
 /// (`scripts/ci.sh` fails on a formatter call here). Field order is
 /// fixed: `t`, `shard`, `seq`, `ev`, then the payload fields in
 /// declaration order.
@@ -270,206 +270,6 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
     let mut out = Vec::new();
     write_events(&mut out, events, Framing::Lines);
     String::from_utf8(out).expect("an event renders as ASCII")
-}
-
-/// One parsed scalar or array field of a trace line.
-#[derive(Debug, Clone, PartialEq)]
-enum Field {
-    Num(f64),
-    Str(String),
-    Arr(Vec<f64>),
-}
-
-/// Split the body of a flat JSON object on top-level commas (commas
-/// inside `[...]` belong to an array value).
-fn split_top(body: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    let mut in_str = false;
-    for (i, b) in body.bytes().enumerate() {
-        match b {
-            b'"' => in_str = !in_str,
-            b'[' if !in_str => depth += 1,
-            b']' if !in_str => depth = depth.saturating_sub(1),
-            b',' if !in_str && depth == 0 => {
-                out.push(&body[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < body.len() {
-        out.push(&body[start..]);
-    }
-    out
-}
-
-fn parse_fields(line: &str) -> Result<Vec<(String, Field)>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| format!("trace line is not a JSON object: {line}"))?;
-    let mut out = Vec::new();
-    for part in split_top(body) {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let colon = part
-            .find(':')
-            .ok_or_else(|| format!("missing `:` in `{part}`"))?;
-        let key = part[..colon].trim().trim_matches('"').to_string();
-        let val = part[colon + 1..].trim();
-        let field = if let Some(stripped) = val.strip_prefix('"') {
-            Field::Str(stripped.trim_end_matches('"').to_string())
-        } else if let Some(inner) = val.strip_prefix('[') {
-            let inner = inner.trim_end_matches(']').trim();
-            let mut arr = Vec::new();
-            if !inner.is_empty() {
-                for item in inner.split(',') {
-                    arr.push(
-                        item.trim()
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad array element `{item}` in `{part}`"))?,
-                    );
-                }
-            }
-            Field::Arr(arr)
-        } else {
-            Field::Num(
-                val.parse::<f64>()
-                    .map_err(|_| format!("bad number `{val}` in `{part}`"))?,
-            )
-        };
-        out.push((key, field));
-    }
-    Ok(out)
-}
-
-struct Fields(Vec<(String, Field)>);
-
-impl Fields {
-    fn num(&self, key: &str) -> Result<f64, String> {
-        match self.0.iter().find(|(k, _)| k == key) {
-            Some((_, Field::Num(n))) => Ok(*n),
-            _ => Err(format!("missing numeric field `{key}`")),
-        }
-    }
-    fn u64(&self, key: &str) -> Result<u64, String> {
-        let n = self.num(key)?;
-        if n >= 0.0 && n.fract() == 0.0 {
-            Ok(n as u64)
-        } else {
-            Err(format!("field `{key}` is not a non-negative integer"))
-        }
-    }
-    fn u32(&self, key: &str) -> Result<u32, String> {
-        u32::try_from(self.u64(key)?).map_err(|_| format!("field `{key}` overflows u32"))
-    }
-    fn str(&self, key: &str) -> Result<&str, String> {
-        match self.0.iter().find(|(k, _)| k == key) {
-            Some((_, Field::Str(s))) => Ok(s),
-            _ => Err(format!("missing string field `{key}`")),
-        }
-    }
-    fn arr(&self, key: &str) -> Result<&[f64], String> {
-        match self.0.iter().find(|(k, _)| k == key) {
-            Some((_, Field::Arr(a))) => Ok(a),
-            _ => Err(format!("missing array field `{key}`")),
-        }
-    }
-    fn class(&self, key: &str) -> Result<ClassTag, String> {
-        let s = self.str(key)?;
-        ClassTag::parse(s).ok_or_else(|| format!("unknown class `{s}`"))
-    }
-}
-
-/// Parse one line produced by [`jsonl_line`] back into a
-/// [`TraceEvent`]. `f64` fields round-trip bit-for-bit.
-///
-/// # Errors
-/// Returns a description of the first malformed field.
-pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, String> {
-    let f = Fields(parse_fields(line)?);
-    let time = f.num("t")?;
-    let shard = f.u32("shard")?;
-    let seq = f.u64("seq")?;
-    let kind = match f.str("ev")? {
-        "submit" => EventKind::Submit {
-            task: f.u64("task")?,
-            class: f.class("class")?,
-            cycles: f.u64("cycles")?,
-        },
-        "admit" => EventKind::Admit {
-            task: f.u64("task")?,
-            depth: f.u64("depth")?,
-        },
-        "shed" => EventKind::Shed {
-            task: f.u64("task")?,
-            class: f.class("class")?,
-        },
-        "enqueue" => EventKind::Enqueue {
-            task: f.u64("task")?,
-            core: f.u32("core")?,
-            position: f.u64("position")?,
-            costs: f.arr("costs")?.to_vec(),
-            energy_delta: f.num("energy_delta")?,
-            wait_delta: f.num("wait_delta")?,
-        },
-        "dispatch" => EventKind::Dispatch {
-            task: f.u64("task")?,
-            core: f.u32("core")?,
-            rate: f.u32("rate")?,
-            predicted_energy_j: f.num("predicted_energy_j")?,
-            predicted_time_s: f.num("predicted_time_s")?,
-        },
-        "preempt" => EventKind::Preempt {
-            task: f.u64("task")?,
-            core: f.u32("core")?,
-        },
-        "rate_change" => EventKind::RateChange {
-            core: f.u32("core")?,
-            from: f.u32("from")?,
-            to: f.u32("to")?,
-        },
-        "migrate" => EventKind::Migrate {
-            task: f.u64("task")?,
-            from_shard: f.u32("from_shard")?,
-            to_shard: f.u32("to_shard")?,
-            from_cost: f.num("from_cost")?,
-            to_cost: f.num("to_cost")?,
-        },
-        "complete" => EventKind::Complete {
-            task: f.u64("task")?,
-            core: f.u32("core")?,
-            energy_j: f.num("energy_j")?,
-            turnaround_s: f.num("turnaround_s")?,
-        },
-        other => return Err(format!("unknown event `{other}`")),
-    };
-    Ok(TraceEvent {
-        time,
-        shard,
-        seq,
-        kind,
-    })
-}
-
-/// Parse a whole JSONL trace (blank lines skipped).
-///
-/// # Errors
-/// Returns the 1-based line number and cause of the first bad line.
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(parse_jsonl_line(line).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok(out)
 }
 
 fn json_str(s: &str) -> String {
@@ -689,6 +489,7 @@ fn rate_counter(shard: u32, core: u32, ts: f64, rate: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ClassTag;
 
     fn sample() -> Vec<TraceEvent> {
         vec![
@@ -1052,39 +853,8 @@ mod tests {
         line + "}"
     }
 
-    /// Every float an event carries, as bits.
-    fn float_bits(ev: &TraceEvent) -> Vec<u64> {
-        let floats = match &ev.kind {
-            EventKind::Enqueue {
-                costs,
-                energy_delta,
-                wait_delta,
-                ..
-            } => [costs.as_slice(), &[*energy_delta, *wait_delta]].concat(),
-            EventKind::Dispatch {
-                predicted_energy_j,
-                predicted_time_s,
-                ..
-            } => vec![*predicted_energy_j, *predicted_time_s],
-            EventKind::Migrate {
-                from_cost, to_cost, ..
-            } => vec![*from_cost, *to_cost],
-            EventKind::Complete {
-                energy_j,
-                turnaround_s,
-                ..
-            } => vec![*energy_j, *turnaround_s],
-            _ => Vec::new(),
-        };
-        std::iter::once(ev.time)
-            .chain(floats)
-            .map(f64::to_bits)
-            .collect()
-    }
-
     /// Each kind, with every adversarial float in every float field,
-    /// renders under both framings as the `format!` oracle does, and
-    /// parses back to the same bits.
+    /// renders under both framings as the `format!` oracle does.
     #[test]
     fn every_kind_with_adversarial_floats_matches_the_format_oracle() {
         for k in 0..ADVERSE.len() {
@@ -1108,12 +878,6 @@ mod tests {
                     want,
                     "{framing:?}, k = {k}"
                 );
-            }
-            let parsed = parse_jsonl(&to_jsonl(&events)).expect("parses");
-            assert_eq!(parsed.len(), events.len());
-            for (back, ev) in parsed.iter().zip(&events) {
-                assert_eq!(float_bits(back), float_bits(ev), "{ev:?}");
-                assert_eq!(jsonl_line(back), jsonl_line(ev));
             }
         }
     }
@@ -1144,25 +908,6 @@ mod tests {
                 "{name:?}"
             );
         }
-    }
-
-    #[test]
-    fn jsonl_round_trips_bit_for_bit() {
-        let events = sample();
-        let text = to_jsonl(&events);
-        let parsed = parse_jsonl(&text).expect("parses");
-        assert_eq!(parsed, events);
-        // And re-rendering is byte-identical (Display is shortest
-        // round-trip, so this pins determinism of the encoding too).
-        assert_eq!(to_jsonl(&parsed), text);
-    }
-
-    #[test]
-    fn parser_rejects_garbage_with_line_numbers() {
-        assert!(parse_jsonl_line("not json").is_err());
-        assert!(parse_jsonl_line("{\"t\":0,\"shard\":0,\"seq\":0,\"ev\":\"nope\"}").is_err());
-        let err = parse_jsonl("{\"t\":0,\"shard\":0,\"seq\":0,\"ev\":\"admit\"}\n").unwrap_err();
-        assert!(err.starts_with("line 1:"), "{err}");
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod export;
     clippy::disallowed_macros,
     reason = "numbers outside the fast path fall back to `Display`, at drain time"
 )]
-mod num;
+pub mod num;
 pub mod ring;
 
 pub use ring::{Ring, SharedRing};

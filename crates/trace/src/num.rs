@@ -39,14 +39,15 @@ const POW5: [u128; 56] = {
     table
 };
 
-/// Append `v` in decimal.
-pub(crate) fn write_u64(out: &mut Vec<u8>, v: u64) {
+/// Append `v` in decimal. The submit ack's numbers come through here,
+/// so it sits on the wire path: no panic on any `v`.
+pub fn write_u64(out: &mut Vec<u8>, v: u64) {
     let mut buf = [0u8; 20];
     out.extend_from_slice(digits(v, &mut buf));
 }
 
 /// Append `v` as `Display` writes it.
-pub(crate) fn write_f64(out: &mut Vec<u8>, v: f64) {
+pub fn write_f64(out: &mut Vec<u8>, v: f64) {
     let bits = v.to_bits();
     let exponent = (bits >> 52) & 0x7ff;
     if v == 0.0 {
@@ -81,6 +82,11 @@ pub(crate) fn write_f64(out: &mut Vec<u8>, v: f64) {
 }
 
 /// `v`'s decimal digits, written at the end of `buf`.
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "in bounds by construction: at most ten pairs fill the 20-byte `buf`, `pair` ≤ 198"
+)]
 fn digits(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
     let mut at = buf.len();
     loop {

@@ -66,6 +66,21 @@ if awk '/^pub fn write_events/ { exit }
     echo "ci: export.rs's event writer formats a number itself; use num::write_u64 / num::write_f64" >&2
     exit 1
 fi
+# One JSON reader: `serde_json::Reader` (shims/serde_json) decodes
+# every `\u` escape the tree reads. A `from_str_radix(…, 16)` or a
+# `to_digit(16)` outside the test module of a crates/*/src file is a
+# second escape decoder — the mark of a second JSON tokenizer growing
+# back — and fails.
+echo "==> one JSON reader: no \\u-escape decoder in crates/*/src"
+hits="$(find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do
+    head -n "$(non_test_lines "$f")" "$f" |
+        grep -nE 'from_str_radix\([^;]*\b16\b|to_digit\(16\)' | sed "s|^|$f:|" || true
+done)"
+if [ -n "$hits" ]; then
+    echo "$hits" >&2
+    echo "ci: a \\u-escape decoder outside shims/serde_json; read JSON through serde_json::Reader" >&2
+    exit 1
+fi
 # Atomics: the word `Relaxed` (raw text, so comments and tests count)
 # appears only in serve/src/metrics.rs, home of the AdvisoryCell; every
 # other atomic access names Acquire/Release or SeqCst.
@@ -142,7 +157,8 @@ done
 # clock in dvfs-core/dvfs-model, wall time in dvfs-serve only through
 # `clock::wall_now()`, no clock, formatting or `String` on the
 # dvfs-trace record path), wire-path panic-freedom (all of dvfs-net,
-# and serve's codec / protocol / server / admission), no unbounded
+# serve's codec / protocol / server / admission, and the serde_json
+# shim's reader), no unbounded
 # `channel()` in net or serve, no blocking call in dvfs-net outside the
 # slow lane, and `unsafe` confined to net/src/sys.rs with every block
 # `// SAFETY:`-documented. The levels live in each crate's Cargo.toml
@@ -184,11 +200,11 @@ fi
 # The engine side (crates/{ostree,core,sim,trace}/src) has a table and a
 # ceiling of its own too. A `tests.rs` there is a `#[cfg(test)] mod
 # tests;` body, so it is skipped.
-TOTAL_CEILING=7030
+TOTAL_CEILING=6890
 # Lower it with the total; never raise it.
-SHIMS_CEILING=1409
+SHIMS_CEILING=1407
 # Lower it with the total; never raise it.
-ENGINE_CEILING=6864
+ENGINE_CEILING=6670
 echo "==> non-test lines per file, crates/{serve,net}/src"
 oversize=0
 total=0

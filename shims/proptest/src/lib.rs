@@ -139,17 +139,6 @@ macro_rules! impl_range_strategy {
 
 impl_range_strategy!(u8, u16, u32, u64, usize, i32, i64, f32, f64);
 
-/// A strategy producing one constant value.
-#[derive(Debug, Clone)]
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-    fn sample(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
-    }
-}
-
 macro_rules! impl_tuple_strategy {
     ($(($($name:ident : $idx:tt),+);)*) => {$(
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
@@ -362,24 +351,10 @@ macro_rules! prop_assert_eq {
     }};
 }
 
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr) => {{
-        let (l, r) = (&$left, &$right);
-        if !(l != r) {
-            return ::std::result::Result::Err($crate::TestCaseError::fail(format!(
-                "assertion failed: `{:?}` != `{:?}`",
-                l, r
-            )));
-        }
-    }};
-}
-
 pub mod prelude {
     pub use crate::prop;
     pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, proptest, Just, ProptestConfig, Strategy,
-        TestCaseError,
+        prop_assert, prop_assert_eq, proptest, ProptestConfig, Strategy, TestCaseError,
     };
 }
 

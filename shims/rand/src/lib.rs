@@ -24,18 +24,6 @@ pub mod distributions {
 pub trait RngCore {
     fn next_u32(&mut self) -> u32;
     fn next_u64(&mut self) -> u64;
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let word = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&word[..rem.len()]);
-        }
-    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
@@ -52,11 +40,8 @@ pub trait SampleRange<T> {
     fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
-/// High-level convenience methods, blanket-implemented for every
-/// [`RngCore`].
 /// Types samplable from the "standard" distribution (`rng.gen()`):
-/// floats uniform in `[0, 1)`, integers uniform over the full range,
-/// booleans fair.
+/// `f64`, uniform in `[0, 1)`.
 pub trait StandardSample: Sized {
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self;
 }
@@ -67,30 +52,8 @@ impl StandardSample for f64 {
     }
 }
 
-impl StandardSample for f32 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        unit_f64(rng.next_u64()) as f32
-    }
-}
-
-impl StandardSample for u32 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u32()
-    }
-}
-
-impl StandardSample for u64 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64()
-    }
-}
-
-impl StandardSample for bool {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
+/// High-level convenience methods, blanket-implemented for every
+/// [`RngCore`].
 pub trait Rng: RngCore {
     fn gen_range<T, R>(&mut self, range: R) -> T
     where

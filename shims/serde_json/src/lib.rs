@@ -1,20 +1,30 @@
 //! Offline stand-in for `serde_json`: all of JSON this workspace needs.
 //!
 //! One owned value tree ([`Value`]), a writer ([`to_string`],
-//! [`to_string_pretty`]) and a recursive-descent parser ([`from_str`])
-//! with escape sequences, `\uXXXX` surrogate pairs and exponent-form
-//! numbers. There is no derive machinery: a crate that puts a type on
-//! disk builds and reads its `Value` itself.
+//! [`to_string_pretty`]) and the workspace's one JSON reader
+//! ([`Reader`]): a borrowing pull tokenizer with escape sequences,
+//! `\uXXXX` surrogate pairs and exponent-form numbers. [`from_str`] is
+//! the tree builder over it; the wire's request decoder and the trace
+//! reader walk it directly. There is no derive
+//! machinery: a crate that puts a type on disk builds and reads its
+//! `Value` itself.
 //!
 //! Integers stay exact up to `u64` / `i64`; floats print through Rust's
-//! shortest-roundtrip formatter, so they read back bit for bit. Non-finite floats are written as `null`, as the
-//! registry crate does. Nesting deeper than 128 arrays / objects (the
-//! registry crate's recursion limit) is refused with an error rather
-//! than overflowing the parser's stack.
+//! shortest-roundtrip formatter, so they read back bit for bit.
+//! Non-finite floats are written as `null`, as the registry crate does.
+//! Nesting deeper than 128 arrays / objects (the registry crate's
+//! recursion limit) is refused with an error rather than overflowing
+//! the stack. The reader sits on the wire path, so nothing in this
+//! crate may panic on any input.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
+#![deny(clippy::string_slice)]
+
+use std::borrow::Cow;
 use std::fmt;
 
-/// Deepest array / object nesting [`from_str`] accepts.
+/// Deepest array / object nesting the [`Reader`] accepts.
 const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
@@ -179,24 +189,14 @@ pub fn to_string_pretty(value: &Value) -> String {
     out
 }
 
-/// Parse JSON text into a value.
+/// Parse JSON text into a value: the tree builder over [`Reader`].
 ///
 /// # Errors
 /// Malformed text, trailing characters, or nesting deeper than 128.
 pub fn from_str(s: &str) -> Result<Value, Error> {
-    let mut parser = Parser {
-        text: s,
-        pos: 0,
-        depth: 0,
-    };
-    parser.skip_ws();
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.text.len() {
-        return Err(Error {
-            msg: format!("trailing characters at byte {}", parser.pos),
-        });
-    }
+    let mut reader = Reader::new(s);
+    let value = reader.value()?;
+    reader.end()?;
     Ok(value)
 }
 
@@ -299,25 +299,47 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 // ---------------------------------------------------------------------
-// Parser
+// Reader
 // ---------------------------------------------------------------------
 
-struct Parser<'a> {
+/// The one JSON reader: a pull tokenizer over borrowed text. Each read
+/// skips the whitespace before its token and validates what it steps
+/// over, so any walk of a whole document refuses exactly the text
+/// [`from_str`] refuses, at the same byte and in the same words. The
+/// wire's request decoder calls it from another crate on the submit
+/// path, so the steps it runs per token are marked `#[inline]`.
+pub struct Reader<'a> {
     text: &'a str,
+    /// Rests on a character boundary only: it steps over whole ASCII
+    /// tokens, or to the next `"` / `\`, which never occur inside a
+    /// multi-byte character.
     pos: usize,
     /// Arrays and objects open around `pos`.
     depth: usize,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    fn byte(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// The next byte past any whitespace, not consumed.
+    #[inline]
+    pub fn peek(&mut self) -> Option<u8> {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.byte() {
+            self.pos += 1;
+        }
+        self.byte()
     }
 
     fn err(&self, msg: &str) -> Error {
@@ -326,112 +348,53 @@ impl Parser<'_> {
         }
     }
 
+    /// Step over `b` if it is the next byte (no whitespace skipped).
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.byte() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    #[inline(always)]
     fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
+        self.peek();
+        if self.eat(b) {
+            return Ok(());
         }
+        Err(self.err(&format!("expected `{}`", b as char)))
     }
 
-    fn consume_literal(&mut self, lit: &str) -> bool {
-        if self.text[self.pos..].starts_with(lit) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
+    fn rest(&self) -> &'a str {
+        self.text.get(self.pos..).unwrap_or("")
     }
 
-    fn literal(&mut self, lit: &str, value: Value) -> Result<Value, Error> {
-        if self.consume_literal(lit) {
-            Ok(value)
-        } else {
-            Err(self.err("invalid literal"))
-        }
+    /// Nothing but whitespace may follow the one top-level value.
+    pub fn end(&mut self) -> Result<(), Error> {
+        let next = self.peek();
+        next.map_or(Ok(()), |_| Err(self.err("trailing characters")))
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
-                Err(self.err("recursion limit exceeded"))
-            }
-            Some(b'[') => self.nested(Self::parse_array),
-            Some(b'{') => self.nested(Self::parse_object),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            Some(b) => Err(self.err(&format!("unexpected character `{}`", b as char))),
-        }
+    /// Advance to the next `"` or `\` (or the end) and return what was
+    /// stepped over.
+    #[inline]
+    fn plain_run(&mut self) -> &'a str {
+        let rest = self.rest();
+        let len = rest
+            .bytes()
+            .position(|b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len());
+        self.pos += len;
+        rest.get(..len).unwrap_or("")
     }
 
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
-        self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
+    /// A string token: borrowed from the text unless it holds an
+    /// escape.
+    #[inline(always)]
+    pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out = Cow::Borrowed(self.plain_run());
         loop {
-            match self.peek() {
+            match self.byte() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
@@ -439,106 +402,203 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let simple = match self.peek() {
-                        Some(b'"') => '"',
-                        Some(b'\\') => '\\',
-                        Some(b'/') => '/',
-                        Some(b'n') => '\n',
-                        Some(b'r') => '\r',
-                        Some(b't') => '\t',
-                        Some(b'b') => '\u{08}',
-                        Some(b'f') => '\u{0c}',
-                        Some(b'u') => {
-                            self.pos += 1;
-                            out.push(self.parse_unicode_escape()?);
-                            continue;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    };
-                    out.push(simple);
-                    self.pos += 1;
+                    let c = self.escape()?;
+                    out.to_mut().push(c);
                 }
-                Some(_) => {
-                    // Copy the run up to the next quote or escape.
-                    let rest = &self.text[self.pos..];
-                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
-                    out.push_str(&rest[..run]);
-                    self.pos += run;
-                }
+                Some(_) => out.to_mut().push_str(self.plain_run()),
             }
         }
     }
 
-    /// The character of a `\u` escape whose `XXXX` starts at `pos`,
-    /// joining a surrogate pair.
-    fn parse_unicode_escape(&mut self) -> Result<char, Error> {
-        let hi = self.parse_hex4()?;
-        let c = if (0xD800..0xDC00).contains(&hi) {
-            if !self.consume_literal("\\u") {
-                return Err(self.err("expected low surrogate"));
+    /// The character an escape sequence stands for; `pos` is just past
+    /// the backslash.
+    fn escape(&mut self) -> Result<char, Error> {
+        let c = match self.byte() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0c}',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: expect the \uXXXX low half.
+                    if !self.rest().starts_with("\\u") {
+                        return Err(self.err("expected low surrogate"));
+                    }
+                    self.pos += 2;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                return char::from_u32(code).ok_or_else(|| self.err("invalid unicode escape"));
             }
-            let lo = self.parse_hex4()?;
-            if !(0xDC00..0xE000).contains(&lo) {
-                return Err(self.err("invalid low surrogate"));
-            }
-            char::from_u32(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
-        } else {
-            char::from_u32(hi)
+            _ => return Err(self.err("invalid escape")),
         };
-        c.ok_or_else(|| self.err("invalid unicode escape"))
+        self.pos += 1;
+        Ok(c)
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
+    /// The four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, Error> {
         if self.pos + 4 > self.text.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = (self.text.get(self.pos..self.pos + 4))
-            .ok_or_else(|| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let hex = self.text.get(self.pos..self.pos + 4);
+        let v = hex.and_then(|h| h.chars().try_fold(0, |v, c| Some(v << 4 | c.to_digit(16)?)));
+        let v = v.ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
 
     fn digits(&mut self) {
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+        while self.byte().is_some_and(|b| b.is_ascii_digit()) {
             self.pos += 1;
         }
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    /// A number token, integers kept exact: `u64`, else `i64`, else
+    /// (and for fraction / exponent forms) `f64`. As in registry
+    /// `serde_json`, `-0` is the float `-0.0` and a literal past `f64`'s
+    /// range is refused.
+    #[inline]
+    pub fn number(&mut self) -> Result<Number, Error> {
+        self.peek();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
+        self.eat(b'-');
         self.digits();
         let mut is_float = false;
-        if self.peek() == Some(b'.') {
+        if self.eat(b'.') {
             is_float = true;
-            self.pos += 1;
             self.digits();
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+        if self.eat(b'e') || self.eat(b'E') {
             is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
+            let _ = self.eat(b'+') || self.eat(b'-');
             self.digits();
         }
-        let text = &self.text[start..self.pos];
+        let text = self.text.get(start..self.pos).unwrap_or("");
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::PosInt(u)));
+                return Ok(Number::PosInt(u));
             }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Number(Number::NegInt(i)));
+            match text.parse::<i64>() {
+                Ok(0) => return Ok(Number::Float(-0.0)),
+                Ok(i) => return Ok(Number::NegInt(i)),
+                Err(_) => {}
             }
         }
-        text.parse::<f64>()
-            .map(|f| Value::Number(Number::Float(f)))
-            .map_err(|_| Error {
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Number::Float(f)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(Error {
                 msg: format!("invalid number `{text}`"),
-            })
+            }),
+        }
+    }
+
+    /// Step over `token` if the text, past whitespace, goes on with it.
+    pub fn eat_token(&mut self, token: &str) -> bool {
+        self.peek();
+        let hit = self.rest().starts_with(token);
+        self.pos += if hit { token.len() } else { 0 };
+        hit
+    }
+
+    /// A number, or a `null` / `true` / `false` literal.
+    fn scalar(&mut self) -> Result<Value, Error> {
+        match self.peek() {
+            None => Err(self.err("unexpected end of input")),
+            Some(b'n') if self.eat_token("null") => Ok(Value::Null),
+            Some(b't') if self.eat_token("true") => Ok(Value::Bool(true)),
+            Some(b'f') if self.eat_token("false") => Ok(Value::Bool(false)),
+            Some(b'n' | b't' | b'f') => Err(self.err("invalid literal")),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Value::Number),
+            Some(b) => Err(self.err(&format!("unexpected character `{}`", b as char))),
+        }
+    }
+
+    /// Walk the array or object that opens at the next byte: `each`
+    /// gets the reader at every element's value, with its key in an
+    /// object, and must step over the value. An open bracket deeper
+    /// than 128, counted from the outermost one this reader entered, is
+    /// refused, so a recursive walk never runs deep on the stack.
+    pub fn container(
+        &mut self,
+        mut each: impl FnMut(&mut Self, Option<Cow<'a, str>>) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        let close = match self.peek() {
+            Some(b'[') => b']',
+            Some(b'{') => b'}',
+            _ => return Err(self.err("expected `[` or `{`")),
+        };
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        if self.peek() != Some(close) {
+            loop {
+                let key = if close == b'}' {
+                    let key = self.string()?;
+                    self.expect(b':')?;
+                    Some(key)
+                } else {
+                    None
+                };
+                each(self, key)?;
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => break,
+                    _ => return Err(self.err(&format!("expected `,` or `{}`", close as char))),
+                }
+            }
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Validate and step over one value of any shape.
+    #[inline]
+    pub fn skip_value(&mut self) -> Result<(), Error> {
+        match self.peek() {
+            Some(b'[' | b'{') => self.container(|r, _| r.skip_value()),
+            Some(b'"') => self.string().map(drop),
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// Read one value of any shape as a tree.
+    pub fn value(&mut self) -> Result<Value, Error> {
+        Ok(match self.peek() {
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.container(|r, _| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Value::Array(items)
+            }
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.container(|r, key| {
+                    pairs.push((key.unwrap_or_default().into(), r.value()?));
+                    Ok(())
+                })?;
+                Value::Object(pairs)
+            }
+            Some(b'"') => Value::String(self.string()?.into_owned()),
+            _ => self.scalar()?,
+        })
     }
 }
 
@@ -600,7 +660,16 @@ mod tests {
 
     #[test]
     fn parse_errors_are_reported_not_panicked() {
-        for bad in ["", "12x", "[1,2", "tru", "\"abc", "{\"a\"}", "\"\\ud83d\""] {
+        for bad in [
+            "",
+            "12x",
+            "[1,2",
+            "tru",
+            "\"abc",
+            "{\"a\"}",
+            "\"\\ud83d\"",
+            "\"\\u+0e9\"",
+        ] {
             assert!(from_str(bad).is_err(), "{bad}");
         }
     }
@@ -614,10 +683,66 @@ mod tests {
         let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
         let err = from_str(&past).unwrap_err().to_string();
         assert_eq!(err, format!("recursion limit exceeded at byte {MAX_DEPTH}"));
+        let mut skipper = Reader::new(&past);
+        assert_eq!(skipper.skip_value().unwrap_err().to_string(), err);
         let hostile = "[".repeat(65_536);
         assert!(from_str(&hostile)
             .unwrap_err()
             .to_string()
             .contains("recursion limit"));
+    }
+
+    #[test]
+    fn numbers_follow_the_registry_grammar() {
+        // `-0` is the float -0.0, not the integer 0.
+        let zero = from_str("-0").unwrap();
+        assert_eq!(zero.as_f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert_eq!(zero.as_u64(), None);
+        // A literal past f64's range is refused, not read as infinity.
+        for lit in ["1e999", "-1e999", &"9".repeat(400)] {
+            let err = from_str(lit).unwrap_err().to_string();
+            assert_eq!(err, format!("number out of range at byte {}", lit.len()));
+        }
+        assert_eq!(from_str("1e-999").unwrap(), float(0.0));
+        // Integers stay exact as far as u64 / i64 reach, then are floats.
+        let min = Value::Number(Number::NegInt(i64::MIN));
+        assert_eq!(from_str("-9223372036854775808").unwrap(), min);
+        assert_eq!(
+            from_str("18446744073709551616").unwrap(),
+            float(2f64.powi(64))
+        );
+        // Laxer than the registry crate, as this reader always was.
+        assert_eq!(from_str("007").unwrap().as_u64(), Some(7));
+        assert_eq!(from_str("1.").unwrap(), float(1.0));
+    }
+
+    #[test]
+    fn the_reader_borrows_plain_strings_and_skips_what_it_is_told_to() {
+        let text = r#" {"a":"plain", "b":"esc\u0061ped","c":[1,{"d":[]}],"e":-2} "#;
+        let mut r = Reader::new(text);
+        let mut seen = Vec::new();
+        r.container(|r, key| {
+            let key = key.unwrap_or_default();
+            seen.push(match r.peek() {
+                Some(b'"') => {
+                    let s = r.string()?;
+                    format!("{key}={s} borrowed={}", matches!(s, Cow::Borrowed(_)))
+                }
+                Some(b'[') => r.skip_value().map(|()| format!("{key} skipped"))?,
+                _ => format!("{key}={:?}", r.number()?),
+            });
+            Ok(())
+        })
+        .unwrap();
+        r.end().unwrap();
+        assert_eq!(
+            seen,
+            [
+                "a=plain borrowed=true",
+                "b=escaped borrowed=false",
+                "c skipped",
+                "e=NegInt(-2)"
+            ]
+        );
     }
 }

@@ -15,7 +15,8 @@ use dvfs_serve::client::{self, Connection};
 use dvfs_serve::protocol::{encode_command, value_u64};
 use dvfs_serve::{serve, Endpoint, Registry, Response, SchedulerConfig, ServerConfig};
 use dvfs_suite::model::{Task, TaskClass};
-use dvfs_suite::trace::export::{chrome_trace, parse_jsonl};
+use dvfs_suite::serve::parse_jsonl;
+use dvfs_suite::trace::export::chrome_trace;
 use dvfs_suite::trace::EventKind;
 use serde_json::Value;
 use std::path::PathBuf;
