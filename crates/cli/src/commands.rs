@@ -362,8 +362,7 @@ fn serve_cmd(argv: &[String]) -> Result<(), String> {
     if trace_out.is_some() && trace_capacity == 0 {
         return Err("`--trace-out` requires `--trace-cap N` to enable tracing".into());
     }
-    // `--net` overrides the DVFS_SERVE_NET env default picked up by
-    // `ServerConfig::new`; absent, the env selection stands.
+    // `--net` overrides `ServerConfig::new`'s default, the reactor.
     let net = match args.get("net") {
         None => None,
         Some("threads") => Some(dvfs_serve::NetBackend::Threads),

@@ -1,6 +1,6 @@
 //! The blocking driver: serve one stream on the calling thread.
 //!
-//! The portable counterpart of the [`reactor`](crate::reactor): same
+//! The blocking counterpart of the [`reactor`](crate::reactor): same
 //! framer, same [`Handler`] — only the I/O model differs. There is no
 //! event loop to keep responsive, so every batch is answered as a
 //! caller that may wait, right here on the connection's own thread.

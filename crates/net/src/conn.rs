@@ -89,12 +89,6 @@ impl Connection {
         Ok(false)
     }
 
-    /// True when a disconnect now would cut a request line in half.
-    #[must_use]
-    pub fn mid_line(&self) -> bool {
-        self.framer.has_partial()
-    }
-
     /// Queue already newline-terminated response bytes for writing. A
     /// large reply landing on an empty buffer is adopted, not copied.
     pub fn queue_bytes(&mut self, bytes: Vec<u8>) {
@@ -103,12 +97,6 @@ impl Connection {
         } else {
             self.out.extend_from_slice(&bytes);
         }
-    }
-
-    /// Bytes queued but not yet written.
-    #[must_use]
-    pub fn pending_out(&self) -> usize {
-        self.out.len().saturating_sub(self.out_pos)
     }
 
     /// Write as much of the queued output as the socket accepts.
@@ -171,9 +159,9 @@ mod tests {
             })
             .unwrap();
         assert!(!eof);
-        assert!(conn.mid_line());
+        assert!(conn.framer.has_partial(), "`partial` is mid-line");
         assert!(conn.flush().unwrap());
-        assert_eq!(conn.pending_out(), 0);
+        assert_eq!((conn.out.len() - conn.out_pos), 0);
         let mut buf = [0u8; 64];
         let n = peer.read(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"{\"ok\":true}\n");
@@ -201,7 +189,7 @@ mod tests {
             conn.queue_bytes(vec![b'x'; 64 * 1024]);
         }
         assert!(!conn.flush().unwrap());
-        assert!(conn.pending_out() > 0);
+        assert!((conn.out.len() - conn.out_pos) > 0);
         drop(peer);
     }
 }

@@ -5,7 +5,7 @@
 //! A thread per connection costs a stack per client; at tens of
 //! thousands of mostly-idle connections that is the dominant memory
 //! bill before the scheduler's decision path even runs. So the default
-//! driver is evented, and the portable one is kept trivially small by
+//! driver is evented, and the blocking one is kept trivially small by
 //! sharing everything but the I/O model:
 //!
 //! - [`sys`] — thin `extern "C"` bindings for exactly the syscalls the
@@ -38,6 +38,8 @@
 //! - [`blocking`] — the blocking driver ([`blocking::serve`]): one
 //!   `Read + Write` stream served on the calling thread, one write per
 //!   read.
+//! - [`accept`] — the accept-error policy both drivers' accept paths
+//!   follow ([`accept::after_accept_error`]).
 //!
 //! The crate knows nothing about the wire protocol or the scheduler:
 //! embedders supply a [`Handler`] for request lines and an
@@ -46,6 +48,7 @@
 
 #![cfg_attr(test, allow(clippy::disallowed_methods, reason = "tests may block"))]
 
+pub mod accept;
 pub mod blocking;
 pub mod conn;
 pub mod framing;
@@ -60,4 +63,4 @@ pub use conn::Connection;
 pub use framing::{Batch, Frame, LineFramer, DEFAULT_MAX_LINE};
 pub use handler::{Answered, Caller, Handler};
 pub use poller::{Event, Interest, Poller};
-pub use reactor::{NullObserver, Observer, ReactorConfig};
+pub use reactor::{Observer, ReactorConfig};

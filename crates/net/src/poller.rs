@@ -3,8 +3,9 @@
 use crate::sys;
 use std::io;
 
-/// Interest set for one registered fd.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Interest set for one registered fd; the default is none (the fd
+/// stays registered and wakes nobody).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Interest {
     /// Wake on readable data (or peer close).
     pub readable: bool,
@@ -17,11 +18,6 @@ impl Interest {
     pub const READ: Interest = Interest {
         readable: true,
         writable: false,
-    };
-    /// Read + write interest — armed while a response is part-written.
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
-        writable: true,
     };
 
     fn bits(self) -> u32 {
@@ -154,7 +150,11 @@ mod tests {
         let (_a, b) = UnixStream::pair().unwrap();
         b.set_nonblocking(true).unwrap();
         let poller = Poller::new().unwrap();
-        poller.add(b.as_raw_fd(), 1, Interest::READ_WRITE).unwrap();
+        let both = Interest {
+            readable: true,
+            writable: true,
+        };
+        poller.add(b.as_raw_fd(), 1, both).unwrap();
         let mut events = Vec::new();
         assert_eq!(poller.wait(&mut events, 1000).unwrap(), 1);
         assert!(events.first().is_some_and(|e| e.writable));

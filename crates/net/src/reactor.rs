@@ -13,7 +13,8 @@
 //! 1. `epoll_wait` (bounded timeout, so [`Handler::should_stop`] is
 //!    polled even when idle),
 //! 2. listener readable → accept until `EAGAIN`, shedding with a final
-//!    response line once the budget is reached,
+//!    response line once the budget is reached; after an accept error
+//!    the (level-triggered) listener sits out [`ACCEPT_BACKOFF`] unarmed,
 //! 3. connection readable → read into the loop's one scratch buffer,
 //!    let the framer cut each read into batches of lines lent from it,
 //!    answer each batch inline — straight into the connection's output
@@ -43,6 +44,7 @@
 //! further batches past an oversized line — is deferred whole through
 //! the same FIFO lane.
 
+use crate::accept::{after_accept_error, AcceptRetry, ACCEPT_BACKOFF};
 use crate::conn::Connection;
 use crate::framing::{Batch, DEFAULT_MAX_LINE};
 use crate::handler::{push_line, Answered, Caller, Handler};
@@ -76,47 +78,31 @@ impl Default for ReactorConfig {
     }
 }
 
-/// Metrics taps. Every method has a no-op default so embedders
-/// implement only what they export.
+/// Metrics taps: the embedding server exports what the loop reports.
 pub trait Observer {
     /// A connection was accepted; `open` is the new open count.
-    fn on_open(&mut self, open: usize) {
-        let _ = open;
-    }
+    fn on_open(&mut self, open: usize);
     /// A connection closed; `open` is the new open count.
-    fn on_close(&mut self, open: usize) {
-        let _ = open;
-    }
+    fn on_close(&mut self, open: usize);
     /// An accept was shed by the connection budget.
-    fn on_accept_shed(&mut self) {}
+    fn on_accept_shed(&mut self);
+    /// An `accept` failed in a way that pauses accepting for
+    /// [`ACCEPT_BACKOFF`] (see [`after_accept_error`]).
+    fn on_accept_error(&mut self);
     /// One handler batch of `lines` complete request lines.
-    fn on_batch_size(&mut self, lines: usize) {
-        let _ = lines;
-    }
+    fn on_batch_size(&mut self, lines: usize);
     /// One `epoll_wait` returned `events` readiness records.
-    fn on_wakeup(&mut self, events: usize) {
-        let _ = events;
-    }
+    fn on_wakeup(&mut self, events: usize);
     /// Loop timing for one wakeup: `wait_s` seconds blocked in
     /// `epoll_wait`, `work_s` seconds servicing its events. Together
     /// they partition the event loop's wall time, so their ratio is
     /// the reactor's duty cycle.
-    fn on_loop_times(&mut self, wait_s: f64, work_s: f64) {
-        let _ = (wait_s, work_s);
-    }
+    fn on_loop_times(&mut self, wait_s: f64, work_s: f64);
     /// A connection left `EPOLLOUT` backpressure (its flush completed,
     /// or it died mid-stall); `stall_s` is how long the write side was
     /// armed waiting for the peer to drain.
-    fn on_backpressure_stall(&mut self, stall_s: f64) {
-        let _ = stall_s;
-    }
+    fn on_backpressure_stall(&mut self, stall_s: f64);
 }
-
-/// Ignores everything — for tests and minimal embedders.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {}
 
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
@@ -308,6 +294,7 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
         let mut events: Vec<Event> = Vec::new();
         // The one read buffer every connection's lines are lent from.
         let mut scratch = vec![0u8; 16 * 1024];
+        let mut rearm_at = None; // of a listener backing off
 
         loop {
             let wait_start = Instant::now();
@@ -317,6 +304,9 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
             if self.handler.should_stop() {
                 break;
             }
+            if rearm_at.is_some_and(|at| at <= woke) && self.arm_listener(Interest::READ) {
+                rearm_at = None;
+            }
             // Tokens are stable across the iteration: epoll coalesces to
             // at most one event per fd per wait, and the generation tag
             // guards against a slot closed and reused within the same
@@ -324,7 +314,9 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
             for i in 0..events.len() {
                 let Some(&ev) = events.get(i) else { break };
                 if ev.token == LISTENER_TOKEN {
-                    self.accept_ready(&mut slab, observer);
+                    if self.accept_ready(&mut slab, observer) {
+                        rearm_at = Some(woke + ACCEPT_BACKOFF);
+                    }
                 } else if ev.token == WAKER_TOKEN {
                     self.apply_replies(&mut slab, observer);
                 } else {
@@ -355,14 +347,26 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
         Ok(())
     }
 
-    fn accept_ready(&self, slab: &mut Slab, observer: &mut dyn Observer) {
+    fn arm_listener(&self, interest: Interest) -> bool {
+        self.poller
+            .modify(self.listener_fd, LISTENER_TOKEN, interest)
+            .is_ok()
+    }
+
+    /// Accept until the backlog is empty; `true` when an accept error
+    /// took the listener out of the interest set to back off.
+    fn accept_ready(&self, slab: &mut Slab, observer: &mut dyn Observer) -> bool {
         loop {
             let fd = match sys::accept_nonblocking(self.listener_fd) {
                 Ok(fd) => fd,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // ECONNABORTED and friends: the would-be peer is gone.
-                Err(_) => return,
+                Err(e) => match after_accept_error(e.kind()) {
+                    AcceptRetry::Poll => return false,
+                    AcceptRetry::Now => continue,
+                    AcceptRetry::CountAndBackOff => {
+                        observer.on_accept_error();
+                        return self.arm_listener(Interest::default());
+                    }
+                },
             };
             if slab.open >= self.cfg.max_connections {
                 // Shed at the door: one explicit wire response, then
@@ -667,6 +671,10 @@ mod tests {
         fn on_batch_size(&mut self, lines: usize) {
             self.0.lock().unwrap().batches.push(lines);
         }
+        fn on_accept_error(&mut self) {}
+        fn on_wakeup(&mut self, _events: usize) {}
+        fn on_loop_times(&mut self, _wait_s: f64, _work_s: f64) {}
+        fn on_backpressure_stall(&mut self, _stall_s: f64) {}
     }
 
     struct Rig {

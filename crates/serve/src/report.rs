@@ -76,10 +76,10 @@ pub(crate) fn drain(params: CostParams, reports: &[RoundReport]) -> Response {
     ])
 }
 
-/// `stats`: registry snapshot plus per-shard depths, pending counts and
-/// clocks — the admission queues live, the rest as each worker last
-/// published it.
-pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry) -> Response {
+/// `stats`: registry snapshot, the `books` object, plus per-shard
+/// depths, pending counts and clocks — the admission queues live, the
+/// rest as each worker last published it.
+pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry, books: Value) -> Response {
     let mut shard_stats = Vec::with_capacity(shards.len());
     let mut depth_total = 0u64;
     let mut pending_total = 0u64;
@@ -116,6 +116,7 @@ pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry) -> Response
     let migrations = counter("migrations");
     Response::Ok(vec![
         ("metrics".to_string(), metrics.snapshot()),
+        ("books".to_string(), books),
         field_u64("queue_depth", depth_total),
         field_u64("pending_tasks", pending_total),
         field_f64("sim_now_s", now_max),
@@ -141,6 +142,7 @@ pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry) -> Response
 pub(crate) fn health(
     shards: &[Arc<ShardShared>],
     metrics: &Registry,
+    books: Value,
     telemetry: bool,
     trace_dropped: u64,
     trace_streamed: u64,
@@ -189,6 +191,7 @@ pub(crate) fn health(
         field_u64("degraded", u64::from(metrics.gauge("degraded").get() != 0)),
         field_u64("worker_stalled", counter("worker_stalled")),
         field_u64("worker_send_failed", counter("worker_send_failed")),
+        ("books".to_string(), books),
         field_u64("shards", shards.len() as u64),
         field_u64("telemetry", u64::from(telemetry)),
         ("heartbeats".to_string(), Value::Array(heartbeats)),

@@ -51,7 +51,7 @@
 //! (the `ids` module) under a small mutex taken once per batch, and hands
 //! the task to one shard's admission queue
 //! (which has its own lock and re-checks the shutdown flag inside it —
-//! see [`AdmissionQueue::try_submit_gated`]). `tick` and `drain`
+//! see [`crate::admission::AdmissionQueue::try_submit_gated`]). `tick` and `drain`
 //! broadcast a command to every worker and collect the one-shot
 //! replies in ascending shard order, so a slow scheduling round never
 //! blocks admission, a slow round on one shard never blocks the others
@@ -74,14 +74,14 @@
 //! (`tracestore`), the wire documents (`report`), and stall
 //! detection (`supervise`).
 
-use crate::admission::{AdmissionQueue, GateOutcome, ShedReason};
+use crate::admission::{GateOutcome, ShedReason};
 use crate::clock::EngineClock;
 use crate::codec::Ack;
 pub use crate::config::{service_platform, Mode, SchedulerConfig, SubmitItem};
 use crate::executor::RoundReport;
 use crate::ids::IdLedger;
 use crate::metrics::{AdvisoryCell, Counter, Histogram, Registry};
-use crate::protocol::{ErrorKind, Response};
+use crate::protocol::{field_u64, ErrorKind, Response};
 pub use crate::rebalance::RebalanceConfig;
 use crate::stage::{STAGE_ADMIT, STAGE_FRAME};
 use crate::supervise::StallLatches;
@@ -90,6 +90,7 @@ use crate::worker::{self, Command, ShardShared, WorkerHandle};
 use crate::{rebalance, report};
 use dvfs_model::{Task, TaskClass};
 use dvfs_trace::SharedRing;
+use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -238,16 +239,6 @@ impl Scheduler {
         &self.metrics
     }
 
-    /// Shard `k`'s admission queue (exposed for backpressure-aware
-    /// callers and tests).
-    ///
-    /// # Panics
-    /// Panics when `k` is out of range.
-    #[must_use]
-    pub fn shard_queue(&self, k: usize) -> &AdmissionQueue {
-        &self.shards[k].queue
-    }
-
     /// Tasks admitted and not yet completed (queued or in an engine).
     #[must_use]
     pub fn in_flight(&self) -> u64 {
@@ -265,6 +256,23 @@ impl Scheduler {
             + self.rejected_shutting_down.get();
         self.in_flight() == 0
             && self.submitted.get() == self.completed.get() + self.shed.get() + rejected
+    }
+
+    /// `stats`' and `health`'s `books` object: each books counter, what
+    /// is in flight, and [`Scheduler::books_balanced`] as 0 or 1.
+    fn books(&self) -> Value {
+        Value::Object(vec![
+            field_u64("submitted", self.submitted.get()),
+            field_u64("admitted", self.admitted.get()),
+            field_u64("completed", self.completed.get()),
+            field_u64("shed", self.shed.get()),
+            field_u64("shed_worker_behind", self.shed_worker_behind.get()),
+            field_u64("rejected_invalid", self.rejected_invalid.get()),
+            field_u64("rejected_duplicate_id", self.rejected_duplicate_id.get()),
+            field_u64("rejected_shutting_down", self.rejected_shutting_down.get()),
+            field_u64("in_flight", self.in_flight()),
+            field_u64("balanced", u64::from(self.books_balanced())),
+        ])
     }
 
     /// Total queued depth across all shards.
@@ -561,7 +569,7 @@ impl Scheduler {
     /// them. Touches no worker, so the reactor serves it inline on the
     /// fast path, and it never waits behind a running round.
     pub fn stats(&self) -> Response {
-        report::stats(&self.shards, &self.metrics)
+        report::stats(&self.shards, &self.metrics, self.books())
     }
 
     /// One supervisor pass over the worker heartbeats (the `supervise`
@@ -576,6 +584,7 @@ impl Scheduler {
         report::health(
             &self.shards,
             &self.metrics,
+            self.books(),
             self.cfg.telemetry,
             self.trace_dropped(),
             self.trace.streamed(),
@@ -592,15 +601,20 @@ impl Scheduler {
     /// re-checking the depths after each drain (under the queue locks
     /// the admission gate also takes) catches it, and every later
     /// submit observes the flag inside the gate and is refused — so the
-    /// loop terminates.
+    /// loop terminates. Then the `--trace-out` file is caught up. Only
+    /// the first call does any of this; a later one returns at once,
+    /// even while the first is still draining.
     pub fn begin_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
+        if self.shutting_down.swap(true, Ordering::SeqCst) {
+            return;
+        }
         loop {
             let _ = self.drain_shards();
             if self.queue_depth() == 0 {
                 break;
             }
         }
+        self.flush_trace_file();
     }
 }
 
@@ -969,6 +983,12 @@ mod tests {
     }
 
     impl Scheduler {
+        /// Shard `k`'s admission queue, for tests that stand in for a
+        /// racing submitter or a worker.
+        pub(crate) fn shard_queue(&self, k: usize) -> &crate::admission::AdmissionQueue {
+            &self.shards[k].queue
+        }
+
         /// Arm the round hook: runs once inside the next `tick` or
         /// `drain`, after the queues were drained into the engines — the
         /// position of a submitter racing the round.
@@ -1077,6 +1097,9 @@ mod tests {
         }
         assert_eq!(s.metrics().counter("rejected_shutting_down").get(), 1);
         assert!(s.books_balanced(), "the refused submit is on the books");
+        // Only the first call drains: a second one returns at once.
+        s.set_round_hook(|_| panic!("a second shutdown drained again"));
+        s.begin_shutdown();
     }
 
     /// 1.6 Gcycles take at most 1 s at the slowest rate: one tick at

@@ -8,7 +8,6 @@
 use crate::metrics::{shard_metric, Registry};
 use crate::service::Scheduler;
 use crate::worker::ShardShared;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -19,9 +18,9 @@ const STALL_POLL: Duration = Duration::from_millis(200);
 const STALL_AFTER: Duration = Duration::from_secs(5);
 
 /// The supervisor thread's body: sample `scheduler`'s heartbeats every
-/// `STALL_POLL` until `shutdown` is raised.
-pub(crate) fn run(scheduler: &Scheduler, shutdown: &AtomicBool) {
-    while !shutdown.load(Ordering::SeqCst) {
+/// `STALL_POLL` until it begins shutting down.
+pub(crate) fn run(scheduler: &Scheduler) {
+    while !scheduler.is_shutting_down() {
         scheduler.check_stalls(STALL_AFTER);
         std::thread::sleep(STALL_POLL);
     }

@@ -366,7 +366,8 @@ pub fn spans(events: &[TraceEvent]) -> Vec<Span> {
 /// process per shard, one thread (track) per core, one `"X"` duration
 /// event per [`Span`], and `rate_change` as `"i"` instant events.
 /// Timestamps are engine seconds scaled to microseconds (the format's
-/// native unit).
+/// native unit). What has a NaN or ±inf to show (JSON has neither) is
+/// left out: a span, an instant, a sample, an energy accrual.
 ///
 /// Three `"C"` counter tracks ride along per shard: `core J rate` (the
 /// rate index a core is actuated to, stepped on every `dispatch` and
@@ -379,12 +380,15 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
     let mut out: Vec<String> = Vec::new();
     for span in spans(events) {
         let start = span.start * 1e6;
+        let dur = span.end * 1e6 - start;
+        if !(start.is_finite() && dur.is_finite()) {
+            continue;
+        }
         out.push(format!(
-            "{{\"name\":{},\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{start},\"dur\":{},\"args\":{{\"rate\":{},\"end\":{}}}}}",
+            "{{\"name\":{},\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{start},\"dur\":{dur},\"args\":{{\"rate\":{},\"end\":{}}}}}",
             json_str(&format!("task {}", span.task)),
             span.shard,
             span.core,
-            span.end * 1e6 - start,
             span.rate,
             json_str(span.closed_by)
         ));
@@ -392,32 +396,24 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
     let mut tracks: BTreeMap<(u32, u32), ()> = BTreeMap::new();
     // shard -> cumulative measured energy for the accrual counter.
     let mut energy: BTreeMap<u32, f64> = BTreeMap::new();
-    for ev in events {
-        let ts = ev.time * 1e6;
+    for (ev, ts) in events.iter().map(|ev| (ev, ev.time * 1e6)) {
+        if !ts.is_finite() {
+            continue;
+        }
         match &ev.kind {
             EventKind::Admit { depth, .. } => {
-                out.push(counter(
-                    ev.shard,
-                    ts,
-                    "queue depth",
-                    "depth",
-                    &depth.to_string(),
-                ));
+                let depth = depth.to_string();
+                out.push(counter(ev.shard, ts, "queue depth", "depth", &depth));
             }
             EventKind::Dispatch { core, rate, .. } => {
                 tracks.insert((ev.shard, *core), ());
                 out.push(rate_counter(ev.shard, *core, ts, *rate));
             }
-            EventKind::Complete { energy_j, .. } => {
+            EventKind::Complete { energy_j, .. } if energy_j.is_finite() => {
                 let total = energy.entry(ev.shard).or_insert(0.0);
                 *total += energy_j;
-                out.push(counter(
-                    ev.shard,
-                    ts,
-                    "energy (J)",
-                    "joules",
-                    &total.to_string(),
-                ));
+                let joules = total.to_string();
+                out.push(counter(ev.shard, ts, "energy (J)", "joules", &joules));
             }
             EventKind::Migrate {
                 task,

@@ -1,6 +1,6 @@
 //! Concurrency stress for the worker-backed service (CI runs it with
-//! `-- --ignored`, repeatedly, across both net backends and shard
-//! counts): burst submitters race a drain loop and a final wire
+//! `-- --ignored`, repeatedly; each run covers every cell of
+//! `cells::CELLS`): burst submitters race a drain loop and a final wire
 //! shutdown, and the books must still balance — every admitted task is
 //! completed by exactly one drained round, per-shard counts sum to the
 //! round totals, and nothing panics, wedges, or leaks a worker.
@@ -11,22 +11,19 @@
 //! landing in admission queues while drain barriers broadcast, collect
 //! in ascending shard order, and reset the round.
 
+mod cells;
+
+use cells::CELLS;
 use dvfs_serve::client::Connection;
 use dvfs_serve::protocol::{encode_command, encode_submit, value_u64, ErrorKind, Response};
-use dvfs_serve::{serve, Endpoint, Mode, RebalanceConfig, SchedulerConfig, ServerConfig};
+use dvfs_serve::{
+    serve, Endpoint, Mode, NetBackend, RebalanceConfig, SchedulerConfig, ServerConfig,
+};
 use dvfs_suite::model::TaskClass;
 use serde_json::Value;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn env_shards() -> usize {
-    std::env::var("DVFS_SERVE_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
 
 fn scratch(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dvfs-stress-{}-{name}.sock", std::process::id()))
@@ -57,11 +54,17 @@ fn drained_of(resp: &Response, shards: usize) -> u64 {
 #[test]
 #[ignore = "CI stress: run with `cargo test --test concurrency_stress -- --ignored`"]
 fn burst_submits_race_drains_and_shutdown_without_losing_tasks() {
+    for (net, shards) in CELLS {
+        burst_submits_race_drains_and_shutdown(net, shards);
+    }
+}
+
+fn burst_submits_race_drains_and_shutdown(net: NetBackend, shards: usize) {
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 200;
 
-    let shards = env_shards();
     let cfg = ServerConfig {
+        net,
         scheduler: SchedulerConfig {
             cores: 2,
             shards,
@@ -176,6 +179,13 @@ fn burst_submits_race_drains_and_shutdown_without_losing_tasks() {
 #[test]
 #[ignore = "CI stress: run with `cargo test --test concurrency_stress -- --ignored`"]
 fn drain_races_wire_shutdown_with_rebalancer_on() {
+    for (net, shards) in CELLS {
+        // Rebalancing needs a second shard.
+        drain_races_wire_shutdown_with_rebalancer(net, shards.max(2));
+    }
+}
+
+fn drain_races_wire_shutdown_with_rebalancer(net: NetBackend, shards: usize) {
     // Paced mode keeps the ticker thread running rebalance passes
     // (Steal/Inject command round-trips) while skewed submitters pile
     // everything onto shard 0, a drainer closes books mid-flight, and a
@@ -187,8 +197,8 @@ fn drain_races_wire_shutdown_with_rebalancer_on() {
     const CLIENTS: usize = 3;
     const PER_CLIENT: usize = 400;
 
-    let shards = env_shards().max(2); // rebalancing needs a second shard
     let cfg = ServerConfig {
+        net,
         scheduler: SchedulerConfig {
             cores: 2,
             shards,

@@ -14,8 +14,13 @@
 //! counts sum to the stream cursor. Auto ids cost no dedup entry
 //! either, and explicit ids still collide with them.
 //!
-//! Honours `DVFS_SERVE_SHARDS` (default 1) like the wire suites.
+//! The round runs once at each shard count of `cells::SHARDS`, one
+//! after the other: each run's memory is measured against its own
+//! early waves.
 
+mod cells;
+
+use cells::SHARDS;
 use dvfs_serve::protocol::{value_u64, ErrorKind, Response};
 use dvfs_serve::{Mode, Registry, Scheduler, SchedulerConfig, SubmitItem};
 use dvfs_suite::model::TaskClass;
@@ -29,14 +34,6 @@ const CAPACITY: usize = 16_384;
 /// Per shard: room for every event of a wave, so a ring drops nothing
 /// between two `trace_stream`s.
 const TRACE_CAPACITY: usize = 1 << 20;
-
-fn env_shards() -> usize {
-    std::env::var("DVFS_SERVE_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
 
 /// Resident set size of this process, in KiB.
 fn vm_rss_kib() -> u64 {
@@ -81,9 +78,15 @@ fn is_bad_request(resp: &Response) -> bool {
 
 #[test]
 fn paced_waves_retire_what_they_complete_and_the_drain_still_totals_the_round() {
+    for shards in SHARDS {
+        waves_retire_at(shards);
+    }
+}
+
+fn waves_retire_at(shards: usize) {
     let cfg = SchedulerConfig {
         cores: 2,
-        shards: env_shards(),
+        shards,
         mode: Mode::Paced { speed: 100_000.0 },
         queue_capacity: CAPACITY,
         trace_capacity: TRACE_CAPACITY,
@@ -184,6 +187,6 @@ fn paced_waves_retire_what_they_complete_and_the_drain_still_totals_the_round() 
     let (early, late) = (rss_kib[1], rss_kib[WAVES - 1]);
     assert!(
         late <= early + 16 * 1024,
-        "VmRSS grew from {early} KiB after wave 2 to {late} KiB after wave {WAVES}: {rss_kib:?}"
+        "{shards} shards: VmRSS grew from {early} KiB after wave 2 to {late} KiB after wave {WAVES}: {rss_kib:?}"
     );
 }

@@ -6,30 +6,26 @@
 //! the measured values exactly when a task runs uncontended to
 //! completion in drain mode.
 //!
-//! The determinism tests honour `DVFS_SERVE_SHARDS` (default 1) like
-//! `serve_e2e.rs`, but also sweep explicit shard counts in process:
-//! the pinned trace's ids all hash to shard 0 at 1, 2, and 4 shards,
-//! so the drained event stream must not depend on the shard count.
+//! The determinism tests run in every cell of `cells::CELLS`, like
+//! `serve_e2e.rs`, and sweep the shard counts in process too: the
+//! pinned trace's ids all hash to shard 0 at 1, 2, and 4 shards, so the
+//! drained event stream must not depend on the shard count. The
+//! Chrome-trace export is held to valid JSON whatever numbers the
+//! events carry.
 
+mod cells;
+
+use cells::{BACKENDS, CELLS, SHARDS};
 use dvfs_serve::client::{self, Connection};
 use dvfs_serve::protocol::{encode_command, value_u64};
 use dvfs_serve::{serve, Endpoint, Registry, Response, SchedulerConfig, ServerConfig};
 use dvfs_suite::model::{Task, TaskClass};
 use dvfs_suite::serve::parse_jsonl;
 use dvfs_suite::trace::export::chrome_trace;
-use dvfs_suite::trace::EventKind;
+use dvfs_suite::trace::{EventKind, TraceEvent};
 use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// Shard count under test, from `DVFS_SERVE_SHARDS` (default 1).
-fn env_shards() -> usize {
-    std::env::var("DVFS_SERVE_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
 
 fn scratch(name: &str, ext: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -77,15 +73,13 @@ fn traced_run(shards: usize) -> Vec<String> {
 
 #[test]
 fn drained_trace_is_bit_identical_across_runs_and_shard_counts() {
-    let reference = traced_run(env_shards());
+    let reference = traced_run(1);
     assert!(!reference.is_empty(), "trace must record the run");
     // Re-running the identical workload must reproduce the identical
     // bytes — no wall-clock, allocation order, or thread interleaving
-    // may leak into the stream.
-    assert_eq!(reference, traced_run(env_shards()), "re-run differs");
-    // The pinned ids all hash to shard 0, so the stream is also
-    // invariant under the shard count.
-    for shards in [1usize, 2, 4] {
+    // may leak into the stream. The pinned ids all hash to shard 0, so
+    // the stream is also invariant under the shard count.
+    for shards in SHARDS {
         assert_eq!(
             reference,
             traced_run(shards),
@@ -118,68 +112,71 @@ fn drained_trace_is_bit_identical_across_runs_and_shard_counts() {
 
 #[test]
 fn wire_trace_and_trace_out_file_serve_the_same_bytes() {
-    let sock = scratch("wire", "sock");
-    let trace_path = scratch("wire", "jsonl");
-    std::fs::remove_file(&trace_path).ok();
-    let cfg = ServerConfig {
-        scheduler: SchedulerConfig {
-            cores: 2,
-            shards: env_shards(),
-            trace_capacity: 4096,
-            ..SchedulerConfig::default()
-        },
-        trace_out: Some(trace_path.clone()),
-        ..ServerConfig::new(Endpoint::Unix(sock))
-    };
-    let handle = serve(cfg).expect("server binds");
+    for (net, shards) in CELLS {
+        let sock = scratch("wire", "sock");
+        let trace_path = scratch("wire", "jsonl");
+        std::fs::remove_file(&trace_path).ok();
+        let cfg = ServerConfig {
+            net,
+            scheduler: SchedulerConfig {
+                cores: 2,
+                shards,
+                trace_capacity: 4096,
+                ..SchedulerConfig::default()
+            },
+            trace_out: Some(trace_path.clone()),
+            ..ServerConfig::new(Endpoint::Unix(sock))
+        };
+        let handle = serve(cfg).expect("server binds");
 
-    let report = client::replay(handle.endpoint(), &mixed_trace()).expect("replay succeeds");
-    assert_eq!(report.shed, 0);
-    assert_eq!(report.errors, 0);
+        let report = client::replay(handle.endpoint(), &mixed_trace()).expect("replay succeeds");
+        assert_eq!(report.shed, 0);
+        assert_eq!(report.errors, 0);
 
-    // Fetch the trace over the wire.
-    let mut conn = Connection::open(handle.endpoint()).expect("client connects");
-    let resp = conn
-        .round_trip(&encode_command("trace"))
-        .expect("trace round-trips");
-    let Response::Ok(_) = &resp else {
-        panic!("trace failed: {resp:?}");
-    };
-    let count = resp.field("count").and_then(value_u64).expect("count");
-    let dropped = resp.field("dropped").and_then(value_u64).expect("dropped");
-    assert_eq!(dropped, 0);
-    let Some(Value::Array(items)) = resp.field("events") else {
-        panic!("trace response carries an events array");
-    };
-    assert_eq!(items.len() as u64, count);
-    let wire_lines: Vec<&str> = items
-        .iter()
-        .map(|v| match v {
-            Value::String(s) => s.as_str(),
-            other => panic!("event is not a string: {other:?}"),
-        })
-        .collect();
-    assert!(!wire_lines.is_empty());
+        // Fetch the trace over the wire.
+        let mut conn = Connection::open(handle.endpoint()).expect("client connects");
+        let resp = conn
+            .round_trip(&encode_command("trace"))
+            .expect("trace round-trips");
+        let Response::Ok(_) = &resp else {
+            panic!("trace failed: {resp:?}");
+        };
+        let count = resp.field("count").and_then(value_u64).expect("count");
+        let dropped = resp.field("dropped").and_then(value_u64).expect("dropped");
+        assert_eq!(dropped, 0);
+        let Some(Value::Array(items)) = resp.field("events") else {
+            panic!("trace response carries an events array");
+        };
+        assert_eq!(items.len() as u64, count);
+        let wire_lines: Vec<&str> = items
+            .iter()
+            .map(|v| match v {
+                Value::String(s) => s.as_str(),
+                other => panic!("event is not a string: {other:?}"),
+            })
+            .collect();
+        assert!(!wire_lines.is_empty());
 
-    handle.shutdown();
-    handle.wait();
+        handle.shutdown();
+        handle.wait();
 
-    // The file the server flushed must hold the byte-identical stream.
-    let file = std::fs::read_to_string(&trace_path).expect("trace file written");
-    let mut want = wire_lines.join("\n");
-    want.push('\n');
-    assert_eq!(file, want, "file and wire trace diverge");
+        // The file the server flushed must hold the byte-identical stream.
+        let file = std::fs::read_to_string(&trace_path).expect("trace file written");
+        let mut want = wire_lines.join("\n");
+        want.push('\n');
+        assert_eq!(file, want, "file and wire trace diverge");
 
-    // And the stream round-trips through the parser into a Perfetto-
-    // loadable Chrome trace with one named track per shard×core.
-    let events = parse_jsonl(&file).expect("trace file parses");
-    let chrome = chrome_trace(&events);
-    assert!(chrome.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-    assert!(chrome.contains("\"ph\":\"X\""), "no duration spans");
-    assert!(chrome.contains("\"name\":\"process_name\""));
-    assert!(chrome.contains("\"name\":\"thread_name\""));
+        // And the stream round-trips through the parser into a Perfetto-
+        // loadable Chrome trace with one named track per shard×core.
+        let events = parse_jsonl(&file).expect("trace file parses");
+        let chrome = chrome_trace(&events);
+        assert!(chrome.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
+        assert!(chrome.contains("\"ph\":\"X\""), "no duration spans");
+        assert!(chrome.contains("\"name\":\"process_name\""));
+        assert!(chrome.contains("\"name\":\"thread_name\""));
 
-    std::fs::remove_file(&trace_path).ok();
+        std::fs::remove_file(&trace_path).ok();
+    }
 }
 
 /// Decode a `trace`/`trace_stream` response's events array as owned
@@ -199,92 +196,101 @@ fn event_lines(resp: &Response) -> Vec<String> {
 
 #[test]
 fn trace_stream_chunks_and_file_match_the_one_shot_trace() {
-    // Reference: the identical workload against a one-shot `trace`.
-    let reference = traced_run(env_shards());
-    assert!(!reference.is_empty());
+    for (net, shards) in CELLS {
+        // Reference: the identical workload against a one-shot `trace`.
+        let reference = traced_run(shards);
+        assert!(!reference.is_empty());
 
-    let sock = scratch("stream", "sock");
-    let trace_path = scratch("stream", "jsonl");
-    std::fs::remove_file(&trace_path).ok();
-    let cfg = ServerConfig {
-        scheduler: SchedulerConfig {
-            cores: 2,
-            shards: env_shards(),
-            trace_capacity: 4096,
-            ..SchedulerConfig::default()
-        },
-        trace_out: Some(trace_path.clone()),
-        ..ServerConfig::new(Endpoint::Unix(sock))
-    };
-    let handle = serve(cfg).expect("server binds");
+        let sock = scratch("stream", "sock");
+        let trace_path = scratch("stream", "jsonl");
+        std::fs::remove_file(&trace_path).ok();
+        let cfg = ServerConfig {
+            net,
+            scheduler: SchedulerConfig {
+                cores: 2,
+                shards,
+                trace_capacity: 4096,
+                ..SchedulerConfig::default()
+            },
+            trace_out: Some(trace_path.clone()),
+            ..ServerConfig::new(Endpoint::Unix(sock))
+        };
+        let handle = serve(cfg).expect("server binds");
 
-    let report = client::replay(handle.endpoint(), &mixed_trace()).expect("replay succeeds");
-    assert_eq!(report.shed, 0);
-    assert_eq!(report.errors, 0);
+        let report = client::replay(handle.endpoint(), &mixed_trace()).expect("replay succeeds");
+        assert_eq!(report.shed, 0);
+        assert_eq!(report.errors, 0);
 
-    // First stream drains everything retained...
-    let mut conn = Connection::open(handle.endpoint()).expect("client connects");
-    let resp = conn
-        .round_trip(&encode_command("trace_stream"))
-        .expect("trace_stream round-trips");
-    let Response::Ok(_) = &resp else {
-        panic!("trace_stream failed: {resp:?}");
-    };
-    assert_eq!(resp.field("dropped").and_then(value_u64), Some(0));
-    let chunk1 = event_lines(&resp);
-    assert_eq!(
-        resp.field("count").and_then(value_u64),
-        Some(chunk1.len() as u64)
-    );
-    assert_eq!(
-        resp.field("streamed").and_then(value_u64),
-        Some(chunk1.len() as u64)
-    );
+        // First stream drains everything retained...
+        let mut conn = Connection::open(handle.endpoint()).expect("client connects");
+        let resp = conn
+            .round_trip(&encode_command("trace_stream"))
+            .expect("trace_stream round-trips");
+        let Response::Ok(_) = &resp else {
+            panic!("trace_stream failed: {resp:?}");
+        };
+        assert_eq!(resp.field("dropped").and_then(value_u64), Some(0));
+        let chunk1 = event_lines(&resp);
+        assert_eq!(
+            resp.field("count").and_then(value_u64),
+            Some(chunk1.len() as u64)
+        );
+        assert_eq!(
+            resp.field("streamed").and_then(value_u64),
+            Some(chunk1.len() as u64)
+        );
 
-    // ... and the second chunk is empty: drain-and-forget, with the
-    // cumulative streamed cursor standing still.
-    let resp2 = conn
-        .round_trip(&encode_command("trace_stream"))
-        .expect("second trace_stream round-trips");
-    let chunk2 = event_lines(&resp2);
-    assert!(chunk2.is_empty(), "stream must forget drained events");
-    assert_eq!(
-        resp2.field("streamed").and_then(value_u64),
-        Some(chunk1.len() as u64)
-    );
+        // ... and the second chunk is empty: drain-and-forget, with the
+        // cumulative streamed cursor standing still.
+        let resp2 = conn
+            .round_trip(&encode_command("trace_stream"))
+            .expect("second trace_stream round-trips");
+        let chunk2 = event_lines(&resp2);
+        assert!(chunk2.is_empty(), "stream must forget drained events");
+        assert_eq!(
+            resp2.field("streamed").and_then(value_u64),
+            Some(chunk1.len() as u64)
+        );
 
-    // Byte identity: the concatenated chunks are the one-shot trace the
-    // in-process reference produced for the same workload.
-    let streamed: Vec<String> = chunk1.into_iter().chain(chunk2).collect();
-    assert_eq!(streamed, reference, "streamed chunks diverge from trace");
+        // Byte identity: the concatenated chunks are the one-shot trace the
+        // in-process reference produced for the same workload.
+        let streamed: Vec<String> = chunk1.into_iter().chain(chunk2).collect();
+        assert_eq!(streamed, reference, "streamed chunks diverge from trace");
 
-    handle.shutdown();
-    handle.wait();
+        handle.shutdown();
+        handle.wait();
 
-    // The append-only file saw exactly the streamed bytes once — the
-    // stream's file append and the shutdown flush share one cursor, so
-    // nothing is duplicated or lost.
-    let file = std::fs::read_to_string(&trace_path).expect("trace file written");
-    let mut want = streamed.join("\n");
-    want.push('\n');
-    assert_eq!(file, want, "file and streamed trace diverge");
-    std::fs::remove_file(&trace_path).ok();
+        // The append-only file saw exactly the streamed bytes once — the
+        // stream's file append and the shutdown flush share one cursor, so
+        // nothing is duplicated or lost.
+        let file = std::fs::read_to_string(&trace_path).expect("trace file written");
+        let mut want = streamed.join("\n");
+        want.push('\n');
+        assert_eq!(file, want, "file and streamed trace diverge");
+        std::fs::remove_file(&trace_path).ok();
+    }
 }
 
 #[test]
 fn trace_command_errors_when_tracing_is_disabled() {
-    let sock = scratch("disabled", "sock");
-    let handle = serve(ServerConfig::new(Endpoint::Unix(sock))).expect("server binds");
-    let mut conn = Connection::open(handle.endpoint()).expect("client connects");
-    let resp = conn
-        .round_trip(&encode_command("trace"))
-        .expect("round-trips");
-    assert!(
-        matches!(resp, Response::Err { .. }),
-        "expected an error, got {resp:?}"
-    );
-    handle.shutdown();
-    handle.wait();
+    for net in BACKENDS {
+        let sock = scratch("disabled", "sock");
+        let cfg = ServerConfig {
+            net,
+            ..ServerConfig::new(Endpoint::Unix(sock))
+        };
+        let handle = serve(cfg).expect("server binds");
+        let mut conn = Connection::open(handle.endpoint()).expect("client connects");
+        let resp = conn
+            .round_trip(&encode_command("trace"))
+            .expect("round-trips");
+        assert!(
+            matches!(resp, Response::Err { .. }),
+            "expected an error, got {resp:?}"
+        );
+        handle.shutdown();
+        handle.wait();
+    }
 }
 
 #[test]
@@ -356,4 +362,106 @@ fn dispatch_predictions_match_measured_costs_exactly_in_drain_mode() {
         checked += 1;
     }
     assert_eq!(checked, 4);
+}
+
+/// A Chrome trace is JSON whatever the events carry: a span, instant
+/// or counter sample whose timestamp, duration or value is NaN or ±inf
+/// is left out (`NaN` and `inf` are not JSON, and Perfetto refuses the
+/// file), and the finite rest is kept. A non-finite `energy_j` adds
+/// nothing to the cumulative energy counter.
+#[test]
+fn chrome_trace_leaves_out_non_finite_numbers() {
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let event = |time: f64, kind: EventKind| TraceEvent {
+        time,
+        shard: 0,
+        seq: 0,
+        kind,
+    };
+    let dispatch = |task| EventKind::Dispatch {
+        task,
+        core: 0,
+        rate: 3,
+        predicted_energy_j: 1.0,
+        predicted_time_s: 1.0,
+    };
+    let complete = |task, energy_j| EventKind::Complete {
+        task,
+        core: 0,
+        energy_j,
+        turnaround_s: 1.0,
+    };
+    let events = [
+        event(0.0, dispatch(1)),
+        event(1.0, complete(1, 2.0)),
+        // Spans from or to a non-finite time.
+        event(-inf, dispatch(2)),
+        event(2.0, complete(2, 1.0)),
+        event(3.0, dispatch(3)),
+        event(inf, complete(3, 1.0)),
+        // Finite spans whose energy is not.
+        event(5.0, dispatch(5)),
+        event(6.0, complete(5, nan)),
+        event(7.0, dispatch(6)),
+        event(8.0, complete(6, inf)),
+        event(9.0, dispatch(7)),
+        event(10.0, complete(7, -inf)),
+        event(11.0, dispatch(8)),
+        event(12.0, complete(8, 0.5)),
+        // Counter samples and instants at non-finite times.
+        event(nan, EventKind::Admit { task: 9, depth: 1 }),
+        event(
+            nan,
+            EventKind::RateChange {
+                core: 1,
+                from: 0,
+                to: 2,
+            },
+        ),
+        event(
+            inf,
+            EventKind::Migrate {
+                task: 9,
+                from_shard: 1,
+                to_shard: 0,
+                from_cost: 1.0,
+                to_cost: 0.0,
+            },
+        ),
+    ];
+    let chrome = chrome_trace(&events);
+    let doc = serde_json::from_str(&chrome).unwrap_or_else(|e| panic!("{e}: {chrome}"));
+    let Some(Value::Array(items)) = doc.get("traceEvents") else {
+        panic!("traceEvents array: {chrome}");
+    };
+    let named = |name: &str| {
+        let is = |e: &&Value| e.get("name").and_then(Value::as_str) == Some(name);
+        items.iter().filter(is).collect::<Vec<_>>()
+    };
+    for task in [1, 5, 6, 7, 8] {
+        assert_eq!(
+            named(&format!("task {task}")).len(),
+            1,
+            "task {task}: {chrome}"
+        );
+    }
+    for task in [2, 3] {
+        assert!(
+            named(&format!("task {task}")).is_empty(),
+            "task {task}: {chrome}"
+        );
+    }
+    for name in ["queue depth", "core 1 rate", "rate 0->2", "migrate task 9"] {
+        assert!(named(name).is_empty(), "{name}: {chrome}");
+    }
+    let joules: Vec<f64> = named("energy (J)")
+        .iter()
+        .map(|e| {
+            e.get("args")
+                .and_then(|a| a.get("joules"))
+                .and_then(Value::as_f64)
+        })
+        .collect::<Option<_>>()
+        .expect("every energy sample carries its joules");
+    assert_eq!(joules, [2.0, 3.0, 3.5], "{chrome}");
 }
