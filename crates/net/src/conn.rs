@@ -1,22 +1,23 @@
-//! Per-connection state: a nonblocking fd, the read-side framer, and a
-//! buffered write side with explicit backpressure.
+//! Per-connection state: a nonblocking stream, the read-side framer,
+//! and a buffered write side with explicit backpressure.
 
 use crate::framing::{Batch, LineFramer};
 use crate::handler::recycle;
 use crate::poller::Interest;
-use crate::sys;
-use std::io;
+use std::io::{self, Read, Write};
+use std::os::fd::AsRawFd;
 
 /// Reads per readiness wake before yielding back to the poller, so one
 /// firehose client cannot starve the rest (level-triggered epoll will
 /// re-report the fd on the next wait).
 const MAX_READS_PER_WAKE: usize = 16;
 
-/// One accepted connection owned by the reactor. Dropping it closes
-/// the fd.
+/// One accepted connection owned by the reactor, over any nonblocking
+/// stream whose descriptor epoll can watch. Dropping it drops (and so
+/// closes) the stream.
 #[derive(Debug)]
-pub struct Connection {
-    fd: i32,
+pub struct Connection<S> {
+    stream: S,
     framer: LineFramer,
     out: Vec<u8>,
     out_pos: usize,
@@ -28,12 +29,12 @@ pub struct Connection {
     pub armed: Interest,
 }
 
-impl Connection {
-    /// Wrap an already-nonblocking fd.
+impl<S: Read + Write + AsRawFd> Connection<S> {
+    /// Wrap an already-nonblocking stream.
     #[must_use]
-    pub fn new(fd: i32, max_line: usize) -> Connection {
+    pub fn new(stream: S, max_line: usize) -> Connection<S> {
         Connection {
-            fd,
+            stream,
             framer: LineFramer::new(max_line),
             out: Vec::new(),
             out_pos: 0,
@@ -42,10 +43,10 @@ impl Connection {
         }
     }
 
-    /// The underlying fd.
+    /// The stream's descriptor.
     #[must_use]
     pub fn fd(&self) -> i32 {
-        self.fd
+        self.stream.as_raw_fd()
     }
 
     /// Read into `scratch` until the socket would block (bounded by
@@ -66,10 +67,13 @@ impl Connection {
         mut each: impl FnMut(Batch<'_>, &mut Vec<u8>) -> bool,
     ) -> io::Result<bool> {
         let Connection {
-            fd, framer, out, ..
+            stream,
+            framer,
+            out,
+            ..
         } = self;
         for _ in 0..MAX_READS_PER_WAKE {
-            match sys::read_fd(*fd, scratch) {
+            match stream.read(scratch) {
                 Ok(0) => return Ok(true),
                 Ok(n) => {
                     let mut keep_reading = true;
@@ -108,7 +112,7 @@ impl Connection {
     pub fn flush(&mut self) -> io::Result<bool> {
         while self.out_pos < self.out.len() {
             let rest = self.out.get(self.out_pos..).unwrap_or(&[]);
-            match sys::write_fd(self.fd, rest) {
+            match self.stream.write(rest) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::WriteZero,
@@ -127,24 +131,16 @@ impl Connection {
     }
 }
 
-impl Drop for Connection {
-    fn drop(&mut self) {
-        sys::close_fd(self.fd);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read as _, Write as _};
-    use std::os::fd::{AsRawFd, IntoRawFd};
     use std::os::unix::net::UnixStream;
 
     #[test]
     fn fill_frames_and_flush_round_trip() {
         let (mut peer, local) = UnixStream::pair().unwrap();
         local.set_nonblocking(true).unwrap();
-        let mut conn = Connection::new(local.into_raw_fd(), 1024);
+        let mut conn = Connection::new(local, 1024);
 
         peer.write_all(b"{\"cmd\":\"ping\"}\npartial").unwrap();
         let mut scratch = [0u8; 64];
@@ -171,7 +167,7 @@ mod tests {
     fn fill_reports_eof() {
         let (peer, local) = UnixStream::pair().unwrap();
         local.set_nonblocking(true).unwrap();
-        let mut conn = Connection::new(local.into_raw_fd(), 1024);
+        let mut conn = Connection::new(local, 1024);
         drop(peer);
         assert!(conn.fill(&mut [0u8; 64], |_, _| true).unwrap());
     }
@@ -181,7 +177,7 @@ mod tests {
         let (peer, local) = UnixStream::pair().unwrap();
         local.set_nonblocking(true).unwrap();
         let fd = local.as_raw_fd();
-        let mut conn = Connection::new(local.into_raw_fd(), 1024);
+        let mut conn = Connection::new(local, 1024);
         assert_eq!(conn.fd(), fd);
         // Queue far more than a socketpair buffer holds; with nobody
         // reading, flush must stop at WouldBlock with bytes pending.

@@ -77,8 +77,9 @@ pub trait Handler: Send + Sync {
     fn shed_line(&self) -> String;
 
     /// Polled between reads (blocking) or once per wakeup (reactor);
-    /// `true` ends the driver. Pending responses get a best-effort
-    /// final flush.
+    /// `true` ends the driver. Responses already answered still leave:
+    /// the blocking driver has written them, the reactor writes out
+    /// what is queued (for up to 5 s) before it closes.
     fn should_stop(&self) -> bool;
 }
 

@@ -78,7 +78,7 @@ impl Lane {
                 let stop = work.answer(handler, received, &mut out);
                 // Deliver before acting on a stop request: the ack must
                 // be in the reactor's mailbox before `should_stop` can
-                // turn true, so the loop's final flush carries it out.
+                // turn true, so the loop's final write-out carries it.
                 mailbox.deliver(token, out);
                 if stop {
                     handler.stop();

@@ -8,10 +8,10 @@
 //! driver is evented, and the blocking one is kept trivially small by
 //! sharing everything but the I/O model:
 //!
-//! - [`sys`] — thin `extern "C"` bindings for exactly the syscalls the
-//!   reactor needs (`epoll_create1`/`epoll_ctl`/`epoll_wait`,
-//!   `accept4`, nonblocking `read`/`write`, `rlimit`). The only
-//!   `unsafe` in the crate lives here.
+//! - [`sys`] — thin `extern "C"` bindings for what `std` lacks:
+//!   `epoll_create1`/`epoll_ctl`/`epoll_wait` and
+//!   `getrlimit`/`setrlimit`. Sockets, reads, writes and closing are
+//!   `std`'s. The only `unsafe` in the crate lives here.
 //! - [`poller`] — a safe epoll wrapper ([`Poller`], [`Interest`],
 //!   [`Event`]).
 //! - [`framing`] — incremental NDJSON line splitting with an
@@ -26,15 +26,18 @@
 //!   the pass stops before the first line that would block
 //!   ([`Answered`]).
 //! - [`conn`] — per-connection read framer + buffered write side with
-//!   explicit backpressure ([`Connection`]).
-//! - [`reactor`] — the event loop ([`reactor::run`]): accept with a
-//!   shed-on-accept connection budget, answer inline up to the first
-//!   line that would block, re-arm `EPOLLOUT` while responses are
-//!   part-written, and route that line and what follows it through a
-//!   private slow-lane thread — the same `Handler::answer`, called as
-//!   a caller that may wait — whose replies come back over an
-//!   eventfd-woken mailbox, so a slow request never blocks the event
-//!   loop.
+//!   explicit backpressure over any `Read + Write + AsRawFd` stream
+//!   ([`Connection`]).
+//! - [`reactor`] — the event loop ([`Reactor`]: `new` takes its
+//!   descriptors, `run` is the loop): accept through the embedder's
+//!   closure with a shed-on-accept connection budget, answer inline up
+//!   to the first line that would block, re-arm `EPOLLOUT` while
+//!   responses are part-written, and route that line and what follows
+//!   it through a private slow-lane thread — the same
+//!   `Handler::answer`, called as a caller that may wait — whose
+//!   replies come back over a socket-pair-woken mailbox, so a slow
+//!   request never blocks the event loop; on a stop it writes out what
+//!   is queued before it closes.
 //! - [`blocking`] — the blocking driver ([`blocking::serve`]): one
 //!   `Read + Write` stream served on the calling thread, one write per
 //!   read.
@@ -63,4 +66,4 @@ pub use conn::Connection;
 pub use framing::{Batch, Frame, LineFramer, DEFAULT_MAX_LINE};
 pub use handler::{Answered, Caller, Handler};
 pub use poller::{Event, Interest, Poller};
-pub use reactor::{Observer, ReactorConfig};
+pub use reactor::{Observer, Reactor, ReactorConfig};

@@ -2,6 +2,7 @@
 
 use crate::sys;
 use std::io;
+use std::os::fd::{AsRawFd, OwnedFd};
 
 /// Interest set for one registered fd; the default is none (the fd
 /// stays registered and wakes nobody).
@@ -49,7 +50,7 @@ pub struct Event {
 /// are untouched — their owners close them).
 #[derive(Debug)]
 pub struct Poller {
-    epfd: i32,
+    epfd: OwnedFd,
 }
 
 impl Poller {
@@ -68,7 +69,7 @@ impl Poller {
     /// # Errors
     /// The OS error from `epoll_ctl`.
     pub fn add(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        sys::epoll_add(self.epfd, fd, interest.bits(), token)
+        sys::epoll_add(self.epfd.as_raw_fd(), fd, interest.bits(), token)
     }
 
     /// Change the interest set of an already-registered `fd`.
@@ -76,7 +77,7 @@ impl Poller {
     /// # Errors
     /// The OS error from `epoll_ctl`.
     pub fn modify(&self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        sys::epoll_mod(self.epfd, fd, interest.bits(), token)
+        sys::epoll_mod(self.epfd.as_raw_fd(), fd, interest.bits(), token)
     }
 
     /// Deregister `fd`.
@@ -84,7 +85,7 @@ impl Poller {
     /// # Errors
     /// The OS error from `epoll_ctl`.
     pub fn remove(&self, fd: i32) -> io::Result<()> {
-        sys::epoll_del(self.epfd, fd)
+        sys::epoll_del(self.epfd.as_raw_fd(), fd)
     }
 
     /// Wait up to `timeout_ms` and append decoded events to `out`
@@ -96,7 +97,7 @@ impl Poller {
         const MAX_EVENTS: usize = 256;
         out.clear();
         let mut raw = [sys::EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
-        let n = sys::wait(self.epfd, &mut raw, timeout_ms)?;
+        let n = sys::wait(self.epfd.as_raw_fd(), &mut raw, timeout_ms)?;
         for ev in raw.iter().take(n) {
             // Copy out of the (possibly packed) struct before use.
             let bits = { ev.events };
@@ -112,17 +113,10 @@ impl Poller {
     }
 }
 
-impl Drop for Poller {
-    fn drop(&mut self) {
-        sys::close_fd(self.epfd);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write as _;
-    use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
 
     #[test]

@@ -1,12 +1,19 @@
 //! The single-threaded mini-reactor: one epoll instance multiplexing a
-//! listening socket, every accepted connection, and an eventfd waker
+//! listening socket, every accepted connection, and a socket-pair waker
 //! for replies produced off the event loop.
 //!
 //! Protocol logic stays out of this crate: the embedding server
 //! provides a [`Handler`] (answer a batch of request lines into the
 //! connection's output bytes) and an [`Observer`] (metrics taps). The
 //! reactor owns readiness, framing, batching, the connection budget,
-//! `EPOLLOUT`-re-armed backpressure, and the slow lane.
+//! `EPOLLOUT`-re-armed backpressure, and the slow lane. Sockets are
+//! `std`'s: the embedder's accept closure hands over each connection as
+//! a nonblocking `Read + Write + AsRawFd` stream.
+//!
+//! [`Reactor::new`] takes the reactor's descriptors — the epoll
+//! instance, the waker pair — and registers the listener, so the
+//! embedder sees a failure there on its own thread; [`Reactor::run`] is
+//! the loop.
 //!
 //! Event-loop shape per wakeup:
 //!
@@ -25,6 +32,10 @@
 //! 5. flush stopped by `EPOLLOUT`? re-arm write interest and finish the
 //!    flush on a later wakeup.
 //!
+//! On a stop, the replies already delivered land on their connections,
+//! and what every connection has queued is written out — for up to
+//! `STOP_WRITE_BOUND`, 5 s — before the connections close.
+//!
 //! ## Deferred work (internal)
 //!
 //! Called from the loop ([`Caller::EventLoop`]), [`Handler::answer`]
@@ -32,7 +43,7 @@
 //! where. The reactor ships an owned copy of the batch's lines from
 //! there on — the one copy on this rare path — to its slow-lane thread
 //! (`lane.rs`), which calls the same `answer` as a caller that may wait
-//! and delivers the bytes to the eventfd-woken mailbox. The reactor
+//! and delivers the bytes to the socket-pair-woken mailbox. The reactor
 //! keeps the connection open (even across peer EOF) until every
 //! deferred reply has arrived. Tokens are generation-tagged, so a reply
 //! that outlives its connection is dropped instead of landing on a
@@ -46,15 +57,17 @@
 
 use crate::accept::{after_accept_error, AcceptRetry, ACCEPT_BACKOFF};
 use crate::conn::Connection;
-use crate::framing::{Batch, DEFAULT_MAX_LINE};
+use crate::framing::Batch;
 use crate::handler::{push_line, Answered, Caller, Handler};
 use crate::lane::{Deferred, Lane};
 use crate::poller::{Event, Interest, Poller};
-use crate::sys;
 use std::borrow::Cow;
-use std::io;
+use std::io::{self, Read, Write};
+use std::marker::PhantomData;
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Reactor tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -68,15 +81,9 @@ pub struct ReactorConfig {
     pub poll_timeout_ms: i32,
 }
 
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            max_connections: 10_240,
-            max_line_bytes: DEFAULT_MAX_LINE,
-            poll_timeout_ms: 100,
-        }
-    }
-}
+/// How long a graceful stop goes on writing the replies already
+/// queued; a peer that has not read its reply by then is cut off.
+const STOP_WRITE_BOUND: Duration = Duration::from_secs(5);
 
 /// Metrics taps: the embedding server exports what the loop reports.
 pub trait Observer {
@@ -123,18 +130,16 @@ fn token_parts(token: u64) -> Option<(u32, usize)> {
 }
 
 /// Thread-safe inbox for deferred replies. The slow lane delivers the
-/// response bytes and signals the reactor's eventfd waker; the event loop
-/// applies them on its next wakeup. [`run`] owns it and joins the lane
-/// thread before dropping it, so the lane never writes to a closed fd.
+/// response bytes and writes a byte to the waker pair; the event loop
+/// applies them on its next wakeup. [`Reactor::run`] joins the lane
+/// thread before the mailbox can drop, so the lane never writes to a
+/// closed socket.
 pub(crate) struct Mailbox {
-    efd: i32,
+    /// The lane's end of the waker pair: one byte per delivery.
+    wake: UnixStream,
+    /// The event loop's end, registered under `WAKER_TOKEN`.
+    woken: UnixStream,
     queue: Mutex<Vec<(u64, Vec<u8>)>>,
-}
-
-impl Drop for Mailbox {
-    fn drop(&mut self) {
-        sys::close_fd(self.efd);
-    }
 }
 
 impl Mailbox {
@@ -152,11 +157,16 @@ impl Mailbox {
             let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
             queue.push((token, bytes));
         }
-        sys::eventfd_signal(self.efd);
+        // A full buffer (`WouldBlock`) still leaves `woken` readable,
+        // so the wakeup is delivered either way.
+        let _ = (&self.wake).write(&[1]);
     }
 
     fn take(&self) -> Vec<(u64, Vec<u8>)> {
-        sys::eventfd_drain(self.efd);
+        // Read the wake bytes up to `WouldBlock`, so that the next
+        // delivery makes `woken` readable anew.
+        let mut sink = [0u8; 256];
+        while (&self.woken).read(&mut sink).is_ok_and(|n| n > 0) {}
         #[expect(
             clippy::disallowed_methods,
             reason = "leaf mailbox mutex held only to swap the Vec out; contenders are one-push slow-lane writers"
@@ -166,8 +176,8 @@ impl Mailbox {
     }
 }
 
-struct Entry {
-    conn: Connection,
+struct Entry<S> {
+    conn: Connection<S>,
     generation: u32,
     /// Deferred work whose replies have not yet been injected. The
     /// connection is not closed — even after peer EOF — while this is
@@ -180,8 +190,8 @@ struct Entry {
     stalled_since: Option<Instant>,
 }
 
-struct Slab {
-    slots: Vec<Option<Entry>>,
+struct Slab<S> {
+    slots: Vec<Option<Entry<S>>>,
     /// Generation counter per slot, bumped on every reuse so stale
     /// tokens (deferred replies for a closed connection) cannot alias
     /// a new occupant.
@@ -190,8 +200,8 @@ struct Slab {
     open: usize,
 }
 
-impl Slab {
-    fn new() -> Slab {
+impl<S> Slab<S> {
+    fn new() -> Slab<S> {
         Slab {
             slots: Vec::new(),
             generations: Vec::new(),
@@ -200,7 +210,7 @@ impl Slab {
         }
     }
 
-    fn insert(&mut self, conn: Connection) -> (usize, u32) {
+    fn insert(&mut self, conn: Connection<S>) -> (usize, u32) {
         self.open += 1;
         if let Some(idx) = self.free.pop() {
             if let (Some(slot), Some(generation)) =
@@ -226,11 +236,11 @@ impl Slab {
         (self.slots.len() - 1, 0)
     }
 
-    fn get_mut(&mut self, idx: usize) -> Option<&mut Entry> {
+    fn get_mut(&mut self, idx: usize) -> Option<&mut Entry<S>> {
         self.slots.get_mut(idx).and_then(Option::as_mut)
     }
 
-    fn remove(&mut self, idx: usize) -> Option<Entry> {
+    fn remove(&mut self, idx: usize) -> Option<Entry<S>> {
         let entry = self.slots.get_mut(idx).and_then(Option::take);
         if entry.is_some() {
             self.open -= 1;
@@ -240,56 +250,93 @@ impl Slab {
     }
 }
 
-/// Run the reactor over an already-bound, **nonblocking** listening
-/// socket until [`Handler::should_stop`] returns `true`. The listener
-/// fd is borrowed: registered with the reactor's epoll instance for
-/// the duration, never closed. Returns once the slow lane has finished
-/// the work already deferred to it (a stop request's drain, say).
-///
-/// # Errors
-/// Only on setup or wait failures of the epoll instance itself;
-/// per-connection errors close that connection and keep the loop
-/// running.
-pub fn run<H: Handler + ?Sized>(
+/// The reactor's descriptors, taken before its loop runs: the epoll
+/// instance with the listener registered, and the waker pair its slow
+/// lane wakes it through. Dropping it closes both.
+pub struct Reactor {
     listener_fd: i32,
-    cfg: &ReactorConfig,
-    handler: &H,
-    observer: &mut dyn Observer,
-) -> io::Result<()> {
-    let poller = Poller::new()?;
-    poller.add(listener_fd, LISTENER_TOKEN, Interest::READ)?;
-    let mailbox = Mailbox {
-        efd: sys::eventfd_nonblocking()?,
-        queue: Mutex::new(Vec::new()),
-    };
-    poller.add(mailbox.efd, WAKER_TOKEN, Interest::READ)?;
-    // The scope joins the lane thread after `event_loop` returns and
-    // drops the `Lane` (hanging its channel up).
-    std::thread::scope(|scope| {
-        let reactor = Reactor {
-            listener_fd,
-            cfg,
-            poller: &poller,
-            mailbox: &mailbox,
-            lane: Lane::spawn(scope, handler, &mailbox),
-            handler,
-        };
-        reactor.event_loop(observer)
-    })
+    poller: Poller,
+    mailbox: Mailbox,
 }
 
-/// What every step of the event loop needs besides the slab.
-struct Reactor<'a, H: Handler + ?Sized> {
-    listener_fd: i32,
+impl Reactor {
+    /// Create the epoll instance and the waker pair, and register the
+    /// bound, **nonblocking** `listener`, which must stay open until
+    /// [`Reactor::run`] returns (an accept closure that owns it sees to
+    /// that).
+    ///
+    /// # Errors
+    /// The OS error from creating or registering a descriptor.
+    pub fn new(listener: &impl AsRawFd) -> io::Result<Reactor> {
+        let listener_fd = listener.as_raw_fd();
+        let poller = Poller::new()?;
+        poller.add(listener_fd, LISTENER_TOKEN, Interest::READ)?;
+        let (wake, woken) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        woken.set_nonblocking(true)?;
+        poller.add(woken.as_raw_fd(), WAKER_TOKEN, Interest::READ)?;
+        let queue = Mutex::new(Vec::new());
+        Ok(Reactor {
+            listener_fd,
+            poller,
+            mailbox: Mailbox { wake, woken, queue },
+        })
+    }
+
+    /// Run the event loop until [`Handler::should_stop`] returns
+    /// `true`. `accept` takes one pending connection off the listener as
+    /// a nonblocking stream (`WouldBlock` once none waits; other errors
+    /// follow [`after_accept_error`]). Returns once the replies already
+    /// queued are written out (or 5 s have passed) and the slow lane
+    /// has finished the work already deferred to it.
+    ///
+    /// # Errors
+    /// Only on a wait failure of the epoll instance itself;
+    /// per-connection errors close that connection and keep the loop
+    /// running.
+    pub fn run<S, H>(
+        self,
+        mut accept: impl FnMut() -> io::Result<S>,
+        cfg: &ReactorConfig,
+        handler: &H,
+        observer: &mut dyn Observer,
+    ) -> io::Result<()>
+    where
+        S: Read + Write + AsRawFd,
+        H: Handler + ?Sized,
+    {
+        // The scope joins the lane thread after the loop returns and
+        // drops the `Lane` (hanging its channel up).
+        std::thread::scope(|scope| {
+            let event_loop = Loop {
+                reactor: &self,
+                cfg,
+                lane: Lane::spawn(scope, handler, &self.mailbox),
+                handler,
+                stream: PhantomData,
+            };
+            event_loop.run(&mut accept, observer)
+        })
+    }
+}
+
+/// What every step of the event loop needs besides the slab of `S`
+/// streams.
+struct Loop<'a, H: Handler + ?Sized, S> {
+    reactor: &'a Reactor,
     cfg: &'a ReactorConfig,
-    poller: &'a Poller,
-    mailbox: &'a Mailbox,
     lane: Lane,
     handler: &'a H,
+    stream: PhantomData<S>,
 }
 
-impl<H: Handler + ?Sized> Reactor<'_, H> {
-    fn event_loop(&self, observer: &mut dyn Observer) -> io::Result<()> {
+impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
+    fn run(
+        &self,
+        accept: &mut dyn FnMut() -> io::Result<S>,
+        observer: &mut dyn Observer,
+    ) -> io::Result<()> {
+        let poller = &self.reactor.poller;
         let mut slab = Slab::new();
         let mut events: Vec<Event> = Vec::new();
         // The one read buffer every connection's lines are lent from.
@@ -298,7 +345,7 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
 
         loop {
             let wait_start = Instant::now();
-            let n = self.poller.wait(&mut events, self.cfg.poll_timeout_ms)?;
+            let n = poller.wait(&mut events, self.cfg.poll_timeout_ms)?;
             let woke = Instant::now();
             observer.on_wakeup(n);
             if self.handler.should_stop() {
@@ -314,7 +361,7 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
             for i in 0..events.len() {
                 let Some(&ev) = events.get(i) else { break };
                 if ev.token == LISTENER_TOKEN {
-                    if self.accept_ready(&mut slab, observer) {
+                    if self.accept_ready(&mut slab, accept, observer) {
                         rearm_at = Some(woke + ACCEPT_BACKOFF);
                     }
                 } else if ev.token == WAKER_TOKEN {
@@ -333,32 +380,49 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
         }
 
         // Graceful stop: deferred replies already delivered land on
-        // their connections first, then one best-effort flush of
-        // everything queued, then drop (and thereby close) every
-        // connection.
+        // their connections first. Then, with the listener and the
+        // waker disarmed, every connection is closing and owes only
+        // its queued bytes: each closes once they are written (waiting
+        // on `EPOLLOUT`), and those left at `STOP_WRITE_BOUND` close
+        // with the slab.
         self.apply_replies(&mut slab, observer);
-        for slot in &mut slab.slots {
-            if let Some(entry) = slot.as_mut() {
-                let _ = entry.conn.flush();
+        let _ = self.arm_listener(Interest::default());
+        let woken = self.reactor.mailbox.woken.as_raw_fd();
+        let _ = poller.modify(woken, WAKER_TOKEN, Interest::default());
+        let deadline = Instant::now() + STOP_WRITE_BOUND;
+        loop {
+            for idx in 0..slab.slots.len() {
+                if let Some(entry) = slab.get_mut(idx) {
+                    entry.conn.closing = true;
+                    entry.pending_deferred = 0;
+                }
+                self.settle_connection(&mut slab, idx, observer);
             }
-            *slot = None;
+            let left = deadline.saturating_duration_since(Instant::now());
+            if slab.open == 0 || left.is_zero() {
+                return Ok(());
+            }
+            poller.wait(&mut events, left.as_millis() as i32 + 1)?;
         }
-        let _ = self.poller.remove(self.listener_fd);
-        Ok(())
     }
 
     fn arm_listener(&self, interest: Interest) -> bool {
-        self.poller
-            .modify(self.listener_fd, LISTENER_TOKEN, interest)
-            .is_ok()
+        let reactor = self.reactor;
+        let fd = reactor.listener_fd;
+        reactor.poller.modify(fd, LISTENER_TOKEN, interest).is_ok()
     }
 
     /// Accept until the backlog is empty; `true` when an accept error
     /// took the listener out of the interest set to back off.
-    fn accept_ready(&self, slab: &mut Slab, observer: &mut dyn Observer) -> bool {
+    fn accept_ready(
+        &self,
+        slab: &mut Slab<S>,
+        accept: &mut dyn FnMut() -> io::Result<S>,
+        observer: &mut dyn Observer,
+    ) -> bool {
         loop {
-            let fd = match sys::accept_nonblocking(self.listener_fd) {
-                Ok(fd) => fd,
+            let mut stream = match accept() {
+                Ok(stream) => stream,
                 Err(e) => match after_accept_error(e.kind()) {
                     AcceptRetry::Poll => return false,
                     AcceptRetry::Now => continue,
@@ -370,18 +434,19 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
             };
             if slab.open >= self.cfg.max_connections {
                 // Shed at the door: one explicit wire response, then
-                // close. A fresh socket's send buffer is empty, so the
-                // single nonblocking write virtually always lands whole.
+                // close (the stream drops). A fresh socket's send buffer
+                // is empty, so the single nonblocking write virtually
+                // always lands whole.
                 let mut line = self.handler.shed_line().into_bytes();
                 line.push(b'\n');
-                let _ = sys::write_fd(fd, &line);
-                sys::close_fd(fd);
+                let _ = stream.write(&line);
                 observer.on_accept_shed();
                 continue;
             }
-            let conn = Connection::new(fd, self.cfg.max_line_bytes);
-            let (idx, generation) = slab.insert(conn);
+            let fd = stream.as_raw_fd();
+            let (idx, generation) = slab.insert(Connection::new(stream, self.cfg.max_line_bytes));
             if self
+                .reactor
                 .poller
                 .add(fd, conn_token(generation, idx), Interest::READ)
                 .is_err()
@@ -396,7 +461,7 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
 
     fn service_connection(
         &self,
-        slab: &mut Slab,
+        slab: &mut Slab<S>,
         ev: Event,
         observer: &mut dyn Observer,
         scratch: &mut [u8],
@@ -459,7 +524,7 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
     /// close once it is `closing` with nothing left to write and no
     /// deferred work outstanding, close immediately on hard write
     /// errors.
-    fn settle_connection(&self, slab: &mut Slab, idx: usize, observer: &mut dyn Observer) {
+    fn settle_connection(&self, slab: &mut Slab<S>, idx: usize, observer: &mut dyn Observer) {
         let Some(entry) = slab.get_mut(idx) else {
             return;
         };
@@ -481,7 +546,11 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
                     dead = true;
                 } else if want != entry.conn.armed {
                     entry.conn.armed = want;
-                    dead = self.poller.modify(entry.conn.fd(), token, want).is_err();
+                    dead = self
+                        .reactor
+                        .poller
+                        .modify(entry.conn.fd(), token, want)
+                        .is_err();
                 }
             }
             Err(_) => dead = true,
@@ -489,7 +558,7 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
 
         if dead {
             if let Some(entry) = slab.remove(idx) {
-                let _ = self.poller.remove(entry.conn.fd());
+                let _ = self.reactor.poller.remove(entry.conn.fd());
                 // A connection that dies mid-stall still closes its
                 // stall window (the flush arm above already took the
                 // stamp when the flush completed before death).
@@ -504,8 +573,8 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
     /// Apply every reply delivered since the last wakeup: land its
     /// bytes on its connection (dropping replies whose connection or
     /// generation is gone), then flush and reconcile that connection.
-    fn apply_replies(&self, slab: &mut Slab, observer: &mut dyn Observer) {
-        for (token, bytes) in self.mailbox.take() {
+    fn apply_replies(&self, slab: &mut Slab<S>, observer: &mut dyn Observer) {
+        for (token, bytes) in self.reactor.mailbox.take() {
             let Some((generation, idx)) = token_parts(token) else {
                 continue;
             };
@@ -580,9 +649,9 @@ impl<H: Handler + ?Sized> Reactor<'_, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader, Read as _, Write as _};
+    use std::io::{BufRead, BufReader};
     use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
+    use std::os::fd::RawFd;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
     use std::sync::Arc;
@@ -651,6 +720,7 @@ mod tests {
         opens: usize,
         closes: usize,
         sheds: usize,
+        accept_errors: usize,
         batches: Vec<usize>,
     }
 
@@ -671,7 +741,9 @@ mod tests {
         fn on_batch_size(&mut self, lines: usize) {
             self.0.lock().unwrap().batches.push(lines);
         }
-        fn on_accept_error(&mut self) {}
+        fn on_accept_error(&mut self) {
+            self.0.lock().unwrap().accept_errors += 1;
+        }
         fn on_wakeup(&mut self, _events: usize) {}
         fn on_loop_times(&mut self, _wait_s: f64, _work_s: f64) {}
         fn on_backpressure_stall(&mut self, _stall_s: f64) {}
@@ -718,7 +790,22 @@ mod tests {
         }
     }
 
+    /// Take one pending connection off `listener`, nonblocking.
+    fn accept_nonblocking(listener: &TcpListener) -> io::Result<TcpStream> {
+        let (stream, _) = listener.accept()?;
+        stream.set_nonblocking(true)?;
+        Ok(stream)
+    }
+
     fn spawn_reactor(max_connections: usize) -> Rig {
+        spawn_reactor_with(max_connections, accept_nonblocking)
+    }
+
+    /// A reactor whose connections come from `accept`.
+    fn spawn_reactor_with<S: Read + Write + AsRawFd>(
+        max_connections: usize,
+        mut accept: impl FnMut(&TcpListener) -> io::Result<S> + Send + 'static,
+    ) -> Rig {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
@@ -730,6 +817,7 @@ mod tests {
             answered: AtomicUsize::new(0),
         });
         let counts = Arc::new(Mutex::new(Counts::default()));
+        let reactor = Reactor::new(&listener).unwrap();
         let thread = {
             let (handler, counts) = (Arc::clone(&handler), Arc::clone(&counts));
             std::thread::spawn(move || {
@@ -739,7 +827,9 @@ mod tests {
                     poll_timeout_ms: 10,
                 };
                 let mut obs = CountingObserver(counts);
-                run(listener.as_raw_fd(), &cfg, &*handler, &mut obs).unwrap();
+                reactor
+                    .run(|| accept(&listener), &cfg, &*handler, &mut obs)
+                    .unwrap();
             })
         };
         Rig {
@@ -995,5 +1085,111 @@ mod tests {
         let counts = rig.shut_down();
         assert_eq!(counts.opens, 1);
         assert!(counts.closes >= 1, "closes = {}", counts.closes);
+    }
+
+    /// xorshift64: the seeded source of every injected fault.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A socket that misbehaves at seeded points the way a nonblocking
+    /// socket may: a read or write is `Interrupted`, fails with a
+    /// spurious `WouldBlock`, or moves a single byte.
+    struct Faulty {
+        inner: TcpStream,
+        state: u64,
+    }
+
+    impl Faulty {
+        /// Draw this call's fault: an error to return instead of the
+        /// call, or how many of its `len` bytes it may move.
+        fn fault(&mut self, len: usize) -> Result<usize, io::Error> {
+            match next(&mut self.state) % 4 {
+                0 => Err(io::ErrorKind::Interrupted.into()),
+                1 => Err(io::ErrorKind::WouldBlock.into()),
+                2 => Ok(len.min(1)),
+                _ => Ok(len),
+            }
+        }
+    }
+
+    impl Read for Faulty {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let len = self.fault(buf.len())?;
+            self.inner.read(&mut buf[..len])
+        }
+    }
+
+    impl Write for Faulty {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let len = self.fault(buf.len())?;
+            self.inner.write(&buf[..len])
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl AsRawFd for Faulty {
+        fn as_raw_fd(&self) -> RawFd {
+            self.inner.as_raw_fd()
+        }
+    }
+
+    /// `Interrupted`, spurious `WouldBlock` and 1-byte transfers on the
+    /// connection, and `Interrupted` and `ConnectionAborted` from the
+    /// accept, change none of the reply bytes to a pipelined script —
+    /// its fast lines answered inline, its slow ones through the lane —
+    /// and each `ConnectionAborted` is counted as an accept error.
+    #[test]
+    fn seeded_io_faults_leave_the_reply_bytes_unchanged() {
+        let script: String = (0..300)
+            .map(|i| match i % 11 {
+                5 => format!("slow-{i}\n"),
+                _ => format!("line-{i}\n"),
+            })
+            .collect();
+        let replies = |rig: Rig| {
+            let (mut sock, mut reader) = rig.connect();
+            sock.write_all(script.as_bytes()).unwrap();
+            sock.shutdown(Shutdown::Write).unwrap();
+            let mut got = String::new();
+            reader.read_to_string(&mut got).unwrap();
+            (got, rig.shut_down())
+        };
+        let (clean, _) = replies(spawn_reactor(8));
+        assert_eq!(clean, script.to_uppercase());
+
+        let mut aborted_total = 0;
+        for seed in 1..=6u64 {
+            let aborted = Arc::new(AtomicUsize::new(0));
+            let mut state = seed;
+            let rig = spawn_reactor_with(8, {
+                let aborted = Arc::clone(&aborted);
+                move |listener| match next(&mut state) % 3 {
+                    0 => Err(io::ErrorKind::Interrupted.into()),
+                    1 => {
+                        aborted.fetch_add(1, Ordering::SeqCst);
+                        Err(io::ErrorKind::ConnectionAborted.into())
+                    }
+                    _ => accept_nonblocking(listener).map(|inner| Faulty {
+                        inner,
+                        state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    }),
+                }
+            });
+            let (got, counts) = replies(rig);
+            assert!(
+                got == clean,
+                "seed {seed}: replies differ from the clean run"
+            );
+            let aborted = aborted.load(Ordering::SeqCst);
+            assert_eq!(counts.accept_errors, aborted, "seed {seed}");
+            aborted_total += aborted;
+        }
+        assert!(aborted_total > 0, "no seed aborted an accept");
     }
 }

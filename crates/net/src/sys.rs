@@ -1,4 +1,6 @@
-//! Thin libc FFI: exactly the syscalls the reactor needs, nothing more.
+//! Thin libc FFI for what `std` lacks: epoll, and `RLIMIT_NOFILE`.
+//! Sockets, their reads and writes, and closing descriptors are
+//! `std`'s (`UnixStream`, `TcpStream`, `OwnedFd`).
 //!
 //! The workspace carries no external crates beyond its local shims, so
 //! `dvfs-net` declares its own `extern "C"` bindings instead of pulling
@@ -11,6 +13,7 @@
 //! to match the kernel's struct layout there.
 
 use std::io;
+use std::os::fd::{FromRawFd, OwnedFd};
 
 /// Readable readiness (`EPOLLIN`).
 pub const EPOLLIN: u32 = 0x001;
@@ -28,13 +31,8 @@ const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
-const SOCK_NONBLOCK: i32 = 0o4000;
-const SOCK_CLOEXEC: i32 = 0o2000000;
 
 const RLIMIT_NOFILE: i32 = 7;
-
-const EFD_CLOEXEC: i32 = 0o2000000;
-const EFD_NONBLOCK: i32 = 0o4000;
 
 /// One readiness record, kernel layout. On x86_64 the kernel packs the
 /// struct (4-byte `events` directly followed by the 8-byte `data`
@@ -59,13 +57,8 @@ extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
-    fn accept4(fd: i32, addr: *mut u8, addrlen: *mut u32, flags: i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-    fn close(fd: i32) -> i32;
     fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
     fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
-    fn eventfd(initval: u32, flags: i32) -> i32;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -76,14 +69,16 @@ fn cvt(ret: i32) -> io::Result<i32> {
     }
 }
 
-/// `epoll_create1(EPOLL_CLOEXEC)`.
+/// `epoll_create1(EPOLL_CLOEXEC)`; dropping the result closes it.
 ///
 /// # Errors
 /// The raw OS error when the kernel refuses (fd limit, ENOMEM).
-pub fn epoll_create() -> io::Result<i32> {
-    // SAFETY: `epoll_create1` takes no pointers; any flag value is
-    // either honored or rejected with -1/EINVAL, which `cvt` maps.
-    cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })
+pub fn epoll_create() -> io::Result<OwnedFd> {
+    // SAFETY: `epoll_create1` takes no pointers; a refusal is -1, which
+    // `cvt` maps before `from_raw_fd` could see it. A descriptor the
+    // call returns is open and owned by nothing else, so the `OwnedFd`
+    // is its one owner.
+    unsafe { cvt(epoll_create1(EPOLL_CLOEXEC)).map(|fd| OwnedFd::from_raw_fd(fd)) }
 }
 
 fn epoll_op(epfd: i32, op: i32, fd: i32, events: u32, token: u64) -> io::Result<()> {
@@ -145,88 +140,6 @@ pub fn wait(epfd: i32, buf: &mut [EpollEvent], timeout_ms: i32) -> io::Result<us
     Ok(usize::try_from(n).unwrap_or(0))
 }
 
-/// `accept4(listen_fd, NULL, NULL, SOCK_NONBLOCK | SOCK_CLOEXEC)`:
-/// accept one pending connection, already nonblocking. Returns
-/// `WouldBlock` when the backlog is empty.
-///
-/// # Errors
-/// The raw OS error; `WouldBlock` is the normal "drained" signal.
-pub fn accept_nonblocking(listen_fd: i32) -> io::Result<i32> {
-    // SAFETY: null `addr`/`addrlen` are the documented way to decline
-    // the peer address; the kernel writes nothing. An invalid
-    // `listen_fd` is -1/EBADF, not UB.
-    cvt(unsafe {
-        accept4(
-            listen_fd,
-            std::ptr::null_mut(),
-            std::ptr::null_mut(),
-            SOCK_NONBLOCK | SOCK_CLOEXEC,
-        )
-    })
-}
-
-/// Nonblocking `read(2)`. `Ok(0)` is end-of-stream.
-///
-/// # Errors
-/// `WouldBlock` when the socket has no data; otherwise the OS error.
-pub fn read_fd(fd: i32, buf: &mut [u8]) -> io::Result<usize> {
-    // SAFETY: the pointer/length pair comes from a live `&mut [u8]`,
-    // so the kernel writes at most `buf.len()` bytes into owned memory.
-    let n = unsafe { read(fd, buf.as_mut_ptr(), buf.len()) };
-    if n < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(usize::try_from(n).unwrap_or(0))
-}
-
-/// Nonblocking `write(2)`.
-///
-/// # Errors
-/// `WouldBlock` when the send buffer is full; otherwise the OS error.
-pub fn write_fd(fd: i32, buf: &[u8]) -> io::Result<usize> {
-    // SAFETY: the pointer/length pair comes from a live `&[u8]`; the
-    // kernel only reads `buf.len()` bytes from it.
-    let n = unsafe { write(fd, buf.as_ptr(), buf.len()) };
-    if n < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(usize::try_from(n).unwrap_or(0))
-}
-
-/// `close(2)`, result ignored — the fd is gone either way.
-pub fn close_fd(fd: i32) {
-    // SAFETY: `close` takes no pointers; a stale or invalid fd returns
-    // -1/EBADF and touches nothing. Callers own `fd` (no double-close
-    // of a descriptor another wrapper still uses).
-    let _ = unsafe { close(fd) };
-}
-
-/// `eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)`: the reactor's cross-thread
-/// wakeup primitive. Registered with the epoll instance like any fd;
-/// [`eventfd_signal`] from another thread makes it readable.
-///
-/// # Errors
-/// The raw OS error (fd limit, ENOMEM).
-pub fn eventfd_nonblocking() -> io::Result<i32> {
-    // SAFETY: `eventfd` takes no pointers; unsupported flags fail with
-    // -1/EINVAL, which `cvt` maps.
-    cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })
-}
-
-/// Signal an eventfd: add 1 to its counter, waking any poller. A full
-/// counter (`WouldBlock`) still leaves the fd readable, so the wakeup
-/// is delivered either way and the result can be ignored.
-pub fn eventfd_signal(fd: i32) {
-    let _ = write_fd(fd, &1u64.to_ne_bytes());
-}
-
-/// Drain an eventfd's counter back to zero so the next signal edges the
-/// fd readable again. `WouldBlock` (already drained) is fine.
-pub fn eventfd_drain(fd: i32) {
-    let mut buf = [0u8; 8];
-    let _ = read_fd(fd, &mut buf);
-}
-
 /// Current `RLIMIT_NOFILE` as `(soft, hard)`.
 ///
 /// # Errors
@@ -269,12 +182,11 @@ mod tests {
 
     #[test]
     fn epoll_lifecycle_on_a_pipe_free_fd() {
+        use std::os::fd::AsRawFd;
         let epfd = epoll_create().unwrap();
-        assert!(epfd >= 0);
         let mut buf = [EpollEvent { events: 0, data: 0 }; 4];
         // Nothing registered: an immediate wait returns zero events.
-        assert_eq!(wait(epfd, &mut buf, 0).unwrap(), 0);
-        close_fd(epfd);
+        assert_eq!(wait(epfd.as_raw_fd(), &mut buf, 0).unwrap(), 0);
     }
 
     #[test]

@@ -49,7 +49,7 @@
 use crate::metrics::Registry;
 use crate::protocol::{parse_request, ErrorKind, Request, Response};
 use crate::service::{Mode, Pace, Scheduler, SchedulerConfig, SubmitItem, Submitted};
-use dvfs_net::{Answered, Caller};
+use dvfs_net::{Answered, Caller, Reactor};
 use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -323,12 +323,14 @@ impl ServerHandle {
     }
 }
 
-/// Bind and serve. Returns once the listener is accepting, leaving the
+/// Bind and serve. Returns once the listener is accepting — and the
+/// reactor, if it is the front end, holds its descriptors — leaving the
 /// accept loop, connection handlers, and (in paced mode) the ticker on
 /// background threads.
 ///
 /// # Errors
-/// Propagates bind failures.
+/// Propagates bind failures, and the reactor's failure to take its
+/// descriptors (`EMFILE`, say).
 pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     let scheduler = Scheduler::new(cfg.scheduler, Arc::new(Registry::new()));
 
@@ -350,6 +352,11 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
             let resolved = l.local_addr()?.to_string();
             (Listener::Tcp(l), Endpoint::Tcp(resolved))
         }
+    };
+    let reactor = match (cfg.net, &listener) {
+        (NetBackend::Threads, _) => None,
+        (NetBackend::Reactor, Listener::Unix(l)) => Some(Reactor::new(l)?),
+        (NetBackend::Reactor, Listener::Tcp(l)) => Some(Reactor::new(l)?),
     };
 
     let shared = Arc::new(Shared {
@@ -378,16 +385,21 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         crate::supervise::run(&supervised.scheduler)
     }));
     {
-        // Every arm drives the same handler value: `Shared`.
+        // Every arm drives the same handler value, `Shared`, over std
+        // streams from the one listener.
         let shared = Arc::clone(&shared);
-        let net = cfg.net;
-        threads.push(std::thread::spawn(move || match (net, &listener) {
-            (NetBackend::Reactor, _) => reactor_loop(&listener, &shared),
-            (NetBackend::Threads, Listener::Unix(l)) => {
-                accept_loop(&shared, || Ok(l.accept()?.0), UnixStream::set_read_timeout);
+        threads.push(std::thread::spawn(move || match (reactor, listener) {
+            (Some(r), Listener::Unix(l)) => {
+                reactor_loop(&shared, r, || l.accept(), UnixStream::set_nonblocking);
             }
-            (NetBackend::Threads, Listener::Tcp(l)) => {
-                accept_loop(&shared, || Ok(l.accept()?.0), TcpStream::set_read_timeout);
+            (Some(r), Listener::Tcp(l)) => {
+                reactor_loop(&shared, r, || l.accept(), TcpStream::set_nonblocking);
+            }
+            (None, Listener::Unix(l)) => {
+                accept_loop(&shared, || l.accept(), UnixStream::set_read_timeout);
+            }
+            (None, Listener::Tcp(l)) => {
+                accept_loop(&shared, || l.accept(), TcpStream::set_read_timeout);
             }
         }));
     }
@@ -413,14 +425,19 @@ impl Drop for ConnGuard<'_> {
 /// connection is waiting.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
+/// How often a front end that is waiting on its sockets looks at the
+/// shutdown flag: the reactor's `epoll_wait` timeout, and the read
+/// timeout of a threads-backend connection.
+const STOP_POLL: Duration = Duration::from_millis(100);
+
 /// The `threads` backend: accept (sleeping out `dvfs_net::accept`'s
 /// back-off after an error), shed over budget, and hand every admitted
 /// connection to `dvfs_net::blocking::serve` on a thread of its own.
 /// The scope joins the connection threads on the way out and keeps no
 /// handle per connection, so connection churn accumulates nothing.
-fn accept_loop<S: Read + Write + Send>(
+fn accept_loop<S: Read + Write + Send, A>(
     shared: &Shared,
-    accept: impl Fn() -> std::io::Result<S>,
+    accept: impl Fn() -> std::io::Result<(S, A)>,
     set_read_timeout: fn(&S, Option<Duration>) -> std::io::Result<()>,
 ) {
     use dvfs_net::accept::{after_accept_error, AcceptRetry, ACCEPT_BACKOFF};
@@ -429,7 +446,7 @@ fn accept_loop<S: Read + Write + Send>(
     std::thread::scope(|scope| {
         while !shared.scheduler.is_shutting_down() {
             let mut stream = match accept() {
-                Ok(stream) => stream,
+                Ok((stream, _)) => stream,
                 Err(e) => {
                     match after_accept_error(e.kind()) {
                         AcceptRetry::Poll => std::thread::sleep(ACCEPT_POLL),
@@ -457,7 +474,7 @@ fn accept_loop<S: Read + Write + Send>(
                 // The driver polls the shutdown flag between reads, so
                 // idle connections must time out of `read` or they
                 // would pin the server open.
-                if set_read_timeout(&stream, Some(Duration::from_millis(100))).is_ok() {
+                if set_read_timeout(&stream, Some(STOP_POLL)).is_ok() {
                     let _ = dvfs_net::blocking::serve(&mut stream, MAX_LINE_BYTES, shared);
                 }
             });
@@ -466,26 +483,26 @@ fn accept_loop<S: Read + Write + Send>(
 }
 
 /// The `reactor` backend: run the `dvfs-net` mini-reactor over the
-/// bound listener, in the same thread slot as [`accept_loop`].
-/// Returns once the reactor's slow lane has finished its in-flight work
-/// (a shutdown drain).
-fn reactor_loop(listener: &Listener, shared: &Shared) {
-    let fd = match listener {
-        Listener::Unix(l) => l.as_raw_fd(),
-        Listener::Tcp(l) => l.as_raw_fd(),
-    };
+/// streams `accept` takes, made nonblocking, in the same thread slot as
+/// [`accept_loop`]. Returns once the reactor's slow lane has finished
+/// its in-flight work (a shutdown drain).
+fn reactor_loop<S: Read + Write + AsRawFd, A>(
+    shared: &Shared,
+    reactor: Reactor,
+    accept: impl Fn() -> std::io::Result<(S, A)>,
+    set_nonblocking: fn(&S, bool) -> std::io::Result<()>,
+) {
+    let accept = || accept().and_then(|(s, _)| set_nonblocking(&s, true).map(|()| s));
     let cfg = dvfs_net::ReactorConfig {
         max_connections: shared.max_connections,
         max_line_bytes: MAX_LINE_BYTES,
-        // The stop-flag polling cadence, matching the thread backend's
-        // read-timeout granularity.
-        poll_timeout_ms: 100,
+        poll_timeout_ms: STOP_POLL.as_millis() as i32,
     };
     let mut observer = MetricsObserver {
         metrics: Arc::clone(shared.scheduler.metrics()),
         peak: 0,
     };
-    if let Err(e) = dvfs_net::reactor::run(fd, &cfg, shared, &mut observer) {
+    if let Err(e) = reactor.run(accept, &cfg, shared, &mut observer) {
         observer.metrics.counter("accept_errors").inc();
         eprintln!("dvfs-serve: reactor front-end failed ({e})");
     }

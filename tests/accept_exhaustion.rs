@@ -8,7 +8,9 @@
 //! every `epoll_wait` at once while the error lasts — out of the
 //! interest set instead, so its event loop does not spin. Once
 //! descriptors free, the client that waited is served and the books
-//! balance.
+//! balance. And the reactor takes its own descriptors inside `serve`,
+//! so a table too full for them fails the call rather than leaving a
+//! daemon that never accepts.
 //!
 //! The server listens on loopback TCP, whose listener stays readable
 //! while its accept queue holds a connection.
@@ -19,8 +21,7 @@
 //! nothing outside that child.
 
 use dvfs_net::sys::nofile_limit;
-use dvfs_serve::client::Connection;
-use dvfs_serve::protocol::{encode_command, Response};
+use dvfs_serve::protocol::Response;
 use dvfs_serve::{serve, Endpoint, NetBackend, ServerConfig};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
@@ -63,6 +64,21 @@ fn with_few_descriptors(test: &str, body: impl FnOnce()) {
     );
 }
 
+/// Open `/dev/null` until the descriptor table is full, then close one:
+/// the files held leave exactly one descriptor free.
+fn all_but_one_descriptor() -> Vec<File> {
+    let mut filler = Vec::new();
+    let full = loop {
+        match File::open("/dev/null") {
+            Ok(file) => filler.push(file),
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(full.raw_os_error(), Some(EMFILE), "{full}");
+    drop(filler.pop());
+    filler
+}
+
 /// Fill the descriptor table, free one descriptor, connect a client with
 /// it so that the server's `accept` hits `EMFILE`, and watch the server
 /// for [`WINDOW`]; then free the table and have the waiting client's
@@ -78,24 +94,9 @@ fn accept_exhaustion(net: NetBackend) {
     };
     let metrics = handle.metrics();
     let count = |name: &str| metrics.counter(name).get();
-    // One round trip first: the front-end has its descriptors (the
-    // reactor's epoll and eventfd) before the table fills.
-    let mut warm = Connection::open(handle.endpoint()).expect("client connects");
-    assert!(warm
-        .round_trip(&encode_command("ping"))
-        .expect("ping")
-        .is_ok());
-    drop(warm);
-
-    let mut filler = Vec::new();
-    let full = loop {
-        match File::open("/dev/null") {
-            Ok(file) => filler.push(file),
-            Err(e) => break e,
-        }
-    };
-    assert_eq!(full.raw_os_error(), Some(EMFILE), "{full}");
-    drop(filler.pop());
+    // `serve` has returned, so the front end holds every descriptor it
+    // needs before the table fills.
+    let filler = all_but_one_descriptor();
     let client = TcpStream::connect(addr).expect("the one free descriptor connects");
     (&client)
         .write_all(b"{\"cmd\":\"ping\"}\n")
@@ -139,5 +140,26 @@ fn the_threads_backend_backs_off_an_exhausted_accept_and_recovers() {
     with_few_descriptors(
         "the_threads_backend_backs_off_an_exhausted_accept_and_recovers",
         || accept_exhaustion(NetBackend::Threads),
+    );
+}
+
+/// With one descriptor free, the listener binds and the reactor's epoll
+/// instance cannot be created: `serve` must say so, not return a server
+/// whose front end fails on a thread of its own.
+#[test]
+fn serve_fails_when_the_reactor_cannot_take_its_descriptors() {
+    with_few_descriptors(
+        "serve_fails_when_the_reactor_cannot_take_its_descriptors",
+        || {
+            let filler = all_but_one_descriptor();
+            let cfg = ServerConfig::new(Endpoint::Tcp("127.0.0.1:0".into()));
+            assert_eq!(cfg.net, NetBackend::Reactor);
+            let served = serve(cfg);
+            drop(filler);
+            let err = served
+                .err()
+                .expect("serve must fail without the reactor's descriptors");
+            assert_eq!(err.raw_os_error(), Some(EMFILE), "{err}");
+        },
     );
 }

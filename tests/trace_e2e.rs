@@ -11,7 +11,8 @@
 //! pinned trace's ids all hash to shard 0 at 1, 2, and 4 shards, so the
 //! drained event stream must not depend on the shard count. The
 //! Chrome-trace export is held to valid JSON whatever numbers the
-//! events carry.
+//! events carry, and a multi-megabyte trace reply answered beside a
+//! `shutdown` reaches the client whole on both backends.
 
 mod cells;
 
@@ -24,6 +25,8 @@ use dvfs_suite::serve::parse_jsonl;
 use dvfs_suite::trace::export::chrome_trace;
 use dvfs_suite::trace::{EventKind, TraceEvent};
 use serde_json::Value;
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -464,4 +467,68 @@ fn chrome_trace_leaves_out_non_finite_numbers() {
         .collect::<Option<_>>()
         .expect("every energy sample carries its joules");
     assert_eq!(joules, [2.0, 3.0, 3.5], "{chrome}");
+}
+
+/// A `trace` reply of several megabytes — far past a Unix socket's
+/// buffer — asked for in one write with a `shutdown` reaches the
+/// client whole, followed by the shutdown's ack: the reactor writes out
+/// what it has queued before it closes, as the threads backend does.
+/// The client reads nothing for [`READ_AFTER`], long enough for the
+/// stop to be under way, so a server that wrote only what fit the
+/// buffer at the stop has closed the connection by then.
+#[test]
+fn a_trace_reply_beside_a_shutdown_leaves_whole() {
+    const TASKS: u64 = 6_000;
+    const READ_AFTER: std::time::Duration = std::time::Duration::from_millis(500);
+    for net in BACKENDS {
+        let sock = scratch(&format!("whole-{}", net.name()), "sock");
+        let cfg = ServerConfig {
+            net,
+            scheduler: SchedulerConfig {
+                cores: 2,
+                queue_capacity: 2 * TASKS as usize,
+                trace_capacity: 1 << 16,
+                ..SchedulerConfig::default()
+            },
+            ..ServerConfig::new(Endpoint::Unix(sock.clone()))
+        };
+        let handle = serve(cfg).expect("server binds");
+        let tasks: Vec<Task> = (0..TASKS)
+            .map(|i| {
+                Task::online(
+                    i,
+                    50_000_000,
+                    i as f64 * 1e-3,
+                    None,
+                    TaskClass::NonInteractive,
+                )
+                .expect("valid synthetic task")
+            })
+            .collect();
+        let report = client::replay(handle.endpoint(), &tasks).expect("replay succeeds");
+        assert_eq!((report.shed, report.errors), (0, 0));
+
+        let mut stream = UnixStream::connect(&sock).expect("client connects");
+        stream
+            .write_all(b"{\"cmd\":\"trace\"}\n{\"cmd\":\"shutdown\"}\n")
+            .expect("both requests sent");
+        std::thread::sleep(READ_AFTER);
+        let mut got = String::new();
+        stream.read_to_string(&mut got).expect("read to the close");
+        handle.wait();
+
+        let lines: Vec<&str> = got.lines().collect();
+        let [trace, ack] = lines[..] else {
+            panic!("{}: {} bytes, not two whole lines", net.name(), got.len());
+        };
+        assert!(
+            got.len() > 4 << 20,
+            "a {} byte reply is too small",
+            got.len()
+        );
+        let trace = Response::decode(trace).expect("the trace reply decodes");
+        let count = trace.field("count").and_then(value_u64).expect("count");
+        assert_eq!(event_lines(&trace).len() as u64, count, "{}", net.name());
+        assert!(Response::decode(ack).expect("the ack decodes").is_ok());
+    }
 }
