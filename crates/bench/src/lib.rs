@@ -4,6 +4,8 @@
 //! evaluation (Section V) and of the sweeps and extensions around it,
 //! each writing the text of one `results/` file. The `experiments`
 //! binary holds the table that names those files and writes them all.
+//! [`smoke`] reads the CI smokes' committed baselines and records their
+//! runs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -13,6 +15,7 @@ pub mod experiments;
 pub mod format;
 pub mod online;
 pub mod paper;
+pub mod smoke;
 
 /// What an artifact function returns once its text is written: an error
 /// when the experiment's own check fails (only `validate_wbg` has one)

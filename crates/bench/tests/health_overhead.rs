@@ -12,12 +12,12 @@
 //! tripwire for accidentally moving work onto the hot path, not a
 //! benchmark.
 //!
-//! Results land in `BENCH_health_overhead.json` at the repository root,
-//! alongside the other `BENCH_*.json` files.
+//! The committed file is only read; the run's numbers land under the
+//! target directory (`dvfs_bench::smoke`).
 
+use dvfs_bench::smoke;
 use dvfs_model::TaskClass;
 use dvfs_serve::{Registry, Scheduler, SchedulerConfig};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -28,20 +28,6 @@ use std::time::Instant;
 const TASKS: u64 = 40_000;
 const SHARDS: usize = 1;
 const REPS: usize = 7;
-
-fn bench_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_health_overhead.json")
-}
-
-/// Same string-scanning baseline reader as the other bench smokes (the
-/// file is written by this test, so the shape is known).
-fn baseline_field(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = &text[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 /// Submit and drain the pinned workload once; returns tasks per second.
 fn drain_throughput(telemetry: bool) -> f64 {
@@ -104,19 +90,16 @@ fn stage_telemetry_stays_within_five_percent_of_off() {
     // noise band) below the committed ratio. Capped at 0.96 so a lucky
     // committed run can never ratchet the tripwire into the noise band
     // above the real gate.
-    let path = bench_json_path();
-    if let Ok(prev) = std::fs::read_to_string(&path) {
-        if let Some(base) = baseline_field(&prev, "throughput_ratio") {
-            let bound = (base - 0.04).min(0.96);
-            assert!(
-                ratio >= bound,
-                "overhead ratio regressed: {ratio:.4} vs committed {base:.4} (bound {bound:.4})"
-            );
-        }
+    if let Some(base) = smoke::baseline("health_overhead", "throughput_ratio") {
+        let bound = (base - 0.04).min(0.96);
+        assert!(
+            ratio >= bound,
+            "overhead ratio regressed: {ratio:.4} vs committed {base:.4} (bound {bound:.4})"
+        );
     }
 
     let json = format!(
         "{{\"tasks\":{TASKS},\"shards\":{SHARDS},\"reps\":{REPS},\"throughput_off_tps\":{best_off},\"throughput_on_tps\":{best_on},\"throughput_ratio\":{ratio}}}\n"
     );
-    std::fs::write(&path, json).expect("bench json writes");
+    smoke::record("health_overhead", &json);
 }

@@ -1,8 +1,9 @@
 //! Reactor-at-scale smoke test (CI runs it with `-- --ignored`): a
 //! single-threaded epoll reactor server holding ~10k mostly-idle
 //! connections while a small active set submits work. Two regression
-//! tripwires, gated against the committed previous run in
-//! `BENCH_net_10k.json` at the repository root:
+//! tripwires, gated against the committed baseline in
+//! `BENCH_net_10k.json` at the repository root (read only; the run's
+//! own numbers go to the target directory, see `dvfs_bench::smoke`):
 //!
 //! * **memory** — per-connection RSS growth must stay within a loose
 //!   multiple of the committed baseline (a miss means a connection grew
@@ -15,44 +16,31 @@
 //! is a tripwire for complexity regressions, not a benchmark — the
 //! numbers vary with machine load, and CI machines are noisy.
 //!
-//! The herd size scales down when `RLIMIT_NOFILE` cannot fit 10k
-//! in-process pairs (each held connection costs two fds here: the
+//! The herd size scales down when the soft `RLIMIT_NOFILE` cannot fit
+//! 10k in-process pairs (each held connection costs two fds here: the
 //! client end and the server end share the process); the JSON records
-//! the count actually held so the baseline stays honest.
+//! the count actually held so the baseline stays honest. The test does
+//! not raise the limit itself: `scripts/ci.sh` runs it after
+//! `ulimit -n "$(ulimit -Hn)"`.
 
+use dvfs_bench::smoke;
 use dvfs_model::TaskClass;
 use dvfs_serve::client::Connection;
 use dvfs_serve::protocol::{encode_command, encode_submit, value_u64};
 use dvfs_serve::{serve, Endpoint, Histogram, NetBackend, SchedulerConfig, ServerConfig};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Submissions timed from the one active connection.
 const ACTIVE_REQUESTS: u64 = 256;
 
-fn bench_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_net_10k.json")
-}
-
-/// Pull a numeric field out of the committed baseline by string
-/// scanning (the file is written by this test, so the shape is known).
-fn baseline_field(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = &text[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 #[test]
 #[ignore = "CI smoke: run with `cargo test -p dvfs-bench --test net_10k -- --ignored`"]
 fn reactor_holds_ten_thousand_idle_connections() {
-    // Every held connection is two fds in this process. Try to raise
-    // the soft fd limit toward 10k pairs; if the hard limit is lower,
-    // scale the herd down and record what was actually held.
-    let _ = dvfs_net::sys::raise_nofile_limit(65_536);
-    let (soft, _hard) = dvfs_net::sys::nofile_limit().expect("rlimit is readable");
+    // Every held connection is two fds in this process; if the soft
+    // limit cannot fit 10k pairs, scale the herd down and record what
+    // was actually held.
+    let soft = soft_nofile_limit();
     let fd_budget = usize::try_from(soft.saturating_sub(512) / 2).unwrap_or(0);
     let connections = fd_budget.min(10_000);
     assert!(
@@ -124,35 +112,48 @@ fn reactor_holds_ten_thousand_idle_connections() {
     let q = |p: f64| rtt.quantile(p).unwrap_or(0.0);
     let (p50, p95, p99) = (q(0.50), q(0.95), q(0.99));
 
-    // Gate against the committed previous run, if any. Generous
-    // bounds: noise is expected, complexity blowups are not.
-    let path = bench_json_path();
-    if let Ok(prev) = std::fs::read_to_string(&path) {
-        if let Some(base_p99) = baseline_field(&prev, "p99_submit_s") {
-            let bound = (base_p99 * 8.0).max(0.005);
-            assert!(
-                p99 <= bound,
-                "p99 submit latency regressed: {p99:.6}s vs baseline {base_p99:.6}s (bound {bound:.6}s)"
-            );
-        }
-        if let Some(base_rss) = baseline_field(&prev, "rss_per_conn_bytes") {
-            let bound = base_rss * 4.0 + 4096.0;
-            assert!(
-                (rss_per_conn_bytes as f64) <= bound,
-                "per-connection RSS regressed: {rss_per_conn_bytes} B vs baseline {base_rss} B (bound {bound} B)"
-            );
-        }
+    // Gate against the committed baseline, if any. Generous bounds:
+    // noise is expected, complexity blowups are not.
+    if let Some(base_p99) = smoke::baseline("net_10k", "p99_submit_s") {
+        let bound = (base_p99 * 8.0).max(0.005);
+        assert!(
+            p99 <= bound,
+            "p99 submit latency regressed: {p99:.6}s vs baseline {base_p99:.6}s (bound {bound:.6}s)"
+        );
+    }
+    if let Some(base_rss) = smoke::baseline("net_10k", "rss_per_conn_bytes") {
+        let bound = base_rss * 4.0 + 4096.0;
+        assert!(
+            (rss_per_conn_bytes as f64) <= bound,
+            "per-connection RSS regressed: {rss_per_conn_bytes} B vs baseline {base_rss} B (bound {bound} B)"
+        );
     }
 
     let json = format!(
         "{{\"connections\":{connections},\"peak_connections\":{peak},\"rss_per_conn_bytes\":{rss_per_conn_bytes},\"p50_submit_s\":{p50},\"p95_submit_s\":{p95},\"p99_submit_s\":{p99},\"active_requests\":{ACTIVE_REQUESTS},\"errors\":{errors}}}\n"
     );
-    std::fs::write(&path, json).expect("bench json writes");
+    let path = smoke::record("net_10k", &json);
     println!(
-        "net_10k: {connections} connections held, ~{rss_per_conn_bytes} B/conn, submit p50 {:.3} ms p99 {:.3} ms",
+        "net_10k: {connections} connections held, ~{rss_per_conn_bytes} B/conn, submit p50 {:.3} ms p99 {:.3} ms ({})",
         p50 * 1e3,
-        p99 * 1e3
+        p99 * 1e3,
+        path.display()
     );
+}
+
+/// This process's soft `RLIMIT_NOFILE`, from `/proc/self/limits`.
+fn soft_nofile_limit() -> u64 {
+    let limits = std::fs::read_to_string("/proc/self/limits").expect("procfs is readable");
+    let soft = limits
+        .lines()
+        .find_map(|line| line.strip_prefix("Max open files"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .expect("limits carries Max open files");
+    if soft == "unlimited" {
+        u64::MAX
+    } else {
+        soft.parse().expect("a numeric soft limit")
+    }
 }
 
 /// This process's resident set in kB, from `/proc/self/status`.

@@ -18,13 +18,13 @@
 //!   regression that quietly stops migrating (or migrates to no
 //!   benefit) trips CI.
 //!
-//! Results land in `BENCH_rebalance.json` at the repository root,
-//! alongside `BENCH_parallel.json` and `BENCH_net_10k.json`.
+//! The committed file is only read; the run's numbers land under the
+//! target directory (`dvfs_bench::smoke`).
 
+use dvfs_bench::smoke;
 use dvfs_model::TaskClass;
 use dvfs_serve::protocol::{value_f64, value_u64};
 use dvfs_serve::{RebalanceConfig, Registry, Scheduler, SchedulerConfig};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 const SHARDS: u64 = 4;
@@ -33,20 +33,6 @@ const TASKS: u64 = 120;
 /// tasks, so this bounds how far the skew can spread; the
 /// gap guard stops the passes early once the shards even out.
 const TICKS: usize = 30;
-
-fn bench_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_rebalance.json")
-}
-
-/// Same string-scanning baseline reader as `net_10k` (the file is
-/// written by this test, so the shape is known).
-fn baseline_field(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = &text[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
 
 /// Replay the pinned skewed set and return (total cost, migrations,
 /// migration rate per admitted task).
@@ -109,24 +95,21 @@ fn rebalancer_beats_the_skewed_baseline_on_merged_cost() {
     );
     let improvement = (cost_off - cost_on) / cost_off;
 
-    // Gate against the committed previous run: the improvement must
-    // not collapse. Replay is deterministic, so the loose factor only
+    // Gate against the committed baseline: the improvement must not
+    // collapse. Replay is deterministic, so the loose factor only
     // guards intentional retunes, not noise.
-    let path = bench_json_path();
-    if let Ok(prev) = std::fs::read_to_string(&path) {
-        if let Some(base) = baseline_field(&prev, "cost_improvement") {
-            let bound = base * 0.5;
-            assert!(
-                improvement >= bound,
-                "cost improvement regressed: {improvement:.4} vs committed {base:.4} (bound {bound:.4})"
-            );
-        }
+    if let Some(base) = smoke::baseline("rebalance", "cost_improvement") {
+        let bound = base * 0.5;
+        assert!(
+            improvement >= bound,
+            "cost improvement regressed: {improvement:.4} vs committed {base:.4} (bound {bound:.4})"
+        );
     }
 
     let json = format!(
         "{{\"shards\":{SHARDS},\"tasks\":{TASKS},\"ticks\":{TICKS},\"migrations\":{migrations},\"migration_rate\":{migration_rate},\"cost_skewed\":{cost_off},\"cost_rebalanced\":{cost_on},\"cost_improvement\":{improvement}}}\n"
     );
-    std::fs::write(&path, json).expect("bench json writes");
+    smoke::record("rebalance", &json);
     println!(
         "rebalance: {migrations} migration(s) (rate {migration_rate:.3}), cost {cost_off:.6} -> {cost_on:.6} ({:.1}% better)",
         improvement * 100.0

@@ -12,21 +12,21 @@
 //! * [`Scheduler`] — the event hooks a policy implements (`on_arrival`,
 //!   `on_completion`, `on_tick`).
 //!
-//! One executor implements the view: [`engine::Engine`], which owns
-//! cores, jobs, the event heap and the dispatch / preempt / set-rate
-//! arithmetic. Two thin drivers pace it — the virtual-time
-//! `dvfs_sim::Simulator` and the wall-clock
-//! `dvfs_serve::RealTimeExecutor` — so policies written against these
-//! traits run under either unchanged, the layering the paper's
-//! deployment story (an online judge scheduling real submissions)
-//! requires.
+//! One executor implements the view, [`engine::Engine`]; its module
+//! doc says how the simulator and the service drive it, so a policy
+//! written against these traits runs under either unchanged — the
+//! layering the paper's deployment story (an online judge scheduling
+//! real submissions) requires.
 //!
 //! A third-party executor implements [`ExecutorView`] over its own
 //! state and invokes the [`Scheduler`] hooks at the right moments:
 //! `on_arrival` when a task becomes ready, `on_completion` after its
 //! bookkeeping is final, `on_tick` from any periodic driver. The
 //! executor owns time and accounting; the scheduler only ever sees this
-//! view. [`conformance`] holds the pin such an executor must reproduce.
+//! view. [`conformance`] holds the pin such an executor must reproduce;
+//! `NullExecutor` in `crates/bench/tests/trace_overhead.rs` is the
+//! smallest one. A new clock or actuator for the existing engine is a
+//! driver or an [`engine::EngineObserver`], not an executor.
 
 use dvfs_model::{CoreId, RateIdx, RateTable, Task, TaskId};
 use dvfs_trace::TraceSink;

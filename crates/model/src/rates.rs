@@ -138,14 +138,6 @@ impl RateTable {
         RateTable::new(vec![t.points[0], t.points[4]]).expect("subset preserves invariants")
     }
 
-    /// The lower-half restriction used by the Power Saving baseline in
-    /// Section V-A.3: frequencies limited to {1.6, 2.0, 2.4} GHz.
-    #[must_use]
-    pub fn i7_950_power_saving() -> Self {
-        let t = Self::i7_950_table2();
-        RateTable::new(t.points[..3].to_vec()).expect("subset preserves invariants")
-    }
-
     /// Build a table from measured `(GHz, watts)` pairs, the way the
     /// paper built Table II: "to obtain the values of E(pk), we measure
     /// the power consumption of a core with 100% loading using different

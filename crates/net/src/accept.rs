@@ -1,6 +1,13 @@
 //! The accept-error policy both drivers follow: the blocking driver's
 //! accept loop sleeps it out, the reactor takes its listener out of the
-//! interest set for the back-off instead (its loop may not sleep).
+//! interest set for the back-off instead (its loop may not sleep) and
+//! puts it back on the first wakeup after the back-off, so within one
+//! poll timeout. The pause matters most to the reactor: its listener is
+//! level-triggered, so an `EMFILE` that lasts until a descriptor frees
+//! would otherwise wake every `epoll_wait` at once, thousands of times a
+//! second. `tests/accept_exhaustion.rs` fills a child process's
+//! descriptor table on each backend and holds the reactor to a few
+//! wakeups over the same window.
 
 use std::io::ErrorKind;
 use std::time::Duration;

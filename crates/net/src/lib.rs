@@ -9,9 +9,9 @@
 //! sharing everything but the I/O model:
 //!
 //! - [`sys`] — thin `extern "C"` bindings for what `std` lacks:
-//!   `epoll_create1`/`epoll_ctl`/`epoll_wait` and
-//!   `getrlimit`/`setrlimit`. Sockets, reads, writes and closing are
-//!   `std`'s. The only `unsafe` in the crate lives here.
+//!   `epoll_create1`/`epoll_ctl`/`epoll_wait`. Sockets, reads, writes
+//!   and closing are `std`'s. The only `unsafe` in the crate lives
+//!   here.
 //! - [`poller`] — a safe epoll wrapper ([`Poller`], [`Interest`],
 //!   [`Event`]).
 //! - [`framing`] — incremental NDJSON line splitting with an
@@ -29,15 +29,9 @@
 //!   explicit backpressure over any `Read + Write + AsRawFd` stream
 //!   ([`Connection`]).
 //! - [`reactor`] — the event loop ([`Reactor`]: `new` takes its
-//!   descriptors, `run` is the loop): accept through the embedder's
-//!   closure with a shed-on-accept connection budget, answer inline up
-//!   to the first line that would block, re-arm `EPOLLOUT` while
-//!   responses are part-written, and route that line and what follows
-//!   it through a private slow-lane thread — the same
-//!   `Handler::answer`, called as a caller that may wait — whose
-//!   replies come back over a socket-pair-woken mailbox, so a slow
-//!   request never blocks the event loop; on a stop it writes out what
-//!   is queued before it closes.
+//!   descriptors, `run` is the loop), with a private slow lane for the
+//!   lines its loop may not wait on; its module doc has the shape of a
+//!   wakeup and the rules for deferred work.
 //! - [`blocking`] — the blocking driver ([`blocking::serve`]): one
 //!   `Read + Write` stream served on the calling thread, one write per
 //!   read.

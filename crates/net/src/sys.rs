@@ -1,4 +1,4 @@
-//! Thin libc FFI for what `std` lacks: epoll, and `RLIMIT_NOFILE`.
+//! Thin libc FFI for what `std` lacks: epoll.
 //! Sockets, their reads and writes, and closing descriptors are
 //! `std`'s (`UnixStream`, `TcpStream`, `OwnedFd`).
 //!
@@ -32,8 +32,6 @@ const EPOLL_CTL_MOD: i32 = 3;
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 
-const RLIMIT_NOFILE: i32 = 7;
-
 /// One readiness record, kernel layout. On x86_64 the kernel packs the
 /// struct (4-byte `events` directly followed by the 8-byte `data`
 /// union); elsewhere it uses natural alignment.
@@ -47,18 +45,10 @@ pub struct EpollEvent {
     pub data: u64,
 }
 
-#[repr(C)]
-struct Rlimit {
-    cur: u64,
-    max: u64,
-}
-
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
-    fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-    fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -140,42 +130,6 @@ pub fn wait(epfd: i32, buf: &mut [EpollEvent], timeout_ms: i32) -> io::Result<us
     Ok(usize::try_from(n).unwrap_or(0))
 }
 
-/// Current `RLIMIT_NOFILE` as `(soft, hard)`.
-///
-/// # Errors
-/// The raw OS error.
-pub fn nofile_limit() -> io::Result<(u64, u64)> {
-    let mut lim = Rlimit { cur: 0, max: 0 };
-    // SAFETY: `lim` is a live, initialized `Rlimit` on this stack
-    // frame matching the kernel's two-u64 layout; the kernel writes
-    // only within it.
-    cvt(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) })?;
-    Ok((lim.cur, lim.max))
-}
-
-/// Raise the soft `RLIMIT_NOFILE` toward `want` (capped at the hard
-/// limit) and return the resulting soft limit. Used by the
-/// 10k-connection bench smoke, which needs two fds per connection.
-///
-/// # Errors
-/// The raw OS error from `getrlimit`/`setrlimit`.
-pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-    let (soft, hard) = nofile_limit()?;
-    let target = want.min(hard);
-    if target <= soft {
-        return Ok(soft);
-    }
-    let lim = Rlimit {
-        cur: target,
-        max: hard,
-    };
-    // SAFETY: `lim` is a live `Rlimit` the kernel only reads; a
-    // target above the hard limit was already clamped, and EPERM maps
-    // to an error rather than UB.
-    cvt(unsafe { setrlimit(RLIMIT_NOFILE, &lim) })?;
-    Ok(target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,13 +141,5 @@ mod tests {
         let mut buf = [EpollEvent { events: 0, data: 0 }; 4];
         // Nothing registered: an immediate wait returns zero events.
         assert_eq!(wait(epfd.as_raw_fd(), &mut buf, 0).unwrap(), 0);
-    }
-
-    #[test]
-    fn nofile_limit_is_readable_and_monotone() {
-        let (soft, hard) = nofile_limit().unwrap();
-        assert!(soft > 0 && hard >= soft);
-        // Raising to the current soft limit is a no-op that succeeds.
-        assert_eq!(raise_nofile_limit(soft).unwrap(), soft);
     }
 }

@@ -15,9 +15,9 @@
 //! queryable over the wire (`stats`, `health`).
 //!
 //! The service is **sharded and threaded**: [`SchedulerConfig::shards`]
-//! engine instances run side by side, each owned outright by a
-//! dedicated worker thread and fed through its own admission queue —
-//! there is no engine mutex. A router assigns submissions to shards —
+//! engine instances run side by side, each on its shard's worker
+//! thread (the `worker` module says how it owns it) and fed through its
+//! own admission queue. A router assigns submissions to shards —
 //! explicit ids hash (`id % shards`, reproducible for replays),
 //! auto-assigned ids go to the least-loaded shard for the task's class
 //! — and `tick`/`drain`/`shutdown` broadcast commands to every worker
@@ -28,7 +28,8 @@
 //! With `shards = 1` the service is bit-identical to the
 //! single-engine path (and to the simulator on replayed traces); with
 //! `shards = N` on an N-core host the scheduling rounds genuinely run
-//! in parallel.
+//! in parallel. Networking and threading are `std`'s alone (no async
+//! runtime), so the service adds no dependency of its own.
 //!
 //! Module map:
 //!

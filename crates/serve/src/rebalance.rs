@@ -14,7 +14,16 @@
 //! events and `migrations{,_out,_in}` counters recording the decision.
 //! The pass runs only from the tick path — never a free-running
 //! thread — and the default is off, so replay drains (which never
-//! tick) stay bit-identical to the simulator reference.
+//! tick) stay bit-identical to the simulator reference; with one shard
+//! it returns before reading a gauge.
+//!
+//! Sizing the batch off the cost gap rather than off the backlog is
+//! what makes the passes converge: a fixed share of the hot backlog,
+//! longest tasks first, overshoots near balance and moves the same
+//! tasks back and forth between two shards for ever. The gauges are
+//! advisory: they steer placement and migration but gate nothing, so a
+//! stale read costs at most one move that was not worth making, never a
+//! task.
 
 use crate::metrics::{shard_metric, Registry};
 use crate::worker::{Command, ShardShared, WorkerHandle};

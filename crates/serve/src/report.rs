@@ -8,7 +8,9 @@
 //! is decided in exactly one place. The first three are `Response`
 //! values; the two trace replies, which run to tens of megabytes, are
 //! written straight into the connection's output bytes, in the bytes
-//! `Response::encode` would give the same document.
+//! `Response::encode` would give the same document. No registry gauge
+//! stores a queue depth or a pending count: `stats` and `health` read
+//! the live admission queues and the cells each worker publishes.
 
 use crate::executor::RoundReport;
 use crate::metrics::{shard_metric, Registry};

@@ -25,7 +25,9 @@
 //! continues — client input can never crash the server. Shutdown (wire
 //! `shutdown` command or [`ServerHandle::shutdown`]) drains the
 //! scheduler backlog, catches the trace file up, and joins every thread
-//! before [`ServerHandle::wait`] returns.
+//! before [`ServerHandle::wait`] returns. Everything between a socket
+//! and the handler — threads, channels, the mailbox — is `dvfs-net`'s;
+//! this crate owns none of its own on the wire path.
 //!
 //! The reactor exports its own registry series: `net_connections_open`
 //! / `net_connections_peak` gauges, `net_accepts` / `net_accepts_shed`

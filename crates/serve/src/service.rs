@@ -44,19 +44,18 @@
 //!
 //! ## Threading model
 //!
-//! Every shard's engine is owned outright by a dedicated **worker
-//! thread** (see the crate's `worker` module); there is no engine
-//! mutex anywhere. The submission path never touches a worker: it
-//! reads an atomic shutdown flag, reserves the task id in the id ledger
-//! (the `ids` module) under a small mutex taken once per batch, and hands
-//! the task to one shard's admission queue
-//! (which has its own lock and re-checks the shutdown flag inside it —
-//! see [`crate::admission::AdmissionQueue::try_submit_gated`]). `tick` and `drain`
-//! broadcast a command to every worker and collect the one-shot
-//! replies in ascending shard order, so a slow scheduling round never
-//! blocks admission, a slow round on one shard never blocks the others
-//! — and with `shards = N` on an N-core host the rounds genuinely run
-//! in parallel. `stats` and `health` touch no worker: they read the
+//! Every shard's engine lives on its shard's **worker thread** (the
+//! crate's `worker` module says how it owns it). The submission path
+//! never touches a worker: it reads an atomic shutdown flag, reserves
+//! the task id in the id ledger (the `ids` module) under a small mutex
+//! taken once per batch, and hands the task to one shard's admission
+//! queue (which has its own lock and re-checks the shutdown flag inside
+//! it — see [`crate::admission::AdmissionQueue::try_submit_gated`]).
+//! `tick` and `drain` broadcast a command to every worker and collect
+//! the one-shot replies in ascending shard order, so a slow scheduling
+//! round never blocks admission, a slow round on one shard never blocks
+//! the others — and with `shards = N` on an N-core host the rounds
+//! genuinely run in parallel. `stats` and `health` touch no worker: they read the
 //! advisory cells each worker publishes after every command, so
 //! neither waits behind a running round.
 //!
@@ -619,15 +618,17 @@ impl Scheduler {
 }
 
 impl Drop for Scheduler {
-    /// Stop and join every shard worker. Commands already queued are
-    /// processed first (the stop request is FIFO like everything else),
-    /// so no in-flight round is abandoned.
+    /// Stop and join every shard worker: hang up every channel first,
+    /// then join them all, so no worker waits on a sibling's exit. A
+    /// worker finishes the commands already queued before it sees the
+    /// hang-up, so no in-flight round is abandoned. A worker that
+    /// panicked has already surfaced the failure to whichever caller
+    /// waited on its reply, so its join error is dropped here (a second
+    /// panic mid-unwind would abort the process).
     fn drop(&mut self) {
-        for w in &self.workers {
-            w.begin_stop();
-        }
-        for w in &mut self.workers {
-            w.join();
+        let threads: Vec<_> = self.workers.drain(..).map(WorkerHandle::hang_up).collect();
+        for thread in threads {
+            let _ = thread.join();
         }
     }
 }

@@ -36,9 +36,11 @@
 //!   engine for the next round.
 //! * [`Command::Steal`] / [`Command::Inject`] — the two halves of a
 //!   cross-shard migration.
-//! * [`Command::Shutdown`] — exit the worker loop (also triggered by
-//!   channel disconnect, so a dropped scheduler can never leak
-//!   threads).
+//!
+//! There is no stop command: the loop exits when its channel hangs up,
+//! after the commands already queued. [`WorkerHandle::hang_up`] drops
+//! the handle's sender and hands back the thread to join, so a dropped
+//! scheduler can never leak threads.
 //!
 //! After every command that touches its engine the worker publishes
 //! the engine's resting state — backlog, Eq. 32 queued cost, pending
@@ -437,7 +439,6 @@ pub(crate) enum Command {
         tasks: Vec<Task>,
         reply: Reply<usize>,
     },
-    Shutdown,
 }
 
 /// One message on the wire to a worker: the command plus its send
@@ -451,12 +452,13 @@ pub(crate) struct Envelope {
 /// The scheduler's handle to one shard worker.
 pub(crate) struct WorkerHandle {
     tx: SyncSender<Envelope>,
-    join: Option<JoinHandle<()>>,
+    join: JoinHandle<()>,
     /// The shard this worker serves, for heartbeat accounting on send.
     shared: Arc<ShardShared>,
-    /// Commands that hit a disconnected worker channel — a worker that
-    /// is gone without being asked to stop is a crashed thread, and a
-    /// silently swallowed send would turn that crash into a hang.
+    /// Commands that hit a disconnected worker channel — the worker
+    /// exits only once this handle hangs up, so one that is gone while
+    /// the handle lives is a crashed thread, and a silently swallowed
+    /// send would turn that crash into a hang.
     send_failed: Arc<Counter>,
     /// Handed to every [`Reply`] this handle mints (resolved once, so
     /// a round trip costs no registry lookup).
@@ -511,26 +513,12 @@ impl WorkerHandle {
         self.wait(&rx, what)
     }
 
-    /// Ask the worker loop to exit (it finishes the commands already
-    /// queued first, preserving FIFO semantics). Unlike [`Self::send`],
-    /// an already-gone worker is fine here — stop is idempotent and
-    /// this runs from `Scheduler::drop`, possibly mid-unwind, where a
-    /// `debug_assert` panic would abort the process.
-    pub fn begin_stop(&self) {
-        let _ = self.tx.send(Envelope {
-            sent: crate::clock::wall_now(),
-            cmd: Command::Shutdown,
-        });
-    }
-
-    /// Join the worker thread (idempotent). A worker that panicked has
-    /// already surfaced the failure to whichever caller was waiting on
-    /// its reply; the join itself swallows the secondary error so a
-    /// scheduler drop mid-unwind cannot abort the process.
-    pub fn join(&mut self) {
-        if let Some(handle) = self.join.take() {
-            let _ = handle.join();
-        }
+    /// Drop this handle's sender, which ends the worker loop once it
+    /// has finished the commands already queued, and return the worker
+    /// thread to join. An already-gone worker is fine here: nothing is
+    /// sent, so nothing can fail.
+    pub fn hang_up(self) -> JoinHandle<()> {
+        self.join
     }
 }
 
@@ -590,7 +578,7 @@ pub(crate) fn spawn(
         .expect("spawn shard worker thread");
     WorkerHandle {
         tx,
-        join: Some(join),
+        join,
         shared,
         send_failed,
         reply_dropped,
@@ -679,7 +667,6 @@ impl Worker {
                     reply.send(r);
                     self.shared.hb.note_service(ServiceSlot::Inject, t0);
                 }
-                Command::Shutdown => break,
             }
         }
     }
@@ -890,10 +877,9 @@ mod tests {
         Arc::new(ShardShared::new(0, 4, 0, &Registry::new()))
     }
 
-    /// A send into a dead worker must be loud (debug assert) and
-    /// counted (`worker_send_failed`), never a silent drop — while
-    /// `begin_stop` stays quiet, because stopping an already-gone
-    /// worker is the normal idempotent path out of `Scheduler::drop`.
+    /// A send into a dead worker (its receiver gone) must be loud
+    /// (debug assert) and counted (`worker_send_failed`), never a
+    /// silent drop.
     #[test]
     fn send_to_dead_worker_is_counted_and_asserts_in_debug() {
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
@@ -901,17 +887,14 @@ mod tests {
         let send_failed = Arc::new(Counter::default());
         let handle = WorkerHandle {
             tx,
-            join: None,
+            join: std::thread::spawn(|| ()),
             shared: test_shared(),
             send_failed: Arc::clone(&send_failed),
             reply_dropped: Arc::new(Counter::default()),
         };
 
-        handle.begin_stop();
-        assert_eq!(send_failed.get(), 0, "begin_stop is quiet by design");
-
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle.send(Command::Shutdown);
+            handle.post(|reply| Command::Tick { reply });
         }));
         assert_eq!(send_failed.get(), 1, "the failed send is counted");
         assert_eq!(
@@ -919,6 +902,10 @@ mod tests {
             cfg!(debug_assertions),
             "debug builds surface the dead worker via debug_assert"
         );
+        handle
+            .hang_up()
+            .join()
+            .expect("the stand-in thread returns");
     }
 
     // The must-send contract of `Reply<T>`, one case per test. Nothing
@@ -972,7 +959,8 @@ mod tests {
 
     /// The heartbeat's depth arithmetic: `send` counts immediately,
     /// dequeue settles it, and the snapshot never underflows even when
-    /// stop envelopes (uncounted on send) are dequeued.
+    /// it reads more dequeues than sends (it reads the two cells one
+    /// after the other, so a dequeue can land between them).
     #[test]
     fn heartbeat_depth_and_progress_tracking() {
         let hb = Heartbeat::new();
@@ -983,8 +971,8 @@ mod tests {
         assert_eq!(hb.snapshot().cmd_depth, 2);
         hb.note_dequeue(crate::clock::wall_now());
         assert_eq!(hb.snapshot().cmd_depth, 1);
-        // Three dequeues against two sends (a begin_stop envelope is
-        // not counted on send): saturates at zero, never wraps.
+        // Three dequeues against two sends: saturates at zero, never
+        // wraps.
         hb.note_dequeue(crate::clock::wall_now());
         hb.note_dequeue(crate::clock::wall_now());
         assert_eq!(hb.snapshot().cmd_depth, 0);
@@ -1006,7 +994,7 @@ mod tests {
         let lmc = metrics.histogram("lmc_decision_us");
         let clock = Arc::new(EngineClock::Virtual(Default::default()));
         let completed = metrics.counter("completed");
-        let mut handle = spawn(Arc::clone(&shared), cfg, clock, &metrics, lmc, completed);
+        let handle = spawn(Arc::clone(&shared), cfg, clock, &metrics, lmc, completed);
         handle.ask("tick", |reply| Command::Tick { reply });
         let snap = shared.hb.snapshot();
         assert_eq!(snap.cmd_depth, 0, "tick was dequeued");
@@ -1014,7 +1002,6 @@ mod tests {
             snap.last_progress_age_s < 5.0,
             "progress stamped by the tick"
         );
-        handle.begin_stop();
-        handle.join();
+        handle.hang_up().join().expect("the worker exits cleanly");
     }
 }

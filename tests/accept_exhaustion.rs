@@ -15,12 +15,11 @@
 //! The server listens on loopback TCP, whose listener stays readable
 //! while its accept queue holds a connection.
 //!
-//! Each test runs again in a child process of this binary whose soft
+//! Each test runs its body in a child process of this binary whose soft
 //! `RLIMIT_NOFILE` is lowered (`sh -c 'ulimit -n 64; exec …'`), so
 //! filling the descriptor table takes a few dozen files and touches
 //! nothing outside that child.
 
-use dvfs_net::sys::nofile_limit;
 use dvfs_serve::protocol::Response;
 use dvfs_serve::{serve, Endpoint, NetBackend, ServerConfig};
 use std::fs::File;
@@ -31,6 +30,8 @@ use std::time::Duration;
 
 /// The child's descriptor budget.
 const NOFILE: u64 = 64;
+/// Set in the child's environment: there the test runs its body.
+const CHILD: &str = "ACCEPT_EXHAUSTION_CHILD";
 /// `EMFILE`: the process's descriptor table is full.
 const EMFILE: i32 = 24;
 /// The window the event loop is watched over while accepting fails.
@@ -40,16 +41,16 @@ const WINDOW: Duration = Duration::from_millis(200);
 /// the ready listener takes thousands.
 const MAX_WAKEUPS: u64 = 20;
 
-/// Run `body` under a soft `RLIMIT_NOFILE` of [`NOFILE`]: here when the
-/// limit is already that low, otherwise in a child process that runs
-/// just this test (`test`, its exact name) under `ulimit -n`.
+/// Run `body` under a soft `RLIMIT_NOFILE` of [`NOFILE`]: in a child
+/// process that runs just this test (`test`, its exact name) under
+/// `ulimit -n`, and is told by [`CHILD`] that it is the child.
 fn with_few_descriptors(test: &str, body: impl FnOnce()) {
-    let (soft, _) = nofile_limit().expect("RLIMIT_NOFILE is readable");
-    if soft <= NOFILE {
+    if std::env::var_os(CHILD).is_some() {
         return body();
     }
     let exe = std::env::current_exe().expect("the test binary's path");
     let child = Command::new("sh")
+        .env(CHILD, "1")
         .arg("-c")
         .arg(format!("ulimit -n {NOFILE} && exec \"$0\" \"$@\""))
         .arg(exe)
