@@ -114,107 +114,6 @@ pub fn schedule_single_core_with_deadline(
     })
 }
 
-/// Simulated-annealing refinement of the greedy deadline schedule.
-/// Starts from [`schedule_single_core_with_deadline`]'s plan and
-/// explores ±1 rate moves (rejecting deadline violations), accepting
-/// uphill moves with geometric-cooling probability and returning the
-/// best feasible plan seen. Deterministic per seed; never returns a
-/// worse plan than the greedy. Use when the greedy's gap (bounded ~10%
-/// in the tests) matters.
-#[must_use]
-pub fn anneal_under_deadline(
-    tasks: &[Task],
-    table: &RateTable,
-    params: CostParams,
-    deadline: f64,
-    iterations: usize,
-    seed: u64,
-) -> Option<SingleCorePlan> {
-    use rand::{Rng, SeedableRng};
-    let start = schedule_single_core_with_deadline(tasks, table, params, deadline)?;
-    if tasks.len() < 2 {
-        return Some(start);
-    }
-    let lookup = |tid: TaskId| tasks.iter().find(|t| t.id == tid).expect("task exists");
-    // Work on (cycles, rate) with the order re-derived (SPT) per eval.
-    let cycles: Vec<u64> = start.order.iter().map(|&(t, _)| lookup(t).cycles).collect();
-    let ids: Vec<TaskId> = start.order.iter().map(|&(t, _)| t).collect();
-    let mut rates: Vec<RateIdx> = start.order.iter().map(|&(_, r)| r).collect();
-
-    let eval = |cycles: &[u64], rates: &[RateIdx]| -> f64 {
-        // SPT order for fixed per-task rates.
-        let mut seq: Vec<(u64, RateIdx)> =
-            cycles.iter().copied().zip(rates.iter().copied()).collect();
-        seq.sort_by(|a, b| {
-            table
-                .exec_time(a.1, a.0)
-                .partial_cmp(&table.exec_time(b.1, b.0))
-                .expect("finite")
-        });
-        sequence_cost(params, table, &seq).total()
-    };
-
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let mut cur_cost = eval(&cycles, &rates);
-    let mut best_rates = rates.clone();
-    let mut best_cost = cur_cost;
-    let mut temp = cur_cost * 0.05;
-    let cooling = 0.999f64;
-
-    for _ in 0..iterations {
-        let i = rng.gen_range(0..rates.len());
-        let up = rng.gen_bool(0.5);
-        let new_rate = if up {
-            if rates[i] >= table.max_rate() {
-                continue;
-            }
-            rates[i] + 1
-        } else {
-            if rates[i] == 0 {
-                continue;
-            }
-            rates[i] - 1
-        };
-        let old = rates[i];
-        rates[i] = new_rate;
-        if makespan(&cycles, &rates, table) > deadline + 1e-9 {
-            rates[i] = old;
-            continue;
-        }
-        let cost = eval(&cycles, &rates);
-        let accept = cost <= cur_cost || rng.gen_bool(((cur_cost - cost) / temp).exp().min(1.0));
-        if accept {
-            cur_cost = cost;
-            if cost < best_cost {
-                best_cost = cost;
-                best_rates.clone_from(&rates);
-            }
-        } else {
-            rates[i] = old;
-        }
-        temp = (temp * cooling).max(best_cost * 1e-6);
-    }
-
-    // Materialize the best plan in SPT order.
-    let mut entries: Vec<(TaskId, RateIdx, u64, f64)> = Vec::with_capacity(ids.len());
-    for i in 0..ids.len() {
-        entries.push((
-            ids[i],
-            best_rates[i],
-            cycles[i],
-            table.exec_time(best_rates[i], cycles[i]),
-        ));
-    }
-    entries.sort_by(|a, b| a.3.partial_cmp(&b.3).expect("finite").then(a.0.cmp(&b.0)));
-    let order: Vec<(TaskId, RateIdx)> = entries.iter().map(|&(t, r, _, _)| (t, r)).collect();
-    let seq: Vec<(u64, RateIdx)> = entries.iter().map(|&(_, r, c, _)| (c, r)).collect();
-    let predicted_cost = sequence_cost(params, table, &seq).total();
-    Some(SingleCorePlan {
-        order,
-        predicted_cost,
-    })
-}
-
 /// Total energy of a per-task rate assignment: `Σ L·E(p)`.
 fn plan_energy(cycles: &[u64], rates: &[RateIdx], table: &RateTable) -> f64 {
     cycles
@@ -568,62 +467,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn anneal_never_worse_than_greedy_and_respects_deadline() {
-        let table = table();
-        let params = CostParams::batch_paper();
-        let cycles = [
-            4_000_000_000u64,
-            3_000_000_000,
-            2_000_000_000,
-            900_000_000,
-            5_500_000_000,
-        ];
-        let tasks = batch_workload(&cycles);
-        for deadline in [5.2f64, 6.0, 7.5, 10.0] {
-            let greedy = schedule_single_core_with_deadline(&tasks, &table, params, deadline);
-            let annealed = anneal_under_deadline(&tasks, &table, params, deadline, 20_000, 9);
-            match (greedy, annealed) {
-                (Some(g), Some(a)) => {
-                    assert!(a.predicted_cost <= g.predicted_cost * (1.0 + 1e-9));
-                    assert!(plan_makespan(&a, &tasks, &table) <= deadline + 1e-9);
-                }
-                (None, None) => {}
-                other => panic!("feasibility mismatch: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn anneal_closes_the_greedy_gap_on_two_rate_instances() {
-        let table = RateTable::i7_950_two_rates();
-        let params = CostParams::batch_paper();
-        let cycles = vec![2_000_000_000u64, 1_000_000_000, 3_000_000_000];
-        let tasks = batch_workload(&cycles);
-        let min_span: f64 = cycles.iter().map(|&c| table.exec_time(1, c)).sum();
-        for frac in [1.05f64, 1.2, 1.5] {
-            let deadline = min_span * frac;
-            let annealed = anneal_under_deadline(&tasks, &table, params, deadline, 30_000, 4)
-                .expect("feasible");
-            let best = brute_force(&cycles, &table, params, deadline).expect("feasible");
-            assert!(
-                annealed.predicted_cost <= best * 1.02 + 1e-12,
-                "anneal {:.6} vs optimum {best:.6} at deadline {deadline}",
-                annealed.predicted_cost
-            );
-        }
-    }
-
-    #[test]
-    fn anneal_deterministic_per_seed() {
-        let table = table();
-        let params = CostParams::batch_paper();
-        let tasks = batch_workload(&[6_000_000_000, 2_000_000_000, 4_000_000_000]);
-        let a = anneal_under_deadline(&tasks, &table, params, 4.5, 5_000, 42).unwrap();
-        let b = anneal_under_deadline(&tasks, &table, params, 4.5, 5_000, 42).unwrap();
-        assert_eq!(a, b);
     }
 
     fn budget_plan_energy(

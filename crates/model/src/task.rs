@@ -42,6 +42,29 @@ impl TaskClass {
                 | (TaskClass::Interactive, TaskClass::Batch)
         )
     }
+
+    /// How the JSONL files — task traces and lifecycle records — spell
+    /// this class: its variant name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            TaskClass::Batch => "Batch",
+            TaskClass::Interactive => "Interactive",
+            TaskClass::NonInteractive => "NonInteractive",
+        }
+    }
+
+    /// The class [`TaskClass::name`] spells `name`, if any.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<TaskClass> {
+        [
+            TaskClass::Batch,
+            TaskClass::Interactive,
+            TaskClass::NonInteractive,
+        ]
+        .into_iter()
+        .find(|c| c.name() == name)
+    }
 }
 
 /// A task `j_k = (L_k, A_k, D_k)` from Section II-A.

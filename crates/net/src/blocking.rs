@@ -10,8 +10,9 @@ use crate::handler::{push_line, recycle, Answered, Caller, Handler};
 use std::io::{self, ErrorKind, Read, Write};
 use std::time::Instant;
 
-/// Serve `stream` until the peer closes it, a request asks for a stop
-/// (acknowledged and flushed before [`Handler::stop`] runs), or
+/// Serve `stream` until the peer closes it, a request on it asks for a
+/// stop ([`Answered::Stop`]: the acknowledgement and the responses
+/// before it are written, nothing after it is answered), or
 /// [`Handler::should_stop`] turns true. The stop flag is polled between
 /// reads, so the caller should give the stream a read timeout:
 /// `WouldBlock`/`TimedOut` reads are retried, keeping a part-read line.
@@ -60,7 +61,6 @@ pub fn serve<S: Read + Write, H: Handler + ?Sized>(
         stream.flush()?;
         recycle(&mut out);
         if stop {
-            handler.stop();
             break;
         }
     }
@@ -75,9 +75,9 @@ mod tests {
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Uppercases every line, but lowercases a "wait…" line and a
-    /// "stop" line (which asks for a stop): the lines an event loop
-    /// would not have been answered. This driver must never call as one.
+    /// Uppercases every line, but lowercases a "wait…" line, which an
+    /// event loop would not have answered (this driver must never call
+    /// as one), and a "stop" line, which raises the stop flag.
     #[derive(Default)]
     struct Upper {
         stopped: AtomicBool,
@@ -96,6 +96,7 @@ mod tests {
                 if line.starts_with("wait") || *line == "stop" {
                     push_line(out, &line.to_lowercase());
                     if *line == "stop" {
+                        self.stopped.store(true, Ordering::SeqCst);
                         return Answered::Stop;
                     }
                 } else {
@@ -104,13 +105,10 @@ mod tests {
             }
             Answered::All
         }
-        fn stop(&self) {
-            self.stopped.store(true, Ordering::SeqCst);
-        }
         fn oversized_line(&self, len: usize) -> String {
             format!("oversized:{len}")
         }
-        fn shed_line(&self) -> String {
+        fn shed_line(&self, _max_connections: usize) -> String {
             "shed".to_owned()
         }
         fn should_stop(&self) -> bool {
@@ -214,8 +212,8 @@ mod tests {
             Some(b"unread\n".to_vec()),
         ]);
         serve(&mut stream, 64, &handler).unwrap();
-        // The ack was written before `stop` ran; nothing after the
-        // request was answered or even read.
+        // The ack was written; nothing after the request was answered
+        // or even read.
         assert_eq!(stream.lines(), ["PING", "stop"]);
         assert!(handler.stopped.load(Ordering::SeqCst));
         assert_eq!(stream.reads.len(), 1);

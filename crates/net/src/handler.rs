@@ -5,17 +5,21 @@
 //! and nothing else. That is what makes the two front-ends
 //! byte-identical on the wire.
 //!
-//! The contract is one rule: **blocking is a property of the caller**.
-//! `answer` walks a batch once, decodes each line once, and writes each
-//! response straight into the connection's output bytes. A caller that
-//! may wait ([`Caller::MayWait`]: the blocking driver's own thread, the
-//! reactor's slow lane) gets every line answered, however long a line
-//! takes. The event loop ([`Caller::EventLoop`]) gets every line up to
-//! the first that would have to wait (a scheduler drain takes a whole
-//! round): `answer` stops *before* that line, with no side effect for
-//! it, and says where ([`Answered::WouldBlock`]); the reactor defers an
-//! owned copy of the lines from there to its lane, which calls the same
-//! `answer` again as a caller that may wait.
+//! The contract is four methods and one rule: **blocking is a property
+//! of the caller**. `answer` walks a batch once, decodes each line
+//! once, and writes each response straight into the connection's output
+//! bytes. A caller that may wait ([`Caller::MayWait`]: the blocking
+//! driver's own thread, the reactor's slow lane) gets every line
+//! answered, however long a line takes. The event loop
+//! ([`Caller::EventLoop`]) gets every line up to the first that would
+//! have to wait (a scheduler drain takes a whole round): `answer` stops
+//! *before* that line, with no side effect for it, and says where
+//! ([`Answered::WouldBlock`]); the reactor defers an owned copy of the
+//! lines from there to its lane, which calls the same `answer` again as
+//! a caller that may wait.
+//!
+//! A stop is a flag ([`Answered::Stop`], [`Handler::should_stop`]): no
+//! driver calls into the handler to stop, and a drain is the embedder's.
 
 use std::borrow::Cow;
 use std::time::Instant;
@@ -25,7 +29,8 @@ use std::time::Instant;
 pub enum Caller {
     /// The reactor's event loop: every connection waits while it does.
     EventLoop,
-    /// A thread whose waiting holds up one connection's replies only.
+    /// A connection's own thread, or the reactor's slow lane: waiting
+    /// holds up that connection (and, on the lane, the work behind it).
     MayWait,
 }
 
@@ -34,11 +39,9 @@ pub enum Caller {
 pub enum Answered {
     /// Every line is answered.
     All,
-    /// A line asked the server to stop and is acknowledged; the lines
-    /// after it are not processed and owe no response. The driver calls
-    /// [`Handler::stop`] once the output is on its way. Stopping may
-    /// block, so only a caller that may wait is told this; on the event
-    /// loop a stop request is a line that would block.
+    /// A line asked the server to stop: it is acknowledged and
+    /// [`Handler::should_stop`] is `true`. Nothing after it is answered;
+    /// the driver closes the connection once its bytes are out.
     Stop,
     /// Only to [`Caller::EventLoop`]: lines `..k` are answered, line
     /// `k` must wait and is untouched — nothing counted, nothing
@@ -62,24 +65,20 @@ pub trait Handler: Send + Sync {
         caller: Caller,
     ) -> Answered;
 
-    /// Act on a stop request. Called after the requesting line's
-    /// response is queued for (reactor) or written to (blocking) the
-    /// connection, so the acknowledgement leaves before
-    /// [`Handler::should_stop`] can turn true. May block.
-    fn stop(&self);
-
     /// The response line for a request line that blew the byte budget
     /// (`len` bytes seen when it tripped).
     fn oversized_line(&self, len: usize) -> String;
 
     /// The final response line written to a connection shed by the
-    /// connection budget, before it is closed.
-    fn shed_line(&self) -> String;
+    /// connection budget — `max_connections`, as the driver that
+    /// enforces it was configured — before it is closed.
+    fn shed_line(&self, max_connections: usize) -> String;
 
     /// Polled between reads (blocking) or once per wakeup (reactor);
     /// `true` ends the driver. Responses already answered still leave:
-    /// the blocking driver has written them, the reactor writes out
-    /// what is queued (for up to 5 s) before it closes.
+    /// the blocking driver has written them, the reactor lets its slow
+    /// lane finish what was deferred to it and writes out what is
+    /// queued (for up to 5 s) before it closes.
     fn should_stop(&self) -> bool;
 }
 

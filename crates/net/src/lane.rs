@@ -73,16 +73,14 @@ impl Lane {
             reason = "blocking on the next deferred job is the lane thread's whole job; the event loop never runs this closure"
         )]
         scope.spawn(move || {
+            // What a connection deferred behind its stop owes nothing.
+            let mut stopped = Vec::new();
             while let Ok((token, received, work)) = rx.recv() {
                 let mut out = Vec::new();
-                let stop = work.answer(handler, received, &mut out);
-                // Deliver before acting on a stop request: the ack must
-                // be in the reactor's mailbox before `should_stop` can
-                // turn true, so the loop's final write-out carries it.
-                mailbox.deliver(token, out);
-                if stop {
-                    handler.stop();
+                if !stopped.contains(&token) && work.answer(handler, received, &mut out) {
+                    stopped.push(token);
                 }
+                mailbox.deliver(token, out);
             }
         });
         Lane { tx }

@@ -32,9 +32,10 @@
 //! 5. flush stopped by `EPOLLOUT`? re-arm write interest and finish the
 //!    flush on a later wakeup.
 //!
-//! On a stop, the replies already delivered land on their connections,
-//! and what every connection has queued is written out — for up to
-//! `STOP_WRITE_BOUND`, 5 s — before the connections close.
+//! A stop request is answered where it is read, the loop included, and
+//! its connection owes nothing more, not even the rest of that read. On
+//! a stop, the lane finishes its work, then every connection's queued
+//! bytes are written out for up to `STOP_WRITE_BOUND` (5 s).
 //!
 //! ## Deferred work (internal)
 //!
@@ -131,9 +132,9 @@ fn token_parts(token: u64) -> Option<(u32, usize)> {
 
 /// Thread-safe inbox for deferred replies. The slow lane delivers the
 /// response bytes and writes a byte to the waker pair; the event loop
-/// applies them on its next wakeup. [`Reactor::run`] joins the lane
-/// thread before the mailbox can drop, so the lane never writes to a
-/// closed socket.
+/// applies them on its next wakeup, and once more after the lane has
+/// finished. [`Reactor::run`] joins the lane thread before the mailbox
+/// can drop, so the lane never writes to a closed socket.
 pub(crate) struct Mailbox {
     /// The lane's end of the waker pair: one byte per delivery.
     wake: UnixStream,
@@ -200,7 +201,7 @@ struct Slab<S> {
     open: usize,
 }
 
-impl<S> Slab<S> {
+impl<S: Read + Write + AsRawFd> Slab<S> {
     fn new() -> Slab<S> {
         Slab {
             slots: Vec::new(),
@@ -248,6 +249,110 @@ impl<S> Slab<S> {
         }
         entry
     }
+
+    /// Flush a connection's queued output and reconcile its lifecycle:
+    /// re-register it on transitions — readable unless it is closing or
+    /// has deferred work outstanding (its next requests wait in the
+    /// socket, so one connection never queues more than one read's
+    /// worth on the lane), writable while a flush is stopped short —
+    /// close once it is `closing` with nothing left to write and no
+    /// deferred work outstanding, close immediately on hard write
+    /// errors.
+    fn settle(&mut self, reactor: &Reactor, idx: usize, observer: &mut dyn Observer) {
+        let Some(entry) = self.get_mut(idx) else {
+            return;
+        };
+        let token = conn_token(entry.generation, idx);
+        let mut dead = false;
+
+        match entry.conn.flush() {
+            Ok(flushed) => {
+                if !flushed {
+                    entry.stalled_since.get_or_insert_with(Instant::now);
+                } else if let Some(since) = entry.stalled_since.take() {
+                    observer.on_backpressure_stall(since.elapsed().as_secs_f64());
+                }
+                let want = Interest {
+                    readable: entry.pending_deferred == 0 && !entry.conn.closing,
+                    writable: !flushed,
+                };
+                if flushed && entry.conn.closing && entry.pending_deferred == 0 {
+                    dead = true;
+                } else if want != entry.conn.armed {
+                    entry.conn.armed = want;
+                    dead = reactor.poller.modify(entry.conn.fd(), token, want).is_err();
+                }
+            }
+            Err(_) => dead = true,
+        }
+
+        if dead {
+            if let Some(entry) = self.remove(idx) {
+                let _ = reactor.poller.remove(entry.conn.fd());
+                // A connection that dies mid-stall still closes its
+                // stall window (the flush arm above already took the
+                // stamp when the flush completed before death).
+                if let Some(since) = entry.stalled_since {
+                    observer.on_backpressure_stall(since.elapsed().as_secs_f64());
+                }
+            }
+            observer.on_close(self.open);
+        }
+    }
+
+    /// Apply every reply delivered since the last wakeup: land its
+    /// bytes on its connection (dropping replies whose connection or
+    /// generation is gone), then flush and reconcile that connection.
+    fn apply_replies(&mut self, reactor: &Reactor, observer: &mut dyn Observer) {
+        for (token, bytes) in reactor.mailbox.take() {
+            let Some((generation, idx)) = token_parts(token) else {
+                continue;
+            };
+            {
+                let Some(entry) = self.get_mut(idx) else {
+                    continue; // connection died before its reply arrived
+                };
+                if entry.generation != generation {
+                    continue; // slot reused; reply belongs to the old owner
+                }
+                // One delivery completes one piece of deferred work,
+                // even when it carries no bytes.
+                entry.pending_deferred = entry.pending_deferred.saturating_sub(1);
+                entry.conn.queue_bytes(bytes);
+            }
+            self.settle(reactor, idx, observer);
+        }
+    }
+
+    /// The graceful stop, once the lane has finished: the replies it
+    /// delivered land on their connections first. Then, with the
+    /// listener and the waker disarmed, every connection is closing and
+    /// owes only its queued bytes: each closes once they are written
+    /// (waiting on `EPOLLOUT`), and those left at `STOP_WRITE_BOUND`
+    /// close with the slab.
+    fn write_out(&mut self, reactor: &Reactor, observer: &mut dyn Observer) -> io::Result<()> {
+        let poller = &reactor.poller;
+        self.apply_replies(reactor, observer);
+        let _ = reactor.arm_listener(Interest::default());
+        let woken = reactor.mailbox.woken.as_raw_fd();
+        let _ = poller.modify(woken, WAKER_TOKEN, Interest::default());
+        let deadline = Instant::now() + STOP_WRITE_BOUND;
+        let mut events = Vec::new();
+        loop {
+            for idx in 0..self.slots.len() {
+                if let Some(entry) = self.get_mut(idx) {
+                    entry.conn.closing = true;
+                    entry.pending_deferred = 0;
+                }
+                self.settle(reactor, idx, observer);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if self.open == 0 || left.is_zero() {
+                return Ok(());
+            }
+            poller.wait(&mut events, left.as_millis() as i32 + 1)?;
+        }
+    }
 }
 
 /// The reactor's descriptors, taken before its loop runs: the epoll
@@ -286,9 +391,9 @@ impl Reactor {
     /// Run the event loop until [`Handler::should_stop`] returns
     /// `true`. `accept` takes one pending connection off the listener as
     /// a nonblocking stream (`WouldBlock` once none waits; other errors
-    /// follow [`after_accept_error`]). Returns once the replies already
-    /// queued are written out (or 5 s have passed) and the slow lane
-    /// has finished the work already deferred to it.
+    /// follow [`after_accept_error`]). Returns once the slow lane has
+    /// finished the work already deferred to it and the replies queued
+    /// are written out (or 5 s have passed).
     ///
     /// # Errors
     /// Only on a wait failure of the epoll instance itself;
@@ -305,8 +410,9 @@ impl Reactor {
         S: Read + Write + AsRawFd,
         H: Handler + ?Sized,
     {
-        // The scope joins the lane thread after the loop returns and
-        // drops the `Lane` (hanging its channel up).
+        // The scope joins the lane once the loop drops it (hanging up
+        // its channel), so all the lane delivers precedes the write-out.
+        let mut slab = Slab::new();
         std::thread::scope(|scope| {
             let event_loop = Loop {
                 reactor: &self,
@@ -315,8 +421,14 @@ impl Reactor {
                 handler,
                 stream: PhantomData,
             };
-            event_loop.run(&mut accept, observer)
-        })
+            event_loop.run(&mut slab, &mut accept, observer)
+        })?;
+        slab.write_out(&self, observer)
+    }
+
+    fn arm_listener(&self, interest: Interest) -> bool {
+        let fd = self.listener_fd;
+        self.poller.modify(fd, LISTENER_TOKEN, interest).is_ok()
     }
 }
 
@@ -333,11 +445,11 @@ struct Loop<'a, H: Handler + ?Sized, S> {
 impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
     fn run(
         &self,
+        slab: &mut Slab<S>,
         accept: &mut dyn FnMut() -> io::Result<S>,
         observer: &mut dyn Observer,
     ) -> io::Result<()> {
-        let poller = &self.reactor.poller;
-        let mut slab = Slab::new();
+        let reactor = self.reactor;
         let mut events: Vec<Event> = Vec::new();
         // The one read buffer every connection's lines are lent from.
         let mut scratch = vec![0u8; 16 * 1024];
@@ -345,13 +457,13 @@ impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
 
         loop {
             let wait_start = Instant::now();
-            let n = poller.wait(&mut events, self.cfg.poll_timeout_ms)?;
+            let n = reactor.poller.wait(&mut events, self.cfg.poll_timeout_ms)?;
             let woke = Instant::now();
             observer.on_wakeup(n);
             if self.handler.should_stop() {
-                break;
+                return Ok(());
             }
-            if rearm_at.is_some_and(|at| at <= woke) && self.arm_listener(Interest::READ) {
+            if rearm_at.is_some_and(|at| at <= woke) && reactor.arm_listener(Interest::READ) {
                 rearm_at = None;
             }
             // Tokens are stable across the iteration: epoll coalesces to
@@ -361,13 +473,13 @@ impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
             for i in 0..events.len() {
                 let Some(&ev) = events.get(i) else { break };
                 if ev.token == LISTENER_TOKEN {
-                    if self.accept_ready(&mut slab, accept, observer) {
+                    if self.accept_ready(slab, accept, observer) {
                         rearm_at = Some(woke + ACCEPT_BACKOFF);
                     }
                 } else if ev.token == WAKER_TOKEN {
-                    self.apply_replies(&mut slab, observer);
+                    slab.apply_replies(reactor, observer);
                 } else {
-                    self.service_connection(&mut slab, ev, observer, &mut scratch);
+                    self.service_connection(slab, ev, observer, &mut scratch);
                 }
             }
             observer.on_loop_times(
@@ -375,41 +487,9 @@ impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
                 woke.elapsed().as_secs_f64(),
             );
             if self.handler.should_stop() {
-                break;
-            }
-        }
-
-        // Graceful stop: deferred replies already delivered land on
-        // their connections first. Then, with the listener and the
-        // waker disarmed, every connection is closing and owes only
-        // its queued bytes: each closes once they are written (waiting
-        // on `EPOLLOUT`), and those left at `STOP_WRITE_BOUND` close
-        // with the slab.
-        self.apply_replies(&mut slab, observer);
-        let _ = self.arm_listener(Interest::default());
-        let woken = self.reactor.mailbox.woken.as_raw_fd();
-        let _ = poller.modify(woken, WAKER_TOKEN, Interest::default());
-        let deadline = Instant::now() + STOP_WRITE_BOUND;
-        loop {
-            for idx in 0..slab.slots.len() {
-                if let Some(entry) = slab.get_mut(idx) {
-                    entry.conn.closing = true;
-                    entry.pending_deferred = 0;
-                }
-                self.settle_connection(&mut slab, idx, observer);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if slab.open == 0 || left.is_zero() {
                 return Ok(());
             }
-            poller.wait(&mut events, left.as_millis() as i32 + 1)?;
         }
-    }
-
-    fn arm_listener(&self, interest: Interest) -> bool {
-        let reactor = self.reactor;
-        let fd = reactor.listener_fd;
-        reactor.poller.modify(fd, LISTENER_TOKEN, interest).is_ok()
     }
 
     /// Accept until the backlog is empty; `true` when an accept error
@@ -428,7 +508,7 @@ impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
                     AcceptRetry::Now => continue,
                     AcceptRetry::CountAndBackOff => {
                         observer.on_accept_error();
-                        return self.arm_listener(Interest::default());
+                        return self.reactor.arm_listener(Interest::default());
                     }
                 },
             };
@@ -437,7 +517,10 @@ impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
                 // close (the stream drops). A fresh socket's send buffer
                 // is empty, so the single nonblocking write virtually
                 // always lands whole.
-                let mut line = self.handler.shed_line().into_bytes();
+                let mut line = self
+                    .handler
+                    .shed_line(self.cfg.max_connections)
+                    .into_bytes();
                 line.push(b'\n');
                 let _ = stream.write(&line);
                 observer.on_accept_shed();
@@ -489,22 +572,25 @@ impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
                 // Reading stops at the first deferral, and a readiness
                 // event from before the fd was re-registered reads
                 // nothing: what is behind deferred work waits in the
-                // socket until its reply has landed.
+                // socket until its reply has landed. What is behind a
+                // stop request owes nothing.
+                let mut stopped = false;
                 let eof = *pending_deferred == 0
                     && conn
                         .fill(scratch, |batch, out| {
-                            self.dispatch(
-                                batch,
-                                out,
-                                pending_deferred,
-                                ev.token,
-                                received,
-                                observer,
-                            );
-                            *pending_deferred == 0
+                            stopped = stopped
+                                || self.dispatch(
+                                    batch,
+                                    out,
+                                    pending_deferred,
+                                    ev.token,
+                                    received,
+                                    observer,
+                                );
+                            *pending_deferred == 0 && !stopped
                         })
                         .unwrap_or(true);
-                if eof || ev.hangup {
+                if eof || ev.hangup || stopped {
                     // Drain-then-close: any complete lines above got
                     // their responses (deferred ones keep the connection
                     // open until they arrive); a mid-line fragment owes
@@ -513,91 +599,14 @@ impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
                 }
             }
         }
-        self.settle_connection(slab, idx, observer);
-    }
-
-    /// Flush a connection's queued output and reconcile its lifecycle:
-    /// re-register it on transitions — readable unless it is closing or
-    /// has deferred work outstanding (its next requests wait in the
-    /// socket, so one connection never queues more than one read's
-    /// worth on the lane), writable while a flush is stopped short —
-    /// close once it is `closing` with nothing left to write and no
-    /// deferred work outstanding, close immediately on hard write
-    /// errors.
-    fn settle_connection(&self, slab: &mut Slab<S>, idx: usize, observer: &mut dyn Observer) {
-        let Some(entry) = slab.get_mut(idx) else {
-            return;
-        };
-        let token = conn_token(entry.generation, idx);
-        let mut dead = false;
-
-        match entry.conn.flush() {
-            Ok(flushed) => {
-                if !flushed {
-                    entry.stalled_since.get_or_insert_with(Instant::now);
-                } else if let Some(since) = entry.stalled_since.take() {
-                    observer.on_backpressure_stall(since.elapsed().as_secs_f64());
-                }
-                let want = Interest {
-                    readable: entry.pending_deferred == 0 && !entry.conn.closing,
-                    writable: !flushed,
-                };
-                if flushed && entry.conn.closing && entry.pending_deferred == 0 {
-                    dead = true;
-                } else if want != entry.conn.armed {
-                    entry.conn.armed = want;
-                    dead = self
-                        .reactor
-                        .poller
-                        .modify(entry.conn.fd(), token, want)
-                        .is_err();
-                }
-            }
-            Err(_) => dead = true,
-        }
-
-        if dead {
-            if let Some(entry) = slab.remove(idx) {
-                let _ = self.reactor.poller.remove(entry.conn.fd());
-                // A connection that dies mid-stall still closes its
-                // stall window (the flush arm above already took the
-                // stamp when the flush completed before death).
-                if let Some(since) = entry.stalled_since {
-                    observer.on_backpressure_stall(since.elapsed().as_secs_f64());
-                }
-            }
-            observer.on_close(slab.open);
-        }
-    }
-
-    /// Apply every reply delivered since the last wakeup: land its
-    /// bytes on its connection (dropping replies whose connection or
-    /// generation is gone), then flush and reconcile that connection.
-    fn apply_replies(&self, slab: &mut Slab<S>, observer: &mut dyn Observer) {
-        for (token, bytes) in self.reactor.mailbox.take() {
-            let Some((generation, idx)) = token_parts(token) else {
-                continue;
-            };
-            {
-                let Some(entry) = slab.get_mut(idx) else {
-                    continue; // connection died before its reply arrived
-                };
-                if entry.generation != generation {
-                    continue; // slot reused; reply belongs to the old owner
-                }
-                // One delivery completes one piece of deferred work,
-                // even when it carries no bytes.
-                entry.pending_deferred = entry.pending_deferred.saturating_sub(1);
-                entry.conn.queue_bytes(bytes);
-            }
-            self.settle_connection(slab, idx, observer);
-        }
+        slab.settle(self.reactor, idx, observer);
     }
 
     /// Answer one batch in its wire position: inline — into `out`, the
     /// connection's output buffer — up to the first line that would
     /// block, and from there (or whole, behind work already outstanding
-    /// on this connection) through the slow lane.
+    /// on this connection) through the slow lane. `true` when a line
+    /// asked for a stop.
     fn dispatch(
         &self,
         batch: Batch<'_>,
@@ -606,7 +615,7 @@ impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
         token: u64,
         received: Instant,
         observer: &mut dyn Observer,
-    ) {
+    ) -> bool {
         let queued = *pending_deferred > 0;
         let work = match batch {
             Batch::Lines(lines) => {
@@ -615,11 +624,9 @@ impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
                     0
                 } else {
                     match self.handler.answer(lines, received, out, Caller::EventLoop) {
-                        Answered::All => return,
+                        Answered::All => return false,
+                        Answered::Stop => return true,
                         Answered::WouldBlock(k) => k,
-                        // Off contract (a stop request would block the
-                        // loop); still honoured rather than lost.
-                        Answered::Stop => return self.handler.stop(),
                     }
                 };
                 let rest = lines.get(from..).unwrap_or(&[]).iter();
@@ -628,7 +635,7 @@ impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
             Batch::Oversized { len } => {
                 if !queued {
                     push_line(out, &self.handler.oversized_line(len));
-                    return;
+                    return false;
                 }
                 Deferred::Oversized { len }
             }
@@ -637,12 +644,9 @@ impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
             Ok(()) => *pending_deferred += 1,
             // Lane thread gone (it panicked): answer here rather than
             // drop the work.
-            Err(work) => {
-                if work.answer(self.handler, received, out) {
-                    self.handler.stop();
-                }
-            }
+            Err(work) => return work.answer(self.handler, received, out),
         }
+        false
     }
 }
 
@@ -657,14 +661,14 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    /// Uppercases every line. Lines starting with "slow" or "hold" and
-    /// lines ending in "stop" would block: the event loop is stopped
-    /// before them, a caller that may wait gets them answered — a
-    /// "hold" line only after the test releases one permit, so a test
-    /// can race its reply against connection death, slot reuse, and
-    /// other connections' traffic; a "…stop" line asks for a stop. No
-    /// helper threads: the reactor's own lane is the only caller that
-    /// may wait.
+    /// Uppercases every line. Lines starting with "slow" or "hold"
+    /// would block: the event loop is stopped before them, a caller that
+    /// may wait gets them answered — a "hold" line only after the test
+    /// releases one permit, so a test can race its reply against
+    /// connection death, slot reuse, and other connections' traffic. A
+    /// line ending in "stop" raises the stop flag, on whichever caller
+    /// answers it. No helper threads: the reactor's own lane is the only
+    /// caller that may wait.
     struct EchoUpper {
         stop: AtomicBool,
         permits: Mutex<Receiver<()>>,
@@ -683,7 +687,7 @@ mod tests {
             caller: Caller,
         ) -> Answered {
             for (k, line) in lines.iter().enumerate() {
-                if line.starts_with("slow") || line.starts_with("hold") || line.ends_with("stop") {
+                if line.starts_with("slow") || line.starts_with("hold") {
                     if caller == Caller::EventLoop {
                         return Answered::WouldBlock(k);
                     }
@@ -694,20 +698,18 @@ mod tests {
                 }
                 push_line(out, &line.to_uppercase());
                 self.answered.fetch_add(1, Ordering::SeqCst);
-                if caller == Caller::MayWait && line.ends_with("stop") {
+                if line.ends_with("stop") {
+                    self.stop.store(true, Ordering::SeqCst);
                     return Answered::Stop;
                 }
             }
             Answered::All
         }
 
-        fn stop(&self) {
-            self.stop.store(true, Ordering::SeqCst);
-        }
         fn oversized_line(&self, len: usize) -> String {
             format!("oversized:{len}")
         }
-        fn shed_line(&self) -> String {
+        fn shed_line(&self, _max_connections: usize) -> String {
             "shed".to_owned()
         }
         fn should_stop(&self) -> bool {
@@ -781,10 +783,15 @@ mod tests {
             });
         }
 
+        /// Raise the stop flag, as an embedder does outside the wire.
+        fn raise_stop(&self) {
+            self.handler.stop.store(true, Ordering::SeqCst);
+        }
+
         /// Stop the reactor (if a request has not already) and hand
         /// back what the observer counted.
         fn shut_down(self) -> Counts {
-            self.handler.stop();
+            self.raise_stop();
             self.thread.join().unwrap();
             std::mem::take(&mut *self.counts.lock().unwrap())
         }
@@ -910,22 +917,60 @@ mod tests {
         assert!(counts.closes >= 1, "closes = {}", counts.closes);
     }
 
-    /// A stop request is acknowledged before the loop exits (the lane
-    /// delivers the ack to the mailbox before it calls `stop`), and
-    /// lines after the request owe nothing.
+    /// A stop request is acknowledged before the loop exits — answered
+    /// inline ("stop") or on the lane ("slow-stop") — and what follows
+    /// it owes nothing: not the rest of its batch, nor the later
+    /// batches of the same read (an oversized line cuts one), whether
+    /// the loop or the lane would have answered them.
     #[test]
     fn stop_is_acked_before_the_loop_exits() {
         for request in ["stop", "slow-stop"] {
             let rig = spawn_reactor(4);
             let (mut sock, mut reader) = rig.connect();
-            sock.write_all(format!("first\n{request}\nnever-answered\n").as_bytes())
-                .unwrap();
+            let mut script = format!("first\n{request}\nnever-answered\n").into_bytes();
+            script.extend_from_slice(&[b'z'; 65]);
+            script.extend_from_slice(b"\nnor-this\n");
+            sock.write_all(&script).unwrap();
             assert_eq!(read_trimmed(&mut reader), "FIRST");
             assert_eq!(read_trimmed(&mut reader), request.to_uppercase());
             // The reactor stops on its own and closes the connection
-            // without answering the trailing line.
+            // without answering the trailing lines.
             let mut rest = String::new();
             assert_eq!(reader.read_to_string(&mut rest).unwrap(), 0, "{rest:?}");
+            rig.thread.join().unwrap();
+            assert_eq!(rig.handler.answered.load(Ordering::SeqCst), 2, "{request}");
+        }
+    }
+
+    /// A stop waits on nothing the lane holds: a stop request on one
+    /// connection is acknowledged while another connection's line is
+    /// parked on the lane. And whichever way the stop comes — that
+    /// request, or the embedder raising the flag — the lane's reply
+    /// still reaches its connection before that connection closes.
+    #[test]
+    fn a_stop_passes_the_lane_and_the_lane_finishes_before_the_write_out() {
+        for by_request in [true, false] {
+            let rig = spawn_reactor(4);
+            let (mut a, mut a_reader) = rig.connect();
+            a.write_all(b"hold-a\n").unwrap();
+            rig.wait_held(1);
+            if by_request {
+                let (mut b, mut b_reader) = rig.connect();
+                b.write_all(b"stop\n").unwrap();
+                b.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+                assert_eq!(read_trimmed(&mut b_reader), "STOP", "acked past the lane");
+            } else {
+                rig.raise_stop();
+            }
+            std::thread::sleep(Duration::from_millis(50)); // the loop sees the flag
+            rig.release.send(()).unwrap();
+            assert_eq!(
+                read_trimmed(&mut a_reader),
+                "HOLD-A",
+                "by request: {by_request}"
+            );
+            let mut rest = String::new();
+            assert_eq!(a_reader.read_to_string(&mut rest).unwrap(), 0, "{rest:?}");
             rig.thread.join().unwrap();
         }
     }

@@ -29,6 +29,9 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+/// Admitted tasks in arrival order, each with its stage stamps.
+type Queue = VecDeque<(Task, StageStamp)>;
+
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
@@ -108,9 +111,9 @@ impl AdmissionPolicy {
     }
 }
 
-/// Outcome of a gated submit ([`AdmissionQueue::try_submit_gated`]).
+/// Outcome of a gated submit ([`AdmissionQueue::try_submit_stamped`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateOutcome {
+pub(crate) enum GateOutcome {
     /// Admitted; carries the queue depth including the new task.
     Admitted(usize),
     /// Shed by the admission policy.
@@ -126,7 +129,7 @@ pub enum GateOutcome {
 #[derive(Debug)]
 pub struct AdmissionQueue {
     policy: AdmissionPolicy,
-    inner: Mutex<VecDeque<(Task, StageStamp)>>,
+    inner: Mutex<Queue>,
     /// Signaled whenever a drain empties the queue.
     drained: Condvar,
 }
@@ -142,7 +145,7 @@ impl AdmissionQueue {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(Task, StageStamp)>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Queue> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -158,35 +161,20 @@ impl AdmissionQueue {
     ///
     /// # Errors
     /// Returns the shed reason when the queue is full for this class.
-    #[expect(
-        clippy::unreachable,
-        reason = "the gate closure is the constant `|| true`, so `Closed` is statically impossible here"
-    )]
     pub fn try_submit(&self, task: Task) -> Result<usize, ShedReason> {
-        match self.try_submit_gated(task, || true) {
-            GateOutcome::Admitted(depth) => Ok(depth),
-            GateOutcome::Shed(reason) => Err(reason),
-            GateOutcome::Closed => unreachable!("gate `|| true` never closes"),
-        }
-    }
-
-    /// Admit `task`, but only if `open()` — evaluated *while the queue
-    /// lock is held* — returns true. This is the submission side of the
-    /// graceful-shutdown handshake: shutdown stores its flag and then
-    /// re-checks the queue depth under this same lock, so a submission
-    /// either lands before that re-check (and is drained) or observes
-    /// the flag inside the gate and is refused. Checking the flag
-    /// outside the lock leaves a window where a task is acknowledged
-    /// after the final drain and silently lost.
-    pub fn try_submit_gated(&self, task: Task, open: impl FnOnce() -> bool) -> GateOutcome {
         let recv = crate::clock::wall_now();
-        self.try_submit_stamped(task, recv, open)
+        self.push(&mut self.lock(), task, recv)
     }
 
-    /// [`try_submit_gated`](Self::try_submit_gated) with an explicit
-    /// wire-receive instant. The admission instant is stamped under the
-    /// queue lock, so queue-wait measured by the worker starts exactly
-    /// when the task became drainable.
+    /// Admit `task`, received off the wire at `recv`, but only if
+    /// `open()` — evaluated *while the queue lock is held* — returns
+    /// true. This is the submission side of the graceful-shutdown
+    /// handshake: shutdown stores its flag and then re-checks the queue
+    /// depth under this same lock, so a submission either lands before
+    /// that re-check (and is drained) or observes the flag inside the
+    /// gate and is refused. Checking the flag outside the lock leaves a
+    /// window where a task is acknowledged after the final drain and
+    /// silently lost.
     pub(crate) fn try_submit_stamped(
         &self,
         task: Task,
@@ -197,15 +185,23 @@ impl AdmissionQueue {
         if !open() {
             return GateOutcome::Closed;
         }
-        if let Err(reason) = self.policy.admit(q.len(), task.class) {
-            return GateOutcome::Shed(reason);
+        match self.push(&mut q, task, recv) {
+            Ok(depth) => GateOutcome::Admitted(depth),
+            Err(reason) => GateOutcome::Shed(reason),
         }
+    }
+
+    /// The admission decision under the queue lock `q`. The admission
+    /// instant is stamped here, so queue-wait measured by the worker
+    /// starts exactly when the task became drainable.
+    fn push(&self, q: &mut Queue, task: Task, recv: Instant) -> Result<usize, ShedReason> {
+        self.policy.admit(q.len(), task.class)?;
         let stamp = StageStamp {
             recv,
             admitted: crate::clock::wall_now(),
         };
         q.push_back((task, stamp));
-        GateOutcome::Admitted(q.len())
+        Ok(q.len())
     }
 
     /// Whether the oldest queued task has been waiting for its
@@ -214,7 +210,7 @@ impl AdmissionQueue {
         Self::stale(&self.lock(), pace)
     }
 
-    fn stale(q: &VecDeque<(Task, StageStamp)>, pace: Duration) -> bool {
+    fn stale(q: &Queue, pace: Duration) -> bool {
         q.front().is_some_and(|(_, stamp)| {
             crate::clock::wall_now().duration_since(stamp.admitted) > pace
         })
@@ -337,14 +333,15 @@ mod tests {
 
     #[test]
     fn gated_submit_refuses_when_closed_and_admits_when_open() {
+        let now = crate::clock::wall_now();
         let q = AdmissionQueue::new(AdmissionPolicy::with_capacity(4));
         assert_eq!(
-            q.try_submit_gated(task(1, TaskClass::Interactive), || false),
+            q.try_submit_stamped(task(1, TaskClass::Interactive), now, || false),
             GateOutcome::Closed
         );
         assert_eq!(q.depth(), 0, "a closed gate admits nothing");
         assert_eq!(
-            q.try_submit_gated(task(1, TaskClass::Interactive), || true),
+            q.try_submit_stamped(task(1, TaskClass::Interactive), now, || true),
             GateOutcome::Admitted(1)
         );
         // The gate is evaluated before the shed decision: a closed
@@ -355,11 +352,11 @@ mod tests {
         });
         q.try_submit(task(1, TaskClass::NonInteractive)).unwrap();
         assert_eq!(
-            q.try_submit_gated(task(2, TaskClass::NonInteractive), || false),
+            q.try_submit_stamped(task(2, TaskClass::NonInteractive), now, || false),
             GateOutcome::Closed
         );
         assert!(matches!(
-            q.try_submit_gated(task(2, TaskClass::NonInteractive), || true),
+            q.try_submit_stamped(task(2, TaskClass::NonInteractive), now, || true),
             GateOutcome::Shed(_)
         ));
     }

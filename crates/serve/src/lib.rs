@@ -87,7 +87,7 @@ pub(crate) mod supervise;
 pub(crate) mod tracestore;
 pub(crate) mod worker;
 
-pub use admission::{AdmissionPolicy, AdmissionQueue, GateOutcome, ShedReason};
+pub use admission::{AdmissionPolicy, AdmissionQueue, ShedReason};
 pub use executor::{ActuatorKind, RateActuator, RealTimeExecutor, RoundReport, SimulatedActuator};
 pub use metrics::{shard_metric, Counter, Gauge, Histogram, Registry};
 pub use protocol::{ErrorKind, Request, Response};

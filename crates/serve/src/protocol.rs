@@ -103,7 +103,8 @@ pub enum Request {
     Health,
     /// Liveness probe.
     Ping,
-    /// Graceful shutdown: drain, flush the trace file, stop.
+    /// Graceful shutdown: refuse new work, ack at once (it never waits),
+    /// close the connection; once the front end stops, drain and exit.
     Shutdown,
 }
 

@@ -2,12 +2,12 @@
 //!
 //! One request path, two interchangeable wire drivers selected by
 //! [`ServerConfig::net`]. The server's whole protocol logic is one
-//! `dvfs_net::Handler` (implemented once, below): one pass over a
-//! batch of request lines lent from the read buffer, each decoded once
-//! and answered straight into the connection's output bytes,
-//! consecutive submits folded into a single admission call. Both
-//! drivers live in `dvfs-net` and share its framer, so they cannot
-//! drift apart on the wire:
+//! `dvfs_net::Handler`, the [`Scheduler`] itself (implemented once,
+//! below): one pass over a batch of request lines lent from the read
+//! buffer, each decoded once and answered straight into the
+//! connection's output bytes, consecutive submits folded into a single
+//! admission call. Both drivers live in `dvfs-net` and share its
+//! framer, so they cannot drift apart on the wire:
 //!
 //! - **`reactor`** (the default): the single-threaded epoll
 //!   mini-reactor, multiplexing tens of thousands of connections on one
@@ -22,12 +22,14 @@
 //! follow `dvfs_net::accept`'s policy on a failed `accept`: count it in
 //! `accept_errors` and pause accepting for its back-off. A
 //! malformed line produces a `bad_request` response and the connection
-//! continues — client input can never crash the server. Shutdown (wire
-//! `shutdown` command or [`ServerHandle::shutdown`]) drains the
-//! scheduler backlog, catches the trace file up, and joins every thread
-//! before [`ServerHandle::wait`] returns. Everything between a socket
-//! and the handler — threads, channels, the mailbox — is `dvfs-net`'s;
-//! this crate owns none of its own on the wire path.
+//! continues — client input can never crash the server. A stop is one
+//! flag, raised by a wire `shutdown` (answered wherever it is read, so
+//! it never waits behind slow work) or [`ServerHandle::shutdown`]; the
+//! drivers finish, [`Scheduler::begin_shutdown`] drains the backlog and
+//! catches the trace file up once, and every thread is joined before
+//! [`ServerHandle::wait`] returns. Everything between a socket and the
+//! handler — threads, channels, the mailbox — is `dvfs-net`'s; this
+//! crate owns none of its own on the wire path.
 //!
 //! The reactor exports its own registry series: `net_connections_open`
 //! / `net_connections_peak` gauges, `net_accepts` / `net_accepts_shed`
@@ -146,29 +148,20 @@ enum Listener {
     Tcp(TcpListener),
 }
 
-struct Shared {
-    scheduler: Scheduler,
-    /// The paced tick interval: how often a worker is meant to empty
-    /// its admission queue.
-    tick: Duration,
-    max_connections: usize,
-}
-
-/// The wire protocol over the shared scheduler — the one request path
-/// both drivers call into.
-impl dvfs_net::Handler for Shared {
+/// The wire protocol over the scheduler — the one request path both
+/// drivers call into.
+impl dvfs_net::Handler for Scheduler {
     /// One pass over a batch of complete request lines: each line is
     /// decoded once and answered — its response line appended to `out`
     /// — before the next is looked at. The batch's submits form one
-    /// [`SubmitRun`](crate::service::SubmitRun) stamped with `received`
-    /// (when the batch's bytes came off the wire). Pings, `health` and
+    /// submit run stamped with `received` (when the batch's bytes came
+    /// off the wire). Pings, `health`,
     /// `stats` (published worker cells and leaf-locked metrics only),
-    /// malformed lines and submits (admission is a bounded queue push,
-    /// never a scheduling round) wait for nothing — bar a paced submit
-    /// whose shard worker is behind. That submit, and every request
-    /// that waits on the shard workers or a file write, is answered
-    /// only when `caller` may wait; the event loop's pass stops before
-    /// it.
+    /// `shutdown` (a flag), malformed lines and submits (a bounded
+    /// queue push) wait for nothing — bar a paced submit whose shard
+    /// worker is behind. That submit, and every request that waits on
+    /// the shard workers or a file write, is answered only when
+    /// `caller` may wait; the event loop's pass stops before it.
     fn answer(
         &self,
         lines: &[Cow<'_, str>],
@@ -177,20 +170,20 @@ impl dvfs_net::Handler for Shared {
         caller: Caller,
     ) -> Answered {
         let may_wait = caller == Caller::MayWait;
-        let pace = Some(Pace::new(self.tick, may_wait));
-        let mut run = self.scheduler.begin_run(received, pace);
+        let pace = Some(Pace::new(self.pace_tick, may_wait));
+        let mut run = self.begin_run(received, pace);
         for (k, line) in lines.iter().enumerate() {
             let request = match parse_request(line) {
                 Ok(request) => request,
                 Err(msg) => {
-                    self.scheduler.metrics().counter("malformed_requests").inc();
+                    self.metrics().counter("malformed_requests").inc();
                     Response::err(ErrorKind::BadRequest, msg).push_line(out);
                     continue;
                 }
             };
-            if !matches!(
+            if matches!(
                 request,
-                Request::Submit { .. } | Request::Ping | Request::Health | Request::Stats
+                Request::Drain | Request::Trace | Request::TraceStream
             ) {
                 if !may_wait {
                     return Answered::WouldBlock(k);
@@ -218,25 +211,26 @@ impl dvfs_net::Handler for Shared {
                     Submitted::WouldBlock => return Answered::WouldBlock(k),
                 },
                 Request::Ping => Response::ok(),
-                Request::Health => self.scheduler.health(),
-                Request::Stats => self.scheduler.stats(),
+                Request::Health => self.health(),
+                Request::Stats => self.stats(),
                 Request::Drain => {
-                    let resp = self.scheduler.drain_run();
-                    self.scheduler.flush_trace_file();
+                    let resp = self.drain_run();
+                    self.flush_trace_file();
                     resp
                 }
                 Request::Trace => {
-                    self.scheduler.trace_run(out);
-                    self.scheduler.flush_trace_file();
+                    self.trace_run(out);
+                    self.flush_trace_file();
                     continue;
                 }
                 Request::TraceStream => {
-                    self.scheduler.trace_stream_run(out);
+                    self.trace_stream_run(out);
                     continue;
                 }
-                // Acknowledged here; the driver calls `stop` once the
-                // ack is on its way. The lines behind owe nothing.
+                // The drain runs once the drivers have stopped. The lines
+                // behind owe nothing.
                 Request::Shutdown => {
+                    self.stop_admitting();
                     Response::ok().push_line(out);
                     return Answered::Stop;
                 }
@@ -246,13 +240,9 @@ impl dvfs_net::Handler for Shared {
         Answered::All
     }
 
-    fn stop(&self) {
-        self.scheduler.begin_shutdown();
-    }
-
     /// The response for a request line that blew the byte budget.
     fn oversized_line(&self, len: usize) -> String {
-        self.scheduler.metrics().counter("oversized_lines").inc();
+        self.metrics().counter("oversized_lines").inc();
         Response::err(
             ErrorKind::BadRequest,
             format!("request line exceeds {MAX_LINE_BYTES} bytes ({len} read)"),
@@ -263,25 +253,22 @@ impl dvfs_net::Handler for Shared {
     /// The explicit shed response written to a connection refused by
     /// the budget — the same `overloaded` error kind the admission
     /// queue uses.
-    fn shed_line(&self) -> String {
+    fn shed_line(&self, max_connections: usize) -> String {
         Response::err(
             ErrorKind::Overloaded,
-            format!(
-                "connection budget exhausted ({} open connections)",
-                self.max_connections
-            ),
+            format!("connection budget exhausted ({max_connections} open connections)"),
         )
         .encode()
     }
 
     fn should_stop(&self) -> bool {
-        self.scheduler.is_shutting_down()
+        self.is_shutting_down()
     }
 }
 
 /// Handle to a running server.
 pub struct ServerHandle {
-    shared: Arc<Shared>,
+    scheduler: Arc<Scheduler>,
     endpoint: Endpoint,
     /// The accept loop, the stall supervisor and (paced mode) the ticker.
     threads: Vec<JoinHandle<()>>,
@@ -298,19 +285,19 @@ impl ServerHandle {
     /// The shared metrics registry.
     #[must_use]
     pub fn metrics(&self) -> Arc<Registry> {
-        Arc::clone(self.shared.scheduler.metrics())
+        Arc::clone(self.scheduler.metrics())
     }
 
     /// [`Scheduler::books_balanced`] of the server's scheduler.
     #[must_use]
     pub fn books_balanced(&self) -> bool {
-        self.shared.scheduler.books_balanced()
+        self.scheduler.books_balanced()
     }
 
-    /// Request shutdown programmatically (same path as the wire
-    /// command, and as idempotent: [`Scheduler::begin_shutdown`]).
+    /// Shut down programmatically: raise the wire command's stop flag and
+    /// return once the backlog is drained ([`Scheduler::begin_shutdown`]).
     pub fn shutdown(&self) {
-        self.shared.scheduler.begin_shutdown();
+        self.scheduler.begin_shutdown();
     }
 
     /// Block until the server has fully shut down (all threads
@@ -334,7 +321,8 @@ impl ServerHandle {
 /// Propagates bind failures, and the reactor's failure to take its
 /// descriptors (`EMFILE`, say).
 pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
-    let scheduler = Scheduler::new(cfg.scheduler, Arc::new(Registry::new()));
+    let mut scheduler = Scheduler::new(cfg.scheduler, Arc::new(Registry::new()));
+    scheduler.pace_tick = cfg.tick;
 
     // Both front-ends poll the shutdown flag between accepts, which
     // needs nonblocking accepts; a blocking listener would wedge
@@ -361,55 +349,58 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
         (NetBackend::Reactor, Listener::Tcp(l)) => Some(Reactor::new(l)?),
     };
 
-    let shared = Arc::new(Shared {
-        scheduler,
-        tick: cfg.tick,
-        max_connections: cfg.max_connections.max(1),
-    });
     if let Some(path) = &cfg.trace_out {
-        shared.scheduler.set_trace_file(path.clone());
+        scheduler.set_trace_file(path.clone());
     }
-    shared.scheduler.start_clock();
+    scheduler.start_clock();
+    let scheduler = Arc::new(scheduler);
 
     let mut threads = Vec::with_capacity(3);
     if let Mode::Paced { .. } = cfg.scheduler.mode {
-        let shared = Arc::clone(&shared);
+        let scheduler = Arc::clone(&scheduler);
         let tick = cfg.tick;
         threads.push(std::thread::spawn(move || {
-            while !shared.scheduler.is_shutting_down() {
-                shared.scheduler.wait_for_work(tick);
-                shared.scheduler.tick();
+            while !scheduler.is_shutting_down() {
+                scheduler.wait_for_work(tick);
+                scheduler.tick();
             }
         }));
     }
-    let supervised = Arc::clone(&shared);
+    let supervised = Arc::clone(&scheduler);
     threads.push(std::thread::spawn(move || {
-        crate::supervise::run(&supervised.scheduler)
+        crate::supervise::run(&supervised)
     }));
-    {
-        // Every arm drives the same handler value, `Shared`, over std
-        // streams from the one listener.
-        let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || match (reactor, listener) {
-            (Some(r), Listener::Unix(l)) => {
-                reactor_loop(&shared, r, || l.accept(), UnixStream::set_nonblocking);
-            }
-            (Some(r), Listener::Tcp(l)) => {
-                reactor_loop(&shared, r, || l.accept(), TcpStream::set_nonblocking);
-            }
-            (None, Listener::Unix(l)) => {
-                accept_loop(&shared, || l.accept(), UnixStream::set_read_timeout);
-            }
-            (None, Listener::Tcp(l)) => {
-                accept_loop(&shared, || l.accept(), TcpStream::set_read_timeout);
-            }
-        }));
-    }
+    let n = cfg.max_connections.max(1);
+    threads.push(front_end(Arc::clone(&scheduler), reactor, listener, n));
 
     Ok(ServerHandle {
-        shared,
+        scheduler,
         endpoint,
         threads,
+    })
+}
+
+/// The front-end thread: `s` serves `l` — on the reactor `r`, or a
+/// thread per connection without one, `n` connections at most — until
+/// the stop flag is up, then runs the shutdown drain (or waits for the
+/// one a `ServerHandle::shutdown` began).
+fn front_end(s: Arc<Scheduler>, r: Option<Reactor>, l: Listener, n: usize) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        match (r, l) {
+            (Some(r), Listener::Unix(l)) => {
+                reactor_loop(&s, r, n, || l.accept(), UnixStream::set_nonblocking)
+            }
+            (Some(r), Listener::Tcp(l)) => {
+                reactor_loop(&s, r, n, || l.accept(), TcpStream::set_nonblocking)
+            }
+            (None, Listener::Unix(l)) => {
+                accept_loop(&s, n, || l.accept(), UnixStream::set_read_timeout)
+            }
+            (None, Listener::Tcp(l)) => {
+                accept_loop(&s, n, || l.accept(), TcpStream::set_read_timeout)
+            }
+        }
+        s.begin_shutdown();
     })
 }
 
@@ -438,15 +429,16 @@ const STOP_POLL: Duration = Duration::from_millis(100);
 /// The scope joins the connection threads on the way out and keeps no
 /// handle per connection, so connection churn accumulates nothing.
 fn accept_loop<S: Read + Write + Send, A>(
-    shared: &Shared,
+    scheduler: &Scheduler,
+    max_connections: usize,
     accept: impl Fn() -> std::io::Result<(S, A)>,
     set_read_timeout: fn(&S, Option<Duration>) -> std::io::Result<()>,
 ) {
     use dvfs_net::accept::{after_accept_error, AcceptRetry, ACCEPT_BACKOFF};
-    let metrics = shared.scheduler.metrics();
+    let metrics = scheduler.metrics();
     let open = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        while !shared.scheduler.is_shutting_down() {
+        while !scheduler.is_shutting_down() {
             let mut stream = match accept() {
                 Ok((stream, _)) => stream,
                 Err(e) => {
@@ -461,11 +453,12 @@ fn accept_loop<S: Read + Write + Send, A>(
                     continue;
                 }
             };
-            if open.load(Ordering::SeqCst) >= shared.max_connections {
+            if open.load(Ordering::SeqCst) >= max_connections {
                 // Shed at the door with the explicit wire response,
                 // mirroring the reactor's budget.
                 metrics.counter("net_accepts_shed").inc();
-                let _ = writeln!(stream, "{}", dvfs_net::Handler::shed_line(shared));
+                let shed = dvfs_net::Handler::shed_line(scheduler, max_connections);
+                let _ = writeln!(stream, "{shed}");
                 continue; // stream drops: connection closed
             }
             open.fetch_add(1, Ordering::SeqCst);
@@ -477,7 +470,7 @@ fn accept_loop<S: Read + Write + Send, A>(
                 // idle connections must time out of `read` or they
                 // would pin the server open.
                 if set_read_timeout(&stream, Some(STOP_POLL)).is_ok() {
-                    let _ = dvfs_net::blocking::serve(&mut stream, MAX_LINE_BYTES, shared);
+                    let _ = dvfs_net::blocking::serve(&mut stream, MAX_LINE_BYTES, scheduler);
                 }
             });
         }
@@ -485,26 +478,26 @@ fn accept_loop<S: Read + Write + Send, A>(
 }
 
 /// The `reactor` backend: run the `dvfs-net` mini-reactor over the
-/// streams `accept` takes, made nonblocking, in the same thread slot as
-/// [`accept_loop`]. Returns once the reactor's slow lane has finished
-/// its in-flight work (a shutdown drain).
+/// streams `accept` takes, made nonblocking, until the stop flag is up
+/// and the replies owed are written out.
 fn reactor_loop<S: Read + Write + AsRawFd, A>(
-    shared: &Shared,
+    scheduler: &Scheduler,
     reactor: Reactor,
+    max_connections: usize,
     accept: impl Fn() -> std::io::Result<(S, A)>,
     set_nonblocking: fn(&S, bool) -> std::io::Result<()>,
 ) {
     let accept = || accept().and_then(|(s, _)| set_nonblocking(&s, true).map(|()| s));
     let cfg = dvfs_net::ReactorConfig {
-        max_connections: shared.max_connections,
+        max_connections,
         max_line_bytes: MAX_LINE_BYTES,
         poll_timeout_ms: STOP_POLL.as_millis() as i32,
     };
     let mut observer = MetricsObserver {
-        metrics: Arc::clone(shared.scheduler.metrics()),
+        metrics: Arc::clone(scheduler.metrics()),
         peak: 0,
     };
-    if let Err(e) = reactor.run(accept, &cfg, shared, &mut observer) {
+    if let Err(e) = reactor.run(accept, &cfg, scheduler, &mut observer) {
         observer.metrics.counter("accept_errors").inc();
         eprintln!("dvfs-serve: reactor front-end failed ({e})");
     }
@@ -581,11 +574,12 @@ mod tests {
     use crate::protocol::{encode_command, encode_submit, value_u64};
     use dvfs_model::TaskClass;
     use dvfs_net::Handler;
+    use std::io::{BufRead, BufReader};
 
-    /// The one handler over a paced scheduler with `slots` admission
-    /// slots a shard and no ticker: its workers pull only when a test
-    /// ticks.
-    fn paced(tick: Duration, slots: usize, shards: usize) -> Shared {
+    /// The one handler, a paced scheduler pacing submits to `tick`,
+    /// with `slots` admission slots a shard and no ticker: its workers
+    /// pull only when a test ticks.
+    fn paced(tick: Duration, slots: usize, shards: usize) -> Scheduler {
         let cfg = SchedulerConfig {
             cores: 1,
             queue_capacity: slots * shards,
@@ -593,13 +587,10 @@ mod tests {
             mode: Mode::Paced { speed: 1.0 },
             ..SchedulerConfig::default()
         };
-        let scheduler = Scheduler::new(cfg, Arc::new(Registry::new()));
+        let mut scheduler = Scheduler::new(cfg, Arc::new(Registry::new()));
+        scheduler.pace_tick = tick;
         scheduler.start_clock();
-        Shared {
-            scheduler,
-            tick,
-            max_connections: 1,
-        }
+        scheduler
     }
 
     /// A submit long enough never to complete inside a test; the
@@ -633,13 +624,13 @@ mod tests {
     fn a_wedged_worker_costs_a_batch_one_bound_and_then_sheds() {
         let tick = Duration::from_millis(1);
         let bound = tick * 100;
-        let shared = paced(tick, 8, 1);
+        let scheduler = paced(tick, 8, 1);
         let mut lines = vec![submit(); 12];
         lines.push(cmd("shutdown"));
         lines.push(cmd("ping"));
         let mut out = Vec::new();
         let began = crate::clock::wall_now();
-        let answered = shared.answer(&lines, began, &mut out, Caller::MayWait);
+        let answered = scheduler.answer(&lines, began, &mut out, Caller::MayWait);
         let took = began.elapsed();
         assert_eq!(answered, Answered::Stop);
         assert!(took >= bound, "the 9th submit waits the bound: {took:?}");
@@ -658,17 +649,14 @@ mod tests {
         }
         assert_eq!(got[12], Response::ok());
 
-        let count = |name: &str| shared.scheduler.metrics().counter(name).get();
+        let count = |name: &str| scheduler.metrics().counter(name).get();
         assert_eq!(count("shed_worker_behind"), 4);
         assert_eq!(count("paced_waits"), 4);
-        assert_eq!(
-            shared.scheduler.metrics().histogram("pace_wait_s").count(),
-            4
-        );
+        assert_eq!(scheduler.metrics().histogram("pace_wait_s").count(), 4);
         // The books balance once the round is drained.
-        assert!(shared.scheduler.drain_run().is_ok());
+        assert!(scheduler.drain_run().is_ok());
         assert_eq!((count("submitted"), count("completed")), (12, 8));
-        assert!(shared.scheduler.books_balanced());
+        assert!(scheduler.books_balanced());
     }
 
     /// One wait a submit: once its own worker has pulled, it is admitted
@@ -676,30 +664,30 @@ mod tests {
     #[test]
     fn a_submit_that_waited_for_its_worker_is_not_held_up_by_another() {
         let tick = Duration::from_millis(5);
-        let shared = paced(tick, 8, 2);
+        let scheduler = paced(tick, 8, 2);
         let now = crate::clock::wall_now();
         let mut out = Vec::new();
         // Explicit ids hash to shards: one task in each queue.
         let both = [submit_id(Some(0)), submit_id(Some(1))];
-        shared.answer(&both, now, &mut out, Caller::MayWait);
+        scheduler.answer(&both, now, &mut out, Caller::MayWait);
         assert!(responses(&out).iter().all(Response::is_ok));
         std::thread::sleep(tick * 2); // both queues go stale
         out.clear();
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| {
                 let third = [submit_id(Some(2))];
-                shared.answer(&third, now, &mut out, Caller::MayWait)
+                scheduler.answer(&third, now, &mut out, Caller::MayWait)
             });
             // It waits on shard 0, the first stale one; only that
             // shard's worker pulls.
-            while shared.scheduler.metrics().counter("paced_waits").get() == 0 {
+            while scheduler.metrics().counter("paced_waits").get() == 0 {
                 std::thread::yield_now();
             }
-            assert_eq!(shared.scheduler.shard_queue(0).drain().len(), 1);
+            assert_eq!(scheduler.shard_queue(0).drain().len(), 1);
             assert_eq!(waiter.join().unwrap(), Answered::All);
         });
         assert!(responses(&out)[0].is_ok(), "{:?}", responses(&out));
-        assert_eq!(shared.scheduler.metrics().counter("shed").get(), 0);
+        assert_eq!(scheduler.metrics().counter("shed").get(), 0);
     }
 
     /// A line the event loop stopped at is decoded again by the caller
@@ -711,7 +699,7 @@ mod tests {
     fn a_line_the_loop_stopped_at_is_counted_once() {
         // Every counter but the ones the worker thread bumps in its own
         // time.
-        let counters = |shared: &Shared| match shared.scheduler.metrics().snapshot() {
+        let counters = |scheduler: &Scheduler| match scheduler.metrics().snapshot() {
             serde_json::Value::Object(mut sections) => match sections.swap_remove(0).1 {
                 serde_json::Value::Object(mut counters) => {
                     counters.retain(|(name, _)| !name.starts_with("actuation"));
@@ -747,19 +735,15 @@ mod tests {
 
             // The workers pull, and both answer the rest.
             let mut outs = [Vec::new(), Vec::new()];
-            for (shared, out) in [&split, &whole].into_iter().zip(&mut outs) {
-                shared.scheduler.tick();
-                let answered = shared.answer(&lines[at..], now, out, Caller::MayWait);
+            for (scheduler, out) in [&split, &whole].into_iter().zip(&mut outs) {
+                scheduler.tick();
+                let answered = scheduler.answer(&lines[at..], now, out, Caller::MayWait);
                 assert_eq!(answered, Answered::All);
                 assert_eq!(responses(out).len(), lines.len() - at);
             }
             assert_eq!(counters(&split), counters(&whole));
             assert_eq!(
-                split
-                    .scheduler
-                    .metrics()
-                    .counter("malformed_requests")
-                    .get(),
+                split.metrics().counter("malformed_requests").get(),
                 malformed
             );
         }
@@ -770,14 +754,124 @@ mod tests {
     /// sharded paced service.
     #[test]
     fn the_event_loop_answers_stats() {
-        let shared = paced(Duration::from_millis(10), 2, 2);
+        let scheduler = paced(Duration::from_millis(10), 2, 2);
         let mut out = Vec::new();
         let now = crate::clock::wall_now();
-        let answered = shared.answer(&[cmd("stats")], now, &mut out, Caller::EventLoop);
+        let answered = scheduler.answer(&[cmd("stats")], now, &mut out, Caller::EventLoop);
         assert_eq!(answered, Answered::All);
         let got = responses(&out);
         assert_eq!(got.len(), 1, "one stats line");
         assert_eq!(got[0].field("shards").and_then(value_u64), Some(2));
+    }
+
+    /// `serve`'s reactor front end and handle over `scheduler` (a
+    /// `paced` fixture, so no ticker), listening on loopback TCP.
+    fn serve_reactor(scheduler: Scheduler) -> ServerHandle {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let endpoint = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
+        let reactor = Reactor::new(&listener).unwrap();
+        let scheduler = Arc::new(scheduler);
+        let front = front_end(
+            Arc::clone(&scheduler),
+            Some(reactor),
+            Listener::Tcp(listener),
+            8,
+        );
+        ServerHandle {
+            scheduler,
+            endpoint,
+            threads: vec![front],
+        }
+    }
+
+    /// A connection to `handle` that sends `lines` in one write; a read
+    /// gives up after 10 s rather than hang a failing test.
+    fn send(handle: &ServerHandle, lines: &[Cow<'_, str>]) -> BufReader<TcpStream> {
+        let Endpoint::Tcp(addr) = handle.endpoint() else {
+            panic!("serve_reactor listens on TCP");
+        };
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let bytes: String = lines.iter().map(|line| format!("{line}\n")).collect();
+        stream.write_all(bytes.as_bytes()).unwrap();
+        BufReader::new(stream)
+    }
+
+    /// Every response a connection reads before EOF.
+    fn read_to_eof(reader: BufReader<TcpStream>) -> Vec<Response> {
+        let lines = reader.lines().map(Result::unwrap);
+        lines.map(|line| Response::decode(&line).unwrap()).collect()
+    }
+
+    /// Wait until a submit of the handle's server waits for its worker.
+    fn wait_for_a_paced_wait(handle: &ServerHandle) {
+        let began = crate::clock::wall_now();
+        while handle.metrics().counter("paced_waits").get() == 0 {
+            assert!(began.elapsed() < Duration::from_secs(5), "no submit waited");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A `shutdown` waits on nothing the slow lane holds. Connection A
+    /// sends one submit more than its shard has slots, so the last one
+    /// waits on the lane for a worker that never pulls (its bound is
+    /// 100 ticks, 3 s). Connection B's `shutdown` is answered on the
+    /// event loop at once, the waiting submit is refused as the server
+    /// drains, and A reads a reply for every line before EOF.
+    #[test]
+    fn a_shutdown_is_acked_past_a_submit_waiting_on_the_lane() {
+        let handle = serve_reactor(paced(Duration::from_millis(30), 2, 1));
+        let a = send(&handle, &[submit(), submit(), submit()]);
+        wait_for_a_paced_wait(&handle);
+        let began = crate::clock::wall_now();
+        let mut b = send(&handle, &[cmd("shutdown")]);
+        let mut ack = String::new();
+        b.read_line(&mut ack).unwrap();
+        let took = began.elapsed();
+        assert_eq!(Response::decode(ack.trim()), Ok(Response::ok()));
+        assert!(
+            took < Duration::from_millis(500),
+            "shutdown acked after {took:?}"
+        );
+
+        let got = read_to_eof(a);
+        assert_eq!(got.len(), 3, "{got:?}");
+        assert!(got[..2].iter().all(Response::is_ok), "{got:?}");
+        assert!(
+            matches!(&got[2], Response::Err { kind, .. } if *kind == ErrorKind::ShuttingDown),
+            "{got:?}"
+        );
+        let scheduler = Arc::clone(&handle.scheduler);
+        handle.wait();
+        assert!(scheduler.books_balanced());
+    }
+
+    /// A `drain` deferred to the lane behind a waiting submit is
+    /// answered before its connection closes, whichever way the stop
+    /// comes: a wire `shutdown` the event loop answers, or
+    /// `ServerHandle::shutdown` while the drain is still on the lane.
+    #[test]
+    fn a_drain_on_the_lane_is_answered_before_its_connection_closes() {
+        for by_wire in [true, false] {
+            let handle = serve_reactor(paced(Duration::from_millis(30), 2, 1));
+            let a = send(&handle, &[submit(), submit(), submit(), cmd("drain")]);
+            wait_for_a_paced_wait(&handle);
+            if by_wire {
+                let b = send(&handle, &[cmd("shutdown")]);
+                assert_eq!(read_to_eof(b), [Response::ok()]);
+            } else {
+                handle.shutdown();
+            }
+            let got = read_to_eof(a);
+            assert_eq!(got.len(), 4, "by wire: {by_wire}: {got:?}");
+            assert!(got[3].is_ok(), "the drain's report: {got:?}");
+            let scheduler = Arc::clone(&handle.scheduler);
+            handle.wait();
+            assert!(scheduler.books_balanced());
+        }
     }
 
     /// The backend is a config value: `ServerConfig::new` takes the

@@ -50,7 +50,7 @@
 //! the task id in the id ledger (the `ids` module) under a small mutex
 //! taken once per batch, and hands the task to one shard's admission
 //! queue (which has its own lock and re-checks the shutdown flag inside
-//! it — see [`crate::admission::AdmissionQueue::try_submit_gated`]).
+//! it — see `admission::AdmissionQueue::try_submit_stamped`).
 //! `tick` and `drain` broadcast a command to every worker and collect
 //! the one-shot replies in ascending shard order, so a slow scheduling
 //! round never blocks admission, a slow round on one shard never blocks
@@ -92,7 +92,7 @@ use dvfs_trace::SharedRing;
 use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
 
 #[cfg(test)]
@@ -124,6 +124,10 @@ pub struct Scheduler {
     stage_frame: Arc<Histogram>,
     stage_admit: Arc<Histogram>,
     shutting_down: AtomicBool,
+    shutdown_drain: Once,
+    /// How often a paced worker is meant to empty its queue: what a
+    /// wire submitter's [`Pace`] waits on (`serve` sets its tick).
+    pub(crate) pace_tick: Duration,
     /// The round's task-id namespace, global across shards so
     /// duplicate-id rejection holds service-wide.
     ids: Mutex<IdLedger>,
@@ -210,6 +214,8 @@ impl Scheduler {
             stage_admit: metrics.histogram(STAGE_ADMIT),
             metrics,
             shutting_down: AtomicBool::new(false),
+            shutdown_drain: Once::new(),
+            pace_tick: Duration::from_millis(10),
             ids: Mutex::default(),
             clock,
             work_mx: Mutex::new(()),
@@ -590,30 +596,31 @@ impl Scheduler {
         )
     }
 
-    /// Begin graceful shutdown: refuse new submissions, then drain
-    /// until every admission queue is observed empty after a drain, so
-    /// nothing admitted is lost. The first drain always runs: the
-    /// published pending counts cannot vouch for an empty engine, since
-    /// a tick that has pulled tasks but not yet published reads as
-    /// empty. A submitter that passed the shutdown check before the
-    /// flag was stored can still be admitted concurrently with a drain;
-    /// re-checking the depths after each drain (under the queue locks
-    /// the admission gate also takes) catches it, and every later
-    /// submit observes the flag inside the gate and is refused — so the
-    /// loop terminates. Then the `--trace-out` file is caught up. Only
-    /// the first call does any of this; a later one returns at once,
-    /// even while the first is still draining.
+    /// Refuse new work; the front ends stop once they see it.
+    pub(crate) fn stop_admitting(&self) {
+        self.shutting_down.store(true, Ordering::SeqCst);
+    }
+
+    /// Graceful shutdown, run once (a later or racing call returns when
+    /// it is done): refuse new submissions, then drain until every
+    /// admission queue is observed empty after a drain, so nothing
+    /// admitted is lost. The first drain always runs: a tick that has
+    /// pulled tasks but not yet published reads as empty. A submitter
+    /// that passed the shutdown check before the flag was stored is
+    /// caught by the depth re-check (under the queue locks the
+    /// admission gate takes); every later one sees the flag inside the
+    /// gate — so the loop ends. Then the `--trace-out` file catches up.
     pub fn begin_shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        loop {
-            let _ = self.drain_shards();
-            if self.queue_depth() == 0 {
-                break;
+        self.stop_admitting();
+        self.shutdown_drain.call_once(|| {
+            loop {
+                let _ = self.drain_shards();
+                if self.queue_depth() == 0 {
+                    break;
+                }
             }
-        }
-        self.flush_trace_file();
+            self.flush_trace_file();
+        });
     }
 }
 
@@ -640,8 +647,6 @@ impl Drop for Scheduler {
 /// queue and being shed.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Pace {
-    /// How often a worker is meant to empty its queue.
-    tick: Duration,
     /// When to stop waiting and shed instead; `None` for a submitter
     /// that may not wait at all. One deadline serves a whole run, so a
     /// wedged worker costs a batch one bound, not one a line; every
@@ -656,7 +661,7 @@ impl Pace {
 
     pub(crate) fn new(tick: Duration, may_wait: bool) -> Pace {
         let give_up = may_wait.then(|| crate::clock::wall_now() + tick * Self::BOUND_TICKS);
-        Pace { tick, give_up }
+        Pace { give_up }
     }
 }
 
@@ -741,7 +746,7 @@ impl SubmitRun<'_> {
         let caught_up =
             s.shards[behind.shard]
                 .queue
-                .wait_for_worker(item.class, pace.tick, deadline, || !s.is_shutting_down());
+                .wait_for_worker(item.class, s.pace_tick, deadline, || !s.is_shutting_down());
         s.metrics
             .histogram("pace_wait_s")
             .record(began.elapsed().as_secs_f64());
@@ -749,7 +754,7 @@ impl SubmitRun<'_> {
             let reason = ShedReason::WorkerBehind;
             return self.shed(item, &Behind { reason, ..behind });
         }
-        self.pace = Some(Pace::new(pace.tick, true));
+        self.pace = Some(Pace::new(s.pace_tick, true));
         // Room is not a reservation: if others took it first, the
         // submit is shed after all.
         self.admit(item, false)
@@ -798,9 +803,10 @@ impl SubmitRun<'_> {
         // The run's first submit: is a worker more than a tick behind
         // already?
         let stale = match (&self.open, self.pace) {
-            (None, Some(pace)) if fresh => {
-                s.shards.iter().position(|sh| sh.queue.is_stale(pace.tick))
-            }
+            (None, Some(_)) if fresh => s
+                .shards
+                .iter()
+                .position(|sh| sh.queue.is_stale(s.pace_tick)),
             _ => None,
         };
         let open = self.open.get_or_insert_with(|| OpenRun {

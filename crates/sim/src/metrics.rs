@@ -217,7 +217,7 @@ impl SimReport {
 fn record_to_value(rec: &TaskRecord) -> Value {
     Value::Object(vec![
         ("id".into(), rec.id.0.into()),
-        ("class".into(), class_name(rec.class).into()),
+        ("class".into(), rec.class.name().into()),
         ("cycles".into(), rec.cycles.into()),
         ("arrival".into(), rec.arrival.into()),
         ("first_start".into(), rec.first_start.into()),
@@ -230,7 +230,7 @@ fn record_to_value(rec: &TaskRecord) -> Value {
 fn record_from_value(v: &Value) -> Result<TaskRecord, String> {
     Ok(TaskRecord {
         id: TaskId(field(v, "id", whole)?),
-        class: field(v, "class", class)?,
+        class: field(v, "class", |c| c.as_str().and_then(TaskClass::from_name))?,
         cycles: field(v, "cycles", whole)?,
         arrival: field(v, "arrival", Value::as_f64)?,
         first_start: field(v, "first_start", optional_f64)?,
@@ -238,24 +238,6 @@ fn record_from_value(v: &Value) -> Result<TaskRecord, String> {
         energy_joules: field(v, "energy_joules", Value::as_f64)?,
         preemptions: field(v, "preemptions", |p| u32::try_from(whole(p)?).ok())?,
     })
-}
-
-fn class_name(class: TaskClass) -> &'static str {
-    match class {
-        TaskClass::Batch => "Batch",
-        TaskClass::Interactive => "Interactive",
-        TaskClass::NonInteractive => "NonInteractive",
-    }
-}
-
-fn class(v: &Value) -> Option<TaskClass> {
-    [
-        TaskClass::Batch,
-        TaskClass::Interactive,
-        TaskClass::NonInteractive,
-    ]
-    .into_iter()
-    .find(|&c| v.as_str() == Some(class_name(c)))
 }
 
 /// Field `name` of the object `obj` as `read` takes it. An absent field

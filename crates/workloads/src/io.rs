@@ -74,7 +74,7 @@ fn task_to_value(t: &Task) -> Value {
         ("cycles".into(), t.cycles.into()),
         ("arrival".into(), t.arrival.into()),
         ("deadline".into(), t.deadline.into()),
-        ("class".into(), class_name(t.class).into()),
+        ("class".into(), t.class.name().into()),
     ])
 }
 
@@ -84,26 +84,8 @@ fn task_from_value(v: &Value) -> Result<Task, String> {
         cycles: field(v, "cycles", whole)?,
         arrival: field(v, "arrival", Value::as_f64)?,
         deadline: field(v, "deadline", optional_f64)?,
-        class: field(v, "class", class)?,
+        class: field(v, "class", |c| c.as_str().and_then(TaskClass::from_name))?,
     })
-}
-
-fn class_name(class: TaskClass) -> &'static str {
-    match class {
-        TaskClass::Batch => "Batch",
-        TaskClass::Interactive => "Interactive",
-        TaskClass::NonInteractive => "NonInteractive",
-    }
-}
-
-fn class(v: &Value) -> Option<TaskClass> {
-    [
-        TaskClass::Batch,
-        TaskClass::Interactive,
-        TaskClass::NonInteractive,
-    ]
-    .into_iter()
-    .find(|&c| v.as_str() == Some(class_name(c)))
 }
 
 /// Field `name` of the object `obj` as `read` takes it. An absent field

@@ -293,11 +293,11 @@ fi
 # The engine side (crates/{ostree,core,sim,trace}/src) has a table and a
 # ceiling of its own too. A `tests.rs` there is a `#[cfg(test)] mod
 # tests;` body, so it is skipped.
-TOTAL_CEILING=6837
+TOTAL_CEILING=6834
 # Lower it with the total; never raise it.
 SHIMS_CEILING=1407
 # Lower it with the total; never raise it.
-ENGINE_CEILING=6666
+ENGINE_CEILING=6547
 echo "==> non-test lines per file, crates/{serve,net}/src"
 oversize=0
 total=0

@@ -359,8 +359,9 @@ fn wire_shutdown_drains_the_backlog() {
             .round_trip(&encode_command("shutdown"))
             .expect("shutdown acknowledged before the socket closes");
         assert!(bye.is_ok());
-        // A second shutdown, behind the wire's, returns at once — even
-        // while the first still drains — and drains nothing again.
+        // A second shutdown, behind the wire's, returns once the one
+        // drain has run — it waits for the front end's if that has
+        // begun, or runs it itself — and never drains twice.
         handle.shutdown();
         handle.wait();
 
