@@ -6,7 +6,7 @@
 //! caller that may wait, right here on the connection's own thread.
 
 use crate::framing::{Batch, LineFramer};
-use crate::handler::{push_line, recycle, Answered, Caller, Handler};
+use crate::handler::{recycle, Answered, Caller, Handler, Output};
 use std::io::{self, ErrorKind, Read, Write};
 use std::time::Instant;
 
@@ -45,19 +45,20 @@ pub fn serve<S: Read + Write, H: Handler + ?Sized>(
         // handler's receive-to-answer time excludes idle socket time.
         let received = Instant::now();
         let mut stop = false;
+        let mut output = Output::new(&mut out, Some(&mut *stream));
         framer.batches(buf.get(..n).unwrap_or(&[]), |batch| {
             match batch {
                 Batch::Lines(lines) => {
-                    stop = handler.answer(lines, received, &mut out, Caller::MayWait)
+                    stop = handler.answer(lines, received, &mut output, Caller::MayWait)
                         == Answered::Stop;
                 }
-                Batch::Oversized { len } => push_line(&mut out, &handler.oversized_line(len)),
+                Batch::Oversized { len } => _ = writeln!(output, "{}", handler.oversized_line(len)),
             }
             !stop
         });
         // One write per read: every response the read drew leaves
-        // together.
-        stream.write_all(&out)?;
+        // together, bar the pieces of a long reply that spilled.
+        output.flush()?;
         stream.flush()?;
         recycle(&mut out);
         if stop {
@@ -71,16 +72,22 @@ pub fn serve<S: Read + Write, H: Handler + ?Sized>(
 mod tests {
     use super::*;
     use crate::framing::{edge_cases, Expect};
+    use crate::handler::SPILL_BYTES;
     use std::borrow::Cow;
     use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     /// Uppercases every line, but lowercases a "wait…" line, which an
     /// event loop would not have answered (this driver must never call
-    /// as one), and a "stop" line, which raises the stop flag.
+    /// as one), and a "stop" line, which raises the stop flag. A
+    /// "big:N" line is answered as a renderer would: N pieces of
+    /// `SPILL_BYTES` written through `Write`, stopping at the first
+    /// error, then a newline.
     #[derive(Default)]
     struct Upper {
         stopped: AtomicBool,
+        /// Pieces of "big" replies the sink took.
+        pieces: AtomicUsize,
     }
 
     impl Handler for Upper {
@@ -88,19 +95,30 @@ mod tests {
             &self,
             lines: &[Cow<'_, str>],
             _received: Instant,
-            out: &mut Vec<u8>,
+            out: &mut Output<'_>,
             caller: Caller,
         ) -> Answered {
             assert_eq!(caller, Caller::MayWait);
             for line in lines {
+                if let Some(n) = line.strip_prefix("big:") {
+                    for k in 0..n.parse().unwrap() {
+                        if out.write_all(&[b'a' + k; SPILL_BYTES]).is_err() {
+                            break;
+                        }
+                        self.pieces.fetch_add(1, Ordering::SeqCst);
+                    }
+                    out.bytes.push(b'\n');
+                    continue;
+                }
+                let out = &mut *out.bytes;
                 if line.starts_with("wait") || *line == "stop" {
-                    push_line(out, &line.to_lowercase());
+                    _ = writeln!(out, "{}", line.to_lowercase());
                     if *line == "stop" {
                         self.stopped.store(true, Ordering::SeqCst);
                         return Answered::Stop;
                     }
                 } else {
-                    push_line(out, &line.to_uppercase());
+                    _ = writeln!(out, "{}", line.to_uppercase());
                 }
             }
             Answered::All
@@ -118,10 +136,18 @@ mod tests {
 
     /// An in-memory stream: each `read` yields the next scripted chunk
     /// (`None` is a read timeout), then EOF; every `write` call is
-    /// kept apart so a test can count them.
+    /// kept apart so a test can count them. Writes take at most
+    /// `write_cap` bytes, every other one is `Interrupted` when
+    /// `interrupt` is set, and once `fail_after` bytes are in, each
+    /// write fails with `BrokenPipe` (counted in `refused`).
     struct Script {
         reads: VecDeque<Option<Vec<u8>>>,
         writes: Vec<Vec<u8>>,
+        write_cap: usize,
+        interrupt: bool,
+        fail_after: usize,
+        refused: usize,
+        calls: usize,
     }
 
     impl Script {
@@ -129,6 +155,11 @@ mod tests {
             Script {
                 reads: reads.into_iter().collect(),
                 writes: Vec::new(),
+                write_cap: usize::MAX,
+                interrupt: false,
+                fail_after: usize::MAX,
+                refused: 0,
+                calls: 0,
             }
         }
 
@@ -156,8 +187,18 @@ mod tests {
 
     impl Write for Script {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.writes.push(buf.to_vec());
-            Ok(buf.len())
+            let written = self.writes.iter().map(Vec::len).sum::<usize>();
+            if written >= self.fail_after {
+                self.refused += 1;
+                return Err(ErrorKind::BrokenPipe.into());
+            }
+            self.calls += 1;
+            if self.interrupt && self.calls % 2 == 1 {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.write_cap).min(self.fail_after - written);
+            self.writes.push(buf[..n].to_vec());
+            Ok(n)
         }
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
@@ -217,5 +258,51 @@ mod tests {
         assert_eq!(stream.lines(), ["PING", "stop"]);
         assert!(handler.stopped.load(Ordering::SeqCst));
         assert_eq!(stream.reads.len(), 1);
+    }
+
+    /// The bytes a clean stream gets for `reads`, and how many `write`
+    /// calls carried them.
+    fn clean_run(reads: &[&str]) -> (Vec<u8>, usize) {
+        let mut stream = Script::new(reads.iter().map(|r| Some(r.as_bytes().to_vec())));
+        serve(&mut stream, 1024, &Upper::default()).unwrap();
+        (stream.writes.concat(), stream.writes.len())
+    }
+
+    /// A long reply spills piece by piece before `answer` returns, and
+    /// short writes and `Interrupted` change none of its bytes.
+    #[test]
+    fn short_writes_and_interrupts_spill_the_same_bytes() {
+        let reads = ["one\nbig:4\ntwo\n", "big:1\nthree\n"];
+        let (want, writes) = clean_run(&reads);
+        // First read: "ONE", each of four pieces, the rest; second read:
+        // the piece, the rest.
+        assert_eq!(writes, 8);
+        assert_eq!(want.len(), 5 * SPILL_BYTES + 16);
+        let mut stream = Script::new(reads.iter().map(|r| Some(r.as_bytes().to_vec())));
+        stream.write_cap = 1000;
+        stream.interrupt = true;
+        serve(&mut stream, 1024, &Upper::default()).unwrap();
+        assert_eq!(stream.writes.concat(), want);
+    }
+
+    /// A peer gone mid-reply: `serve` returns the write's error, the
+    /// stream holds a prefix of the clean run's bytes, the renderer
+    /// stopped at the failed piece, and nothing was written after it.
+    #[test]
+    fn a_broken_pipe_mid_reply_returns_the_error_after_a_prefix() {
+        let reads = ["one\nbig:6\ntwo\n", "three\n"];
+        let (want, _) = clean_run(&reads);
+        for fail_after in [0, 3, 2 * SPILL_BYTES + 100, 6 * SPILL_BYTES + 6] {
+            let handler = Upper::default();
+            let mut stream = Script::new(reads.iter().map(|r| Some(r.as_bytes().to_vec())));
+            stream.fail_after = fail_after;
+            let err = serve(&mut stream, 1024, &handler).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::BrokenPipe, "{fail_after}");
+            let got = stream.writes.concat();
+            assert_eq!(got, want[..fail_after], "{fail_after}");
+            assert_eq!(stream.refused, 1, "{fail_after}: a write after the error");
+            let taken = (fail_after.saturating_sub(4) / SPILL_BYTES).min(6);
+            assert_eq!(handler.pieces.load(Ordering::SeqCst), taken, "{fail_after}");
+        }
     }
 }

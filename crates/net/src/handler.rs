@@ -7,8 +7,8 @@
 //!
 //! The contract is four methods and one rule: **blocking is a property
 //! of the caller**. `answer` walks a batch once, decodes each line
-//! once, and writes each response straight into the connection's output
-//! bytes. A caller that may wait ([`Caller::MayWait`]: the blocking
+//! once, and writes each response straight into the connection's
+//! [`Output`]. A caller that may wait ([`Caller::MayWait`]: the blocking
 //! driver's own thread, the reactor's slow lane) gets every line
 //! answered, however long a line takes. The event loop
 //! ([`Caller::EventLoop`]) gets every line up to the first that would
@@ -22,6 +22,7 @@
 //! driver calls into the handler to stop, and a drain is the embedder's.
 
 use std::borrow::Cow;
+use std::io::{self, Write};
 use std::time::Instant;
 
 /// Who is calling [`Handler::answer`]: may this thread wait?
@@ -53,15 +54,17 @@ pub enum Answered {
 /// of either driver (hence `&self` and `Send + Sync`).
 pub trait Handler: Send + Sync {
     /// Answer a batch — complete request lines drained from one read of
-    /// one connection, up to an oversized line — in order, appending
-    /// one newline-terminated response per line to `out`. Blocks only
-    /// when `caller` may wait. `received` is when the batch's bytes
-    /// came off the wire.
+    /// one connection, up to an oversized line — in order, writing one
+    /// newline-terminated response per line to `out`, which may reach
+    /// the peer before `answer` returns: the blocking driver's [`Output`]
+    /// spills a rendered trace to its stream as it goes, and every other
+    /// reply leaves in one write per read. Blocks only when `caller` may
+    /// wait. `received` is when the batch's bytes came off the wire.
     fn answer(
         &self,
         lines: &[Cow<'_, str>],
         received: Instant,
-        out: &mut Vec<u8>,
+        out: &mut Output<'_>,
         caller: Caller,
     ) -> Answered;
 
@@ -82,20 +85,59 @@ pub trait Handler: Send + Sync {
     fn should_stop(&self) -> bool;
 }
 
-/// Append one response line and its newline.
-pub(crate) fn push_line(out: &mut Vec<u8>, line: &str) {
-    out.extend_from_slice(line.as_bytes());
-    out.push(b'\n');
+/// Writes this large are worth no copy: [`Output`] spills them.
+pub(crate) const SPILL_BYTES: usize = 64 * 1024;
+
+/// A connection's response bytes as [`Handler::answer`] writes them:
+/// into `bytes`, to leave with the driver's write, or through [`Write`],
+/// where a large piece *spills* to the driver's sink, if it gave one,
+/// behind the bytes before it. The first failed spill is kept and every
+/// later one fails at once, so a renderer stops there; `flush` spills
+/// the rest and returns that first error.
+pub struct Output<'a> {
+    /// The buffered response bytes.
+    pub bytes: &'a mut Vec<u8>,
+    sink: Option<&'a mut dyn Write>,
+    error: Option<io::Error>,
+}
+
+impl<'a> Output<'a> {
+    /// Responses for `bytes` that may spill to `sink`.
+    pub fn new(bytes: &'a mut Vec<u8>, sink: Option<&'a mut dyn Write>) -> Self {
+        let error = None;
+        Output { bytes, sink, error }
+    }
+}
+
+impl Write for Output<'_> {
+    fn write(&mut self, piece: &[u8]) -> io::Result<usize> {
+        let spill = piece.len() >= SPILL_BYTES || piece.is_empty();
+        let Some(sink) = self.sink.as_mut().filter(|_| spill) else {
+            self.bytes.extend_from_slice(piece);
+            return Ok(piece.len());
+        };
+        if self.error.is_none() {
+            let parts = [self.bytes.as_slice(), piece];
+            self.error = parts.iter().find_map(|part| sink.write_all(part).err());
+        }
+        self.bytes.clear();
+        let failed = self.error.as_ref().map(io::Error::kind);
+        failed.map_or(Ok(piece.len()), |kind| Err(kind.into()))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let _ = self.write(&[]);
+        self.error.take().map_or(Ok(()), Err)
+    }
 }
 
 /// Empty an output buffer whose bytes have been written, keeping its
-/// allocation for the next responses unless one huge reply (a trace
-/// document runs to tens of megabytes) grew it: held on to, that would
-/// be the connection's footprint for life, and the next such reply
-/// would be copied into it rather than adopted.
+/// allocation unless a huge reply grew it (a trace the reactor renders
+/// whole runs to tens of megabytes): held on to, that would be the
+/// connection's footprint for life, and the next such reply would be
+/// copied into it rather than adopted.
 pub(crate) fn recycle(out: &mut Vec<u8>) {
-    const KEEP_CAPACITY: usize = 64 * 1024;
-    if out.capacity() > KEEP_CAPACITY {
+    if out.capacity() > SPILL_BYTES {
         *out = Vec::new();
     } else {
         out.clear();

@@ -6,9 +6,10 @@
 //! was deferred. Blocking is the lane's job: its `recv` is the one
 //! blocking call `crates/net/clippy.toml` excuses outside the mailbox.
 
-use crate::handler::{push_line, Answered, Caller, Handler};
+use crate::handler::{Answered, Caller, Handler, Output};
 use crate::reactor::Mailbox;
 use std::borrow::Cow;
+use std::io::Write;
 use std::sync::mpsc::{channel, Sender};
 use std::thread::Scope;
 use std::time::Instant;
@@ -32,10 +33,11 @@ impl Deferred {
     {
         match self {
             Deferred::Lines(lines) => {
-                handler.answer(&lines, received, out, Caller::MayWait) == Answered::Stop
+                let mut out = Output::new(out, None);
+                handler.answer(&lines, received, &mut out, Caller::MayWait) == Answered::Stop
             }
             Deferred::Oversized { len } => {
-                push_line(out, &handler.oversized_line(len));
+                _ = writeln!(out, "{}", handler.oversized_line(len));
                 false
             }
         }

@@ -21,10 +21,9 @@
 //!   edge-case table ([`framing::edge_cases`]) both drivers are tested
 //!   against.
 //! - [`handler`] — the seam: [`Handler`] answers a batch of request
-//!   lines straight into a connection's output bytes, in one pass,
-//!   told whether its caller may wait ([`Caller`]); when it may not,
-//!   the pass stops before the first line that would block
-//!   ([`Answered`]).
+//!   lines straight into a connection's [`Output`], in one pass, told
+//!   whether its caller may wait ([`Caller`]); when it may not, the
+//!   pass stops before the first line that would block ([`Answered`]).
 //! - [`conn`] — per-connection read framer + buffered write side with
 //!   explicit backpressure over any `Read + Write + AsRawFd` stream
 //!   ([`Connection`]).
@@ -34,7 +33,7 @@
 //!   wakeup and the rules for deferred work.
 //! - [`blocking`] — the blocking driver ([`blocking::serve`]): one
 //!   `Read + Write` stream served on the calling thread, one write per
-//!   read.
+//!   read bar the pieces of a long reply, which spill as rendered.
 //! - [`accept`] — the accept-error policy both drivers' accept paths
 //!   follow ([`accept::after_accept_error`]).
 //!
@@ -58,6 +57,6 @@ pub mod sys;
 
 pub use conn::Connection;
 pub use framing::{Batch, Frame, LineFramer, DEFAULT_MAX_LINE};
-pub use handler::{Answered, Caller, Handler};
+pub use handler::{Answered, Caller, Handler, Output};
 pub use poller::{Event, Interest, Poller};
 pub use reactor::{Observer, Reactor, ReactorConfig};

@@ -59,7 +59,7 @@
 use crate::accept::{after_accept_error, AcceptRetry, ACCEPT_BACKOFF};
 use crate::conn::Connection;
 use crate::framing::Batch;
-use crate::handler::{push_line, Answered, Caller, Handler};
+use crate::handler::{Answered, Caller, Handler, Output};
 use crate::lane::{Deferred, Lane};
 use crate::poller::{Event, Interest, Poller};
 use std::borrow::Cow;
@@ -623,6 +623,7 @@ impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
                 let from = if queued {
                     0
                 } else {
+                    let out = &mut Output::new(out, None);
                     match self.handler.answer(lines, received, out, Caller::EventLoop) {
                         Answered::All => return false,
                         Answered::Stop => return true,
@@ -634,7 +635,7 @@ impl<H: Handler + ?Sized, S: Read + Write + AsRawFd> Loop<'_, H, S> {
             }
             Batch::Oversized { len } => {
                 if !queued {
-                    push_line(out, &self.handler.oversized_line(len));
+                    _ = writeln!(out, "{}", self.handler.oversized_line(len));
                     return false;
                 }
                 Deferred::Oversized { len }
@@ -683,7 +684,7 @@ mod tests {
             &self,
             lines: &[Cow<'_, str>],
             _received: Instant,
-            out: &mut Vec<u8>,
+            out: &mut Output<'_>,
             caller: Caller,
         ) -> Answered {
             for (k, line) in lines.iter().enumerate() {
@@ -696,7 +697,7 @@ mod tests {
                         let _ = self.permits.lock().unwrap().recv();
                     }
                 }
-                push_line(out, &line.to_uppercase());
+                _ = writeln!(out.bytes, "{}", line.to_uppercase());
                 self.answered.fetch_add(1, Ordering::SeqCst);
                 if line.ends_with("stop") {
                     self.stop.store(true, Ordering::SeqCst);

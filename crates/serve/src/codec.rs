@@ -16,7 +16,7 @@
 #![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
 #![deny(clippy::string_slice)]
 
-use crate::protocol::{field_u64, parse_class, Request, Response};
+use crate::protocol::{field_u64, parse_class, unknown, Request, Response};
 use dvfs_trace::num::write_u64;
 use serde_json::{Number, Reader};
 use std::borrow::Cow;
@@ -182,7 +182,7 @@ pub(crate) fn decode_request(line: &str) -> Result<Request, String> {
         "health" => Ok(Request::Health),
         "ping" => Ok(Request::Ping),
         "shutdown" => Ok(Request::Shutdown),
-        other => Err(format!("unknown cmd `{other}`")),
+        other => Err(unknown("cmd", other)),
     }
 }
 
@@ -242,7 +242,7 @@ mod tests {
             "health" => Ok(Request::Health),
             "ping" => Ok(Request::Ping),
             "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown cmd `{other}`")),
+            other => Err(unknown("cmd", other)),
         }
     }
 

@@ -45,13 +45,12 @@
 //!   merge over shards in deterministic shard order.
 //! * `trace` carries `"count"`, `"dropped"`, and an `"events"` array of
 //!   JSONL strings — the exact lines a `--trace-out` file holds, so the
-//!   two are byte-identical (tracing must be enabled server-side). Its
-//!   size is bounded by ring capacity: between two collections (each
-//!   `drain`, `trace` and `trace_stream` collects) a shard's ring keeps
-//!   at most `--trace-cap` events, overwriting the oldest and counting
-//!   them in `"dropped"`, and the server keeps what it collected until
-//!   a `trace_stream` takes it. A reply thus holds at most `--trace-cap`
-//!   × shards events per collection since the last `trace_stream`.
+//!   two are byte-identical (tracing must be enabled server-side). Each
+//!   collection (`drain`, `trace`, `trace_stream`) takes at most
+//!   `--trace-cap` events per shard ring, which drops the oldest into
+//!   `"dropped"`, and they stay until a `trace_stream` takes them. The
+//!   blocking driver holds two rendered pieces of a reply (≈6 MB) at a
+//!   time and spills them; the reactor holds the reply whole until sent.
 //! * `trace_stream` carries the same `"count"`/`"dropped"`/`"events"`
 //!   shape plus `"streamed"` (total events streamed so far), but each
 //!   call returns only events not yet streamed and then forgets them
@@ -282,9 +281,17 @@ pub(crate) fn parse_class(s: &str) -> Result<TaskClass, String> {
         "interactive" => Ok(TaskClass::Interactive),
         "non_interactive" => Ok(TaskClass::NonInteractive),
         "batch" => Ok(TaskClass::Batch),
-        other => Err(format!(
-            "unknown class `{other}` (expected interactive|non_interactive|batch)"
-        )),
+        other => Err(unknown("class", other) + " (expected interactive|non_interactive|batch)"),
+    }
+}
+
+/// The error for a client's unknown `what`, quoting at most 64 bytes
+/// of it, cut on a char boundary and then followed by its byte count.
+pub(crate) fn unknown(what: &str, s: &str) -> String {
+    let n = s.len();
+    match (0..65).rev().find_map(|cut| s.get(..cut)) {
+        Some(head) if head.len() < n => format!("unknown {what} `{head}` ({n} bytes)"),
+        _ => format!("unknown {what} `{s}`"),
     }
 }
 
@@ -407,8 +414,13 @@ mod tests {
         assert!(
             parse_request(r#"{"cmd":"submit","cycles":5,"class":"warp"}"#)
                 .unwrap_err()
-                .contains("unknown class")
+                .contains("unknown class `warp` (expected")
         );
+        let euros = "€".repeat(30); // 90 bytes: 64 is inside the 22nd
+        let cut = format!("unknown cmd `{}` (90 bytes)", "€".repeat(21));
+        assert_eq!(unknown("cmd", &euros), cut);
+        let whole = "€".repeat(21); // 63 bytes: quoted as it is
+        assert_eq!(unknown("cmd", &whole), format!("unknown cmd `{whole}`"));
         assert!(
             parse_request(r#"{"cmd":"submit","cycles":-3,"class":"batch"}"#)
                 .unwrap_err()

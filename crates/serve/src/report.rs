@@ -7,46 +7,40 @@
 //! byte-identical-across-backends and across-shard-counts tests pin)
 //! is decided in exactly one place. The first three are `Response`
 //! values; the two trace replies, which run to tens of megabytes, are
-//! written straight into the connection's output bytes, in the bytes
+//! written in pieces through `io::Write`, in the bytes
 //! `Response::encode` would give the same document. No registry gauge
 //! stores a queue depth or a pending count: `stats` and `health` read
 //! the live admission queues and the cells each worker publishes.
 
 use crate::executor::RoundReport;
 use crate::metrics::{shard_metric, Registry};
-use crate::protocol::{field_f64, field_u64, ErrorKind, Response};
+use crate::protocol::{field_f64, field_u64, Response};
 use crate::stage::{REQUEST_E2E, STAGE_CMD_DEQUEUE, TELESCOPE_STAGES};
 use crate::worker::ShardShared;
 use dvfs_model::CostParams;
 use dvfs_trace::export::{write_events, Framing};
 use dvfs_trace::TraceEvent;
 use serde_json::Value;
-use std::io::Write;
+use std::io::{self, Write};
 use std::sync::Arc;
 
-/// The error both trace commands answer when `trace_capacity` is 0.
-pub(crate) fn tracing_disabled() -> Response {
-    Response::err(
-        ErrorKind::BadRequest,
-        "tracing is disabled (start the server with --trace-cap)",
-    )
-}
-
 /// `trace` and (with `streamed`) `trace_stream`: the counts, then
-/// `events` as an array of JSONL strings, as one reply line appended to
-/// `out`.
-pub(crate) fn trace(out: &mut Vec<u8>, events: &[TraceEvent], dropped: u64, streamed: Option<u64>) {
-    let _ = write!(
-        out,
-        "{{\"ok\":true,\"count\":{},\"dropped\":{dropped}",
-        events.len()
-    );
+/// `events` as an array of JSONL strings, as one reply line written to
+/// `w`.
+pub(crate) fn trace<W: Write>(
+    w: &mut W,
+    events: &[TraceEvent],
+    dropped: u64,
+    streamed: Option<u64>,
+) -> io::Result<()> {
+    let count = events.len();
+    write!(w, "{{\"ok\":true,\"count\":{count},\"dropped\":{dropped}")?;
     if let Some(streamed) = streamed {
-        let _ = write!(out, ",\"streamed\":{streamed}");
+        write!(w, ",\"streamed\":{streamed}")?;
     }
-    out.extend_from_slice(b",\"events\":[");
-    write_events(out, events, Framing::Strings);
-    out.extend_from_slice(b"]}\n");
+    w.write_all(b",\"events\":[")?;
+    write_events(w, events, Framing::Strings)?;
+    w.write_all(b"]}\n")
 }
 
 /// `drain`: the merged round report plus the per-shard reports, in

@@ -53,7 +53,7 @@
 use crate::metrics::Registry;
 use crate::protocol::{parse_request, ErrorKind, Request, Response};
 use crate::service::{Mode, Pace, Scheduler, SchedulerConfig, SubmitItem, Submitted};
-use dvfs_net::{Answered, Caller, Reactor};
+use dvfs_net::{Answered, Caller, Output, Reactor};
 use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -152,7 +152,7 @@ enum Listener {
 /// drivers call into.
 impl dvfs_net::Handler for Scheduler {
     /// One pass over a batch of complete request lines: each line is
-    /// decoded once and answered — its response line appended to `out`
+    /// decoded once and answered — its response line written to `out`
     /// — before the next is looked at. The batch's submits form one
     /// submit run stamped with `received` (when the batch's bytes came
     /// off the wire). Pings, `health`,
@@ -166,7 +166,7 @@ impl dvfs_net::Handler for Scheduler {
         &self,
         lines: &[Cow<'_, str>],
         received: Instant,
-        out: &mut Vec<u8>,
+        out: &mut Output<'_>,
         caller: Caller,
     ) -> Answered {
         let may_wait = caller == Caller::MayWait;
@@ -177,7 +177,7 @@ impl dvfs_net::Handler for Scheduler {
                 Ok(request) => request,
                 Err(msg) => {
                     self.metrics().counter("malformed_requests").inc();
-                    Response::err(ErrorKind::BadRequest, msg).push_line(out);
+                    Response::err(ErrorKind::BadRequest, msg).push_line(out.bytes);
                     continue;
                 }
             };
@@ -204,38 +204,43 @@ impl dvfs_net::Handler for Scheduler {
                     arrival,
                 }) {
                     Submitted::Ack(ack) => {
-                        ack.push_line(out);
+                        ack.push_line(out.bytes);
                         continue;
                     }
                     Submitted::Refused(refused) => refused,
                     Submitted::WouldBlock => return Answered::WouldBlock(k),
                 },
+                Request::Trace | Request::TraceStream if self.config().trace_capacity == 0 => {
+                    let hint = "tracing is disabled (start the server with --trace-cap)";
+                    Response::err(ErrorKind::BadRequest, hint)
+                }
                 Request::Ping => Response::ok(),
                 Request::Health => self.health(),
                 Request::Stats => self.stats(),
                 Request::Drain => {
                     let resp = self.drain_run();
-                    self.flush_trace_file();
+                    self.trace.flush_file();
                     resp
                 }
+                // A failed spill stays in `out` for the driver.
                 Request::Trace => {
-                    self.trace_run(out);
-                    self.flush_trace_file();
+                    let _ = self.trace.write_trace(out);
+                    self.trace.flush_file();
                     continue;
                 }
                 Request::TraceStream => {
-                    self.trace_stream_run(out);
+                    let _ = self.trace.write_chunk(out);
                     continue;
                 }
                 // The drain runs once the drivers have stopped. The lines
                 // behind owe nothing.
                 Request::Shutdown => {
                     self.stop_admitting();
-                    Response::ok().push_line(out);
+                    Response::ok().push_line(out.bytes);
                     return Answered::Stop;
                 }
             };
-            resp.push_line(out);
+            resp.push_line(out.bytes);
         }
         Answered::All
     }
@@ -350,7 +355,7 @@ pub fn serve(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
     };
 
     if let Some(path) = &cfg.trace_out {
-        scheduler.set_trace_file(path.clone());
+        scheduler.trace.set_file(path.clone());
     }
     scheduler.start_clock();
     let scheduler = Arc::new(scheduler);
@@ -630,7 +635,12 @@ mod tests {
         lines.push(cmd("ping"));
         let mut out = Vec::new();
         let began = crate::clock::wall_now();
-        let answered = scheduler.answer(&lines, began, &mut out, Caller::MayWait);
+        let answered = scheduler.answer(
+            &lines,
+            began,
+            &mut Output::new(&mut out, None),
+            Caller::MayWait,
+        );
         let took = began.elapsed();
         assert_eq!(answered, Answered::Stop);
         assert!(took >= bound, "the 9th submit waits the bound: {took:?}");
@@ -669,14 +679,24 @@ mod tests {
         let mut out = Vec::new();
         // Explicit ids hash to shards: one task in each queue.
         let both = [submit_id(Some(0)), submit_id(Some(1))];
-        scheduler.answer(&both, now, &mut out, Caller::MayWait);
+        scheduler.answer(
+            &both,
+            now,
+            &mut Output::new(&mut out, None),
+            Caller::MayWait,
+        );
         assert!(responses(&out).iter().all(Response::is_ok));
         std::thread::sleep(tick * 2); // both queues go stale
         out.clear();
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| {
                 let third = [submit_id(Some(2))];
-                scheduler.answer(&third, now, &mut out, Caller::MayWait)
+                scheduler.answer(
+                    &third,
+                    now,
+                    &mut Output::new(&mut out, None),
+                    Caller::MayWait,
+                )
             });
             // It waits on shard 0, the first stale one; only that
             // shard's worker pulls.
@@ -726,10 +746,20 @@ mod tests {
             let now = crate::clock::wall_now();
 
             let mut on_loop = Vec::new();
-            let answered = split.answer(&lines, now, &mut on_loop, Caller::EventLoop);
+            let answered = split.answer(
+                &lines,
+                now,
+                &mut Output::new(&mut on_loop, None),
+                Caller::EventLoop,
+            );
             assert_eq!(answered, Answered::WouldBlock(at));
             let mut reference = Vec::new();
-            whole.answer(&lines[..at], now, &mut reference, Caller::MayWait);
+            whole.answer(
+                &lines[..at],
+                now,
+                &mut Output::new(&mut reference, None),
+                Caller::MayWait,
+            );
             assert_eq!(on_loop, reference);
             assert_eq!(counters(&split), counters(&whole), "nothing for line {at}");
 
@@ -737,7 +767,12 @@ mod tests {
             let mut outs = [Vec::new(), Vec::new()];
             for (scheduler, out) in [&split, &whole].into_iter().zip(&mut outs) {
                 scheduler.tick();
-                let answered = scheduler.answer(&lines[at..], now, out, Caller::MayWait);
+                let answered = scheduler.answer(
+                    &lines[at..],
+                    now,
+                    &mut Output::new(out, None),
+                    Caller::MayWait,
+                );
                 assert_eq!(answered, Answered::All);
                 assert_eq!(responses(out).len(), lines.len() - at);
             }
@@ -757,7 +792,12 @@ mod tests {
         let scheduler = paced(Duration::from_millis(10), 2, 2);
         let mut out = Vec::new();
         let now = crate::clock::wall_now();
-        let answered = scheduler.answer(&[cmd("stats")], now, &mut out, Caller::EventLoop);
+        let answered = scheduler.answer(
+            &[cmd("stats")],
+            now,
+            &mut Output::new(&mut out, None),
+            Caller::EventLoop,
+        );
         assert_eq!(answered, Answered::All);
         let got = responses(&out);
         assert_eq!(got.len(), 1, "one stats line");

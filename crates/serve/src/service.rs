@@ -88,9 +88,7 @@ use crate::tracestore::TraceStore;
 use crate::worker::{self, Command, ShardShared, WorkerHandle};
 use crate::{rebalance, report};
 use dvfs_model::{Task, TaskClass};
-use dvfs_trace::SharedRing;
 use serde_json::Value;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
@@ -141,9 +139,9 @@ pub struct Scheduler {
     /// (e.g. a paced service whose ticker keeps every queue empty)
     /// round-robin instead of piling onto shard 0.
     router_cursor: AdvisoryCell,
-    /// Trace events drained from the shard rings so far, in drain
-    /// order (ascending shard within each round).
-    trace: TraceStore,
+    /// The shard rings, and the trace events drained from them so far,
+    /// in drain order (ascending shard within each round).
+    pub(crate) trace: TraceStore,
     stalls: StallLatches,
     /// Test-only seam: runs once inside the next `tick`/`drain` after
     /// the queues were drained, standing in for a racing submitter.
@@ -198,8 +196,9 @@ impl Scheduler {
                 worker::spawn(Arc::clone(sh), cfg, Arc::clone(&clock), &metrics, lmc, done)
             })
             .collect();
+        let rings = shards.iter().filter_map(|sh| sh.ring.clone()).collect();
         Scheduler {
-            trace: TraceStore::new(cfg.params, Arc::clone(&metrics)),
+            trace: TraceStore::new(cfg.params, Arc::clone(&metrics), rings),
             shards,
             workers,
             submitted: metrics.counter("submitted"),
@@ -469,7 +468,7 @@ impl Scheduler {
                 .collect();
             // Capture the round's trace before anything of the next
             // round can be recorded (submits record under the ledger).
-            self.collect_trace_residue();
+            self.trace.collect();
             ids.reset();
         }
         self.fire_round_hook();
@@ -485,30 +484,6 @@ impl Scheduler {
         RoundReport::merge(&self.drain_shards())
     }
 
-    /// Whether lifecycle tracing is on (`trace_capacity > 0`).
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.cfg.trace_capacity > 0
-    }
-
-    /// Mirror the lifecycle trace into a JSONL file at `path` (the
-    /// server's `--trace-out`); caught up by
-    /// [`Scheduler::flush_trace_file`] and by every `trace_stream`.
-    pub(crate) fn set_trace_file(&self, path: PathBuf) {
-        self.trace.set_file(path);
-    }
-
-    /// Move every shard's live ring residue (events recorded since the
-    /// last round boundary) into the trace store, ascending shard
-    /// order.
-    fn collect_trace_residue(&self) {
-        for sh in &self.shards {
-            if let Some(ring) = &sh.ring {
-                self.trace.absorb(sh.index, ring.drain());
-            }
-        }
-    }
-
     /// The retained accumulated trace as JSONL lines (one event per
     /// line, no trailing newline per line). Live ring residue is folded
     /// in first, so the result covers everything recorded and not yet
@@ -517,49 +492,13 @@ impl Scheduler {
     /// and the wire `trace` response, byte for byte.
     #[must_use]
     pub fn trace_lines(&self) -> Vec<String> {
-        self.collect_trace_residue();
         self.trace.lines()
-    }
-
-    /// Catch the `--trace-out` file (if one is set) up to everything
-    /// recorded so far.
-    pub(crate) fn flush_trace_file(&self) {
-        if self.trace_enabled() {
-            self.collect_trace_residue();
-            self.trace.flush_file();
-        }
-    }
-
-    /// Wire handler for `trace_stream`: everything recorded and not yet
-    /// streamed, appended to the `--trace-out` file, forgotten
-    /// server-side, and written into `out` as one reply line.
-    pub fn trace_stream_run(&self, out: &mut Vec<u8>) {
-        if !self.trace_enabled() {
-            return report::tracing_disabled().push_line(out);
-        }
-        self.collect_trace_residue();
-        self.trace.write_chunk(out, self.trace_dropped());
     }
 
     /// Events dropped by full (or zero-capacity) trace rings so far.
     #[must_use]
     pub fn trace_dropped(&self) -> u64 {
-        self.shards
-            .iter()
-            .filter_map(|s| s.ring.as_ref())
-            .map(SharedRing::dropped)
-            .sum()
-    }
-
-    /// Wire handler for `trace`: the accumulated trace as an array of
-    /// JSONL strings plus the ring-drop counter, written into `out` as
-    /// one reply line.
-    pub fn trace_run(&self, out: &mut Vec<u8>) {
-        if !self.trace_enabled() {
-            return report::tracing_disabled().push_line(out);
-        }
-        self.collect_trace_residue();
-        self.trace.write_trace(out, self.trace_dropped());
+        self.trace.dropped()
     }
 
     /// Wire handler for `drain`: run the round and encode the merged
@@ -619,7 +558,7 @@ impl Scheduler {
                     break;
                 }
             }
-            self.flush_trace_file();
+            self.trace.flush_file();
         });
     }
 }
@@ -1593,7 +1532,7 @@ mod tests {
                 assert!(s.drain_run().is_ok());
                 if streamed {
                     let mut out = Vec::new();
-                    s.trace_stream_run(&mut out);
+                    s.trace.write_chunk(&mut out).unwrap();
                     let reply = std::str::from_utf8(&out).unwrap().trim_end();
                     let reply = Response::decode(reply).unwrap();
                     let chunk = reply.field("events").and_then(Value::as_array).unwrap();

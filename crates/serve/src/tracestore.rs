@@ -1,16 +1,17 @@
 //! Where drained lifecycle-trace events live until a client takes them.
 //!
-//! The scheduler drains every shard's ring into this store at round
-//! boundaries (ascending shard order). From here the events leave three
-//! ways, all serving the same JSONL lines byte for byte: the one-shot
-//! wire `trace` ([`TraceStore::write_trace`]), incremental
-//! `trace_stream` chunks that are forgotten once handed out
-//! ([`TraceStore::write_chunk`]), and an optional `--trace-out` file
-//! that holds the full stream — streamed-and-forgotten chunks first,
-//! then what a `trace` response still carries. Events stay
-//! [`TraceEvent`]s until they leave: `dvfs_trace::export::write_events`
-//! renders them straight into the reply's bytes or the file's, split
-//! across the cores for a long run, with no string per event between.
+//! The store holds every shard's ring and drains them into itself
+//! ([`TraceStore::collect`], ascending shard order). From here the
+//! events leave three ways, all serving the same JSONL lines byte for
+//! byte: the one-shot wire `trace` ([`TraceStore::write_trace`]),
+//! incremental `trace_stream` chunks that are forgotten once handed
+//! out ([`TraceStore::write_chunk`]), and an optional `--trace-out`
+//! file that holds the full stream — streamed-and-forgotten chunks
+//! first, then what a `trace` response still carries. Events stay
+//! [`TraceEvent`]s until `dvfs_trace::export::write_events` renders
+//! them, two pieces at a time, into the file or the reply (which the
+//! blocking driver spills to the peer as it goes). The event buffer
+//! comes back: a chunk hands its emptied `Vec` to the next collection.
 //!
 //! Two cursors, two locks, one rule. The *stream cursor* (`forgotten`)
 //! sits beside the retained events; the *file cursor* (`written`) sits
@@ -19,7 +20,9 @@
 //! so the file gains a chunk's lines *before* the store forgets them:
 //! the file cursor never falls behind the stream cursor, whatever the
 //! interleaving. Lock order is always file cursor → retained events,
-//! and this module is the only place that takes both.
+//! and this module is the only place that takes both. No reply is
+//! written under the retained lock: a render shares the events through
+//! an `Arc`, and a collection that meets one in flight copies them.
 //!
 //! [`parse_jsonl`] reads any of those JSONL streams back into events.
 
@@ -27,17 +30,17 @@ use crate::metrics::{shard_metric, Registry};
 use crate::report;
 use dvfs_model::CostParams;
 use dvfs_trace::export::{jsonl_line, write_events, Framing};
-use dvfs_trace::{ClassTag, EventKind, TraceEvent};
+use dvfs_trace::{ClassTag, EventKind, SharedRing, TraceEvent};
 use serde_json::{Reader, Value};
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Drained events not yet streamed away, plus the stream cursor.
 #[derive(Default)]
 struct Retained {
-    events: Vec<TraceEvent>,
+    events: Arc<Vec<TraceEvent>>,
     /// Events streamed-and-forgotten so far; `forgotten + events.len()`
     /// is the absolute index of the next event to arrive.
     forgotten: u64,
@@ -58,17 +61,21 @@ struct FileCursor {
 pub(crate) struct TraceStore {
     params: CostParams,
     metrics: Arc<Registry>,
+    /// The shards' rings, in shard order; none when tracing is off.
+    rings: Vec<SharedRing>,
     file: Mutex<FileCursor>,
     retained: Mutex<Retained>,
 }
 
 impl TraceStore {
-    pub fn new(params: CostParams, metrics: Arc<Registry>) -> Self {
+    pub fn new(params: CostParams, metrics: Arc<Registry>, rings: Vec<SharedRing>) -> Self {
+        let (file, retained) = Default::default();
         TraceStore {
             params,
             metrics,
-            file: Mutex::default(),
-            retained: Mutex::default(),
+            rings,
+            file,
+            retained,
         }
     }
 
@@ -86,41 +93,44 @@ impl TraceStore {
         self.lock_file().path = Some(path);
     }
 
-    /// Append the events drained from shard `shard`'s ring, folding its
-    /// `complete` events into the cost-attribution counters: per-shard,
-    /// per-core energy cost (`Re · E`) and waiting cost
-    /// (`Rt · turnaround`), both in integer micro-cost units. Each event
-    /// is rounded on its own; the counters see one sum per core.
-    pub fn absorb(&self, shard: usize, events: Vec<TraceEvent>) {
-        if events.is_empty() {
-            return;
-        }
-        let mut per_core: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
-        for ev in &events {
-            if let EventKind::Complete {
-                core,
-                energy_j,
-                turnaround_s,
-                ..
-            } = ev.kind
-            {
-                let (energy, wait) = per_core.entry(core).or_default();
-                *energy += (self.params.re * energy_j * 1e6).round() as u64;
-                *wait += (self.params.rt * turnaround_s * 1e6).round() as u64;
+    /// Events dropped by full (or zero-capacity) rings so far.
+    pub fn dropped(&self) -> u64 {
+        self.rings.iter().map(SharedRing::dropped).sum()
+    }
+
+    /// Drain every ring, in shard order, into the retained events,
+    /// folding each shard's `complete` events into the cost-attribution
+    /// counters: per-shard, per-core energy cost (`Re · E`) and waiting
+    /// cost (`Rt · turnaround`), both in integer micro-cost units. Each
+    /// event is rounded on its own; the counters see one sum per core.
+    pub fn collect(&self) {
+        for (shard, ring) in self.rings.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
+            let mut per_core: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+            let mut retained = self.lock_retained();
+            let events = Arc::make_mut(&mut retained.events);
+            let first = events.len();
+            ring.drain_into(events);
+            for ev in events.get(first..).unwrap_or(&[]) {
+                if let EventKind::Complete {
+                    core,
+                    energy_j,
+                    turnaround_s,
+                    ..
+                } = ev.kind
+                {
+                    let (energy, wait) = per_core.entry(core).or_default();
+                    *energy += (self.params.re * energy_j * 1e6).round() as u64;
+                    *wait += (self.params.rt * turnaround_s * 1e6).round() as u64;
+                }
             }
-        }
-        for (core, (energy, wait)) in per_core {
-            for (name, micros) in [("energy_cost_micros", energy), ("wait_cost_micros", wait)] {
-                let of_core = shard_metric(&format!("{name}.core{core}"), shard);
-                self.metrics.counter(name).add(micros);
-                self.metrics.counter(&of_core).add(micros);
+            drop(retained);
+            for (core, (energy, wait)) in per_core {
+                for (name, micros) in [("energy_cost_micros", energy), ("wait_cost_micros", wait)] {
+                    let of_core = shard_metric(&format!("{name}.core{core}"), shard);
+                    self.metrics.counter(name).add(micros);
+                    self.metrics.counter(&of_core).add(micros);
+                }
             }
-        }
-        let mut retained = self.lock_retained();
-        if retained.events.is_empty() {
-            retained.events = events; // as after a `trace_stream`: a move, no copy
-        } else {
-            retained.events.extend(events);
         }
     }
 
@@ -130,25 +140,29 @@ impl TraceStore {
     }
 
     /// The retained trace as JSONL lines (one event per line, no
-    /// trailing newline): everything absorbed and not yet streamed away.
+    /// trailing newline): everything collected and not yet streamed away.
     pub fn lines(&self) -> Vec<String> {
+        self.collect();
         self.lock_retained().events.iter().map(jsonl_line).collect()
     }
 
-    /// Write the `trace` reply line — every retained event — into `out`.
-    pub fn write_trace(&self, out: &mut Vec<u8>, dropped: u64) {
-        report::trace(out, &self.lock_retained().events, dropped, None);
+    /// The first event's stream index, and every event, collected.
+    fn snapshot(&self) -> (u64, Arc<Vec<TraceEvent>>) {
+        self.collect();
+        let retained = self.lock_retained();
+        (retained.forgotten, Arc::clone(&retained.events))
     }
 
-    /// Catch the trace file up to everything absorbed so far. A no-op
+    /// Write the `trace` reply line — every retained event — to `out`.
+    pub fn write_trace(&self, out: &mut impl Write) -> io::Result<()> {
+        report::trace(out, &self.snapshot().1, self.dropped(), None)
+    }
+
+    /// Catch the trace file up to everything recorded so far. A no-op
     /// without a file.
     pub fn flush_file(&self) {
-        let mut file = self.lock_file();
-        let fresh = {
-            let retained = self.lock_retained();
-            fresh_lines(&file, retained.forgotten, &retained.events)
-        };
-        self.append(&mut file, fresh);
+        let (first_abs, events) = self.snapshot();
+        self.append(&mut self.lock_file(), first_abs, &events);
     }
 
     /// Take one `trace_stream` chunk — every retained event — append it
@@ -157,58 +171,53 @@ impl TraceStore {
     /// line into `out`. Repeated calls hand out disjoint, contiguous
     /// chunks whose concatenation is byte-identical to what a single
     /// one-shot `trace` would have returned.
-    pub fn write_chunk(&self, out: &mut Vec<u8>, dropped: u64) {
+    pub fn write_chunk(&self, out: &mut impl Write) -> io::Result<()> {
+        self.collect();
         let mut file = self.lock_file();
-        let (events, first_abs, streamed) = {
-            let mut retained = self.lock_retained();
-            let events = std::mem::take(&mut retained.events);
-            let first_abs = retained.forgotten;
-            retained.forgotten += events.len() as u64;
-            (events, first_abs, retained.forgotten)
-        };
-        let fresh = fresh_lines(&file, first_abs, &events);
-        self.append(&mut file, fresh);
+        let mut retained = self.lock_retained();
+        let events = std::mem::take(&mut retained.events);
+        let first_abs = retained.forgotten;
+        retained.forgotten += events.len() as u64;
+        let streamed = retained.forgotten;
+        drop(retained);
+        self.append(&mut file, first_abs, &events);
         drop(file);
-        report::trace(out, &events, dropped, Some(streamed));
+        let sent = report::trace(out, &events, self.dropped(), Some(streamed));
+        if let Ok(mut events) = Arc::try_unwrap(events) {
+            events.clear();
+            let mut retained = self.lock_retained();
+            if retained.events.is_empty() {
+                retained.events = Arc::new(events);
+            }
+        }
+        sent
     }
 
-    /// Append lines [`fresh_lines`] rendered to the file, advancing the
-    /// cursor on success. The file is append-only behind the cursor:
-    /// the first append truncates any stale file from a previous run,
-    /// every later one adds exactly the lines past the cursor. A failed
-    /// write leaves the cursor untouched and bumps
+    /// Append to the file the lines of every event in `events`
+    /// (`first_abs` is `events[0]`'s absolute stream index) at or past
+    /// the cursor, advancing it on success. The file is append-only
+    /// behind the cursor: the first append truncates any stale file
+    /// from a previous run, every later one adds exactly the lines past
+    /// the cursor. A failed write leaves the cursor untouched and bumps
     /// `trace_write_errors`; the next flush retries the same span if it
     /// is still retained.
-    fn append(&self, file: &mut FileCursor, fresh: Option<(Vec<u8>, u64)>) {
-        let (Some(path), Some((body, lines))) = (&file.path, fresh) else {
+    fn append(&self, file: &mut FileCursor, first_abs: u64, events: &[TraceEvent]) {
+        let Some(path) = &file.path else { return };
+        let skip = usize::try_from(file.written.saturating_sub(first_abs)).unwrap_or(usize::MAX);
+        let fresh = events.get(skip..).unwrap_or(&[]);
+        if fresh.is_empty() && file.written > 0 {
             return;
-        };
+        }
         let opened = if file.written == 0 {
             std::fs::File::create(path)
         } else {
             std::fs::OpenOptions::new().append(true).open(path)
         };
-        match opened.and_then(|mut f| f.write_all(&body)) {
-            Ok(()) => file.written += lines,
+        match opened.and_then(|mut f| write_events(&mut f, fresh, Framing::Lines)) {
+            Ok(()) => file.written += fresh.len() as u64,
             Err(_) => self.metrics.counter("trace_write_errors").inc(),
         }
     }
-}
-
-/// The JSONL lines of every event in `events` (`first_abs` is
-/// `events[0]`'s absolute stream index) at or past the file cursor,
-/// and how many. `None` when there is nothing to append: no file, or
-/// no new line for a file that already exists.
-fn fresh_lines(file: &FileCursor, first_abs: u64, events: &[TraceEvent]) -> Option<(Vec<u8>, u64)> {
-    file.path.as_ref()?;
-    let skip = usize::try_from(file.written.saturating_sub(first_abs)).unwrap_or(usize::MAX);
-    let fresh = events.get(skip..).unwrap_or(&[]);
-    if fresh.is_empty() && file.written > 0 {
-        return None;
-    }
-    let mut body = Vec::new();
-    write_events(&mut body, fresh, Framing::Lines);
-    Some((body, fresh.len() as u64))
 }
 
 /// The writer spells the floats JSON has no number for as `Display`
@@ -356,16 +365,16 @@ mod tests {
     use crate::protocol::{field_u64, Response};
     use dvfs_trace::export::to_jsonl;
 
+    /// A store over two shards' rings.
     fn store() -> TraceStore {
-        TraceStore::new(CostParams::online_paper(), Arc::new(Registry::new()))
+        let rings = (0..2).map(|k| SharedRing::new(k, 64)).collect();
+        TraceStore::new(CostParams::online_paper(), Arc::new(Registry::new()), rings)
     }
 
     fn events(store: &TraceStore, n: u64) {
-        let ring = dvfs_trace::SharedRing::new(0, 64);
         for task in 0..n {
-            ring.record(task as f64, EventKind::Admit { task, depth: 1 });
+            store.rings[0].record(task as f64, EventKind::Admit { task, depth: 1 });
         }
-        store.absorb(0, ring.drain());
     }
 
     fn scratch(name: &str) -> PathBuf {
@@ -392,7 +401,7 @@ mod tests {
     /// Take one `trace_stream` chunk: its event lines and `streamed`.
     fn take_chunk(s: &TraceStore) -> (Vec<String>, u64) {
         let mut out = Vec::new();
-        s.write_chunk(&mut out, 0);
+        s.write_chunk(&mut out).unwrap();
         let (resp, lines) = decode(&out);
         (
             lines,
@@ -463,11 +472,13 @@ mod tests {
     /// byte for byte, for chunks of 0, 1 and 9 events and one long
     /// enough to be rendered in pieces; the client's decoder and the
     /// JSONL parser give the events back; and the `--trace-out` file
-    /// is the streamed chunks, concatenated.
+    /// is the streamed chunks, concatenated. A zero-capacity ring
+    /// drops one more event before each chunk but the first.
     #[test]
     fn trace_replies_are_the_generic_encoding_of_jsonl_strings() {
         let path = scratch("replies.jsonl");
-        let s = store();
+        let rings = vec![SharedRing::new(0, 64), SharedRing::new(1, 0)];
+        let s = TraceStore::new(CostParams::online_paper(), Arc::new(Registry::new()), rings);
         s.set_file(path.clone());
         let kinds = every_kind();
         let long: Vec<TraceEvent> = (0..40_000)
@@ -482,6 +493,9 @@ mod tests {
             .enumerate()
         {
             let dropped = dropped as u64;
+            if dropped > 0 {
+                s.rings[1].record(0.0, EventKind::Preempt { task: 0, core: 0 });
+            }
             let lines: Vec<String> = chunk.iter().map(jsonl_line).collect();
             let count = field_u64("count", chunk.len() as u64);
             let events = (
@@ -494,14 +508,14 @@ mod tests {
                 Response::Ok(fields).push_line(&mut out);
                 out
             };
-            s.absorb(0, chunk.clone());
+            Arc::make_mut(&mut s.lock_retained().events).extend(chunk.clone());
             let mut trace = Vec::new();
-            s.write_trace(&mut trace, dropped);
+            s.write_trace(&mut trace).unwrap();
             let want = generic(vec![count.clone(), field_u64("dropped", dropped)]);
             assert!(trace == want, "trace of {} events", chunk.len());
             streamed.extend(lines);
             let mut stream = Vec::new();
-            s.write_chunk(&mut stream, dropped);
+            s.write_chunk(&mut stream).unwrap();
             let want = generic(vec![
                 count,
                 field_u64("dropped", dropped),
@@ -578,7 +592,7 @@ mod tests {
     #[test]
     fn absorb_attributes_completion_costs_per_shard_and_core() {
         let s = store();
-        let ring = dvfs_trace::SharedRing::new(1, 8);
+        let ring = &s.rings[1];
         let complete = |core, energy_j, turnaround_s| EventKind::Complete {
             task: 7,
             core,
@@ -590,7 +604,7 @@ mod tests {
             ring.record(1.0, complete(0, 1e-6, 4e-6));
         }
         ring.record(1.0, complete(2, 1.0, 0.25));
-        s.absorb(1, ring.drain());
+        s.collect();
         let p = CostParams::online_paper();
         let micros = |r: f64, x: f64| (r * x * 1e6).round() as u64;
         let counter = |name: &str| s.metrics.counter(name).get();

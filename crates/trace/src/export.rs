@@ -14,14 +14,15 @@
 //! downstream tools can diff predicted against measured cost per task.
 //!
 //! One writer renders every line, into a byte buffer: as is, or as a
-//! JSON string inside a reply ([`Framing`]). [`write_events`] renders a
-//! long run in contiguous pieces on every core, each into a buffer
-//! reserved once, and joins them in order, so a server writes a
-//! multi-megabyte trace reply straight into its output bytes;
-//! [`jsonl_line`] and [`to_jsonl`] wrap the same writer.
+//! JSON string inside a reply ([`Framing`]). [`write_events`] hands a
+//! run to its sink in pieces of [`PIECE_EVENTS`], rendering the next
+//! while one is written, so a multi-megabyte trace reply or file append
+//! holds two pieces of text; [`jsonl_line`] and [`to_jsonl`] wrap the
+//! same writer.
 
 use crate::{num, EventKind, TraceEvent};
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 
 /// How [`write_events`] frames each event's JSONL line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,14 +34,13 @@ pub enum Framing {
     Strings,
 }
 
-/// The fewest events a piece of a split run holds: a run shorter than
-/// two pieces renders on the calling thread, a longer one in at most
-/// one piece per available core.
-const PIECE_EVENTS: usize = 16_384;
+/// The events [`write_events`] renders into one piece (≈3 MB of text)
+/// before it hands the piece to the sink.
+pub const PIECE_EVENTS: usize = 16_384;
 
-/// Bytes reserved per event, so a run's buffer is allocated once, not
+/// Bytes reserved per event, so a piece's buffer is allocated once, not
 /// grown by doubling (a Judgegirl round averages ≈170 as strings).
-const EVENT_BYTES: usize = 192;
+pub const EVENT_BYTES: usize = 192;
 
 /// A field's key in both spellings of the quote, as one literal each:
 /// `,"name":` and `,\"name\":` (or with `{` leading, for the first).
@@ -195,43 +195,51 @@ fn write_event(out: &mut Vec<u8>, ev: &TraceEvent, escaped: bool) {
     w.out.push(b'}');
 }
 
-/// Append `events` to `out` framed as `framing`. A run of at least two
-/// `PIECE_EVENTS` is cut into contiguous pieces, at most one per
-/// available core, so a multi-megabyte reply renders on every core.
-pub fn write_events(out: &mut Vec<u8>, events: &[TraceEvent], framing: Framing) {
-    let mut pieces = events.len() / PIECE_EVENTS;
-    if pieces > 1 {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        pieces = pieces.min(cores);
-    }
-    write_in_pieces(out, events, framing, pieces);
+/// Write `events` to `sink` framed as `framing`, in pieces of
+/// [`PIECE_EVENTS`] handed to the sink in order: while one piece is
+/// written, a scoped thread renders the next, so two buffers, reused
+/// from piece to piece, hold all the text there is. The bytes do not
+/// depend on the cut.
+///
+/// # Errors
+/// The sink's first error, after which no piece is rendered.
+pub fn write_events(
+    sink: &mut impl Write,
+    events: &[TraceEvent],
+    framing: Framing,
+) -> io::Result<()> {
+    write_pieces(sink, events, framing, PIECE_EVENTS)
 }
 
-/// [`write_events`] cut into `pieces` contiguous pieces (at least
-/// one), rendered on scoped threads — the first straight into `out` —
-/// and joined in order: the bytes do not depend on the cut.
-fn write_in_pieces(out: &mut Vec<u8>, events: &[TraceEvent], framing: Framing, pieces: usize) {
-    let mut chunks = events.chunks(events.len().div_ceil(pieces.max(1)).max(1));
-    let Some(first) = chunks.next() else { return };
-    out.reserve(events.len() * EVENT_BYTES);
-    std::thread::scope(|s| {
-        let rest: Vec<_> = chunks
-            .map(|piece| {
-                s.spawn(move || {
-                    let mut buf = Vec::with_capacity(piece.len() * EVENT_BYTES);
-                    write_piece(&mut buf, piece, framing, false);
-                    buf
-                })
-            })
-            .collect();
-        write_piece(out, first, framing, true);
-        for handle in rest {
-            match handle.join() {
-                Ok(buf) => out.extend_from_slice(&buf),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
+/// [`write_events`] in pieces of `piece` events (at least one).
+fn write_pieces(
+    sink: &mut impl Write,
+    events: &[TraceEvent],
+    framing: Framing,
+    piece: usize,
+) -> io::Result<()> {
+    let piece = piece.max(1);
+    let reserve = |n: usize| Vec::with_capacity(n.min(piece) * EVENT_BYTES);
+    let mut pieces = events.chunks(piece);
+    let Some(head) = pieces.next() else {
+        return Ok(());
+    };
+    let (mut ready, mut spare) = (reserve(events.len()), reserve(events.len() - head.len()));
+    write_piece(&mut ready, head, framing, true);
+    for next in pieces {
+        spare.clear();
+        let written = std::thread::scope(|s| {
+            let render = s.spawn(|| write_piece(&mut spare, next, framing, false));
+            let written = sink.write_all(&ready);
+            render
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            written
+        });
+        written?;
+        std::mem::swap(&mut ready, &mut spare);
+    }
+    sink.write_all(&ready)
 }
 
 /// [`write_events`] for one piece; `leading` says whether it opens the
@@ -268,7 +276,7 @@ pub fn jsonl_line(ev: &TraceEvent) -> String {
 #[must_use]
 pub fn to_jsonl(events: &[TraceEvent]) -> String {
     let mut out = Vec::new();
-    write_events(&mut out, events, Framing::Lines);
+    write_events(&mut out, events, Framing::Lines).expect("a Vec takes every byte");
     String::from_utf8(out).expect("an event renders as ASCII")
 }
 
@@ -642,8 +650,9 @@ mod tests {
         }
     }
 
-    /// However a run is cut, the pieces join to the one-piece bytes:
-    /// JSONL lines, or each line as a JSON string of an array body.
+    /// However a run is cut into pieces, the sink gets the one-piece
+    /// bytes: JSONL lines, or each line as a JSON string of an array
+    /// body.
     #[test]
     fn every_cut_renders_the_same_bytes() {
         let events = every_kind();
@@ -655,17 +664,17 @@ mod tests {
             (Framing::Lines, EVERY_KIND_JSONL.to_owned()),
             (Framing::Strings, strings.join(",")),
         ] {
-            for pieces in 0..=events.len() + 1 {
+            for piece in 0..=events.len() + 1 {
                 let mut out = b"head".to_vec();
-                write_in_pieces(&mut out, &events, framing, pieces);
+                write_pieces(&mut out, &events, framing, piece).unwrap();
                 assert_eq!(
                     out,
                     [b"head", want.as_bytes()].concat(),
-                    "{framing:?} in {pieces}"
+                    "{framing:?} in pieces of {piece}"
                 );
             }
             let mut out = Vec::new();
-            write_events(&mut out, &[], framing);
+            write_events(&mut out, &[], framing).unwrap();
             assert!(out.is_empty());
         }
     }
@@ -868,7 +877,7 @@ mod tests {
                 (Framing::Strings, strings.join(",")),
             ] {
                 let mut out = Vec::new();
-                write_events(&mut out, &events, framing);
+                write_events(&mut out, &events, framing).unwrap();
                 assert_eq!(
                     String::from_utf8(out).unwrap(),
                     want,

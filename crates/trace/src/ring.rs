@@ -85,18 +85,6 @@ impl Ring {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The shard this ring records for.
-    #[must_use]
-    pub fn shard(&self) -> u32 {
-        self.shard
-    }
 }
 
 impl TraceSink for Ring {
@@ -140,10 +128,10 @@ impl SharedRing {
         self.ring().drain()
     }
 
-    /// Events currently buffered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ring().len()
+    /// [`SharedRing::drain`] appended to `out`, a buffer the caller
+    /// keeps from drain to drain.
+    pub fn drain_into(&self, out: &mut Vec<TraceEvent>) {
+        out.extend(self.ring().events.drain(..));
     }
 
     /// True when nothing is buffered.
@@ -208,11 +196,15 @@ mod tests {
         let mut b = a.clone();
         a.record(0.5, ev(7));
         TraceSink::record(&mut b, 1.5, ev(8));
-        assert_eq!(a.len(), 2);
-        let events = b.drain();
+        let mut events = b.drain();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].time, 0.5);
         assert_eq!(events[1].time, 1.5);
+        assert!(a.is_empty());
+        // `drain_into` appends behind what the caller kept.
+        a.record(2.5, ev(9));
+        a.drain_into(&mut events);
+        assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), [0, 1, 2]);
         assert!(a.is_empty());
         assert_eq!(a.dropped(), 0);
     }

@@ -21,11 +21,13 @@
 mod cells;
 
 use cells::SHARDS;
+use dvfs_net::{Caller, Handler, Output};
 use dvfs_serve::protocol::{value_u64, ErrorKind, Response};
 use dvfs_serve::{Mode, Registry, Scheduler, SchedulerConfig, SubmitItem};
 use dvfs_suite::model::TaskClass;
+use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WAVES: usize = 10;
 const WAVE: usize = 20_000;
@@ -54,7 +56,9 @@ fn vm_rss_kib() -> u64 {
 /// tests hold its events to the generic encoder.
 fn trace_stream(s: &Scheduler) -> (u64, u64, u64) {
     let mut out = Vec::new();
-    s.trace_stream_run(&mut out);
+    let request = [Cow::Borrowed("{\"cmd\":\"trace_stream\"}")];
+    let output = &mut Output::new(&mut out, None);
+    Handler::answer(s, &request, Instant::now(), output, Caller::MayWait);
     let line = std::str::from_utf8(&out).expect("UTF-8 reply");
     let (header, _) = line.split_once(",\"events\":[").expect("an event array");
     let reply = Response::decode(&format!("{header}}}")).expect("a trace_stream header");

@@ -11,24 +11,27 @@
 //! pinned trace's ids all hash to shard 0 at 1, 2, and 4 shards, so the
 //! drained event stream must not depend on the shard count. The
 //! Chrome-trace export is held to valid JSON whatever numbers the
-//! events carry, and a multi-megabyte trace reply answered beside a
+//! events carry, a `trace_stream` reply rendered in pieces is the
+//! one-shot bytes, and a multi-megabyte trace reply answered beside a
 //! `shutdown` reaches the client whole on both backends.
 
 mod cells;
 
 use cells::{BACKENDS, CELLS, SHARDS};
+use dvfs_net::{Caller, Handler, Output};
 use dvfs_serve::client::{self, Connection};
 use dvfs_serve::protocol::{encode_command, value_u64};
 use dvfs_serve::{serve, Endpoint, Registry, Response, SchedulerConfig, ServerConfig};
 use dvfs_suite::model::{Task, TaskClass};
 use dvfs_suite::serve::parse_jsonl;
-use dvfs_suite::trace::export::chrome_trace;
+use dvfs_suite::trace::export::{chrome_trace, PIECE_EVENTS};
 use dvfs_suite::trace::{EventKind, TraceEvent};
 use serde_json::Value;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn scratch(name: &str, ext: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -271,6 +274,91 @@ fn trace_stream_chunks_and_file_match_the_one_shot_trace() {
         want.push('\n');
         assert_eq!(file, want, "file and streamed trace diverge");
         std::fs::remove_file(&trace_path).ok();
+    }
+}
+
+/// A round rendered in several pieces — at least three of
+/// `PIECE_EVENTS` — gets a `trace_stream` reply whose bytes are a
+/// one-shot render of the same round into a `Vec`, in every cell: the
+/// threads backend spills the pieces as they are rendered, the reactor
+/// keeps them whole. The ids are multiples of 4, so the round is the
+/// same at every shard count.
+#[test]
+fn a_trace_stream_reply_in_pieces_is_the_one_shot_bytes() {
+    const TASKS: u64 = 10_000;
+    let tasks: Vec<Task> = (0..TASKS)
+        .map(|i| {
+            let class = [
+                TaskClass::Interactive,
+                TaskClass::NonInteractive,
+                TaskClass::Batch,
+            ];
+            let class = class[i as usize % 3];
+            Task::online(
+                4 * i,
+                20_000_000 + 7_000 * (i % 97),
+                i as f64 * 1e-3,
+                None,
+                class,
+            )
+            .expect("valid synthetic task")
+        })
+        .collect();
+    let config = |shards| SchedulerConfig {
+        cores: 4,
+        shards,
+        // Split over the shards: room for every task on shard 0 at 4.
+        queue_capacity: 8 * TASKS as usize,
+        trace_capacity: 1 << 17,
+        ..SchedulerConfig::default()
+    };
+    let one_shot = {
+        let scheduler = dvfs_serve::Scheduler::new(config(1), Arc::new(Registry::new()));
+        for t in &tasks {
+            let r = scheduler.submit(Some(t.id.0), t.cycles, t.class, Some(t.arrival));
+            assert!(r.is_ok(), "submit failed: {r:?}");
+        }
+        scheduler.drain_round();
+        assert!(scheduler.trace_lines().len() >= 3 * PIECE_EVENTS);
+        let mut out = Vec::new();
+        let request = [encode_command("trace_stream").into()];
+        let output = &mut Output::new(&mut out, None);
+        Handler::answer(
+            &scheduler,
+            &request,
+            Instant::now(),
+            output,
+            Caller::MayWait,
+        );
+        out
+    };
+    for (net, shards) in CELLS {
+        let sock = scratch(&format!("pieces-{}-{shards}", net.name()), "sock");
+        let cfg = ServerConfig {
+            net,
+            scheduler: config(shards),
+            ..ServerConfig::new(Endpoint::Unix(sock.clone()))
+        };
+        let handle = serve(cfg).expect("server binds");
+        let report = client::replay(handle.endpoint(), &tasks).expect("replay succeeds");
+        assert_eq!((report.shed, report.errors), (0, 0));
+        let mut stream = UnixStream::connect(&sock).expect("client connects");
+        stream
+            .write_all(b"{\"cmd\":\"trace_stream\"}\n")
+            .expect("request sent");
+        let mut reply = Vec::new();
+        BufReader::new(stream)
+            .read_until(b'\n', &mut reply)
+            .expect("reply read");
+        assert!(
+            reply == one_shot,
+            "{} x {shards}: {} bytes, the one-shot render {}",
+            net.name(),
+            reply.len(),
+            one_shot.len()
+        );
+        handle.shutdown();
+        handle.wait();
     }
 }
 
