@@ -7,7 +7,7 @@
 //! * [`reduction_from_partition`] — the exact gadget of Theorem 1: two
 //!   rates with `T(p_l)=2, T(p_h)=1, E(p_l)=1, E(p_h)=4`, time budget
 //!   `1.5·S`, energy budget `2.5·S`;
-//! * [`solve_two_rate`] — a pseudo-polynomial exact solver (subset-sum
+//! * `solve_two_rate` — a pseudo-polynomial exact solver (subset-sum
 //!   dynamic program) for two-rate, common-deadline instances;
 //! * [`solve_partition_via_reduction`] — Partition answered through the
 //!   reduction, demonstrating the equivalence both ways;
@@ -58,7 +58,7 @@ pub fn reduction_from_partition(a: &[u64]) -> DeadlineInstance {
 /// # Panics
 /// Panics unless the instance has exactly two rates.
 #[must_use]
-pub fn solve_two_rate(instance: &DeadlineInstance) -> Option<Vec<RateIdx>> {
+fn solve_two_rate(instance: &DeadlineInstance) -> Option<Vec<RateIdx>> {
     assert_eq!(
         instance.table.len(),
         2,

@@ -283,21 +283,6 @@ pub fn schedule_multicore_with_deadline(
     Some(out)
 }
 
-/// Makespan of a [`SingleCorePlan`] against a task set.
-///
-/// # Panics
-/// Panics when the plan references unknown task ids.
-#[must_use]
-pub fn plan_makespan(plan: &SingleCorePlan, tasks: &[Task], table: &RateTable) -> f64 {
-    plan.order
-        .iter()
-        .map(|&(tid, r)| {
-            let t = tasks.iter().find(|t| t.id == tid).expect("task exists");
-            table.exec_time(r, t.cycles)
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,6 +292,17 @@ mod tests {
 
     fn table() -> RateTable {
         RateTable::i7_950_table2()
+    }
+
+    /// Makespan of a [`SingleCorePlan`] against a task set.
+    fn plan_makespan(plan: &SingleCorePlan, tasks: &[Task], table: &RateTable) -> f64 {
+        plan.order
+            .iter()
+            .map(|&(tid, r)| {
+                let t = tasks.iter().find(|t| t.id == tid).expect("task exists");
+                table.exec_time(r, t.cycles)
+            })
+            .sum()
     }
 
     #[test]

@@ -152,12 +152,6 @@ impl DominatingRanges {
         &self.entries
     }
 
-    /// `|P̂|`: number of rates that dominate at least one position.
-    #[must_use]
-    pub fn num_used_rates(&self) -> usize {
-        self.entries.len()
-    }
-
     /// The cost-line coefficients `(Re·E(p), Rt·T(p))` of range `i`.
     #[must_use]
     pub fn coeffs(&self, i: usize) -> (f64, f64) {
@@ -199,6 +193,11 @@ impl DominatingRanges {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `|P̂|`: number of rates that dominate at least one position.
+    fn num_used_rates(dr: &DominatingRanges) -> usize {
+        dr.entries().len()
+    }
 
     fn brute_force_rate(table: &RateTable, params: CostParams, k: u64) -> RateIdx {
         let mut best = (f64::INFINITY, 0usize);
@@ -286,7 +285,7 @@ mod tests {
         let table = RateTable::i7_950_table2();
         let params = CostParams::new(1e-9, 1000.0).unwrap();
         let dr = DominatingRanges::compute(&table, params);
-        assert_eq!(dr.num_used_rates(), 1);
+        assert_eq!(num_used_rates(&dr), 1);
         assert_eq!(dr.entries()[0].rate, table.max_rate());
         assert_eq!(dr.entries()[0].lb, 1);
     }
@@ -319,7 +318,7 @@ mod tests {
     fn single_rate_table_covers_everything() {
         let table = RateTable::synthetic_quadratic(1, 2.0, 2.0);
         let dr = DominatingRanges::compute(&table, CostParams::batch_paper());
-        assert_eq!(dr.num_used_rates(), 1);
+        assert_eq!(num_used_rates(&dr), 1);
         assert_eq!(dr.rate_for(1), 0);
         assert_eq!(dr.rate_for(u64::MAX / 2), 0);
     }

@@ -837,6 +837,20 @@ mod tests {
         l.assert_state();
     }
 
+    /// Cycle counts whose per-range sums pass 2⁶⁴: the range tuples
+    /// keep them in `u128` for exactly this, and a sum kept in 64 bits
+    /// would wrap and disagree with the tree's own sums.
+    #[test]
+    fn range_sums_past_two_to_the_64_stay_exact() {
+        let mut l = ledger();
+        let hs: Vec<_> = (0..40u64).map(|i| l.insert(u64::MAX / 4 - i)).collect();
+        l.assert_state();
+        for h in hs.into_iter().step_by(3) {
+            l.remove(h);
+            l.assert_state();
+        }
+    }
+
     #[test]
     fn single_rate_table_degenerates_gracefully() {
         let table = RateTable::synthetic_quadratic(1, 1.0, 1.0);

@@ -67,9 +67,9 @@ impl YdsSchedule {
             .sum()
     }
 
-    /// Speed assigned to a job id.
-    #[must_use]
-    pub fn speed_of(&self, id: u64) -> Option<f64> {
+    /// Speed assigned to a job id (only the tests ask).
+    #[cfg(test)]
+    fn speed_of(&self, id: u64) -> Option<f64> {
         self.assignments
             .iter()
             .find(|a| a.id == id)
@@ -158,18 +158,6 @@ pub fn yds(jobs: &[YdsJob]) -> YdsSchedule {
         assignments,
         intervals,
     }
-}
-
-/// Quantize a YDS (continuous) speed up to the nearest available rate of
-/// a discrete table — the standard way to apply YDS on real DVFS
-/// hardware. Returns `None` when even the top rate is too slow.
-#[must_use]
-pub fn quantize_speed_up(
-    table: &dvfs_model::RateTable,
-    speed_hz: f64,
-) -> Option<dvfs_model::RateIdx> {
-    // Execution speed of rate r is 1/T(r) cycles per second.
-    (0..table.len()).find(|&r| 1.0 / table.rate(r).time_per_cycle >= speed_hz - 1e-6)
 }
 
 #[cfg(test)]
@@ -319,17 +307,6 @@ mod tests {
             yds_energy <= best_const + 1e-9,
             "YDS {yds_energy} must not exceed best constant-speed {best_const}"
         );
-    }
-
-    #[test]
-    fn quantization_rounds_up() {
-        let table = dvfs_model::RateTable::i7_950_table2();
-        // Exec speeds are 1/T: 1.6, 2.0, 2.381, 2.778, 3.030 Gcycles/s.
-        assert_eq!(quantize_speed_up(&table, 1.0e9), Some(0));
-        assert_eq!(quantize_speed_up(&table, 1.7e9), Some(1));
-        assert_eq!(quantize_speed_up(&table, 2.5e9), Some(3));
-        assert_eq!(quantize_speed_up(&table, 3.0e9), Some(4));
-        assert_eq!(quantize_speed_up(&table, 3.5e9), None);
     }
 
     #[test]

@@ -14,22 +14,12 @@
 //! and log-bucketed latency/cost histograms through a metrics registry
 //! queryable over the wire (`stats`, `health`).
 //!
-//! The service is **sharded and threaded**: [`SchedulerConfig::shards`]
-//! engine instances run side by side, each on its shard's worker
-//! thread (the `worker` module says how it owns it) and fed through its
-//! own admission queue. A router assigns submissions to shards —
-//! explicit ids hash (`id % shards`, reproducible for replays),
-//! auto-assigned ids go to the least-loaded shard for the task's class
-//! — and `tick`/`drain`/`shutdown` broadcast commands to every worker
-//! over bounded channels, collecting the one-shot replies and merging
-//! the per-shard [`RoundReport`]s in deterministic ascending shard
-//! order. `stats` and `health` ask no worker: each worker publishes its
-//! engine's resting state after every command, and they read that.
-//! With `shards = 1` the service is bit-identical to the
-//! single-engine path (and to the simulator on replayed traces); with
-//! `shards = N` on an N-core host the scheduling rounds genuinely run
-//! in parallel. Networking and threading are `std`'s alone (no async
-//! runtime), so the service adds no dependency of its own.
+//! The service is **sharded and threaded** — [`SchedulerConfig::shards`]
+//! engines, each owned by its shard's worker thread and fed through its
+//! own admission queue — on `std`'s threads and sockets alone (no async
+//! runtime). [`service`] says how submissions are routed and rounds
+//! merged; with `shards = 1` a drained round is bit-identical to the
+//! single-engine path and to the simulator on a replayed trace.
 //!
 //! Module map:
 //!
@@ -50,7 +40,8 @@
 //! * [`config`] — [`SchedulerConfig`], [`Mode`], [`SubmitItem`].
 //! * [`service`] — the [`Scheduler`] façade: submit (shard router,
 //!   admission), tick, the drain round barrier, shutdown. Each decision
-//!   it relies on sits behind one crate-private module: `ids` (the
+//!   it relies on sits behind one crate-private module: `books` (every
+//!   submit's terminal state), `ids` (the
 //!   round's id namespace: reserve / release / reset), [`rebalance`]
 //!   (hot→cold migration), `tracestore` (retained trace events, the
 //!   `trace_stream` cursor and the `--trace-out` file cursor; its
@@ -70,6 +61,7 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
+pub(crate) mod books;
 pub mod client;
 pub mod clock;
 pub(crate) mod codec;

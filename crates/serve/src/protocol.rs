@@ -34,11 +34,8 @@
 //!   moved out of plus into the shard per task it admitted) alongside
 //!   the merged totals, which include `"migrations"` and the
 //!   service-wide `"migration_rate"` (migrations per admitted task).
-//!   It is served without a worker round-trip: `queue_depth` reads the
-//!   admission queues live, while the engine-side values (backlog,
-//!   `pending_tasks`, `sim_now_s`) are as of each worker's last
-//!   command, so the reactor serves `stats` inline and it never waits
-//!   behind a running `drain`.
+//!   `queue_depth` is live; the engine-side values are as of each
+//!   worker's last command ([`Scheduler::stats`](crate::Scheduler::stats)).
 //! * `drain` carries `"shards"` and a `"shard_reports"` array (per
 //!   shard: `shard`, `completed`, `total_cost`, `active_energy_joules`,
 //!   `total_turnaround_s`, `makespan_s`); the top-level fields are the
@@ -61,10 +58,8 @@
 //!   `"heartbeats"` array (last-progress age, command-channel depth and
 //!   dequeue age, per-command service times), a `"stages"` object of
 //!   per-stage latency histogram snapshots, a `"reactor"` object of
-//!   event-loop stats, and trace-ring drop counts. Like `stats`, it is
-//!   computed from lock-free published slots and leaf-locked metrics
-//!   only — no worker fan-out — so the reactor serves it inline on the
-//!   fast path.
+//!   event-loop stats, and trace-ring drop counts; like `stats`, it
+//!   asks no worker.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]

@@ -12,6 +12,7 @@
 //! stores a queue depth or a pending count: `stats` and `health` read
 //! the live admission queues and the cells each worker publishes.
 
+use crate::books::Books;
 use crate::executor::RoundReport;
 use crate::metrics::{shard_metric, Registry};
 use crate::protocol::{field_f64, field_u64, Response};
@@ -75,7 +76,7 @@ pub(crate) fn drain(params: CostParams, reports: &[RoundReport]) -> Response {
 /// `stats`: registry snapshot, the `books` object, plus per-shard
 /// depths, pending counts and clocks — the admission queues live, the
 /// rest as each worker last published it.
-pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry, books: Value) -> Response {
+pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry, books: &Books) -> Response {
     let mut shard_stats = Vec::with_capacity(shards.len());
     let mut depth_total = 0u64;
     let mut pending_total = 0u64;
@@ -94,7 +95,7 @@ pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry, books: Valu
         now_max = now_max.max(now);
         let of_shard = |name| counter(&shard_metric(name, sh.index));
         let (out, inn) = (of_shard("migrations_out"), of_shard("migrations_in"));
-        let admitted = sh.admitted.get();
+        let admitted = of_shard("admitted");
         admitted_total += admitted;
         shard_stats.push(Value::Object(vec![
             field_u64("shard", sh.index as u64),
@@ -112,7 +113,7 @@ pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry, books: Valu
     let migrations = counter("migrations");
     Response::Ok(vec![
         ("metrics".to_string(), metrics.snapshot()),
-        ("books".to_string(), books),
+        ("books".to_string(), books.to_value()),
         field_u64("queue_depth", depth_total),
         field_u64("pending_tasks", pending_total),
         field_f64("sim_now_s", now_max),
@@ -130,15 +131,13 @@ pub(crate) fn stats(shards: &[Arc<ShardShared>], metrics: &Registry, books: Valu
 
 /// `health`: the runtime health plane as one JSON document — per-shard
 /// worker heartbeats, the stage-attribution histograms, reactor loop
-/// stats, and trace-ring drop counts. Deliberately computed from
-/// lock-free heartbeat slots and leaf-locked metrics only (no worker
-/// fan-out, no engine access), so the reactor can serve it inline on
-/// the fast path even while every worker is mid-round. The trace
-/// plane contributes its ring-drop and streamed-and-forgotten counts.
+/// stats, the books, and the trace plane's ring-drop and
+/// streamed-and-forgotten counts — from heartbeat slots and metrics
+/// only, so no worker is asked.
 pub(crate) fn health(
     shards: &[Arc<ShardShared>],
     metrics: &Registry,
-    books: Value,
+    books: &Books,
     telemetry: bool,
     trace_dropped: u64,
     trace_streamed: u64,
@@ -147,15 +146,16 @@ pub(crate) fn health(
         .iter()
         .map(|sh| {
             let snap = sh.hb.snapshot();
+            let [tick, drain, steal, inject] = snap.service_us;
             Value::Object(vec![
                 field_u64("shard", sh.index as u64),
                 field_f64("last_progress_age_s", snap.last_progress_age_s),
                 field_u64("cmd_depth", snap.cmd_depth),
                 field_u64("dequeue_age_us", snap.dequeue_age_us),
-                field_u64("tick_us", snap.tick_us),
-                field_u64("drain_us", snap.drain_us),
-                field_u64("steal_us", snap.steal_us),
-                field_u64("inject_us", snap.inject_us),
+                field_u64("tick_us", tick),
+                field_u64("drain_us", drain),
+                field_u64("steal_us", steal),
+                field_u64("inject_us", inject),
                 field_u64("queue_depth", sh.queue.depth() as u64),
                 field_u64("backlog", sh.backlog() as u64),
             ])
@@ -187,7 +187,7 @@ pub(crate) fn health(
         field_u64("degraded", u64::from(metrics.gauge("degraded").get() != 0)),
         field_u64("worker_stalled", counter("worker_stalled")),
         field_u64("worker_send_failed", counter("worker_send_failed")),
-        ("books".to_string(), books),
+        ("books".to_string(), books.to_value()),
         field_u64("shards", shards.len() as u64),
         field_u64("telemetry", u64::from(telemetry)),
         ("heartbeats".to_string(), Value::Array(heartbeats)),

@@ -46,25 +46,16 @@
 //!
 //! Every shard's engine lives on its shard's **worker thread** (the
 //! crate's `worker` module says how it owns it). The submission path
-//! never touches a worker: it reads an atomic shutdown flag, reserves
-//! the task id in the id ledger (the `ids` module) under a small mutex
-//! taken once per batch, and hands the task to one shard's admission
-//! queue (which has its own lock and re-checks the shutdown flag inside
-//! it — see `admission::AdmissionQueue::try_submit_stamped`).
-//! `tick` and `drain` broadcast a command to every worker and collect
-//! the one-shot replies in ascending shard order, so a slow scheduling
-//! round never blocks admission, a slow round on one shard never blocks
-//! the others — and with `shards = N` on an N-core host the rounds
-//! genuinely run in parallel. `stats` and `health` touch no worker: they read the
-//! advisory cells each worker publishes after every command, so
-//! neither waits behind a running round.
+//! never touches a worker: it reserves the task id in the id ledger
+//! (the `ids` module, one lock a batch) and hands the task to one
+//! shard's admission queue. `tick` and `drain` broadcast a command to
+//! every worker and collect the replies in ascending shard order, so a
+//! slow round blocks neither admission nor the other shards, and with
+//! `shards = N` on an N-core host the rounds run in parallel. `stats`
+//! and `health` read what each worker publishes, and wait on none.
 //!
-//! A drain is still a global round barrier: it holds the id ledger
-//! across the engine clock's restart and the id namespace reset, which
-//! serializes rounds, while per-shard reports are collected in
-//! ascending order. The barrier is released *before* the reports are
-//! merged and encoded — no cross-shard state is read during the merge,
-//! so nothing needs to stay blocked across it.
+//! A drain is still a global round barrier, released before the
+//! reports are merged ([`Scheduler::drain_shards`] says what it holds).
 //!
 //! [`Scheduler`] itself is a façade over submit / tick / drain /
 //! shutdown. What it decides with lives in sibling modules, one
@@ -74,13 +65,14 @@
 //! detection (`supervise`).
 
 use crate::admission::{GateOutcome, ShedReason};
+use crate::books::{Books, Rejected};
 use crate::clock::EngineClock;
 use crate::codec::Ack;
 pub use crate::config::{service_platform, Mode, SchedulerConfig, SubmitItem};
 use crate::executor::RoundReport;
 use crate::ids::IdLedger;
-use crate::metrics::{AdvisoryCell, Counter, Histogram, Registry};
-use crate::protocol::{field_u64, ErrorKind, Response};
+use crate::metrics::{AdvisoryCell, Histogram, Registry};
+use crate::protocol::{ErrorKind, Response};
 pub use crate::rebalance::RebalanceConfig;
 use crate::stage::{STAGE_ADMIT, STAGE_FRAME};
 use crate::supervise::StallLatches;
@@ -88,7 +80,6 @@ use crate::tracestore::TraceStore;
 use crate::worker::{self, Command, ShardShared, WorkerHandle};
 use crate::{rebalance, report};
 use dvfs_model::{Task, TaskClass};
-use serde_json::Value;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
@@ -108,16 +99,8 @@ pub struct Scheduler {
     /// order, which is what makes every fan-out deterministic.
     workers: Vec<WorkerHandle>,
     metrics: Arc<Registry>,
-    /// The books, resolved once: every submit ends in exactly one
-    /// terminal state (see [`Scheduler::books_balanced`]).
-    submitted: Arc<Counter>,
-    admitted: Arc<Counter>,
-    completed: Arc<Counter>,
-    shed: Arc<Counter>,
-    shed_worker_behind: Arc<Counter>,
-    rejected_invalid: Arc<Counter>,
-    rejected_duplicate_id: Arc<Counter>,
-    rejected_shutting_down: Arc<Counter>,
+    /// Every submit's terminal state; the workers write completions.
+    books: Arc<Books>,
     /// The wire-side stage histograms; the workers hold the rest.
     stage_frame: Arc<Histogram>,
     stage_admit: Arc<Histogram>,
@@ -126,8 +109,7 @@ pub struct Scheduler {
     /// How often a paced worker is meant to empty its queue: what a
     /// wire submitter's [`Pace`] waits on (`serve` sets its tick).
     pub(crate) pace_tick: Duration,
-    /// The round's task-id namespace, global across shards so
-    /// duplicate-id rejection holds service-wide.
+    /// The round's task-id namespace, one across shards (`ids`).
     ids: Mutex<IdLedger>,
     /// The engine clock, shared with every worker: submissions are
     /// stamped with it and ticks step toward it.
@@ -135,9 +117,7 @@ pub struct Scheduler {
     /// Signals `wait_for_work` when any shard admits a task.
     work_mx: Mutex<()>,
     work_cv: Condvar,
-    /// Rotating start offset for auto-id routing, so fully tied shards
-    /// (e.g. a paced service whose ticker keeps every queue empty)
-    /// round-robin instead of piling onto shard 0.
+    /// Rotating start offset for auto-id routing (see `route`).
     router_cursor: AdvisoryCell,
     /// The shard rings, and the trace events drained from them so far,
     /// in drain order (ascending shard within each round).
@@ -177,7 +157,7 @@ impl Scheduler {
                 // Split the total capacity evenly, remainder to the low
                 // shards; every shard keeps at least one slot.
                 let cap = (cfg.queue_capacity / n + usize::from(k < cfg.queue_capacity % n)).max(1);
-                Arc::new(ShardShared::new(k, cap, cfg.trace_capacity, &metrics))
+                Arc::new(ShardShared::new(k, cap, cfg.trace_capacity))
             })
             .collect();
         // Health-plane metrics exist from the start, so `stats` and
@@ -187,28 +167,17 @@ impl Scheduler {
         let _ = metrics.counter("paced_waits");
         let _ = metrics.histogram("pace_wait_s");
         metrics.gauge("degraded").set(0);
-        let lmc_hist = metrics.histogram("lmc_decision_us");
-        let completed = metrics.counter("completed");
+        let books = Arc::new(Books::new(&metrics, n));
         let workers = shards
             .iter()
-            .map(|sh| {
-                let (lmc, done) = (Arc::clone(&lmc_hist), Arc::clone(&completed));
-                worker::spawn(Arc::clone(sh), cfg, Arc::clone(&clock), &metrics, lmc, done)
-            })
+            .map(|sh| worker::spawn(sh, cfg, &clock, &metrics, &books))
             .collect();
         let rings = shards.iter().filter_map(|sh| sh.ring.clone()).collect();
         Scheduler {
             trace: TraceStore::new(cfg.params, Arc::clone(&metrics), rings),
             shards,
             workers,
-            submitted: metrics.counter("submitted"),
-            admitted: metrics.counter("admitted"),
-            completed,
-            shed: metrics.counter("shed"),
-            shed_worker_behind: metrics.counter("shed_worker_behind"),
-            rejected_invalid: metrics.counter("rejected_invalid"),
-            rejected_duplicate_id: metrics.counter("rejected_duplicate_id"),
-            rejected_shutting_down: metrics.counter("rejected_shutting_down"),
+            books,
             stage_frame: metrics.histogram(STAGE_FRAME),
             stage_admit: metrics.histogram(STAGE_ADMIT),
             metrics,
@@ -243,40 +212,12 @@ impl Scheduler {
         &self.metrics
     }
 
-    /// Tasks admitted and not yet completed (queued or in an engine).
-    #[must_use]
-    pub fn in_flight(&self) -> u64 {
-        self.admitted.get().saturating_sub(self.completed.get())
-    }
-
-    /// The books' one identity: nothing is in flight, and every submit
-    /// ended in exactly one terminal state — completed, shed, or
-    /// rejected (invalid, duplicate id, shutting down). Holds after
+    /// The books' identity (`Books::balanced`): nothing in flight, and
+    /// every submit ended in exactly one terminal state. Holds after
     /// every drain that no submit races.
     #[must_use]
     pub fn books_balanced(&self) -> bool {
-        let rejected = self.rejected_invalid.get()
-            + self.rejected_duplicate_id.get()
-            + self.rejected_shutting_down.get();
-        self.in_flight() == 0
-            && self.submitted.get() == self.completed.get() + self.shed.get() + rejected
-    }
-
-    /// `stats`' and `health`'s `books` object: each books counter, what
-    /// is in flight, and [`Scheduler::books_balanced`] as 0 or 1.
-    fn books(&self) -> Value {
-        Value::Object(vec![
-            field_u64("submitted", self.submitted.get()),
-            field_u64("admitted", self.admitted.get()),
-            field_u64("completed", self.completed.get()),
-            field_u64("shed", self.shed.get()),
-            field_u64("shed_worker_behind", self.shed_worker_behind.get()),
-            field_u64("rejected_invalid", self.rejected_invalid.get()),
-            field_u64("rejected_duplicate_id", self.rejected_duplicate_id.get()),
-            field_u64("rejected_shutting_down", self.rejected_shutting_down.get()),
-            field_u64("in_flight", self.in_flight()),
-            field_u64("balanced", u64::from(self.books_balanced())),
-        ])
+        self.books.balanced()
     }
 
     /// Total queued depth across all shards.
@@ -407,15 +348,8 @@ impl Scheduler {
     /// and in non-test builds).
     fn fire_round_hook(&self) {
         #[cfg(test)]
-        {
-            let hook = self
-                .round_hook
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            if let Some(hook) = hook {
-                hook(self);
-            }
+        if let Some(hook) = self.round_hook.lock().ok().and_then(|mut h| h.take()) {
+            hook(self);
         }
     }
 
@@ -513,7 +447,7 @@ impl Scheduler {
     /// them. Touches no worker, so the reactor serves it inline on the
     /// fast path, and it never waits behind a running round.
     pub fn stats(&self) -> Response {
-        report::stats(&self.shards, &self.metrics, self.books())
+        report::stats(&self.shards, &self.metrics, &self.books)
     }
 
     /// One supervisor pass over the worker heartbeats (the `supervise`
@@ -528,7 +462,7 @@ impl Scheduler {
         report::health(
             &self.shards,
             &self.metrics,
-            self.books(),
+            &self.books,
             self.cfg.telemetry,
             self.trace_dropped(),
             self.trace.streamed(),
@@ -704,13 +638,8 @@ impl SubmitRun<'_> {
     /// response.
     fn shed(&self, item: SubmitItem, behind: &Behind) -> Submitted {
         let s = self.sched;
-        s.submitted.inc();
-        s.shed.inc();
-        if behind.reason == ShedReason::WorkerBehind {
-            s.shed_worker_behind.inc();
-        }
+        s.books.shed(behind.shard, behind.reason);
         let sh = &s.shards[behind.shard];
-        sh.shed.inc();
         sh.trace_submit(behind.arrival, behind.id, item.class, item.cycles, None);
         let message = behind.reason.to_string();
         Submitted::Refused(Response::err(ErrorKind::Overloaded, message))
@@ -727,14 +656,13 @@ impl SubmitRun<'_> {
             arrival,
         } = item;
         let s = self.sched;
-        let refuse = |books: &Counter, kind, message: String| {
-            s.submitted.inc();
-            books.inc();
+        let refuse = |why, kind, message: String| {
+            s.books.reject(why);
             Ok(Submitted::Refused(Response::err(kind, message)))
         };
         let draining = || {
             let message = "server is draining".into();
-            refuse(&s.rejected_shutting_down, ErrorKind::ShuttingDown, message)
+            refuse(Rejected::ShuttingDown, ErrorKind::ShuttingDown, message)
         };
         if s.is_shutting_down() {
             return draining();
@@ -760,11 +688,8 @@ impl SubmitRun<'_> {
         let id = match ids.reserve(id) {
             Ok(id) => id,
             Err(id) => {
-                return refuse(
-                    &s.rejected_duplicate_id,
-                    ErrorKind::BadRequest,
-                    format!("task id {id} already used this round"),
-                );
+                let message = format!("task id {id} already used this round");
+                return refuse(Rejected::DuplicateId, ErrorKind::BadRequest, message);
             }
         };
         // A submission arrives "now" on the engine clock; an explicit
@@ -778,7 +703,7 @@ impl SubmitRun<'_> {
             Ok(task) => task,
             Err(e) => {
                 ids.release(id);
-                return refuse(&s.rejected_invalid, ErrorKind::BadRequest, e.to_string());
+                return refuse(Rejected::Invalid, ErrorKind::BadRequest, e.to_string());
             }
         };
         let shard = s.route(explicit, id, class);
@@ -795,9 +720,7 @@ impl SubmitRun<'_> {
         };
         match outcome {
             GateOutcome::Admitted(depth) => {
-                s.submitted.inc();
-                s.admitted.inc();
-                sh.admitted.inc();
+                s.books.admit(shard);
                 self.admitted += 1;
                 let depth = depth as u64;
                 sh.trace_submit(arrival, id, class, cycles, Some(depth));

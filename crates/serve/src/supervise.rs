@@ -78,7 +78,7 @@ mod tests {
     fn check_latches_one_count_per_episode() {
         let metrics = Registry::new();
         let shards: Vec<Arc<ShardShared>> = (0..2)
-            .map(|k| Arc::new(ShardShared::new(k, 8, 0, &metrics)))
+            .map(|k| Arc::new(ShardShared::new(k, 8, 0)))
             .collect();
         let latches = StallLatches::new(shards.len());
         let check = |after_ms| latches.check(&shards, &metrics, Duration::from_millis(after_ms));

@@ -48,17 +48,16 @@
 //! it replies. Whoever needs only that state (the router, the
 //! rebalancer, `stats`) reads the cells and never asks the worker.
 //!
-//! Determinism: submissions never touch a worker — they land in the
-//! shard's admission queue (its own short lock) and are pulled in FIFO
-//! order by the next tick or drain, exactly as the mutex-based service
-//! pulled them. A drained round therefore pushes the same tasks in the
-//! same order through the same arithmetic, keeping the shards=1 replay
-//! bit-identical to the simulator.
+//! Determinism: a worker pulls its shard's admission queue in FIFO
+//! order on each tick or drain, so a drained round pushes the same
+//! tasks in the same order through the same arithmetic, keeping the
+//! shards=1 replay bit-identical to the simulator.
 
 use crate::admission::{AdmissionPolicy, AdmissionQueue};
+use crate::books::Books;
 use crate::clock::EngineClock;
 use crate::executor::{RealTimeExecutor, RoundReport};
-use crate::metrics::{shard_metric, AdvisoryCell, Counter, Histogram, Registry};
+use crate::metrics::{AdvisoryCell, Counter, Histogram, Registry};
 use crate::service::{service_platform, SchedulerConfig};
 use crate::stage::StageHists;
 use dvfs_core::sched::{ExecutorView, Scheduler as PolicyHooks};
@@ -178,8 +177,8 @@ impl PolicyHooks for TimedPolicy<'_> {
     }
 }
 
-/// Which command a worker just serviced, for the heartbeat's
-/// per-command service-time slots.
+/// Which command a worker just serviced: the index of its slot in the
+/// heartbeat's service times.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ServiceSlot {
     Tick,
@@ -207,11 +206,8 @@ pub(crate) struct Heartbeat {
     cmd_dequeued: AdvisoryCell,
     /// Send→dequeue age of the most recently dequeued command, µs.
     dequeue_age_micros: AdvisoryCell,
-    /// Most recent service time per command kind, µs.
-    tick_micros: AdvisoryCell,
-    drain_micros: AdvisoryCell,
-    steal_micros: AdvisoryCell,
-    inject_micros: AdvisoryCell,
+    /// Most recent service time per command kind, µs, by [`ServiceSlot`].
+    service_micros: [AdvisoryCell; 4],
 }
 
 /// A point-in-time copy of one worker's heartbeat for the `health`
@@ -223,10 +219,8 @@ pub(crate) struct HeartbeatSnapshot {
     /// Commands sent but not yet dequeued.
     pub cmd_depth: u64,
     pub dequeue_age_us: u64,
-    pub tick_us: u64,
-    pub drain_us: u64,
-    pub steal_us: u64,
-    pub inject_us: u64,
+    /// Tick, drain, steal and inject service times, by [`ServiceSlot`].
+    pub service_us: [u64; 4],
 }
 
 impl Heartbeat {
@@ -237,10 +231,7 @@ impl Heartbeat {
             cmd_sent: AdvisoryCell::default(),
             cmd_dequeued: AdvisoryCell::default(),
             dequeue_age_micros: AdvisoryCell::default(),
-            tick_micros: AdvisoryCell::default(),
-            drain_micros: AdvisoryCell::default(),
-            steal_micros: AdvisoryCell::default(),
-            inject_micros: AdvisoryCell::default(),
+            service_micros: Default::default(),
         }
     }
 
@@ -268,12 +259,7 @@ impl Heartbeat {
     /// Publish a command's service time and mark progress.
     pub fn note_service(&self, slot: ServiceSlot, t0: Instant) {
         let micros = crate::clock::wall_now().duration_since(t0).as_micros() as u64;
-        match slot {
-            ServiceSlot::Tick => self.tick_micros.set(micros),
-            ServiceSlot::Drain => self.drain_micros.set(micros),
-            ServiceSlot::Steal => self.steal_micros.set(micros),
-            ServiceSlot::Inject => self.inject_micros.set(micros),
-        }
+        self.service_micros[slot as usize].set(micros);
         self.mark_progress();
     }
 
@@ -287,10 +273,7 @@ impl Heartbeat {
             last_progress_age_s: now.saturating_sub(progress) as f64 * 1e-6,
             cmd_depth: sent.saturating_sub(dequeued),
             dequeue_age_us: self.dequeue_age_micros.get(),
-            tick_us: self.tick_micros.get(),
-            drain_us: self.drain_micros.get(),
-            steal_us: self.steal_micros.get(),
-            inject_us: self.inject_micros.get(),
+            service_us: self.service_micros.each_ref().map(AdvisoryCell::get),
         }
     }
 }
@@ -314,9 +297,6 @@ pub(crate) struct ShardShared {
     /// (`None` when tracing is disabled). Drained at round boundaries
     /// by the scheduler, in ascending shard order.
     pub ring: Option<SharedRing>,
-    pub admitted: Arc<Counter>,
-    pub shed: Arc<Counter>,
-    pub completed: Arc<Counter>,
     /// Engine-held tasks that are queued but not yet dispatched,
     /// published by the worker after every engine mutation. The router
     /// folds this into its load score (admission depth alone is blind
@@ -338,22 +318,13 @@ pub(crate) struct ShardShared {
 
 impl ShardShared {
     /// Shard `index`'s shared state: a `queue_capacity`-slot admission
-    /// queue, a `trace_capacity`-event ring (`0` disables tracing: no
-    /// ring is allocated), and its per-shard metric handles, resolved
-    /// once.
-    pub fn new(
-        index: usize,
-        queue_capacity: usize,
-        trace_capacity: usize,
-        metrics: &Registry,
-    ) -> Self {
+    /// queue and a `trace_capacity`-event ring (`0` disables tracing:
+    /// no ring is allocated).
+    pub fn new(index: usize, queue_capacity: usize, trace_capacity: usize) -> Self {
         ShardShared {
             index,
             queue: AdmissionQueue::new(AdmissionPolicy::with_capacity(queue_capacity)),
             ring: (trace_capacity > 0).then(|| SharedRing::new(index as u32, trace_capacity)),
-            admitted: metrics.counter(&shard_metric("admitted", index)),
-            shed: metrics.counter(&shard_metric("shed", index)),
-            completed: metrics.counter(&shard_metric("completed", index)),
             backlog: AdvisoryCell::default(),
             queued_cost_bits: AdvisoryCell::default(),
             pending: AdvisoryCell::default(),
@@ -539,22 +510,22 @@ pub(crate) fn broadcast<'a, T: 'a>(
 }
 
 /// Spawn the worker thread owning shard `shared`'s engine, stepping it
-/// toward `clock` and counting what it finishes into `completed`.
+/// toward `clock` and writing what it completes into `books`.
 pub(crate) fn spawn(
-    shared: Arc<ShardShared>,
+    shared: &Arc<ShardShared>,
     cfg: SchedulerConfig,
-    clock: Arc<EngineClock>,
+    clock: &Arc<EngineClock>,
     metrics: &Registry,
-    lmc_hist: Arc<Histogram>,
-    completed: Arc<Counter>,
+    books: &Arc<Books>,
 ) -> WorkerHandle {
     let (tx, rx) = std::sync::mpsc::sync_channel(COMMAND_QUEUE_BOUND);
     let send_failed = metrics.counter("worker_send_failed");
     let reply_dropped = metrics.counter("worker_reply_dropped");
     let name = format!("dvfs-shard-{}", shared.index);
-    let worker_shared = Arc::clone(&shared);
+    let (worker_shared, clock) = (Arc::clone(shared), Arc::clone(clock));
+    let lmc_hist = metrics.histogram("lmc_decision_us");
     let worker_metrics = StepMetrics {
-        completed,
+        books: Arc::clone(books),
         stages: StageHists::new(metrics),
         task_latency: metrics.histogram("task_latency_s"),
         task_cost: metrics.histogram("task_cost"),
@@ -579,7 +550,7 @@ pub(crate) fn spawn(
     WorkerHandle {
         tx,
         join,
-        shared,
+        shared: Arc::clone(shared),
         send_failed,
         reply_dropped,
     }
@@ -597,10 +568,9 @@ struct StepSamples {
 }
 
 /// The service-wide metrics every step publishes into, resolved once
-/// at spawn or, for `completed`, handed in from the scheduler's books
-/// (the per-shard handles live in [`ShardShared`]).
+/// at spawn, and the scheduler's books, where its completions go.
 struct StepMetrics {
-    completed: Arc<Counter>,
+    books: Arc<Books>,
     stages: StageHists,
     task_latency: Arc<Histogram>,
     task_cost: Arc<Histogram>,
@@ -707,8 +677,7 @@ impl Worker {
             self.observe_completion(rec, now, &mut samples);
         }
         let n = records.len() as u64;
-        self.metrics.completed.add(n);
-        self.shared.completed.add(n);
+        self.metrics.books.complete(self.shared.index, n);
         self.metrics.task_latency.record_many(&samples.latency);
         self.metrics.task_cost.record_many(&samples.cost);
         if self.cfg.telemetry {
@@ -874,7 +843,7 @@ mod tests {
     use super::*;
 
     fn test_shared() -> Arc<ShardShared> {
-        Arc::new(ShardShared::new(0, 4, 0, &Registry::new()))
+        Arc::new(ShardShared::new(0, 4, 0))
     }
 
     /// A send into a dead worker (its receiver gone) must be loud
@@ -981,7 +950,10 @@ mod tests {
         hb.note_service(ServiceSlot::Tick, t0);
         let snap = hb.snapshot();
         assert!(snap.last_progress_age_s < 1.0, "progress just marked");
-        assert!(snap.tick_us < 1_000_000, "tick slot holds a sane value");
+        assert!(
+            snap.service_us[0] < 1_000_000,
+            "tick slot holds a sane value"
+        );
     }
 
     /// A live worker keeps its heartbeat fresh: every processed command
@@ -991,10 +963,9 @@ mod tests {
         let shared = test_shared();
         let cfg = SchedulerConfig::default();
         let metrics = Registry::new();
-        let lmc = metrics.histogram("lmc_decision_us");
         let clock = Arc::new(EngineClock::Virtual(Default::default()));
-        let completed = metrics.counter("completed");
-        let handle = spawn(Arc::clone(&shared), cfg, clock, &metrics, lmc, completed);
+        let books = Arc::new(Books::new(&metrics, 1));
+        let handle = spawn(&shared, cfg, &clock, &metrics, &books);
         handle.ask("tick", |reply| Command::Tick { reply });
         let snap = shared.hb.snapshot();
         assert_eq!(snap.cmd_depth, 0, "tick was dequeued");

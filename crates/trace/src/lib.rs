@@ -29,8 +29,12 @@
 //! (sim time), never wall clock, and the record paths in this file and
 //! [`ring`] must not read `Instant::now` or build strings (`format!`,
 //! `.to_string()`, `String`) — the crate's `clippy.toml` disallows
-//! them. Rendering lives in [`export`], off the record path, which is
-//! why its `mod` line below is the one excused.
+//! them. The JSONL event writer (the crate-private `jsonl`, re-exported
+//! through [`export`]) is held to the same lists: it renders bytes,
+//! every number through [`num`]. Only [`export`]'s `String` builders
+//! (`jsonl_line`, `to_jsonl`, `chrome_trace`) use what the lists refuse,
+//! at drain time, off the record path, which is why its `mod` line below
+//! is the one excused.
 
 #![forbid(unsafe_code)]
 
@@ -41,6 +45,7 @@
     reason = "exporters render at drain time, off the record path"
 )]
 pub mod export;
+mod jsonl;
 #[expect(
     clippy::disallowed_macros,
     reason = "numbers outside the fast path fall back to `Display`, at drain time"

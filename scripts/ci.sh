@@ -25,11 +25,12 @@ non_test_lines() {
          END { if (!found) print NR }' "$1"
 }
 
-run cargo fmt --all --check
-
-# The two invariants that span crates, which neither rustc nor clippy
-# sees. Layering: no guarded crate (first column) may reach a crate
-# listed after it over normal dependencies, on any target. Policies
+# The checks below are functions, so that `scripts/ci.sh NAME` runs the
+# one named (layering, atomics, docs) and exits: the rows of
+# scripts/mutants.tsv that plant what such a check refuses call it so.
+# Layering, which spans crates, so neither rustc nor clippy sees it:
+# no guarded crate (first column) may reach a crate listed after it
+# over normal dependencies, on any target. Policies
 # stay engine-agnostic (core and model never see an executor), the
 # service links the real-time executor only, the trace bus depends on
 # nothing (`dvfs-core -> dvfs-trace` is the one edge into it), and the
@@ -37,79 +38,42 @@ run cargo fmt --all --check
 # Dev-dependency edges into dvfs-sim (policies tested on the
 # virtual-time executor) are deliberate. Cargo's resolver decides what
 # a crate reaches, so a renamed or table-form dependency counts too.
-echo "==> layering: cargo tree, normal dependencies"
-layering_ok=1
-while read -r from forbidden; do
-    reached="$(cargo tree --offline --quiet -e normal --target all -p "$from" --prefix none |
-        awk '{ print $1 }')"
-    for to in $forbidden; do
-        if grep -qx "$to" <<<"$reached"; then
-            echo "ci: $from reaches $to over normal dependencies:" >&2
-            cargo tree --offline --quiet -e normal --target all -p "$from" -i "$to" >&2
-            layering_ok=0
-        fi
-    done
-done <<'TABLE'
+layering() {
+    echo "==> layering: cargo tree, normal dependencies"
+    layering_ok=1
+    while read -r from forbidden; do
+        reached="$(cargo tree --offline --quiet -e normal --target all -p "$from" --prefix none |
+            awk '{ print $1 }')"
+        for to in $forbidden; do
+            if grep -qx "$to" <<<"$reached"; then
+                echo "ci: $from reaches $to over normal dependencies:" >&2
+                cargo tree --offline --quiet -e normal --target all -p "$from" -i "$to" >&2
+                layering_ok=0
+            fi
+        done
+    done <<'TABLE'
 dvfs-core  dvfs-sim dvfs-serve dvfs-net
 dvfs-serve dvfs-sim
 dvfs-model dvfs-core dvfs-sim dvfs-trace dvfs-net
 dvfs-trace dvfs-core dvfs-model dvfs-sim dvfs-serve dvfs-net
 dvfs-net   dvfs-core dvfs-model dvfs-sim dvfs-serve dvfs-trace
 TABLE
-[ "$layering_ok" -eq 1 ] || exit 1
-# Trace numbers: the event writer (export.rs above `pub fn
-# write_events`) renders every number through `num::write_u64` /
-# `num::write_f64`, which give `Display`'s bytes without `core::fmt`;
-# a `write!` / `format!` / `to_string()` outside a comment there fails.
-echo "==> trace numbers: export.rs's event writer goes through num.rs"
-if awk '/^pub fn write_events/ { exit }
-        !/^ *\/\// && /(write|writeln|format)!|to_string\(/ { print FILENAME ":" NR ": " $0; bad = 1 }
-        END { exit !bad }' crates/trace/src/export.rs >&2; then
-    echo "ci: export.rs's event writer formats a number itself; use num::write_u64 / num::write_f64" >&2
-    exit 1
-fi
-# One JSON reader: `serde_json::Reader` (shims/serde_json) decodes
-# every `\u` escape the tree reads. A `from_str_radix(…, 16)` or a
-# `to_digit(16)` outside the test module of a crates/*/src file is a
-# second escape decoder — the mark of a second JSON tokenizer growing
-# back — and fails.
-echo "==> one JSON reader: no \\u-escape decoder in crates/*/src"
-hits="$(find crates/*/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do
-    head -n "$(non_test_lines "$f")" "$f" |
-        grep -nE 'from_str_radix\([^;]*\b16\b|to_digit\(16\)' | sed "s|^|$f:|" || true
-done)"
-if [ -n "$hits" ]; then
-    echo "$hits" >&2
-    echo "ci: a \\u-escape decoder outside shims/serde_json; read JSON through serde_json::Reader" >&2
-    exit 1
-fi
+    [ "$layering_ok" -eq 1 ] || exit 1
+}
 # Atomics: the word `Relaxed` (raw text, so comments and tests count)
 # appears only in serve/src/metrics.rs, home of the AdvisoryCell; every
-# other atomic access names Acquire/Release or SeqCst.
-echo "==> atomics: Relaxed only in crates/serve/src/metrics.rs"
-if grep -rnw --include='*.rs' Relaxed crates/*/src | grep -v '^crates/serve/src/metrics\.rs:' >&2; then
-    echo "ci: Relaxed outside crates/serve/src/metrics.rs; publish advisory values through metrics::AdvisoryCell" >&2
-    exit 1
-fi
-# Books: the counters every submit ends in are resolved once each, as
-# `name: metrics.counter("name")` (or `let name = …`) in
-# `Scheduler::with_clock`, and bumped through those handles;
-# `Scheduler::books_balanced` is the identity over them. Any other
-# `counter("…")` call with a books name in dvfs-serve's non-test code
-# is a second write path (or a per-event name lookup) and fails here.
-echo "==> books: counters resolved once, in crates/serve/src/service.rs"
-books="submitted admitted completed shed shed_worker_behind rejected_invalid"
-books="$books rejected_duplicate_id rejected_shutting_down"
-hits="$(for f in crates/serve/src/*.rs; do
-    head -n "$(non_test_lines "$f")" "$f" |
-        grep -nE "counter\(\"(${books// /|})\"\)" | sed "s|^|$f:|" || true
-done)"
-if grep -vE '^crates/serve/src/service\.rs:[0-9]+: *(let )?([a-z_]+)(:| =) metrics\.counter\("\2"\)[,;]$' \
-        <<<"$hits" | grep . >&2 || [ "$(grep -c . <<<"$hits")" -ne "$(wc -w <<<"$books")" ]; then
-    echo "ci: a books counter is looked up outside its one resolution in Scheduler::with_clock" >&2
-    exit 1
-fi
-
+# other atomic access names Acquire/Release or SeqCst. A grep, because
+# no lint can carry it: clippy's `disallowed-methods` names functions,
+# and `Ordering::Relaxed` is an enum variant it refuses to resolve
+# ("expected a type, found a variant"); an `AdvisoryCell` is the type
+# that owns every relaxed access there is.
+atomics() {
+    echo "==> atomics: Relaxed only in crates/serve/src/metrics.rs"
+    if grep -rnw --include='*.rs' Relaxed crates/*/src | grep -v '^crates/serve/src/metrics\.rs:' >&2; then
+        echo "ci: Relaxed outside crates/serve/src/metrics.rs; publish advisory values through metrics::AdvisoryCell" >&2
+        exit 1
+    fi
+}
 # Docs name only what exists: every backticked path ending in .rs .sh
 # .json .jsonl .toml .txt or .md, and every `--bin NAME`, in the docs
 # below must resolve in the tree: a file that is the path or ends in
@@ -123,116 +87,129 @@ fi
 # name a declaration in the tree (see `rust_decls` below); paths into
 # std, core, alloc, a primitive type or a lint tool's namespace are not
 # the tree's and are skipped.
-echo "==> doc references resolve in the tree"
-docs="README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
-allowed="/clippy.toml"
-tree="$(git ls-files --cached --others --exclude-standard)"
-bins="$(cargo metadata --offline --no-deps --format-version 1 |
-    grep -o '"kind":\["bin"\][^}]*"name":"[^"]*"' | sed 's/.*"name":"//; s/"$//')"
-docs_ok=1
-for path in $(grep -ho '`[^`]*`' $docs |
-        grep -oE '[A-Za-z0-9_./-]+\.(rs|sh|json|jsonl|toml|txt|md)\b' | sed 's|^\./||' | sort -u); do
-    grep -qxF "$path" <<<"$allowed" && continue
-    if ! grep -qE "(^|/)${path//./\\.}\$" <<<"$tree"; then
-        echo "ci: the docs name \`$path\`, which is not in the tree" >&2
-        docs_ok=0
-    fi
-done
-for bin in $(grep -ohE -- '--bin[ =][A-Za-z0-9_-]+' $docs | sed 's/^--bin[ =]//' | sort -u); do
-    if ! grep -qxF "$bin" <<<"$bins"; then
-        echo "ci: the docs name \`--bin $bin\`, which no package builds" >&2
-        docs_ok=0
-    fi
-done
-cli=crates/cli/src/commands.rs
-known_flags="$(head -n "$(non_test_lines "$cli")" "$cli" |
-    awk '/Args::parse\(|let keys = \[/ { on = 1 } on { print } /;/ { on = 0 }' |
-    grep -oE '"[a-z][a-z0-9-]*"' | tr -d '"' | sed 's/^/--/'
-    grep -oE '^ *"--[a-z][a-z0-9-]*" =>' crates/bench/examples/sysbench/main.rs | grep -oE -- '--[a-z0-9-]+'
-    printf -- '--%s\n' all-targets bin check example include lib locked no-deps offline \
-        prefix release target test workspace)"
-for flag in $(grep -ohE -- '--[a-z][a-z0-9-]*' $docs | sort -u); do
-    if ! grep -qxF -- "$flag" <<<"$known_flags"; then
-        echo "ci: the docs name \`$flag\`, which no command parses" >&2
-        docs_ok=0
-    fi
-done
-# What each .rs file declares, one `parent name` line per declaration
-# (and `- name` for any parent): a fn, struct, enum, trait, type, const,
-# static, mod, union or macro_rules, or a `pub use` re-export, under the
-# file's module (its stem; the package name for src/lib.rs and
-# src/main.rs; the directory for mod.rs and other main.rs), or under
-# the inline `mod`, `impl` or `trait` it sits in; an enum's variants
-# and a struct's named fields under the type. Scopes are read off
-# rustfmt's layout — a body ends at the `}` at its header's indent —
-# so no brace inside a string can confuse them.
-decls_awk='
-function parent() { return n ? sn[n] : m }
-function emit(name) { print parent(), name; print "-", name }
-function ident(x) { sub(/[^A-Za-z0-9_].*/, "", x); return x }
-{
-    match($0, /^ */); ind = RLENGTH; t = substr($0, ind + 1)
-    if (pend != "" && ind == pind && t == "{") { n++; sk[n] = pk; sn[n] = pend; si[n] = ind; pend = ""; next }
-    if (n && ind == si[n] && t ~ /^}/) { n--; next }
-    if (t == "" || t ~ /^(\/\/|#)/) next
-    if (use != "") { use = use " " t } else if (t ~ /^pub(\([^)]*\))? use /) { use = t }
-    if (use != "") {
-        if (use !~ /;/) next
-        gsub(/[A-Za-z_][A-Za-z0-9_]*::/, "", use)
-        k = split(use, w, /[^A-Za-z0-9_]+/)
-        for (i = 1; i <= k; i++) if (w[i] !~ /^(|pub|crate|use|as|self|super)$/) emit(w[i])
-        use = ""; next
-    }
-    if (n && ind == si[n] + 4 && sk[n] == "enum" && t ~ /^[A-Z][A-Za-z0-9_]*([ ,({=]|$)/) {
-        print sn[n], ident(t); print "-", ident(t); next
-    }
-    s = t; sub(/^pub(\([^)]*\))? /, "", s)
-    if (n && ind == si[n] + 4 && sk[n] == "struct" && s ~ /^[a-z_][a-z0-9_]*:/) {
-        print sn[n], ident(s); print "-", ident(s); next
-    }
-    if (s ~ /^(const|static) [A-Za-z_][A-Za-z0-9_]*:/) { sub(/^[a-z]+ /, "", s); emit(ident(s)); next }
-    while (sub(/^(const|async|unsafe|default|extern "[^"]*") /, "", s)) {}
-    if (s ~ /^macro_rules! /) { emit(ident(substr(s, 14))); next }
-    if (s ~ /^impl[ <]/) {
-        while (sub(/<[^<>]*>/, "", s)) {}
-        if (s ~ / for /) sub(/.* for /, "", s); else sub(/^impl /, "", s)
-        sub(/^(&|dyn |mut )+/, "", s); sub(/[ {].*/, "", s); sub(/.*::/, "", s)
-        kind = "impl"; name = s
-    } else if (s ~ /^(fn|struct|enum|trait|type|mod|union|static) [A-Za-z_]/) {
-        kind = s; sub(/ .*/, "", kind); name = ident(substr(s, length(kind) + 2)); emit(name)
-    } else next
-    if (kind !~ /^(impl|struct|enum|trait|mod)$/) next
-    if (t ~ /\{$/) { n++; sk[n] = kind; sn[n] = name; si[n] = ind }
-    else if (t !~ /[;,(]$/ && kind != "mod") { pend = name; pk = kind; pind = ind }
-}'
-rust_decls() {
-    local f m
-    for f in $(grep '\.rs$' <<<"$tree"); do
-        case "$f" in
-            src/lib.rs | src/main.rs | */src/lib.rs | */src/main.rs)
-                m="$(sed -n 's/^name = "\(.*\)"/\1/p' "${f%src/*}Cargo.toml" | head -n 1 | tr - _)" ;;
-            */mod.rs | */main.rs) m="$(basename "$(dirname "$f")")" ;;
-            *) m="$(basename "$f" .rs)" ;;
-        esac
-        awk -v m="$m" "$decls_awk" "$f"
+docs() {
+    echo "==> doc references resolve in the tree"
+    docs="README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
+    allowed="/clippy.toml"
+    tree="$(git ls-files --cached --others --exclude-standard)"
+    bins="$(cargo metadata --offline --no-deps --format-version 1 |
+        grep -o '"kind":\["bin"\][^}]*"name":"[^"]*"' | sed 's/.*"name":"//; s/"$//')"
+    docs_ok=1
+    for path in $(grep -ho '`[^`]*`' $docs |
+            grep -oE '[A-Za-z0-9_./-]+\.(rs|sh|json|jsonl|toml|txt|md)\b' | sed 's|^\./||' | sort -u); do
+        grep -qxF "$path" <<<"$allowed" && continue
+        if ! grep -qE "(^|/)${path//./\\.}\$" <<<"$tree"; then
+            echo "ci: the docs name \`$path\`, which is not in the tree" >&2
+            docs_ok=0
+        fi
     done
+    for bin in $(grep -ohE -- '--bin[ =][A-Za-z0-9_-]+' $docs | sed 's/^--bin[ =]//' | sort -u); do
+        if ! grep -qxF "$bin" <<<"$bins"; then
+            echo "ci: the docs name \`--bin $bin\`, which no package builds" >&2
+            docs_ok=0
+        fi
+    done
+    cli=crates/cli/src/commands.rs
+    known_flags="$(head -n "$(non_test_lines "$cli")" "$cli" |
+        awk '/Args::parse\(|let keys = \[/ { on = 1 } on { print } /;/ { on = 0 }' |
+        grep -oE '"[a-z][a-z0-9-]*"' | tr -d '"' | sed 's/^/--/'
+        grep -oE '^ *"--[a-z][a-z0-9-]*" =>' crates/bench/examples/sysbench/main.rs | grep -oE -- '--[a-z0-9-]+'
+        printf -- '--%s\n' all-targets bin check example include lib locked no-deps offline \
+            prefix release target test workspace)"
+    for flag in $(grep -ohE -- '--[a-z][a-z0-9-]*' $docs | sort -u); do
+        if ! grep -qxF -- "$flag" <<<"$known_flags"; then
+            echo "ci: the docs name \`$flag\`, which no command parses" >&2
+            docs_ok=0
+        fi
+    done
+    # What each .rs file declares, one `parent name` line per declaration
+    # (and `- name` for any parent): a fn, struct, enum, trait, type, const,
+    # static, mod, union or macro_rules, or a `pub use` re-export, under the
+    # file's module (its stem; the package name for src/lib.rs and
+    # src/main.rs; the directory for mod.rs and other main.rs), or under
+    # the inline `mod`, `impl` or `trait` it sits in; an enum's variants
+    # and a struct's named fields under the type. Scopes are read off
+    # rustfmt's layout — a body ends at the `}` at its header's indent —
+    # so no brace inside a string can confuse them.
+    decls_awk='
+    function parent() { return n ? sn[n] : m }
+    function emit(name) { print parent(), name; print "-", name }
+    function ident(x) { sub(/[^A-Za-z0-9_].*/, "", x); return x }
+    {
+        match($0, /^ */); ind = RLENGTH; t = substr($0, ind + 1)
+        if (pend != "" && ind == pind && t == "{") { n++; sk[n] = pk; sn[n] = pend; si[n] = ind; pend = ""; next }
+        if (n && ind == si[n] && t ~ /^}/) { n--; next }
+        if (t == "" || t ~ /^(\/\/|#)/) next
+        if (use != "") { use = use " " t } else if (t ~ /^pub(\([^)]*\))? use /) { use = t }
+        if (use != "") {
+            if (use !~ /;/) next
+            gsub(/[A-Za-z_][A-Za-z0-9_]*::/, "", use)
+            k = split(use, w, /[^A-Za-z0-9_]+/)
+            for (i = 1; i <= k; i++) if (w[i] !~ /^(|pub|crate|use|as|self|super)$/) emit(w[i])
+            use = ""; next
+        }
+        if (n && ind == si[n] + 4 && sk[n] == "enum" && t ~ /^[A-Z][A-Za-z0-9_]*([ ,({=]|$)/) {
+            print sn[n], ident(t); print "-", ident(t); next
+        }
+        s = t; sub(/^pub(\([^)]*\))? /, "", s)
+        if (n && ind == si[n] + 4 && sk[n] == "struct" && s ~ /^[a-z_][a-z0-9_]*:/) {
+            print sn[n], ident(s); print "-", ident(s); next
+        }
+        if (s ~ /^(const|static) [A-Za-z_][A-Za-z0-9_]*:/) { sub(/^[a-z]+ /, "", s); emit(ident(s)); next }
+        while (sub(/^(const|async|unsafe|default|extern "[^"]*") /, "", s)) {}
+        if (s ~ /^macro_rules! /) { emit(ident(substr(s, 14))); next }
+        if (s ~ /^impl[ <]/) {
+            while (sub(/<[^<>]*>/, "", s)) {}
+            if (s ~ / for /) sub(/.* for /, "", s); else sub(/^impl /, "", s)
+            sub(/^(&|dyn |mut )+/, "", s); sub(/[ {].*/, "", s); sub(/.*::/, "", s)
+            kind = "impl"; name = s
+        } else if (s ~ /^(fn|struct|enum|trait|type|mod|union|static) [A-Za-z_]/) {
+            kind = s; sub(/ .*/, "", kind); name = ident(substr(s, length(kind) + 2)); emit(name)
+        } else next
+        if (kind !~ /^(impl|struct|enum|trait|mod)$/) next
+        if (t ~ /\{$/) { n++; sk[n] = kind; sn[n] = name; si[n] = ind }
+        else if (t !~ /[;,(]$/ && kind != "mod") { pend = name; pk = kind; pind = ind }
+    }'
+    rust_decls() {
+        local f m
+        for f in $(grep '\.rs$' <<<"$tree"); do
+            case "$f" in
+                src/lib.rs | src/main.rs | */src/lib.rs | */src/main.rs)
+                    m="$(sed -n 's/^name = "\(.*\)"/\1/p' "${f%src/*}Cargo.toml" | head -n 1 | tr - _)" ;;
+                */mod.rs | */main.rs) m="$(basename "$(dirname "$f")")" ;;
+                *) m="$(basename "$f" .rs)" ;;
+            esac
+            awk -v m="$m" "$decls_awk" "$f"
+        done
+    }
+    decls="$(rust_decls | sort -u)"
+    for path in $(for d in $docs; do awk '/^ *```/ { fence = !fence; next } !fence' "$d"; done |
+            tr '\n' ' ' | grep -o '`[^`]*`' |
+            grep -oE '\.?[A-Za-z_][A-Za-z0-9_-]*(\.rs)?(::[A-Za-z_][A-Za-z0-9_]*)+(\(\))?|\.?[A-Za-z_][A-Za-z0-9_]*\(\)' |
+            grep -v '^\.' | sed 's/\.rs::/::/; s/()$//' | tr - _ | sort -u); do
+        case "${path%%::*}" in
+            std | core | alloc | clippy | rustdoc | bool | char | str | f32 | f64 | [iu]8 | [iu]16 | [iu]32 | [iu]64 | [iu]128 | [iu]size) continue ;;
+        esac
+        parent=-
+        [[ "$path" == *::* ]] && parent="${path%::*}" && parent="${parent##*::}"
+        if ! grep -qxF -- "$parent ${path##*::}" <<<"$decls"; then
+            echo "ci: the docs name \`$path\`, which the tree does not declare" >&2
+            docs_ok=0
+        fi
+    done
+    [ "$docs_ok" -eq 1 ] || exit 1
 }
-decls="$(rust_decls | sort -u)"
-for path in $(for d in $docs; do awk '/^ *```/ { fence = !fence; next } !fence' "$d"; done |
-        tr '\n' ' ' | grep -o '`[^`]*`' |
-        grep -oE '\.?[A-Za-z_][A-Za-z0-9_-]*(\.rs)?(::[A-Za-z_][A-Za-z0-9_]*)+(\(\))?|\.?[A-Za-z_][A-Za-z0-9_]*\(\)' |
-        grep -v '^\.' | sed 's/\.rs::/::/; s/()$//' | tr - _ | sort -u); do
-    case "${path%%::*}" in
-        std | core | alloc | clippy | rustdoc | bool | char | str | f32 | f64 | [iu]8 | [iu]16 | [iu]32 | [iu]64 | [iu]128 | [iu]size) continue ;;
-    esac
-    parent=-
-    [[ "$path" == *::* ]] && parent="${path%::*}" && parent="${parent##*::}"
-    if ! grep -qxF -- "$parent ${path##*::}" <<<"$decls"; then
-        echo "ci: the docs name \`$path\`, which the tree does not declare" >&2
-        docs_ok=0
-    fi
-done
-[ "$docs_ok" -eq 1 ] || exit 1
+
+case "${1:-}" in
+    layering | atomics | docs) "$1"; exit 0 ;;
+    "") ;;
+    *) echo "usage: scripts/ci.sh [layering | atomics | docs]" >&2; exit 2 ;;
+esac
+
+run cargo fmt --all --check
+layering
+atomics
+docs
 
 # The source invariants the conformance pins rest on are lint levels,
 # so clippy is their gate: determinism (no `HashMap`/`HashSet` or wall
@@ -269,6 +246,12 @@ run cargo test --workspace -q
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
+# Every carrier bites: scripts/mutants.sh plants each row of
+# scripts/mutants.tsv — a breach of a §6a carrier, a bug an earlier
+# change checked once by hand, an engine pin — in a git worktree under
+# target/ and fails naming any mutant the row's command lets through.
+run scripts/mutants.sh
+
 # Results gate: results/ is what the experiment runner writes, so the
 # numbers EXPERIMENTS.md quotes are the code's. The runner also fails
 # when validate_wbg finds a plan that beats WBG. Regenerate with
@@ -293,11 +276,11 @@ fi
 # The engine side (crates/{ostree,core,sim,trace}/src) has a table and a
 # ceiling of its own too. A `tests.rs` there is a `#[cfg(test)] mod
 # tests;` body, so it is skipped.
-TOTAL_CEILING=6833
+TOTAL_CEILING=6829
 # Lower it with the total; never raise it.
 SHIMS_CEILING=1407
 # Lower it with the total; never raise it.
-ENGINE_CEILING=6543
+ENGINE_CEILING=6532
 echo "==> non-test lines per file, crates/{serve,net}/src"
 oversize=0
 total=0
