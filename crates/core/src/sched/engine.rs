@@ -302,7 +302,7 @@ struct Core {
 }
 
 /// The execution engine: cores, jobs, a monotone clock, and the event
-/// heap of arrivals, governor ticks and projected completions. Policies
+/// queue of arrivals, governor ticks and projected completions. Policies
 /// command it through [`ExecutorView`]; drivers feed it tasks and
 /// advance it with [`Engine::step_until`] / [`Engine::run_to_completion`].
 pub struct Engine<O> {
@@ -326,11 +326,8 @@ pub struct Engine<O> {
     last_completion: f64,
     /// Events processed so far (budget accounting across steps).
     processed: u64,
-    /// Slots of every completion so far, in order.
+    /// Slots of every completion not yet retired, in order.
     completions: Vec<usize>,
-    /// How many of `completions` [`Engine::take_completions`] has
-    /// already handed out.
-    drained: usize,
     /// The one sink this engine reports every transition to, stamped
     /// with engine seconds only.
     pub observer: O,
@@ -372,7 +369,6 @@ impl<O: EngineObserver> Engine<O> {
             last_completion: 0.0,
             processed: 0,
             completions: Vec::new(),
-            drained: 0,
             observer,
             cfg,
         }
@@ -384,7 +380,7 @@ impl<O: EngineObserver> Engine<O> {
 
     /// The one insert path: `record_arrival` is the stamp turnaround is
     /// measured from, `event_at` when the arrival event fires.
-    fn insert(&mut self, task: &Task, record_arrival: f64, event_at: f64) {
+    fn insert(&mut self, task: &Task, record_arrival: f64, event_at: f64) -> usize {
         let Entry::Vacant(entry) = self.index.entry(task.id) else {
             panic!("duplicate task id {}", task.id);
         };
@@ -415,6 +411,7 @@ impl<O: EngineObserver> Engine<O> {
         };
         entry.insert(slot);
         self.queue.push(event_at, EventKind::Arrival { slot });
+        slot
     }
 
     /// The slot of a registered task.
@@ -430,13 +427,16 @@ impl<O: EngineObserver> Engine<O> {
 
     /// Register one live submission: it arrives at `task.arrival` or
     /// now, whichever is later, and its turnaround is measured from
-    /// that moment.
+    /// that moment. Returns the task's slot: a driver that keeps
+    /// per-task state of its own keys it by the slot, which
+    /// [`Engine::completion_slots`] names again at completion and the
+    /// next registration may reuse once the task is retired or removed.
     ///
     /// # Panics
     /// Panics on a duplicate task id.
-    pub fn push_task(&mut self, task: &Task) {
+    pub fn push_task(&mut self, task: &Task) -> usize {
         let arrival = task.arrival.max(self.now);
-        self.insert(task, arrival, arrival);
+        self.insert(task, arrival, arrival)
     }
 
     /// Register a task whose arrival stamp is authoritative — one
@@ -446,10 +446,12 @@ impl<O: EngineObserver> Engine<O> {
     /// the wait already served stays in the turnaround, so neither
     /// migration nor late registration can flatter the cost report.
     ///
+    /// Returns the slot, as [`Engine::push_task`] does.
+    ///
     /// # Panics
     /// Panics on a duplicate task id.
-    pub fn push_migrated(&mut self, task: &Task) {
-        self.insert(task, task.arrival, task.arrival.max(self.now));
+    pub fn push_migrated(&mut self, task: &Task) -> usize {
+        self.insert(task, task.arrival, task.arrival.max(self.now))
     }
 
     /// Register a trace: each task arrives at its `Task::arrival` stamp
@@ -727,38 +729,31 @@ impl<O: EngineObserver> Engine<O> {
         self.pending_tasks() - self.busy_count()
     }
 
-    /// Drain the records of tasks completed since the previous drain
-    /// (completion order) — the paced streaming path.
-    pub fn take_completions(&mut self) -> Vec<TaskRecord> {
-        let fresh = std::mem::replace(&mut self.drained, self.completions.len());
-        self.completions[fresh..]
-            .iter()
-            .map(|&slot| self.jobs[slot].record)
-            .collect()
+    /// The slots of [`Engine::completed_records`], in the same order.
+    #[must_use]
+    pub fn completion_slots(&self) -> &[usize] {
+        &self.completions
     }
 
-    /// [`Engine::take_completions`] for a driver that keeps its own
-    /// running totals: the same fresh records, but every completed job
-    /// leaves the engine with them, so a long paced round holds only
-    /// the work still in flight. Retired tasks no longer appear in
-    /// [`Engine::records`] or [`Engine::completed_records`], and the
-    /// engine stops guarding their ids against reuse.
+    /// The paced streaming path, for a driver that keeps its own
+    /// running totals: the records of the tasks completed since the
+    /// previous retire (completion order), which leave the engine with
+    /// them, so a long paced round holds only the work still in flight.
+    /// Retired tasks no longer appear in [`Engine::records`] or
+    /// [`Engine::completed_records`], and the engine stops guarding
+    /// their ids against reuse.
     pub fn retire_completions(&mut self) -> Vec<TaskRecord> {
-        let fresh = std::mem::take(&mut self.drained);
-        let mut records = Vec::with_capacity(self.completions.len() - fresh);
-        for (i, &slot) in self.completions.iter().enumerate() {
-            let record = self.jobs[slot].record;
+        let records: Vec<TaskRecord> = self.completed_records().collect();
+        for (&slot, record) in self.completions.iter().zip(&records) {
             self.index.remove(&record.id);
             self.free.push(slot);
-            if i >= fresh {
-                records.push(record);
-            }
         }
         self.completions.clear();
         records
     }
 
-    /// Records of every completed task so far, in completion order.
+    /// Records of every completed task not yet retired, in completion
+    /// order.
     pub fn completed_records(&self) -> impl Iterator<Item = TaskRecord> + '_ {
         self.completions.iter().map(|&slot| self.jobs[slot].record)
     }
@@ -1435,10 +1430,10 @@ mod tests {
         sim.push_task(&Task::batch(1, 1_600_000_000).unwrap());
         sim.step_until(&mut policy, 0.5);
         assert_eq!(sim.pending_tasks(), 1);
-        assert!(sim.take_completions().is_empty());
+        assert_eq!(sim.completed_records().count(), 0);
         sim.push_task(&Task::batch(2, 1_600_000_000).unwrap());
         sim.step_until(&mut policy, 1.5);
-        let first = sim.take_completions();
+        let first: Vec<TaskRecord> = sim.completed_records().collect();
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].id, TaskId(1));
         assert!((first[0].completion.unwrap() - 1.0).abs() < 1e-9);
@@ -1462,7 +1457,7 @@ mod tests {
         // A task pushed after idle time arrives at the current clock.
         sim.push_task(&Task::batch(1, 1_600_000_000).unwrap());
         sim.step_until(&mut policy, 4.0);
-        let done = sim.take_completions();
+        let done: Vec<TaskRecord> = sim.completed_records().collect();
         assert_eq!(done.len(), 1);
         assert!((done[0].completion.unwrap() - 3.5).abs() < 1e-9);
         assert!((done[0].arrival - 2.5).abs() < 1e-12);
@@ -1476,11 +1471,12 @@ mod tests {
             sim.push_task(&Task::batch(id, 1_600_000_000).unwrap());
         }
         sim.step_until(&mut policy, 1.5);
-        // One done and handed out the keeping way, then a second done:
-        // retiring yields only the one not yet handed out and removes
-        // both.
-        assert_eq!(sim.take_completions().len(), 1);
+        // One done and retired, then a second: each retire yields what
+        // completed since the last, and removes it.
+        assert_eq!(sim.retire_completions()[0].id, TaskId(1));
+        assert_eq!(sim.completion_slots(), &[] as &[usize]);
         sim.step_until(&mut policy, 2.5);
+        assert_eq!(sim.completion_slots().len(), 1);
         let retired = sim.retire_completions();
         assert_eq!(retired.len(), 1);
         assert_eq!(retired[0].id, TaskId(2));

@@ -1,9 +1,14 @@
 //! Engine events and the time-ordered event queue (private to
-//! [`super::engine`], the one place a `BinaryHeap<Event>` lives).
+//! [`super::engine`]). Arrivals come mostly in time order — a replay
+//! registers a whole batch at one stamp — so they wait in a FIFO that
+//! costs O(1) a push; completions, governor ticks and an arrival
+//! earlier than the FIFO's tail go to a `BinaryHeap`. A pop takes the
+//! earlier of the two heads, so events leave in the one `(time, class,
+//! seq)` order either way.
 
 use dvfs_model::CoreId;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// What happened at an event timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,6 +83,8 @@ impl PartialOrd for Event {
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Event>,
+    /// Arrivals in pop order: each pushed no earlier than the tail.
+    arrivals: VecDeque<Event>,
     next_seq: u64,
 }
 
@@ -90,18 +97,41 @@ impl EventQueue {
         assert!(time.is_finite(), "cannot schedule an event at t={time}");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Event { time, seq, kind });
+        let event = Event { time, seq, kind };
+        let in_order = self.arrivals.back().is_none_or(|tail| tail.time <= time);
+        if matches!(kind, EventKind::Arrival { .. }) && in_order {
+            self.arrivals.push_back(event);
+        } else {
+            self.heap.push(event);
+        }
+    }
+
+    /// Whether the FIFO's head pops before the heap's (`Ord` is
+    /// inverted: the greater event is the earlier).
+    fn fifo_first(&self) -> bool {
+        match (self.arrivals.front(), self.heap.peek()) {
+            (Some(arrival), Some(other)) => arrival > other,
+            (arrival, _) => arrival.is_some(),
+        }
     }
 
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
+        if self.fifo_first() {
+            self.arrivals.pop_front()
+        } else {
+            self.heap.pop()
+        }
     }
 
     /// The earliest pending event, without removing it.
     #[must_use]
     pub fn peek(&self) -> Option<&Event> {
-        self.heap.peek()
+        if self.fifo_first() {
+            self.arrivals.front()
+        } else {
+            self.heap.peek()
+        }
     }
 }
 
@@ -149,6 +179,50 @@ mod tests {
             })
             .collect();
         assert_eq!(slots, vec![1, 2, 3]);
+    }
+
+    /// Seeded runs of interleaved pushes and pops — arrivals mostly in
+    /// time order with some behind the FIFO's tail, completions and
+    /// ticks anywhere, times on a coarse grid so ties are common —
+    /// against a plain `BinaryHeap` of the same events: every peek and
+    /// every pop agree.
+    #[test]
+    fn pops_exactly_what_a_plain_heap_pops() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let (mut q, mut heap) = (EventQueue::default(), BinaryHeap::new());
+            let mut clock = 0.0;
+            for _ in 0..2_000 {
+                if rng.gen_bool(0.6) {
+                    let kind = match rng.gen_range(0..10) {
+                        0..=5 => EventKind::Arrival { slot: 0 },
+                        6..=7 => EventKind::Completion { core: 1, epoch: 2 },
+                        _ => EventKind::GovernorTick { core: 3 },
+                    };
+                    let step = f64::from(rng.gen_range(0..4u8)) * 0.25;
+                    let time = if rng.gen_bool(0.9) {
+                        clock + step
+                    } else {
+                        clock - step
+                    };
+                    clock = clock.max(time);
+                    heap.push(Event {
+                        time,
+                        seq: q.next_seq,
+                        kind,
+                    });
+                    q.push(time, kind);
+                } else {
+                    assert_eq!(q.peek(), heap.peek(), "seed {seed}");
+                    assert_eq!(q.pop(), heap.pop(), "seed {seed}");
+                }
+            }
+            while let Some(event) = heap.pop() {
+                assert_eq!(q.pop(), Some(event), "seed {seed}");
+            }
+            assert_eq!(q.pop(), None);
+        }
     }
 
     #[test]

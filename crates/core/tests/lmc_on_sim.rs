@@ -387,7 +387,7 @@ proptest! {
         let mut completed = 0;
         for e in 0..2 {
             sim[e].run_to_completion(&mut lmc[e]);
-            completed += sim[e].take_completions().len() as u64;
+            completed += sim[e].completed_records().count() as u64;
         }
         prop_assert_eq!(completed, arrived);
     }

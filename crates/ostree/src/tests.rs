@@ -3,6 +3,95 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+impl Inner {
+    fn entry(&self, i: usize) -> Entry {
+        Entry {
+            first: self.first[i],
+            size: self.size[i],
+            child: self.child[i],
+            xi: self.xi[i],
+            delta: self.delta[i],
+        }
+    }
+}
+
+/// The tree's structural checks, which only tests run.
+impl CycleTree {
+    /// Exhaustively verify every structural invariant: keys descending
+    /// across leaves; each child's first key, size, `ξ` and `Δ`; parent,
+    /// sibling and element→leaf links; every non-root node at least half
+    /// full. `O(N)`.
+    ///
+    /// # Panics
+    /// Panics on the first violated invariant.
+    pub(super) fn assert_invariants(&self) {
+        let mut leaves = Vec::new();
+        if self.root == NIL {
+            assert_eq!(self.len, 0, "elements without a root");
+        } else {
+            assert_eq!(self.parent_of(self.root, self.height), NIL, "root parent");
+            let e = self.check_node(self.root, self.height, true, &mut leaves);
+            assert_eq!(e.size as usize, self.len, "len");
+            assert_eq!(e.xi, self.xi, "total xi");
+        }
+        for (k, &l) in leaves.iter().enumerate() {
+            let leaf = &self.leaves[l as usize];
+            let prev = if k == 0 { NIL } else { leaves[k - 1] };
+            assert_eq!(leaf.prev, prev, "prev link of leaf {l}");
+            assert_eq!(
+                leaf.next,
+                *leaves.get(k + 1).unwrap_or(&NIL),
+                "next link of leaf {l}"
+            );
+        }
+        let keys: Vec<u64> = self.iter().map(|(_, c)| c).collect();
+        assert_eq!(keys.len(), self.len, "leaf chain length");
+        assert!(keys.windows(2).all(|w| w[0] >= w[1]), "keys not descending");
+        let live = self.elems.iter().filter(|e| e.gen % 2 == 1).count();
+        assert_eq!(live, self.len, "live elements in the slab");
+    }
+
+    /// Check the subtree under `node` at `level` and return its entry;
+    /// leaves are appended to `leaves` in rank order.
+    fn check_node(&self, node: u32, level: usize, root: bool, leaves: &mut Vec<u32>) -> Entry {
+        let n = self.fill(node, level);
+        if level == 0 {
+            assert!(
+                root || n >= LEAF_CAP / 2,
+                "leaf {node} below half full: {n}"
+            );
+            let l = &self.leaves[node as usize];
+            for (&id, &k) in l.ids[..n].iter().zip(&l.keys[..n]) {
+                let e = &self.elems[id as usize];
+                assert!(e.gen % 2 == 1, "dead element {id} in leaf {node}");
+                assert_eq!(e.leaf, node, "element {id} names the wrong leaf");
+                assert_eq!(e.cycles, k, "element {id} key");
+            }
+            leaves.push(node);
+        } else {
+            let min = if root { 2 } else { INNER_CAP / 2 };
+            assert!(n >= min, "inner node {node} below half full: {n}");
+            let p = &self.inners[node as usize];
+            for i in 0..n {
+                let child = p.child[i];
+                assert_eq!(
+                    self.parent_of(child, level - 1),
+                    node,
+                    "parent link of {child}"
+                );
+                let e = self.check_node(child, level - 1, false, leaves);
+                assert_eq!(p.entry(i), e, "entry {i} of inner node {node}");
+            }
+        }
+        self.entry_of(node, level)
+    }
+
+    /// Total ξ over all elements (`Σ L_k`).
+    fn total_xi(&self) -> u128 {
+        self.xi
+    }
+}
+
 /// Naive reference model: a Vec kept sorted descending (stable by
 /// insertion order for ties), searched by binary search.
 #[derive(Default)]

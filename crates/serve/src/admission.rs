@@ -246,16 +246,18 @@ impl AdmissionQueue {
         true
     }
 
-    /// Take every queued task (scheduler side).
+    /// Take every queued task.
     pub fn drain(&self) -> Vec<Task> {
-        let drained = self.lock().drain(..).map(|(task, _)| task).collect();
-        self.drained.notify_all();
-        drained
+        self.drain_stamped()
+            .into_iter()
+            .map(|(task, _)| task)
+            .collect()
     }
 
-    /// Take every queued task with its stage stamps (worker side).
-    pub(crate) fn drain_stamped(&self) -> Vec<(Task, StageStamp)> {
-        let drained = self.lock().drain(..).collect();
+    /// Take every queued task with its stage stamps: the queue itself,
+    /// so nothing is copied and none of its buffer outlives the round.
+    pub(crate) fn drain_stamped(&self) -> Queue {
+        let drained = std::mem::take(&mut *self.lock());
         self.drained.notify_all();
         drained
     }

@@ -188,7 +188,7 @@ impl EngineObserver for Actuation {
 /// observing every frequency decision, and a clock the service advances.
 /// It dereferences to its [`Engine`], whose API — `push_task`,
 /// `push_migrated`, `remove_ready`, `step_until`, `run_to_completion`,
-/// `pending_tasks`, `queued_tasks`, `take_completions` — is the
+/// `pending_tasks`, `queued_tasks`, `completed_records` — is the
 /// executor's own; only what touches the actuator, the trace ring or
 /// the [`RoundReport`] is defined here.
 pub struct RealTimeExecutor {
@@ -361,10 +361,10 @@ mod tests {
         );
         rt.step_until(&mut policy, 0.5);
         assert_eq!(rt.pending_tasks(), 1, "mid-flight at t=0.5");
-        assert!(rt.take_completions().is_empty());
+        assert!(rt.retire_completions().is_empty());
         rt.step_until(&mut policy, 5.0);
         assert_eq!(rt.pending_tasks(), 0);
-        let records = rt.take_completions();
+        let records = rt.retire_completions();
         assert_eq!(records.len(), 1);
         assert!(records[0].completion.unwrap() <= 1.0 + 1e-9);
         let (applied, errored) = rt.take_actuations();
@@ -505,7 +505,7 @@ mod tests {
         rt.step_until(&mut policy, 2.0);
         rt.push_task(&Task::online(0, 1_000, 0.5, None, TaskClass::Interactive).unwrap());
         rt.step_until(&mut policy, 3.0);
-        let records = rt.take_completions();
+        let records = rt.retire_completions();
         assert_eq!(records.len(), 1);
         assert!((records[0].arrival - 2.0).abs() < 1e-12, "arrival clamped");
     }

@@ -130,14 +130,15 @@ impl Default for Histogram {
 }
 
 /// Bucket index for a sample: 0 is the underflow bucket `[0, base)`,
-/// bucket `i >= 1` covers `[base * g^(i-1), base * g^i)`.
+/// bucket `i >= 1` covers `[base * g^(i-1), base * g^i)`: with `g = 2`,
+/// the biased exponent of `v / base` (≥ 1, so normal) less 1022.
 #[must_use]
 pub fn bucket_index(v: f64) -> usize {
     if v.is_nan() || v < HIST_BASE {
         // Negative, NaN, and sub-base samples all underflow.
         return 0;
     }
-    let i = (v / HIST_BASE).log(HIST_GROWTH).floor() as usize + 1;
+    let i = ((v / HIST_BASE).to_bits() >> 52) as usize - 1022;
     i.min(HIST_BUCKETS - 1)
 }
 
@@ -397,6 +398,32 @@ mod tests {
         assert_eq!(bucket_index(1.0), 20);
         // Far overflow clamps to the last bucket.
         assert_eq!(bucket_index(1e300), HIST_BUCKETS - 1);
+        assert_eq!(bucket_index(f64::INFINITY), HIST_BUCKETS - 1);
+    }
+
+    /// The exponent read agrees with the `ln` formula it replaced on
+    /// 10^6 seeded samples across the whole range, and lands every
+    /// bucket edge, one ulp either side of it included, where the
+    /// half-open intervals say (where the `ln` formula may not).
+    #[test]
+    fn bucket_index_reads_the_exponent_exactly() {
+        use rand::{Rng, SeedableRng};
+        let by_ln = |v: f64| {
+            let i = (v / HIST_BASE).log(HIST_GROWTH).floor() as usize + 1;
+            i.min(HIST_BUCKETS - 1)
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(48);
+        for _ in 0..1_000_000 {
+            let v = 10f64.powf(rng.gen_range(-6.0..13.0));
+            assert_eq!(bucket_index(v), by_ln(v), "{v:e}");
+        }
+        for i in 1..HIST_BUCKETS {
+            let edge = HIST_BASE * HIST_GROWTH.powi(i as i32 - 1);
+            let [below, above] = [edge.to_bits() - 1, edge.to_bits() + 1].map(f64::from_bits);
+            assert_eq!(bucket_index(below), i - 1, "below edge {i}");
+            assert_eq!(bucket_index(edge), i, "edge {i}");
+            assert_eq!(bucket_index(above), i, "above edge {i}");
+        }
     }
 
     #[test]

@@ -220,19 +220,12 @@ impl TraceStore {
     }
 }
 
-/// The writer spells the floats JSON has no number for as `Display`
-/// does; the trace reader takes these words in any value position.
-const NON_FINITE: [(&str, f64); 3] = [
-    ("NaN", f64::NAN),
-    ("-inf", f64::NEG_INFINITY),
-    ("inf", f64::INFINITY),
-];
-
-/// One value of a trace line as a tree: JSON, or a [`NON_FINITE`] word,
-/// in an array (`costs`) too.
+/// One value of a trace line as a tree. The writer spells a float JSON
+/// has no number for (NaN, ±inf) `null`, so `null` reads as NaN, in an
+/// array (`costs`) too.
 fn trace_value(r: &mut Reader<'_>) -> Result<Value, serde_json::Error> {
-    if let Some(&(_, f)) = NON_FINITE.iter().find(|(word, _)| r.eat_token(word)) {
-        return Ok(Value::from(f));
+    if r.eat_token("null") {
+        return Ok(Value::from(f64::NAN));
     }
     if r.peek() != Some(b'[') {
         return r.value();
@@ -247,9 +240,9 @@ fn trace_value(r: &mut Reader<'_>) -> Result<Value, serde_json::Error> {
 
 /// Parse one line [`dvfs_trace::export::jsonl_line`] wrote back into
 /// its [`TraceEvent`], through the shim's JSON reader: integers come
-/// back exact (`u64::MAX` included) and floats bit for bit (`-0`,
-/// ±inf and NaN included), so a tool can diff predicted against
-/// measured cost per task.
+/// back exact (`u64::MAX` included) and finite floats bit for bit
+/// (`-0` included), so a tool can diff predicted against measured cost
+/// per task. A NaN or ±inf was written `null` and reads back as NaN.
 ///
 /// # Errors
 /// Describes the line's first malformed or missing field.
@@ -348,7 +341,9 @@ pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, String> {
     })
 }
 
-/// Parse a whole JSONL trace (blank lines skipped).
+/// Parse a whole JSONL trace (blank lines skipped), each line as
+/// [`parse_jsonl_line`] reads it: what was finite comes back bit for
+/// bit, what was NaN or ±inf comes back NaN.
 ///
 /// # Errors
 /// Returns the 1-based line number and cause of the first bad line.
@@ -656,8 +651,8 @@ mod tests {
     /// (`task`, `seq`, `cycles` and the rest), and every float shape
     /// the writer has in every float field — `-0` and `0`, an exact
     /// tie, the subnormal minimum, `f64::MAX`, 2⁵⁴, numbers `Display`
-    /// writes as long integers or long fractions, and ±inf and NaN,
-    /// which it spells as `Display` does.
+    /// writes as long integers or long fractions — except ±inf and
+    /// NaN, which are written `null` and read back as NaN.
     #[test]
     fn jsonl_round_trips_bit_for_bit() {
         const BIG: [u64; 2] = [(1 << 53) + 1, u64::MAX];
@@ -729,8 +724,18 @@ mod tests {
         let text = to_jsonl(&events);
         let parsed = parse_jsonl(&text).expect("parses");
         assert_eq!(parsed.len(), events.len());
+        let nan = f64::NAN.to_bits();
         for (back, ev) in parsed.iter().zip(&events) {
-            assert_eq!(float_bits(back), float_bits(ev), "{ev:?}");
+            let want: Vec<u64> = (float_bits(ev).into_iter())
+                .map(|b| {
+                    if f64::from_bits(b).is_finite() {
+                        b
+                    } else {
+                        nan
+                    }
+                })
+                .collect();
+            assert_eq!(float_bits(back), want, "{ev:?}");
             // NaN is unequal to itself, so the rest is held by the bytes.
             assert_eq!(jsonl_line(back), jsonl_line(ev));
         }
@@ -741,8 +746,8 @@ mod tests {
     fn parser_rejects_garbage_with_line_numbers() {
         assert!(parse_jsonl_line("not json").is_err());
         assert!(parse_jsonl_line("{\"t\":0,\"shard\":0,\"seq\":0,\"ev\":\"nope\"}").is_err());
-        // Only the writer's own spellings of the non-finite floats.
-        for word in ["nan", "Infinity", "+inf", "-NaN", "infinity"] {
+        // The writer spells a non-finite float `null`, and no other way.
+        for word in ["NaN", "inf", "-inf", "nan", "Infinity", "+inf", "-NaN"] {
             let line = format!("{{\"t\":{word},\"shard\":0,\"seq\":0,\"ev\":\"admit\"}}");
             let err = parse_jsonl_line(&line).unwrap_err();
             assert!(err.starts_with("invalid JSON: "), "{word}: {err}");

@@ -64,7 +64,6 @@ use dvfs_core::sched::{ExecutorView, Scheduler as PolicyHooks};
 use dvfs_core::LeastMarginalCost;
 use dvfs_model::{Task, TaskClass, TaskRecord};
 use dvfs_trace::{ClassTag, EventKind, SharedRing};
-use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -115,12 +114,15 @@ impl<T> Drop for Reply<T> {
     }
 }
 
-/// The executor/policy pair a worker owns outright. No lock anywhere,
-/// and private to this module: only the owning worker thread can reach
-/// it.
+/// The executor/policy pair a worker owns outright, with every per-task
+/// structure of the round, which a drain frees with it. No lock, and
+/// private to this module: only the owning worker thread can reach it.
 struct Engine {
     exec: RealTimeExecutor,
     policy: LeastMarginalCost,
+    /// Wire-receive stamps by engine slot (telemetry on). A migrated-in
+    /// task's slot has none: its receive was seen on the origin shard.
+    recv: Vec<Option<Instant>>,
 }
 
 impl Engine {
@@ -134,6 +136,7 @@ impl Engine {
         Engine {
             policy: LeastMarginalCost::new(&platform, cfg.params),
             exec,
+            recv: Vec::new(),
         }
     }
 }
@@ -542,7 +545,6 @@ pub(crate) fn spawn(
                 clock,
                 metrics: worker_metrics,
                 lmc_hist,
-                recv_stamps: HashMap::new(),
             }
             .run(&rx);
         })
@@ -587,11 +589,6 @@ struct Worker {
     metrics: StepMetrics,
     lmc_hist: Arc<Histogram>,
     engine: Engine,
-    /// Wire-receive stamps of tasks this engine currently holds, keyed
-    /// by task id, closing the end-to-end seam at completion. Entries
-    /// leave on completion, steal (the task completes elsewhere), and
-    /// drain (fresh engine). Worker-local: no lock, no contention.
-    recv_stamps: HashMap<u64, Instant>,
 }
 
 impl Worker {
@@ -642,26 +639,40 @@ impl Worker {
     }
 
     /// Pull every admitted task from the shard queue into the engine
-    /// (FIFO, exactly the order the admission queue accepted them).
-    /// With telemetry on, this is where the queue-wait seam closes and
-    /// the wire-receive stamp crosses into worker-local state for the
-    /// end-to-end seam at completion.
+    /// (FIFO, the order admission accepted them). With telemetry on,
+    /// the queue-wait seam closes here, and the wire-receive stamp
+    /// moves into the task's slot for the end-to-end seam.
     fn pull_admitted(&mut self) {
-        if self.cfg.telemetry {
-            let pulled = crate::clock::wall_now();
-            let drained = self.shared.queue.drain_stamped();
-            let mut waits = Vec::with_capacity(drained.len());
-            for (task, stamp) in drained {
+        let (telemetry, pulled) = (self.cfg.telemetry, crate::clock::wall_now());
+        let drained = self.shared.queue.drain_stamped();
+        let mut waits = Vec::with_capacity(if telemetry { drained.len() } else { 0 });
+        let Engine { exec, recv, .. } = &mut self.engine;
+        for (task, stamp) in drained {
+            let slot = exec.push_task(&task);
+            if telemetry {
                 waits.push(pulled.duration_since(stamp.admitted).as_secs_f64());
-                self.recv_stamps.insert(task.id.0, stamp.recv);
-                self.engine.exec.push_task(&task);
-            }
-            self.metrics.stages.queue.record_many(&waits);
-        } else {
-            for task in self.shared.queue.drain() {
-                self.engine.exec.push_task(&task);
+                recv.resize(recv.len().max(slot + 1), None);
+                recv[slot] = Some(stamp.recv);
             }
         }
+        self.metrics.stages.queue.record_many(&waits);
+    }
+
+    /// A step's samples, opened (telemetry on) with the end-to-end seams
+    /// of the completions not yet handed out, read from their slots
+    /// before a retire frees them, at one wall stamp for the step.
+    fn open_step(&mut self) -> StepSamples {
+        let mut samples = StepSamples::default();
+        if self.cfg.telemetry {
+            let now = crate::clock::wall_now();
+            let Engine { exec, recv, .. } = &mut self.engine;
+            for &slot in exec.completion_slots() {
+                if let Some(at) = recv.get_mut(slot).and_then(Option::take) {
+                    samples.e2e.push(now.duration_since(at).as_secs_f64());
+                }
+            }
+        }
+        samples
     }
 
     /// Stream a step's completions into the histograms and publish
@@ -670,11 +681,9 @@ impl Worker {
     /// and landed with one lock acquisition per histogram, so a
     /// completion costs a few pushes, not a mutex round-trip per
     /// histogram per task.
-    fn finish_step(&mut self, records: &[TaskRecord]) {
-        let mut samples = StepSamples::default();
-        let now = crate::clock::wall_now();
+    fn finish_step(&mut self, records: &[TaskRecord], mut samples: StepSamples) {
         for rec in records {
-            self.observe_completion(rec, now, &mut samples);
+            self.observe_completion(rec, &mut samples);
         }
         let n = records.len() as u64;
         self.metrics.books.complete(self.shared.index, n);
@@ -692,15 +701,9 @@ impl Worker {
     }
 
     /// Sample a finished task's latency and cost and, with telemetry
-    /// on, close its stage seams: the engine-side stages come free from
-    /// the record's engine-second stamps, and the end-to-end seam
-    /// closes against the wire-receive stamp carried through the
-    /// admission queue (every completion in one step shares the step's
-    /// wall stamp — the seam tolerance already absorbs a step of
-    /// quantization). Migrated-in tasks have no stamp here (their
-    /// receive was observed on the origin shard), so they contribute
-    /// engine stages only.
-    fn observe_completion(&mut self, rec: &TaskRecord, now: Instant, samples: &mut StepSamples) {
+    /// on, its engine-side stages, which come free from the record's
+    /// engine-second stamps.
+    fn observe_completion(&self, rec: &TaskRecord, samples: &mut StepSamples) {
         if let Some(turnaround) = rec.turnaround() {
             let params = self.cfg.params;
             samples.latency.push(turnaround);
@@ -719,9 +722,6 @@ impl Worker {
                 samples
                     .service
                     .push((completion - first_start).max(0.0) * scale);
-            }
-            if let Some(recv) = self.recv_stamps.remove(&rec.id.0) {
-                samples.e2e.push(now.duration_since(recv).as_secs_f64());
             }
         }
     }
@@ -746,7 +746,7 @@ impl Worker {
     /// policy's ledgers and the executor, returning the original tasks.
     fn steal(&mut self, max: usize) -> Vec<Task> {
         let ids = {
-            let Engine { exec, policy } = &mut self.engine;
+            let Engine { exec, policy, .. } = &mut self.engine;
             policy.steal_longest(&mut **exec, max)
         };
         let tasks: Vec<Task> = ids
@@ -758,11 +758,6 @@ impl Worker {
             ids.len(),
             "every ledger-resident task is Ready in the executor"
         );
-        // Stolen tasks complete on another shard; their end-to-end seam
-        // cannot close here.
-        for task in &tasks {
-            self.recv_stamps.remove(&task.id.0);
-        }
         self.publish_load();
         tasks
     }
@@ -786,7 +781,10 @@ impl Worker {
                     },
                 );
             }
-            self.engine.exec.push_migrated(task);
+            let slot = self.engine.exec.push_migrated(task);
+            if let Some(stale) = self.engine.recv.get_mut(slot) {
+                *stale = None;
+            }
         }
         self.publish_load();
         tasks.len()
@@ -794,7 +792,7 @@ impl Worker {
 
     /// Advance the engine by `run` under a [`TimedPolicy`], then land its times.
     fn timed(&mut self, run: impl FnOnce(&mut RealTimeExecutor, &mut dyn PolicyHooks)) {
-        let Engine { exec, policy } = &mut self.engine;
+        let Engine { exec, policy, .. } = &mut self.engine;
         let mut timed = TimedPolicy {
             inner: policy,
             samples: Vec::new(),
@@ -812,27 +810,31 @@ impl Worker {
         let target = self.clock.now().max(self.engine.exec.now());
         self.pull_admitted();
         self.timed(|exec, policy| exec.step_until(policy, target));
+        let samples = self.open_step();
         let retired = self.engine.exec.retire_completions();
-        self.finish_step(&retired);
+        self.finish_step(&retired, samples);
         self.publish_load();
     }
 
     /// Run everything buffered (and still in flight) to completion,
-    /// report the round, and stand up a fresh engine at time zero.
+    /// report the round, and stand up a fresh engine at time zero —
+    /// built before the round's tasks come in, so that the round's
+    /// memory lies above it and glibc, which trims a heap only from the
+    /// top, can hand it back when the old engine drops.
     fn drain(&mut self) -> RoundReport {
+        let next = Engine::fresh(&self.cfg, self.shared.ring.clone());
         self.pull_admitted();
         self.timed(|exec, policy| exec.run_to_completion(policy));
-        // Completions not yet streamed by a paced tick land in the
-        // histograms now, exactly once, and stay resident for the
-        // report's `records`.
-        let fresh = self.engine.exec.take_completions();
-        self.finish_step(&fresh);
+        // Completions not yet streamed by a paced tick — the report's
+        // `records`, since nothing here takes completions without
+        // retiring them — land in the histograms now, exactly once.
+        let samples = self.open_step();
         let report = self.engine.exec.round_report();
+        self.finish_step(&report.records, samples);
         // Fresh round: the trace ring carries over so sequence numbers
-        // stay continuous. Any leftover receive stamps (tasks migrated
-        // away mid-round) go with the old engine.
-        self.recv_stamps.clear();
-        self.engine = Engine::fresh(&self.cfg, self.shared.ring.clone());
+        // stay continuous. The old engine goes with every per-task
+        // structure of the round, receive stamps included.
+        self.engine = next;
         self.publish_load();
         report
     }

@@ -18,7 +18,7 @@ pub use dvfs_core::sched::engine::{ContentionFn, EngineConfig as SimConfig};
 /// [`Simulator::new`], add tasks, then [`Simulator::run`] with a policy.
 /// It dereferences to its [`Engine`], whose API — `add_tasks`,
 /// `push_task`, `step_until`, `now`, `pending_tasks`,
-/// `take_completions` — is the simulator's own; only what needs the
+/// `completed_records` — is the simulator's own; only what needs the
 /// trace ring or the [`SimReport`] is defined here. The engine's
 /// observer is that ring: `None` until [`Simulator::record_trace`].
 ///

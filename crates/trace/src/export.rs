@@ -8,10 +8,11 @@
 //! wrap it in a `String`. The inverse parser is
 //! `dvfs_serve::parse_jsonl`, on the `serde_json` shim's one JSON reader
 //! (this crate depends on nothing): every integer comes back exact and
-//! every float bit for bit, NaN and ±inf included, so downstream tools
-//! can diff predicted against measured cost per task. The `String`
-//! builders here are the only code of the crate excused from its
-//! `clippy.toml` lists: they render at drain time, off the record path.
+//! every finite float bit for bit, so downstream tools can diff
+//! predicted against measured cost per task; NaN and ±inf are written
+//! `null` and come back as NaN. The `String` builders here are the only
+//! code of the crate excused from its `clippy.toml` lists: they render
+//! at drain time, off the record path.
 
 use crate::jsonl::write_event;
 pub use crate::jsonl::{write_events, Framing, EVENT_BYTES, PIECE_EVENTS};
@@ -518,11 +519,20 @@ mod tests {
             .collect()
     }
 
+    /// A float through `format!`, or `null` when JSON has no number for it.
+    fn float(v: f64) -> String {
+        if v.is_finite() {
+            format!("{v}")
+        } else {
+            "null".into()
+        }
+    }
+
     /// The event's line with every number through `format!`.
     fn oracle_line(ev: &TraceEvent) -> String {
         let mut line = format!(
             "{{\"t\":{},\"shard\":{},\"seq\":{},\"ev\":\"{}\"",
-            ev.time,
+            float(ev.time),
             ev.shard,
             ev.seq,
             ev.kind.name()
@@ -552,14 +562,14 @@ mod tests {
                 energy_delta,
                 wait_delta,
             } => {
-                let costs: Vec<String> = costs.iter().map(|c| format!("{c}")).collect();
+                let costs: Vec<String> = costs.iter().copied().map(float).collect();
                 vec![
                     ("task", format!("{task}")),
                     ("core", format!("{core}")),
                     ("position", format!("{position}")),
                     ("costs", format!("[{}]", costs.join(","))),
-                    ("energy_delta", format!("{energy_delta}")),
-                    ("wait_delta", format!("{wait_delta}")),
+                    ("energy_delta", float(*energy_delta)),
+                    ("wait_delta", float(*wait_delta)),
                 ]
             }
             EventKind::Dispatch {
@@ -572,8 +582,8 @@ mod tests {
                 ("task", format!("{task}")),
                 ("core", format!("{core}")),
                 ("rate", format!("{rate}")),
-                ("predicted_energy_j", format!("{predicted_energy_j}")),
-                ("predicted_time_s", format!("{predicted_time_s}")),
+                ("predicted_energy_j", float(*predicted_energy_j)),
+                ("predicted_time_s", float(*predicted_time_s)),
             ],
             EventKind::Preempt { task, core } => {
                 vec![("task", format!("{task}")), ("core", format!("{core}"))]
@@ -593,8 +603,8 @@ mod tests {
                 ("task", format!("{task}")),
                 ("from_shard", format!("{from_shard}")),
                 ("to_shard", format!("{to_shard}")),
-                ("from_cost", format!("{from_cost}")),
-                ("to_cost", format!("{to_cost}")),
+                ("from_cost", float(*from_cost)),
+                ("to_cost", float(*to_cost)),
             ],
             EventKind::Complete {
                 task,
@@ -604,8 +614,8 @@ mod tests {
             } => vec![
                 ("task", format!("{task}")),
                 ("core", format!("{core}")),
-                ("energy_j", format!("{energy_j}")),
-                ("turnaround_s", format!("{turnaround_s}")),
+                ("energy_j", float(*energy_j)),
+                ("turnaround_s", float(*turnaround_s)),
             ],
         };
         for (key, value) in fields {

@@ -4,8 +4,8 @@
 //! The encoding is the determinism oracle: numbers render through
 //! [`num`] in exactly the bytes of Rust's shortest-round-trip
 //! `Display` (Ryū's digits, an exact halfway tie rounded up; `Display`
-//! itself for subnormals, |v| ≥ 2⁵⁴, NaN and ±inf), field order is
-//! fixed, and nothing here reads a clock — so a drained replay produces
+//! itself for subnormals and |v| ≥ 2⁵⁴; `null` for NaN and ±inf, which
+//! JSON has no number for), field order is fixed, and nothing here reads a clock — so a drained replay produces
 //! a byte-identical trace across runs and shard counts.
 //!
 //! One writer renders every line, into a byte buffer: as is, or as a

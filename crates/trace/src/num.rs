@@ -8,10 +8,12 @@
 //! `f64`s with 2⁻¹²⁵ ≤ |v| < 2⁵⁴ (every float a trace carries), where
 //! Ryū's multiplier is `5^i` for an `i ≤ 55`: a `u128` holds it, so a
 //! 56-entry table built at compile time replaces Ryū's ≈10 KB one.
-//! Zero is `0` / `-0`; subnormals, |v| ≥ 2⁵⁴, NaN and ±inf go through
-//! `Display` itself. One rule departs from Ryū: a value exactly halfway
-//! between two shortest candidates takes the upper one, as `Display`
-//! does, where Ryū rounds to even (`1658206780088562.25` is `…562.3`).
+//! Zero is `0` / `-0`; subnormals and |v| ≥ 2⁵⁴ go through `Display`
+//! itself; NaN and ±inf, which JSON has no number for, are `null`, as
+//! the `serde_json` shim writes them. One rule departs from Ryū: a value
+//! exactly halfway between two shortest candidates takes the upper one,
+//! as `Display` does, where Ryū rounds to even (`1658206780088562.25`
+//! is `…562.3`).
 
 use std::io::Write as _;
 
@@ -46,12 +48,16 @@ pub fn write_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(digits(v, &mut buf));
 }
 
-/// Append `v` as `Display` writes it.
+/// Append `v` as `Display` writes it, or `null` when it is not finite.
 pub fn write_f64(out: &mut Vec<u8>, v: f64) {
     let bits = v.to_bits();
     let exponent = (bits >> 52) & 0x7ff;
     if v == 0.0 {
         out.extend_from_slice(if v.is_sign_negative() { b"-0" } else { b"0" });
+        return;
+    }
+    if exponent == 0x7ff {
+        out.extend_from_slice(b"null");
         return;
     }
     if !FAST.contains(&exponent) {
@@ -149,13 +155,19 @@ mod tests {
         out
     }
 
+    /// `Display`'s bytes, or `null` for NaN and ±inf.
+    fn display(out: &mut Vec<u8>, v: f64) {
+        if v.is_finite() {
+            write!(out, "{v}").expect("a Vec takes every byte");
+        } else {
+            out.extend_from_slice(b"null");
+        }
+    }
+
     fn assert_display(v: f64) {
-        assert_eq!(
-            rendered(v),
-            format!("{v}").into_bytes(),
-            "bits {:#018x}",
-            v.to_bits()
-        );
+        let mut want = Vec::new();
+        display(&mut want, v);
+        assert_eq!(rendered(v), want, "bits {:#018x}", v.to_bits());
     }
 
     /// SplitMix64: a seeded stream of bit patterns.
@@ -177,7 +189,7 @@ mod tests {
     fn differential(seed: u64, n: u64) {
         let mut rng = Bits(seed);
         let span = FAST.end() - FAST.start() + 1;
-        let (mut ours, mut display) = (Vec::new(), Vec::new());
+        let (mut ours, mut theirs) = (Vec::new(), Vec::new());
         for k in 0..n {
             let mut bits = rng.next();
             if k % 2 == 1 {
@@ -186,10 +198,10 @@ mod tests {
             }
             let v = f64::from_bits(bits);
             ours.clear();
-            display.clear();
+            theirs.clear();
             write_f64(&mut ours, v);
-            write!(display, "{v}").expect("a Vec takes every byte");
-            assert!(ours == display, "bits {bits:#018x}: {v}");
+            display(&mut theirs, v);
+            assert!(ours == theirs, "bits {bits:#018x}: {v}");
         }
     }
 
@@ -256,7 +268,8 @@ mod tests {
             assert_display(f64::from_bits(v.to_bits().wrapping_sub(1)));
         }
         assert_eq!(rendered(-0.0), b"-0");
-        assert_eq!(rendered(f64::NEG_INFINITY), b"-inf");
+        assert_eq!(rendered(f64::NEG_INFINITY), b"null");
+        assert_eq!(rendered(-f64::NAN), b"null");
     }
 
     /// `Display` rounds an exact halfway tie up; Ryū alone would round

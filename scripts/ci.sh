@@ -278,9 +278,9 @@ fi
 # tests;` body, so it is skipped.
 TOTAL_CEILING=6829
 # Lower it with the total; never raise it.
-SHIMS_CEILING=1407
+SHIMS_CEILING=1365
 # Lower it with the total; never raise it.
-ENGINE_CEILING=6532
+ENGINE_CEILING=6479
 echo "==> non-test lines per file, crates/{serve,net}/src"
 oversize=0
 total=0

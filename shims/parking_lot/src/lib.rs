@@ -1,11 +1,11 @@
-//! Offline stand-in for `parking_lot`.
+//! Offline stand-in for `parking_lot`: the one type the workspace uses.
 //!
-//! Wraps `std::sync` primitives behind `parking_lot`'s non-poisoning API:
+//! Wraps `std::sync::Mutex` behind `parking_lot`'s non-poisoning API:
 //! `lock()` returns the guard directly (a poisoned std lock is recovered
 //! via `PoisonError::into_inner`, matching parking_lot's "no poisoning"
 //! semantics).
 
-use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::MutexGuard;
 
 #[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized> {
@@ -18,59 +18,12 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.inner
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    pub fn new(value: T) -> Self {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner
-            .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
@@ -84,13 +37,18 @@ mod tests {
         let m = Mutex::new(5);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 6);
-        assert_eq!(m.into_inner(), 6);
     }
 
     #[test]
-    fn rwlock_basics() {
-        let l = RwLock::new(vec![1, 2]);
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
+    fn a_poisoned_lock_is_recovered() {
+        let m = Mutex::new(5);
+        let _ = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = m.lock();
+                panic!("poison it");
+            })
+            .join()
+        });
+        assert_eq!(*m.lock(), 5);
     }
 }

@@ -459,34 +459,39 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
 
-    fn digits(&mut self) {
+    /// Step over a run of digits; whether there was one.
+    fn digits(&mut self) -> bool {
+        let from = self.pos;
         while self.byte().is_some_and(|b| b.is_ascii_digit()) {
             self.pos += 1;
         }
+        self.pos > from
     }
 
     /// A number token, integers kept exact: `u64`, else `i64`, else
     /// (and for fraction / exponent forms) `f64`. As in registry
-    /// `serde_json`, `-0` is the float `-0.0` and a literal past `f64`'s
-    /// range is refused.
+    /// `serde_json`, `-0` is the float `-0.0`, a literal past `f64`'s
+    /// range is refused, and so is one off JSON's grammar: `0` is a whole
+    /// integer part (`007` reads `0`, then fails), and a `.` or exponent
+    /// needs digits (`1.`, `1e`).
     #[inline]
     pub fn number(&mut self) -> Result<Number, Error> {
         self.peek();
         let start = self.pos;
         self.eat(b'-');
-        self.digits();
+        let mut well_formed = self.eat(b'0') || self.digits();
         let mut is_float = false;
         if self.eat(b'.') {
             is_float = true;
-            self.digits();
+            well_formed &= self.digits();
         }
         if self.eat(b'e') || self.eat(b'E') {
             is_float = true;
             let _ = self.eat(b'+') || self.eat(b'-');
-            self.digits();
+            well_formed &= self.digits();
         }
         let text = self.text.get(start..self.pos).unwrap_or("");
-        if !is_float {
+        if well_formed && !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Number::PosInt(u));
             }
@@ -497,9 +502,9 @@ impl<'a> Reader<'a> {
             }
         }
         match text.parse::<f64>() {
-            Ok(f) if f.is_finite() => Ok(Number::Float(f)),
-            Ok(_) => Err(self.err("number out of range")),
-            Err(_) => Err(Error {
+            Ok(f) if well_formed && f.is_finite() => Ok(Number::Float(f)),
+            Ok(_) if well_formed => Err(self.err("number out of range")),
+            _ => Err(Error {
                 msg: format!("invalid number `{text}`"),
             }),
         }
@@ -711,9 +716,24 @@ mod tests {
             from_str("18446744073709551616").unwrap(),
             float(2f64.powi(64))
         );
-        // Laxer than the registry crate, as this reader always was.
-        assert_eq!(from_str("007").unwrap().as_u64(), Some(7));
-        assert_eq!(from_str("1.").unwrap(), float(1.0));
+        // Off the grammar, as the registry crate refuses them: a
+        // leading zero, an empty fraction, integer part or exponent.
+        for lit in ["007", "-01", "00", "01.5", r#"{"a":01}"#, "[1.]"] {
+            assert!(from_str(lit).is_err(), "{lit}");
+        }
+        for lit in ["1.", "-1.e5", "-.5", "-", "1e", "1e+", "2E-"] {
+            let err = from_str(lit).unwrap_err().to_string();
+            assert_eq!(err, format!("invalid number `{lit}`"));
+        }
+        for (lit, v) in [
+            ("0", 0.0),
+            ("-0.5", -0.5),
+            ("10", 10.0),
+            ("1E+2", 100.0),
+            ("0e0", 0.0),
+        ] {
+            assert_eq!(from_str(lit).unwrap().as_f64(), Some(v), "{lit}");
+        }
     }
 
     #[test]

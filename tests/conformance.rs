@@ -46,7 +46,7 @@ fn simulator_outcome(params: CostParams) -> Outcome {
     sim.add_tasks(&trace);
     let report = sim.run(&mut policy);
     Outcome::new(
-        sim.take_completions(),
+        sim.completed_records().collect(),
         report.active_energy_joules,
         report.total_turnaround(),
         report.makespan,

@@ -9,12 +9,17 @@
 //!   larger reply is longer than the bound.
 //! - An error that quotes a 60 KB client string is a short line, and
 //!   answering it holds less than twice the line.
+//! - A drained replay round hands its per-task memory back — the
+//!   engine's, the receive stamps', the admission queue's — leaving the
+//!   live heap within [`ROUND_RETAINED_SLACK`] of where it was before
+//!   its first submit, with telemetry on and off, at two round sizes
+//!   10× apart.
 //!
 //! A test binary of its own, so the allocator counts nothing but these
 //! tests; they take turns ([`SERIAL`]), since they share its counters.
 
 use dvfs_serve::protocol::encode_submit;
-use dvfs_serve::{Registry, Scheduler, SchedulerConfig, MAX_LINE_BYTES};
+use dvfs_serve::{Registry, Scheduler, SchedulerConfig, SubmitItem, MAX_LINE_BYTES};
 use dvfs_suite::model::TaskClass;
 use dvfs_suite::trace::export::{EVENT_BYTES, PIECE_EVENTS};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -25,6 +30,10 @@ use std::sync::{Arc, Mutex};
 /// The heap a `trace_stream` reply may add: its two piece buffers,
 /// plus 1 MiB for everything else the answer holds at once.
 const TRACE_REPLY_BOUND: usize = 2 * PIECE_EVENTS * EVENT_BYTES + (1 << 20);
+
+/// How much live heap a drained round may leave behind: far below any
+/// per-task structure at 5 000 tasks.
+const ROUND_RETAINED_SLACK: usize = 64 << 10;
 
 /// Live heap bytes, and the most seen since the last [`mark`].
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -225,5 +234,51 @@ fn an_error_quotes_a_60_kb_client_string_in_a_short_line() {
         assert!(peer.sent < 200, "a {} byte error reply", peer.sent);
         // The framer's copy of the line, and little else.
         assert!(peak < 2 * len, "a {len} byte line held {peak} bytes");
+    }
+}
+
+/// The live heap one replay round of `tasks` auto-id tasks on one shard
+/// leaves behind after `drain_round`, above the level before its first
+/// submit. An empty round first lets the worker thread settle.
+fn retained_by_a_round(tasks: usize, telemetry: bool) -> isize {
+    let scheduler = Scheduler::new(
+        SchedulerConfig {
+            cores: 4,
+            queue_capacity: 2 * tasks,
+            telemetry,
+            ..SchedulerConfig::default()
+        },
+        Arc::new(Registry::new()),
+    );
+    scheduler.drain_round();
+    let items: Vec<SubmitItem> = (0..tasks as u64)
+        .map(|i| SubmitItem {
+            id: None,
+            cycles: 20_000_000 + 7_000 * (i % 97),
+            class: TaskClass::NonInteractive,
+            arrival: None,
+        })
+        .collect();
+    let before = LIVE.load(SeqCst);
+    for batch in items.chunks(64) {
+        scheduler.submit_many(batch);
+    }
+    assert_eq!(scheduler.drain_round().completed, tasks as u64);
+    let after = LIVE.load(SeqCst);
+    assert!(scheduler.books_balanced());
+    after as isize - before as isize
+}
+
+#[test]
+fn a_drained_round_retains_no_per_task_memory() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for tasks in [5_000, 50_000] {
+        for telemetry in [true, false] {
+            let retained = retained_by_a_round(tasks, telemetry);
+            assert!(
+                retained.unsigned_abs() <= ROUND_RETAINED_SLACK,
+                "{tasks} tasks, telemetry {telemetry}: a drained round retained {retained} bytes"
+            );
+        }
     }
 }

@@ -175,7 +175,7 @@ fn real_time_executor_replay_is_bit_identical_to_the_simulator() {
     let mut sim = Simulator::new(SimConfig::new(platform));
     sim.add_tasks(&trace);
     let want = sim.run(&mut policy);
-    let want_order: Vec<_> = sim.take_completions().iter().map(|r| r.id).collect();
+    let want_order: Vec<_> = sim.completed_records().map(|r| r.id).collect();
 
     // The same trace through the service's submission path and the
     // real-time executor, at every swept shard count.
