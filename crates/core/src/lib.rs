@@ -34,6 +34,7 @@ pub mod batch;
 pub mod deadline;
 pub mod deadline_batch;
 pub mod dominating;
+mod interactive;
 pub mod ledger;
 pub mod lmc;
 pub mod sched;

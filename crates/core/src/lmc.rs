@@ -10,7 +10,9 @@
 //!   `C^M_j = Re·L·E_j(p_m) + Rt·L·T_j(p_m) + Rt·L·T_j(p_m)·N_j`,
 //!   preempt any non-interactive task running there, and run the
 //!   interactive task at the core's maximum frequency. The preempted task
-//!   resumes once the interactive backlog drains.
+//!   resumes once the interactive backlog drains. That rule, and the
+//!   state it keeps, is shared with [`crate::WbgReassign`]
+//!   (`crates/core/src/interactive.rs`).
 //! * **Non-interactive arrival** — ask each core's ledger what the task
 //!   would add to its queue's cost (a read-only query; no ledger is
 //!   touched) and insert into the one that answers least; the running
@@ -21,31 +23,23 @@
 //!   non-interactive task, then the shortest queued task, each at the
 //!   rate its backward position dominates.
 
+use crate::interactive::{least, marginal_costs, Lane};
 use crate::ledger::CostLedger;
 use crate::sched::{ExecutorView, Scheduler};
 use dvfs_model::{CoreId, CostParams, Platform, RateIdx, Task, TaskClass, TaskId};
 use dvfs_ostree::Handle;
 use dvfs_trace::EventKind;
 use std::cmp::Reverse;
-use std::collections::VecDeque;
 
 struct CoreQueue {
     ledger: CostLedger,
     /// The task behind each ledger element, indexed by its handle's
     /// [`Handle::slot`].
     by_handle: Vec<Option<TaskId>>,
-    interactive: VecDeque<TaskId>,
-    suspended: Option<TaskId>,
-    /// Class of the task the policy last dispatched on this core.
-    running: Option<(TaskId, TaskClass)>,
+    lane: Lane,
 }
 
 impl CoreQueue {
-    /// Non-interactive tasks waiting on this core (`N_j` in Equation 27).
-    fn n_waiting(&self) -> usize {
-        self.ledger.len() + usize::from(self.suspended.is_some())
-    }
-
     /// Queue `task` with `cycles` cycles in the ledger.
     fn insert(&mut self, task: TaskId, cycles: u64) -> Handle {
         let h = self.ledger.insert(cycles);
@@ -86,19 +80,6 @@ pub enum InteractivePlacement {
     RoundRobin,
 }
 
-/// A placement decision's provenance, handed to
-/// [`LeastMarginalCost::record_enqueue`]: the winning core and queue
-/// position, the rate the cost was evaluated at, the per-core Eq. 27
-/// marginal costs that were compared, and the `Rt`-weighted waiting
-/// share of the winning delta.
-struct EnqueueChoice {
-    best: CoreId,
-    position: u64,
-    rate: RateIdx,
-    costs: Vec<f64>,
-    wait_delta: f64,
-}
-
 /// The Least Marginal Cost policy. Construct once per simulation run.
 pub struct LeastMarginalCost {
     params: CostParams,
@@ -112,11 +93,21 @@ pub struct LeastMarginalCost {
     costs: Vec<f64>,
 }
 
-/// The core with the least cost, ties to the lower index.
-fn least(costs: &[f64]) -> CoreId {
-    (0..costs.len())
-        .min_by(|&a, &b| costs[a].partial_cmp(&costs[b]).expect("finite costs"))
-        .expect("platform has cores")
+/// Hand a placement decision's provenance — an [`EventKind::Enqueue`]
+/// — to the executor's trace. Its deltas read pre-action state, so
+/// they are taken before the queues mutate.
+fn record(sim: &mut dyn ExecutorView, enqueue: EventKind) {
+    let now = sim.now();
+    if let Some(tr) = sim.trace() {
+        tr.record(now, enqueue);
+    }
+}
+
+/// Rate for the task that is (or is about to be) running on core `j`,
+/// from its backward position `N_waiting_in_ledger + 1`.
+fn running_rate(ledger: &CostLedger, x: &dyn ExecutorView, j: CoreId) -> RateIdx {
+    let kb = ledger.len() as u64 + 1;
+    ledger.rate_at(kb).min(x.max_allowed_rate(j))
 }
 
 impl LeastMarginalCost {
@@ -129,9 +120,7 @@ impl LeastMarginalCost {
             .map(|c| CoreQueue {
                 ledger: CostLedger::new(&c.rates, params),
                 by_handle: Vec::new(),
-                interactive: VecDeque::new(),
-                suspended: None,
-                running: None,
+                lane: Lane::default(),
             })
             .collect();
         LeastMarginalCost {
@@ -150,83 +139,19 @@ impl LeastMarginalCost {
         self
     }
 
-    /// Equation 27: marginal cost of running an interactive task with
-    /// `cycles` cycles on core `j` at its maximum frequency.
-    fn interactive_marginal_cost(&self, sim: &dyn ExecutorView, j: CoreId, cycles: u64) -> f64 {
-        let table = sim.rate_table(j);
-        let pm = sim.max_allowed_rate(j);
-        let r = table.rate(pm);
-        let l = cycles as f64;
-        let nj = self.cores[j].n_waiting() as f64;
-        self.params.re * l * r.energy_per_cycle
-            + self.params.rt * l * r.time_per_cycle
-            + self.params.rt * l * r.time_per_cycle * nj
-    }
-
-    /// Rate for the task that is (or is about to be) running on core `j`,
-    /// from its backward position `N_waiting_in_ledger + 1`.
-    fn running_rate(&self, sim: &dyn ExecutorView, j: CoreId) -> RateIdx {
-        let kb = self.cores[j].ledger.len() as u64 + 1;
-        self.cores[j]
-            .ledger
-            .rate_at(kb)
-            .min(sim.max_allowed_rate(j))
-    }
-
-    /// Dispatch the next unit of work on an idle core, if any.
+    /// Dispatch the next unit of work on an idle core, if any: the
+    /// urgent work first, then the shortest queued task.
     fn dispatch_next(&mut self, sim: &mut dyn ExecutorView, j: CoreId) {
-        debug_assert!(sim.is_idle(j));
-        if let Some(tid) = self.cores[j].interactive.pop_front() {
-            let pm = sim.max_allowed_rate(j);
-            sim.dispatch(j, tid, Some(pm));
-            self.cores[j].running = Some((tid, TaskClass::Interactive));
+        let core = &mut self.cores[j];
+        let ledger = &core.ledger;
+        let resume = |x: &dyn ExecutorView| running_rate(ledger, x, j);
+        if core.lane.dispatch_urgent(sim, j, resume) {
             return;
         }
-        if let Some(tid) = self.cores[j].suspended.take() {
-            let rate = self.running_rate(sim, j);
-            sim.dispatch(j, tid, Some(rate));
-            self.cores[j].running = Some((tid, TaskClass::NonInteractive));
-            return;
-        }
-        if let Some(h) = self.cores[j].ledger.peek_next_dispatch() {
-            let tid = self.cores[j].remove(h);
-            let rate = self.running_rate(sim, j);
-            sim.dispatch(j, tid, Some(rate));
-            self.cores[j].running = Some((tid, TaskClass::NonInteractive));
-            return;
-        }
-        self.cores[j].running = None;
-    }
-
-    /// Record the placement decision's provenance: the per-core costs
-    /// that were compared, the chosen core/position, and the Eq. 27
-    /// deltas split into the `Re`-weighted energy term and the
-    /// `Rt`-weighted waiting terms. Reads pre-action state, so it must
-    /// run before the queues mutate.
-    fn record_enqueue(&self, sim: &mut dyn ExecutorView, task: &Task, choice: EnqueueChoice) {
-        let EnqueueChoice {
-            best,
-            position,
-            rate,
-            costs,
-            wait_delta,
-        } = choice;
-        let r = sim.rate_table(best).rate(rate);
-        let l = task.cycles as f64;
-        let energy_delta = self.params.re * l * r.energy_per_cycle;
-        let now = sim.now();
-        if let Some(tr) = sim.trace() {
-            tr.record(
-                now,
-                EventKind::Enqueue {
-                    task: task.id.0,
-                    core: best as u32,
-                    position,
-                    costs,
-                    energy_delta,
-                    wait_delta,
-                },
-            );
+        if let Some(h) = core.ledger.peek_next_dispatch() {
+            let tid = core.remove(h);
+            let rate = running_rate(&core.ledger, sim, j);
+            core.lane.run(sim, j, tid, TaskClass::NonInteractive, rate);
         }
     }
 
@@ -279,8 +204,8 @@ impl LeastMarginalCost {
                 .min();
             let Some((_, tid, j, h)) = pick else { break };
             self.cores[j].remove(h);
-            if matches!(self.cores[j].running, Some((_, TaskClass::NonInteractive))) {
-                let rate = self.running_rate(sim, j);
+            if self.cores[j].lane.running() == Some(TaskClass::NonInteractive) {
+                let rate = running_rate(&self.cores[j].ledger, sim, j);
                 sim.set_rate(j, rate);
             }
             out.push(tid);
@@ -293,14 +218,12 @@ impl LeastMarginalCost {
         self.costs.clear();
         let best = match self.placement {
             InteractivePlacement::MarginalCost => {
-                for j in 0..self.cores.len() {
-                    let cost = self.interactive_marginal_cost(sim, j, task.cycles);
-                    self.costs.push(cost);
-                }
+                let cores = self.cores.iter().map(|c| (&c.lane, c.ledger.len()));
+                marginal_costs(self.params, sim, task.cycles, cores, &mut self.costs);
                 least(&self.costs)
             }
             InteractivePlacement::LeastQueue => (0..self.cores.len())
-                .min_by_key(|&j| (self.cores[j].n_waiting(), j))
+                .min_by_key(|&j| (self.cores[j].lane.n_waiting(self.cores[j].ledger.len()), j))
                 .expect("platform has cores"),
             InteractivePlacement::RoundRobin => {
                 let j = self.rr_next;
@@ -313,47 +236,20 @@ impl LeastMarginalCost {
             // the core's maximum frequency; the waiting delta is the
             // `Rt·L·T(p_m)·(1 + N_j)` remainder of Eq. 27, term for
             // term.
-            let pm = sim.max_allowed_rate(best);
-            let r = sim.rate_table(best).rate(pm);
-            let l = task.cycles as f64;
-            let nj = self.cores[best].n_waiting() as f64;
-            let wait_delta =
-                self.params.rt * l * r.time_per_cycle + self.params.rt * l * r.time_per_cycle * nj;
-            let costs = std::mem::take(&mut self.costs);
-            self.record_enqueue(
-                sim,
-                task,
-                EnqueueChoice {
-                    best,
-                    position: 0,
-                    rate: pm,
-                    costs,
-                    wait_delta,
-                },
-            );
+            let core = &self.cores[best];
+            let [energy_delta, run, wait] =
+                (core.lane).marginal_cost(self.params, sim, best, task.cycles, core.ledger.len());
+            let enqueue = EventKind::Enqueue {
+                task: task.id.0,
+                core: best as u32,
+                position: 0,
+                costs: std::mem::take(&mut self.costs),
+                energy_delta,
+                wait_delta: run + wait,
+            };
+            record(sim, enqueue);
         }
-        match self.cores[best].running {
-            None => {
-                debug_assert!(sim.is_idle(best));
-                let pm = sim.max_allowed_rate(best);
-                sim.dispatch(best, task.id, Some(pm));
-                self.cores[best].running = Some((task.id, TaskClass::Interactive));
-            }
-            Some((_, TaskClass::Interactive)) => {
-                // Already serving an interactive task; FIFO behind it.
-                self.cores[best].interactive.push_back(task.id);
-            }
-            Some((running_tid, _)) => {
-                // Preempt the lower-priority task (Section IV).
-                let preempted = sim.preempt(best);
-                debug_assert_eq!(preempted, running_tid);
-                debug_assert!(self.cores[best].suspended.is_none());
-                self.cores[best].suspended = Some(preempted);
-                let pm = sim.max_allowed_rate(best);
-                sim.dispatch(best, task.id, Some(pm));
-                self.cores[best].running = Some((task.id, TaskClass::Interactive));
-            }
-        }
+        self.cores[best].lane.place(sim, best, task.id);
     }
 
     fn handle_non_interactive(&mut self, sim: &mut dyn ExecutorView, task: &Task) {
@@ -378,31 +274,25 @@ impl LeastMarginalCost {
             let total = self.costs[best];
             let r = sim.rate_table(best).rate(rate);
             let energy_delta = self.params.re * task.cycles as f64 * r.energy_per_cycle;
-            let costs = std::mem::take(&mut self.costs);
-            self.record_enqueue(
-                sim,
-                task,
-                EnqueueChoice {
-                    best,
-                    position,
-                    rate,
-                    costs,
-                    wait_delta: total - energy_delta,
-                },
-            );
+            let enqueue = EventKind::Enqueue {
+                task: task.id.0,
+                core: best as u32,
+                position,
+                costs: std::mem::take(&mut self.costs),
+                energy_delta,
+                wait_delta: total - energy_delta,
+            };
+            record(sim, enqueue);
         }
-        match self.cores[best].running {
-            None => {
-                debug_assert!(sim.is_idle(best));
-                self.dispatch_next(sim, best);
-            }
-            Some((_, TaskClass::NonInteractive)) => {
+        match self.cores[best].lane.running() {
+            None => self.dispatch_next(sim, best),
+            Some(TaskClass::NonInteractive) => {
                 // The queue grew: the running task's backward position
                 // moved, so re-derive its rate (online-mode DVFS).
-                let rate = self.running_rate(sim, best);
+                let rate = running_rate(&self.cores[best].ledger, sim, best);
                 sim.set_rate(best, rate);
             }
-            Some((_, _)) => {} // interactive running at p_m; leave it
+            Some(_) => {} // interactive running at p_m; leave it
         }
     }
 }
@@ -424,8 +314,7 @@ impl Scheduler for LeastMarginalCost {
     }
 
     fn on_completion(&mut self, sim: &mut dyn ExecutorView, core: CoreId, task: &Task) {
-        debug_assert_eq!(self.cores[core].running.map(|(t, _)| t), Some(task.id));
-        self.cores[core].running = None;
+        self.cores[core].lane.complete(task.id);
         self.dispatch_next(sim, core);
     }
 }
@@ -436,17 +325,11 @@ mod tests {
     //! insert/read/remove probe it replaced, run through the engine.
     use super::*;
     use crate::sched::conformance::mixed_trace;
-    use crate::sched::engine::{Engine, EngineConfig, EngineEvent, EngineObserver};
+    use crate::sched::engine::{Engine, EngineConfig};
     use dvfs_model::{CoreSpec, RateTable};
     use dvfs_workloads::JudgeTraceConfig;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-
-    struct Quiet;
-
-    impl EngineObserver for Quiet {
-        fn on_event(&mut self, _time: f64, _event: EngineEvent) {}
-    }
 
     /// An arrival the two probes would have sent to different cores.
     struct Split {
@@ -505,7 +388,7 @@ mod tests {
             lmc: LeastMarginalCost::new(&platform, params),
             splits: Vec::new(),
         };
-        let mut engine = Engine::new(EngineConfig::new(platform), Quiet);
+        let mut engine = Engine::new(EngineConfig::new(platform), None::<dvfs_trace::Ring>);
         engine.add_tasks(tasks);
         engine.run_to_completion(&mut policy);
         policy.splits

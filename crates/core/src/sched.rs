@@ -26,7 +26,11 @@
 //! view. [`conformance`] holds the pin such an executor must reproduce;
 //! `NullExecutor` in `crates/bench/tests/trace_overhead.rs` is the
 //! smallest one. A new clock or actuator for the existing engine is a
-//! driver or an [`engine::EngineObserver`], not an executor.
+//! driver or an [`engine::EngineObserver`], not an executor: the engine
+//! hands its observer each transition as the lifecycle trace's own
+//! [`dvfs_trace::EventKind`] — `Dispatch`, `Preempt`, `RateChange` and
+//! `Complete` — and the policy adds its `Enqueue` provenance through
+//! [`ExecutorView::trace`].
 
 use dvfs_model::{CoreId, RateIdx, RateTable, Task, TaskId};
 use dvfs_trace::TraceSink;

@@ -20,16 +20,21 @@
 //! Governors, contention, DVFS switch latency and the power timeline
 //! are [`EngineConfig`] capabilities whose defaults reduce to the exact
 //! identities `× 1.0` and `+ 0.0`. Every transition is reported once,
-//! as one [`EngineEvent`], to the engine's one sink — its
-//! [`EngineObserver`]. What a driver *does* with it — write the
-//! lifecycle trace, land frequencies on an actuator — is the
+//! as the lifecycle trace's own line — a [`EventKind::Dispatch`]
+//! (whatever rate it set), [`EventKind::Preempt`],
+//! [`EventKind::RateChange`] (an effective `set_rate` or a governor
+//! tick) or [`EventKind::Complete`] — to the engine's one sink, its
+//! [`EngineObserver`]. An arrival is not a transition the trace
+//! records: it learns of a task from the service's `submit` or the
+//! policy's `enqueue`. What a driver *does* with a transition — write
+//! the lifecycle trace, land frequencies on an actuator — is the
 //! observer's business.
 
-use super::event::{Event, EventKind, EventQueue};
+use super::event::{self, Event, EventQueue};
 use super::governor::GovernorKind;
 use super::{ExecutorView, Scheduler};
 use dvfs_model::{CoreId, Platform, RateIdx, RateTable, Task, TaskId, TaskRecord};
-use dvfs_trace::TraceSink;
+use dvfs_trace::{EventKind, TraceSink};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
@@ -127,117 +132,13 @@ impl EngineConfig {
     }
 }
 
-/// One engine transition, reported to the [`EngineObserver`] at the
-/// engine time it happened.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EngineEvent {
-    /// A task arrived and is ready for dispatch.
-    Arrival {
-        /// The task.
-        task: TaskId,
-    },
-    /// A task started (or resumed) on a core. A rate chosen at dispatch
-    /// is reported here and *not* as a separate [`EngineEvent::RateChange`].
-    Dispatch {
-        /// Target core.
-        core: CoreId,
-        /// The task.
-        task: TaskId,
-        /// Rate index the core held before the dispatch.
-        from: RateIdx,
-        /// Rate index the core now runs at.
-        rate: RateIdx,
-        /// Energy the remaining work will draw if it runs to completion
-        /// undisturbed — the integrator's own expressions, so a drained
-        /// replay can check it bit-exactly against the measurement.
-        predicted_energy_j: f64,
-        /// Predicted remaining run time at this rate, in seconds.
-        predicted_time_s: f64,
-    },
-    /// A running task was preempted.
-    Preempt {
-        /// The core.
-        core: CoreId,
-        /// The preempted task.
-        task: TaskId,
-    },
-    /// A core's frequency changed outside a dispatch: an effective
-    /// `set_rate` or a governor tick.
-    RateChange {
-        /// The core.
-        core: CoreId,
-        /// Previous rate index.
-        from: RateIdx,
-        /// New rate index.
-        to: RateIdx,
-    },
-    /// A task completed.
-    Completion {
-        /// The core.
-        core: CoreId,
-        /// The task.
-        task: TaskId,
-        /// Measured active energy the task drew, in joules.
-        energy_j: f64,
-        /// Measured turnaround (completion − arrival), in seconds.
-        turnaround_s: f64,
-    },
-}
-
-impl EngineEvent {
-    /// The lifecycle-trace line of this transition. An arrival has
-    /// none: the trace learns of a task from the service's `submit` or
-    /// the policy's `enqueue`.
-    #[must_use]
-    pub fn trace_kind(self) -> Option<dvfs_trace::EventKind> {
-        use dvfs_trace::EventKind as Line;
-        Some(match self {
-            EngineEvent::Arrival { .. } => return None,
-            EngineEvent::Dispatch {
-                core,
-                task,
-                rate,
-                predicted_energy_j,
-                predicted_time_s,
-                ..
-            } => Line::Dispatch {
-                task: task.0,
-                core: core as u32,
-                rate: rate as u32,
-                predicted_energy_j,
-                predicted_time_s,
-            },
-            EngineEvent::Preempt { core, task } => Line::Preempt {
-                task: task.0,
-                core: core as u32,
-            },
-            EngineEvent::RateChange { core, from, to } => Line::RateChange {
-                core: core as u32,
-                from: from as u32,
-                to: to as u32,
-            },
-            EngineEvent::Completion {
-                core,
-                task,
-                energy_j,
-                turnaround_s,
-            } => Line::Complete {
-                task: task.0,
-                core: core as u32,
-                energy_j,
-                turnaround_s,
-            },
-        })
-    }
-}
-
 /// The engine-event seam: every transition — and so every rate
 /// mutation, whoever caused it — reaches the observer exactly once.
 /// The simulator's trace recorder and the service's rate actuator are
 /// both observers.
 pub trait EngineObserver {
     /// `event` happened at engine time `time` (seconds).
-    fn on_event(&mut self, time: f64, event: EngineEvent);
+    fn on_event(&mut self, time: f64, event: EventKind);
 
     /// The sink this observer writes the lifecycle trace to, if it
     /// keeps one: what [`ExecutorView::trace`] hands a policy, so its
@@ -248,15 +149,13 @@ pub trait EngineObserver {
     }
 }
 
-/// The plainest observer is an optional trace sink: it writes each
-/// transition's [`EngineEvent::trace_kind`] line and, when `None`,
-/// records and allocates nothing.
+/// The plainest observer is an optional trace sink: it records each
+/// transition as it is given and, when `None`, records and allocates
+/// nothing.
 impl<S: TraceSink> EngineObserver for Option<S> {
-    fn on_event(&mut self, time: f64, event: EngineEvent) {
+    fn on_event(&mut self, time: f64, event: EventKind) {
         if let Some(sink) = self {
-            if let Some(kind) = event.trace_kind() {
-                sink.record(time, kind);
-            }
+            sink.record(time, event);
         }
     }
 
@@ -354,7 +253,7 @@ impl<O: EngineObserver> Engine<O> {
         let mut queue = EventQueue::default();
         for (j, governor) in cfg.governors.iter().enumerate() {
             if let Some(period) = governor.period() {
-                queue.push(period, EventKind::GovernorTick { core: j });
+                queue.push(period, event::EventKind::GovernorTick { core: j });
             }
         }
         Engine {
@@ -374,8 +273,8 @@ impl<O: EngineObserver> Engine<O> {
         }
     }
 
-    fn emit(&mut self, event: EngineEvent) {
-        self.observer.on_event(self.now, event);
+    fn emit(&mut self, kind: EventKind) {
+        self.observer.on_event(self.now, kind);
     }
 
     /// The one insert path: `record_arrival` is the stamp turnaround is
@@ -410,7 +309,8 @@ impl<O: EngineObserver> Engine<O> {
             }
         };
         entry.insert(slot);
-        self.queue.push(event_at, EventKind::Arrival { slot });
+        self.queue
+            .push(event_at, event::EventKind::Arrival { slot });
         slot
     }
 
@@ -562,7 +462,7 @@ impl<O: EngineObserver> Engine<O> {
             let t_fin = self.now + stall + run;
             self.queue.push(
                 t_fin,
-                EventKind::Completion {
+                event::EventKind::Completion {
                     core: j,
                     epoch: self.cores[j].epoch,
                 },
@@ -591,7 +491,11 @@ impl<O: EngineObserver> Engine<O> {
         if self.cfg.switch_latency_s > 0.0 {
             self.cores[j].stall_until = self.now + self.cfg.switch_latency_s;
         }
-        self.emit(EngineEvent::RateChange { core: j, from, to });
+        self.emit(EventKind::RateChange {
+            core: j as u32,
+            from: from as u32,
+            to: to as u32,
+        });
         self.reschedule_after_mutation(j);
     }
 
@@ -605,16 +509,15 @@ impl<O: EngineObserver> Engine<O> {
         debug_assert!(ev.time >= self.now - 1e-9, "event time precedes now");
         self.now = self.now.max(ev.time);
         match ev.kind {
-            EventKind::Arrival { slot } => {
+            event::EventKind::Arrival { slot } => {
                 self.sync_all();
                 let job = &mut self.jobs[slot];
                 debug_assert_eq!(job.phase, JobPhase::Future);
                 job.phase = JobPhase::Ready;
                 let t = job.task.clone();
-                self.emit(EngineEvent::Arrival { task: t.id });
                 policy.on_arrival(self, &t);
             }
-            EventKind::Completion { core, epoch } => {
+            event::EventKind::Completion { core, epoch } => {
                 if self.cores[core].epoch != epoch {
                     return; // stale projection
                 }
@@ -635,16 +538,16 @@ impl<O: EngineObserver> Engine<O> {
                 self.cores[core].running = None;
                 self.last_completion = self.now;
                 self.completions.push(slot);
-                self.emit(EngineEvent::Completion {
-                    core,
-                    task: t.id,
+                self.emit(EventKind::Complete {
+                    task: t.id.0,
+                    core: core as u32,
                     energy_j: rec.energy_joules,
                     turnaround_s: self.now - rec.arrival,
                 });
                 self.reschedule_after_mutation(core);
                 policy.on_completion(self, core, &t);
             }
-            EventKind::GovernorTick { core } => {
+            event::EventKind::GovernorTick { core } => {
                 self.sync_all();
                 let governor = self.cfg.governors[core];
                 let period = governor.period().expect("tick implies periodic governor");
@@ -658,7 +561,7 @@ impl<O: EngineObserver> Engine<O> {
                 // Re-arm unconditionally: a driver may push more work
                 // after the current backlog drains.
                 self.queue
-                    .push(self.now + period, EventKind::GovernorTick { core });
+                    .push(self.now + period, event::EventKind::GovernorTick { core });
                 policy.on_tick(self, core);
             }
         }
@@ -875,11 +778,10 @@ impl<O: EngineObserver> ExecutorView for Engine<O> {
         let (stall, run) = self.projection(j, remaining);
         let predicted_time_s = stall + run;
         let power = self.rate_table(j).rate(rate).active_power_watts();
-        self.emit(EngineEvent::Dispatch {
-            core: j,
-            task,
-            from,
-            rate,
+        self.emit(EventKind::Dispatch {
+            task: task.0,
+            core: j as u32,
+            rate: rate as u32,
             predicted_energy_j: power * predicted_time_s,
             predicted_time_s,
         });
@@ -894,7 +796,10 @@ impl<O: EngineObserver> ExecutorView for Engine<O> {
         job.record.preemptions += 1;
         let tid = job.record.id;
         self.cores[j].running = None;
-        self.emit(EngineEvent::Preempt { core: j, task: tid });
+        self.emit(EventKind::Preempt {
+            task: tid.0,
+            core: j as u32,
+        });
         self.reschedule_after_mutation(j);
         tid
     }
@@ -1611,11 +1516,11 @@ mod tests {
 
     /// Records every engine event it is handed, and writes the trace
     /// the way both drivers' observers do: through an optional sink.
-    struct Recorder(Vec<(f64, EngineEvent)>, Option<dvfs_trace::Ring>);
+    struct Recorder(Vec<(f64, EventKind)>, Option<dvfs_trace::Ring>);
 
     impl EngineObserver for Recorder {
-        fn on_event(&mut self, time: f64, event: EngineEvent) {
-            self.0.push((time, event));
+        fn on_event(&mut self, time: f64, event: EventKind) {
+            self.0.push((time, event.clone()));
             self.1.on_event(time, event);
         }
     }
@@ -1656,17 +1561,15 @@ mod tests {
         ]);
         engine.run_to_completion(&mut Mutator);
 
-        // Every event that carries a rate, as `(time, core, from, to)`:
-        // what a frequency actuator would be asked to write.
-        let writes: Vec<(f64, CoreId, RateIdx, RateIdx)> = engine
-            .observer
-            .0
-            .iter()
-            .filter_map(|&(t, ev)| match ev {
-                EngineEvent::Dispatch {
-                    core, from, rate, ..
-                } => Some((t, core, from, rate)),
-                EngineEvent::RateChange { core, from, to } => Some((t, core, from, to)),
+        // Every event that carries a rate, as `(time, core, rate)`: what
+        // a frequency actuator would be asked to write.
+        let writes: Vec<(f64, u32, u32)> = (engine.observer.0.iter())
+            .filter_map(|(t, ev)| match *ev {
+                EventKind::Dispatch { core, rate, .. } => Some((*t, core, rate)),
+                EventKind::RateChange { core, from, to } => {
+                    assert_ne!(from, to, "a silent rate change was reported");
+                    Some((*t, core, to))
+                }
                 _ => None,
             })
             .collect();
@@ -1674,38 +1577,35 @@ mod tests {
         assert_eq!(
             writes,
             vec![
-                (0.0, 0, 0, 2),   // dispatch-with-rate, not also a RateChange
-                (0.5, 0, 2, 1),   // effective set_rate (its repeat is silent)
-                (1.0, 0, 1, 4),   // governor tick
-                (done1, 0, 4, 4), // dispatch without a rate reports the held one
+                (0.0, 0, 2),   // dispatch-with-rate, not also a RateChange
+                (0.5, 0, 1),   // effective set_rate (its repeat is silent)
+                (1.0, 0, 4),   // governor tick
+                (done1, 0, 4), // dispatch without a rate reports the held one
             ]
         );
         // The engine's own view agrees with the last write.
         assert_eq!(engine.current_rate(0), 4);
         // And each lifecycle transition was reported exactly once too.
-        let count = |pred: fn(&EngineEvent) -> bool| {
-            engine.observer.0.iter().filter(|(_, e)| pred(e)).count()
-        };
-        assert_eq!(count(|e| matches!(e, EngineEvent::Arrival { .. })), 2);
-        assert_eq!(count(|e| matches!(e, EngineEvent::Dispatch { .. })), 2);
-        assert_eq!(count(|e| matches!(e, EngineEvent::Completion { .. })), 2);
-        assert_eq!(count(|e| matches!(e, EngineEvent::Preempt { .. })), 0);
-        // The trace holds exactly one line per non-arrival event, in
-        // order, at the event's time: nothing reaches it a second way.
-        let lines: Vec<(f64, dvfs_trace::EventKind)> = (engine.observer.1.take())
+        let names: Vec<&str> = (engine.observer.0.iter()).map(|(_, e)| e.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "dispatch",
+                "rate_change",
+                "rate_change",
+                "complete",
+                "dispatch",
+                "complete"
+            ]
+        );
+        // The trace holds exactly the events the observer was handed, in
+        // order, at their times: nothing reaches it a second way.
+        let lines: Vec<(f64, EventKind)> = (engine.observer.1.take())
             .expect("recording")
             .drain()
             .into_iter()
             .map(|line| (line.time, line.kind))
             .collect();
-        let want: Vec<(f64, dvfs_trace::EventKind)> = (engine.observer.0.iter())
-            .filter_map(|&(t, e)| Some((t, e.trace_kind()?)))
-            .collect();
-        assert_eq!(
-            lines.len(),
-            2 + 2 + 2,
-            "dispatches, rate changes, completions"
-        );
-        assert_eq!(lines, want);
+        assert_eq!(lines, engine.observer.0);
     }
 }

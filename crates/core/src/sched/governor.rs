@@ -65,15 +65,6 @@ impl GovernorKind {
         }
     }
 
-    /// Whether this governor needs periodic tick events.
-    #[must_use]
-    pub fn needs_ticks(&self) -> bool {
-        matches!(
-            self,
-            GovernorKind::OnDemand { .. } | GovernorKind::Conservative { .. }
-        )
-    }
-
     /// Evaluation period for tick-driven governors.
     #[must_use]
     pub fn period(&self) -> Option<f64> {
@@ -156,7 +147,6 @@ mod tests {
         assert_eq!(g.next_rate(0.1, 0, 4), 0, "floored at the bottom");
         assert_eq!(g.next_rate(0.5, 2, 4), 2, "dead band holds steady");
         assert_eq!(g.next_rate(0.95, 4, 2), 2, "cap clamps before stepping");
-        assert!(g.needs_ticks());
         assert_eq!(g.period(), Some(1.0));
     }
 
@@ -164,8 +154,6 @@ mod tests {
     fn performance_pins_to_cap_and_userspace_keeps_current() {
         assert_eq!(GovernorKind::Performance.next_rate(0.0, 1, 4), 4);
         assert_eq!(GovernorKind::Userspace.next_rate(1.0, 1, 4), 1);
-        assert!(!GovernorKind::Userspace.needs_ticks());
-        assert!(GovernorKind::ondemand_paper().needs_ticks());
         assert_eq!(GovernorKind::ondemand_paper().period(), Some(1.0));
         assert_eq!(GovernorKind::Performance.period(), None);
     }

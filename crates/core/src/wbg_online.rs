@@ -11,23 +11,27 @@
 //! idealized upper bound: on every non-interactive arrival it pools all
 //! *waiting* non-interactive tasks (running tasks are non-migratable)
 //! and redistributes them across cores with Algorithm 3 at zero
-//! migration cost. Interactive handling matches LMC (Equation 27 +
-//! preemption). Comparing it against [`crate::LeastMarginalCost`]
-//! quantifies how much cost the migration-free heuristic actually gives
-//! up — the trade the paper asserts but does not measure.
+//! migration cost. Interactive tasks follow Section IV's rule, the one
+//! LMC follows too (Equation 27, preemption, `p_m`; see
+//! `crates/core/src/interactive.rs`), so the two differ only in where
+//! non-interactive work waits. Comparing it against
+//! [`crate::LeastMarginalCost`] quantifies how much cost the
+//! migration-free heuristic actually gives up — the trade the paper
+//! asserts but does not measure.
 
 use crate::batch::schedule_wbg;
+use crate::dominating::DominatingRanges;
+use crate::interactive::{least, marginal_costs, Lane};
 use crate::sched::{ExecutorView, Scheduler};
 use dvfs_model::{CoreId, CostParams, Platform, RateIdx, Task, TaskClass, TaskId};
 use std::collections::{BTreeMap, VecDeque};
 
+#[derive(Default)]
 struct CoreState {
     /// Waiting non-interactive tasks in execution order (front runs
     /// next), with their planned rates from the last redistribution.
     queue: VecDeque<(TaskId, RateIdx)>,
-    interactive: VecDeque<TaskId>,
-    suspended: Option<TaskId>,
-    running: Option<(TaskId, TaskClass)>,
+    lane: Lane,
 }
 
 /// Online policy that re-runs Workload Based Greedy over the waiting
@@ -37,7 +41,7 @@ pub struct WbgReassign {
     params: CostParams,
     cores: Vec<CoreState>,
     /// Per-core dominating ranges, precomputed once.
-    ranges: Vec<crate::dominating::DominatingRanges>,
+    ranges: Vec<DominatingRanges>,
     /// Cycles of every known task (WBG reschedules by original size).
     cycles: BTreeMap<TaskId, u64>,
 }
@@ -46,23 +50,17 @@ impl WbgReassign {
     /// Build the policy for a platform under the given cost parameters.
     #[must_use]
     pub fn new(platform: &Platform, params: CostParams) -> Self {
-        let cores = (0..platform.num_cores())
-            .map(|_| CoreState {
-                queue: VecDeque::new(),
-                interactive: VecDeque::new(),
-                suspended: None,
-                running: None,
-            })
-            .collect();
         let ranges = platform
             .cores()
             .iter()
-            .map(|c| crate::dominating::DominatingRanges::compute(&c.rates, params))
+            .map(|c| DominatingRanges::compute(&c.rates, params))
             .collect();
         WbgReassign {
             platform: platform.clone(),
             params,
-            cores,
+            cores: (0..platform.num_cores())
+                .map(|_| CoreState::default())
+                .collect(),
             ranges,
             cycles: BTreeMap::new(),
         }
@@ -70,84 +68,33 @@ impl WbgReassign {
 
     /// Pool every waiting non-interactive task plus `extra`, rerun WBG,
     /// and replace all queues.
-    fn redistribute(&mut self, extra: Option<TaskId>) {
-        let mut pool: Vec<Task> = Vec::new();
-        for c in &self.cores {
-            for &(tid, _) in &c.queue {
-                pool.push(Task::batch(tid.0, self.cycles[&tid]).expect("known tasks have cycles"));
-            }
-        }
-        if let Some(tid) = extra {
-            pool.push(Task::batch(tid.0, self.cycles[&tid]).expect("known task"));
-        }
+    fn redistribute(&mut self, extra: TaskId) {
+        let waiting = self
+            .cores
+            .iter()
+            .flat_map(|c| &c.queue)
+            .map(|&(tid, _)| tid);
+        let pool: Vec<Task> = waiting
+            .chain([extra])
+            .map(|tid| Task::batch(tid.0, self.cycles[&tid]).expect("known tasks have cycles"))
+            .collect();
         let plan = schedule_wbg(&pool, &self.platform, self.params);
-        for (j, seq) in plan.per_core.into_iter().enumerate() {
-            self.cores[j].queue = seq.into_iter().collect();
+        for (core, seq) in self.cores.iter_mut().zip(plan.per_core) {
+            core.queue = seq.into();
         }
-    }
-
-    fn rate_for_running(&self, sim: &dyn ExecutorView, j: CoreId) -> RateIdx {
-        // Backward position of the running task = waiting queue + itself.
-        let kb = self.cores[j].queue.len() as u64 + 1;
-        self.ranges[j].rate_for(kb).min(sim.max_allowed_rate(j))
     }
 
     fn dispatch_next(&mut self, sim: &mut dyn ExecutorView, j: CoreId) {
-        debug_assert!(sim.is_idle(j));
-        if let Some(tid) = self.cores[j].interactive.pop_front() {
-            let pm = sim.max_allowed_rate(j);
-            sim.dispatch(j, tid, Some(pm));
-            self.cores[j].running = Some((tid, TaskClass::Interactive));
+        // The resumed task's backward position: the waiting queue + itself.
+        let (core, range) = (&mut self.cores[j], &self.ranges[j]);
+        let kb = core.queue.len() as u64 + 1;
+        let resume = |x: &dyn ExecutorView| range.rate_for(kb).min(x.max_allowed_rate(j));
+        if core.lane.dispatch_urgent(sim, j, resume) {
             return;
         }
-        if let Some(tid) = self.cores[j].suspended.take() {
-            let rate = self.rate_for_running(sim, j);
-            sim.dispatch(j, tid, Some(rate));
-            self.cores[j].running = Some((tid, TaskClass::NonInteractive));
-            return;
-        }
-        if let Some((tid, planned_rate)) = self.cores[j].queue.pop_front() {
+        if let Some((tid, planned_rate)) = core.queue.pop_front() {
             let rate = planned_rate.min(sim.max_allowed_rate(j));
-            sim.dispatch(j, tid, Some(rate));
-            self.cores[j].running = Some((tid, TaskClass::NonInteractive));
-            return;
-        }
-        self.cores[j].running = None;
-    }
-
-    fn handle_interactive(&mut self, sim: &mut dyn ExecutorView, task: &Task) {
-        // Equation 27 core choice, as in LMC.
-        let best = (0..self.cores.len())
-            .map(|j| {
-                let r = sim.rate_table(j).rate(sim.max_allowed_rate(j));
-                let l = task.cycles as f64;
-                let nj = (self.cores[j].queue.len()
-                    + usize::from(self.cores[j].suspended.is_some()))
-                    as f64;
-                let cost = self.params.re * l * r.energy_per_cycle
-                    + self.params.rt * l * r.time_per_cycle * (1.0 + nj);
-                (cost, j)
-            })
-            .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)))
-            .expect("has cores")
-            .1;
-        match self.cores[best].running {
-            None => {
-                let pm = sim.max_allowed_rate(best);
-                sim.dispatch(best, task.id, Some(pm));
-                self.cores[best].running = Some((task.id, TaskClass::Interactive));
-            }
-            Some((_, TaskClass::Interactive)) => {
-                self.cores[best].interactive.push_back(task.id);
-            }
-            Some(_) => {
-                let preempted = sim.preempt(best);
-                debug_assert!(self.cores[best].suspended.is_none());
-                self.cores[best].suspended = Some(preempted);
-                let pm = sim.max_allowed_rate(best);
-                sim.dispatch(best, task.id, Some(pm));
-                self.cores[best].running = Some((task.id, TaskClass::Interactive));
-            }
+            core.lane.run(sim, j, tid, TaskClass::NonInteractive, rate);
         }
     }
 }
@@ -160,16 +107,19 @@ impl Scheduler for WbgReassign {
     fn on_arrival(&mut self, sim: &mut dyn ExecutorView, task: &Task) {
         self.cycles.insert(task.id, task.cycles);
         match task.class {
-            TaskClass::Interactive => self.handle_interactive(sim, task),
+            TaskClass::Interactive => {
+                let mut costs = Vec::new();
+                let cores = self.cores.iter().map(|c| (&c.lane, c.queue.len()));
+                marginal_costs(self.params, sim, task.cycles, cores, &mut costs);
+                let best = least(&costs);
+                self.cores[best].lane.place(sim, best, task.id);
+            }
             TaskClass::NonInteractive | TaskClass::Batch => {
-                self.redistribute(Some(task.id));
+                self.redistribute(task.id);
                 // Wake any idle cores that received work.
                 for j in 0..self.cores.len() {
-                    if sim.is_idle(j)
-                        && self.cores[j].running.is_none()
-                        && (!self.cores[j].queue.is_empty()
-                            || !self.cores[j].interactive.is_empty())
-                    {
+                    let core = &self.cores[j];
+                    if core.lane.running().is_none() && !core.queue.is_empty() {
                         self.dispatch_next(sim, j);
                     }
                 }
@@ -178,8 +128,7 @@ impl Scheduler for WbgReassign {
     }
 
     fn on_completion(&mut self, sim: &mut dyn ExecutorView, core: CoreId, task: &Task) {
-        debug_assert_eq!(self.cores[core].running.map(|(t, _)| t), Some(task.id));
-        self.cores[core].running = None;
+        self.cores[core].lane.complete(task.id);
         self.cycles.remove(&task.id);
         self.dispatch_next(sim, core);
     }

@@ -112,15 +112,6 @@ impl Platform {
         &self.cores
     }
 
-    /// Whether all cores share identical rate tables (homogeneous system,
-    /// Section III-C / Theorem 4).
-    #[must_use]
-    pub fn is_homogeneous(&self) -> bool {
-        self.cores
-            .windows(2)
-            .all(|w| w[0].rates == w[1].rates && w[0].idle_power_watts == w[1].idle_power_watts)
-    }
-
     /// Total idle power across all cores, in watts.
     #[must_use]
     pub fn total_idle_power(&self) -> f64 {
@@ -133,18 +124,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quad_i7_is_homogeneous() {
+    fn quad_i7_has_four_cores_idling_at_8_w() {
         let p = Platform::i7_950_quad();
         assert_eq!(p.num_cores(), 4);
-        assert!(p.is_homogeneous());
         assert!((p.total_idle_power() - 8.0).abs() < 1e-12);
     }
 
     #[test]
-    fn big_little_is_heterogeneous() {
+    fn big_little_mixes_two_rate_tables() {
         let p = Platform::big_little(2, 2);
         assert_eq!(p.num_cores(), 4);
-        assert!(!p.is_homogeneous());
         assert!(p.core(0).unwrap().rates.len() == 5);
         assert!(p.core(2).unwrap().rates.len() == 16);
     }
@@ -163,11 +152,5 @@ mod tests {
             p.core(4).unwrap_err(),
             ModelError::CoreOutOfRange { core: 4, ncores: 4 }
         );
-    }
-
-    #[test]
-    fn single_core_platform_is_homogeneous() {
-        let p = Platform::homogeneous(1, CoreSpec::new(RateTable::i7_950_table2())).unwrap();
-        assert!(p.is_homogeneous());
     }
 }

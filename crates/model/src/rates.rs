@@ -138,30 +138,6 @@ impl RateTable {
         RateTable::new(vec![t.points[0], t.points[4]]).expect("subset preserves invariants")
     }
 
-    /// Build a table from measured `(GHz, watts)` pairs, the way the
-    /// paper built Table II: "to obtain the values of E(pk), we measure
-    /// the power consumption of a core with 100% loading using different
-    /// pk, and divide the result by pk". `T(p) = 1/p`.
-    ///
-    /// # Errors
-    /// Returns a [`ModelError`] when the derived table violates the
-    /// model invariants (e.g. measured power not growing superlinearly
-    /// enough for `E(p)` to increase).
-    pub fn from_measurements(pairs: &[(f64, f64)]) -> Result<Self, ModelError> {
-        let pts = pairs
-            .iter()
-            .map(|&(ghz, watts)| {
-                let freq_hz = ghz * 1e9;
-                RatePoint {
-                    freq_hz,
-                    energy_per_cycle: watts / freq_hz,
-                    time_per_cycle: 1.0 / freq_hz,
-                }
-            })
-            .collect();
-        RateTable::new(pts)
-    }
-
     /// An ARM Exynos-4412-like rate table. Section II-B cites this CPU's
     /// range ("0.2, 0.3 to 1.7 GHz"); we expose sixteen 100 MHz steps
     /// from 0.2 to 1.7 GHz with a quadratic per-cycle energy profile
@@ -249,25 +225,10 @@ impl RateTable {
         self.points[idx]
     }
 
-    /// Index of the slowest rate (`p_1`).
-    #[must_use]
-    pub fn min_rate(&self) -> RateIdx {
-        0
-    }
-
     /// Index of the fastest rate (`p_|P|`).
     #[must_use]
     pub fn max_rate(&self) -> RateIdx {
         self.points.len() - 1
-    }
-
-    /// Find the index of the rate with the given frequency in Hz, within
-    /// 0.5 kHz tolerance. Returns `None` when the frequency is not offered.
-    #[must_use]
-    pub fn index_of_freq(&self, freq_hz: f64) -> Option<RateIdx> {
-        self.points
-            .iter()
-            .position(|p| (p.freq_hz - freq_hz).abs() < 500.0)
     }
 
     /// Execution time in seconds for `cycles` cycles at rate `idx`
@@ -425,43 +386,11 @@ mod tests {
     }
 
     #[test]
-    fn index_of_freq_finds_exact_levels() {
-        let t = RateTable::i7_950_table2();
-        assert_eq!(t.index_of_freq(2.4e9), Some(2));
-        assert_eq!(t.index_of_freq(2.5e9), None);
-    }
-
-    #[test]
     fn synthetic_table_valid_for_many_levels() {
         for levels in [1usize, 2, 7, 64, 512] {
             let t = RateTable::synthetic_quadratic(levels, 0.4, 3.2);
             assert_eq!(t.len(), levels);
         }
-    }
-
-    #[test]
-    fn from_measurements_follows_paper_procedure() {
-        // Power measurements implying E = W/f per cycle.
-        let t = RateTable::from_measurements(&[(1.0, 2.0), (2.0, 8.0), (3.0, 21.0)]).unwrap();
-        assert_eq!(t.len(), 3);
-        assert!((t.rate(0).energy_per_cycle - 2.0e-9).abs() < 1e-18);
-        assert!((t.rate(1).energy_per_cycle - 4.0e-9).abs() < 1e-18);
-        assert!((t.rate(2).energy_per_cycle - 7.0e-9).abs() < 1e-18);
-        assert!((t.rate(2).active_power_watts() - 21.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn from_measurements_rejects_sublinear_power() {
-        // Power growing only linearly → constant E(p): invalid model.
-        assert!(matches!(
-            RateTable::from_measurements(&[(1.0, 2.0), (2.0, 4.0)]),
-            Err(ModelError::NonMonotonicEnergy { .. })
-        ));
-        // And an empty measurement set.
-        assert!(matches!(
-            RateTable::from_measurements(&[]),
-            Err(ModelError::EmptyRateTable)
-        ));
     }
 
     #[test]
@@ -486,9 +415,8 @@ mod tests {
     }
 
     #[test]
-    fn min_max_rate_indices() {
+    fn max_rate_index() {
         let t = RateTable::i7_950_table2();
-        assert_eq!(t.min_rate(), 0);
         assert_eq!(t.max_rate(), 4);
         assert!(!t.is_empty());
     }

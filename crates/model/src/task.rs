@@ -148,12 +148,6 @@ impl Task {
     pub fn non_interactive(id: u64, cycles: u64, arrival: f64) -> Result<Self, ModelError> {
         Task::online(id, cycles, arrival, None, TaskClass::NonInteractive)
     }
-
-    /// Whether the task has a time constraint (finite deadline).
-    #[must_use]
-    pub fn has_deadline(&self) -> bool {
-        self.deadline.is_some()
-    }
 }
 
 /// Build a batch workload from raw cycle counts, assigning sequential ids.
@@ -180,7 +174,6 @@ mod tests {
         assert_eq!(t.arrival, 0.0);
         assert_eq!(t.deadline, None);
         assert_eq!(t.class, TaskClass::Batch);
-        assert!(!t.has_deadline());
     }
 
     #[test]
@@ -203,7 +196,7 @@ mod tests {
             Err(ModelError::DeadlineBeforeArrival)
         );
         let t = Task::online(1, 10, 5.0, Some(6.0), TaskClass::NonInteractive).unwrap();
-        assert!(t.has_deadline());
+        assert_eq!(t.deadline, Some(6.0));
     }
 
     #[test]

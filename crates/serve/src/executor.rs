@@ -22,10 +22,10 @@
 //! pin this wrapper — actuation, completion order, report merging,
 //! sharding — not a second copy of the arithmetic.
 
-use dvfs_core::sched::engine::{Engine, EngineConfig, EngineEvent, EngineObserver};
+use dvfs_core::sched::engine::{Engine, EngineConfig, EngineObserver};
 use dvfs_model::{CostBreakdown, CostParams, Platform, RateIdx, TaskRecord};
 use dvfs_sysfs::{DvfsActuator, SimulatedSysfs};
-use dvfs_trace::{SharedRing, TraceSink};
+use dvfs_trace::{EventKind, SharedRing, TraceSink};
 use std::ops::{Deref, DerefMut};
 
 /// Everything one completed round of service produced, in the same
@@ -165,14 +165,14 @@ pub struct Actuation {
 }
 
 impl EngineObserver for Actuation {
-    fn on_event(&mut self, time: f64, event: EngineEvent) {
-        self.ring.on_event(time, event);
+    fn on_event(&mut self, time: f64, event: EventKind) {
         let (cpu, rate) = match event {
-            EngineEvent::Dispatch { core, rate, .. } => (core, rate),
-            EngineEvent::RateChange { core, to, .. } => (core, to),
-            _ => return,
+            EventKind::Dispatch { core, rate, .. } => (core, rate),
+            EventKind::RateChange { core, to, .. } => (core, to),
+            _ => return self.ring.on_event(time, event),
         };
-        if self.actuator.apply(cpu, rate) {
+        self.ring.on_event(time, event);
+        if self.actuator.apply(cpu as usize, rate as RateIdx) {
             self.applied += 1;
         } else {
             self.errored += 1;
@@ -372,6 +372,34 @@ mod tests {
         assert_eq!(errored, 0);
         // Drained: a second take reports nothing.
         assert_eq!(rt.take_actuations(), (0, 0));
+    }
+
+    #[test]
+    fn every_dispatch_and_rate_change_line_is_applied_exactly_once() {
+        let ring = SharedRing::new(0, 1 << 12);
+        let mut rt = RealTimeExecutor::new(service_platform(1));
+        rt.set_trace_ring(Some(ring.clone()));
+        let mut policy = lmc(1);
+        // Task 0 runs alone for a second; the other 40 arrive under it,
+        // and the queue they grow moves its backward position past the
+        // online parameters' first range boundaries (28 and 39), so its
+        // rate changes outside any dispatch.
+        for id in 0..=40 {
+            let (cycles, arrival) = if id == 0 {
+                (1_600_000_000, 0.0)
+            } else {
+                (1_000_000, 0.01 * id as f64)
+            };
+            let task = Task::online(id, cycles, arrival, None, TaskClass::NonInteractive);
+            rt.push_task(&task.unwrap());
+        }
+        rt.run_to_completion(&mut policy);
+        let lines = ring.drain();
+        let count = |name| lines.iter().filter(|l| l.kind.name() == name).count() as u64;
+        let (dispatches, changes) = (count("dispatch"), count("rate_change"));
+        assert_eq!(dispatches, 41);
+        assert!(changes >= 1, "the queue grew under a running task");
+        assert_eq!(rt.take_actuations(), (dispatches + changes, 0));
     }
 
     #[test]

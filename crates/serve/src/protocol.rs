@@ -60,11 +60,19 @@
 //!   per-stage latency histogram snapshots, a `"reactor"` object of
 //!   event-loop stats, and trace-ring drop counts; like `stats`, it
 //!   asks no worker.
+//!
+//! Unbounded by contract: an explicit `"id"` stays in the round's id
+//! ledger until a `drain` (≈15 B each), so a paced daemon fed unique
+//! explicit ids and never drained grows without bound; and with
+//! `--trace-cap N` each `drain` or `trace` moves up to `N` × shards
+//! events into the retained trace, which keeps them until a
+//! `trace_stream` takes them.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 #![deny(clippy::indexing_slicing, clippy::unreachable, clippy::unimplemented)]
 #![deny(clippy::string_slice)]
 
+use crate::worker::class_tag;
 use dvfs_model::TaskClass;
 use serde_json::{Number, Value};
 
@@ -290,16 +298,6 @@ pub(crate) fn unknown(what: &str, s: &str) -> String {
     }
 }
 
-/// Wire name of a task class.
-#[must_use]
-pub fn class_name(class: TaskClass) -> &'static str {
-    match class {
-        TaskClass::Interactive => "interactive",
-        TaskClass::NonInteractive => "non_interactive",
-        TaskClass::Batch => "batch",
-    }
-}
-
 /// Parse one request line — in one pass over its bytes, without
 /// building a JSON tree (see the `codec` module).
 ///
@@ -326,7 +324,7 @@ pub fn encode_submit(
     pairs.push(field_u64("cycles", cycles));
     pairs.push((
         "class".to_string(),
-        Value::String(class_name(class).to_string()),
+        Value::String(class_tag(class).name().to_string()),
     ));
     if let Some(a) = arrival {
         pairs.push(field_f64("arrival", a));
