@@ -18,27 +18,26 @@ use dvfs_model::{CoreId, CostParams, RateIdx, TaskClass, TaskId};
 use std::collections::VecDeque;
 
 /// The core with the least cost, ties to the lower index.
-pub(crate) fn least(costs: &[f64]) -> CoreId {
-    (0..costs.len())
-        .min_by(|&a, &b| costs[a].partial_cmp(&costs[b]).expect("finite costs"))
+pub(crate) fn least(costs: impl IntoIterator<Item = f64>) -> CoreId {
+    (costs.into_iter().enumerate())
+        .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite costs"))
+        .map(|(j, _)| j)
         .expect("platform has cores")
 }
 
-/// Fill `costs` with every core's Equation 27 marginal cost for an
-/// interactive task of `cycles` cycles; `cores` yields each core's lane
-/// and the length of its queue, in core order.
+/// Every core's Equation 27 marginal cost for an interactive task of
+/// `cycles` cycles, in core order; `cores` yields each core's lane and
+/// the length of its queue.
 pub(crate) fn marginal_costs<'a>(
     params: CostParams,
-    x: &dyn ExecutorView,
+    x: &'a dyn ExecutorView,
     cycles: u64,
-    cores: impl Iterator<Item = (&'a Lane, usize)>,
-    costs: &mut Vec<f64>,
-) {
-    costs.clear();
-    for (j, (lane, queued)) in cores.enumerate() {
+    cores: impl Iterator<Item = (&'a Lane, usize)> + 'a,
+) -> impl Iterator<Item = f64> + 'a {
+    cores.enumerate().map(move |(j, (lane, queued))| {
         let [energy, run, wait] = lane.marginal_cost(params, x, j, cycles, queued);
-        costs.push(energy + run + wait);
-    }
+        energy + run + wait
+    })
 }
 
 /// One core's state under the Section IV rule.

@@ -219,8 +219,9 @@ impl LeastMarginalCost {
         let best = match self.placement {
             InteractivePlacement::MarginalCost => {
                 let cores = self.cores.iter().map(|c| (&c.lane, c.ledger.len()));
-                marginal_costs(self.params, sim, task.cycles, cores, &mut self.costs);
-                least(&self.costs)
+                self.costs
+                    .extend(marginal_costs(self.params, sim, task.cycles, cores));
+                least(self.costs.iter().copied())
             }
             InteractivePlacement::LeastQueue => (0..self.cores.len())
                 .min_by_key(|&j| (self.cores[j].lane.n_waiting(self.cores[j].ledger.len()), j))
@@ -259,7 +260,7 @@ impl LeastMarginalCost {
             self.costs
                 .push(core.ledger.marginal_insert_cost(task.cycles));
         }
-        let best = least(&self.costs);
+        let best = least(self.costs.iter().copied());
         let h = self.cores[best].insert(task.id, task.cycles);
         if tracing {
             // Theorem-3 backward position of the fresh insertion and
@@ -362,7 +363,7 @@ mod tests {
                     .iter_mut()
                     .map(|c| c.ledger.reference_marginal_insert_cost(task.cycles))
                     .unzip();
-                let (q, o) = (least(&query), least(&old));
+                let (q, o) = (least(query.iter().copied()), least(old.iter().copied()));
                 if q != o {
                     self.splits.push(Split {
                         gap: (query[q] - query[o]).abs(),

@@ -1561,15 +1561,13 @@ mod tests {
         ]);
         engine.run_to_completion(&mut Mutator);
 
-        // Every event that carries a rate, as `(time, core, rate)`: what
-        // a frequency actuator would be asked to write.
-        let writes: Vec<(f64, u32, u32)> = (engine.observer.0.iter())
+        // Every event that carries a rate, as `(time, core, from, rate)`:
+        // what a frequency actuator would be asked to write. A dispatch
+        // carries no `from`; a rate change names the rate it left.
+        let writes: Vec<(f64, u32, Option<u32>, u32)> = (engine.observer.0.iter())
             .filter_map(|(t, ev)| match *ev {
-                EventKind::Dispatch { core, rate, .. } => Some((*t, core, rate)),
-                EventKind::RateChange { core, from, to } => {
-                    assert_ne!(from, to, "a silent rate change was reported");
-                    Some((*t, core, to))
-                }
+                EventKind::Dispatch { core, rate, .. } => Some((*t, core, None, rate)),
+                EventKind::RateChange { core, from, to } => Some((*t, core, Some(from), to)),
                 _ => None,
             })
             .collect();
@@ -1577,10 +1575,10 @@ mod tests {
         assert_eq!(
             writes,
             vec![
-                (0.0, 0, 2),   // dispatch-with-rate, not also a RateChange
-                (0.5, 0, 1),   // effective set_rate (its repeat is silent)
-                (1.0, 0, 4),   // governor tick
-                (done1, 0, 4), // dispatch without a rate reports the held one
+                (0.0, 0, None, 2),    // dispatch-with-rate, not also a RateChange
+                (0.5, 0, Some(2), 1), // effective set_rate (its repeat is silent)
+                (1.0, 0, Some(1), 4), // governor tick
+                (done1, 0, None, 4),  // dispatch without a rate reports the held one
             ]
         );
         // The engine's own view agrees with the last write.

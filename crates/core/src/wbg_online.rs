@@ -108,10 +108,8 @@ impl Scheduler for WbgReassign {
         self.cycles.insert(task.id, task.cycles);
         match task.class {
             TaskClass::Interactive => {
-                let mut costs = Vec::new();
                 let cores = self.cores.iter().map(|c| (&c.lane, c.queue.len()));
-                marginal_costs(self.params, sim, task.cycles, cores, &mut costs);
-                let best = least(&costs);
+                let best = least(marginal_costs(self.params, sim, task.cycles, cores));
                 self.cores[best].lane.place(sim, best, task.id);
             }
             TaskClass::NonInteractive | TaskClass::Batch => {

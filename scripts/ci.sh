@@ -280,7 +280,7 @@ TOTAL_CEILING=6827
 # Lower it with the total; never raise it.
 SHIMS_CEILING=1365
 # Lower it with the total; never raise it.
-ENGINE_CEILING=6363
+ENGINE_CEILING=6361
 echo "==> non-test lines per file, crates/{serve,net}/src"
 oversize=0
 total=0
